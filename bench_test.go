@@ -11,6 +11,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,9 +107,11 @@ func BenchmarkMemSchedule(b *testing.B) {
 	}
 }
 
-func BenchmarkParetoSweep(b *testing.B) {
+// paretoBenchSpace is the ResNet-50 single-discipline space of the memory-axis
+// benchmark and its allocation contract.
+func paretoBenchSpace() plansearch.Space {
 	m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
-	sp := plansearch.Space{
+	return plansearch.Space{
 		Model: m,
 		Costs: datapar.Costs(m, datapar.PubA(), 16, datapar.OOOBytePS),
 		Disciplines: []plansearch.Discipline{{
@@ -117,6 +120,10 @@ func BenchmarkParetoSweep(b *testing.B) {
 			Preemptive: true,
 		}},
 	}
+}
+
+func BenchmarkParetoSweep(b *testing.B) {
+	sp := paretoBenchSpace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plansearch.ParetoSweep(sp, plansearch.Config{})
@@ -703,6 +710,33 @@ func TestAllocsSimulateIterationOverlappedWarm(t *testing.T) {
 	s.SimulateIterationOverlapped(c, order, prio, true, overlapped)
 	if n := testing.AllocsPerRun(50, func() { s.SimulateIterationOverlapped(c, order, prio, true, overlapped) }); n != 0 {
 		t.Fatalf("warm SimulateIterationOverlapped allocates %v times per run, want 0", n)
+	}
+}
+
+// TestAllocsMemoryAxisWarm: the memory-axis oracle works on pooled scratch.
+// A warm MemFootprint (one call per time plan) allocates nothing. A sweep on
+// a warm simulator pool allocates nothing per candidate (there are 51 here):
+// 19 today — the points, the frontier as it grows, the sort index, the one
+// list schedule (4), the fan-out closure and Config's default perturbation
+// set (5). MemSchedule allocates its schedule, two done tables and one ready
+// buffer.
+func TestAllocsMemoryAxisWarm(t *testing.T) {
+	sp := paretoBenchSpace()
+	order := core.ReverseFirstK(sp.Model, 20, 0)
+	plansearch.MemFootprint(sp.Model, order)
+	if n := testing.AllocsPerRun(50, func() { plansearch.MemFootprint(sp.Model, order) }); n != 0 {
+		t.Fatalf("warm MemFootprint allocates %v times per run, want 0", n)
+	}
+
+	cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
+	plansearch.ParetoSweep(sp, cfg)
+	if n := testing.AllocsPerRun(20, func() { plansearch.ParetoSweep(sp, cfg) }); n > 24 {
+		t.Fatalf("warm ParetoSweep allocates %v times per run, want at most 24", n)
+	}
+
+	m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
+	if n := testing.AllocsPerRun(20, func() { core.MemSchedule(m) }); n > 4 {
+		t.Fatalf("MemSchedule allocates %v times per run, want at most 4", n)
 	}
 }
 

@@ -13,7 +13,7 @@ func MatMul(a, b *Variable) *Variable {
 	out := t.intermediate(tensor.MatMul(a.Value, b.Value))
 	av, bv := a.Value, b.Value
 	t.record(out, []*Variable{a, b}, []func(*tensor.Tensor) *tensor.Tensor{
-		func(g *tensor.Tensor) *tensor.Tensor { return tensor.MatMulT(g, bv) },  // g·bᵀ, fused
+		func(g *tensor.Tensor) *tensor.Tensor { return tensor.MatMulT(g, bv) }, // g·bᵀ, fused
 		func(g *tensor.Tensor) *tensor.Tensor { return tensor.TMatMul(av, g) }, // aᵀ·g, fused
 	})
 	return out

@@ -16,12 +16,17 @@ import (
 // ErrOutOfMemory is returned when no free region can satisfy a request.
 var ErrOutOfMemory = errors.New("bfc: out of memory")
 
+// none is the nil link of the block list.
+const none = -1
+
 // block is a contiguous arena region, free or allocated, in a doubly linked
-// address-ordered list.
+// address-ordered list. Blocks live in the allocator's slab and link by slab
+// index, so resetting an allocator is a truncation and the records hold no
+// pointers.
 type block struct {
 	off, size  int64
+	prev, next int32
 	free       bool
-	prev, next *block
 }
 
 // Allocator manages a fixed arena with best-fit allocation and immediate
@@ -31,9 +36,13 @@ type block struct {
 // uses.
 type Allocator struct {
 	arena int64
-	head  *block
-	byOff map[int64]*block // allocated blocks by offset
-	free  freeBins
+	// blocks is the record slab. Index 0 is always the block at offset 0:
+	// splits keep the low part in place and coalescing keeps the low
+	// neighbour's record.
+	blocks []block
+	spare  []int32         // slab records released by coalescing
+	byOff  map[int64]int32 // allocated blocks by offset (Alloc/Free only)
+	free   freeBins
 
 	used, peak int64
 	footprint  int64
@@ -42,13 +51,24 @@ type Allocator struct {
 
 // New creates an allocator over an arena of the given size.
 func New(arena int64) *Allocator {
+	a := &Allocator{byOff: make(map[int64]int32)}
+	a.reset(arena)
+	return a
+}
+
+// reset returns the allocator to one free block spanning a new arena,
+// keeping the slab's and the bins' storage.
+func (a *Allocator) reset(arena int64) {
 	if arena <= 0 {
 		panic("bfc: non-positive arena")
 	}
-	h := &block{off: 0, size: arena, free: true}
-	a := &Allocator{arena: arena, head: h, byOff: make(map[int64]*block)}
-	a.free.insert(h)
-	return a
+	a.arena = arena
+	a.blocks = append(a.blocks[:0], block{size: arena, prev: none, next: none, free: true})
+	a.spare = a.spare[:0]
+	clear(a.byOff)
+	a.free.reset()
+	a.free.insert(a.blocks, 0)
+	a.used, a.peak, a.footprint, a.allocs = 0, 0, 0, 0
 }
 
 // align rounds requests up to 256 bytes, as GPU allocators do.
@@ -67,64 +87,98 @@ func (a *Allocator) Alloc(n int64) (int64, error) {
 		panic("bfc: negative allocation")
 	}
 	n = roundUp(n)
-	best := a.free.take(n)
-	if best == nil {
+	i := a.allocBlock(n)
+	if i == none {
 		return 0, fmt.Errorf("%w: want %d, used %d of %d (largest free %d)",
 			ErrOutOfMemory, n, a.used, a.arena, a.largestFree())
 	}
-	if best.size > n {
-		rest := &block{off: best.off + n, size: best.size - n, free: true,
-			prev: best, next: best.next}
-		if best.next != nil {
-			best.next.prev = rest
-		}
-		best.next = rest
-		best.size = n
-		a.free.insert(rest)
+	off := a.blocks[i].off
+	a.byOff[off] = i
+	return off, nil
+}
+
+// allocBlock reserves n aligned bytes in the best-fitting free block,
+// splitting off the remainder, and returns the block's slab index, or none
+// when nothing fits.
+func (a *Allocator) allocBlock(n int64) int32 {
+	i := a.free.take(a.blocks, n)
+	if i == none {
+		return none
 	}
-	best.free = false
-	a.byOff[best.off] = best
-	a.used += best.size
+	if b := a.blocks[i]; b.size > n {
+		rest := a.newBlock(block{off: b.off + n, size: b.size - n, prev: i, next: b.next, free: true})
+		if b.next != none {
+			a.blocks[b.next].prev = rest
+		}
+		a.blocks[i].next = rest
+		a.blocks[i].size = n
+		a.free.insert(a.blocks, rest)
+	}
+	b := &a.blocks[i]
+	b.free = false
+	a.used += b.size
 	if a.used > a.peak {
 		a.peak = a.used
 	}
-	if end := best.off + best.size; end > a.footprint {
+	if end := b.off + b.size; end > a.footprint {
 		a.footprint = end
 	}
 	a.allocs++
-	return best.off, nil
+	return i
+}
+
+// newBlock stores a record in the slab, reusing a released slot if any.
+func (a *Allocator) newBlock(b block) int32 {
+	if n := len(a.spare); n > 0 {
+		i := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		a.blocks[i] = b
+		return i
+	}
+	a.blocks = append(a.blocks, b)
+	return int32(len(a.blocks) - 1)
 }
 
 // Free releases the allocation at the given offset, coalescing with free
 // neighbours. Freeing an unknown offset panics — it is always a caller bug.
 func (a *Allocator) Free(off int64) {
-	b, ok := a.byOff[off]
+	i, ok := a.byOff[off]
 	if !ok {
 		panic(fmt.Sprintf("bfc: free of unallocated offset %d", off))
 	}
 	delete(a.byOff, off)
+	a.freeBlock(i)
+}
+
+// freeBlock releases allocated block i, coalescing with next, then with
+// prev, keeping the bins in sync.
+func (a *Allocator) freeBlock(i int32) {
+	b := &a.blocks[i]
 	a.used -= b.size
 	b.free = true
-	// Coalesce with next, then with prev, keeping the bins in sync.
-	if n := b.next; n != nil && n.free {
-		a.free.remove(n)
-		b.size += n.size
-		b.next = n.next
-		if n.next != nil {
-			n.next.prev = b
-		}
+	if n := b.next; n != none && a.blocks[n].free {
+		a.free.remove(a.blocks, n)
+		a.absorbNext(i)
 	}
-	if p := b.prev; p != nil && p.free {
-		a.free.remove(p)
-		p.size += b.size
-		p.next = b.next
-		if b.next != nil {
-			b.next.prev = p
-		}
-		a.free.insert(p)
-		return
+	if p := b.prev; p != none && a.blocks[p].free {
+		a.free.remove(a.blocks, p)
+		a.absorbNext(p)
+		i = p
 	}
-	a.free.insert(b)
+	a.free.insert(a.blocks, i)
+}
+
+// absorbNext merges block i's successor into it and releases the
+// successor's record.
+func (a *Allocator) absorbNext(i int32) {
+	b := &a.blocks[i]
+	n := b.next
+	b.size += a.blocks[n].size
+	b.next = a.blocks[n].next
+	if b.next != none {
+		a.blocks[b.next].prev = i
+	}
+	a.spare = append(a.spare, n)
 }
 
 // Used returns the currently allocated bytes (after alignment).
@@ -136,34 +190,41 @@ func (a *Allocator) Peak() int64 { return a.peak }
 // Allocs returns the number of successful allocations.
 func (a *Allocator) Allocs() uint64 { return a.allocs }
 
-func (a *Allocator) largestFree() int64 {
-	var m int64
-	for b := a.head; b != nil; b = b.next {
-		if b.free && b.size > m {
-			m = b.size
+// freeSpace walks the block list and returns the number of free regions,
+// their total size and the largest one.
+func (a *Allocator) freeSpace() (regions int, total, largest int64) {
+	for i := int32(0); i != none; i = a.blocks[i].next {
+		b := &a.blocks[i]
+		if !b.free {
+			continue
+		}
+		regions++
+		total += b.size
+		if b.size > largest {
+			largest = b.size
 		}
 	}
-	return m
+	return regions, total, largest
+}
+
+func (a *Allocator) largestFree() int64 {
+	_, _, largest := a.freeSpace()
+	return largest
 }
 
 // Fragmentation returns 1 − largestFree/totalFree: 0 when the free space is
 // one contiguous region, approaching 1 as it shatters. Returns 0 when the
 // arena is full.
 func (a *Allocator) Fragmentation() float64 {
-	var total, largest int64
-	for b := a.head; b != nil; b = b.next {
-		if !b.free {
-			continue
-		}
-		total += b.size
-		if b.size > largest {
-			largest = b.size
-		}
-	}
-	if total == 0 {
+	_, total, largest := a.freeSpace()
+	return fragmentation(total, largest)
+}
+
+func fragmentation(totalFree, largestFree int64) float64 {
+	if totalFree == 0 {
 		return 0
 	}
-	return 1 - float64(largest)/float64(total)
+	return 1 - float64(largestFree)/float64(totalFree)
 }
 
 // CheckInvariants validates the block list: address-ordered, gap-free, no
@@ -171,7 +232,9 @@ func (a *Allocator) Fragmentation() float64 {
 func (a *Allocator) CheckInvariants() error {
 	var off int64
 	prevFree := false
-	for b := a.head; b != nil; b = b.next {
+	freeBlocks := 0
+	for i := int32(0); i != none; i = a.blocks[i].next {
+		b := &a.blocks[i]
 		if b.off != off {
 			return fmt.Errorf("bfc: block at %d, expected %d", b.off, off)
 		}
@@ -181,8 +244,11 @@ func (a *Allocator) CheckInvariants() error {
 		if b.free && prevFree {
 			return fmt.Errorf("bfc: uncoalesced free blocks at %d", b.off)
 		}
-		if b.next != nil && b.next.prev != b {
+		if b.next != none && a.blocks[b.next].prev != i {
 			return fmt.Errorf("bfc: broken back-link at %d", b.off)
+		}
+		if b.free {
+			freeBlocks++
 		}
 		prevFree = b.free
 		off += b.size
@@ -191,12 +257,6 @@ func (a *Allocator) CheckInvariants() error {
 		return fmt.Errorf("bfc: blocks cover %d of %d", off, a.arena)
 	}
 	// Bin consistency: every free block binned exactly once.
-	freeBlocks := 0
-	for b := a.head; b != nil; b = b.next {
-		if b.free {
-			freeBlocks++
-		}
-	}
 	if got := a.free.count(); got != freeBlocks {
 		return fmt.Errorf("bfc: %d blocks binned, %d free in the list", got, freeBlocks)
 	}

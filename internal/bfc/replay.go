@@ -8,6 +8,8 @@ import "fmt"
 // logical byte sum.
 type Event struct {
 	// ID names the tensor; the free of an ID matches its most recent alloc.
+	// IDs are small non-negative integers: the replay keeps one table slot
+	// per ID up to the largest one in the trace.
 	ID int
 	// Bytes is the requested allocation size (alloc events only).
 	Bytes int64
@@ -17,8 +19,8 @@ type Event struct {
 
 // ReplayResult reports one trace replayed through an allocator.
 type ReplayResult struct {
-	// Arena is the arena size the replay settled on (the logical peak grown
-	// by doubling until the trace fit).
+	// Arena is the arena size the replay settled on: the first of
+	// roundUp(LogicalPeakBytes)·2ⁿ, n = 0, 1, …, that the trace fit.
 	Arena int64
 	// LogicalPeakBytes is the high-water mark of the plain byte sum of live
 	// allocations — what a byte-counter simulator reports.
@@ -26,9 +28,9 @@ type ReplayResult struct {
 	// AlignedPeakBytes is the allocator's high-water mark of bytes in use
 	// after 256-byte alignment (≥ LogicalPeakBytes).
 	AlignedPeakBytes int64
-	// FragPeakBytes is the footprint high-water mark: the largest arena
-	// extent the trace ever occupied, holes included. This is the arena a
-	// fixed-size device allocation would actually need.
+	// FragPeakBytes is the footprint high-water mark in that arena: the
+	// largest extent the trace ever occupied, holes included. This is the
+	// arena a fixed-size device allocation would actually need.
 	FragPeakBytes int64
 	// FragRatio is FragPeakBytes / AlignedPeakBytes (≥ 1; 1 when the
 	// allocator packed the trace with no holes at the peak).
@@ -39,84 +41,108 @@ type ReplayResult struct {
 	Final Stats
 }
 
-// Replay runs a trace through a fresh allocator and reports the fragmented
-// memory profile. The arena starts at the trace's logical peak and doubles on
-// ErrOutOfMemory, so the replay always completes and is deterministic: BFC
-// placement does not depend on the arena size except through OOM, so the
-// first fitting arena yields the canonical footprint.
+// Replay runs a trace through a fresh Replayer; see Replayer.Replay.
+func Replay(events []Event) ReplayResult {
+	var r Replayer
+	return r.Replay(events)
+}
+
+// Replayer replays traces through one allocator that is reset, not rebuilt,
+// between arenas and between traces, so a warm Replayer allocates nothing.
+// The zero value is ready to use; a Replayer is not safe for concurrent use.
+type Replayer struct {
+	a Allocator
+	// slot is the per-ID table: while checking the trace, the requested
+	// bytes of a live ID (dead = −1); while replaying, its block's slab
+	// index.
+	slot []int64
+}
+
+// Replay runs a trace through the allocator and reports the fragmented
+// memory profile. The arena starts at the trace's logical peak rounded up to
+// the alignment and doubles on out-of-memory, each attempt starting from an
+// empty arena, so the replay always completes and is deterministic.
+// FragPeakBytes is *defined* as the footprint in the first fitting arena of
+// that roundUp(logicalPeak)·2ⁿ sequence: best-fit weighs the free tail block,
+// whose size is the arena size minus the extent in use, so the same trace can
+// be placed differently — and reach a different footprint — in a larger
+// arena.
 //
 // Replay panics on malformed traces (free of a dead ID, double alloc of a
-// live ID, negative size) — traces are machine-generated, so malformation is
-// always a producer bug.
-func Replay(events []Event) ReplayResult {
-	var live, logical, logicalPeak int64
-	liveIDs := make(map[int]int64, 16)
+// live ID, negative size or ID, an ID left live) — traces are
+// machine-generated, so malformation is always a producer bug. A Replayer
+// stays usable after such a panic.
+func (r *Replayer) Replay(events []Event) ReplayResult {
+	for i := range r.slot {
+		r.slot[i] = -1
+	}
+	var logical, logicalPeak int64
+	liveIDs := 0
 	for _, ev := range events {
 		if ev.Free {
-			sz, ok := liveIDs[ev.ID]
-			if !ok {
+			if ev.ID < 0 || ev.ID >= len(r.slot) || r.slot[ev.ID] < 0 {
 				panic(fmt.Sprintf("bfc: replay frees dead id %d", ev.ID))
 			}
-			delete(liveIDs, ev.ID)
-			logical -= sz
-			live -= roundUp(sz)
+			logical -= r.slot[ev.ID]
+			r.slot[ev.ID] = -1
+			liveIDs--
 			continue
 		}
 		if ev.Bytes < 0 {
 			panic(fmt.Sprintf("bfc: replay allocs %d bytes for id %d", ev.Bytes, ev.ID))
 		}
-		if _, ok := liveIDs[ev.ID]; ok {
+		if ev.ID < 0 {
+			panic(fmt.Sprintf("bfc: replay allocs negative id %d", ev.ID))
+		}
+		for ev.ID >= len(r.slot) {
+			r.slot = append(r.slot, -1)
+		}
+		if r.slot[ev.ID] >= 0 {
 			panic(fmt.Sprintf("bfc: replay re-allocs live id %d", ev.ID))
 		}
-		liveIDs[ev.ID] = ev.Bytes
+		r.slot[ev.ID] = ev.Bytes
+		liveIDs++
 		logical += ev.Bytes
-		live += roundUp(ev.Bytes)
 		if logical > logicalPeak {
 			logicalPeak = logical
 		}
 	}
-	if len(liveIDs) != 0 {
-		panic(fmt.Sprintf("bfc: replay leaves %d ids live", len(liveIDs)))
+	if liveIDs != 0 {
+		panic(fmt.Sprintf("bfc: replay leaves %d ids live", liveIDs))
 	}
 
 	arena := roundUp(logicalPeak)
-	for {
-		res, ok := tryReplay(events, arena)
-		if ok {
-			res.LogicalPeakBytes = logicalPeak
-			return res
-		}
+	for !r.fits(events, arena) {
 		arena *= 2
-	}
-}
-
-// tryReplay applies the trace to an arena of the given size, reporting
-// whether it fit.
-func tryReplay(events []Event, arena int64) (ReplayResult, bool) {
-	a := New(arena)
-	offs := make(map[int]int64, 16)
-	for _, ev := range events {
-		if ev.Free {
-			off := offs[ev.ID]
-			delete(offs, ev.ID)
-			a.Free(off)
-			continue
-		}
-		off, err := a.Alloc(ev.Bytes)
-		if err != nil {
-			return ReplayResult{}, false
-		}
-		offs[ev.ID] = off
 	}
 	res := ReplayResult{
 		Arena:            arena,
-		AlignedPeakBytes: a.Peak(),
-		FragPeakBytes:    a.Footprint(),
+		LogicalPeakBytes: logicalPeak,
+		AlignedPeakBytes: r.a.Peak(),
+		FragPeakBytes:    r.a.Footprint(),
 		Events:           len(events),
-		Final:            a.Stats(),
+		Final:            r.a.Stats(),
 	}
 	if res.AlignedPeakBytes > 0 {
 		res.FragRatio = float64(res.FragPeakBytes) / float64(res.AlignedPeakBytes)
 	}
-	return res, true
+	return res
+}
+
+// fits applies the (already checked) trace to an empty arena of the given
+// size, reporting whether every allocation fit.
+func (r *Replayer) fits(events []Event, arena int64) bool {
+	r.a.reset(arena)
+	for _, ev := range events {
+		if ev.Free {
+			r.a.freeBlock(int32(r.slot[ev.ID]))
+			continue
+		}
+		i := r.a.allocBlock(roundUp(ev.Bytes))
+		if i == none {
+			return false
+		}
+		r.slot[ev.ID] = int64(i)
+	}
+	return true
 }

@@ -30,22 +30,16 @@ type Stats struct {
 
 // Stats snapshots the allocator. It is O(blocks) and read-only.
 func (a *Allocator) Stats() Stats {
+	regions, total, largest := a.freeSpace()
 	st := Stats{
 		Arena:              a.arena,
 		BytesInUse:         a.used,
 		HighWater:          a.peak,
 		Footprint:          a.footprint,
 		Allocs:             a.allocs,
-		FragmentationRatio: a.Fragmentation(),
-	}
-	for b := a.head; b != nil; b = b.next {
-		if !b.free {
-			continue
-		}
-		st.FreeBlocks++
-		if b.size > st.LargestFree {
-			st.LargestFree = b.size
-		}
+		FragmentationRatio: fragmentation(total, largest),
+		FreeBlocks:         regions,
+		LargestFree:        largest,
 	}
 	for c, bin := range a.free.bins {
 		st.BinOccupancy[c] = len(bin)

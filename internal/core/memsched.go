@@ -80,8 +80,10 @@ func MemSchedule(m *models.Model) graph.BackwardSchedule {
 		return a.Layer > b.Layer
 	}
 
+	// At most one δO and L δW are ever ready.
+	ready := make([]step, 0, L+1)
 	for len(s) < 2*L {
-		var ready []step
+		ready = ready[:0]
 		if nextDO >= 1 {
 			ready = append(ready, eval(graph.Op{Kind: graph.OutGrad, Layer: nextDO}))
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -50,9 +52,25 @@ func TestMemSchedulePeakBeatsReverseFirstK(t *testing.T) {
 	}
 }
 
+// TestMemScheduleGolden pins the schedule itself: on ResNet-50 (as on every
+// zoo model) the list scheduler lands on the reverse-first-0 order.
+func TestMemScheduleGolden(t *testing.T) {
+	m, err := models.BuildZoo("resnet50", models.V100Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := MemSchedule(m), graph.ReverseFirstK(len(m.Layers), 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resnet50 MemSchedule:\n%v\nwant\n%v", got, want)
+	}
+}
+
 // TestMemScheduleRandomModels fuzzes the scheduler over random byte profiles:
-// always legal, never above the conventional schedule's peak.
+// always legal, never above the conventional schedule's peak, and — where
+// the zoo never leaves reverse-first-0 — the same schedules, op for op, as
+// the digest recorded before the ready buffer was hoisted.
 func TestMemScheduleRandomModels(t *testing.T) {
+	const golden = "c6bbb068986564f85b29adbcd21a1368ca5344542d9c8f8ca399800b5f04b756"
+	digest := sha256.New()
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		L := 1 + rng.Intn(32)
@@ -68,11 +86,15 @@ func TestMemScheduleRandomModels(t *testing.T) {
 		if err := s.Validate(L); err != nil {
 			t.Fatalf("L=%d: %v", L, err)
 		}
+		fmt.Fprintln(digest, s)
 		memPeak := graph.PeakMemory(m, s)
 		convPeak := graph.PeakMemory(m, graph.Conventional(L))
 		if memPeak > convPeak {
 			t.Errorf("L=%d: MemSchedule peak %d above conventional's %d",
 				L, memPeak, convPeak)
 		}
+	}
+	if got := fmt.Sprintf("%x", digest.Sum(nil)); got != golden {
+		t.Fatalf("schedules digest %s, want %s", got, golden)
 	}
 }

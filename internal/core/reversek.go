@@ -27,21 +27,7 @@ func ReverseFirstK(m *models.Model, k int, maxMem int64) graph.BackwardSchedule 
 	if maxMem > 0 {
 		k = min(k, maxK(m, k, maxMem))
 	}
-	return reverseFirstKOrder(L, k)
-}
-
-func reverseFirstKOrder(L, k int) graph.BackwardSchedule {
-	s := make(graph.BackwardSchedule, 0, 2*L)
-	for i := L; i >= 1; i-- {
-		if i > k {
-			s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-		}
-		s = append(s, graph.Op{Kind: graph.OutGrad, Layer: i})
-	}
-	for i := 1; i <= k; i++ {
-		s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-	}
-	return s
+	return graph.ReverseFirstK(L, k)
 }
 
 // maxK finds the largest j ≤ k whose schedule peak fits in maxMem. The peak
@@ -50,7 +36,7 @@ func reverseFirstKOrder(L, k int) graph.BackwardSchedule {
 func maxK(m *models.Model, k int, maxMem int64) int {
 	L := len(m.Layers)
 	for j := k; j > 0; j-- {
-		if graph.PeakMemory(m, reverseFirstKOrder(L, j)) <= maxMem {
+		if graph.PeakMemory(m, graph.ReverseFirstK(L, j)) <= maxMem {
 			return j
 		}
 	}
@@ -153,11 +139,11 @@ func ReverseFirstKCheckpointed(m *models.Model, k, every int, maxMem int64) grap
 	}
 	if maxMem > 0 {
 		for ; k > 0; k-- {
-			rc := graph.MemoryProfileRecompute(m, reverseFirstKOrder(L, k), every)
+			rc := graph.MemoryProfileRecompute(m, graph.ReverseFirstK(L, k), every)
 			if rc.Peak() <= maxMem {
 				break
 			}
 		}
 	}
-	return reverseFirstKOrder(L, k)
+	return graph.ReverseFirstK(L, k)
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 
+	"oooback/internal/bfc"
 	"oooback/internal/models"
 )
 
@@ -12,17 +13,12 @@ import (
 // MemoryProfile computes. The two are differential-tested against each
 // other: the running byte sum of the trace reproduces MemoryProfile exactly.
 
-// AllocEvent is one alloc or free in a schedule's tensor-lifetime trace.
-type AllocEvent struct {
-	// ID names the tensor: activation a_{i-1} (input of layer i) is i,
-	// gradient g_i is L+i, and the transient δW workspace is 2L+1 (reused,
-	// but never live across ops).
-	ID int
-	// Bytes is the allocation size (alloc events only).
-	Bytes int64
-	// Free marks a free event.
-	Free bool
-}
+// AllocEvent is one alloc or free in a schedule's tensor-lifetime trace —
+// the allocator replay's own event type, so a trace is replayed as it is.
+// ID names the tensor: activation a_{i-1} (input of layer i) is i, gradient
+// g_i is L+i, and the transient δW workspace is 2L+1 (reused, but never live
+// across ops).
+type AllocEvent = bfc.Event
 
 // AllocTrace is the tensor-lifetime event sequence of one backward schedule.
 type AllocTrace struct {
@@ -38,7 +34,23 @@ type AllocTrace struct {
 	OpEnd []int
 }
 
-// TraceAllocs derives the alloc/free trace of a backward schedule over a
+// AllocTracer derives traces into storage it keeps between calls, so a warm
+// tracer allocates nothing. The zero value is ready to use; a tracer is not
+// safe for concurrent use.
+type AllocTracer struct {
+	events []AllocEvent
+	opEnd  []int
+	flags  []bool
+}
+
+// TraceAllocs derives the trace of one schedule with a fresh AllocTracer;
+// see AllocTracer.Trace.
+func TraceAllocs(m *models.Model, s BackwardSchedule) AllocTrace {
+	var t AllocTracer
+	return t.Trace(m, s)
+}
+
+// Trace derives the alloc/free trace of a backward schedule over a
 // model, following exactly the lifetime rules of MemoryProfile: activation
 // a_{i-1} (ActBytes of layer i) is live from the start and freed by δW_i;
 // gradient g_i (OutBytes of layer i) is produced by the upstream δO and
@@ -51,33 +63,52 @@ type AllocTrace struct {
 // MemoryProfile[p] minus the WorkBytes transient for δW ops.
 //
 // Zero-byte tensors emit no events (an allocator would round them up and
-// distort the profile). The schedule must be valid; TraceAllocs panics
-// otherwise, mirroring MemoryProfile's contract via Validate.
-func TraceAllocs(m *models.Model, s BackwardSchedule) AllocTrace {
+// distort the profile). The schedule must be valid; Trace panics otherwise,
+// mirroring MemoryProfile's contract via Validate. The returned trace
+// aliases the tracer's storage and is valid until the next call.
+func (t *AllocTracer) Trace(m *models.Model, s BackwardSchedule) AllocTrace {
 	L := len(m.Layers)
-	if err := s.Validate(L); err != nil {
+	// flags holds three tables: two of L+2 flags that first serve validate
+	// and then mark the δO and δW ops run so far, and one marking the live
+	// tensor IDs, which run to 2L+1.
+	if n := 4*L + 6; cap(t.flags) < n {
+		t.flags = make([]bool, n)
+	} else {
+		t.flags = t.flags[:n]
+		clear(t.flags)
+	}
+	doneDO, doneDW, allocated := t.flags[:L+2], t.flags[L+2:2*L+4], t.flags[2*L+4:]
+	if err := s.validate(L, doneDO, doneDW); err != nil {
 		panic(fmt.Sprintf("graph: %v", err))
+	}
+	clear(t.flags[:2*L+4])
+	// Per op at most four events (δW: workspace, activation, gradient,
+	// workspace), on top of the L+1 initially resident tensors.
+	if n := L + 1 + 4*len(s); cap(t.events) < n {
+		t.events = make([]AllocEvent, 0, n)
+	}
+	if cap(t.opEnd) < len(s) {
+		t.opEnd = make([]int, 0, len(s))
 	}
 	layer := func(i int) models.Layer { return m.Layers[i-1] }
 	actID := func(i int) int { return i }
 	gradID := func(i int) int { return L + i }
 	wsID := 2*L + 1
 
-	tr := AllocTrace{OpEnd: make([]int, len(s))}
-	allocated := make(map[int]bool, 2*L+1)
+	events := t.events[:0]
 	alloc := func(id int, bytes int64) {
 		if bytes <= 0 {
 			return
 		}
-		tr.Events = append(tr.Events, AllocEvent{ID: id, Bytes: bytes})
+		events = append(events, AllocEvent{ID: id, Bytes: bytes})
 		allocated[id] = true
 	}
 	free := func(id int) {
 		if !allocated[id] {
 			return
 		}
-		tr.Events = append(tr.Events, AllocEvent{ID: id, Free: true})
-		delete(allocated, id)
+		events = append(events, AllocEvent{ID: id, Free: true})
+		allocated[id] = false
 	}
 
 	// Initial residency: every stored activation, then the loss gradient.
@@ -85,11 +116,10 @@ func TraceAllocs(m *models.Model, s BackwardSchedule) AllocTrace {
 		alloc(actID(i), layer(i).ActBytes)
 	}
 	alloc(gradID(L), layer(L).OutBytes)
-	tr.Init = len(tr.Events)
+	resident := len(events)
 
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
-	for p, op := range s {
+	opEnd := t.opEnd[:0]
+	for _, op := range s {
 		i := op.Layer
 		switch op.Kind {
 		case OutGrad:
@@ -109,7 +139,8 @@ func TraceAllocs(m *models.Model, s BackwardSchedule) AllocTrace {
 			}
 			free(wsID)
 		}
-		tr.OpEnd[p] = len(tr.Events)
+		opEnd = append(opEnd, len(events))
 	}
-	return tr
+	t.events, t.opEnd = events, opEnd
+	return AllocTrace{Events: events, Init: resident, OpEnd: opEnd}
 }

@@ -177,21 +177,21 @@ func (a *Analysis) DWRank() []int {
 // clamped to [0, L]; k = 0 is almost the conventional order (δW precedes δO
 // within a layer) and k = L defers every δW (gradient fast-forwarding).
 func ReverseFirstK(L, k int) BackwardSchedule {
-	if k < 0 {
-		k = 0
-	}
-	if k > L {
-		k = L
-	}
-	s := make(BackwardSchedule, 0, 2*L)
+	return AppendReverseFirstK(make(BackwardSchedule, 0, 2*L), L, k)
+}
+
+// AppendReverseFirstK appends ReverseFirstK(L, k) to dst, for callers that
+// build many schedules into one reused buffer.
+func AppendReverseFirstK(dst BackwardSchedule, L, k int) BackwardSchedule {
+	k = max(0, min(k, L))
 	for i := L; i >= 1; i-- {
 		if i > k {
-			s = append(s, Op{Kind: WeightGrad, Layer: i})
+			dst = append(dst, Op{Kind: WeightGrad, Layer: i})
 		}
-		s = append(s, Op{Kind: OutGrad, Layer: i})
+		dst = append(dst, Op{Kind: OutGrad, Layer: i})
 	}
 	for i := 1; i <= k; i++ {
-		s = append(s, Op{Kind: WeightGrad, Layer: i})
+		dst = append(dst, Op{Kind: WeightGrad, Layer: i})
 	}
-	return s
+	return dst
 }

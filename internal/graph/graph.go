@@ -92,28 +92,35 @@ func Conventional(L int) BackwardSchedule {
 // L-layer network: each op appears exactly once and no op runs before its
 // dependency (δO_i and δW_i require δO_{i+1}).
 func (s BackwardSchedule) Validate(L int) error {
+	flags := make([]bool, 2*(L+2))
+	return s.validate(L, flags[:L+2], flags[L+2:])
+}
+
+// validate is Validate on caller-supplied tables: seenDO and seenDW hold
+// L+2 cleared flags each and come back marking the ops seen.
+func (s BackwardSchedule) validate(L int, seenDO, seenDW []bool) error {
 	if len(s) != 2*L {
 		return fmt.Errorf("graph: schedule has %d ops, want %d", len(s), 2*L)
 	}
-	doneDO := make([]bool, L+2)
-	doneDO[L+1] = true // loss gradient
-	seen := make(map[Op]bool, 2*L)
+	seenDO[L+1] = true // loss gradient
 	for pos, op := range s {
 		if op.Layer < 1 || op.Layer > L {
 			return fmt.Errorf("graph: op %v at %d: layer out of range 1..%d", op, pos, L)
 		}
-		if op.Kind != OutGrad && op.Kind != WeightGrad {
+		seen := seenDO
+		switch op.Kind {
+		case OutGrad:
+		case WeightGrad:
+			seen = seenDW
+		default:
 			return fmt.Errorf("graph: op %v at %d: backward schedules hold only dO/dW", op, pos)
 		}
-		if seen[op] {
+		if seen[op.Layer] {
 			return fmt.Errorf("graph: op %v duplicated at %d", op, pos)
 		}
-		seen[op] = true
-		if !doneDO[op.Layer+1] {
+		seen[op.Layer] = true
+		if !seenDO[op.Layer+1] {
 			return fmt.Errorf("graph: op %v at %d runs before dO%d", op, pos, op.Layer+1)
-		}
-		if op.Kind == OutGrad {
-			doneDO[op.Layer] = true
 		}
 	}
 	return nil

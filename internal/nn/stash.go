@@ -36,11 +36,11 @@ func stashTensorBytes(ts ...*tensor.Tensor) int64 {
 }
 
 // Dense stashes only the borrowed input reference.
-func (d *Dense) DropStash()       { d.x = nil }
+func (d *Dense) DropStash()        { d.x = nil }
 func (d *Dense) StashBytes() int64 { return 0 }
 
 // ReLU owns its elementwise keep mask.
-func (r *ReLU) DropStash()       { r.mask = nil }
+func (r *ReLU) DropStash()        { r.mask = nil }
 func (r *ReLU) StashBytes() int64 { return int64(len(r.mask)) }
 
 // Conv2D owns the im2col lowering WeightGrad replays; the input is borrowed.
@@ -51,15 +51,15 @@ func (l *Conv2D) DropStash() {
 func (l *Conv2D) StashBytes() int64 { return stashTensorBytes(l.cols) }
 
 // MaxPool2 owns the argmax index plan.
-func (l *MaxPool2) DropStash()       { l.arg = nil }
+func (l *MaxPool2) DropStash()        { l.arg = nil }
 func (l *MaxPool2) StashBytes() int64 { return 8 * int64(len(l.arg)) }
 
 // Flatten retains only the input shape.
-func (l *Flatten) DropStash()       {}
+func (l *Flatten) DropStash()        {}
 func (l *Flatten) StashBytes() int64 { return 0 }
 
 // Embedding owns the decoded token-id list.
-func (e *Embedding) DropStash()       { e.ids = nil }
+func (e *Embedding) DropStash()        { e.ids = nil }
 func (e *Embedding) StashBytes() int64 { return 8 * int64(len(e.ids)) }
 
 // LayerNorm owns the normalized rows and per-row inverse deviations.
@@ -72,7 +72,7 @@ func (l *LayerNorm) StashBytes() int64 {
 }
 
 // MeanPool1D retains only the input row count.
-func (p *MeanPool1D) DropStash()       {}
+func (p *MeanPool1D) DropStash()        {}
 func (p *MeanPool1D) StashBytes() int64 { return 0 }
 
 // SelfAttention owns the projections and attention rows; the input is

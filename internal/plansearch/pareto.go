@@ -12,6 +12,9 @@
 package plansearch
 
 import (
+	"cmp"
+	"slices"
+	"sync"
 	"time"
 
 	"oooback/internal/bfc"
@@ -36,22 +39,35 @@ type MemStats struct {
 	FragRatio float64 `json:"frag_ratio"`
 }
 
-// MemFootprint replays a schedule's tensor-lifetime trace through a fresh
-// BFC arena and reports the fragmented footprint. Deterministic: the trace
-// and the replay are both pure functions of (model, schedule).
-func MemFootprint(m *models.Model, s graph.BackwardSchedule) MemStats {
-	tr := graph.TraceAllocs(m, s)
-	events := make([]bfc.Event, len(tr.Events))
-	for i, ev := range tr.Events {
-		events[i] = bfc.Event{ID: ev.ID, Bytes: ev.Bytes, Free: ev.Free}
-	}
-	res := bfc.Replay(events)
+// evaluator is the memory-axis oracle's scratch: the schedule buffer, the
+// trace storage and the BFC arena one candidate evaluation works in. A warm
+// evaluator allocates nothing.
+type evaluator struct {
+	sched  graph.BackwardSchedule
+	tracer graph.AllocTracer
+	replay bfc.Replayer
+}
+
+var evaluators = sync.Pool{New: func() any { return new(evaluator) }}
+
+// footprint traces the schedule and replays the trace through the BFC arena.
+func (e *evaluator) footprint(m *models.Model, s graph.BackwardSchedule) MemStats {
+	res := e.replay.Replay(e.tracer.Trace(m, s).Events)
 	return MemStats{
 		LogicalPeakBytes: res.LogicalPeakBytes,
 		AlignedPeakBytes: res.AlignedPeakBytes,
 		FragPeakBytes:    res.FragPeakBytes,
 		FragRatio:        res.FragRatio,
 	}
+}
+
+// MemFootprint replays a schedule's tensor-lifetime trace through an empty
+// BFC arena and reports the fragmented footprint. Deterministic: the trace
+// and the replay are both pure functions of (model, schedule).
+func MemFootprint(m *models.Model, s graph.BackwardSchedule) MemStats {
+	e := evaluators.Get().(*evaluator)
+	defer evaluators.Put(e)
+	return e.footprint(m, s)
 }
 
 // MemPoint is one candidate of the joint sweep.
@@ -81,57 +97,40 @@ type ParetoResult struct {
 	Probes int
 }
 
-// memSpace enumerates the sweep candidates: per discipline, every depth
-// k ∈ [0, L) plus the memory list schedule. Schedules are NOT clamped by
-// Space.MaxMemoryBytes — the sweep's whole point is to expose the memory
-// axis; budget filtering happens in MemorySearch.
-type memSpace struct {
-	sp   Space
-	L, D int
-	// schedules holds the L+1 distinct schedules (shared across
-	// disciplines): index k for reverse-first-k, index L for MemSchedule.
-	schedules []graph.BackwardSchedule
-	mem       []MemStats
-}
-
-func newMemSpace(sp Space, cfg Config) *memSpace {
-	L := sp.Costs.Layers()
-	ms := &memSpace{sp: sp, L: L, D: len(sp.Disciplines)}
-	ms.schedules = make([]graph.BackwardSchedule, L+1)
-	for k := 0; k < L; k++ {
-		ms.schedules[k] = core.ReverseFirstK(sp.Model, k, 0)
-	}
-	ms.schedules[L] = core.MemSchedule(sp.Model)
-	// Memory is a property of the schedule alone; replay each distinct
-	// schedule once, fanned out (each task writes its own slot).
-	ms.mem = make([]MemStats, L+1)
+// sweep evaluates every candidate — per discipline, every depth k ∈ [0, L)
+// plus the memory list schedule — and returns them in candidate-id order.
+// Schedules are NOT clamped by Space.MaxMemoryBytes: the sweep's whole point
+// is to expose the memory axis; budget filtering happens in MemorySearch.
+//
+// Memory is a property of the schedule alone, so the pass runs over the L+1
+// distinct schedules: each task builds its schedule into a pooled
+// evaluator, replays it once and simulates it under every discipline,
+// writing the slots of its own k.
+func sweep(sp Space, cfg Config) []MemPoint {
+	L, D := sp.Costs.Layers(), len(sp.Disciplines)
+	pts := make([]MemPoint, D*(L+1))
 	parexec.ForEach(L+1, cfg.Workers, func(k int) {
-		ms.mem[k] = MemFootprint(sp.Model, ms.schedules[k])
-	})
-	return ms
-}
-
-// points simulates every candidate and returns them in candidate-id order.
-func (ms *memSpace) points(cfg Config) []MemPoint {
-	n := ms.D * (ms.L + 1)
-	makespans := make([]time.Duration, n)
-	parexec.ForEach(n, cfg.Workers, func(id int) {
-		d, k := id/(ms.L+1), id%(ms.L+1)
-		disc := ms.sp.Disciplines[d]
+		e := evaluators.Get().(*evaluator)
+		defer evaluators.Put(e)
 		sc := cfg.Scratch.Get().(*core.IterScratch)
-		r := sc.SimulateIteration(ms.sp.Costs, ms.schedules[k], disc.Prio, disc.Preemptive)
-		cfg.Scratch.Put(sc)
-		makespans[id] = r.Makespan
-	})
-	pts := make([]MemPoint, n)
-	for id := 0; id < n; id++ {
-		d, k := id/(ms.L+1), id%(ms.L+1)
-		p := MemPoint{K: k, Discipline: d, Makespan: makespans[id], Mem: ms.mem[k]}
-		if k == ms.L {
+		defer cfg.Scratch.Put(sc)
+
+		p := MemPoint{K: k}
+		var s graph.BackwardSchedule
+		if k < L {
+			e.sched = graph.AppendReverseFirstK(e.sched[:0], L, k)
+			s = e.sched
+		} else {
+			s = core.MemSchedule(sp.Model)
 			p.K, p.MemSched = -1, true
 		}
-		pts[id] = p
-	}
+		p.Mem = e.footprint(sp.Model, s)
+		for d, disc := range sp.Disciplines {
+			p.Discipline = d
+			p.Makespan = sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan
+			pts[d*(L+1)+k] = p
+		}
+	})
 	return pts
 }
 
@@ -142,8 +141,7 @@ func (ms *memSpace) points(cfg Config) []MemPoint {
 func ParetoSweep(sp Space, cfg Config) ParetoResult {
 	validateSpace(sp)
 	cfg = cfg.withDefaults()
-	ms := newMemSpace(sp, cfg)
-	pts := ms.points(cfg)
+	pts := sweep(sp, cfg)
 
 	// Frontier: sort by (makespan, frag peak, id) and keep the strictly
 	// improving memory prefix.
@@ -151,14 +149,11 @@ func ParetoSweep(sp Space, cfg Config) ParetoResult {
 	for i := range ids {
 		ids[i] = i
 	}
-	sortByKey(ids, func(a, b int) bool {
-		if pts[a].Makespan != pts[b].Makespan {
-			return pts[a].Makespan < pts[b].Makespan
-		}
-		if pts[a].Mem.FragPeakBytes != pts[b].Mem.FragPeakBytes {
-			return pts[a].Mem.FragPeakBytes < pts[b].Mem.FragPeakBytes
-		}
-		return a < b
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(
+			cmp.Compare(pts[a].Makespan, pts[b].Makespan),
+			cmp.Compare(pts[a].Mem.FragPeakBytes, pts[b].Mem.FragPeakBytes),
+			cmp.Compare(a, b))
 	})
 	var frontier []MemPoint
 	for _, id := range ids {
@@ -194,8 +189,7 @@ type MemResult struct {
 func MemorySearch(sp Space, maxMemoryBytes int64, cfg Config) MemResult {
 	validateSpace(sp)
 	cfg = cfg.withDefaults()
-	ms := newMemSpace(sp, cfg)
-	pts := ms.points(cfg)
+	pts := sweep(sp, cfg)
 
 	res := MemResult{Probes: len(pts), Candidates: len(pts)}
 	bestFit, minMem := -1, -1

@@ -37,7 +37,9 @@
 package plansearch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -286,7 +288,7 @@ type state struct {
 
 // Candidate ids are d·L + k: discipline-major, matching the exhaustive scan
 // order so id order doubles as the tie-break order.
-func (s *state) id(d, k int) int  { return d*s.L + k }
+func (s *state) id(d, k int) int      { return d*s.L + k }
 func (s *state) dk(id int) (d, k int) { return id / s.L, id % s.L }
 
 func newState(sp Space, cfg Config) *state {
@@ -491,11 +493,8 @@ func (s *state) rankUnprobed() []int {
 			ids = append(ids, id)
 		}
 	}
-	sortByKey(ids, func(a, b int) bool {
-		if s.pred[a] != s.pred[b] {
-			return s.pred[a] < s.pred[b]
-		}
-		return a < b
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(s.pred[a], s.pred[b]), cmp.Compare(a, b))
 	})
 	return ids
 }
@@ -523,39 +522,6 @@ func (s *state) polish(bestID int, bestM time.Duration) (int, time.Duration) {
 		if !improved {
 			return bestID, bestM
 		}
-	}
-}
-
-// sortByKey is an insertion/heap-free deterministic sort wrapper (sort.Slice
-// is not stable, but the less function here is a total order, so the result
-// is unique regardless).
-func sortByKey(ids []int, less func(a, b int) bool) {
-	// Heapsort: in-place, deterministic for a total order, no allocation.
-	n := len(ids)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(ids, i, n, less)
-	}
-	for end := n - 1; end > 0; end-- {
-		ids[0], ids[end] = ids[end], ids[0]
-		siftDown(ids, 0, end, less)
-	}
-}
-
-// siftDown maintains a max-heap under the total order less.
-func siftDown(ids []int, i, n int, less func(a, b int) bool) {
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && less(ids[child], ids[r]) {
-			child = r
-		}
-		if !less(ids[i], ids[child]) {
-			return
-		}
-		ids[i], ids[child] = ids[child], ids[i]
-		i = child
 	}
 }
 

@@ -1,6 +1,10 @@
 package plansearch
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // The predictor is one small ridge-regularized linear model per discipline:
 // makespan(k) ≈ w·φ(k) with φ the closed-form feature row of bounds.go. It
@@ -134,12 +138,8 @@ func ranks(ids []int, key func(id int) float64) []float64 {
 	for i := range order {
 		order[i] = i
 	}
-	sortByKey(order, func(a, b int) bool {
-		ka, kb := key(ids[a]), key(ids[b])
-		if ka != kb {
-			return ka < kb
-		}
-		return ids[a] < ids[b]
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(key(ids[a]), key(ids[b])), cmp.Compare(ids[a], ids[b]))
 	})
 	out := make([]float64, len(ids))
 	for i := 0; i < len(order); {

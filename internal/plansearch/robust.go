@@ -1,9 +1,11 @@
 package plansearch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"oooback/internal/calib"
@@ -164,11 +166,11 @@ func (s *state) searchRobust() Result {
 	for i := range order {
 		order[i] = i
 	}
-	sortByKey(order, func(a, b int) bool {
-		if worst[a] != worst[b] {
-			return worst[a] < worst[b]
-		}
-		return better(s.measured[pool[a]], pool[a], s.measured[pool[b]], pool[b])
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(
+			cmp.Compare(worst[a], worst[b]),
+			cmp.Compare(s.measured[pool[a]], s.measured[pool[b]]),
+			cmp.Compare(pool[a], pool[b]))
 	})
 	sorted := make([]Alternative, len(alts))
 	for i, j := range order {
@@ -271,8 +273,8 @@ func (s *state) topProbed(n int) []int {
 			ids = append(ids, id)
 		}
 	}
-	sortByKey(ids, func(a, b int) bool {
-		return better(s.measured[a], a, s.measured[b], b)
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(s.measured[a], s.measured[b]), cmp.Compare(a, b))
 	})
 	if len(ids) > n {
 		ids = ids[:n]

@@ -243,7 +243,7 @@ func TestOverloadSheds429(t *testing.T) {
 
 	go do(0) // occupies the single worker
 	<-entered
-	go do(1)       // sits in the admission queue
+	go do(1) // sits in the admission queue
 	waitQueued(t, svc, 1)
 	resp3, b3 := postPlan(t, srv, req(2)) // must shed immediately
 	if resp3.StatusCode != http.StatusTooManyRequests {

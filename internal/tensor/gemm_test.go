@@ -65,9 +65,9 @@ func gemmShapes() [][3]int {
 	return [][3]int{
 		{1, 1, 1}, {1, 5, 3}, {4, 1, 6}, {3, 7, 1}, {1, 1, 9},
 		{2, 3, 4}, {5, 5, 5}, {8, 16, 8},
-		{gemmRowBlock + 3, 10, 7},       // straddles the row tile
-		{9, gemmKBlock + 17, 5},         // straddles the k panel
-		{6, 11, gemmJBlock + 9},         // straddles the MatMulT j tile
+		{gemmRowBlock + 3, 10, 7}, // straddles the row tile
+		{9, gemmKBlock + 17, 5},   // straddles the k panel
+		{6, 11, gemmJBlock + 9},   // straddles the MatMulT j tile
 		{gemmRowBlock + 1, 13, gemmJBlock + 2},
 		{67, 129, 71},
 	}
