@@ -1,33 +1,15 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
-	"oooback/internal/calib"
-	"oooback/internal/core"
-	"oooback/internal/data"
-	"oooback/internal/datapar"
-	"oooback/internal/graph"
-	"oooback/internal/models"
-	"oooback/internal/nn"
-	"oooback/internal/plansearch"
-	"oooback/internal/plansvc"
-	"oooback/internal/plansvc/warmcache"
-	"oooback/internal/shardsvc"
-	"oooback/internal/sim"
-	"oooback/internal/tensor"
-	"oooback/internal/train"
+	"oooback/internal/microbench"
 )
 
 // benchResult is one machine-readable micro-benchmark measurement.
@@ -65,24 +47,29 @@ type benchBaseline struct {
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
-// runBench runs the perf-critical micro-benchmarks through testing.Benchmark,
-// prints the JSON document to stdout, and (when outDir is set) also writes it
-// to outDir/BENCH_BASELINE.json. The benchmark bodies mirror the root
-// bench_test.go hot paths so the numbers are comparable with
-// `go test -bench -benchmem` runs.
-func runBench(outDir string) error {
+// runBench runs every row through testing.Benchmark, writes the JSON document
+// to stdout and, when outDir is set, to outDir/BENCH_BASELINE.json. The rows
+// are the microbench registry's — the bodies `go test -bench=Micro` runs — so
+// the numbers are comparable with `go test -bench -benchmem` runs. A row that
+// fails aborts the run before anything is written: its zero result would not
+// encode (NaN ns/op), and a snapshot missing a row is not a snapshot.
+func runBench(rows []microbench.Row, stdout io.Writer, outDir string) error {
 	doc := benchBaseline{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	for _, bm := range benchList() {
-		r := testing.Benchmark(bm.fn)
+	for _, row := range rows {
+		r := testing.Benchmark(row.Run)
+		if r.N == 0 {
+			return fmt.Errorf("bench row %s failed", row.Name)
+		}
+		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
 		doc.Benchmarks = append(doc.Benchmarks, benchResult{
-			Name:         bm.name,
+			Name:         row.Name,
 			Iterations:   r.N,
-			NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
+			NsPerOp:      nsPerOp,
 			AllocsPerOp:  r.AllocsPerOp(),
 			BytesPerOp:   r.AllocedBytesPerOp(),
 			OpsPerSec:    r.Extra["ops/s"],
@@ -92,494 +79,18 @@ func runBench(outDir string) error {
 			P999Ms:       r.Extra["p999_ms"],
 			ColdPlanRate: r.Extra["cold_rate"],
 		})
-		fmt.Fprintf(os.Stderr, "bench %-32s %12.0f ns/op %6d allocs/op\n",
-			bm.name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp())
+		fmt.Fprintf(os.Stderr, "bench %-40s %12.0f ns/op %6d allocs/op\n", row.Name, nsPerOp, r.AllocsPerOp())
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
 	out = append(out, '\n')
-	os.Stdout.Write(out)
+	if _, err := stdout.Write(out); err != nil {
+		return err
+	}
 	if outDir != "" {
-		path := filepath.Join(outDir, "BENCH_BASELINE.json")
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			return err
-		}
+		return os.WriteFile(filepath.Join(outDir, "BENCH_BASELINE.json"), out, 0o644)
 	}
 	return nil
-}
-
-type namedBench struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-// reportLoad attaches a closed-loop load run's throughput, tail latency, and
-// cold-plan rate to the benchmark row.
-func reportLoad(b *testing.B, rep *plansvc.LoadReport) {
-	b.ReportMetric(rep.OpsPerSec, "ops/s")
-	b.ReportMetric(rep.LatencyMsP50, "p50_ms")
-	b.ReportMetric(rep.LatencyMsP99, "p99_ms")
-	b.ReportMetric(rep.LatencyMsP999, "p999_ms")
-	b.ReportMetric(rep.ColdPlanRate, "cold_rate")
-}
-
-// trainBackwardBench measures one real backward pass: the pooled serial
-// engine under the conventional schedule, or the concurrent executor under
-// reverse-first-k (the out-of-order order that exposes δW parallelism). Same
-// networks as `oooexp exec`. Both rows run through an Executor (the pooled
-// zero-alloc engines); the naive allocating Network.Backward walk is a
-// correctness reference, not a benchmark row.
-func trainBackwardBench(kind string, concurrent bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		var en execNet
-		for _, n := range execNets() {
-			if n.name == kind {
-				en = n
-			}
-		}
-		L := len(en.net.Layers)
-		logits := en.net.Forward(en.x)
-		_, lossGrad := nn.SoftmaxCrossEntropy(logits, en.labels)
-		sched := graph.Conventional(L)
-		mode := train.ExecSerial
-		if concurrent {
-			sched = graph.ReverseFirstK(L, L)
-			mode = train.ExecConcurrent
-		}
-		exec := train.NewExecutor(mode, 0)
-		b.Cleanup(exec.Close)
-		if _, err := exec.Backward(en.net, lossGrad, sched); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.Backward(en.net, lossGrad, sched); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// trainDataParallelBench measures one full data-parallel training step (the
-// BenchmarkTrainDataParallel hot loop): sharded forward, concurrent backward
-// with overlapped bucket reduction, optimizer update and weight broadcast.
-// Same networks and data seeds as `oooexp exec`.
-func trainDataParallelBench(kind string, replicas int) func(b *testing.B) {
-	return func(b *testing.B) {
-		var build func() *train.Network
-		var x *tensor.Tensor
-		var labels []int
-		switch kind {
-		case "mlp":
-			build = func() *train.Network { return train.MLPNet(11, 64, 96, 4, 4) }
-			x, labels = data.Vectors(3, 32, 64, 4)
-		case "conv":
-			build = func() *train.Network { return train.ConvNet(13, 14, 6, 4) }
-			x, labels = data.Images(5, 8, 1, 14, 14, 4)
-		default:
-			build = func() *train.Network { return train.TokenNet(17, 80, 24, 12, 48, 4) }
-			x, labels = train.TokenBatch(7, 16, 12, 80, 4)
-		}
-		L := len(build().Layers)
-		dp, err := train.NewDataParallel(build(), &nn.SGD{LR: 0.01}, train.DataParallelConfig{
-			Replicas: replicas, Build: build,
-			Schedule: graph.ReverseFirstK(L, L/2), Sync: train.SyncLayerPriority,
-			BucketBytes: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(dp.Close)
-		if _, _, err := dp.Step(x, labels); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := dp.Step(x, labels); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// trainPipelineBench measures one full microbatch pipeline-parallel training
-// step (the BenchmarkTrainPipeline hot loop): sharded microbatch forwards,
-// staged δO chain, out-of-order δW bubble filling, optimizer update. Same MLP
-// and data seeds as the data-parallel rows.
-func trainPipelineBench(sched train.PipeSchedule, fill bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		build := func() *train.Network { return train.MLPNet(11, 64, 96, 4, 4) }
-		x, labels := data.Vectors(3, 32, 64, 4)
-		pipe, err := train.NewPipeline(build(), &nn.SGD{LR: 0.01}, train.PipelineConfig{
-			Stages: 3, MicroBatches: 4, Schedule: sched, Build: build, NoDWFill: !fill,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(pipe.Close)
-		if _, _, err := pipe.Step(x, labels); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pipe.Step(x, labels); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// planColdMissBench measures one full cold plan computation under the given
-// search strategy (the root BenchmarkPlanColdMiss* bodies): every iteration
-// perturbs max_memory_bytes so the cache always misses while the planning
-// work stays identical. Reports "probes/op" — simulator probes per request.
-func planColdMissBench(search string) func(b *testing.B) {
-	return func(b *testing.B) {
-		svc := plansvc.New(plansvc.Options{
-			Workers:       1,
-			SearchWorkers: 1,
-			Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-		})
-		b.Cleanup(svc.Close)
-		ctx := context.Background()
-		var probes int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := svc.Plan(ctx, &plansvc.PlanRequest{
-				Model:          "resnet152",
-				Cluster:        plansvc.ClusterSpec{Preset: "pub-a", GPUs: 32},
-				Search:         search,
-				MaxMemoryBytes: 1<<40 + int64(i),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			probes += int64(resp.SearchStats.Probes)
-		}
-		b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-	}
-}
-
-// benchList mirrors the root bench_test.go micro-benchmarks of the three hot
-// paths (event engine, iteration probe, k search) plus their warm-reuse
-// variants introduced by the allocation-free rework.
-func benchList() []namedBench {
-	return []namedBench{
-		{"SimEngine", func(b *testing.B) {
-			eng := sim.New()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Reset()
-				for j := 0; j < 1000; j++ {
-					eng.Schedule(sim.Time(j), func() {})
-				}
-				eng.Run()
-			}
-		}},
-		{"SimEngineFresh", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := sim.New()
-				for j := 0; j < 1000; j++ {
-					eng.Schedule(sim.Time(j), func() {})
-				}
-				eng.Run()
-			}
-		}},
-		{"SimulateIteration", func(b *testing.B) {
-			m := models.ResNet(models.V100Profile(), 152, 64, models.ImageNet)
-			c := datapar.Costs(m, datapar.PubA(), 32, datapar.BytePS)
-			order := graph.Conventional(len(m.Layers))
-			prio := func(l int) int { return l }
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.SimulateIteration(c, order, prio, true)
-			}
-		}},
-		{"SimulateIterationWarmScratch", func(b *testing.B) {
-			m := models.ResNet(models.V100Profile(), 152, 64, models.ImageNet)
-			c := datapar.Costs(m, datapar.PubA(), 32, datapar.BytePS)
-			order := graph.Conventional(len(m.Layers))
-			prio := func(l int) int { return l }
-			var s core.IterScratch
-			s.SimulateIteration(c, order, prio, true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.SimulateIteration(c, order, prio, true)
-			}
-		}},
-		{"SearchK", func(b *testing.B) {
-			m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
-			c := datapar.Costs(m, datapar.PubA(), 16, datapar.BytePS)
-			prio := func(l int) int { return l }
-			L := len(m.Layers)
-			var s core.IterScratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.SearchK(L, func(k int) float64 {
-					r := s.SimulateIteration(c, core.ReverseFirstK(m, k, 0), prio, true)
-					return core.Throughput(r.Makespan, m.Batch)
-				})
-			}
-		}},
-		{"ReverseFirstK", func(b *testing.B) {
-			m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.ReverseFirstK(m, 40, 16<<30)
-			}
-		}},
-		{"MemSchedule", func(b *testing.B) {
-			m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.MemSchedule(m)
-			}
-		}},
-		{"ParetoSweep", func(b *testing.B) {
-			m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
-			sp := plansearch.Space{
-				Model: m,
-				Costs: datapar.Costs(m, datapar.PubA(), 16, datapar.OOOBytePS),
-				Disciplines: []plansearch.Discipline{
-					searchDiscipline(datapar.OOOBytePS),
-				},
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plansearch.ParetoSweep(sp, plansearch.Config{})
-			}
-		}},
-		{"PlanServiceLoadgen", func(b *testing.B) {
-			svc := plansvc.New(plansvc.Options{
-				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-			})
-			srv := httptest.NewServer(svc.Handler())
-			b.Cleanup(func() {
-				srv.Close()
-				svc.Close()
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			rep, err := plansvc.RunLoad(plansvc.LoadSpec{BaseURL: srv.URL, Clients: 4, Requests: b.N})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if rep.TransportErrors > 0 || rep.StatusCounts["200"] != b.N {
-				b.Fatalf("load run failed: %+v", rep)
-			}
-			reportLoad(b, rep)
-		}},
-		{"ShardLoadgen3", func(b *testing.B) {
-			tier, err := shardsvc.StartTier(shardsvc.TierOptions{
-				Shards: 3,
-				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(tier.Close)
-			b.ReportAllocs()
-			b.ResetTimer()
-			rep, err := plansvc.RunLoad(plansvc.LoadSpec{BaseURLs: tier.URLs(), Clients: 4, Requests: b.N})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if rep.TransportErrors > 0 || rep.StatusCounts["200"] != b.N {
-				b.Fatalf("tier load run failed: %+v", rep)
-			}
-			reportLoad(b, rep)
-		}},
-		{"TensorKernelMatMulT", func(b *testing.B) {
-			rng := tensor.NewRNG(1)
-			x := tensor.Randn(rng, 1, 128, 128)
-			y := tensor.Randn(rng, 1, 128, 128)
-			dst := tensor.New(128, 128)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulTInto(dst, x, y)
-			}
-		}},
-		{"TensorKernelTMatMul", func(b *testing.B) {
-			rng := tensor.NewRNG(1)
-			x := tensor.Randn(rng, 1, 128, 128)
-			y := tensor.Randn(rng, 1, 128, 128)
-			dst := tensor.New(128, 128)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.TMatMulInto(dst, x, y)
-			}
-		}},
-		{"TensorKernelIm2col", func(b *testing.B) {
-			rng := tensor.NewRNG(1)
-			x := tensor.Randn(rng, 1, 8, 8, 16, 16)
-			dst := tensor.New(8*14*14, 8*3*3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.Im2colInto(dst, x, 3, 3)
-			}
-		}},
-		{"TrainBackwardMLPSerial", trainBackwardBench("mlp", false)},
-		{"TrainBackwardMLPConcurrent", trainBackwardBench("mlp", true)},
-		{"TrainBackwardConvSerial", trainBackwardBench("conv", false)},
-		{"TrainBackwardConvConcurrent", trainBackwardBench("conv", true)},
-		{"TrainBackwardNLPSerial", trainBackwardBench("nlp", false)},
-		{"TrainBackwardNLPConcurrent", trainBackwardBench("nlp", true)},
-		{"TrainDataParallelMLP2", trainDataParallelBench("mlp", 2)},
-		{"TrainDataParallelMLP4", trainDataParallelBench("mlp", 4)},
-		{"TrainDataParallelConv2", trainDataParallelBench("conv", 2)},
-		{"TrainDataParallelNLP2", trainDataParallelBench("nlp", 2)},
-		{"TrainPipelineGPipeFill", trainPipelineBench(train.PipeGPipe, true)},
-		{"TrainPipelineGPipeNoFill", trainPipelineBench(train.PipeGPipe, false)},
-		{"TrainPipeline1F1BFill", trainPipelineBench(train.Pipe1F1B, true)},
-		{"TrainPipeline1F1BNoFill", trainPipelineBench(train.Pipe1F1B, false)},
-		{"CalibObserve", func(b *testing.B) {
-			p := calib.NewProfiler("bench", "serial", 8, 0)
-			p.Observe(calib.OpDW, 3, "dense", 4096, time.Microsecond)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Observe(calib.OpDW, 3, "dense", 4096, time.Microsecond)
-			}
-		}},
-		{"CalibFit", func(b *testing.B) {
-			prof, err := calibProfile()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := calib.Fit(prof); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"CalibSimulateNet", func(b *testing.B) {
-			prof, err := calibProfile()
-			if err != nil {
-				b.Fatal(err)
-			}
-			table, err := calib.Fit(prof)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := calib.SimulateNet(&prof.Nets[0], table); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"PlanColdMissExact", planColdMissBench(plansvc.SearchExact)},
-		{"PlanColdMissGuided", planColdMissBench(plansvc.SearchGuided)},
-		{"PlanBatch16", func(b *testing.B) {
-			// Steady-state batch fan-out: 8 distinct specs, each duplicated
-			// once, answered from the LRU under a single PlanBatch call. The
-			// row prices the batch path itself (dedup, fan-out, one admission
-			// check), not the planner.
-			svc := plansvc.New(plansvc.Options{
-				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-			})
-			b.Cleanup(svc.Close)
-			var req plansvc.BatchRequest
-			for i := 0; i < 8; i++ {
-				pr := plansvc.PlanRequest{
-					Model:   "resnet50",
-					Cluster: plansvc.ClusterSpec{Preset: "pub-a", GPUs: 2 + i},
-				}
-				req.Requests = append(req.Requests, pr, pr)
-			}
-			ctx := context.Background()
-			if _, err := svc.PlanBatch(ctx, &req); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := svc.PlanBatch(ctx, &req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.Distinct != 8 || resp.Deduplicated != 8 {
-					b.Fatalf("batch shape: %+v", resp)
-				}
-			}
-		}},
-		{"WarmRestart", func(b *testing.B) {
-			// One warm restart per iteration: a fresh service over a populated
-			// warm-start cache serves its first request as a disk hit — worker
-			// pool spin-up plus segment-indexed lookup, zero planner probes.
-			wc, err := warmcache.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { wc.Close() })
-			quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-			ctx := context.Background()
-			req := &plansvc.PlanRequest{
-				Model:   "resnet50",
-				Cluster: plansvc.ClusterSpec{Preset: "pub-a", GPUs: 16},
-			}
-			seed := plansvc.New(plansvc.Options{Logger: quiet, WarmCache: wc})
-			if _, err := seed.Plan(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-			seed.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				svc := plansvc.New(plansvc.Options{Logger: quiet, WarmCache: wc})
-				if _, err := svc.Plan(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-				svc.Close()
-			}
-		}},
-		{"PlanServiceWarmHit", func(b *testing.B) {
-			svc := plansvc.New(plansvc.Options{
-				Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-			})
-			srv := httptest.NewServer(svc.Handler())
-			b.Cleanup(func() {
-				srv.Close()
-				svc.Close()
-			})
-			body := plansvc.LoadSpec{}.RequestBody(0)
-			client := srv.Client()
-			post := func() {
-				resp, err := client.Post(srv.URL+"/v1/plan", "application/json", bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			post() // warm the cache
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				post()
-			}
-		}},
-	}
 }

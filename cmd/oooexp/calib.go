@@ -7,15 +7,8 @@ import (
 	"text/tabwriter"
 
 	"oooback/internal/calib"
-	"oooback/internal/graph"
+	"oooback/internal/microbench"
 	"oooback/internal/models"
-	"oooback/internal/nn"
-	"oooback/internal/train"
-)
-
-const (
-	calibSteps  = 12
-	calibWarmup = 3
 )
 
 // runCalib closes the Daydream-style calibration loop on the real networks:
@@ -28,7 +21,7 @@ const (
 // vary run to run and the command lives outside the deterministic experiments
 // registry.
 func runCalib(outDir string) error {
-	prof, err := calibProfile()
+	prof, err := microbench.ProfileRefNets()
 	if err != nil {
 		return err
 	}
@@ -110,32 +103,6 @@ func runCalib(outDir string) error {
 		}
 	}
 	return tw.Flush()
-}
-
-// calibProfile trains every exec network for a few steps on the serial engine
-// with the profiler attached and collects the per-op timings.
-func calibProfile() (*calib.Profile, error) {
-	eng := train.NewExecutor(train.ExecSerial, 0)
-	prof := &calib.Profile{Version: calib.ProfileVersion}
-	for _, en := range execNets() {
-		L := len(en.net.Layers)
-		p := calib.NewProfiler(en.name, "serial", L, calibWarmup)
-		eng.SetProfiler(p, en.net)
-		opt := &nn.SGD{LR: 0.05}
-		sched := graph.Conventional(L)
-		for s := 0; s < calibSteps; s++ {
-			if _, err := eng.Step(en.net, en.x, en.labels, sched, opt); err != nil {
-				eng.SetProfiler(nil, nil)
-				return nil, err
-			}
-		}
-		eng.SetProfiler(nil, nil)
-		prof.Nets = append(prof.Nets, p.Snapshot())
-	}
-	if err := prof.Validate(); err != nil {
-		return nil, err
-	}
-	return prof, nil
 }
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }

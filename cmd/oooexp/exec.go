@@ -8,32 +8,12 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"oooback/internal/data"
 	"oooback/internal/graph"
+	"oooback/internal/microbench"
 	"oooback/internal/nn"
-	"oooback/internal/tensor"
 	"oooback/internal/trace"
 	"oooback/internal/train"
 )
-
-// execNet is one real network the engine comparison runs on.
-type execNet struct {
-	name   string
-	net    *train.Network
-	x      *tensor.Tensor
-	labels []int
-}
-
-func execNets() []execNet {
-	mlpX, mlpY := data.Vectors(3, 32, 64, 4)
-	cnvX, cnvY := data.Images(5, 8, 1, 14, 14, 4)
-	nlpX, nlpY := train.TokenBatch(7, 16, 12, 80, 4)
-	return []execNet{
-		{"mlp", train.MLPNet(11, 64, 96, 4, 4), mlpX, mlpY},
-		{"conv", train.ConvNet(13, 14, 6, 4), cnvX, cnvY},
-		{"nlp", train.TokenNet(17, 80, 24, 12, 48, 4), nlpX, nlpY},
-	}
-}
 
 const execRepeats = 20
 
@@ -53,16 +33,17 @@ func runExec(outDir string) error {
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "net\tschedule\tengine\tpeak grads\tms/pass\tgrads vs serial-conv")
-	for _, en := range execNets() {
-		L := len(en.net.Layers)
-		logits := en.net.Forward(en.x)
-		_, lossGrad := nn.SoftmaxCrossEntropy(logits, en.labels)
+	for _, rn := range microbench.RefNets() {
+		net := rn.Build()
+		L := len(net.Layers)
+		logits := net.Forward(rn.X)
+		_, lossGrad := nn.SoftmaxCrossEntropy(logits, rn.Labels)
 
-		en.net.ZeroGrads()
-		if _, err := en.net.Backward(lossGrad, graph.Conventional(L)); err != nil {
+		net.ZeroGrads()
+		if _, err := net.Backward(lossGrad, graph.Conventional(L)); err != nil {
 			return err
 		}
-		ref := train.GradSnapshot(en.net)
+		ref := train.GradSnapshot(net)
 
 		schedules := []struct {
 			name  string
@@ -73,33 +54,33 @@ func runExec(outDir string) error {
 		}
 		for _, sc := range schedules {
 			for _, eng := range []*train.Executor{serial, conc} {
-				en.net.ZeroGrads()
-				st, err := eng.Backward(en.net, lossGrad, sc.sched) // warm engine state
+				net.ZeroGrads()
+				st, err := eng.Backward(net, lossGrad, sc.sched) // warm engine state
 				if err != nil {
 					return err
 				}
 				match := "ok"
-				if !train.SnapshotsEqual(ref, train.GradSnapshot(en.net)) {
+				if !train.SnapshotsEqual(ref, train.GradSnapshot(net)) {
 					match = "DIFFER"
 				}
 				start := time.Now()
 				for r := 0; r < execRepeats; r++ {
-					if _, err := eng.Backward(en.net, lossGrad, sc.sched); err != nil {
+					if _, err := eng.Backward(net, lossGrad, sc.sched); err != nil {
 						return err
 					}
 				}
 				ms := float64(time.Since(start).Microseconds()) / 1000 / execRepeats
 				fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.3f\t%s\n",
-					en.name, sc.name, eng.Mode(), st.PeakLiveGrads, ms, match)
+					rn.Name, sc.name, eng.Mode(), st.PeakLiveGrads, ms, match)
 				if match == "DIFFER" {
 					tw.Flush()
 					return fmt.Errorf("oooexp exec: %s/%s/%s gradients differ from serial conventional",
-						en.name, sc.name, eng.Mode())
+						rn.Name, sc.name, eng.Mode())
 				}
 				if outDir != "" {
 					var tr trace.Trace
 					eng.SetTrace(&tr)
-					_, err := eng.Backward(en.net, lossGrad, sc.sched)
+					_, err := eng.Backward(net, lossGrad, sc.sched)
 					eng.SetTrace(nil)
 					if err != nil {
 						return err
@@ -108,7 +89,7 @@ func runExec(outDir string) error {
 					if err != nil {
 						return err
 					}
-					name := fmt.Sprintf("exec-%s-%s-%s.trace.json", en.name, sc.name, eng.Mode())
+					name := fmt.Sprintf("exec-%s-%s-%s.trace.json", rn.Name, sc.name, eng.Mode())
 					if err := os.WriteFile(filepath.Join(outDir, name), buf, 0o644); err != nil {
 						return err
 					}

@@ -39,6 +39,7 @@ import (
 	"path/filepath"
 
 	"oooback/internal/experiments"
+	"oooback/internal/microbench"
 	"oooback/internal/parexec"
 )
 
@@ -69,7 +70,7 @@ func main() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
 	case "bench":
-		if err := runBench(*outDir); err != nil {
+		if err := runBench(microbench.Rows(), os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}

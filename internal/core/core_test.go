@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -386,47 +384,5 @@ func TestReorderingConservesComputeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSearchKParallelMatchesSerial asserts the bit-identical contract: for a
-// pure measure, SearchKParallel returns exactly SearchK's k for any worker
-// count, and probes exactly the same set of k values.
-func TestSearchKParallelMatchesSerial(t *testing.T) {
-	shapes := []func(k int) float64{
-		func(k int) float64 { d := k - 17; return 1000 - float64(d*d) },  // concave
-		func(k int) float64 { return float64(k) },                        // monotone
-		func(k int) float64 { return -float64(k) },                       // k=0 best
-		func(k int) float64 { return float64((k*2654435761 + 7) % 101) }, // jagged
-	}
-	for si, shape := range shapes {
-		for _, L := range []int{1, 2, 9, 50, 152} {
-			var serialProbes []int
-			want := SearchK(L, func(k int) float64 { serialProbes = append(serialProbes, k); return shape(k) })
-			for _, w := range []int{2, 8} {
-				var mu sync.Mutex
-				var parProbes []int
-				got := SearchKParallel(L, w, func(k int) float64 {
-					mu.Lock()
-					parProbes = append(parProbes, k)
-					mu.Unlock()
-					return shape(k)
-				})
-				if got != want {
-					t.Fatalf("shape %d L=%d workers=%d: k = %d, serial %d", si, L, w, got, want)
-				}
-				if len(parProbes) != len(serialProbes) {
-					t.Fatalf("shape %d L=%d workers=%d: %d probes, serial %d", si, L, w, len(parProbes), len(serialProbes))
-				}
-				sort.Ints(parProbes)
-				sorted := append([]int(nil), serialProbes...)
-				sort.Ints(sorted)
-				for i := range sorted {
-					if parProbes[i] != sorted[i] {
-						t.Fatalf("shape %d L=%d workers=%d: probe sets differ: %v vs %v", si, L, w, parProbes, sorted)
-					}
-				}
-			}
-		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"oooback/internal/graph"
@@ -269,7 +271,7 @@ func (s *IterScratch) commTimeline(c IterCosts, ready []time.Duration, prio func
 			s.tasks = append(s.tasks, commTask{layer: i, prio: prio(i), ready: ready[i], remaining: c.SyncW[i-1]})
 		}
 	}
-	sortTasksByArrival(s.tasks)
+	slices.SortFunc(s.tasks, byArrival)
 	s.heap = s.heap[:0]
 	s.segs = s.segs[:0]
 
@@ -369,40 +371,13 @@ func (s *IterScratch) popTask() int32 {
 	return top
 }
 
-// sortTasksByArrival heap-sorts tasks ascending by (ready, layer). Layer
-// indices are unique, so the order is total and stability is irrelevant.
-func sortTasksByArrival(ts []commTask) {
-	after := func(a, b commTask) bool { // max-heap comparator
-		if a.ready != b.ready {
-			return a.ready > b.ready
-		}
-		return a.layer > b.layer
+// byArrival orders tasks ascending by (ready, layer). Layer indices are
+// unique, so the order is total and the sort's instability is irrelevant.
+func byArrival(a, b commTask) int {
+	if c := cmp.Compare(a.ready, b.ready); c != 0 {
+		return c
 	}
-	n := len(ts)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownTasks(ts, i, n, after)
-	}
-	for end := n - 1; end > 0; end-- {
-		ts[0], ts[end] = ts[end], ts[0]
-		siftDownTasks(ts, 0, end, after)
-	}
-}
-
-func siftDownTasks(ts []commTask, i, n int, after func(a, b commTask) bool) {
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && after(ts[r], ts[child]) {
-			child = r
-		}
-		if !after(ts[child], ts[i]) {
-			return
-		}
-		ts[i], ts[child] = ts[child], ts[i]
-		i = child
-	}
+	return cmp.Compare(a.layer, b.layer)
 }
 
 // Throughput converts an iteration makespan and global batch size to

@@ -3,7 +3,6 @@ package core
 import (
 	"oooback/internal/graph"
 	"oooback/internal/models"
-	"oooback/internal/parexec"
 )
 
 // ReverseFirstK implements Algorithm 2 (§5.1). It returns the backward
@@ -48,33 +47,14 @@ func maxK(m *models.Model, k int, maxMem int64) int {
 // then repeatedly halve Δk and re-probe around the best k found, assuming
 // throughput is roughly concave in k. measure is memoized, so repeated
 // probes of the same k are free. Probes run strictly in order on the calling
-// goroutine; measure need not be safe for concurrent use.
+// goroutine; measure need not be safe for concurrent use. Ties resolve to the
+// k probed first: grid order in the coarse phase, then best−Δk before best+Δk.
 func SearchK(L int, measure func(k int) float64) int {
-	return SearchKParallel(L, 1, measure)
-}
-
-// SearchKParallel is SearchK with the coarse sweep phase — the ~L/Δk
-// independent probes that dominate the search — evaluated on up to workers
-// goroutines via parexec. The refinement phase stays serial (each probe
-// depends on the previous best). The selected k is bit-identical to
-// SearchK's for any worker count: the same grid is probed and the winner is
-// chosen by scanning results in grid order.
-//
-// With workers > 1, measure must be a pure function of k, safe for
-// concurrent use; with workers ≤ 1 no goroutines are spawned and SearchK's
-// serial contract applies.
-func SearchKParallel(L, workers int, measure func(k int) float64) int {
 	if L <= 0 {
 		return 0
 	}
 	memo := make(map[int]float64)
 	probe := func(k int) float64 {
-		if k < 0 {
-			k = 0
-		}
-		if k >= L {
-			k = L - 1
-		}
 		if v, ok := memo[k]; ok {
 			return v
 		}
@@ -87,23 +67,14 @@ func SearchKParallel(L, workers int, measure func(k int) float64) int {
 	if dk < 1 {
 		dk = 1
 	}
-	// Coarse phase: the grid {0, Δk, 2Δk, ...} ∩ [0, L). The points are
-	// independent, so they fan out; results are merged back into the memo and
-	// compared in grid order, exactly as the serial loop does.
-	grid := make([]int, 0, L/dk+1)
-	for k := 0; k < L; k += dk {
-		grid = append(grid, k)
-	}
-	vals := parexec.Map(len(grid), workers, func(i int) float64 { return measure(grid[i]) })
-	best, bestV := grid[0], vals[0]
-	memo[grid[0]] = vals[0]
-	for i := 1; i < len(grid); i++ {
-		memo[grid[i]] = vals[i]
-		if vals[i] > bestV {
-			best, bestV = grid[i], vals[i]
+	// Coarse phase: the grid {0, Δk, 2Δk, ...} ∩ [0, L).
+	best, bestV := 0, probe(0)
+	for k := dk; k < L; k += dk {
+		if v := probe(k); v > bestV {
+			best, bestV = k, v
 		}
 	}
-	// Refinement phase: serial halving around the incumbent.
+	// Refinement phase: halving around the incumbent.
 	for dk > 1 {
 		dk /= 2
 		for _, k := range []int{best - dk, best + dk} {
@@ -116,13 +87,6 @@ func SearchKParallel(L, workers int, measure func(k int) float64) int {
 		}
 	}
 	return best
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReverseFirstKCheckpointed is ReverseFirstK for training that runs with

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"oooback/internal/core"
@@ -192,9 +191,9 @@ func AblationKSweep() string {
 			bestK, bestV = k, v
 		}
 	}
-	var searchEvals atomic.Int64
-	searchK := core.SearchKParallel(L, parexec.Default(), func(k int) float64 {
-		searchEvals.Add(1)
+	searchEvals := 0
+	searchK := core.SearchK(L, func(k int) float64 {
+		searchEvals++
 		return measure(k)
 	})
 	searchV := measure(searchK)
@@ -208,7 +207,7 @@ func AblationKSweep() string {
 	t := stats.NewTable("method", "k", "throughput", "vs best", "measurements")
 	t.Add("lower bound (unreachable)", "-", fmt.Sprintf("%.0f", boundV), boundV/bestV, "-")
 	t.Add("exhaustive sweep", bestK, fmt.Sprintf("%.0f", bestV), 1.0, evals)
-	t.Add("concave search (§5.1)", searchK, fmt.Sprintf("%.0f", searchV), searchV/bestV, searchEvals.Load())
+	t.Add("concave search (§5.1)", searchK, fmt.Sprintf("%.0f", searchV), searchV/bestV, searchEvals)
 	t.Add("list scheduling", "-", fmt.Sprintf("%.0f", lsV), lsV/bestV, "needs sync times")
 	t.Add("conventional (k=0)", 0, fmt.Sprintf("%.0f", conv), conv/bestV, "-")
 	return t.String() + fmt.Sprintf("\nBest schedule sits within %.1f%% of the §2 lower bound.\n",

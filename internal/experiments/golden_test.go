@@ -4,34 +4,36 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden experiment snapshots")
+var updateGolden = flag.Bool("update", false, "rewrite the committed reports under results/")
 
-// goldenIDs are deterministic, fast experiments whose exact output is pinned.
-// The snapshots guard the calibrated numbers against accidental regression;
-// intentional recalibration regenerates them with `go test -run Golden
-// -update ./internal/experiments`.
-var goldenIDs = []string{
-	"fig1", "fig4", "fig7", "fig10", "fig11a", "fig12", "fig13a",
-	"setup", "xla-fusion", "ablation-ksweep",
-}
+// resultsDir holds the committed report of every experiment — the files
+// `oooexp -o results all` writes and README/EXPERIMENTS.md quote.
+const resultsDir = "../../results"
 
+// TestGoldenSnapshots pins every registered experiment to its committed
+// report, byte for byte. The snapshots guard the calibrated numbers against
+// accidental regression; intentional recalibration regenerates them with
+// `go test -run Golden -update ./internal/experiments`.
 func TestGoldenSnapshots(t *testing.T) {
-	for _, id := range goldenIDs {
-		id := id
+	committed, err := filepath.Glob(filepath.Join(resultsDir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		if _, ok := Get(strings.TrimSuffix(filepath.Base(path), ".txt")); !ok {
+			t.Errorf("%s belongs to no registered experiment", path)
+		}
+	}
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			e, ok := Get(id)
-			if !ok {
-				t.Fatalf("experiment %q not registered", id)
-			}
+			e, _ := Get(id)
 			got := e.Run()
-			path := filepath.Join("testdata", id+".golden")
+			path := filepath.Join(resultsDir, id+".txt")
 			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}

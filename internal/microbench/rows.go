@@ -1,0 +1,597 @@
+package microbench
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"log/slog"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"oooback/internal/calib"
+	"oooback/internal/core"
+	"oooback/internal/datapar"
+	"oooback/internal/gpusim"
+	"oooback/internal/graph"
+	"oooback/internal/models"
+	"oooback/internal/netsim"
+	"oooback/internal/nn"
+	"oooback/internal/pipepar"
+	"oooback/internal/plansearch"
+	"oooback/internal/plansvc"
+	"oooback/internal/plansvc/warmcache"
+	"oooback/internal/shardsvc"
+	"oooback/internal/sim"
+	"oooback/internal/singlegpu"
+	"oooback/internal/tensor"
+	"oooback/internal/train"
+)
+
+// step is the type of Row.Step.
+type step = func(tb testing.TB) (op func(), report func(b *testing.B))
+
+// Rows returns every micro-benchmark: scheduling algorithms and simulator
+// substrates first, then the tensor kernels, the real training engines, the
+// calibration loop and the plan service.
+func Rows() []Row {
+	return []Row{
+		// Reset + 1000 Schedule + Run on a warm engine recycles pooled slots
+		// and never touches the allocator.
+		{Name: "SimEngine", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			eng := sim.New()
+			return func() {
+				eng.Reset()
+				for j := 0; j < 1000; j++ {
+					eng.Schedule(sim.Time(j), func() {})
+				}
+				eng.Run()
+			}, nil
+		}},
+		// The cold-start variant: a new engine per run (the pre-Reset usage
+		// pattern), paying the arena growth each time.
+		{Name: "SimEngineFresh", Step: func(testing.TB) (func(), func(*testing.B)) {
+			return func() {
+				eng := sim.New()
+				for j := 0; j < 1000; j++ {
+					eng.Schedule(sim.Time(j), func() {})
+				}
+				eng.Run()
+			}, nil
+		}},
+		{Name: "SimulateIteration", Step: func(testing.TB) (func(), func(*testing.B)) {
+			c, order, prio := iterProbe()
+			return func() { core.SimulateIteration(c, order, prio, true) }, nil
+		}},
+		// The IterScratch probes are the SearchK / ablation-sweep inner loop:
+		// once the buffers are sized they allocate nothing.
+		{Name: "SimulateIterationWarmScratch", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			c, order, prio := iterProbe()
+			var s core.IterScratch
+			s.SimulateIteration(c, order, prio, true)
+			return func() { s.SimulateIteration(c, order, prio, true) }, nil
+		}},
+		{Name: "SimulateIterationOverlappedWarmScratch", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			c, order, prio := iterProbe()
+			overlapped := func(layer int) bool { return layer%2 == 0 }
+			var s core.IterScratch
+			s.SimulateIterationOverlapped(c, order, prio, true, overlapped)
+			return func() { s.SimulateIterationOverlapped(c, order, prio, true, overlapped) }, nil
+		}},
+		{Name: "SearchK", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
+			c := datapar.Costs(m, datapar.PubA(), 16, datapar.BytePS)
+			prio := func(l int) int { return l }
+			L := len(m.Layers)
+			var s core.IterScratch
+			return func() {
+				core.SearchK(L, func(k int) float64 {
+					r := s.SimulateIteration(c, core.ReverseFirstK(m, k, 0), prio, true)
+					return core.Throughput(r.Makespan, m.Batch)
+				})
+			}, nil
+		}},
+		{Name: "ReverseFirstK", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
+			return func() { core.ReverseFirstK(m, 40, 16<<30) }, nil
+		}},
+		// MemSchedule allocates its schedule, two done tables and one ready
+		// buffer.
+		{Name: "MemSchedule", Gated: true, MaxAllocs: 4, Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
+			return func() { core.MemSchedule(m) }, nil
+		}},
+		{Name: "ListSchedule", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.ResNet(models.V100Profile(), 50, 64, models.ImageNet)
+			c := datapar.Costs(m, datapar.PubA(), 16, datapar.BytePS)
+			return func() { core.ListSchedule(c) }, nil
+		}},
+		{Name: "ParetoSweep", Step: func(testing.TB) (func(), func(*testing.B)) {
+			sp := paretoSpace()
+			return func() { plansearch.ParetoSweep(sp, plansearch.Config{}) }, nil
+		}},
+		// On a warm simulator pool a sweep allocates nothing per candidate
+		// (there are 51 here): 19 today — the points, the frontier as it
+		// grows, the sort index, the one list schedule (4), the fan-out closure
+		// and Config's default perturbation set (5).
+		{Name: "ParetoSweepWarmPool", Gated: true, MaxAllocs: 24, Step: func(testing.TB) (func(), func(*testing.B)) {
+			sp := paretoSpace()
+			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
+			plansearch.ParetoSweep(sp, cfg)
+			return func() { plansearch.ParetoSweep(sp, cfg) }, nil
+		}},
+		// One footprint replay per time plan, on pooled scratch.
+		{Name: "MemFootprintWarm", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := paretoSpace().Model
+			order := core.ReverseFirstK(m, 20, 0)
+			plansearch.MemFootprint(m, order)
+			return func() { plansearch.MemFootprint(m, order) }, nil
+		}},
+		{Name: "MemoryProfile", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.DenseNet(models.V100Profile(), 169, 32, 64, models.ImageNet)
+			s := graph.Conventional(len(m.Layers))
+			return func() { graph.MemoryProfile(m, s) }, nil
+		}},
+		{Name: "MultiRegionJoint", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.DenseNet(models.V100Profile(), 121, 32, 64, models.ImageNet)
+			gpu := gpusim.V100()
+			return func() { singlegpu.Run(m, singlegpu.OOOXLA(), gpu) }, nil
+		}},
+		{Name: "GPUSimDenseNetIteration", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.DenseNet(models.V100Profile(), 121, 12, 32, models.CIFAR100)
+			gpu := gpusim.V100()
+			return func() { singlegpu.Run(m, singlegpu.XLA(), gpu) }, nil
+		}},
+		{Name: "PipelineBERT48", Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.VocabParallelHead(models.BERT(models.V100Profile(), 48, 128, 512), 32)
+			cfg := pipepar.Config{
+				GPUs: 32, MicroBatches: 32, Alloc: core.ModuloAllocation(len(m.Layers), 32, 1),
+				FastForward: true, Schedule: pipepar.GPipe, Link: netsim.NVLink(), Iterations: 3,
+			}
+			return func() { pipepar.Run(m, cfg) }, nil
+		}},
+		{Name: "LinkPriorityTransfers", Step: func(testing.TB) (func(), func(*testing.B)) {
+			return func() {
+				eng := sim.New()
+				l := netsim.NewLink(eng, netsim.Ethernet10G())
+				for j := 0; j < 50; j++ {
+					l.Transfer("t", 4<<20, j%5, nil)
+				}
+				eng.Run()
+			}, nil
+		}},
+		{Name: "PSSyncTime", Step: func(testing.TB) (func(), func(*testing.B)) {
+			spec := netsim.Ethernet10G()
+			return func() { sinkDuration = netsim.PSSyncTime(spec, 100<<20, 48, 4) }, nil
+		}},
+		{Name: "PlanServiceLoadgen", Bench: func(b *testing.B) {
+			srv := planServer(b)
+			runLoad(b, plansvc.LoadSpec{BaseURL: srv.URL})
+		}},
+		// The sharded sibling of PlanServiceLoadgen: the gap between the two
+		// p99s is the routing/proxy overhead of the tier (acceptance bar:
+		// within 2×).
+		{Name: "ShardLoadgen3", Bench: func(b *testing.B) {
+			tier, err := shardsvc.StartTier(shardsvc.TierOptions{Shards: 3, Logger: quiet()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(tier.Close)
+			runLoad(b, plansvc.LoadSpec{BaseURLs: tier.URLs()})
+		}},
+
+		{Name: "TensorMatMul", Step: func(testing.TB) (func(), func(*testing.B)) {
+			x, y := gemmOperands()
+			return func() { tensor.MatMul(x, y) }, nil
+		}},
+		{Name: "TensorConv2D", Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x := tensor.Randn(rng, 1, 8, 8, 16, 16)
+			w := tensor.Randn(rng, 1, 16, 8, 3, 3)
+			return func() { tensor.Conv2D(x, w) }, nil
+		}},
+		// The fused-transpose GEMMs and the pooled conv lowering that carry
+		// the real training hot path, in their Into forms.
+		{Name: "TensorKernelMatMulT", Step: func(testing.TB) (func(), func(*testing.B)) {
+			x, y := gemmOperands()
+			dst := tensor.New(128, 128)
+			return func() { tensor.MatMulTInto(dst, x, y) }, nil
+		}},
+		{Name: "TensorKernelTMatMul", Step: func(testing.TB) (func(), func(*testing.B)) {
+			x, y := gemmOperands()
+			dst := tensor.New(128, 128)
+			return func() { tensor.TMatMulInto(dst, x, y) }, nil
+		}},
+		{Name: "TensorKernelIm2col", Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x := tensor.Randn(rng, 1, 8, 8, 16, 16)
+			dst := tensor.New(8*14*14, 8*3*3)
+			return func() { tensor.Im2colInto(dst, x, 3, 3) }, nil
+		}},
+		// The zero-alloc contract of the pooled kernel layer: fused GEMMs,
+		// conv lowerings and repacks into workspace buffers never touch the
+		// allocator once the workspace is warm.
+		{Name: "TensorKernelsWarmWorkspace", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			a := tensor.Randn(rng, 1, 64, 48)
+			bb := tensor.Randn(rng, 1, 64, 48)
+			x := tensor.Randn(rng, 1, 2, 3, 12, 12)
+			g := tensor.Randn(rng, 1, 2, 5, 10, 10)
+			ws := tensor.NewWorkspace()
+			return func() {
+				mm := ws.Get(64, 64)
+				tensor.MatMulTInto(mm, a, bb) // a·bᵀ
+				tm := ws.Get(48, 48)
+				tensor.TMatMulInto(tm, a, bb) // aᵀ·b
+				cols := ws.Get(2*10*10, 3*3*3)
+				tensor.Im2colInto(cols, x, 3, 3)
+				im := ws.Get(2, 3, 12, 12)
+				tensor.Col2imInto(im, cols, 3, 3)
+				rows := ws.Get(2*10*10, 5)
+				tensor.RowsFromNCHWInto(rows, g)
+				tensor.NCHWFromRowsInto(g, rows)
+				ws.Put(rows)
+				ws.Put(im)
+				ws.Put(cols)
+				ws.Put(tm)
+				ws.Put(mm)
+			}, nil
+		}},
+
+		{Name: "TrainBackwardMLPSerial", Step: trainBackward(MLP, train.ExecSerial, false)},
+		{Name: "TrainBackwardMLPSerialReverseK", Step: trainBackward(MLP, train.ExecSerial, true), Gated: true},
+		{Name: "TrainBackwardMLPConcurrentConventional", Step: trainBackward(MLP, train.ExecConcurrent, false)},
+		{Name: "TrainBackwardMLPConcurrent", Step: trainBackward(MLP, train.ExecConcurrent, true)},
+		{Name: "TrainBackwardConvSerial", Step: trainBackward(Conv, train.ExecSerial, false)},
+		{Name: "TrainBackwardConvConcurrent", Step: trainBackward(Conv, train.ExecConcurrent, true)},
+		{Name: "TrainBackwardNLPSerial", Step: trainBackward(NLP, train.ExecSerial, false)},
+		{Name: "TrainBackwardNLPConcurrent", Step: trainBackward(NLP, train.ExecConcurrent, true)},
+		{Name: "TrainDataParallelMLP1", Step: trainDataParallel(MLP, 1)},
+		{Name: "TrainDataParallelMLP2", Step: trainDataParallel(MLP, 2)},
+		{Name: "TrainDataParallelMLP4", Step: trainDataParallel(MLP, 4)},
+		{Name: "TrainDataParallelConv2", Step: trainDataParallel(Conv, 2)},
+		{Name: "TrainDataParallelNLP2", Step: trainDataParallel(NLP, 2)},
+		{Name: "TrainPipelineGPipeFill", Step: trainPipeline(train.PipeGPipe, true)},
+		{Name: "TrainPipelineGPipeNoFill", Step: trainPipeline(train.PipeGPipe, false)},
+		{Name: "TrainPipeline1F1BFill", Step: trainPipeline(train.Pipe1F1B, true), Gated: true},
+		{Name: "TrainPipeline1F1BNoFill", Step: trainPipeline(train.Pipe1F1B, false)},
+
+		// The profiler's warm recording path must stay allocation-free — the
+		// precondition for attaching it to the real engines without perturbing
+		// what it measures.
+		{Name: "CalibObserve", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			p := calib.NewProfiler("bench", "serial", 8, 0)
+			p.Observe(calib.OpDW, 3, "dense", 4096, time.Microsecond)
+			return func() { p.Observe(calib.OpDW, 3, "dense", 4096, time.Microsecond) }, nil
+		}},
+		{Name: "CalibEndStep", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			p := calib.NewProfiler("bench", "serial", 8, 0)
+			p.Observe(calib.OpFwd, 2, "dense", 1024, time.Microsecond)
+			p.EndStep(time.Millisecond)
+			return func() { p.EndStep(time.Millisecond) }, nil
+		}},
+		// A full profiled serial training step: the end-to-end cost of running
+		// with the profiler attached.
+		{Name: "CalibProfiledStep", Step: func(tb testing.TB) (func(), func(*testing.B)) {
+			rn := MLP()
+			net := rn.Build()
+			L := len(net.Layers)
+			exec := train.NewExecutor(train.ExecSerial, 0)
+			tb.Cleanup(exec.Close)
+			exec.SetProfiler(calib.NewProfiler("mlp", "serial", L, 1), net)
+			sched := graph.Conventional(L)
+			opt := &nn.SGD{LR: 0.05}
+			op := func() {
+				if _, err := exec.Step(net, rn.X, rn.Labels, sched, opt); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			op()
+			return op, nil
+		}},
+		{Name: "CalibFit", Step: func(tb testing.TB) (func(), func(*testing.B)) {
+			prof := refProfile(tb)
+			return func() {
+				if _, err := calib.Fit(prof); err != nil {
+					tb.Fatal(err)
+				}
+			}, nil
+		}},
+		// The what-if/validation hot path: one table-driven re-simulation of a
+		// profiled net.
+		{Name: "CalibSimulateNet", Step: func(tb testing.TB) (func(), func(*testing.B)) {
+			prof := refProfile(tb)
+			table, err := calib.Fit(prof)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return func() {
+				if _, err := calib.SimulateNet(&prof.Nets[0], table); err != nil {
+					tb.Fatal(err)
+				}
+			}, nil
+		}},
+
+		{Name: "PlanColdMissExact", Step: planColdMiss(plansvc.SearchExact)},
+		{Name: "PlanColdMissGuided", Step: planColdMiss(plansvc.SearchGuided)},
+		// Steady-state batch fan-out: 8 distinct specs, each duplicated once,
+		// answered from the LRU under a single PlanBatch call. The row prices
+		// the batch path itself (dedup, singleflight probing, fan-out, one
+		// admission check), not the planner.
+		{Name: "PlanBatch16", Step: func(tb testing.TB) (func(), func(*testing.B)) {
+			svc := plansvc.New(plansvc.Options{Logger: quiet()})
+			tb.Cleanup(svc.Close)
+			var req plansvc.BatchRequest
+			for i := 0; i < 8; i++ {
+				pr := plansvc.PlanRequest{
+					Model:   "resnet50",
+					Cluster: plansvc.ClusterSpec{Preset: "pub-a", GPUs: 2 + i},
+				}
+				req.Requests = append(req.Requests, pr, pr)
+			}
+			ctx := context.Background()
+			op := func() {
+				resp, err := svc.PlanBatch(ctx, &req)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if resp.Distinct != 8 || resp.Deduplicated != 8 {
+					tb.Fatalf("batch shape: %+v", resp)
+				}
+			}
+			op()
+			return op, nil
+		}},
+		// One warm restart per iteration: a fresh service over a populated
+		// warm-start cache serves its first request as a disk hit — worker
+		// pool spin-up plus segment-indexed lookup, zero planner probes.
+		{Name: "WarmRestart", Step: func(tb testing.TB) (func(), func(*testing.B)) {
+			wc, err := warmcache.Open(tb.TempDir())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tb.Cleanup(func() { wc.Close() })
+			ctx := context.Background()
+			req := &plansvc.PlanRequest{
+				Model:   "resnet50",
+				Cluster: plansvc.ClusterSpec{Preset: "pub-a", GPUs: 16},
+			}
+			logger := quiet()
+			op := func() {
+				svc := plansvc.New(plansvc.Options{Logger: logger, WarmCache: wc})
+				if _, err := svc.Plan(ctx, req); err != nil {
+					tb.Fatal(err)
+				}
+				svc.Close()
+			}
+			op() // the seeding service computes the plan and populates the cache
+			return op, nil
+		}},
+		{Name: "PlanServiceWarmHit", Step: func(tb testing.TB) (func(), func(*testing.B)) {
+			srv := planServer(tb)
+			body := plansvc.LoadSpec{}.RequestBody(0)
+			client := srv.Client()
+			op := func() {
+				resp, err := client.Post(srv.URL+"/v1/plan", "application/json", bytes.NewReader(body))
+				if err != nil {
+					tb.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			op() // warm the cache
+			return op, nil
+		}},
+	}
+}
+
+// sinkDuration keeps the compiler from eliding a pure call under measurement.
+var sinkDuration time.Duration
+
+func quiet() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
+
+// gemmOperands are the two 128×128 matrices of the GEMM rows.
+func gemmOperands() (x, y *tensor.Tensor) {
+	rng := tensor.NewRNG(1)
+	return tensor.Randn(rng, 1, 128, 128), tensor.Randn(rng, 1, 128, 128)
+}
+
+// iterProbe is the iteration-simulator input: ResNet-152 on 32 pub-a workers
+// under the conventional order with layer-priority preemption.
+func iterProbe() (core.IterCosts, graph.BackwardSchedule, func(int) int) {
+	m := models.ResNet(models.V100Profile(), 152, 64, models.ImageNet)
+	c := datapar.Costs(m, datapar.PubA(), 32, datapar.BytePS)
+	return c, graph.Conventional(len(m.Layers)), func(l int) int { return l }
+}
+
+// paretoSpace is the ResNet-50 single-discipline space of the memory-axis rows.
+func paretoSpace() plansearch.Space {
+	m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
+	return plansearch.Space{
+		Model: m,
+		Costs: datapar.Costs(m, datapar.PubA(), 16, datapar.OOOBytePS),
+		Disciplines: []plansearch.Discipline{{
+			Name:       datapar.OOOBytePS.String(),
+			Prio:       func(layer int) int { return layer },
+			Preemptive: true,
+		}},
+	}
+}
+
+// trainBackward measures one real backward pass through a pooled Executor
+// (the naive allocating Network.Backward walk is a correctness reference, not
+// a row): conventional order, or reverse-first-L, the out-of-order order that
+// exposes every δW to the concurrent engine's worker pool.
+func trainBackward(ref func() RefNet, mode train.ExecMode, reverseK bool) step {
+	return func(tb testing.TB) (func(), func(*testing.B)) {
+		rn := ref()
+		net := rn.Build()
+		L := len(net.Layers)
+		_, lossGrad := nn.SoftmaxCrossEntropy(net.Forward(rn.X), rn.Labels)
+		sched := graph.Conventional(L)
+		if reverseK {
+			sched = graph.ReverseFirstK(L, L)
+		}
+		exec := train.NewExecutor(mode, 0)
+		tb.Cleanup(exec.Close)
+		op := func() {
+			if _, err := exec.Backward(net, lossGrad, sched); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		op() // warm retained layer buffers and the chain workspace
+		return op, nil
+	}
+}
+
+// trainDataParallel measures one full data-parallel training step: sharded
+// forward, concurrent out-of-order backward, overlapped bucket reduction,
+// optimizer update and weight broadcast. The custom metrics decompose the
+// reduction cost: reduce-busy-ns is total time inside bucket reductions,
+// reduce-exposed-ns the part that ran after the last replica's backward
+// finished. Overlap shows as exposed < busy; on a single-core host the phases
+// serialize and parity is expected.
+func trainDataParallel(ref func() RefNet, replicas int) step {
+	return func(tb testing.TB) (func(), func(*testing.B)) {
+		rn := ref()
+		proto := rn.Build()
+		L := len(proto.Layers)
+		dp, err := train.NewDataParallel(proto, &nn.SGD{LR: 0.01}, train.DataParallelConfig{
+			Replicas: replicas, Build: rn.Build,
+			Schedule: graph.ReverseFirstK(L, L/2), Sync: train.SyncLayerPriority,
+			BucketBytes: -1,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(dp.Close)
+		var busy, exposed time.Duration
+		op := func() {
+			_, st, err := dp.Step(rn.X, rn.Labels)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			busy += st.ReduceBusy
+			exposed += st.ReduceExposed
+		}
+		op() // warm buffers and caches
+		busy, exposed = 0, 0
+		return op, func(b *testing.B) {
+			b.ReportMetric(float64(busy.Nanoseconds())/float64(b.N), "reduce-busy-ns/op")
+			b.ReportMetric(float64(exposed.Nanoseconds())/float64(b.N), "reduce-exposed-ns/op")
+		}
+	}
+}
+
+// trainPipeline measures one full microbatch pipeline-parallel training step
+// on the MLP: sharded microbatch forwards, staged δO chain, out-of-order δW
+// bubble filling, optimizer update. The custom metrics decompose the bubble:
+// bubble-exposed-ns is stage time blocked with nothing to run,
+// bubble-filled-ns is stage time spent on deferred δW inside bubbles. Filling
+// shows as exposed(fill) < exposed(nofill); on a single-core host the stages
+// serialize and parity is expected.
+func trainPipeline(sched train.PipeSchedule, fill bool) step {
+	return func(tb testing.TB) (func(), func(*testing.B)) {
+		rn := MLP()
+		pipe, err := train.NewPipeline(rn.Build(), &nn.SGD{LR: 0.01}, train.PipelineConfig{
+			Stages: 3, MicroBatches: 4, Schedule: sched, Build: rn.Build, NoDWFill: !fill,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(pipe.Close)
+		var exposed, filled time.Duration
+		op := func() {
+			_, st, err := pipe.Step(rn.X, rn.Labels)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			exposed += st.BubbleExposed()
+			filled += st.BubbleFilled()
+		}
+		op() // warm retained activations, workspaces, lanes and shard views
+		exposed, filled = 0, 0
+		return op, func(b *testing.B) {
+			b.ReportMetric(float64(exposed.Nanoseconds())/float64(b.N), "bubble-exposed-ns/op")
+			b.ReportMetric(float64(filled.Nanoseconds())/float64(b.N), "bubble-filled-ns/op")
+		}
+	}
+}
+
+// refProfile is ProfileRefNets as a row set-up.
+func refProfile(tb testing.TB) *calib.Profile {
+	prof, err := ProfileRefNets()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prof
+}
+
+// planColdMiss measures one full cold plan computation — normalize,
+// fingerprint, queue, k search, encode — under the given search strategy.
+// Each iteration perturbs max_memory_bytes by +i so every request misses the
+// cache (1<<40 dwarfs any real activation footprint, so the clamp never binds
+// and the planning work is identical across misses). The probes/op metric is
+// the number of simulator probes the k search issued; BENCH files track the
+// exact-vs-guided ratio.
+func planColdMiss(search string) step {
+	return func(tb testing.TB) (func(), func(*testing.B)) {
+		svc := plansvc.New(plansvc.Options{Workers: 1, SearchWorkers: 1, Logger: quiet()})
+		tb.Cleanup(svc.Close)
+		ctx := context.Background()
+		var probes, i int64
+		return func() {
+				resp, err := svc.Plan(ctx, &plansvc.PlanRequest{
+					Model:          "resnet152",
+					Cluster:        plansvc.ClusterSpec{Preset: "pub-a", GPUs: 32},
+					Search:         search,
+					MaxMemoryBytes: 1<<40 + i,
+				})
+				i++
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if resp.SearchStats == nil {
+					tb.Fatal("missing search stats")
+				}
+				probes += int64(resp.SearchStats.Probes)
+			}, func(b *testing.B) {
+				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+			}
+	}
+}
+
+// planServer starts a single-node plan service behind an HTTP test server.
+func planServer(tb testing.TB) *httptest.Server {
+	svc := plansvc.New(plansvc.Options{Logger: quiet()})
+	srv := httptest.NewServer(svc.Handler())
+	tb.Cleanup(func() {
+		srv.Close()
+		svc.Close()
+	})
+	return srv
+}
+
+// runLoad drives spec's endpoints with the deterministic closed-loop load
+// generator (the full zoo × 3 GPU counts, 4 clients, b.N requests) and
+// attaches the run's throughput, latency distribution and cold-plan rate.
+func runLoad(b *testing.B, spec plansvc.LoadSpec) {
+	spec.Clients, spec.Requests = 4, b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	rep, err := plansvc.RunLoad(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if rep.TransportErrors > 0 || rep.StatusCounts["200"] != b.N {
+		b.Fatalf("load run failed: %+v", rep)
+	}
+	b.ReportMetric(rep.OpsPerSec, "ops/s")
+	b.ReportMetric(rep.LatencyMsP50, "p50_ms")
+	b.ReportMetric(rep.LatencyMsP95, "p95_ms")
+	b.ReportMetric(rep.LatencyMsP99, "p99_ms")
+	b.ReportMetric(rep.LatencyMsP999, "p999_ms")
+	b.ReportMetric(rep.ColdPlanRate, "cold_rate")
+}

@@ -700,13 +700,6 @@ func (b *builder) noteSyncProgress(t *task) {
 	})
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // noteIterProgress records when the last δW of an iteration completes.
 func (b *builder) noteIterProgress(t *task) {
 	it := t.iter
