@@ -3,8 +3,10 @@ package microbench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -112,10 +114,10 @@ func Rows() []Row {
 			return func() { plansearch.ParetoSweep(sp, plansearch.Config{}) }, nil
 		}},
 		// On a warm simulator pool a sweep allocates nothing per candidate
-		// (there are 51 here): 19 today — the points, the frontier as it
-		// grows, the sort index, the one list schedule (4), the fan-out closure
-		// and Config's default perturbation set (5).
-		{Name: "ParetoSweepWarmPool", Gated: true, MaxAllocs: 24, Step: func(testing.TB) (func(), func(*testing.B)) {
+		// (there are 51 here): 14 today — the points, the frontier as it
+		// grows, the sort index, the one list schedule (4) and the fan-out
+		// closure.
+		{Name: "ParetoSweepWarmPool", Gated: true, MaxAllocs: 19, Step: func(testing.TB) (func(), func(*testing.B)) {
 			sp := paretoSpace()
 			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
 			plansearch.ParetoSweep(sp, cfg)
@@ -383,6 +385,14 @@ func Rows() []Row {
 			op() // warm the cache
 			return op, nil
 		}},
+		// The router seam, without sockets: one resident /v1/plan body answered
+		// through an httptest recorder by a bare service, by a shard that owns
+		// the body's fingerprint and by one that does not. The gap between the
+		// first row and the other two is what ring routing costs over a bare
+		// hit; the recorder and its header map are part of all three.
+		{Name: "ServiceHit", Gated: true, MaxAllocs: 35, Step: residentHit("")},
+		{Name: "TierHitLocalOwner", Gated: true, MaxAllocs: 36, Step: residentHit(shardsvc.RouteLocalOwner)},
+		{Name: "TierHitPeerCache", Gated: true, MaxAllocs: 32, Step: residentHit(shardsvc.RoutePeerCache)},
 	}
 }
 
@@ -559,6 +569,51 @@ func planColdMiss(search string) step {
 			}, func(b *testing.B) {
 				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 			}
+	}
+}
+
+// residentHit serves one loadgen body that is already in the node's LRU,
+// in-process: through the bare service handler when route is "", otherwise
+// through a shard of a three-member ring, on the first body of the loadgen
+// mix that the ring routes that way (local-owner: the node owns the
+// fingerprint; peer-cache: it does not, and answers from its own LRU).
+func residentHit(route string) step {
+	return func(tb testing.TB) (func(), func(*testing.B)) {
+		svc := plansvc.New(plansvc.Options{Logger: quiet()})
+		tb.Cleanup(svc.Close)
+		peers := []string{"http://a", "http://b", "http://c"}
+		sh, err := shardsvc.New(shardsvc.Options{Self: peers[0], Peers: peers, Service: svc, Logger: quiet()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h := sh.Handler()
+		if route == "" {
+			h = svc.Handler()
+		}
+		var body []byte
+		for i, routed := 0, false; !routed; i++ {
+			body = plansvc.LoadSpec{}.RequestBody(i)
+			var req plansvc.PlanRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				tb.Fatal(err)
+			}
+			resp, err := svc.Plan(context.Background(), &req) // resident from here on
+			if err != nil {
+				tb.Fatal(err)
+			}
+			owned := sh.Ring().Owner(resp.Fingerprint) == peers[0]
+			routed = route == "" || owned == (route == shardsvc.RouteLocalOwner)
+		}
+		rd := bytes.NewReader(body)
+		r := httptest.NewRequest(http.MethodPost, "/v1/plan", rd)
+		return func() {
+			rd.Reset(body)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if got := w.Header().Get(shardsvc.HeaderRoute); w.Code != http.StatusOK || got != route {
+				tb.Fatalf("status %d route %q, want 200 %q", w.Code, got, route)
+			}
+		}, nil
 	}
 }
 

@@ -13,6 +13,7 @@ package plansearch
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -107,6 +108,8 @@ type ParetoResult struct {
 // evaluator, replays it once and simulates it under every discipline,
 // writing the slots of its own k.
 func sweep(sp Space, cfg Config) []MemPoint {
+	validateSpace(sp)
+	cfg = cfg.withDefaults()
 	L, D := sp.Costs.Layers(), len(sp.Disciplines)
 	pts := make([]MemPoint, D*(L+1))
 	parexec.ForEach(L+1, cfg.Workers, func(k int) {
@@ -139,8 +142,6 @@ func sweep(sp Space, cfg Config) []MemPoint {
 // is bit-identical at any Config.Workers / GOMAXPROCS: candidates land in
 // fixed slots and the frontier scan is serial over a total order.
 func ParetoSweep(sp Space, cfg Config) ParetoResult {
-	validateSpace(sp)
-	cfg = cfg.withDefaults()
 	pts := sweep(sp, cfg)
 
 	// Frontier: sort by (makespan, frag peak, id) and keep the strictly
@@ -187,8 +188,6 @@ type MemResult struct {
 // candidate id, matching the exhaustive scan order. Deterministic at any
 // worker count.
 func MemorySearch(sp Space, maxMemoryBytes int64, cfg Config) MemResult {
-	validateSpace(sp)
-	cfg = cfg.withDefaults()
 	pts := sweep(sp, cfg)
 
 	res := MemResult{Probes: len(pts), Candidates: len(pts)}
@@ -221,7 +220,7 @@ func (sp Space) MemPointSchedule(p MemPoint) graph.BackwardSchedule {
 	return core.ReverseFirstK(sp.Model, p.K, 0)
 }
 
-// validateSpace applies Search's structural checks.
+// validateSpace panics on a structurally invalid space.
 func validateSpace(sp Space) {
 	if len(sp.Disciplines) == 0 {
 		panic("plansearch: space has no disciplines")
@@ -231,6 +230,6 @@ func validateSpace(sp Space) {
 	}
 	L := sp.Costs.Layers()
 	if L == 0 || len(sp.Model.Layers) != L {
-		panic("plansearch: model and costs disagree on layer count")
+		panic(fmt.Sprintf("plansearch: model has %d layers, costs %d", len(sp.Model.Layers), L))
 	}
 }

@@ -106,84 +106,51 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Config tunes a search. The zero value means defaults everywhere. No field
-// other than Workers affects wall-clock parallelism, and Workers never
-// affects results.
+// Config carries what a caller can vary about a search: its parallelism, the
+// robust mode's sampling seed and a shared simulator pool. The zero value
+// means defaults everywhere, and Workers never affects results.
 type Config struct {
 	// Workers bounds the parexec fan-out of one probe batch (≤ 1 = serial).
 	Workers int
-	// Anchors is the number of evenly spaced depths probed per discipline to
-	// fit the predictor (default 8, min numFeatures+1).
-	Anchors int
-	// Patience is the number of consecutive non-improving ranked probes
-	// after which the heuristic stop fires (default 8).
-	Patience int
-	// MinProbes floors the probe count before the heuristic stop may fire
-	// (default Anchors + Patience).
-	MinProbes int
-	// ExhaustiveBelow short-circuits to the exact sweep when the candidate
-	// count is at or below it — tiny spaces are cheaper to sweep than to
-	// model (default 20).
-	ExhaustiveBelow int
 	// Seed drives the robust mode's stochastic sampling (default 1).
 	Seed uint64
-	// RobustTopN is how many near-optimal schedules are re-scored under the
-	// perturbations (default 4).
-	RobustTopN int
-	// RobustSamples is how many extra stochastic candidates the robust mode
-	// probes beyond the guided set (default 6).
-	RobustSamples int
-	// Perturbations are the cost perturbations robust scoring evaluates
-	// (default DefaultPerturbations).
-	Perturbations []Perturbation
 	// Scratch, if non-nil, is a pool of *core.IterScratch shared with the
 	// caller (plansvc's warm pool); otherwise the search allocates its own.
 	Scratch *sync.Pool
 }
 
-// probeBatch is the fixed ranked-probing batch size. It is a constant — not
-// Workers — so the probe sequence (and therefore the chosen schedule) is
-// independent of the parallelism the search runs at.
-const probeBatch = 4
-
+// The search's tuning. These are constants — not Config fields — because no
+// caller ever varied them, and the probe sequence (and therefore the chosen
+// schedule) must not depend on the parallelism the search runs at.
 const (
-	defaultAnchors         = 8
-	defaultPatience        = 8
-	defaultExhaustiveBelow = 20
-	defaultRobustTopN      = 4
-	defaultRobustSamples   = 6
+	// probeBatch is the ranked-probing batch size.
+	probeBatch = 4
+	// anchors is the number of evenly spaced depths probed per discipline to
+	// fit the predictor; the least-squares fit needs more than numFeatures.
+	anchors = 8
+	// patience is the number of consecutive non-improving ranked probes after
+	// which the heuristic stop fires, once minProbes have been issued.
+	patience  = 8
+	minProbes = anchors + patience
+	// exhaustiveBelow short-circuits to the exact sweep when the candidate
+	// count is at or below it — tiny spaces are cheaper to sweep than to model.
+	exhaustiveBelow = 20
+	// robustTopN is how many near-optimal schedules are re-scored under the
+	// perturbations.
+	robustTopN = 4
+	// robustSamples is how many extra stochastic candidates the robust mode
+	// probes beyond the guided set: 0, what the zero Config always resolved
+	// to (only a negative count selected 6), so sampling has never run and
+	// turning it on moves every robust plan body.
+	robustSamples = 0
 )
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
-	if c.Anchors <= 0 {
-		c.Anchors = defaultAnchors
-	}
-	if c.Anchors < numFeatures+1 {
-		c.Anchors = numFeatures + 1
-	}
-	if c.Patience <= 0 {
-		c.Patience = defaultPatience
-	}
-	if c.MinProbes <= 0 {
-		c.MinProbes = c.Anchors + c.Patience
-	}
-	if c.ExhaustiveBelow <= 0 {
-		c.ExhaustiveBelow = defaultExhaustiveBelow
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RobustTopN <= 0 {
-		c.RobustTopN = defaultRobustTopN
-	}
-	if c.RobustSamples < 0 {
-		c.RobustSamples = defaultRobustSamples
-	}
-	if c.Perturbations == nil {
-		c.Perturbations = DefaultPerturbations()
 	}
 	if c.Scratch == nil {
 		c.Scratch = &sync.Pool{New: func() any { return new(core.IterScratch) }}
@@ -246,18 +213,8 @@ type Result struct {
 // structurally invalid space (no disciplines, inconsistent cost lengths),
 // mirroring the simulator's contract; every other input yields a result.
 func Search(sp Space, mode Mode, cfg Config) Result {
-	if len(sp.Disciplines) == 0 {
-		panic("plansearch: space has no disciplines")
-	}
-	if sp.Model == nil {
-		panic("plansearch: space has no model")
-	}
-	L := sp.Costs.Layers()
-	if L == 0 || len(sp.Model.Layers) != L {
-		panic(fmt.Sprintf("plansearch: model has %d layers, costs %d", len(sp.Model.Layers), L))
-	}
-	cfg = cfg.withDefaults()
-	st := newState(sp, cfg)
+	validateSpace(sp)
+	st := newState(sp, cfg.withDefaults())
 	switch mode {
 	case Exact:
 		return st.searchExact()
@@ -379,7 +336,7 @@ func (s *state) searchExact() Result {
 
 // searchGuided runs the predictor-guided coarse-to-fine search.
 func (s *state) searchGuided() Result {
-	if s.n <= s.cfg.ExhaustiveBelow {
+	if s.n <= exhaustiveBelow {
 		return s.searchExact()
 	}
 
@@ -415,7 +372,7 @@ func (s *state) searchGuided() Result {
 			proven = true
 			break
 		}
-		if s.probes >= s.cfg.MinProbes && sinceImprove >= s.cfg.Patience {
+		if s.probes >= minProbes && sinceImprove >= patience {
 			break
 		}
 		end := next + probeBatch
@@ -458,10 +415,7 @@ func (s *state) searchGuided() Result {
 // anchorIDs returns the evenly spaced anchor candidates of every discipline
 // (always including k = 0 and k = L−1).
 func (s *state) anchorIDs() []int {
-	per := s.cfg.Anchors
-	if per > s.L {
-		per = s.L
-	}
+	per := min(anchors, s.L)
 	ks := make([]int, 0, per)
 	if per == 1 {
 		ks = append(ks, 0)

@@ -175,7 +175,7 @@ func TestGuidedNearOptimal(t *testing.T) {
 	}
 }
 
-// TestGuidedSmallSpaceExhaustive: at or below ExhaustiveBelow the guided
+// TestGuidedSmallSpaceExhaustive: at or below exhaustiveBelow the guided
 // mode must be the exact sweep.
 func TestGuidedSmallSpaceExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -214,8 +214,8 @@ func TestRobustInvariants(t *testing.T) {
 	r := Search(sp, Robust, cfg)
 	g := Search(sp, Guided, cfg)
 
-	if len(r.Alternatives) == 0 || len(r.Alternatives) > defaultRobustTopN {
-		t.Fatalf("robust pool size %d, want 1..%d", len(r.Alternatives), defaultRobustTopN)
+	if len(r.Alternatives) == 0 || len(r.Alternatives) > robustTopN {
+		t.Fatalf("robust pool size %d, want 1..%d", len(r.Alternatives), robustTopN)
 	}
 	if r.Best != r.Alternatives[0].Candidate || r.WorstRegret != r.Alternatives[0].WorstRegret {
 		t.Fatalf("Best %+v (regret %v) != first alternative %+v", r.Best, r.WorstRegret, r.Alternatives[0])
@@ -228,7 +228,7 @@ func TestRobustInvariants(t *testing.T) {
 			t.Fatalf("alternatives not sorted by regret: %v after %v", a.WorstRegret, r.Alternatives[i-1].WorstRegret)
 		}
 	}
-	wantRobust := len(r.Alternatives) * len(DefaultPerturbations())
+	wantRobust := len(r.Alternatives) * len(perturbations)
 	if r.RobustProbes != wantRobust {
 		t.Fatalf("RobustProbes = %d, want pool×perturbations = %d", r.RobustProbes, wantRobust)
 	}
@@ -317,9 +317,20 @@ func TestSearchPanics(t *testing.T) {
 		bad.Model = synthModel(3, sp.Costs.F[:3], sp.Costs.DO[:3], sp.Costs.DW[:3])
 		Search(bad, Exact, Config{})
 	})
-	mustPanic("bad perturbation", func() {
-		Search(sp, Robust, Config{Perturbations: []Perturbation{{Name: "bogus", WhatIf: perturb(map[string]float64{"warp": 2}, 0)}}})
-	})
+}
+
+// TestPerturbationValidate: the robust mode's own set is valid; a family an
+// IterCosts vector does not carry is not.
+func TestPerturbationValidate(t *testing.T) {
+	for _, p := range perturbations {
+		if err := p.Validate(); err != nil {
+			t.Errorf("stock perturbation: %v", err)
+		}
+	}
+	bogus := Perturbation{Name: "bogus", WhatIf: perturb(map[string]float64{"warp": 2}, 0)}
+	if err := bogus.Validate(); err == nil {
+		t.Error("perturbation of unknown family warp validated")
+	}
 }
 
 // TestScheduleMatchesCandidate: the materialized schedule is the probed one.

@@ -34,16 +34,14 @@ func (p Perturbation) Validate() error {
 	return nil
 }
 
-// DefaultPerturbations is the robust mode's stock uncertainty set: δW kernels
+// perturbations is the robust mode's uncertainty set, read-only: δW kernels
 // faster or slower than calibrated, and the interconnect at half or double
 // bandwidth — the axes the reverse-first-k trade-off is most sensitive to.
-func DefaultPerturbations() []Perturbation {
-	return []Perturbation{
-		{Name: "dw-fast", WhatIf: calib.WhatIf{ScaleOpKind: map[string]float64{"dW": 0.7}}},
-		{Name: "dw-slow", WhatIf: calib.WhatIf{ScaleOpKind: map[string]float64{"dW": 1.4}}},
-		{Name: "bw-half", WhatIf: calib.WhatIf{ScaleBandwidth: 0.5}},
-		{Name: "bw-double", WhatIf: calib.WhatIf{ScaleBandwidth: 2}},
-	}
+var perturbations = []Perturbation{
+	{Name: "dw-fast", WhatIf: calib.WhatIf{ScaleOpKind: map[string]float64{"dW": 0.7}}},
+	{Name: "dw-slow", WhatIf: calib.WhatIf{ScaleOpKind: map[string]float64{"dW": 1.4}}},
+	{Name: "bw-half", WhatIf: calib.WhatIf{ScaleBandwidth: 0.5}},
+	{Name: "bw-double", WhatIf: calib.WhatIf{ScaleBandwidth: 2}},
 }
 
 // perturbedCosts returns a copy of the cost vector under the perturbation.
@@ -92,12 +90,6 @@ func scaleDurUp(d time.Duration, s float64) time.Duration {
 // diverse sampling, re-scores the top-N pool under every perturbation, and
 // returns the schedule with the smallest worst-case regret.
 func (s *state) searchRobust() Result {
-	for _, p := range s.cfg.Perturbations {
-		if err := p.Validate(); err != nil {
-			panic(err.Error())
-		}
-	}
-
 	guided := s.searchGuided()
 
 	// Diverse sampling: softmax over predicted makespan (lower = likelier),
@@ -113,7 +105,7 @@ func (s *state) searchRobust() Result {
 	}
 
 	// Pool: the top-N probed candidates by nominal makespan.
-	pool := s.topProbed(s.cfg.RobustTopN)
+	pool := s.topProbed(robustTopN)
 
 	// Score the pool under every perturbation. Regret is measured against
 	// the pool's own best under that perturbation — the quantity a planner
@@ -121,7 +113,7 @@ func (s *state) searchRobust() Result {
 	worst := make([]float64, len(pool))
 	out := make([]time.Duration, s.n)
 	robustProbes := 0
-	for _, p := range s.cfg.Perturbations {
+	for _, p := range perturbations {
 		costs := perturbedCosts(s.sp.Costs, p)
 		s.probeCosts(costs, out, pool)
 		robustProbes += len(pool)
@@ -189,7 +181,7 @@ func (s *state) searchRobust() Result {
 	}
 }
 
-// sampleDiverse draws up to RobustSamples unprobed candidates without
+// sampleDiverse draws up to robustSamples unprobed candidates without
 // replacement from a softmax over predicted makespan. The stream is seeded
 // and the ids are walked in ascending order, so the sample depends only on
 // the space, the predictor, and Config.Seed.
@@ -208,7 +200,7 @@ func (s *state) sampleDiverse() []int {
 			maxP = s.pred[id]
 		}
 	}
-	if len(ids) == 0 || s.cfg.RobustSamples == 0 {
+	if len(ids) == 0 || robustSamples == 0 {
 		return nil
 	}
 	spread := maxP - minP
@@ -222,10 +214,7 @@ func (s *state) sampleDiverse() []int {
 		return math.Exp(-3 * (s.pred[id] - minP) / spread)
 	}
 	rng := rand.New(rand.NewSource(int64(s.cfg.Seed)))
-	want := s.cfg.RobustSamples
-	if want > len(ids) {
-		want = len(ids)
-	}
+	want := min(robustSamples, len(ids))
 	picked := make([]int, 0, want)
 	taken := make(map[int]bool, want)
 	for len(picked) < want {

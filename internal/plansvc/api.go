@@ -595,6 +595,22 @@ func (sp *planSpec) fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// The spec methods of a plan request.
+func (sp *planSpec) base() *planSpec       { return sp }
+func (sp *planSpec) kind() string          { return "plan" }
+func (sp *planSpec) newResponse() response { return new(PlanResponse) }
+
+func (sp *planSpec) compute(s *Service) (response, error) {
+	resp, err := s.planFn(sp)
+	if err != nil {
+		return nil, err
+	}
+	s.recordSearchStats(resp.SearchStats)
+	return resp, nil
+}
+
+func (r *PlanResponse) fingerprint() string { return r.Fingerprint }
+
 // resolveModel returns the request's model, building zoo models on first use.
 // Inline specs are decoded eagerly in normalize (their content must be
 // validated at request time); zoo names are built only when a plan is

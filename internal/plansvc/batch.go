@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 )
 
@@ -90,8 +89,7 @@ func (s *Service) PlanBatch(ctx context.Context, req *BatchRequest) (*BatchRespo
 			resp.Results[i].Error = asAPIError(err)
 			continue
 		}
-		s.applyCostTable(sp)
-		specs[i], fps[i] = sp, sp.fingerprint()
+		specs[i], fps[i] = sp, s.key(sp)
 		resp.Results[i].Fingerprint = fps[i]
 		if _, seen := itemsOf[fps[i]]; !seen {
 			order = append(order, fps[i])
@@ -125,7 +123,7 @@ func (s *Service) PlanBatch(ctx context.Context, req *BatchRequest) (*BatchRespo
 			deliver(fp, entry, OutcomeHit, nil)
 			continue
 		}
-		if e := s.warmLookup(fp, decodePlanBody); e != nil {
+		if e := s.warmLookup(fp, specs[itemsOf[fp][0]]); e != nil {
 			s.cache.Add(fp, e)
 			deliver(fp, e, OutcomeWarm, nil)
 			continue
@@ -149,12 +147,12 @@ func (s *Service) PlanBatch(ctx context.Context, req *BatchRequest) (*BatchRespo
 		_, err := s.execute(ctx, "plan batch", func() (*cachedPlan, error) {
 			for _, fp := range pending {
 				sp := specs[itemsOf[fp][0]]
-				entry, warm, oc, err := s.cachedDo(ctx, fp, decodePlanBody, func() (*cachedPlan, error) {
+				entry, outcome, err := s.cachedDo(ctx, fp, sp, func() (*cachedPlan, error) {
 					return s.safeCompute("plan batch "+sp.Mode, func() (*cachedPlan, error) {
-						return s.computePlan(sp)
+						return s.compute(sp)
 					})
 				})
-				outs[fp] = &batchOut{entry: entry, outcome: outcomeString(oc, warm), err: err}
+				outs[fp] = &batchOut{entry: entry, outcome: outcome, err: err}
 				if ctx.Err() != nil {
 					break
 				}
@@ -201,12 +199,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.met.inflight.Add(-1)
 
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if _, err := readStrict(w, r, &req); err != nil {
 		s.met.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: fmt.Sprintf("malformed request body: %v", err)})
+		s.writeTypedError(w, err)
 		return
 	}
 	resp, err := s.PlanBatch(r.Context(), &req)

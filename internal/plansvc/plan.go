@@ -26,19 +26,16 @@ var searchModes = map[string]plansearch.Mode{
 // concave k search fans its coarse probes out through internal/parexec, and
 // every probe borrows a scratch from the pool.
 type planner struct {
-	// searchWorkers bounds the parexec fan-out of one k search.
-	searchWorkers int
-	scratch       sync.Pool // *core.IterScratch
+	// search configures every schedule search: the parexec fan-out of one k
+	// search and the warm scratch pool.
+	search plansearch.Config
 }
 
 func newPlanner(searchWorkers int) *planner {
-	if searchWorkers < 1 {
-		searchWorkers = 1
-	}
-	return &planner{
-		searchWorkers: searchWorkers,
-		scratch:       sync.Pool{New: func() any { return new(core.IterScratch) }},
-	}
+	return &planner{search: plansearch.Config{
+		Workers: searchWorkers,
+		Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }},
+	}}
 }
 
 // plan dispatches on the normalized spec's mode. The returned response is a
@@ -98,9 +95,9 @@ func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 	costs := datapar.Costs(m, sp.cluster(), sp.GPUs, method)
 	prio, preemptive := discipline(method)
 
-	sc := p.scratch.Get().(*core.IterScratch)
+	sc := p.search.Scratch.Get().(*core.IterScratch)
 	base := sc.SimulateIteration(costs, graph.Conventional(L), prio, preemptive)
-	p.scratch.Put(sc)
+	p.search.Scratch.Put(sc)
 
 	space := plansearch.Space{
 		Model:          m,
@@ -122,10 +119,7 @@ func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 	}
 	resp.Objective = ObjectiveTime
 
-	r := plansearch.Search(space, searchModes[sp.Search], plansearch.Config{
-		Workers: p.searchWorkers,
-		Scratch: &p.scratch,
-	})
+	r := plansearch.Search(space, searchModes[sp.Search], p.search)
 	order := space.Schedule(r.Best)
 
 	resp.K = r.Best.K
@@ -192,10 +186,7 @@ func (p *planner) fillPlanFromPoint(sp *planSpec, space plansearch.Space, baseli
 // fragmented peak fits the budget. An unmeetable budget is a client error
 // naming the tightest budget the model can meet.
 func (p *planner) planDataParMemory(sp *planSpec, space plansearch.Space, baseline time.Duration, resp *PlanResponse) error {
-	r := plansearch.MemorySearch(space, sp.MaxMemoryBytes, plansearch.Config{
-		Workers: p.searchWorkers,
-		Scratch: &p.scratch,
-	})
+	r := plansearch.MemorySearch(space, sp.MaxMemoryBytes, p.search)
 	if !r.Feasible {
 		return invalidf("max_memory_bytes",
 			"budget %d bytes is below the tightest schedule this model can meet (%d bytes)",
@@ -216,10 +207,7 @@ func (p *planner) planDataParMemory(sp *planSpec, space plansearch.Space, baseli
 // the response, with the headline plan the fastest point that fits the
 // budget (or the time optimum when no budget is set).
 func (p *planner) planDataParPareto(sp *planSpec, space plansearch.Space, baseline time.Duration, resp *PlanResponse) error {
-	r := plansearch.ParetoSweep(space, plansearch.Config{
-		Workers: p.searchWorkers,
-		Scratch: &p.scratch,
-	})
+	r := plansearch.ParetoSweep(space, p.search)
 	// The frontier is makespan-ascending with strictly decreasing memory, so
 	// the first fitting point is the fastest feasible one.
 	head := -1

@@ -176,28 +176,32 @@ const (
 	OutcomeWarm = "warm"
 )
 
-// outcomeString folds the LRU outcome and the warm-hit flag into the header
-// vocabulary.
-func outcomeString(oc cache.Outcome, warm bool) string {
-	switch oc {
-	case cache.Hit:
-		return OutcomeHit
-	case cache.Collapsed:
-		return OutcomeCollapsed
-	default:
-		if warm {
-			return OutcomeWarm
-		}
-		return OutcomeComputed
-	}
+// spec is a normalized request, *planSpec or *whatifSpec: all the serving
+// path needs to know about the endpoint a request came in on.
+type spec interface {
+	// base carries the mode, the deadline and the cost table (for a what-if,
+	// its unperturbed plan).
+	base() *planSpec
+	fingerprint() string
+	// kind names the endpoint in job labels: "plan" or "whatif".
+	kind() string
+	// compute runs the planner and folds its search effort into the metrics.
+	compute(s *Service) (response, error)
+	// newResponse is an empty response to decode stored bytes into.
+	newResponse() response
 }
 
-// cachedPlan is the cache value: the response (*PlanResponse or
-// *WhatIfResponse), its serialized body, and the prebuilt fingerprint header
-// value, so hits serve stored bytes with zero planning, encoding or
-// header-allocation work.
+// response is a cacheable response body, *PlanResponse or *WhatIfResponse,
+// exposing the fingerprint the body itself carries.
+type response interface {
+	fingerprint() string
+}
+
+// cachedPlan is the cache value: the response, its serialized body, and the
+// prebuilt fingerprint header value, so hits serve stored bytes with zero
+// planning, encoding or header-allocation work.
 type cachedPlan struct {
-	resp     any
+	resp     response
 	body     []byte
 	fpHeader []string // {fingerprint}, assigned directly into the header map
 }
@@ -321,7 +325,7 @@ func (s *Service) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, er
 	if err != nil {
 		return nil, err
 	}
-	entry, _, err := s.lookupOrPlan(ctx, sp)
+	entry, _, err := s.lookupOrCompute(ctx, s.key(sp), sp)
 	if err != nil {
 		return nil, err
 	}
@@ -336,58 +340,38 @@ func (s *Service) WhatIf(ctx context.Context, req *WhatIfRequest) (*WhatIfRespon
 	if err != nil {
 		return nil, err
 	}
-	entry, _, err := s.lookupOrWhatIf(ctx, ws)
+	entry, _, err := s.lookupOrCompute(ctx, s.key(ws), ws)
 	if err != nil {
 		return nil, err
 	}
 	return entry.resp.(*WhatIfResponse), nil
 }
 
-// applyCostTable points a normalized zoo-model spec at the service's fitted
-// cost table, before the fingerprint is taken: the table's name enters the
-// fingerprint (sp.CostModel), so re-timed plans never collide with default
-// ones, and resolveModel applies the re-timing lazily on cache misses.
-// Inline specs are untouched.
-func (s *Service) applyCostTable(sp *planSpec) {
-	if s.opts.CostTable != nil && sp.ModelName != "" {
-		sp.retime = s.opts.CostTable
-		sp.CostModel = s.opts.CostTable.Name
+// key returns the canonical cache key of a normalized request on this
+// service. A zoo-model spec is first pointed at the service's fitted cost
+// table: the table's name enters the fingerprint (CostModel), so re-timed
+// plans never collide with default ones, and resolveModel applies the
+// re-timing lazily on cache misses. Inline specs are untouched.
+func (s *Service) key(sp spec) string {
+	if b := sp.base(); s.opts.CostTable != nil && b.ModelName != "" {
+		b.retime = s.opts.CostTable
+		b.CostModel = s.opts.CostTable.Name
 	}
+	return sp.fingerprint()
 }
 
-// decodeFn rebuilds the typed response from a stored body, so warm-cache and
-// peer-filled entries can serve the programmatic API too.
-type decodeFn func([]byte) (any, error)
-
-func decodePlanBody(body []byte) (any, error) {
-	resp := new(PlanResponse)
+// storedEntry rebuilds fp's cache entry from a stored body (warm cache, peer
+// fill), typed response included, so such entries serve the programmatic API
+// too. A body that does not carry fp itself is refused.
+func storedEntry(sp spec, fp string, body []byte) (*cachedPlan, error) {
+	resp := sp.newResponse()
 	if err := json.Unmarshal(body, resp); err != nil {
 		return nil, err
 	}
-	return resp, nil
-}
-
-func decodeWhatIfBody(body []byte) (any, error) {
-	resp := new(WhatIfResponse)
-	if err := json.Unmarshal(body, resp); err != nil {
-		return nil, err
+	if got := resp.fingerprint(); got != fp {
+		return nil, fmt.Errorf("body carries fingerprint %s", got)
 	}
-	return resp, nil
-}
-
-// lookupOrPlan runs the fingerprint → cache → admission → worker path for a
-// plan request.
-func (s *Service) lookupOrPlan(ctx context.Context, sp *planSpec) (*cachedPlan, string, error) {
-	s.applyCostTable(sp)
-	return s.lookupOrCompute(ctx, sp.fingerprint(), sp.deadlineMillis, "plan "+sp.Mode,
-		decodePlanBody, func() (*cachedPlan, error) { return s.computePlan(sp) })
-}
-
-// lookupOrWhatIf is lookupOrPlan for a what-if request.
-func (s *Service) lookupOrWhatIf(ctx context.Context, ws *whatifSpec) (*cachedPlan, string, error) {
-	s.applyCostTable(ws.Plan)
-	return s.lookupOrCompute(ctx, ws.fingerprint(), ws.Plan.deadlineMillis, "whatif "+ws.Plan.Mode,
-		decodeWhatIfBody, func() (*cachedPlan, error) { return s.computeWhatIf(ws) })
+	return &cachedPlan{resp: resp, body: body, fpHeader: []string{fp}}, nil
 }
 
 // planDeadline clamps a request timeout to the server-side planning limit.
@@ -401,18 +385,17 @@ func (s *Service) planDeadline(deadlineMillis int64) time.Duration {
 	return limit
 }
 
-// lookupOrCompute runs the shared fingerprint → LRU → warm cache → admission
-// → worker path: LRU hits and collapsed waits never reach the queue; warm
-// disk hits fill the LRU without admission; real misses are computed once by
-// a worker under the request deadline and written behind the LRU to the warm
-// cache.
-func (s *Service) lookupOrCompute(ctx context.Context, fp string, deadlineMillis int64, label string, decode decodeFn, fn func() (*cachedPlan, error)) (*cachedPlan, string, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.planDeadline(deadlineMillis))
+// lookupOrCompute runs the LRU → warm cache → admission → worker path for a
+// request whose key is fp: LRU hits and collapsed waits never reach the
+// queue; warm disk hits fill the LRU without admission; real misses are
+// computed once by a worker under the request deadline and written behind the
+// LRU to the warm cache.
+func (s *Service) lookupOrCompute(ctx context.Context, fp string, sp spec) (*cachedPlan, string, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.planDeadline(sp.base().deadlineMillis))
 	defer cancel()
-	entry, warm, outcome, err := s.cachedDo(ctx, fp, decode, func() (*cachedPlan, error) {
-		return s.execute(ctx, label, fn)
+	entry, oc, err := s.cachedDo(ctx, fp, sp, func() (*cachedPlan, error) {
+		return s.execute(ctx, sp.kind()+" "+sp.base().Mode, func() (*cachedPlan, error) { return s.compute(sp) })
 	})
-	oc := outcomeString(outcome, warm)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.met.deadline.Inc()
@@ -428,12 +411,13 @@ func (s *Service) lookupOrCompute(ctx context.Context, fp string, deadlineMillis
 // the stored body instead of running run; a computed result is persisted
 // behind the LRU. run's admission policy is the caller's: the single-plan
 // path admits inside run, the batch path is already inside its admission
-// slot and passes the raw compute.
-func (s *Service) cachedDo(ctx context.Context, fp string, decode decodeFn, run func() (*cachedPlan, error)) (*cachedPlan, bool, cache.Outcome, error) {
-	var warm bool
+// slot and passes the raw compute. The outcome is in the HeaderOutcome
+// vocabulary.
+func (s *Service) cachedDo(ctx context.Context, fp string, sp spec, run func() (*cachedPlan, error)) (*cachedPlan, string, error) {
+	miss := OutcomeComputed // how a miss of the LRU gets answered
 	entry, err, outcome := s.cache.Do(ctx, fp, func() (*cachedPlan, error) {
-		if e := s.warmLookup(fp, decode); e != nil {
-			warm = true
+		if e := s.warmLookup(fp, sp); e != nil {
+			miss = OutcomeWarm
 			return e, nil
 		}
 		e, err := run()
@@ -445,16 +429,18 @@ func (s *Service) cachedDo(ctx context.Context, fp string, decode decodeFn, run 
 	switch outcome {
 	case cache.Hit:
 		s.met.cacheHits.Inc()
+		return entry, OutcomeHit, err
 	case cache.Collapsed:
 		s.met.collapsed.Inc()
+		return entry, OutcomeCollapsed, err
 	}
-	return entry, warm, outcome, err
+	return entry, miss, err
 }
 
-// warmLookup serves fp from the persistent warm-start cache, rebuilding the
-// typed response from the stored body. A body that no longer decodes (schema
-// skew across versions) counts as corrupt and falls through to replanning.
-func (s *Service) warmLookup(fp string, decode decodeFn) *cachedPlan {
+// warmLookup serves fp from the persistent warm-start cache. A body that no
+// longer decodes (schema skew across versions) or is not fp's counts as
+// corrupt and falls through to replanning.
+func (s *Service) warmLookup(fp string, sp spec) *cachedPlan {
 	if s.opts.WarmCache == nil {
 		return nil
 	}
@@ -462,14 +448,14 @@ func (s *Service) warmLookup(fp string, decode decodeFn) *cachedPlan {
 	if !ok {
 		return nil
 	}
-	resp, err := decode(body)
+	e, err := storedEntry(sp, fp, body)
 	if err != nil {
 		s.met.warmCorrupt.Inc()
 		s.log.Warn("warm cache body undecodable, replanning", "fingerprint", fp, "err", err)
 		return nil
 	}
 	s.met.warmHits.Inc()
-	return &cachedPlan{resp: resp, body: body, fpHeader: []string{fp}}
+	return e
 }
 
 // warmStore persists a computed body behind the LRU. Write failures cost
@@ -604,64 +590,34 @@ func (s *Service) recordSearchStats(st *SearchStats) {
 	s.met.searchRankCorr.Set(int64(st.RankCorrelation * 1000))
 }
 
-// computePlan runs the planner and packages the cache entry for one plan.
-// The plansComputed/planErrors counters live here (not in the worker loop) so
-// a batch job computing K plans in one admission slot counts K.
-func (s *Service) computePlan(sp *planSpec) (*cachedPlan, error) {
-	resp, err := s.planFn(sp)
+// compute runs the planner for sp and packages the cache entry. The
+// plansComputed/planErrors counters live here (not in the worker loop) so a
+// batch job computing K plans in one admission slot counts K.
+func (s *Service) compute(sp spec) (*cachedPlan, error) {
+	resp, err := sp.compute(s)
 	if err != nil {
 		s.met.planErrors.Inc()
 		return nil, err
 	}
-	s.recordSearchStats(resp.SearchStats)
 	body, err := marshalBody(resp)
 	if err != nil {
 		s.met.planErrors.Inc()
 		return nil, &APIError{Code: CodeInternal, Message: "response encoding failed"}
 	}
 	s.met.plansComputed.Inc()
-	return &cachedPlan{resp: resp, body: body, fpHeader: []string{resp.Fingerprint}}, nil
-}
-
-// computeWhatIf is computePlan for a what-if estimate.
-func (s *Service) computeWhatIf(ws *whatifSpec) (*cachedPlan, error) {
-	resp, err := s.planner.whatif(ws)
-	if err != nil {
-		s.met.planErrors.Inc()
-		return nil, err
-	}
-	s.recordSearchStats(resp.Base.SearchStats)
-	s.recordSearchStats(resp.WhatIf.SearchStats)
-	body, err := marshalBody(resp)
-	if err != nil {
-		s.met.planErrors.Inc()
-		return nil, &APIError{Code: CodeInternal, Message: "response encoding failed"}
-	}
-	s.met.plansComputed.Inc()
-	return &cachedPlan{resp: resp, body: body, fpHeader: []string{resp.Fingerprint}}, nil
+	return &cachedPlan{resp: resp, body: body, fpHeader: []string{resp.fingerprint()}}, nil
 }
 
 // Fingerprint returns the canonical cache key of a plan request — the same
-// normalization, cost-table application, and hash the serving path uses. The
-// shard tier routes on it: every node of a homogeneously configured tier
-// computes the same fingerprint for the same body.
+// normalization, cost-table application, and hash the serving path uses, so
+// every node of a homogeneously configured tier computes the same fingerprint
+// for the same body.
 func (s *Service) Fingerprint(req *PlanRequest) (string, error) {
 	sp, err := normalize(req)
 	if err != nil {
 		return "", err
 	}
-	s.applyCostTable(sp)
-	return sp.fingerprint(), nil
-}
-
-// FingerprintWhatIf is Fingerprint for a what-if request.
-func (s *Service) FingerprintWhatIf(req *WhatIfRequest) (string, error) {
-	ws, err := normalizeWhatIf(req)
-	if err != nil {
-		return "", err
-	}
-	s.applyCostTable(ws.Plan)
-	return ws.fingerprint(), nil
+	return s.key(sp), nil
 }
 
 // CachedBody returns the serving bytes for fp from the in-memory LRU,
@@ -675,38 +631,20 @@ func (s *Service) CachedBody(fp string) ([]byte, bool) {
 	return entry.body, true
 }
 
-// FillPlan inserts a peer-fetched /v1/plan response body into the local LRU
-// (and the warm-start cache, when configured), so subsequent requests for fp
-// serve locally. The body must decode to a PlanResponse whose fingerprint
-// matches fp — a peer-fill can never poison the cache with a mismatched body.
-func (s *Service) FillPlan(fp string, body []byte) error {
-	return s.fill(fp, body, decodePlanBody)
-}
-
-// FillWhatIf is FillPlan for /v1/whatif response bodies.
-func (s *Service) FillWhatIf(fp string, body []byte) error {
-	return s.fill(fp, body, decodeWhatIfBody)
-}
-
-func (s *Service) fill(fp string, body []byte, decode decodeFn) error {
-	resp, err := decode(body)
+// Fill inserts the response body a peer served for rq into the local LRU (and
+// the warm-start cache, when configured), so subsequent requests with rq's
+// fingerprint serve locally. The body must decode to rq's response type and
+// carry rq's fingerprint — a peer-fill can never poison the cache with a
+// mismatched body.
+func (s *Service) Fill(rq *Request, body []byte) error {
+	fp := rq.Fingerprint
+	e, err := storedEntry(rq.spec, fp, bytes.Clone(body))
 	if err != nil {
 		return fmt.Errorf("plansvc: fill %s: %w", fp, err)
 	}
-	var gotFP string
-	switch r := resp.(type) {
-	case *PlanResponse:
-		gotFP = r.Fingerprint
-	case *WhatIfResponse:
-		gotFP = r.Fingerprint
-	}
-	if gotFP != fp {
-		return fmt.Errorf("plansvc: fill fingerprint mismatch: body carries %s, want %s", gotFP, fp)
-	}
-	stored := bytes.Clone(body)
-	s.cache.Add(fp, &cachedPlan{resp: resp, body: stored, fpHeader: []string{fp}})
+	s.cache.Add(fp, e)
 	s.met.peerFills.Inc()
-	s.warmStore(fp, stored)
+	s.warmStore(fp, e.body)
 	return nil
 }
 

@@ -73,9 +73,11 @@ func TestRetimedZooPlansChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retimed.applyCostTable(sp)
+	if fp := retimed.key(sp); fp != fitted.Fingerprint {
+		t.Fatalf("key %s, served fingerprint %s", fp, fitted.Fingerprint)
+	}
 	if sp.CostModel != table.Name || sp.retime != table {
-		t.Fatalf("applyCostTable: cost_model %q (want %q), retime set %v", sp.CostModel, table.Name, sp.retime != nil)
+		t.Fatalf("key: cost_model %q (want %q), retime set %v", sp.CostModel, table.Name, sp.retime != nil)
 	}
 }
 

@@ -2,11 +2,11 @@ package plansvc
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -35,15 +35,15 @@ const (
 //	GET  /debug/vars  — expvar JSON (service metrics under "plansvc")
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", s.handlePlan)
+	mux.HandleFunc("POST /v1/plan", s.handleRequest)
 	mux.HandleFunc("POST /v1/plan:batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/whatif", s.handleWhatIf)
+	mux.HandleFunc("POST /v1/whatif", s.handleRequest)
 	// The "/" fallback below would otherwise swallow the mux's automatic 405
 	// for wrong-method hits on the POST routes.
 	for _, path := range []string{"/v1/plan", "/v1/plan:batch", "/v1/whatif"} {
 		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Allow", http.MethodPost)
-			s.writeError(w, http.StatusMethodNotAllowed, &APIError{Code: CodeMethodNotAllowed,
+			s.writeTypedError(w, &APIError{Code: CodeMethodNotAllowed,
 				Message: fmt.Sprintf("%s not allowed on %s; use POST", r.Method, path)})
 		})
 	}
@@ -52,7 +52,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/vars", s.handleDebugVars)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound,
+		s.writeTypedError(w, &APIError{Code: CodeNotFound,
 			Message: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path)})
 	})
 	return s.logRequests(mux)
@@ -63,38 +63,51 @@ func (s *Service) Handler() http.Handler {
 // and skips attribute construction entirely when the handler discards Info.
 func (s *Service) logRequests(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := s.reqSeq.Add(1)
-		t0 := time.Now()
-		rw := swPool.Get().(*statusWriter)
-		rw.ResponseWriter, rw.status, rw.bytes = w, http.StatusOK, 0
+		rw := s.beginRequest(w)
 		h.ServeHTTP(rw, r)
-		d := time.Since(t0)
-		if r.URL.Path == "/v1/plan" || r.URL.Path == "/v1/whatif" {
-			s.met.reqLatency.Observe(d.Seconds())
-		}
-		ctx := r.Context()
-		if s.log.Enabled(ctx, slog.LevelInfo) {
-			s.log.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.Int64("id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rw.status),
-				slog.Int("bytes", rw.bytes),
-				slog.Float64("dur_ms", float64(d.Microseconds())/1000),
-				slog.String("outcome", rw.Header().Get(HeaderOutcome)),
-				slog.String("remote", r.RemoteAddr),
-			)
-		}
-		rw.ResponseWriter = nil
-		swPool.Put(rw)
+		s.endRequest(rw, r)
 	})
 }
 
-// statusWriter records the status code and body size for logging.
+// beginRequest numbers and timestamps a request and wraps its writer.
+func (s *Service) beginRequest(w http.ResponseWriter) *statusWriter {
+	rw := swPool.Get().(*statusWriter)
+	*rw = statusWriter{ResponseWriter: w, status: http.StatusOK, id: s.reqSeq.Add(1), t0: time.Now()}
+	return rw
+}
+
+// endRequest observes the latency of a plan or what-if request, logs the
+// request and releases its writer.
+func (s *Service) endRequest(rw *statusWriter, r *http.Request) {
+	d := time.Since(rw.t0)
+	if r.URL.Path == "/v1/plan" || r.URL.Path == "/v1/whatif" {
+		s.met.reqLatency.Observe(d.Seconds())
+	}
+	ctx := r.Context()
+	if s.log.Enabled(ctx, slog.LevelInfo) {
+		s.log.LogAttrs(ctx, slog.LevelInfo, "request",
+			slog.Int64("id", rw.id),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", rw.status),
+			slog.Int("bytes", rw.bytes),
+			slog.Float64("dur_ms", float64(d.Microseconds())/1000),
+			slog.String("outcome", rw.Header().Get(HeaderOutcome)),
+			slog.String("remote", r.RemoteAddr),
+		)
+	}
+	rw.ResponseWriter = nil
+	swPool.Put(rw)
+}
+
+// statusWriter records the status code and body size for logging, next to
+// the request's sequence number and arrival time.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	id     int64
+	t0     time.Time
 }
 
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -110,28 +123,92 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
+// Request is a POST /v1/plan or /v1/whatif request after the one pass a node
+// makes over it: bounded read → strict decode → normalize → cost table →
+// fingerprint. The local cache and planner, a shard router and a peer fill
+// all work from this value; none decodes the bytes again.
+type Request struct {
+	// Fingerprint is the canonical cache key; the shard tier routes on it.
+	Fingerprint string
+	// Body is the request as received, for a router to relay unchanged.
+	Body []byte
+	// Err, when set, is the typed reason the request is invalid; Serve
+	// answers it with the error envelope.
+	Err  error
+	spec spec
+}
+
+// Parse reads the request r.URL.Path names (/v1/whatif, anything else is a
+// plan). It never fails: a request that does not read, decode or validate
+// comes back with Err set.
+func (s *Service) Parse(w http.ResponseWriter, r *http.Request) *Request {
+	rq := new(Request)
+	if r.URL.Path == "/v1/whatif" {
+		rq.Body, rq.spec, rq.Err = parse(w, r, normalizeWhatIf)
+	} else {
+		rq.Body, rq.spec, rq.Err = parse(w, r, normalize)
+	}
+	if rq.Err == nil {
+		rq.Fingerprint = s.key(rq.spec)
+	}
+	return rq
+}
+
+// parse is the decode and normalize steps of Parse for one request type.
+func parse[Req any, S spec](w http.ResponseWriter, r *http.Request, norm func(*Req) (S, error)) ([]byte, spec, error) {
+	var req Req
+	body, err := readStrict(w, r, &req)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp, err := norm(&req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return body, sp, nil
+}
+
+// readStrict reads r's body, at most maxBodyBytes of it, and decodes it into
+// v: unknown fields and anything but whitespace after the value are errors.
+func readStrict(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(v); err == nil && len(bytes.TrimSpace(body[dec.InputOffset():])) > 0 {
+			err = errors.New("data after the top-level value")
+		}
+	}
+	if err != nil {
+		return nil, &APIError{Code: CodeInvalidRequest, Message: fmt.Sprintf("malformed request body: %v", err)}
+	}
+	return body, nil
+}
+
+// Serve answers a parsed request from this node — LRU, warm cache or planner
+// — counted and logged once, as the handler's own plan routes are. A shard
+// router calls it for the requests it keeps.
+func (s *Service) Serve(w http.ResponseWriter, r *http.Request, rq *Request) {
+	rw := s.beginRequest(w)
+	s.answer(rw, r, rq)
+	s.endRequest(rw, r)
+}
+
+func (s *Service) handleRequest(w http.ResponseWriter, r *http.Request) {
+	s.answer(w, r, s.Parse(w, r))
+}
+
+func (s *Service) answer(w http.ResponseWriter, r *http.Request, rq *Request) {
 	s.met.requests.Inc()
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 
-	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if rq.Err != nil {
 		s.met.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: fmt.Sprintf("malformed request body: %v", err)})
+		s.writeTypedError(w, rq.Err)
 		return
 	}
-	sp, err := normalize(&req)
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeTypedError(w, err)
-		return
-	}
-
-	entry, outcome, err := s.lookupOrPlan(r.Context(), sp)
+	entry, outcome, err := s.lookupOrCompute(r.Context(), rq.Fingerprint, rq.spec)
 	if err != nil {
 		s.writeTypedError(w, err)
 		return
@@ -139,39 +216,6 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// Direct map assignment of precomputed value slices: the keys are already
 	// in canonical MIME form, so this skips both textproto canonicalization
 	// and the per-call []string allocation of Header().Set.
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	h[HeaderOutcome] = outcomeHeaders[outcome]
-	h[HeaderFingerprint] = entry.fpHeader
-	w.Write(entry.body)
-}
-
-func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	s.met.requests.Inc()
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-
-	var req WhatIfRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, http.StatusBadRequest, &APIError{Code: CodeInvalidRequest,
-			Message: fmt.Sprintf("malformed request body: %v", err)})
-		return
-	}
-	ws, err := normalizeWhatIf(&req)
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeTypedError(w, err)
-		return
-	}
-
-	entry, outcome, err := s.lookupOrWhatIf(r.Context(), ws)
-	if err != nil {
-		s.writeTypedError(w, err)
-		return
-	}
 	h := w.Header()
 	h["Content-Type"] = headerJSON
 	h[HeaderOutcome] = outcomeHeaders[outcome]
@@ -230,14 +274,7 @@ func (s *Service) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 // writeTypedError maps an error from the planning path onto an HTTP status
 // and the JSON error envelope.
 func (s *Service) writeTypedError(w http.ResponseWriter, err error) {
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			apiErr = &APIError{Code: CodeDeadlineExceeded, Message: "request cancelled or deadline exceeded"}
-		} else {
-			apiErr = &APIError{Code: CodeInternal, Message: err.Error()}
-		}
-	}
+	apiErr := asAPIError(err)
 	status := http.StatusInternalServerError
 	switch apiErr.Code {
 	case CodeInvalidRequest, CodeUnknownModel:
@@ -256,13 +293,9 @@ func (s *Service) writeTypedError(w http.ResponseWriter, err error) {
 	case CodeShuttingDown:
 		status = http.StatusServiceUnavailable
 	}
-	s.writeError(w, status, apiErr)
-}
-
-func (s *Service) writeError(w http.ResponseWriter, status int, e *APIError) {
 	writeJSON(w, status, struct {
 		Error *APIError `json:"error"`
-	}{e})
+	}{apiErr})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -273,9 +306,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// marshalBody renders the canonical (cached) response body
-// (*PlanResponse or *WhatIfResponse).
-func marshalBody(resp any) ([]byte, error) {
+// marshalBody renders the canonical (cached) response body.
+func marshalBody(resp response) ([]byte, error) {
 	b, err := json.MarshalIndent(resp, "", "  ")
 	if err != nil {
 		return nil, err

@@ -162,6 +162,7 @@ func TestPlanValidationErrors(t *testing.T) {
 	}{
 		{"malformed json", `{"model":`, http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown field", `{"modle":"resnet50"}`, http.StatusBadRequest, CodeInvalidRequest},
+		{"trailing data", `{"model":"resnet50"} trailing`, http.StatusBadRequest, CodeInvalidRequest},
 		{"no model", `{}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown model", `{"model":"vgg16"}`, http.StatusBadRequest, CodeUnknownModel},
 		{"bad gpus", `{"model":"resnet50","cluster":{"preset":"priv-a","gpus":99}}`, http.StatusBadRequest, CodeInvalidRequest},

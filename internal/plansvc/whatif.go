@@ -92,6 +92,23 @@ func (ws *whatifSpec) fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// The spec methods of a what-if request.
+func (ws *whatifSpec) base() *planSpec       { return ws.Plan }
+func (ws *whatifSpec) kind() string          { return "whatif" }
+func (ws *whatifSpec) newResponse() response { return new(WhatIfResponse) }
+
+func (ws *whatifSpec) compute(s *Service) (response, error) {
+	resp, err := s.planner.whatif(ws)
+	if err != nil {
+		return nil, err
+	}
+	s.recordSearchStats(resp.Base.SearchStats)
+	s.recordSearchStats(resp.WhatIf.SearchStats)
+	return resp, nil
+}
+
+func (r *WhatIfResponse) fingerprint() string { return r.Fingerprint }
+
 // whatif plans the request twice — unperturbed, and with layer costs scaled
 // via calib.WhatIf.ApplyModel plus bandwidth-scaled links — re-running the
 // full schedule search on the perturbed model so the optimizer can pick a

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,6 +84,10 @@ type Shard struct {
 	inner http.Handler
 	log   *slog.Logger
 
+	// values holds the one-element header value slices known at
+	// construction: every member, every route, the peer-cache constants.
+	values map[string][]string
+
 	mu      sync.Mutex
 	suspect map[string]time.Time
 
@@ -114,13 +119,7 @@ func New(opts Options) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	found := false
-	for _, m := range ring.Members() {
-		if m == opts.Self {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(ring.Members(), opts.Self) {
 		return nil, fmt.Errorf("shardsvc: self %q is not among the peers %v", opts.Self, opts.Peers)
 	}
 	if opts.Client == nil {
@@ -138,8 +137,13 @@ func New(opts Options) (*Shard, error) {
 		svc:     opts.Service,
 		inner:   opts.Service.Handler(),
 		log:     opts.Logger,
+		values:  make(map[string][]string),
 		suspect: make(map[string]time.Time),
 		reg:     metrics.NewRegistry("shardsvc"),
+	}
+	for _, v := range append(ring.Members(), RouteLocalOwner, RouteProxy, RoutePeerCache, RouteRerouteLocal,
+		RouteForwarded, RouteLocal, plansvc.OutcomeHit, "application/json") {
+		sh.values[v] = []string{v}
 	}
 	m := &sh.met
 	m.ownedLocal = sh.reg.Counter("owned_local_total", "requests this shard served as the ring owner")
@@ -168,119 +172,109 @@ func (sh *Shard) Metrics() *metrics.Registry { return sh.reg }
 // still persist to the warm cache and serve peers on later singles.
 func (sh *Shard) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", sh.routed(false))
-	mux.HandleFunc("POST /v1/whatif", sh.routed(true))
+	mux.HandleFunc("POST /v1/plan", sh.routed)
+	mux.HandleFunc("POST /v1/whatif", sh.routed)
 	mux.HandleFunc("GET /metrics", sh.handleMetrics)
 	mux.HandleFunc("GET /v1/ring", sh.handleRing)
 	mux.Handle("/", sh.inner)
 	return mux
 }
 
-// routed returns the ring-routing handler for one endpoint.
-func (sh *Shard) routed(whatif bool) http.HandlerFunc {
-	path := "/v1/plan"
-	if whatif {
-		path = "/v1/whatif"
+// routed is the ring-routing step over the service's parsed request: the
+// service reads, validates and fingerprints the request once, and the same
+// value is then served here, answered from the peer-filled LRU, or relayed
+// to its owner.
+func (sh *Shard) routed(w http.ResponseWriter, r *http.Request) {
+	rq := sh.svc.Parse(w, r)
+	if rq.Err != nil {
+		// Not a request the ring can place: the local service renders its
+		// canonical typed error envelope.
+		sh.serveLocal(w, r, rq, RouteLocal)
+		return
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBodyBytes))
-		if err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":{"code":"invalid_request","message":%q}}`, err.Error()), http.StatusBadRequest)
-			return
-		}
-		fp, ok := sh.fingerprint(whatif, body)
-		if !ok {
-			// Undecodable or invalid request: let the local service render
-			// its canonical typed error envelope.
-			sh.serveLocal(w, r, body, RouteLocal)
-			return
-		}
-		owner := sh.ring.Owner(fp)
-		h := w.Header()
-		h.Set(HeaderNode, sh.opts.Self)
-		h.Set(HeaderOwner, owner)
+	owner := sh.ring.Owner(rq.Fingerprint)
+	h := w.Header()
+	sh.set(h, HeaderNode, sh.opts.Self)
+	sh.set(h, HeaderOwner, owner)
 
-		if r.Header.Get(HeaderForwarded) != "" {
-			// One hop maximum: a forwarded request is served here, whatever
-			// the ring says (the sender routed on the same fingerprint).
-			sh.met.forwarded.Inc()
-			sh.serveLocal(w, r, body, RouteForwarded)
-			return
-		}
-		if owner == sh.opts.Self {
-			sh.met.ownedLocal.Inc()
-			sh.serveLocal(w, r, body, RouteLocalOwner)
-			return
-		}
-		// Non-owner. Peer-filled hot plans serve straight from the local LRU.
-		if cached, ok := sh.svc.CachedBody(fp); ok {
-			sh.met.peerCacheHit.Inc()
-			h.Set(HeaderRoute, RoutePeerCache)
-			h.Set(plansvc.HeaderOutcome, plansvc.OutcomeHit)
-			h.Set(plansvc.HeaderFingerprint, fp)
-			h.Set("Content-Type", "application/json")
-			w.Write(cached)
-			return
-		}
-		if sh.isSuspect(owner) {
-			sh.met.rerouteLocal.Inc()
-			sh.serveLocal(w, r, body, RouteRerouteLocal)
-			return
-		}
-		sh.proxy(w, r, path, owner, fp, body, whatif)
+	if r.Header.Get(HeaderForwarded) != "" {
+		// One hop maximum: a forwarded request is served here, whatever
+		// the ring says (the sender routed on the same fingerprint).
+		sh.met.forwarded.Inc()
+		sh.serveLocal(w, r, rq, RouteForwarded)
+		return
 	}
+	if owner == sh.opts.Self {
+		sh.met.ownedLocal.Inc()
+		sh.serveLocal(w, r, rq, RouteLocalOwner)
+		return
+	}
+	// Non-owner. Peer-filled hot plans serve straight from the local LRU.
+	if cached, ok := sh.svc.CachedBody(rq.Fingerprint); ok {
+		sh.met.peerCacheHit.Inc()
+		sh.set(h, HeaderRoute, RoutePeerCache)
+		sh.set(h, plansvc.HeaderOutcome, plansvc.OutcomeHit)
+		sh.set(h, plansvc.HeaderFingerprint, rq.Fingerprint)
+		sh.set(h, "Content-Type", "application/json")
+		w.Write(cached)
+		return
+	}
+	if sh.isSuspect(owner) {
+		sh.met.rerouteLocal.Inc()
+		sh.serveLocal(w, r, rq, RouteRerouteLocal)
+		return
+	}
+	sh.proxy(w, r, owner, rq)
 }
 
-// serveLocal replays the buffered body into the local service handler.
-func (sh *Shard) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, route string) {
-	w.Header().Set(HeaderRoute, route)
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	sh.inner.ServeHTTP(w, r2)
+// serveLocal has the local service answer the parsed request.
+func (sh *Shard) serveLocal(w http.ResponseWriter, r *http.Request, rq *plansvc.Request, route string) {
+	sh.set(w.Header(), HeaderRoute, route)
+	sh.svc.Serve(w, r, rq)
+}
+
+// set assigns a header whose key is in canonical form. Values known at
+// construction come from the prebuilt table, so the local-owner and
+// peer-cache routes allocate no routing header values per request.
+func (sh *Shard) set(h http.Header, key, value string) {
+	vs, ok := sh.values[value]
+	if !ok {
+		vs = []string{value}
+	}
+	h[key] = vs
 }
 
 // proxy forwards the request to the owner, relays the response, and
 // peer-fills the local LRU on success. A transport failure marks the owner
 // suspect and falls back to a local plan — the request still succeeds, the
 // tier just pays one redundant computation.
-func (sh *Shard) proxy(w http.ResponseWriter, r *http.Request, path, owner, fp string, body []byte, whatif bool) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+path, bytes.NewReader(body))
+func (sh *Shard) proxy(w http.ResponseWriter, r *http.Request, owner string, rq *plansvc.Request) {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+r.URL.Path, bytes.NewReader(rq.Body))
 	if err != nil {
-		sh.serveLocal(w, r, body, RouteRerouteLocal)
+		sh.serveLocal(w, r, rq, RouteRerouteLocal)
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderForwarded, sh.opts.Self)
 	resp, err := sh.opts.Client.Do(req)
-	if err != nil {
-		sh.met.proxyFails.Inc()
-		sh.met.rerouteLocal.Inc()
-		sh.markSuspect(owner)
-		sh.log.Warn("owner unreachable, planning locally", "owner", owner, "fingerprint", fp, "err", err)
-		sh.serveLocal(w, r, body, RouteRerouteLocal)
-		return
+	var respBody []byte
+	if err == nil {
+		defer resp.Body.Close()
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyBodyBytes))
 	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBodyBytes))
 	if err != nil {
 		sh.met.proxyFails.Inc()
 		sh.met.rerouteLocal.Inc()
 		sh.markSuspect(owner)
-		sh.serveLocal(w, r, body, RouteRerouteLocal)
+		sh.log.Warn("owner unreachable, planning locally", "owner", owner, "fingerprint", rq.Fingerprint, "err", err)
+		sh.serveLocal(w, r, rq, RouteRerouteLocal)
 		return
 	}
 	sh.met.proxied.Inc()
 	if resp.StatusCode == http.StatusOK {
-		var fillErr error
-		if whatif {
-			fillErr = sh.svc.FillWhatIf(fp, respBody)
-		} else {
-			fillErr = sh.svc.FillPlan(fp, respBody)
-		}
-		if fillErr != nil {
+		if err := sh.svc.Fill(rq, respBody); err != nil {
 			sh.met.peerFillErrs.Inc()
-			sh.log.Warn("peer fill rejected", "owner", owner, "err", fillErr)
+			sh.log.Warn("peer fill rejected", "owner", owner, "err", err)
 		} else {
 			sh.met.peerFills.Inc()
 		}
@@ -291,35 +285,9 @@ func (sh *Shard) proxy(w http.ResponseWriter, r *http.Request, path, owner, fp s
 			h.Set(k, v)
 		}
 	}
-	h.Set(HeaderRoute, RouteProxy)
+	sh.set(h, HeaderRoute, RouteProxy)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(respBody)
-}
-
-// fingerprint computes the canonical routing key for a request body; false
-// means the body is not a valid request (the local service will produce the
-// canonical error).
-func (sh *Shard) fingerprint(whatif bool, body []byte) (string, bool) {
-	if whatif {
-		var req plansvc.WhatIfRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", false
-		}
-		fp, err := sh.svc.FingerprintWhatIf(&req)
-		if err != nil {
-			return "", false
-		}
-		return fp, true
-	}
-	var req plansvc.PlanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", false
-	}
-	fp, err := sh.svc.Fingerprint(&req)
-	if err != nil {
-		return "", false
-	}
-	return fp, true
 }
 
 func (sh *Shard) isSuspect(peer string) bool {

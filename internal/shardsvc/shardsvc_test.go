@@ -6,6 +6,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,16 +30,7 @@ func smallMix() plansvc.LoadSpec {
 // postPlan posts body to url/v1/plan and returns (status, headers, respBody).
 func postPlan(t *testing.T, url string, body []byte) (int, http.Header, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/plan", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s/v1/plan: %v", url, err)
-	}
-	defer resp.Body.Close()
-	rb, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, resp.Header, rb
+	return post(t, url, "/v1/plan", body)
 }
 
 // ownerAndPeer resolves a request body's ring owner among urls and one
@@ -173,6 +167,129 @@ func TestTierInvalidRequestServedLocally(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
 		t.Fatalf("not the canonical error envelope: %s", body)
+	}
+}
+
+// post sends body to url+path and returns (status, headers, respBody).
+func post(t *testing.T, url, path string, body []byte) (int, http.Header, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s%s: %v", url, path, err)
+	}
+	defer resp.Body.Close()
+	rb, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, rb
+}
+
+// proxiedTotal sums shardsvc_proxied_total over the tier's /metrics pages.
+func proxiedTotal(t *testing.T, tier *Tier) (total int) {
+	t.Helper()
+	for _, u := range tier.URLs() {
+		resp, err := http.Get(u + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rest, ok := bytes.Cut(page, []byte("\nshardsvc_proxied_total "))
+		if !ok {
+			t.Fatalf("%s/metrics has no shardsvc_proxied_total", u)
+		}
+		n, err := strconv.Atoi(string(rest[:bytes.IndexByte(rest, '\n')]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	return total
+}
+
+// The tier is transparent: whatever a bare service answers to a body — plan,
+// typed error, fingerprint, bytes — every node of a tier answers too, on
+// every route the ring sends it down, and a request the service rejects is
+// rejected where it arrived instead of being placed on the ring.
+func TestTierTransparent(t *testing.T) {
+	tier, err := StartTier(TierOptions{Shards: 3, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	bare := plansvc.New(plansvc.Options{Logger: quietLogger()})
+	defer bare.Close()
+	bareSrv := httptest.NewServer(bare.Handler())
+	defer bareSrv.Close()
+
+	const zoo = `{"model":"ffnn16","cluster":{"preset":"pub-a","gpus":4}`
+	const ok, bad = http.StatusOK, http.StatusBadRequest
+	bodies := []struct {
+		name, body   string
+		plan, whatif int // status on /v1/plan and on /v1/whatif
+	}{
+		{"zoo plan", zoo + `}`, ok, ok},
+		{"trailing newline", zoo + "}\n", ok, ok},
+		{"what-if", zoo + `,"scale_op_kind":{"dW":0.5},"scale_bandwidth":2}`, bad, ok},
+		{"objective time", zoo + `,"objective":"time"}`, ok, ok},
+		{"objective memory", zoo + `,"objective":"memory","max_memory_bytes":1099511627776}`, ok, ok},
+		{"objective pareto", zoo + `,"objective":"pareto"}`, ok, ok},
+		{"unknown field", zoo + `,"colour":"red"}`, bad, bad},
+		{"trailing data", zoo + `} trailing`, bad, bad},
+		{"second value", zoo + `}{}`, bad, bad},
+		{"wrong type", `{"model":7}`, bad, bad},
+		{"unknown model", `{"model":"alexnet"}`, bad, bad},
+		{"not json", `plan me`, bad, bad},
+		{"empty body", ``, bad, bad},
+		// A valid request padded past the service's body limit.
+		{"9 MiB", zoo + `}` + strings.Repeat(" ", 9<<20), bad, bad},
+	}
+	errorCode := func(body []byte) string {
+		var env struct {
+			Error plansvc.APIError `json:"error"`
+		}
+		json.Unmarshal(body, &env) // a plan body has no error member: code ""
+		return env.Error.Code
+	}
+	for _, tc := range bodies {
+		for path, want := range map[string]int{"/v1/plan": tc.plan, "/v1/whatif": tc.whatif} {
+			wantStatus, wantH, wantBody := post(t, bareSrv.URL, path, []byte(tc.body))
+			if wantStatus != want {
+				t.Errorf("%s %s: bare service status %d, want %d: %.200s", tc.name, path, wantStatus, want, wantBody)
+				continue
+			}
+			proxiedBefore := proxiedTotal(t, tier)
+			// Twice round the tier: the second pass takes the hit and
+			// peer-cache routes the first pass filled.
+			for pass := 0; pass < 2; pass++ {
+				for _, u := range tier.URLs() {
+					status, h, body := post(t, u, path, []byte(tc.body))
+					route := h.Get(HeaderRoute)
+					if status != wantStatus || errorCode(body) != errorCode(wantBody) {
+						t.Errorf("%s %s via %s (%s): status %d code %q, bare service %d %q",
+							tc.name, path, u, route, status, errorCode(body), wantStatus, errorCode(wantBody))
+						continue
+					}
+					if got, want := h.Get(plansvc.HeaderFingerprint), wantH.Get(plansvc.HeaderFingerprint); got != want {
+						t.Errorf("%s %s via %s (%s): fingerprint %q, bare service %q", tc.name, path, u, route, got, want)
+					}
+					if !bytes.Equal(body, wantBody) {
+						t.Errorf("%s %s via %s (%s): body differs from the bare service's", tc.name, path, u, route)
+					}
+					if valid := status == http.StatusOK; valid == (route == RouteLocal) {
+						t.Errorf("%s %s via %s: status %d took route %q; %q is for invalid requests and only them",
+							tc.name, path, u, status, route, RouteLocal)
+					}
+				}
+			}
+			if n := proxiedTotal(t, tier) - proxiedBefore; wantStatus != http.StatusOK && n != 0 {
+				t.Errorf("%s %s: invalid request proxied %d times", tc.name, path, n)
+			}
+		}
 	}
 }
 
