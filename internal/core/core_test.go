@@ -69,6 +69,29 @@ func TestReverseFirstKClampsToMemory(t *testing.T) {
 	}
 }
 
+// TestZooPeakMonotoneInK pins what ClampK's comment relies on: on every zoo
+// model and GPU profile the peak of reverse first-k is nondecreasing in k, so
+// the depths that fit a budget form a prefix and the first fit below k is the
+// largest one. The WorkBytes transient keeps this from being a theorem; a
+// model that breaks it fails here rather than silently changing max_k.
+func TestZooPeakMonotoneInK(t *testing.T) {
+	profiles := []models.GPUProfile{models.V100Profile(), models.TitanXPProfile(), models.P100Profile()}
+	for _, e := range models.Zoo() {
+		for _, p := range profiles {
+			m := e.Build(p)
+			L := len(m.Layers)
+			var prev int64
+			for k := 0; k <= L; k++ {
+				peak := graph.PeakMemory(m, graph.ReverseFirstK(L, k))
+				if peak < prev {
+					t.Fatalf("%s on %s: peak falls from %d at k=%d to %d at k=%d", e.Name, p.Name, prev, k-1, peak, k)
+				}
+				prev = peak
+			}
+		}
+	}
+}
+
 // countDeferred counts δW ops appearing after δO_1 (i.e. the reversed tail).
 func countDeferred(s graph.BackwardSchedule, L int) int {
 	seenDO1 := false

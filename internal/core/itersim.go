@@ -42,7 +42,7 @@ func (c IterCosts) validate() error {
 	return nil
 }
 
-func (c IterCosts) lag(layer int) time.Duration {
+func (c *IterCosts) lag(layer int) time.Duration {
 	if c.SyncLag == nil {
 		return 0
 	}
@@ -77,13 +77,22 @@ type IterResult struct {
 // SimulateIteration wrappers use a fresh scratch per call and stay safe to
 // retain).
 type IterScratch struct {
-	dwDone []time.Duration
-	done   []time.Duration
-	segs   []commSegment
-	tasks  []commTask
-	heap   []int32
-	adjDW  []time.Duration
-	state  []uint8 // schedule-validation flags, one byte per layer
+	done  []time.Duration
+	segs  []commSegment
+	tasks []commTask // arrival queue
+	heap  []commTask // available tasks of a multi-class channel
+	adjDW []time.Duration
+	state []uint8 // schedule-validation flags, one byte per layer
+	order graph.BackwardSchedule
+}
+
+// ReverseFirstK builds graph.ReverseFirstK(L, k) in the scratch's schedule
+// buffer, so a search probing many depths through one scratch builds its
+// orders without allocating. The result aliases the scratch and is valid
+// until the next call.
+func (s *IterScratch) ReverseFirstK(L, k int) graph.BackwardSchedule {
+	s.order = graph.AppendReverseFirstK(s.order[:0], L, k)
+	return s.order
 }
 
 // zeroPrio is the default priority function (all syncs equal, FIFO).
@@ -135,30 +144,9 @@ func (s *IterScratch) SimulateIterationTraced(c IterCosts, order graph.BackwardS
 		prio = zeroPrio
 	}
 
-	// Backward pass: serial compute.
-	var t time.Duration
-	s.dwDone = resizeDur(s.dwDone, L+1)
-	dwDone := s.dwDone
-	for _, op := range order {
-		start := t
-		switch op.Kind {
-		case graph.OutGrad:
-			t += c.DO[op.Layer-1]
-		case graph.WeightGrad:
-			t += c.DW[op.Layer-1]
-			dwDone[op.Layer] = t
-		}
-		if tr != nil {
-			kind := "dO"
-			if op.Kind == graph.WeightGrad {
-				kind = "dW"
-			}
-			tr.Add("GPU", op.String(), kind, start, t)
-		}
-	}
-	backwardEnd := t
+	backwardEnd := s.backward(c, order, prio, tr)
 
-	syncDone, segs := s.commTimeline(c, dwDone, prio, preemptive)
+	syncDone, segs := s.commTimeline(c, preemptive)
 	if tr != nil {
 		for _, sg := range segs {
 			tr.Add("NET", fmt.Sprintf("S[dW]%d", sg.layer), "comm", sg.start, sg.end)
@@ -167,7 +155,7 @@ func (s *IterScratch) SimulateIterationTraced(c IterCosts, order graph.BackwardS
 
 	// Forward pass: serial compute gated on syncs.
 	var idle time.Duration
-	t = backwardEnd
+	t := backwardEnd
 	for i := 1; i <= L; i++ {
 		if syncDone[i] > t {
 			idle += syncDone[i] - t
@@ -180,6 +168,33 @@ func (s *IterScratch) SimulateIterationTraced(c IterCosts, order graph.BackwardS
 		}
 	}
 	return IterResult{Makespan: t, BackwardEnd: backwardEnd, SyncDone: syncDone[1:], GPUIdle: idle}
+}
+
+// backward runs the backward pass — serial compute, ops back to back in
+// schedule order — and returns when it ends. Each δW with a synchronization
+// joins the channel's arrival queue as it completes, so the queue fills in
+// ready-time order.
+func (s *IterScratch) backward(c IterCosts, order graph.BackwardSchedule, prio func(layer int) int, tr *trace.Trace) time.Duration {
+	var t time.Duration
+	s.tasks = s.tasks[:0]
+	for _, op := range order {
+		start := t
+		switch op.Kind {
+		case graph.OutGrad:
+			t += c.DO[op.Layer-1]
+		case graph.WeightGrad:
+			t += c.DW[op.Layer-1]
+			s.addSync(op.Layer, prio(op.Layer), t, c.SyncW[op.Layer-1])
+		}
+		if tr != nil {
+			kind := "dO"
+			if op.Kind == graph.WeightGrad {
+				kind = "dW"
+			}
+			tr.Add("GPU", op.String(), kind, start, t)
+		}
+	}
+	return t
 }
 
 // validateOrder mirrors graph.BackwardSchedule.Validate but keeps its
@@ -254,63 +269,108 @@ type commTask struct {
 	remaining time.Duration
 }
 
-// commTimeline computes when each layer's synchronization completes on a
-// single channel with the given discipline, plus the service segments.
-//
-// The channel is simulated with two queues: the arrival queue (tasks sorted
-// by ready time) and a binary heap of available tasks keyed on
-// (prio, ready, layer) — exactly the selection rule of the naive reference
-// (commTimelineNaive), but O(L log L) instead of O(L²). The returned slices
-// belong to the scratch.
-func (s *IterScratch) commTimeline(c IterCosts, ready []time.Duration, prio func(int) int, preemptive bool) ([]time.Duration, []commSegment) {
-	L := c.Layers()
-	s.done = resizeDur(s.done, L+1) // zero = no sync needed
-	s.tasks = s.tasks[:0]
-	for i := 1; i <= L; i++ {
-		if c.SyncW[i-1] > 0 {
-			s.tasks = append(s.tasks, commTask{layer: i, prio: prio(i), ready: ready[i], remaining: c.SyncW[i-1]})
-		}
+// addSync appends layer's synchronization, ready at the given time and sync
+// long, to the arrival queue; a layer with no synchronization (sync = 0) adds
+// nothing.
+func (s *IterScratch) addSync(layer, prio int, ready, sync time.Duration) {
+	if sync > 0 {
+		s.tasks = append(s.tasks, commTask{layer: layer, prio: prio, ready: ready, remaining: sync})
 	}
-	slices.SortFunc(s.tasks, byArrival)
-	s.heap = s.heap[:0]
-	s.segs = s.segs[:0]
+}
 
+// commTimeline computes when each queued synchronization (addSync) completes
+// on a single channel with the given discipline, plus the service segments.
+// It selects exactly as the naive reference (commTimelineNaive) does — most
+// urgent priority first, then earliest ready, then lowest layer — in one of
+// three ways:
+//
+//   - The arrival queue is ordered by (ready, layer). The simulator fills it
+//     in δW completion order, which already is that order unless zero-cost
+//     ops tie ready times out of layer order, so it is sorted only then.
+//   - One priority class (WFBP and the Horovod methods): the selection key
+//     (prio, ready, layer) is the arrival order itself, so the queue is
+//     served front to back with no second structure. A preemptive channel
+//     still cuts a segment at every arrival, and resumes the same task.
+//   - Several classes: a binary heap of the available tasks, keyed by value.
+//
+// The returned slices belong to the scratch.
+func (s *IterScratch) commTimeline(c IterCosts, preemptive bool) ([]time.Duration, []commSegment) {
+	s.done = resizeDur(s.done, c.Layers()+1) // zero = no sync needed
+	s.segs = s.segs[:0]
+	if !slices.IsSortedFunc(s.tasks, byArrival) {
+		slices.SortFunc(s.tasks, byArrival)
+	}
+	oneClass := true
+	for i := 1; i < len(s.tasks) && oneClass; i++ {
+		oneClass = s.tasks[i].prio == s.tasks[0].prio
+	}
+	if oneClass {
+		s.serveInOrder(c, preemptive)
+	} else {
+		s.serveByPriority(c, preemptive)
+	}
+	return s.done, s.segs
+}
+
+// serveInOrder runs a single-class channel: arrival order is service order.
+func (s *IterScratch) serveInOrder(c IterCosts, preemptive bool) {
+	var now time.Duration
+	ai := 0 // first task arriving after now
+	for _, tk := range s.tasks {
+		now = max(now, tk.ready)
+		if preemptive {
+			for {
+				for ai < len(s.tasks) && s.tasks[ai].ready <= now {
+					ai++
+				}
+				if ai == len(s.tasks) || s.tasks[ai].ready >= now+tk.remaining {
+					break
+				}
+				na := s.tasks[ai].ready
+				s.segs = append(s.segs, commSegment{tk.layer, now, na})
+				tk.remaining -= na - now
+				now = na
+			}
+		}
+		s.segs = append(s.segs, commSegment{tk.layer, now, now + tk.remaining})
+		now += tk.remaining
+		s.done[tk.layer] = now + c.lag(tk.layer)
+	}
+}
+
+// serveByPriority runs a multi-class channel with two queues: the arrival
+// queue and a heap of the tasks that have arrived — O(L log L) where the
+// reference's selection scan is O(L²).
+func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool) {
+	s.heap = s.heap[:0]
 	var now time.Duration
 	ai := 0 // next not-yet-arrived task index
 	npend := len(s.tasks)
 	for npend > 0 {
 		for ai < len(s.tasks) && s.tasks[ai].ready <= now {
-			s.pushTask(int32(ai))
+			s.pushTask(s.tasks[ai])
 			ai++
 		}
 		if len(s.heap) == 0 {
 			now = s.tasks[ai].ready
 			continue
 		}
-		bi := s.popTask()
-		best := &s.tasks[bi]
+		best := s.popTask()
 		if preemptive && ai < len(s.tasks) {
 			if na := s.tasks[ai].ready; na < now+best.remaining {
 				// Serve until the next arrival, then re-evaluate priorities.
 				best.remaining -= na - now
 				s.segs = append(s.segs, commSegment{best.layer, now, na})
 				now = na
-				if best.remaining > 0 {
-					s.pushTask(bi)
-				} else {
-					s.done[best.layer] = now + c.lag(best.layer)
-					npend--
-				}
+				s.pushTask(best)
 				continue
 			}
 		}
 		s.segs = append(s.segs, commSegment{best.layer, now, now + best.remaining})
 		now += best.remaining
-		best.remaining = 0
 		s.done[best.layer] = now + c.lag(best.layer)
 		npend--
 	}
-	return s.done, s.segs
 }
 
 // taskLess orders the available-task heap by (prio, ready, layer): most
@@ -318,33 +378,32 @@ func (s *IterScratch) commTimeline(c IterCosts, ready []time.Duration, prio func
 // index as the final tie-break (the naive reference scans layers in
 // ascending order with a strict-less comparison, which resolves full ties
 // the same way).
-func (s *IterScratch) taskLess(a, b int32) bool {
-	ta, tb := &s.tasks[a], &s.tasks[b]
-	if ta.prio != tb.prio {
-		return ta.prio < tb.prio
+func taskLess(a, b commTask) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
-	if ta.ready != tb.ready {
-		return ta.ready < tb.ready
+	if a.ready != b.ready {
+		return a.ready < b.ready
 	}
-	return ta.layer < tb.layer
+	return a.layer < b.layer
 }
 
-func (s *IterScratch) pushTask(id int32) {
-	s.heap = append(s.heap, id)
+func (s *IterScratch) pushTask(tk commTask) {
+	s.heap = append(s.heap, tk)
 	h := s.heap
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.taskLess(id, h[parent]) {
+		if !taskLess(tk, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = id
+	h[i] = tk
 }
 
-func (s *IterScratch) popTask() int32 {
+func (s *IterScratch) popTask() commTask {
 	h := s.heap
 	top := h[0]
 	n := len(h) - 1
@@ -357,10 +416,10 @@ func (s *IterScratch) popTask() int32 {
 			if child >= n {
 				break
 			}
-			if r := child + 1; r < n && s.taskLess(h[r], h[child]) {
+			if r := child + 1; r < n && taskLess(h[r], h[child]) {
 				child = r
 			}
-			if !s.taskLess(h[child], last) {
+			if !taskLess(h[child], last) {
 				break
 			}
 			h[i] = h[child]

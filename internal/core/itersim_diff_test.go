@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"oooback/internal/graph"
+	"oooback/internal/models"
 )
 
 // randomIterCosts builds a randomized cost vector: a mix of zero and nonzero
@@ -67,10 +70,43 @@ func randomBackwardOrder(rng *rand.Rand, L int) graph.BackwardSchedule {
 	return s
 }
 
+// diffChannel runs the scratch's channel on the arrival queue it holds and
+// fails unless completion times and service segments equal the naive
+// reference's on the same ready times.
+func diffChannel(t *testing.T, label string, s *IterScratch, c IterCosts, ready []time.Duration, prio func(int) int, preemptive bool) {
+	t.Helper()
+	wantDone, wantSegs := commTimelineNaive(c, ready, prio, preemptive)
+	gotDone, gotSegs := s.commTimeline(c, preemptive)
+	if !slices.Equal(gotDone, wantDone) {
+		t.Fatalf("%s (L=%d preemptive=%v): SyncDone\n got: %v\nwant: %v", label, c.Layers(), preemptive, gotDone, wantDone)
+	}
+	if !slices.Equal(gotSegs, wantSegs) {
+		t.Fatalf("%s (L=%d preemptive=%v): segments\n got: %v\nwant: %v", label, c.Layers(), preemptive, gotSegs, wantSegs)
+	}
+}
+
+// dwReady recomputes, independently of the simulator, when each layer's δW
+// completes under the schedule.
+func dwReady(c IterCosts, order graph.BackwardSchedule) []time.Duration {
+	ready := make([]time.Duration, c.Layers()+1)
+	var t time.Duration
+	for _, op := range order {
+		switch op.Kind {
+		case graph.OutGrad:
+			t += c.DO[op.Layer-1]
+		case graph.WeightGrad:
+			t += c.DW[op.Layer-1]
+			ready[op.Layer] = t
+		}
+	}
+	return ready
+}
+
 // TestCommTimelineMatchesNaiveReference is the differential test of the
-// O(L log L) channel against the retained O(L²) reference: identical
-// completion times and identical service segments over randomized costs,
-// priorities, ready times, and both channel disciplines.
+// channel against the retained O(L²) reference: identical completion times
+// and identical service segments over randomized costs, priorities, ready
+// times, and both channel disciplines. The queue is filled in layer order
+// from clustered random ready times, so it almost always needs the sort.
 func TestCommTimelineMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var scratch IterScratch
@@ -78,34 +114,113 @@ func TestCommTimelineMatchesNaiveReference(t *testing.T) {
 		L := 1 + rng.Intn(60)
 		c, prio := randomIterCosts(rng, L)
 		ready := make([]time.Duration, L+1)
+		scratch.tasks = scratch.tasks[:0]
 		for i := 1; i <= L; i++ {
 			// Clustered ready times: many exact collisions.
 			ready[i] = time.Duration(rng.Intn(10)) * 5 * time.Microsecond
+			scratch.addSync(i, prio(i), ready[i], c.SyncW[i-1])
 		}
-		preemptive := trial%2 == 0
+		diffChannel(t, fmt.Sprintf("trial %d", trial), &scratch, c, ready, prio, trial%2 == 0)
+	}
+}
 
-		wantDone, wantSegs := commTimelineNaive(c, ready, prio, preemptive)
-		gotDone, gotSegs := scratch.commTimeline(c, ready, prio, preemptive)
-
-		if len(gotDone) != len(wantDone) {
-			t.Fatalf("trial %d: done length %d vs %d", trial, len(gotDone), len(wantDone))
-		}
-		for i := range wantDone {
-			if gotDone[i] != wantDone[i] {
-				t.Fatalf("trial %d (L=%d preemptive=%v): SyncDone[%d] = %v, reference %v",
-					trial, L, preemptive, i, gotDone[i], wantDone[i])
+// TestCommTimelineCases covers the channel's three ways of serving by
+// construction: one priority class and one class per layer (plus a
+// two-class mix), each preemptive and run-to-completion, over cost vectors
+// with exact ready-time ties from zero-cost ops, layers without a
+// synchronization and aggregation lag, under schedules inside the
+// reverse-first-k family and outside it. The queue is filled by the
+// simulator's own backward pass, and both outcomes of its "already in
+// arrival order" check must occur.
+func TestCommTimelineCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	prios := []struct {
+		name string
+		fn   func(int) int
+	}{
+		{"one-class", func(int) int { return 0 }},
+		{"one-class-nonzero", func(int) int { return 7 }},
+		{"prio=layer", func(l int) int { return l }},
+		{"two-class", func(l int) int { return l % 2 }},
+	}
+	costs := []struct {
+		name string
+		edit func(c *IterCosts, L int)
+	}{
+		{"plain", func(*IterCosts, int) {}},
+		{"zero-cost-ties", func(c *IterCosts, L int) {
+			// A run of free layers: their δW complete at one instant.
+			for i := L / 4; i < L/4+max(2, L/3) && i < L; i++ {
+				c.DO[i], c.DW[i] = 0, 0
+			}
+		}},
+		{"no-sync-layers", func(c *IterCosts, L int) {
+			for i := 0; i < L; i += 3 {
+				c.SyncW[i] = 0
+			}
+		}},
+		{"sync-lag", func(c *IterCosts, L int) {
+			c.SyncLag = make([]time.Duration, L)
+			for i := range c.SyncLag {
+				c.SyncLag[i] = time.Duration(rng.Intn(40)) * time.Microsecond
+			}
+		}},
+	}
+	var s IterScratch
+	sorted, unsorted := 0, 0
+	for _, L := range []int{1, 2, 7, 24, 61} {
+		m := &models.Model{Name: "diff", Batch: 1, Layers: make([]models.Layer, L)}
+		for i := range m.Layers {
+			m.Layers[i] = models.Layer{
+				ActBytes:  int64(1+rng.Intn(64)) << 10,
+				OutBytes:  int64(1+rng.Intn(64)) << 10,
+				WorkBytes: int64(rng.Intn(16)) << 10,
 			}
 		}
-		if len(gotSegs) != len(wantSegs) {
-			t.Fatalf("trial %d (L=%d preemptive=%v): %d segments, reference %d\n got: %v\nwant: %v",
-				trial, L, preemptive, len(gotSegs), len(wantSegs), gotSegs, wantSegs)
+		orders := []struct {
+			name  string
+			order graph.BackwardSchedule
+		}{
+			{"reverse-first-0", graph.ReverseFirstK(L, 0)},
+			{"reverse-first-L/2", graph.ReverseFirstK(L, L/2)},
+			{"reverse-first-L", graph.ReverseFirstK(L, L)},
+			{"conventional", graph.Conventional(L)},
+			{"mem-list", MemSchedule(m)},
+			{"random-a", randomBackwardOrder(rng, L)},
+			{"random-b", randomBackwardOrder(rng, L)},
 		}
-		for i := range wantSegs {
-			if gotSegs[i] != wantSegs[i] {
-				t.Fatalf("trial %d (L=%d preemptive=%v): segment %d = %+v, reference %+v",
-					trial, L, preemptive, i, gotSegs[i], wantSegs[i])
+		for _, cv := range costs {
+			c := IterCosts{
+				F:     make([]time.Duration, L),
+				DO:    make([]time.Duration, L),
+				DW:    make([]time.Duration, L),
+				SyncW: make([]time.Duration, L),
+			}
+			for i := 0; i < L; i++ {
+				c.F[i] = time.Duration(1+rng.Intn(20)) * time.Microsecond
+				c.DO[i] = time.Duration(1+rng.Intn(8)) * time.Microsecond
+				c.DW[i] = time.Duration(1+rng.Intn(8)) * time.Microsecond
+				c.SyncW[i] = time.Duration(1+rng.Intn(30)) * time.Microsecond
+			}
+			cv.edit(&c, L)
+			for _, o := range orders {
+				for _, pr := range prios {
+					for _, preemptive := range []bool{false, true} {
+						s.backward(c, o.order, pr.fn, nil)
+						if slices.IsSortedFunc(s.tasks, byArrival) {
+							sorted++
+						} else {
+							unsorted++
+						}
+						label := fmt.Sprintf("%s/%s/%s", cv.name, o.name, pr.name)
+						diffChannel(t, label, &s, c, dwReady(c, o.order), pr.fn, preemptive)
+					}
+				}
 			}
 		}
+	}
+	if sorted == 0 || unsorted == 0 {
+		t.Fatalf("arrival queue filled in order %d times and out of order %d times; the cases must cover both", sorted, unsorted)
 	}
 }
 

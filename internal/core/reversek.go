@@ -16,30 +16,37 @@ import (
 // k is clamped to max_k, the largest deferral whose peak memory stays under
 // maxMem bytes (Algorithm 2 lines 1–2); pass maxMem ≤ 0 for no constraint.
 func ReverseFirstK(m *models.Model, k int, maxMem int64) graph.BackwardSchedule {
-	L := len(m.Layers)
-	if k < 0 {
-		k = 0
-	}
-	if k > L {
-		k = L
-	}
-	if maxMem > 0 {
-		k = min(k, maxK(m, k, maxMem))
-	}
-	return graph.ReverseFirstK(L, k)
+	return reverseFirstK(len(m.Layers), k, maxMem, func(s graph.BackwardSchedule) int64 {
+		return graph.PeakMemory(m, s)
+	})
 }
 
-// maxK finds the largest j ≤ k whose schedule peak fits in maxMem. The peak
-// is nondecreasing in j (deferring more δW only retains more tensors), so a
-// downward scan from k terminates at the first fit.
-func maxK(m *models.Model, k int, maxMem int64) int {
-	L := len(m.Layers)
-	for j := k; j > 0; j-- {
-		if graph.PeakMemory(m, graph.ReverseFirstK(L, j)) <= maxMem {
-			return j
+// reverseFirstK clamps k under the given peak measure and builds the order,
+// trying every depth in the one buffer it returns.
+func reverseFirstK(L, k int, maxMem int64, peak func(graph.BackwardSchedule) int64) graph.BackwardSchedule {
+	buf := make(graph.BackwardSchedule, 0, 2*L)
+	k = ClampK(L, k, maxMem, func(j int) bool {
+		buf = graph.AppendReverseFirstK(buf[:0], L, j)
+		return peak(buf) <= maxMem
+	})
+	return graph.AppendReverseFirstK(buf[:0], L, k)
+}
+
+// ClampK is Algorithm 2's lines 1–2, the one clamp behind ReverseFirstK,
+// ReverseFirstKCheckpointed and plansearch's probes: k is brought into
+// [0, L] and, when maxMem > 0, lowered to max_k — the first depth j ≤ k,
+// scanning down from k, whose schedule fits(j) reports within the bound
+// (depth 0 is taken to fit). The scan is a first fit rather than a bisection
+// because peak memory is nondecreasing in j on every zoo model
+// (TestZooPeakMonotoneInK) but not by theorem: the transient δW workspace
+// (WorkBytes) is charged where its op runs, and deferral moves it.
+func ClampK(L, k int, maxMem int64, fits func(j int) bool) int {
+	k = max(0, min(k, L))
+	if maxMem > 0 {
+		for ; k > 0 && !fits(k); k-- {
 		}
 	}
-	return 0
+	return k
 }
 
 // SearchK finds the k that maximizes a throughput measurement, using the
@@ -94,20 +101,7 @@ func SearchK(L int, measure func(k int) float64) int {
 // evaluated against the re-computation profile rather than the store-all
 // profile, so k can usually stay much larger under the same budget.
 func ReverseFirstKCheckpointed(m *models.Model, k, every int, maxMem int64) graph.BackwardSchedule {
-	L := len(m.Layers)
-	if k < 0 {
-		k = 0
-	}
-	if k > L {
-		k = L
-	}
-	if maxMem > 0 {
-		for ; k > 0; k-- {
-			rc := graph.MemoryProfileRecompute(m, graph.ReverseFirstK(L, k), every)
-			if rc.Peak() <= maxMem {
-				break
-			}
-		}
-	}
-	return graph.ReverseFirstK(L, k)
+	return reverseFirstK(len(m.Layers), k, maxMem, func(s graph.BackwardSchedule) int64 {
+		return graph.MemoryProfileRecompute(m, s, every).Peak()
+	})
 }

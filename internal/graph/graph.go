@@ -21,6 +21,7 @@ package graph
 
 import (
 	"fmt"
+	"strconv"
 
 	"oooback/internal/models"
 )
@@ -69,7 +70,16 @@ type Op struct {
 	Layer int
 }
 
-func (o Op) String() string { return fmt.Sprintf("%v%d", o.Kind, o.Layer) }
+func (o Op) String() string {
+	var buf [24]byte
+	return string(o.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the op's label ("dW12") to dst, for callers that render
+// whole schedules into one buffer.
+func (o Op) AppendTo(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, o.Kind.String()...), int64(o.Layer), 10)
+}
 
 // BackwardSchedule is an ordered execution plan for the backward pass: a
 // permutation of {δO_L..δO_1, δW_L..δW_1}. The scheduling algorithms in
@@ -152,50 +162,74 @@ func (s BackwardSchedule) WeightGradOrder() []int {
 //   - the δW workspace (WorkBytes) is live only during its own op and is
 //     charged at that position.
 func MemoryProfile(m *models.Model, s BackwardSchedule) []int64 {
-	L := len(m.Layers)
-	layer := func(i int) models.Layer { return m.Layers[i-1] }
-
-	// Initial residency: all stored activations; the loss gradient g_L.
-	var live int64
-	for i := 1; i <= L; i++ {
-		live += layer(i).ActBytes
-	}
-	live += layer(L).OutBytes // g_L produced by the loss
-
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
+	w := newMemWalk(m, make([]uint8, len(m.Layers)+1))
 	prof := make([]int64, len(s))
 	for p, op := range s {
-		i := op.Layer
-		switch op.Kind {
-		case OutGrad:
-			doneDO[i] = true
-			if i > 1 {
-				live += layer(i - 1).OutBytes // produces g_{i-1}
-			}
-		case WeightGrad:
-			doneDW[i] = true
-			live -= layer(i).ActBytes // frees a_{i-1}
-		}
-		if doneDO[i] && doneDW[i] {
-			live -= layer(i).OutBytes // frees g_i
-		}
-		peakHere := live
-		if op.Kind == WeightGrad {
-			peakHere += layer(i).WorkBytes
-		}
-		prof[p] = peakHere
+		prof[p] = w.step(op)
 	}
 	return prof
 }
 
-// PeakMemory returns the maximum of MemoryProfile.
+// PeakMemory returns the maximum of MemoryProfile as a running max: no
+// profile is materialised, and for models of up to 512 layers the walk's
+// flags live on the stack, so the call does not allocate.
 func PeakMemory(m *models.Model, s BackwardSchedule) int64 {
+	var stack [513]uint8
+	done := stack[:]
+	if n := len(m.Layers) + 1; n > len(stack) {
+		done = make([]uint8, n)
+	}
+	w := newMemWalk(m, done)
 	var peak int64
-	for _, v := range MemoryProfile(m, s) {
-		if v > peak {
-			peak = v
-		}
+	for _, op := range s {
+		peak = max(peak, w.step(op))
 	}
 	return peak
+}
+
+// memWalk applies MemoryProfile's lifetime rules one op at a time.
+type memWalk struct {
+	layers []models.Layer
+	live   int64
+	done   []uint8 // per layer: doneDO | doneDW
+}
+
+const (
+	doneDO = 1 << iota
+	doneDW
+)
+
+// newMemWalk starts a walk at the backward pass's initial residency: all
+// stored activations plus the loss gradient g_L. done holds at least L+1
+// cleared flags.
+func newMemWalk(m *models.Model, done []uint8) memWalk {
+	w := memWalk{layers: m.Layers, done: done}
+	for i := range m.Layers {
+		w.live += m.Layers[i].ActBytes
+	}
+	w.live += m.Layers[len(m.Layers)-1].OutBytes
+	return w
+}
+
+// step executes op and returns the live bytes charged at its position.
+func (w *memWalk) step(op Op) int64 {
+	i := op.Layer
+	l := &w.layers[i-1]
+	switch op.Kind {
+	case OutGrad:
+		w.done[i] |= doneDO
+		if i > 1 {
+			w.live += w.layers[i-2].OutBytes // produces g_{i-1}
+		}
+	case WeightGrad:
+		w.done[i] |= doneDW
+		w.live -= l.ActBytes // frees a_{i-1}
+	}
+	if w.done[i] == doneDO|doneDW {
+		w.live -= l.OutBytes // frees g_i
+	}
+	if op.Kind == WeightGrad {
+		return w.live + l.WorkBytes
+	}
+	return w.live
 }

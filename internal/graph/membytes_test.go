@@ -245,3 +245,29 @@ func TestAnalyzeModelZoo(t *testing.T) {
 		}
 	}
 }
+
+// TestPeakMemoryIsProfileMax: the running max equals the materialised
+// profile's, on both sides of the layer count where the walk's flags leave
+// the stack, and below it the call does not allocate.
+func TestPeakMemoryIsProfileMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, L := range []int{1, 2, 9, 64, 512, 513, 700} {
+		m := randModel(rng, L)
+		for _, s := range schedules(rng, L) {
+			var want int64
+			for _, v := range MemoryProfile(m, s) {
+				want = max(want, v)
+			}
+			if got := PeakMemory(m, s); got != want {
+				t.Fatalf("L=%d: PeakMemory %d, max of MemoryProfile %d", L, got, want)
+			}
+		}
+		if L > 512 {
+			continue
+		}
+		s := ReverseFirstK(L, L/2)
+		if n := testing.AllocsPerRun(20, func() { PeakMemory(m, s) }); n != 0 {
+			t.Fatalf("L=%d: PeakMemory allocates %v times per call, want 0", L, n)
+		}
+	}
+}

@@ -81,6 +81,13 @@ func Rows() []Row {
 			s.SimulateIterationOverlapped(c, order, prio, true, overlapped)
 			return func() { s.SimulateIterationOverlapped(c, order, prio, true, overlapped) }, nil
 		}},
+		// One probe of the reverse-first-k family on a warm scratch — memory
+		// clamp under a budget that does not bind, order built in the
+		// scratch, one simulation — under each of the channel's three ways of
+		// serving (core.IterScratch.commTimeline).
+		{Name: "ProbeReverseFirstKFIFO", Gated: true, Step: probeReverseFirstK(datapar.OOOHorovod, false, false)},
+		{Name: "ProbeReverseFirstKPriority", Gated: true, Step: probeReverseFirstK(datapar.P3, true, false)},
+		{Name: "ProbeReverseFirstKPreemptive", Gated: true, Step: probeReverseFirstK(datapar.OOOBytePS, true, true)},
 		{Name: "SearchK", Step: func(testing.TB) (func(), func(*testing.B)) {
 			m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
 			c := datapar.Costs(m, datapar.PubA(), 16, datapar.BytePS)
@@ -316,7 +323,9 @@ func Rows() []Row {
 		}},
 
 		{Name: "PlanColdMissExact", Step: planColdMiss(plansvc.SearchExact)},
-		{Name: "PlanColdMissGuided", Step: planColdMiss(plansvc.SearchGuided)},
+		// 72 today: the plan's own slices (costs, bounds, search state, two
+		// schedules, labels) and the JSON encoder; no probe allocates.
+		{Name: "PlanColdMissGuided", Gated: true, MaxAllocs: 80, Step: planColdMiss(plansvc.SearchGuided)},
 		// Steady-state batch fan-out: 8 distinct specs, each duplicated once,
 		// answered from the LRU under a single PlanBatch call. The row prices
 		// the batch path itself (dedup, singleflight probing, fan-out, one
@@ -413,6 +422,29 @@ func iterProbe() (core.IterCosts, graph.BackwardSchedule, func(int) int) {
 	m := models.ResNet(models.V100Profile(), 152, 64, models.ImageNet)
 	c := datapar.Costs(m, datapar.PubA(), 32, datapar.BytePS)
 	return c, graph.Conventional(len(m.Layers)), func(l int) int { return l }
+}
+
+// probeReverseFirstK is one search probe as plansearch issues it, on the
+// iterProbe model under the method's costs: byLayer selects per-layer
+// priorities (one class otherwise).
+func probeReverseFirstK(method datapar.Method, byLayer, preemptive bool) step {
+	return func(testing.TB) (func(), func(*testing.B)) {
+		m := models.ResNet(models.V100Profile(), 152, 64, models.ImageNet)
+		c := datapar.Costs(m, datapar.PubA(), 32, method)
+		prio := func(int) int { return 0 }
+		if byLayer {
+			prio = func(l int) int { return l }
+		}
+		L := len(m.Layers)
+		const budget = int64(1) << 40
+		var s core.IterScratch
+		return func() {
+			k := core.ClampK(L, L/2, budget, func(j int) bool {
+				return graph.PeakMemory(m, s.ReverseFirstK(L, j)) <= budget
+			})
+			sinkDuration = s.SimulateIteration(c, s.ReverseFirstK(L, k), prio, preemptive).Makespan
+		}, nil
+	}
 }
 
 // paretoSpace is the ResNet-50 single-discipline space of the memory-axis rows.

@@ -24,16 +24,19 @@
 //     around the incumbent — on smooth (piecewise monotone) makespan
 //     landscapes this retains the exhaustive optimum while probing a small
 //     fraction of the space.
-//  3. Robust selection (Mode Robust): seeded stochastic sampling adds
-//     diverse near-optimal candidates (softmax over predicted makespan,
-//     GFlowNet-flavoured), and the top-N schedules are re-scored under
-//     calib.WhatIf cost perturbations; the schedule with the smallest
-//     worst-case regret wins instead of the nominal argmin.
+//  3. Robust selection (Mode Robust): the top-N probed schedules are
+//     re-scored under calib.WhatIf cost perturbations; the schedule with the
+//     smallest worst-case regret wins instead of the nominal argmin.
 //
-// Every stage is deterministic: the probe set, tie-breaks, and sampling
-// depend only on the space, mode, and Config (seed included) — never on
-// Config.Workers or GOMAXPROCS — and parexec merges batch results in
-// submission order, so a parallel search is bit-identical to a serial one.
+// Every stage is deterministic: the probe set and tie-breaks depend only on
+// the space and mode — never on Config.Workers or GOMAXPROCS — and parexec
+// merges batch results in submission order, so a parallel search is
+// bit-identical to a serial one.
+//
+// One probe costs one simulation: its order is built in the borrowed
+// scratch's schedule buffer, and the memory clamp (core.ClampK over an
+// allocation-free graph.PeakMemory) is answered from a per-search memo of
+// which depths fit, so a search evaluates each depth's peak at most once.
 package plansearch
 
 import (
@@ -88,8 +91,7 @@ const (
 	// Guided prunes the sweep with the fitted predictor and the admissible
 	// bound cutoff.
 	Guided
-	// Robust is Guided plus seeded diverse sampling and worst-case scoring
-	// under perturbed cost models.
+	// Robust is Guided plus worst-case scoring under perturbed cost models.
 	Robust
 )
 
@@ -106,14 +108,12 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Config carries what a caller can vary about a search: its parallelism, the
-// robust mode's sampling seed and a shared simulator pool. The zero value
-// means defaults everywhere, and Workers never affects results.
+// Config carries what a caller can vary about a search: its parallelism and
+// a shared simulator pool. The zero value means defaults everywhere, and
+// Workers never affects results.
 type Config struct {
 	// Workers bounds the parexec fan-out of one probe batch (≤ 1 = serial).
 	Workers int
-	// Seed drives the robust mode's stochastic sampling (default 1).
-	Seed uint64
 	// Scratch, if non-nil, is a pool of *core.IterScratch shared with the
 	// caller (plansvc's warm pool); otherwise the search allocates its own.
 	Scratch *sync.Pool
@@ -138,19 +138,11 @@ const (
 	// robustTopN is how many near-optimal schedules are re-scored under the
 	// perturbations.
 	robustTopN = 4
-	// robustSamples is how many extra stochastic candidates the robust mode
-	// probes beyond the guided set: 0, what the zero Config always resolved
-	// to (only a negative count selected 6), so sampling has never run and
-	// turning it on moves every robust plan body.
-	robustSamples = 0
 )
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Scratch == nil {
 		c.Scratch = &sync.Pool{New: func() any { return new(core.IterScratch) }}
@@ -240,6 +232,12 @@ type state struct {
 	probed   []bool
 	probes   int
 
+	// fit memoises, per depth, whether reverse first-k fits MaxMemoryBytes:
+	// 0 not yet evaluated, +1 fits, −1 does not. Written only by clamp, on
+	// the searching goroutine.
+	fit []int8
+	ks  []int // clamped depths of the batch being probed
+
 	pred []float64 // predicted makespan ns, by candidate id (guided)
 }
 
@@ -260,6 +258,7 @@ func newState(sp Space, cfg Config) *state {
 		bounds:   computeBounds(sp.Costs),
 		measured: make([]time.Duration, L*D),
 		probed:   make([]bool, L*D),
+		fit:      make([]int8, L),
 	}
 }
 
@@ -275,16 +274,39 @@ func (s *state) probe(ids []int) {
 }
 
 // probeCosts simulates the listed candidates under the given cost vector,
-// storing makespans into out (indexed by candidate id).
+// storing makespans into out (indexed by candidate id). The memory clamp is
+// resolved first, serially, because it fills the fit memo; the fan-out then
+// only builds each order in its borrowed scratch and simulates it.
 func (s *state) probeCosts(costs core.IterCosts, out []time.Duration, ids []int) {
+	sc := s.cfg.Scratch.Get().(*core.IterScratch)
+	s.ks = s.ks[:0]
+	for _, id := range ids {
+		_, k := s.dk(id)
+		s.ks = append(s.ks, s.clamp(sc, k))
+	}
+	s.cfg.Scratch.Put(sc)
 	parexec.ForEach(len(ids), s.cfg.Workers, func(i int) {
-		d, k := s.dk(ids[i])
+		d, _ := s.dk(ids[i])
 		disc := s.sp.Disciplines[d]
 		sc := s.cfg.Scratch.Get().(*core.IterScratch)
-		order := core.ReverseFirstK(s.sp.Model, k, s.sp.MaxMemoryBytes)
-		r := sc.SimulateIteration(costs, order, disc.Prio, disc.Preemptive)
+		r := sc.SimulateIteration(costs, sc.ReverseFirstK(s.L, s.ks[i]), disc.Prio, disc.Preemptive)
 		s.cfg.Scratch.Put(sc)
 		out[ids[i]] = r.Makespan
+	})
+}
+
+// clamp is core.ReverseFirstK's memory clamp for depth k — the same first
+// fit scanning down from k — answered from the fit memo; a depth not seen
+// before has its schedule built in sc and its peak measured once.
+func (s *state) clamp(sc *core.IterScratch, k int) int {
+	return core.ClampK(s.L, k, s.sp.MaxMemoryBytes, func(j int) bool {
+		if s.fit[j] == 0 {
+			s.fit[j] = -1
+			if graph.PeakMemory(s.sp.Model, sc.ReverseFirstK(s.L, j)) <= s.sp.MaxMemoryBytes {
+				s.fit[j] = 1
+			}
+		}
+		return s.fit[j] > 0
 	})
 }
 

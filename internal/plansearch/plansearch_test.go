@@ -232,26 +232,12 @@ func TestRobustInvariants(t *testing.T) {
 	if r.RobustProbes != wantRobust {
 		t.Fatalf("RobustProbes = %d, want pool×perturbations = %d", r.RobustProbes, wantRobust)
 	}
-	if r.Probes < g.Probes {
-		t.Fatalf("robust nominal probes %d < guided %d (sampling can only add)", r.Probes, g.Probes)
+	if r.Probes != g.Probes {
+		t.Fatalf("robust nominal probes %d != guided %d (the pool is drawn from the guided probes)", r.Probes, g.Probes)
 	}
-	// The sampled ids depend only on the seed: a different seed may probe a
-	// different set, the same seed must reproduce it.
 	again := Search(sp, Robust, cfg)
 	if !reflect.DeepEqual(r, again) {
 		t.Fatalf("robust search is not reproducible:\n  a: %+v\n  b: %+v", r, again)
-	}
-}
-
-// TestRobustSeedReproducible: an explicit seed changes the sample stream but
-// each seed is self-consistent.
-func TestRobustSeedReproducible(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sp := synthSpace(rng, 80, []Discipline{fifoDisc()}, 2)
-	a1 := Search(sp, Robust, Config{Seed: 7})
-	a2 := Search(sp, Robust, Config{Seed: 7})
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatalf("seed 7 not reproducible")
 	}
 }
 

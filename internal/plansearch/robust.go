@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -86,23 +85,11 @@ func scaleDurUp(d time.Duration, s float64) time.Duration {
 	return out
 }
 
-// searchRobust runs the guided search, widens the probed set with seeded
-// diverse sampling, re-scores the top-N pool under every perturbation, and
-// returns the schedule with the smallest worst-case regret.
+// searchRobust runs the guided search, re-scores the top-N pool of probed
+// schedules under every perturbation, and returns the schedule with the
+// smallest worst-case regret.
 func (s *state) searchRobust() Result {
 	guided := s.searchGuided()
-
-	// Diverse sampling: softmax over predicted makespan (lower = likelier),
-	// without replacement, from a deterministic seeded stream. Skipped when
-	// the guided stage already probed everything or never fitted a predictor
-	// (the tiny-space exhaustive fallback).
-	if s.pred != nil {
-		sampled := s.sampleDiverse()
-		if len(sampled) > 0 {
-			s.probe(sampled)
-			guided.RankCorrelation = s.rankCorrelation()
-		}
-	}
 
 	// Pool: the top-N probed candidates by nominal makespan.
 	pool := s.topProbed(robustTopN)
@@ -179,78 +166,6 @@ func (s *state) searchRobust() Result {
 		WorstRegret:     worst[winner],
 		Alternatives:    sorted,
 	}
-}
-
-// sampleDiverse draws up to robustSamples unprobed candidates without
-// replacement from a softmax over predicted makespan. The stream is seeded
-// and the ids are walked in ascending order, so the sample depends only on
-// the space, the predictor, and Config.Seed.
-func (s *state) sampleDiverse() []int {
-	ids := make([]int, 0, s.n)
-	minP, maxP := math.Inf(1), math.Inf(-1)
-	for id := 0; id < s.n; id++ {
-		if s.probed[id] {
-			continue
-		}
-		ids = append(ids, id)
-		if s.pred[id] < minP {
-			minP = s.pred[id]
-		}
-		if s.pred[id] > maxP {
-			maxP = s.pred[id]
-		}
-	}
-	if len(ids) == 0 || robustSamples == 0 {
-		return nil
-	}
-	spread := maxP - minP
-	weight := func(id int) float64 {
-		if spread <= 0 {
-			return 1
-		}
-		// Temperature spread/3: the predicted-best unprobed candidate is
-		// e³ ≈ 20× likelier than the predicted-worst — biased toward the
-		// promising region but with real tail mass for diversity.
-		return math.Exp(-3 * (s.pred[id] - minP) / spread)
-	}
-	rng := rand.New(rand.NewSource(int64(s.cfg.Seed)))
-	want := min(robustSamples, len(ids))
-	picked := make([]int, 0, want)
-	taken := make(map[int]bool, want)
-	for len(picked) < want {
-		total := 0.0
-		for _, id := range ids {
-			if !taken[id] {
-				total += weight(id)
-			}
-		}
-		if total <= 0 {
-			break
-		}
-		r := rng.Float64() * total
-		chosen := -1
-		for _, id := range ids {
-			if taken[id] {
-				continue
-			}
-			r -= weight(id)
-			if r <= 0 {
-				chosen = id
-				break
-			}
-		}
-		if chosen < 0 { // float round-off: take the last free id
-			for i := len(ids) - 1; i >= 0; i-- {
-				if !taken[ids[i]] {
-					chosen = ids[i]
-					break
-				}
-			}
-		}
-		taken[chosen] = true
-		picked = append(picked, chosen)
-	}
-	return picked
 }
 
 // topProbed returns up to n probed candidate ids ordered by the nominal

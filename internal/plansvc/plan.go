@@ -2,6 +2,7 @@ package plansvc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,24 +25,54 @@ var searchModes = map[string]plansearch.Mode{
 // planner computes plans. It holds a pool of warm core.IterScratch state so
 // steady-state planning performs no per-request simulator allocation: the
 // concave k search fans its coarse probes out through internal/parexec, and
-// every probe borrows a scratch from the pool.
+// every probe borrows a scratch from the pool. It also holds the zoo models
+// it has built, so a cold plan does not rebuild its model.
 type planner struct {
 	// search configures every schedule search: the parexec fan-out of one k
 	// search and the warm scratch pool.
 	search plansearch.Config
+
+	// zoo memoises built zoo models, re-timed when the key carries a cost
+	// table. A model is read-only once stored: planning workers share it.
+	// At most one entry per zoo name × GPU profile × the service's table;
+	// inline model_spec bodies never enter.
+	zooMu sync.Mutex
+	zoo   map[zooKey]*models.Model
+}
+
+type zooKey struct {
+	name, gpu string
+	retime    *models.CostTable
 }
 
 func newPlanner(searchWorkers int) *planner {
-	return &planner{search: plansearch.Config{
-		Workers: searchWorkers,
-		Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }},
-	}}
+	return &planner{
+		search: plansearch.Config{
+			Workers: searchWorkers,
+			Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }},
+		},
+		zoo: make(map[zooKey]*models.Model),
+	}
+}
+
+// model returns the spec's model: the inline one decoded at request time, or
+// the planner's one copy of the zoo model, built on first use.
+func (p *planner) model(sp *planSpec) *models.Model {
+	if sp.model == nil {
+		key := zooKey{sp.ModelName, sp.GPU, sp.retime}
+		p.zooMu.Lock()
+		defer p.zooMu.Unlock()
+		if sp.model = p.zoo[key]; sp.model == nil {
+			p.zoo[key] = sp.resolveModel()
+		}
+	}
+	return sp.model
 }
 
 // plan dispatches on the normalized spec's mode. The returned response is a
 // pure function of sp (see PlanResponse).
 func (p *planner) plan(sp *planSpec) (*PlanResponse, error) {
-	m := sp.resolveModel()
+	m := p.model(sp)
 	resp := &PlanResponse{
 		Fingerprint: sp.fingerprint(),
 		Mode:        sp.Mode,
@@ -89,7 +120,7 @@ func discipline(m datapar.Method) (prio func(int) int, preemptive bool) {
 // robust selection under perturbed costs). The baseline is the conventional
 // backward order under the same method.
 func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
-	m := sp.resolveModel()
+	m := p.model(sp)
 	L := len(m.Layers)
 	method := dpMethods[sp.Method]
 	costs := datapar.Costs(m, sp.cluster(), sp.GPUs, method)
@@ -249,7 +280,7 @@ func (p *planner) planDataParPareto(sp *planSpec, space plansearch.Space, baseli
 // conventional balanced-contiguous partition without fast-forwarding under
 // the same discipline.
 func (p *planner) planPipeline(sp *planSpec, resp *PlanResponse) error {
-	m := sp.resolveModel()
+	m := p.model(sp)
 	L := len(m.Layers)
 	n := sp.GPUs
 	if n > L {
@@ -294,7 +325,7 @@ func (p *planner) planPipeline(sp *planSpec, resp *PlanResponse) error {
 // scheduling (Algorithm 1) of the δW kernels onto the sub-stream, as the
 // OOO-XLA executor applies it. The baseline is plain XLA.
 func (p *planner) planSingleGPU(sp *planSpec, resp *PlanResponse) error {
-	m := sp.resolveModel()
+	m := p.model(sp)
 	cfg := profiles[sp.GPU].cfg
 	r := singlegpu.Run(m, singlegpu.OOOXLA(), cfg)
 	if r.OOM {
@@ -317,10 +348,17 @@ func (p *planner) planSingleGPU(sp *planSpec, resp *PlanResponse) error {
 	return nil
 }
 
+// scheduleStrings renders the schedule's op labels into one buffer and
+// returns its sub-slices: two allocations, not one per op.
 func scheduleStrings(order graph.BackwardSchedule) []string {
+	var b strings.Builder
+	b.Grow(8 * len(order)) // "dW4096": labels of a maxLayers model fit
+	var label [24]byte
 	out := make([]string, len(order))
 	for i, op := range order {
-		out[i] = op.String()
+		start := b.Len()
+		b.Write(op.AppendTo(label[:0]))
+		out[i] = b.String()[start:]
 	}
 	return out
 }

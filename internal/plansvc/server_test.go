@@ -445,7 +445,7 @@ func TestInlineModelSpecPlan(t *testing.T) {
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, srv := newTestService(t, Options{})
+	svc, srv := newTestService(t, Options{})
 	body := fmt.Sprintf(`{"model_spec":%s,"cluster":{"preset":"priv-a","gpus":8}}`, buf.String())
 	resp, b := postPlan(t, srv, body)
 	if resp.StatusCode != http.StatusOK {
@@ -457,5 +457,8 @@ func TestInlineModelSpecPlan(t *testing.T) {
 	}
 	if pr.Model.Name != m.Name || pr.IterTimeNs <= 0 {
 		t.Fatalf("inline plan: %+v", pr.Model)
+	}
+	if n := len(zooSnapshot(svc)); n != 0 {
+		t.Fatalf("%d models memoised after an inline plan; only zoo models are", n)
 	}
 }

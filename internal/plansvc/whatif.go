@@ -121,7 +121,7 @@ func (p *planner) whatif(ws *whatifSpec) (*WhatIfResponse, error) {
 	scaled := *ws.Plan
 	if len(ws.ScaleOpKind) > 0 {
 		w := calib.WhatIf{ScaleOpKind: ws.ScaleOpKind}
-		m, err := w.ApplyModel(ws.Plan.resolveModel())
+		m, err := w.ApplyModel(p.model(ws.Plan))
 		if err != nil {
 			return nil, invalidf("what_if", "%v", err)
 		}
