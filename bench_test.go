@@ -11,12 +11,8 @@ import (
 	"os"
 	"testing"
 
-	"oooback/internal/calib"
 	"oooback/internal/experiments"
-	"oooback/internal/graph"
 	"oooback/internal/microbench"
-	"oooback/internal/nn"
-	"oooback/internal/train"
 )
 
 // BenchmarkExperiment regenerates each table/figure of the paper's evaluation
@@ -90,38 +86,5 @@ func TestBaselineRowsRegistered(t *testing.T) {
 		if !registered[bm.Name] {
 			t.Errorf("BENCH_BASELINE.json row %s is not in the registry", bm.Name)
 		}
-	}
-}
-
-// TestAllocsCalibProfiledStepWarm pins the profiler's cost on the full
-// training step to zero: a warm profiled serial step performs exactly the
-// allocations of the unprofiled one (the forward/loss path's, which the
-// profiler merely observes — its own recording is allocation-free, see the
-// CalibObserve and CalibEndStep rows).
-func TestAllocsCalibProfiledStepWarm(t *testing.T) {
-	rn := microbench.MLP()
-	measure := func(profiled bool) float64 {
-		net := rn.Build()
-		L := len(net.Layers)
-		exec := train.NewExecutor(train.ExecSerial, 0)
-		defer exec.Close()
-		if profiled {
-			p := calib.NewProfiler("mlp", "serial", L, 1)
-			exec.SetProfiler(p, net)
-		}
-		sched := graph.Conventional(L)
-		opt := &nn.SGD{LR: 0.05}
-		run := func() {
-			if _, err := exec.Step(net, rn.X, rn.Labels, sched, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		run() // past warmup: profiler slots and step buffers retained
-		return testing.AllocsPerRun(20, run)
-	}
-	plain, prof := measure(false), measure(true)
-	if prof != plain {
-		t.Fatalf("warm profiled step allocates %v times per run vs %v unprofiled, want equal", prof, plain)
 	}
 }

@@ -75,7 +75,7 @@ func main() {
 			os.Exit(1)
 		}
 	case "exec":
-		if err := runExec(*outDir); err != nil {
+		if err := runExec(microbench.RefNets(), os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}

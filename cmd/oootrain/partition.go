@@ -25,16 +25,14 @@ func balancedPartition(build func() *train.Network, x *tensor.Tensor, labels []i
 	L := len(net.Layers)
 	eng := train.NewExecutor(train.ExecSerial, 0)
 	p := calib.NewProfiler("partition-prepass", "serial", L, partitionWarmup)
-	eng.SetProfiler(p, net)
+	eng.Observe(train.ProfileObserver(p, net))
 	opt := mkOpt(optName)
 	sched := graph.Conventional(L)
 	for s := 0; s < partitionSteps; s++ {
 		if _, err := eng.Step(net, x, labels, sched, opt); err != nil {
-			eng.SetProfiler(nil, nil)
 			return graph.Partition{}, err
 		}
 	}
-	eng.SetProfiler(nil, nil)
 	return graph.PartitionBalanced(layerCosts(p.Snapshot()), stages)
 }
 

@@ -54,16 +54,14 @@ func ProfileRefNets() (*calib.Profile, error) {
 		net := rn.Build()
 		L := len(net.Layers)
 		p := calib.NewProfiler(rn.Name, "serial", L, profileWarmup)
-		eng.SetProfiler(p, net)
+		eng.Observe(train.ProfileObserver(p, net))
 		opt := &nn.SGD{LR: 0.05}
 		sched := graph.Conventional(L)
 		for s := 0; s < profileSteps; s++ {
 			if _, err := eng.Step(net, rn.X, rn.Labels, sched, opt); err != nil {
-				eng.SetProfiler(nil, nil)
 				return nil, err
 			}
 		}
-		eng.SetProfiler(nil, nil)
 		prof.Nets = append(prof.Nets, p.Snapshot())
 	}
 	if err := prof.Validate(); err != nil {

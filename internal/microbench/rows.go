@@ -288,7 +288,7 @@ func Rows() []Row {
 			L := len(net.Layers)
 			exec := train.NewExecutor(train.ExecSerial, 0)
 			tb.Cleanup(exec.Close)
-			exec.SetProfiler(calib.NewProfiler("mlp", "serial", L, 1), net)
+			exec.Observe(train.ProfileObserver(calib.NewProfiler("mlp", "serial", L, 1), net))
 			sched := graph.Conventional(L)
 			opt := &nn.SGD{LR: 0.05}
 			op := func() {

@@ -3,15 +3,14 @@ package train
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"oooback/internal/calib"
 	"oooback/internal/graph"
 	"oooback/internal/nn"
 	"oooback/internal/tensor"
-	"oooback/internal/trace"
 )
 
 // ExecMode selects the backward execution engine of an Executor.
@@ -41,7 +40,7 @@ func (m ExecMode) String() string {
 // dwTask is one dispatched weight-gradient computation.
 type dwTask struct {
 	layer nn.Layer
-	idx   int // 1-based layer index, for release accounting and trace labels
+	idx   int // 1-based layer index, for release accounting and event labels
 	grad  *tensor.Tensor
 }
 
@@ -72,8 +71,9 @@ const taskQueueCap = 1024
 // An Executor is reusable across steps and networks; the warm path performs
 // no allocations beyond the layers' own compute. It is not safe for
 // concurrent use: one Backward at a time, and Close only after the last
-// Backward returned. A nil *Executor behaves as ExecSerial, so callers can
-// thread an optional executor without nil checks.
+// Backward returned; a concurrent executor returns ErrClosed from then on. A
+// nil *Executor behaves as ExecSerial, so callers can thread an optional
+// executor without nil checks.
 type Executor struct {
 	mode    ExecMode
 	workers int
@@ -82,6 +82,7 @@ type Executor struct {
 	quit   chan struct{}
 	poolWG sync.WaitGroup
 	once   sync.Once
+	closed bool
 
 	// dwWG counts outstanding δW ops of the in-flight Backward.
 	dwWG sync.WaitGroup
@@ -104,31 +105,16 @@ type Executor struct {
 	cachedPeak  int
 
 	// onDW, if set, runs after each δW op completes, with the 1-based layer
-	// index. The data-parallel engine uses it to publish gradient buckets to
-	// the reducer the moment their last member layer finishes — possibly far
-	// out of layout order. In serial mode it runs on the calling goroutine; in
-	// concurrent mode on the pool worker that executed the op.
+	// index. NewDataParallel sets it to publish gradient buckets to the reducer
+	// the moment their last member layer finishes — possibly far out of layout
+	// order. It is control flow, not observation, hence not an Observer. In
+	// serial mode it runs on the calling goroutine; in concurrent mode on the
+	// pool worker that executed the op.
 	onDW func(layer int)
 
-	// Tracing (nil tr = disabled; not the warm path).
-	tr        *trace.Trace
-	traceMu   sync.Mutex
-	t0        time.Time
-	laneNames []string // per-worker lane names, built once
-
-	// Profiling (nil prof = disabled). Caches are built by SetProfiler so a
-	// profiled step's observes allocate nothing; profWork[i] is layer i's
-	// elements-touched work feature, captured during the profiled forward.
-	// profPass is true while a profiled Backward is in flight — written
-	// before the pass's first δW dispatch, so pool workers' reads are ordered
-	// by the task-channel sends.
-	prof            *calib.Profiler
-	profNet         *Network
-	profLType       []string
-	profWork        []float64
-	profParamElems  []float64
-	profTotalParams float64
-	profPass        bool
+	// obs receives the executor's op events (nil = none). Pool workers read it
+	// after a task-channel receive, which orders the read after Observe.
+	obs Observer
 }
 
 // NewExecutor creates an executor. workers bounds the δW pool for
@@ -141,14 +127,12 @@ func NewExecutor(mode ExecMode, workers int) *Executor {
 			workers = 1
 		}
 	}
-	e := &Executor{mode: mode, workers: workers, t0: time.Now(), chainWS: tensor.NewWorkspace()}
+	e := &Executor{mode: mode, workers: workers, chainWS: tensor.NewWorkspace()}
 	if mode == ExecConcurrent {
 		e.tasks = make(chan dwTask, taskQueueCap)
 		e.quit = make(chan struct{})
-		e.laneNames = make([]string, workers)
 		e.laneWS = make([]*tensor.Workspace, workers)
-		for i := range e.laneNames {
-			e.laneNames[i] = fmt.Sprintf("dW-worker%d", i)
+		for i := range e.laneWS {
 			e.laneWS[i] = tensor.NewWorkspace()
 		}
 		e.poolWG.Add(workers)
@@ -192,52 +176,34 @@ func (e *Executor) Workers() int {
 	return e.workers
 }
 
-// Close stops the worker pool. Idempotent; must not overlap a Backward call.
+// Close stops the worker pool; later Backward and Step calls return
+// ErrClosed. Idempotent; must not overlap a Backward call. Serial executors
+// own no goroutines, so closing one is a no-op.
 func (e *Executor) Close() {
 	if e == nil || e.mode != ExecConcurrent {
 		return
 	}
 	e.once.Do(func() {
+		e.closed = true
 		close(e.quit)
 		e.poolWG.Wait()
 	})
 }
 
-// SetTrace starts recording execution spans into tr (nil disables). Span
-// times are wall-clock offsets from this call. The δO chain lands on lane
-// "dO-chain"; each pool worker gets its own "dW-workerN" lane, so the
-// rendered timeline (or trace.ChromeJSON in Perfetto) makes the overlap
-// visible. Call between Backward passes, never during one.
-func (e *Executor) SetTrace(tr *trace.Trace) {
-	if e == nil {
-		return
+// Observe attaches the executor's observer (nil detaches). Lane 0 is the
+// calling goroutine, lane 1+w pool worker w; see OpEvent.
+func (e *Executor) Observe(obs Observer) {
+	if e != nil {
+		e.obs = obs
 	}
-	e.tr = tr
-	e.t0 = time.Now()
 }
 
-// SetDWCallback installs (or clears, with nil) the per-δW completion hook.
-// Call between Backward passes, never during one.
-func (e *Executor) SetDWCallback(fn func(layer int)) {
+// observer is the nil-receiver-safe read of obs.
+func (e *Executor) observer() Observer {
 	if e == nil {
-		return
+		return nil
 	}
-	e.onDW = fn
-}
-
-const laneCritical = "dO-chain"
-
-func (e *Executor) now() time.Duration { return time.Since(e.t0) }
-
-// span records one op span; only called while tracing.
-func (e *Executor) span(lane string, op graph.Op, start, end time.Duration) {
-	kind := "dO"
-	if op.Kind == graph.WeightGrad {
-		kind = "dW"
-	}
-	e.traceMu.Lock()
-	e.tr.Add(lane, op.String(), kind, start, end)
-	e.traceMu.Unlock()
+	return e.obs
 }
 
 // worker is one pool goroutine. On quit it drains any queued tasks (their
@@ -262,17 +228,10 @@ func (e *Executor) worker(id int) {
 }
 
 func (e *Executor) runDW(worker int, t dwTask) {
-	tracing, profiling := e.tr != nil, e.profPass
-	if tracing || profiling {
-		start := e.now()
+	if obs := e.obs; obs != nil {
+		start := time.Now()
 		wsWeightGrad(t.layer, t.grad, e.laneWS[worker])
-		end := e.now()
-		if tracing {
-			e.span(e.laneNames[worker], graph.Op{Kind: graph.WeightGrad, Layer: t.idx}, start, end)
-		}
-		if profiling {
-			e.prof.Observe(calib.OpDW, t.idx, e.profLType[t.idx], e.profWork[t.idx], end-start)
-		}
+		obs(OpEvent{Kind: OpDW, Layer: t.idx, Lane: 1 + worker, Start: start, End: time.Now()})
 	} else {
 		wsWeightGrad(t.layer, t.grad, e.laneWS[worker])
 	}
@@ -298,7 +257,7 @@ func (e *Executor) release(i int) {
 // the analysis. The steady-state re-check (same schedule as last call) does
 // not allocate.
 func (e *Executor) analyze(L int, sched graph.BackwardSchedule) (int, error) {
-	if L == e.cachedL && schedulesEqual(e.cachedSched, sched) {
+	if L == e.cachedL && slices.Equal(e.cachedSched, sched) {
 		return e.cachedPeak, nil
 	}
 	a, err := graph.Analyze(L, sched)
@@ -311,30 +270,21 @@ func (e *Executor) analyze(L int, sched graph.BackwardSchedule) (int, error) {
 	return a.PeakLiveGrads, nil
 }
 
-func schedulesEqual(a, b graph.BackwardSchedule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Backward executes the backward pass under the executor's mode. A nil
 // receiver delegates to Network.Backward — the naive allocating walk kept as
 // the differential reference. A serial executor runs the same op order
-// through the pooled engine (workspace scratch, retained layer buffers);
-// concurrent mode additionally overlaps δW ops. Both produce bit-identical
-// parameter gradients and the same PeakLiveGrads as Network.Backward.
+// through the pooled engine (workspace scratch, retained layer buffers) with
+// every op on the calling goroutine using the chain workspace — so a warm pass
+// performs zero allocations, and every event lands on lane 0. Concurrent mode
+// keeps only the δO chain there and hands each δW to the pool at its schedule
+// position. Both produce bit-identical parameter gradients and the same
+// PeakLiveGrads as Network.Backward.
 func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.BackwardSchedule) (BackwardStats, error) {
 	if e == nil {
 		return n.Backward(lossGrad, sched)
 	}
-	if e.mode != ExecConcurrent {
-		return e.backwardSerial(n, lossGrad, sched)
+	if e.closed {
+		return BackwardStats{}, ErrClosed
 	}
 	L := len(n.Layers)
 	peak, err := e.analyze(L, sched)
@@ -343,124 +293,139 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 	}
 	if cap(e.grads) < L+1 {
 		e.grads = make([]*tensor.Tensor, L+1)
-		e.refcnt = make([]int32, L+1)
 	}
 	e.grads = e.grads[:L+1]
-	e.refcnt = e.refcnt[:L+1]
-	for i := range e.grads {
-		e.grads[i] = nil
-	}
-	for i := 1; i <= L; i++ {
-		e.refcnt[i] = 2
-	}
+	clear(e.grads)
 	e.grads[L] = lossGrad
-
-	tracing := e.tr != nil
-	profiling := e.prof != nil && e.profNet == n
-	e.profPass = profiling
+	pooled := e.mode == ExecConcurrent
+	if pooled {
+		if cap(e.refcnt) < L+1 {
+			e.refcnt = make([]int32, L+1)
+		}
+		e.refcnt = e.refcnt[:L+1]
+		for i := 1; i <= L; i++ {
+			e.refcnt[i] = 2
+		}
+	}
+	obs := e.obs
 	for _, op := range sched {
 		i := op.Layer
-		switch op.Kind {
-		case graph.OutGrad:
-			g := e.grads[i]
-			var start time.Duration
-			if tracing || profiling {
-				start = e.now()
-			}
-			gin := wsInputGrad(n.Layers[i-1], g, e.chainWS)
-			if tracing || profiling {
-				end := e.now()
-				if tracing {
-					e.span(laneCritical, op, start, end)
-				}
-				if profiling {
-					e.prof.Observe(calib.OpDO, i, e.profLType[i], e.profWork[i], end-start)
-				}
-			}
-			if i > 1 {
-				e.grads[i-1] = gin
-			}
-			e.release(i)
-		case graph.WeightGrad:
+		layer, g := n.Layers[i-1], e.grads[i]
+		if pooled && op.Kind == graph.WeightGrad {
 			e.dwWG.Add(1)
-			e.tasks <- dwTask{layer: n.Layers[i-1], idx: i, grad: e.grads[i]}
+			e.tasks <- dwTask{layer: layer, idx: i, grad: g}
+			continue
+		}
+		var start time.Time
+		if obs != nil {
+			start = time.Now()
+		}
+		if op.Kind == graph.WeightGrad {
+			wsWeightGrad(layer, g, e.chainWS)
+			if obs != nil {
+				obs(OpEvent{Kind: OpDW, Layer: i, Start: start, End: time.Now()})
+			}
+			if e.onDW != nil {
+				e.onDW(i)
+			}
+			continue
+		}
+		gin := wsInputGrad(layer, g, e.chainWS)
+		if obs != nil {
+			obs(OpEvent{Kind: OpDO, Layer: i, Start: start, End: time.Now()})
+		}
+		if i > 1 {
+			e.grads[i-1] = gin
+		}
+		if pooled {
+			e.release(i)
 		}
 	}
 	e.dwWG.Wait()
 	return BackwardStats{PeakLiveGrads: peak}, nil
 }
 
-// backwardSerial is the pooled serial engine: the exact op order of
-// Network.Backward, with every op on the calling goroutine using the chain
-// workspace — so a warm pass performs zero allocations. When tracing, every
-// op lands on the single critical lane (the baseline lane set of a
-// serial-vs-concurrent trace comparison).
-func (e *Executor) backwardSerial(n *Network, lossGrad *tensor.Tensor, sched graph.BackwardSchedule) (BackwardStats, error) {
-	L := len(n.Layers)
-	peak, err := e.analyze(L, sched)
-	if err != nil {
-		return BackwardStats{}, err
+// zeroForward clears the gradients and runs the forward pass: Network.Forward
+// itself, or — observed — the same per-layer loop with one event per layer.
+func (e *Executor) zeroForward(n *Network, x *tensor.Tensor) *tensor.Tensor {
+	obs := e.observer()
+	if obs == nil {
+		n.ZeroGrads()
+		return n.Forward(x)
 	}
-	if cap(e.grads) < L+1 {
-		e.grads = make([]*tensor.Tensor, L+1)
-		e.refcnt = make([]int32, L+1)
+	start := time.Now()
+	n.ZeroGrads()
+	obs(OpEvent{Kind: OpZero, Start: start, End: time.Now()})
+	for i, l := range n.Layers {
+		in := x.Len()
+		start = time.Now()
+		x = l.Forward(x)
+		obs(OpEvent{Kind: OpFwd, Layer: i + 1, Start: start, End: time.Now(), Elems: in + x.Len()})
 	}
-	e.grads = e.grads[:L+1]
-	for i := range e.grads {
-		e.grads[i] = nil
+	return x
+}
+
+// forwardLoss runs ZeroGrads → forward → loss, writing the loss gradient into
+// the caller-retained *lossGrad buffer, and returns the batch mean loss.
+func (e *Executor) forwardLoss(n *Network, x *tensor.Tensor, labels []int, lossGrad **tensor.Tensor) float64 {
+	logits := e.zeroForward(n, x)
+	obs := e.observer()
+	var start time.Time
+	if obs != nil {
+		start = time.Now()
 	}
-	e.grads[L] = lossGrad
-	tracing := e.tr != nil
-	profiling := e.prof != nil && e.profNet == n
-	for _, op := range sched {
-		i := op.Layer
-		g := e.grads[i]
-		var start time.Duration
-		if tracing || profiling {
-			start = e.now()
-		}
-		switch op.Kind {
-		case graph.OutGrad:
-			gin := wsInputGrad(n.Layers[i-1], g, e.chainWS)
-			if i > 1 {
-				e.grads[i-1] = gin
-			}
-		case graph.WeightGrad:
-			wsWeightGrad(n.Layers[i-1], g, e.chainWS)
-			if e.onDW != nil {
-				e.onDW(i)
-			}
-		}
-		if tracing || profiling {
-			end := e.now()
-			if tracing {
-				e.span(laneCritical, op, start, end)
-			}
-			if profiling {
-				kind := calib.OpDO
-				if op.Kind == graph.WeightGrad {
-					kind = calib.OpDW
-				}
-				e.prof.Observe(kind, i, e.profLType[i], e.profWork[i], end-start)
-			}
-		}
+	*lossGrad = tensor.Ensure(*lossGrad, logits.Shape[0], logits.Shape[1])
+	loss := nn.SoftmaxCrossEntropyInto(*lossGrad, logits, labels)
+	if obs != nil {
+		obs(OpEvent{Kind: OpLoss, Start: start, End: time.Now(), Elems: logits.Len()})
 	}
-	return BackwardStats{PeakLiveGrads: peak}, nil
+	return loss
+}
+
+// serialPass is forwardLoss followed by the backward pass, all on the calling
+// goroutine: what the parallel engines run for a batch too small to split,
+// and what DataParallel.ReferenceStep runs per replica. It returns the loss
+// and the forward and backward durations; the caller applies the update.
+func (e *Executor) serialPass(n *Network, x *tensor.Tensor, labels []int, lossGrad **tensor.Tensor,
+	sched graph.BackwardSchedule) (loss float64, fwd, bwd time.Duration, err error) {
+	t0 := time.Now()
+	loss = e.forwardLoss(n, x, labels, lossGrad)
+	t1 := time.Now()
+	_, err = e.Backward(n, *lossGrad, sched)
+	return loss, t1.Sub(t0), time.Since(t1), err
 }
 
 // Step runs one full training step (forward, loss, backward under the
 // executor's engine, optimizer update) and returns the loss. A nil receiver
 // runs the serial engine, making it a drop-in for train.Step.
 func (e *Executor) Step(n *Network, x *tensor.Tensor, labels []int, sched graph.BackwardSchedule, opt nn.Optimizer) (float64, error) {
-	if e != nil && e.prof != nil && e.profNet == n {
-		return e.stepProfiled(n, x, labels, sched, opt)
+	if e != nil && e.closed {
+		return 0, ErrClosed
 	}
-	n.ZeroGrads()
-	logits := n.Forward(x)
+	obs := e.observer()
+	var wall, start time.Time
+	if obs != nil {
+		wall = time.Now()
+	}
+	logits := e.zeroForward(n, x)
+	if obs != nil {
+		start = time.Now()
+	}
 	loss, grad := nn.SoftmaxCrossEntropy(logits, labels)
+	if obs != nil {
+		obs(OpEvent{Kind: OpLoss, Start: start, End: time.Now(), Elems: logits.Len()})
+	}
 	if _, err := e.Backward(n, grad, sched); err != nil {
 		return 0, err
 	}
+	if obs != nil {
+		start = time.Now()
+	}
 	opt.Step(n.Params())
+	if obs != nil {
+		end := time.Now()
+		obs(OpEvent{Kind: OpUpdate, Start: start, End: end})
+		obs(OpEvent{Kind: OpStep, Start: wall, End: end})
+	}
 	return loss, nil
 }

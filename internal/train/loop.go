@@ -136,6 +136,9 @@ type FitConfig struct {
 // inputs produce identical trajectories regardless of the backward schedule
 // or execution engine used.
 func Fit(n *Network, x *tensor.Tensor, labels []int, opt nn.Optimizer, cfg FitConfig) ([]float64, error) {
+	if len(labels) == 0 || x.Shape[0]%len(labels) != 0 {
+		return nil, fmt.Errorf("train: %d labels for a leading dim of %d (want a positive count dividing it)", len(labels), x.Shape[0])
+	}
 	if cfg.Epochs < 1 {
 		cfg.Epochs = 1
 	}

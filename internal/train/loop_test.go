@@ -196,4 +196,10 @@ func TestFitRejectsLRWithoutSetter(t *testing.T) {
 	if err == nil {
 		t.Fatal("LR schedule without SetLR accepted")
 	}
+	// An empty or misaligned dataset is an error, not BatchBuffer's panic.
+	for _, bad := range [][]int{nil, labels[:3]} {
+		if _, err := Fit(net, x, bad, &nn.SGD{LR: 0.1}, FitConfig{BatchSize: 4}); err == nil {
+			t.Fatalf("%d labels for %d rows accepted", len(bad), x.Shape[0])
+		}
+	}
 }

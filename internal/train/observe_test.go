@@ -1,0 +1,238 @@
+package train
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"oooback/internal/calib"
+	"oooback/internal/data"
+	"oooback/internal/graph"
+	"oooback/internal/nn"
+)
+
+// evKey identifies an op within a step; want maps it to its expected count.
+type evKey struct {
+	kind         OpKind
+	layer, micro int
+}
+
+// observedEngine is one engine under TestObserver: a fresh network and engine
+// per start call, stepped through step and observed through observe.
+type observedEngine struct {
+	name  string
+	lanes int // events report on lanes [0, lanes)
+	start func(t *testing.T) (net *Network, step func() error, observe func(Observer), want map[evKey]int)
+}
+
+func observedEngines() []observedEngine {
+	x, labels := data.Vectors(3, 12, 16, 3)
+	build := func() *Network { return MLPNet(11, 16, 24, 3, 3) }
+	const L = 7
+	// perLayer is the schedule every engine shares: each layer's fwd/δO/δW
+	// reps times, plus the step-scoped ops.
+	perLayer := func(reps int, dw OpKind, micro int, skipDO1 bool) map[evKey]int {
+		want := map[evKey]int{{OpUpdate, 0, 0}: 1, {OpStep, 0, 0}: 1}
+		for l := 1; l <= L; l++ {
+			want[evKey{OpFwd, l, micro}] = reps
+			want[evKey{dw, l, micro}] = reps
+			if l > 1 || !skipDO1 {
+				want[evKey{OpDO, l, micro}] = reps
+			}
+		}
+		return want
+	}
+	executor := func(mode ExecMode) observedEngine {
+		return observedEngine{mode.String(), 3, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+			net, e, opt := build(), NewExecutor(mode, 2), &nn.SGD{LR: 0.05}
+			t.Cleanup(e.Close)
+			sched := graph.ReverseFirstK(L, 2)
+			want := perLayer(1, OpDW, 0, false)
+			want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
+			return net, func() error { _, err := e.Step(net, x, labels, sched, opt); return err }, e.Observe, want
+		}}
+	}
+	engines := []observedEngine{executor(ExecSerial), executor(ExecConcurrent), {
+		"dp2", 4, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+			net := build()
+			dp, err := NewDataParallel(net, &nn.SGD{LR: 0.05}, DataParallelConfig{
+				Replicas: 2, Build: build, Schedule: graph.ReverseFirstK(L, 2), Sync: SyncLayerPriority, BucketBytes: 4 << 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(dp.Close)
+			want := perLayer(2, OpDW, 0, false)
+			want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 2, 2
+			for _, b := range dp.Plan() {
+				want[evKey{OpReduce, b.Layers[0], 0}] = 1
+			}
+			return net, func() error { _, _, err := dp.Step(x, labels); return err }, dp.Observe, want
+		}}}
+	for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
+		for _, fill := range []bool{true, false} {
+			name := fmt.Sprintf("pipe2x4/%v/fill=%v", sched, fill)
+			engines = append(engines, observedEngine{name, 3, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+				pipe, err := NewPipeline(build(), &nn.SGD{LR: 0.05}, PipelineConfig{
+					Stages: 2, MicroBatches: 4, Schedule: sched, Build: build, NoDWFill: !fill,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(pipe.Close)
+				dw := OpDW
+				if fill {
+					dw = OpDWFill
+				}
+				want := map[evKey]int{{OpZero, 0, 0}: 1}
+				for m := 1; m <= 4; m++ {
+					// Stage 0 skips the bottommost δO.
+					for k, c := range perLayer(1, dw, m, true) {
+						want[k] = c
+					}
+					want[evKey{OpLoss, 0, m}] = 1
+				}
+				return pipe.Net(), func() error { _, _, err := pipe.Step(x, labels); return err }, pipe.Observe, want
+			}})
+		}
+	}
+	return engines
+}
+
+// TestObserver pins the op-event seam on every engine: (a) observing changes
+// no parameter bit, (b) one step's events are exactly its schedule, (c) spans
+// are well-formed and never overlap on a lane, (d) a warm step with
+// ProfileObserver attached allocates exactly what an unobserved one does.
+func TestObserver(t *testing.T) {
+	const steps = 3
+	for _, eng := range observedEngines() {
+		t.Run(eng.name, func(t *testing.T) {
+			run := func(obs Observer, beforeLast func()) (*Network, map[evKey]int) {
+				net, step, observe, want := eng.start(t)
+				observe(obs)
+				for s := 0; s < steps; s++ {
+					if s == steps-1 && beforeLast != nil {
+						beforeLast()
+					}
+					if err := step(); err != nil {
+						t.Fatalf("step %d: %v", s, err)
+					}
+				}
+				return net, want
+			}
+			var mu sync.Mutex
+			var events []OpEvent
+			plain, _ := run(nil, nil)
+			observed, want := run(func(ev OpEvent) {
+				mu.Lock()
+				events = append(events, ev)
+				mu.Unlock()
+			}, func() { events = events[:0] })
+			if !SnapshotsEqual(ParamSnapshot(plain), ParamSnapshot(observed)) {
+				t.Fatal("observed run diverged from unobserved run")
+			}
+
+			got := map[evKey]int{}
+			byLane := map[int][]OpEvent{}
+			for _, ev := range events {
+				if ev.End.Before(ev.Start) {
+					t.Fatalf("%v ends before it starts", ev)
+				}
+				if ev.Lane < 0 || ev.Lane >= eng.lanes {
+					t.Fatalf("%v outside lanes [0,%d)", ev, eng.lanes)
+				}
+				if ev.Kind != OpIdle {
+					got[evKey{ev.Kind, ev.Layer, ev.Micro}]++
+				}
+				if ev.Kind != OpStep {
+					byLane[ev.Lane] = append(byLane[ev.Lane], ev)
+				}
+			}
+			for k, c := range want {
+				if got[k] != c {
+					t.Errorf("%v layer %d micro %d: %d events, want %d", k.kind, k.layer, k.micro, got[k], c)
+				}
+			}
+			for k, c := range got {
+				if want[k] == 0 {
+					t.Errorf("unexpected %d× %v layer %d micro %d", c, k.kind, k.layer, k.micro)
+				}
+			}
+			for lane, evs := range byLane {
+				sort.Slice(evs, func(i, j int) bool { return evs[i].Start.Before(evs[j].Start) })
+				for i := 1; i < len(evs); i++ {
+					if evs[i].Start.Before(evs[i-1].End) {
+						t.Fatalf("lane %d: %v overlaps %v", lane, evs[i], evs[i-1])
+					}
+				}
+			}
+
+			warmAllocs := func(profiled bool) float64 {
+				net, step, observe, _ := eng.start(t)
+				if profiled {
+					observe(ProfileObserver(calib.NewProfiler("mlp", eng.name, len(net.Layers), 1), net))
+				}
+				op := func() {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				op()
+				op() // past warmup: profiler slots and step buffers retained
+				return testing.AllocsPerRun(10, op)
+			}
+			if plain, prof := warmAllocs(false), warmAllocs(true); prof != plain {
+				t.Fatalf("warm profiled step allocates %v times vs %v unprofiled, want equal", prof, plain)
+			}
+		})
+	}
+}
+
+// TestUseAfterClose: every engine entry point returns ErrClosed once Close
+// stopped its goroutines, instead of panicking on a closed channel or — the
+// concurrent executor — queueing δW tasks nobody will ever run.
+func TestUseAfterClose(t *testing.T) {
+	x, labels := data.Vectors(3, 12, 16, 3)
+	build := func() *Network { return MLPNet(11, 16, 24, 3, 3) }
+	sched, opt := graph.Conventional(7), &nn.SGD{LR: 0.05}
+	net := build()
+	_, lossGrad := nn.SoftmaxCrossEntropy(net.Forward(x), labels)
+	e := NewExecutor(ExecConcurrent, 2)
+	e.Close()
+	pipe, err := NewPipeline(build(), opt, PipelineConfig{Stages: 2, Build: build})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.Close()
+	dp, err := NewDataParallel(build(), opt, DataParallelConfig{Replicas: 2, Build: build})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.Close()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Executor.Step", func() error { _, err := e.Step(net, x, labels, sched, opt); return err }},
+		{"Executor.Backward", func() error { _, err := e.Backward(net, lossGrad, sched); return err }},
+		{"Pipeline.Step", func() error { _, _, err := pipe.Step(x, labels); return err }},
+		{"DataParallel.Step", func() error { _, _, err := dp.Step(x, labels); return err }},
+		{"DataParallel.ReferenceStep", func() error { _, err := dp.ReferenceStep(x, labels); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- tc.call() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("got %v, want ErrClosed", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("call after Close hung")
+			}
+		})
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"oooback/internal/calib"
 	"oooback/internal/graph"
 	"oooback/internal/nn"
 	"oooback/internal/tensor"
@@ -65,14 +64,10 @@ type Pipeline struct {
 
 	statsBuf []StageStats
 
-	// Profiling (nil = disabled); caches built by SetProfiler. profWork[i] is
-	// global layer i's per-microbatch work feature, written only by the one
-	// stage goroutine that owns layer i (disjoint index ranges — no race).
-	prof            *calib.Profiler
-	profLType       []string
-	profWork        []float64
-	profParamElems  []float64
-	profTotalParams float64
+	// obs receives the pipeline's op events (nil = none). The stage goroutines
+	// read it after a command-channel receive, which orders the read after
+	// Observe.
+	obs Observer
 }
 
 // PipeSchedule selects the microbatch pipeline discipline.
@@ -204,8 +199,8 @@ type pipeMsg struct {
 type deferredDW struct {
 	layer nn.ChunkBackward
 	grad  *tensor.Tensor
-	gi    int     // 1-based global layer index, for profiling labels
-	work  float64 // work feature captured at deferral time
+	gi    int // 1-based global layer index
+	mb    int // microbatch the chunk belongs to
 }
 
 type stageOpKind uint8
@@ -429,7 +424,11 @@ func (p *Pipeline) Partition() graph.Partition { return p.part }
 // MicroBatches returns M.
 func (p *Pipeline) MicroBatches() int { return len(p.lanes) }
 
-// Close shuts the stage goroutines down. The pipeline is unusable afterwards.
+// Observe attaches the pipeline's observer (nil detaches). Stage s reports on
+// lane s, the goroutine calling Step on lane Stages; see OpEvent.
+func (p *Pipeline) Observe(obs Observer) { p.obs = obs }
+
+// Close shuts the stage goroutines down; later Step calls return ErrClosed.
 func (p *Pipeline) Close() {
 	if p.closed {
 		return
@@ -441,25 +440,32 @@ func (p *Pipeline) Close() {
 	p.wg.Wait()
 }
 
-// shard points the retained microbatch view headers at contiguous example
-// ranges, mirroring DataParallel.shard. Warm calls allocate nothing.
-func (p *Pipeline) shard(x *tensor.Tensor, labels []int) error {
-	n := len(labels)
-	M := len(p.lanes)
+// shardViews points k retained view headers (and label subslices) at
+// contiguous example ranges of a batch — a pipeline's microbatches, a
+// data-parallel step's replica shards. Examples are counted by labels
+// (len(labels) = n); the input's leading dimension must be a multiple of n,
+// covering both row-per-example inputs ([n, ...]) and flattened token inputs
+// ([n·seqLen]). Warm calls allocate nothing: view headers and shape slices
+// are reused.
+func shardViews(x *tensor.Tensor, labels []int, xs []*tensor.Tensor, ls [][]int) error {
+	n, k := len(labels), len(xs)
+	if n < k {
+		return fmt.Errorf("train: %d examples across %d shards", n, k)
+	}
 	if x.Shape[0]%n != 0 {
 		return fmt.Errorf("train: leading dim %d not a multiple of %d examples", x.Shape[0], n)
 	}
 	rowsPer := x.Shape[0] / n
 	rowLen := x.Len() / x.Shape[0]
-	for m := 0; m < M; m++ {
-		lo, hi := m*n/M, (m+1)*n/M
-		p.mbLabels[m] = labels[lo:hi]
-		if p.mbX[m] == nil {
-			p.mbX[m] = &tensor.Tensor{Shape: make([]int, 0, len(x.Shape))}
+	for i := range xs {
+		lo, hi := i*n/k, (i+1)*n/k
+		ls[i] = labels[lo:hi]
+		if xs[i] == nil {
+			xs[i] = &tensor.Tensor{Shape: make([]int, 0, len(x.Shape))}
 		}
-		p.mbX[m].Shape = append(p.mbX[m].Shape[:0], (hi-lo)*rowsPer)
-		p.mbX[m].Shape = append(p.mbX[m].Shape, x.Shape[1:]...)
-		p.mbX[m].Data = x.Data[lo*rowsPer*rowLen : hi*rowsPer*rowLen]
+		xs[i].Shape = append(xs[i].Shape[:0], (hi-lo)*rowsPer)
+		xs[i].Shape = append(xs[i].Shape, x.Shape[1:]...)
+		xs[i].Data = x.Data[lo*rowsPer*rowLen : hi*rowsPer*rowLen]
 	}
 	return nil
 }
@@ -467,11 +473,22 @@ func (p *Pipeline) shard(x *tensor.Tensor, labels []int) error {
 // Step runs one pipelined training step and returns the batch mean loss
 // (bitwise identical to the serial full-batch reference) plus the step's
 // schedule stats. Batches with fewer examples than microbatches (an epoch's
-// final short batch) fall back to the serial reference step — which computes
-// the same bits a pipeline over that batch would.
+// final short batch) fall back to the serial reference step on the prototype
+// — which computes the same bits a pipeline over that batch would.
 func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats, error) {
+	if p.closed {
+		return 0, PipeStepStats{}, ErrClosed
+	}
 	if len(labels) < len(p.lanes) {
-		return p.smallBatchStep(x, labels)
+		st := PipeStepStats{Stages: 1, MicroBatches: 1, Schedule: p.sched, FillDW: p.fill}
+		t0 := time.Now()
+		loss, _, _, err := (*Executor)(nil).serialPass(p.proto, x, labels, &p.fbLossGrad, p.fbSched)
+		if err != nil {
+			return 0, st, err
+		}
+		p.opt.Step(p.proto.Params())
+		st.Wall = time.Since(t0)
+		return loss, st, nil
 	}
 	st := PipeStepStats{
 		Stages:       len(p.stages),
@@ -480,14 +497,15 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 		FillDW:       p.fill,
 		PerStage:     p.statsBuf,
 	}
-	if err := p.shard(x, labels); err != nil {
+	if err := shardViews(x, labels, p.mbX, p.mbLabels); err != nil {
 		return 0, st, err
 	}
+	obs, caller := p.obs, len(p.stages)
 	wall := time.Now()
 	p.stepN = len(labels)
 	p.proto.ZeroGrads()
-	if p.prof != nil {
-		p.prof.Observe(calib.OpZero, 0, stepScope, p.profTotalParams, time.Since(wall))
+	if obs != nil {
+		obs(OpEvent{Kind: OpZero, Lane: caller, Start: wall, End: time.Now()})
 	}
 	t0 := time.Now()
 	for _, s := range p.stages {
@@ -503,29 +521,14 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 	}
 	loss := p.stages[len(p.stages)-1].lossRaw / float64(p.stepN)
 	p.opt.Step(p.proto.Params())
-	if p.prof != nil {
-		p.prof.Observe(calib.OpUpdate, 0, stepScope, p.profTotalParams, time.Since(tU))
-		p.prof.EndStep(time.Since(wall))
+	if obs != nil {
+		end := time.Now()
+		obs(OpEvent{Kind: OpUpdate, Lane: caller, Start: tU, End: end})
+		obs(OpEvent{Kind: OpStep, Lane: caller, Start: wall, End: end})
 	}
 	for i, s := range p.stages {
 		p.statsBuf[i] = s.stats
 	}
-	return loss, st, nil
-}
-
-// smallBatchStep is the serial full-batch reference on the prototype.
-func (p *Pipeline) smallBatchStep(x *tensor.Tensor, labels []int) (float64, PipeStepStats, error) {
-	st := PipeStepStats{Stages: 1, MicroBatches: 1, Schedule: p.sched, FillDW: p.fill}
-	t0 := time.Now()
-	p.proto.ZeroGrads()
-	logits := p.proto.Forward(x)
-	p.fbLossGrad = tensor.Ensure(p.fbLossGrad, logits.Shape[0], logits.Shape[1])
-	loss := nn.SoftmaxCrossEntropyInto(p.fbLossGrad, logits, labels)
-	if _, err := p.proto.Backward(p.fbLossGrad, p.fbSched); err != nil {
-		return 0, st, err
-	}
-	p.opt.Step(p.proto.Params())
-	st.Wall = time.Since(t0)
 	return loss, st, nil
 }
 
@@ -566,27 +569,19 @@ func (st *pipeStage) runForward(mb int) {
 		x = st.recv(st.actIn, mb)
 	}
 	t0 := time.Now()
-	if prof := st.p.prof; prof != nil {
-		for j, l := range st.layers[mb] {
-			gi := st.lo + j + 1
-			in := float64(x.Len())
-			s0 := time.Now()
-			if wf := st.fws[mb][j]; wf != nil {
-				x = wf.ForwardWS(x, st.ws)
-			} else {
-				x = l.Forward(x)
-			}
-			w := in + float64(x.Len()) + st.p.profParamElems[gi]
-			st.p.profWork[gi] = w
-			prof.Observe(calib.OpFwd, gi, st.p.profLType[gi], w, time.Since(s0))
+	obs := st.p.obs
+	for j, l := range st.layers[mb] {
+		in, s0 := x.Len(), t0
+		if obs != nil {
+			s0 = time.Now()
 		}
-	} else {
-		for j, l := range st.layers[mb] {
-			if wf := st.fws[mb][j]; wf != nil {
-				x = wf.ForwardWS(x, st.ws)
-			} else {
-				x = l.Forward(x)
-			}
+		if wf := st.fws[mb][j]; wf != nil {
+			x = wf.ForwardWS(x, st.ws)
+		} else {
+			x = l.Forward(x)
+		}
+		if obs != nil {
+			st.span(obs, OpFwd, st.lo+j+1, mb, s0, in+x.Len())
 		}
 	}
 	st.stats.Fwd += time.Since(t0)
@@ -598,7 +593,7 @@ func (st *pipeStage) runForward(mb int) {
 }
 
 func (st *pipeStage) runBackward(mb int) {
-	prof := st.p.prof
+	obs := st.p.obs
 	var g *tensor.Tensor
 	if st.last {
 		t0 := time.Now()
@@ -606,30 +601,18 @@ func (st *pipeStage) runBackward(mb int) {
 		st.lossGrad[mb] = tensor.Ensure(st.lossGrad[mb], logits.Shape[0], logits.Shape[1])
 		st.lossRaw = nn.SoftmaxCrossEntropyChunk(st.lossGrad[mb], logits, st.p.mbLabels[mb], st.p.stepN, st.lossRaw)
 		g = st.lossGrad[mb]
-		d := time.Since(t0)
-		st.stats.DO += d
-		if prof != nil {
-			prof.Observe(calib.OpLoss, 0, stepScope, float64(logits.Len()), d)
-		}
+		st.stats.DO += st.span(obs, OpLoss, 0, mb, t0, logits.Len())
 	} else {
 		g = st.recv(st.gradIn, mb)
 	}
 	for j := len(st.layers[mb]) - 1; j >= 0; j-- {
 		gi := st.lo + j + 1
 		if st.p.fill {
-			dd := deferredDW{layer: st.chb[mb][j], grad: g}
-			if prof != nil {
-				dd.gi, dd.work = gi, st.p.profWork[gi]
-			}
-			st.dwq = append(st.dwq, dd)
+			st.dwq = append(st.dwq, deferredDW{layer: st.chb[mb][j], grad: g, gi: gi, mb: mb})
 		} else {
 			t0 := time.Now()
 			st.chb[mb][j].WeightGradChunk(g, st.ws)
-			d := time.Since(t0)
-			st.stats.DWInline += d
-			if prof != nil {
-				prof.Observe(calib.OpDW, gi, st.p.profLType[gi], st.p.profWork[gi], d)
-			}
+			st.stats.DWInline += st.span(obs, OpDW, gi, mb, t0, 0)
 		}
 		if st.id == 0 && j == 0 {
 			// δO of the bottommost layer feeds nothing; the serial reference
@@ -638,15 +621,21 @@ func (st *pipeStage) runBackward(mb int) {
 		}
 		t0 := time.Now()
 		g = st.wsb[mb][j].InputGradWS(g, st.ws)
-		d := time.Since(t0)
-		st.stats.DO += d
-		if prof != nil {
-			prof.Observe(calib.OpDO, gi, st.p.profLType[gi], st.p.profWork[gi], d)
-		}
+		st.stats.DO += st.span(obs, OpDO, gi, mb, t0, 0)
 	}
 	if st.gradOut != nil {
 		st.gradOut <- pipeMsg{mb: mb, t: g}
 	}
+}
+
+// span closes the op that started at t0: it returns the op's duration for the
+// stage's stats and, observed, reports it on the stage's lane.
+func (st *pipeStage) span(obs Observer, kind OpKind, layer, mb int, t0 time.Time, elems int) time.Duration {
+	end := time.Now()
+	if obs != nil {
+		obs(OpEvent{Kind: kind, Layer: layer, Lane: st.id, Micro: mb + 1, Start: t0, End: end, Elems: elems})
+	}
+	return end.Sub(t0)
 }
 
 // recv returns the expected microbatch's message. While the queue is empty it
@@ -665,7 +654,7 @@ func (st *pipeStage) recv(ch chan pipeMsg, mb int) *tensor.Tensor {
 		if !st.runOneDeferred() {
 			t0 := time.Now()
 			m := <-ch
-			st.stats.Idle += time.Since(t0)
+			st.stats.Idle += st.span(st.p.obs, OpIdle, 0, mb, t0, 0)
 			if m.mb != mb {
 				panic(fmt.Sprintf("train: stage %d expected microbatch %d, got %d", st.id, mb, m.mb))
 			}
@@ -686,10 +675,6 @@ func (st *pipeStage) runOneDeferred() bool {
 	st.dwHead++
 	t0 := time.Now()
 	d.layer.WeightGradChunk(d.grad, st.ws)
-	dur := time.Since(t0)
-	st.stats.DWFill += dur
-	if prof := st.p.prof; prof != nil && d.gi > 0 {
-		prof.Observe(calib.OpDWFill, d.gi, st.p.profLType[d.gi], d.work, dur)
-	}
+	st.stats.DWFill += st.span(st.p.obs, OpDWFill, d.gi, d.mb, t0, 0)
 	return true
 }

@@ -1,22 +1,24 @@
 package train
 
 import (
+	"fmt"
+	"strconv"
+	"sync"
 	"time"
 
 	"oooback/internal/calib"
-	"oooback/internal/graph"
 	"oooback/internal/nn"
-	"oooback/internal/tensor"
+	"oooback/internal/trace"
 )
 
-// This file hooks calib.Profiler into the training engines. The span points
-// mirror the tracing ones: per-layer forward, δO and δW (inline or
-// bubble-filled) plus the step-scoped loss/update/zeroGrad ops on the
-// executor and pipeline, and per-bucket gradient reduction on the
-// data-parallel engine. Profiling must not change a single gradient bit —
-// the profiled step runs the exact op sequence of the unprofiled one, with
-// timing reads around each op — and adds no allocations on the warm path
-// (the profiler's slot storage is bounded and pre-grown at first observe).
+// This file adapts the engines' op events (observe.go) to the repo's two
+// consumers: trace.Trace timelines and calib.Profiler cost profiles. Both
+// adapters lock, because an engine calls its observer from every goroutine
+// that runs ops. Observing must not change a single gradient bit — an
+// observed step runs the exact op sequence of an unobserved one, with timing
+// reads around each op — and ProfileObserver adds no allocations on the warm
+// path (the profiler's slot storage is bounded and pre-grown at first
+// observe).
 
 // stepScope labels the step-scoped ops (loss, update, zeroGrad) that belong
 // to the whole iteration rather than one layer.
@@ -52,103 +54,80 @@ func layerTypeName(l nn.Layer) string {
 	}
 }
 
-// paramElems counts a layer's learnable elements.
-func paramElems(l nn.Layer) float64 {
-	var n int
-	for _, p := range l.Params() {
-		n += p.Value.Len()
-	}
-	return float64(n)
+// calibKind maps the event kinds a profile records to calib's op kinds.
+var calibKind = [...]calib.OpKind{
+	OpZero: calib.OpZero, OpFwd: calib.OpFwd, OpLoss: calib.OpLoss, OpDO: calib.OpDO, OpDW: calib.OpDW,
+	OpDWFill: calib.OpDWFill, OpUpdate: calib.OpUpdate, OpReduce: calib.OpReduce,
 }
 
-// SetProfiler attaches a profiler recording net n's steps (nil detaches).
-// Layer types and parameter counts are cached here so the profiled hot path
-// performs no interface type switches or Params() walks. Call between steps,
-// never during one.
-func (e *Executor) SetProfiler(p *calib.Profiler, n *Network) {
-	if e == nil {
-		return
-	}
-	if p == nil || n == nil {
-		e.prof, e.profNet = nil, nil
-		return
-	}
+// ProfileObserver returns an observer recording the steps of net n into p:
+// one p.Observe per op event (idle aside) and one p.EndStep per OpStep. It
+// owns the per-layer caches a profile needs — layer types and parameter
+// counts, built here so the observed hot path performs no interface type
+// switches or Params() walks, and each layer's work feature (elements
+// touched: input + output + parameter elements), captured from its fwd event
+// and reused for its δO/δW. The step-scoped zeroGrad/update ops carry the
+// total parameter count as work, a reduce its bucket's gradient elements.
+func ProfileObserver(p *calib.Profiler, n *Network) Observer {
 	L := len(n.Layers)
-	e.prof = p
-	e.profNet = n
-	e.profLType = make([]string, L+1)
-	e.profWork = make([]float64, L+1)
-	e.profParamElems = make([]float64, L+1)
-	e.profTotalParams = 0
+	ltype := make([]string, L+1)
+	params := make([]float64, L+1)
+	work := make([]float64, L+1)
+	var total float64
 	for i, l := range n.Layers {
-		e.profLType[i+1] = layerTypeName(l)
-		e.profParamElems[i+1] = paramElems(l)
-		e.profTotalParams += e.profParamElems[i+1]
+		ltype[i+1] = layerTypeName(l)
+		for _, lp := range l.Params() {
+			params[i+1] += float64(lp.Value.Len())
+		}
+		total += params[i+1]
+	}
+	var mu sync.Mutex // guards work: replicas and stages report fwd concurrently
+	return func(ev OpEvent) {
+		d := ev.End.Sub(ev.Start)
+		lt, w := stepScope, float64(ev.Elems)
+		switch ev.Kind {
+		case OpIdle:
+			return
+		case OpStep:
+			p.EndStep(d)
+			return
+		case OpZero, OpUpdate:
+			w = total
+		case OpReduce:
+			lt = "bucket"
+		case OpFwd, OpDO, OpDW, OpDWFill:
+			mu.Lock()
+			if ev.Kind == OpFwd {
+				work[ev.Layer] = w + params[ev.Layer]
+			}
+			lt, w = ltype[ev.Layer], work[ev.Layer]
+			mu.Unlock()
+		}
+		p.Observe(calibKind[ev.Kind], ev.Layer, lt, w, d)
 	}
 }
 
-// stepProfiled is Step with per-op profiling: the same ZeroGrads → forward →
-// loss → backward → update sequence, with the forward expanded into the
-// per-layer loop Network.Forward runs (identical bits) so each layer's
-// duration and work feature — elements touched: input + output + parameter
-// elements — can be recorded. Backward op observes live in the backward
-// engines themselves, next to the tracing spans.
-func (e *Executor) stepProfiled(n *Network, x *tensor.Tensor, labels []int, sched graph.BackwardSchedule, opt nn.Optimizer) (float64, error) {
-	wall := time.Now()
-	start := e.now()
-	n.ZeroGrads()
-	e.prof.Observe(calib.OpZero, 0, stepScope, e.profTotalParams, e.now()-start)
-	cur := x
-	for i := 1; i <= len(n.Layers); i++ {
-		in := float64(cur.Len())
-		start = e.now()
-		cur = n.Layers[i-1].Forward(cur)
-		d := e.now() - start
-		w := in + float64(cur.Len()) + e.profParamElems[i]
-		e.profWork[i] = w
-		e.prof.Observe(calib.OpFwd, i, e.profLType[i], w, d)
+// TraceObserver returns an observer appending one span per op event to tr,
+// timed from this call: lane "laneNN" per OpEvent.Lane, kind = the OpKind
+// name, label = kind + layer (+ "#microbatch"), e.g. "dW3", "fwd2#1". OpStep
+// is skipped — it would only cover its lane. Render with tr.Render or
+// tr.ChromeJSON (Perfetto).
+func TraceObserver(tr *trace.Trace) Observer {
+	t0 := time.Now()
+	var mu sync.Mutex
+	return func(ev OpEvent) {
+		if ev.Kind == OpStep {
+			return
+		}
+		label := ev.Kind.String()
+		if ev.Layer > 0 {
+			label += strconv.Itoa(ev.Layer)
+		}
+		if ev.Micro > 0 {
+			label += "#" + strconv.Itoa(ev.Micro)
+		}
+		mu.Lock()
+		tr.Add(fmt.Sprintf("lane%02d", ev.Lane), label, ev.Kind.String(), ev.Start.Sub(t0), ev.End.Sub(t0))
+		mu.Unlock()
 	}
-	start = e.now()
-	loss, grad := nn.SoftmaxCrossEntropy(cur, labels)
-	e.prof.Observe(calib.OpLoss, 0, stepScope, float64(cur.Len()), e.now()-start)
-	if _, err := e.Backward(n, grad, sched); err != nil {
-		return 0, err
-	}
-	start = e.now()
-	opt.Step(n.Params())
-	e.prof.Observe(calib.OpUpdate, 0, stepScope, e.profTotalParams, e.now()-start)
-	e.prof.EndStep(time.Since(wall))
-	return loss, nil
-}
-
-// SetProfiler attaches a profiler to the pipeline (nil detaches). The stage
-// goroutines read the caches without locks; the write here is ordered before
-// their reads by the next Step's command-channel sends. Call between steps,
-// never during one.
-func (p *Pipeline) SetProfiler(pr *calib.Profiler) {
-	p.prof = pr
-	if pr == nil {
-		return
-	}
-	L := len(p.proto.Layers)
-	p.profLType = make([]string, L+1)
-	p.profWork = make([]float64, L+1)
-	p.profParamElems = make([]float64, L+1)
-	p.profTotalParams = 0
-	for i, l := range p.proto.Layers {
-		p.profLType[i+1] = layerTypeName(l)
-		p.profParamElems[i+1] = paramElems(l)
-		p.profTotalParams += p.profParamElems[i+1]
-	}
-}
-
-// SetProfiler attaches a profiler to the data-parallel engine (nil
-// detaches). The engine's profiled span is gradient reduction — one
-// calib.OpReduce observation per bucket per step, keyed by the bucket's
-// first member layer with the bucket's total gradient elements as work —
-// plus the step wall time. The reducer goroutine's read of the profiler is
-// ordered by the publish-channel receives that precede every reduction.
-// Call between steps, never during one.
-func (dp *DataParallel) SetProfiler(pr *calib.Profiler) {
-	dp.prof = pr
 }

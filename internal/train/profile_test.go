@@ -18,43 +18,35 @@ func countKinds(np calib.NetProfile) map[string]int {
 	return m
 }
 
-// TestExecutorProfiledStepBitwise asserts profiling is a pure observer: a
-// profiled training run produces the exact parameter bits of an unprofiled
-// one, for both backward engines, and the snapshot carries per-layer
-// fwd/dO/dW stats plus the step-scoped ops.
+// TestObserver covers what every observer shares (no bit changes, the event
+// multiset, allocations); the tests below keep what is ProfileObserver's own:
+// the snapshot each engine's event stream folds into.
+
+// TestExecutorProfiledStepBitwise: on both backward engines the snapshot
+// validates and carries per-layer fwd/dO/dW stats plus the step-scoped ops,
+// with warmup steps discarded and a work feature on every layer.
 func TestExecutorProfiledStepBitwise(t *testing.T) {
 	x, labels := data.Vectors(3, 12, 16, 3)
 	const steps = 6
 	for _, mode := range []ExecMode{ExecSerial, ExecConcurrent} {
 		t.Run(mode.String(), func(t *testing.T) {
-			run := func(profile bool) (map[string]*Network, *calib.Profiler) {
-				n := MLPNet(11, 16, 24, 3, 3)
-				e := NewExecutor(mode, 2)
-				defer e.Close()
-				var p *calib.Profiler
-				if profile {
-					p = calib.NewProfiler("mlp", mode.String(), len(n.Layers), 2)
-					e.SetProfiler(p, n)
+			n := MLPNet(11, 16, 24, 3, 3)
+			L := len(n.Layers)
+			e := NewExecutor(mode, 2)
+			defer e.Close()
+			p := calib.NewProfiler("mlp", mode.String(), L, 2)
+			e.Observe(ProfileObserver(p, n))
+			sched := graph.ReverseFirstK(L, 2)
+			opt := &nn.SGD{LR: 0.05}
+			for s := 0; s < steps; s++ {
+				if _, err := e.Step(n, x, labels, sched, opt); err != nil {
+					t.Fatalf("step %d: %v", s, err)
 				}
-				sched := graph.ReverseFirstK(len(n.Layers), 2)
-				opt := &nn.SGD{LR: 0.05}
-				for s := 0; s < steps; s++ {
-					if _, err := e.Step(n, x, labels, sched, opt); err != nil {
-						t.Fatalf("step %d: %v", s, err)
-					}
-				}
-				return map[string]*Network{"n": n}, p
-			}
-			ref, _ := run(false)
-			got, p := run(true)
-			if !SnapshotsEqual(ParamSnapshot(ref["n"]), ParamSnapshot(got["n"])) {
-				t.Fatal("profiled run diverged from unprofiled run")
 			}
 			np := p.Snapshot()
 			if err := (&calib.Profile{Version: calib.ProfileVersion, Nets: []calib.NetProfile{np}}).Validate(); err != nil {
 				t.Fatalf("snapshot does not validate: %v", err)
 			}
-			L := len(ref["n"].Layers)
 			kinds := countKinds(np)
 			if kinds["fwd"] != L || kinds["dO"] != L || kinds["dW"] != L {
 				t.Fatalf("want %d fwd/dO/dW stats each, got %v", L, kinds)
@@ -76,24 +68,11 @@ func TestExecutorProfiledStepBitwise(t *testing.T) {
 	}
 }
 
-// TestPipelineProfiledStepBitwise asserts the profiled pipeline step keeps
-// the bitwise contract with the serial reference and records forward, δO,
-// bubble-filled δW and the step-scoped ops.
+// TestPipelineProfiledStepBitwise: a pipeline's snapshot records forward, δO,
+// bubble-filled δW and the step-scoped ops under the engine's name.
 func TestPipelineProfiledStepBitwise(t *testing.T) {
 	build := func() *Network { return MLPNet(31, 6, 10, 3, 4) }
 	x, labels := data.Vectors(41, 8, 6, 4)
-	const steps = 5
-
-	ref := build()
-	refOpt := &nn.SGD{LR: 0.05}
-	refExec := NewExecutor(ExecSerial, 0)
-	sched := graph.Conventional(len(ref.Layers))
-	for s := 0; s < steps; s++ {
-		if _, err := refExec.Step(ref, x, labels, sched, refOpt); err != nil {
-			t.Fatalf("ref step %d: %v", s, err)
-		}
-	}
-
 	pipe, err := NewPipeline(build(), &nn.SGD{LR: 0.05}, PipelineConfig{
 		Stages: 2, MicroBatches: 4, Schedule: Pipe1F1B, Build: build,
 	})
@@ -101,21 +80,18 @@ func TestPipelineProfiledStepBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	p := calib.NewProfiler("mlp-pipe", "pipeline", len(pipe.Net().Layers), 2)
-	pipe.SetProfiler(p)
-	for s := 0; s < steps; s++ {
+	L := len(pipe.Net().Layers)
+	p := calib.NewProfiler("mlp-pipe", "pipeline", L, 2)
+	pipe.Observe(ProfileObserver(p, pipe.Net()))
+	for s := 0; s < 5; s++ {
 		if _, _, err := pipe.Step(x, labels); err != nil {
 			t.Fatalf("pipe step %d: %v", s, err)
 		}
-	}
-	if !SnapshotsEqual(ParamSnapshot(ref), ParamSnapshot(pipe.Net())) {
-		t.Fatal("profiled pipeline diverged from serial reference")
 	}
 	np := p.Snapshot()
 	if np.Engine != "pipeline" {
 		t.Fatalf("engine = %q", np.Engine)
 	}
-	L := len(pipe.Net().Layers)
 	kinds := countKinds(np)
 	if kinds["fwd"] != L {
 		t.Fatalf("want %d fwd stats, got %v", L, kinds)
@@ -133,42 +109,29 @@ func TestPipelineProfiledStepBitwise(t *testing.T) {
 	}
 }
 
-// TestDataParallelProfilerRecordsReduce asserts the data-parallel engine
-// records one reduce stat per bucket with the bucket's element count as work,
-// without perturbing the training bits.
+// TestDataParallelProfilerRecordsReduce: the data-parallel snapshot carries
+// one reduce stat per bucket with the bucket's element count as work, and the
+// step wall.
 func TestDataParallelProfilerRecordsReduce(t *testing.T) {
 	build := func() *Network { return MLPNet(11, 16, 24, 3, 3) }
 	x, labels := data.Vectors(3, 12, 16, 3)
-	const steps = 5
-	run := func(profile bool) (*Network, *calib.Profiler, []BucketInfo) {
-		net := build()
-		dp, err := NewDataParallel(net, &nn.SGD{LR: 0.05}, DataParallelConfig{
-			Replicas: 2, Build: build, Sync: SyncLayerPriority, BucketBytes: 4 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dp.Close()
-		var p *calib.Profiler
-		if profile {
-			p = calib.NewProfiler("mlp-dp", "datapar", len(net.Layers), 2)
-			dp.SetProfiler(p)
-		}
-		for s := 0; s < steps; s++ {
-			if _, _, err := dp.Step(x, labels); err != nil {
-				t.Fatalf("step %d: %v", s, err)
-			}
-		}
-		return net, p, dp.Plan()
+	net := build()
+	dp, err := NewDataParallel(net, &nn.SGD{LR: 0.05}, DataParallelConfig{
+		Replicas: 2, Build: build, Sync: SyncLayerPriority, BucketBytes: 4 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref, _, _ := run(false)
-	got, p, plan := run(true)
-	if !SnapshotsEqual(ParamSnapshot(ref), ParamSnapshot(got)) {
-		t.Fatal("profiled data-parallel run diverged from unprofiled run")
+	defer dp.Close()
+	p := calib.NewProfiler("mlp-dp", "datapar", len(net.Layers), 2)
+	dp.Observe(ProfileObserver(p, net))
+	for s := 0; s < 5; s++ {
+		if _, _, err := dp.Step(x, labels); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
 	}
-	np := p.Snapshot()
-	kinds := countKinds(np)
-	if kinds["reduce"] != len(plan) {
+	np, plan := p.Snapshot(), dp.Plan()
+	if kinds := countKinds(np); kinds["reduce"] != len(plan) {
 		t.Fatalf("want %d reduce stats (one per bucket), got %v", len(plan), kinds)
 	}
 	byLayer := map[int]float64{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"oooback/internal/calib"
 	"oooback/internal/datapar"
 	"oooback/internal/graph"
 	"oooback/internal/nn"
@@ -195,11 +194,11 @@ func (dp *DataParallel) reducerLoop() {
 			}
 			t0 := time.Now()
 			dp.reduceBucket(b)
-			d := time.Since(t0)
-			busy += d
-			if prof := dp.prof; prof != nil {
+			end := time.Now()
+			busy += end.Sub(t0)
+			if obs := dp.obs; obs != nil {
 				bk := &dp.plan.buckets[b]
-				prof.Observe(calib.OpReduce, bk.layers[0], "bucket", float64(bk.elems), d)
+				obs(OpEvent{Kind: OpReduce, Layer: bk.layers[0], Lane: N, Start: t0, End: end, Elems: bk.elems})
 			}
 			ready[b] = false
 			counts[b] = 0

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"oooback/internal/calib"
 	"oooback/internal/graph"
 	"oooback/internal/nn"
 	"oooback/internal/tensor"
@@ -33,7 +32,8 @@ import (
 // training: no summing, no averaging, bit-identical to Executor.Step.
 //
 // A DataParallel is not safe for concurrent use: one Step or ReferenceStep at
-// a time, and Close only after the last step returned.
+// a time, and Close only after the last step returned; both return ErrClosed
+// from then on.
 type DataParallel struct {
 	replicas []*replica
 	plan     *reducePlan
@@ -56,9 +56,15 @@ type DataParallel struct {
 	// command-channel sends.
 	refMode bool
 
-	// prof, when set, records per-bucket reduction spans and step walls
-	// (see SetProfiler in profile.go).
-	prof *calib.Profiler
+	// obs receives the engine's own op events — per-bucket reduction, update,
+	// step (nil = none); the replicas' events reach it through their executors.
+	// The reducer goroutine's read is ordered by the publish-channel receives
+	// that precede every reduction.
+	obs Observer
+
+	// shardX/shardLabels are the retained per-replica views into the step batch.
+	shardX      []*tensor.Tensor
+	shardLabels [][]int
 
 	closed bool
 }
@@ -71,8 +77,6 @@ type replica struct {
 	params  []*nn.Param
 	pending []int // per-bucket remaining δW count, owned by the running goroutine
 
-	sx       *tensor.Tensor // retained shard view header into the step batch
-	slabels  []int          // shard labels (subslice of the step batch)
 	lossGrad *tensor.Tensor // retained loss-gradient buffer
 	loss     float64        // shard mean loss of the last forward
 
@@ -134,10 +138,12 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 		bb = defaultBucketBytes
 	}
 	dp := &DataParallel{
-		plan:  newReducePlan(proto, a, cfg.Sync, bb),
-		sched: append(graph.BackwardSchedule(nil), sched...),
-		sync:  cfg.Sync,
-		opt:   opt,
+		plan:        newReducePlan(proto, a, cfg.Sync, bb),
+		sched:       append(graph.BackwardSchedule(nil), sched...),
+		sync:        cfg.Sync,
+		opt:         opt,
+		shardX:      make([]*tensor.Tensor, N),
+		shardLabels: make([][]int, N),
 	}
 	B := len(dp.plan.buckets)
 	dp.pub = make(chan pubMsg, B*N+1)
@@ -170,7 +176,7 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 			cmd:     make(chan replicaOp),
 		}
 		rid := r
-		rep.exec.SetDWCallback(func(layer int) {
+		rep.exec.onDW = func(layer int) {
 			if dp.refMode {
 				return
 			}
@@ -181,7 +187,7 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 			if rep.pending[b]--; rep.pending[b] == 0 {
 				dp.pub <- pubMsg{bucket: b, replica: rid}
 			}
-		})
+		}
 		dp.replicas = append(dp.replicas, rep)
 	}
 	dp.wg.Add(N + 1)
@@ -217,6 +223,24 @@ func (dp *DataParallel) Net() *Network { return dp.replicas[0].net }
 
 // Replicas returns the data-parallel width.
 func (dp *DataParallel) Replicas() int { return len(dp.replicas) }
+
+// Observe attaches the engine's observer (nil detaches). Replica r's serial
+// executor reports on lane r, the reducer on lane Replicas, the goroutine
+// calling Step on lane Replicas+1; see OpEvent.
+func (dp *DataParallel) Observe(obs Observer) {
+	dp.obs = obs
+	for _, rep := range dp.replicas {
+		if obs == nil {
+			rep.exec.Observe(nil)
+			continue
+		}
+		lane := rep.id
+		rep.exec.Observe(func(ev OpEvent) {
+			ev.Lane = lane
+			obs(ev)
+		})
+	}
+}
 
 // BucketInfo describes one bucket of the reduction plan.
 type BucketInfo struct {
@@ -260,10 +284,7 @@ func (dp *DataParallel) replicaLoop(r *replica) {
 	for op := range r.cmd {
 		switch op {
 		case opForward:
-			r.net.ZeroGrads()
-			logits := r.net.Forward(r.sx)
-			r.lossGrad = tensor.Ensure(r.lossGrad, logits.Shape[0], logits.Shape[1])
-			r.loss = nn.SoftmaxCrossEntropyInto(r.lossGrad, logits, r.slabels)
+			r.loss = r.exec.forwardLoss(r.net, dp.shardX[r.id], dp.shardLabels[r.id], &r.lossGrad)
 			dp.acks <- nil
 		case opBackward:
 			copy(r.pending, dp.dwPerBucket)
@@ -284,46 +305,20 @@ func (dp *DataParallel) replicaLoop(r *replica) {
 	}
 }
 
-// shard points each replica's retained view header at its contiguous slice
-// of the batch. Examples are counted by labels (len(labels) = n); the input's
-// leading dimension must be a multiple of n, covering both row-per-example
-// inputs ([n, ...]) and flattened token inputs ([n·seqLen]). Warm calls
-// allocate nothing: view headers and shape slices are reused.
-func (dp *DataParallel) shard(x *tensor.Tensor, labels []int) error {
-	n := len(labels)
-	N := len(dp.replicas)
-	if n < N {
-		return fmt.Errorf("train: %d examples across %d replicas", n, N)
-	}
-	if x.Shape[0]%n != 0 {
-		return fmt.Errorf("train: leading dim %d not a multiple of %d examples", x.Shape[0], n)
-	}
-	rowsPer := x.Shape[0] / n
-	rowLen := x.Len() / x.Shape[0]
-	for r, rep := range dp.replicas {
-		lo, hi := r*n/N, (r+1)*n/N
-		rep.slabels = labels[lo:hi]
-		if rep.sx == nil {
-			rep.sx = &tensor.Tensor{Shape: make([]int, 0, len(x.Shape))}
-		}
-		rep.sx.Shape = append(rep.sx.Shape[:0], (hi-lo)*rowsPer)
-		rep.sx.Shape = append(rep.sx.Shape, x.Shape[1:]...)
-		rep.sx.Data = x.Data[lo*rowsPer*rowLen : hi*rowsPer*rowLen]
-	}
-	return nil
-}
-
 // Step runs one data-parallel training step: parallel forward, parallel
 // out-of-order backward with overlapped bucket reduction, one optimizer step
 // on the averaged gradient, and a weight broadcast. Returns the batch mean
 // loss (each shard's mean weighted by shard size — identical bits to
 // ReferenceStep) and the step's timing decomposition.
 func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats, error) {
+	if dp.closed {
+		return 0, StepStats{}, ErrClosed
+	}
 	if len(labels) < len(dp.replicas) {
 		return dp.smallBatchStep(x, labels)
 	}
 	st := StepStats{Replicas: len(dp.replicas), Buckets: len(dp.plan.buckets)}
-	if err := dp.shard(x, labels); err != nil {
+	if err := shardViews(x, labels, dp.shardX, dp.shardLabels); err != nil {
 		return 0, st, err
 	}
 	wall := time.Now()
@@ -332,9 +327,12 @@ func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats
 		return 0, st, err
 	}
 	loss := dp.foldLoss(len(labels))
+	start := time.Now()
 	dp.applyUpdate()
-	if dp.prof != nil {
-		dp.prof.EndStep(time.Since(wall))
+	if obs := dp.obs; obs != nil {
+		end, caller := time.Now(), len(dp.replicas)+1
+		obs(OpEvent{Kind: OpUpdate, Lane: caller, Start: start, End: end})
+		obs(OpEvent{Kind: OpStep, Lane: caller, Start: wall, End: end})
 	}
 	return loss, st, nil
 }
@@ -380,7 +378,7 @@ func (dp *DataParallel) backwardReducePhase(st *StepStats) error {
 func (dp *DataParallel) foldLoss(n int) float64 {
 	var loss float64
 	for _, rep := range dp.replicas {
-		loss += rep.loss * float64(len(rep.slabels))
+		loss += rep.loss * float64(len(dp.shardLabels[rep.id]))
 	}
 	return loss / float64(n)
 }
@@ -407,17 +405,11 @@ func (dp *DataParallel) smallBatchStep(x *tensor.Tensor, labels []int) (float64,
 	dp.refMode = true
 	defer func() { dp.refMode = false }()
 	r0 := dp.replicas[0]
-	t0 := time.Now()
-	r0.net.ZeroGrads()
-	logits := r0.net.Forward(x)
-	r0.lossGrad = tensor.Ensure(r0.lossGrad, logits.Shape[0], logits.Shape[1])
-	loss := nn.SoftmaxCrossEntropyInto(r0.lossGrad, logits, labels)
-	st.Forward = time.Since(t0)
-	t1 := time.Now()
-	if _, err := r0.exec.Backward(r0.net, r0.lossGrad, dp.sched); err != nil {
+	loss, fwd, bwd, err := r0.exec.serialPass(r0.net, x, labels, &r0.lossGrad, dp.sched)
+	if err != nil {
 		return 0, st, err
 	}
-	st.Backward = time.Since(t1)
+	st.Forward, st.Backward = fwd, bwd
 	dp.applyUpdate()
 	return loss, st, nil
 }
@@ -426,23 +418,25 @@ func (dp *DataParallel) smallBatchStep(x *tensor.Tensor, labels []int) (float64,
 // backward schedule, the same fixed reduction tree and bucket arithmetic —
 // all executed sequentially on the calling goroutine, replica by replica,
 // bucket by bucket in index order. Step must match it bit for bit; the
-// differential tests assert exactly that under the race detector.
+// differential tests assert exactly that under the race detector. An attached
+// observer sees the replicas' events only.
 func (dp *DataParallel) ReferenceStep(x *tensor.Tensor, labels []int) (float64, error) {
+	if dp.closed {
+		return 0, ErrClosed
+	}
 	if len(labels) < len(dp.replicas) {
 		loss, _, err := dp.smallBatchStep(x, labels)
 		return loss, err
 	}
-	if err := dp.shard(x, labels); err != nil {
+	if err := shardViews(x, labels, dp.shardX, dp.shardLabels); err != nil {
 		return 0, err
 	}
 	dp.refMode = true
 	defer func() { dp.refMode = false }()
 	for _, rep := range dp.replicas {
-		rep.net.ZeroGrads()
-		logits := rep.net.Forward(rep.sx)
-		rep.lossGrad = tensor.Ensure(rep.lossGrad, logits.Shape[0], logits.Shape[1])
-		rep.loss = nn.SoftmaxCrossEntropyInto(rep.lossGrad, logits, rep.slabels)
-		if _, err := rep.exec.Backward(rep.net, rep.lossGrad, dp.sched); err != nil {
+		var err error
+		rep.loss, _, _, err = rep.exec.serialPass(rep.net, dp.shardX[rep.id], dp.shardLabels[rep.id], &rep.lossGrad, dp.sched)
+		if err != nil {
 			return 0, err
 		}
 	}

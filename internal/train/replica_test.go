@@ -350,11 +350,11 @@ func TestExecutorDWCallback(t *testing.T) {
 			defer e.Close()
 			var mu chan int // collect via channel: concurrent mode fires on pool workers
 			mu = make(chan int, L)
-			e.SetDWCallback(func(layer int) { mu <- layer })
+			e.onDW = func(layer int) { mu <- layer }
 			if _, err := e.Backward(net, lossGrad, sched); err != nil {
 				t.Fatal(err)
 			}
-			e.SetDWCallback(nil)
+			e.onDW = nil
 			close(mu)
 			counts := make([]int, L+1)
 			for layer := range mu {
