@@ -14,6 +14,7 @@ import (
 
 	"oooback/internal/calib"
 	"oooback/internal/core"
+	"oooback/internal/data"
 	"oooback/internal/datapar"
 	"oooback/internal/gpusim"
 	"oooback/internal/graph"
@@ -218,15 +219,22 @@ func Rows() []Row {
 			dst := tensor.New(8*14*14, 8*3*3)
 			return func() { tensor.Im2colInto(dst, x, 3, 3) }, nil
 		}},
+		{Name: "TensorKernelCol2im", Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			cols := tensor.Randn(rng, 1, 8*14*14, 8*3*3)
+			dst := tensor.New(8, 8, 16, 16)
+			return func() { tensor.Col2imInto(dst, cols, 3, 3) }, nil
+		}},
 		// The zero-alloc contract of the pooled kernel layer: fused GEMMs,
-		// conv lowerings and repacks into workspace buffers never touch the
-		// allocator once the workspace is warm.
+		// conv lowerings and the NCHW-direct conv GEMMs into workspace
+		// buffers never touch the allocator once the workspace is warm.
 		{Name: "TensorKernelsWarmWorkspace", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			a := tensor.Randn(rng, 1, 64, 48)
 			bb := tensor.Randn(rng, 1, 64, 48)
 			x := tensor.Randn(rng, 1, 2, 3, 12, 12)
 			g := tensor.Randn(rng, 1, 2, 5, 10, 10)
+			wm := tensor.Randn(rng, 1, 5, 3*3*3)
 			ws := tensor.NewWorkspace()
 			return func() {
 				mm := ws.Get(64, 64)
@@ -237,10 +245,15 @@ func Rows() []Row {
 				tensor.Im2colInto(cols, x, 3, 3)
 				im := ws.Get(2, 3, 12, 12)
 				tensor.Col2imInto(im, cols, 3, 3)
-				rows := ws.Get(2*10*10, 5)
-				tensor.RowsFromNCHWInto(rows, g)
-				tensor.NCHWFromRowsInto(g, rows)
-				ws.Put(rows)
+				out := ws.Get(2, 5, 10, 10)
+				tensor.ConvForwardInto(out, wm, cols)
+				colGrad := ws.Get(2*10*10, 3*3*3)
+				tensor.ConvInputGradInto(colGrad, g, wm)
+				dw := ws.GetZeroed(5, 3*3*3)
+				tensor.ConvWeightGradAcc(dw, g, cols)
+				ws.Put(dw)
+				ws.Put(colGrad)
+				ws.Put(out)
 				ws.Put(im)
 				ws.Put(cols)
 				ws.Put(tm)
@@ -257,7 +270,7 @@ func Rows() []Row {
 		{Name: "TrainBackwardNLPSerial", Step: trainBackward(NLP, train.ExecSerial, false)},
 		{Name: "TrainBackwardNLPConcurrent", Step: trainBackward(NLP, train.ExecConcurrent, true)},
 		{Name: "TrainDataParallelMLP1", Step: trainDataParallel(MLP, 1)},
-		{Name: "TrainDataParallelMLP2", Step: trainDataParallel(MLP, 2)},
+		{Name: "TrainDataParallelMLP2", Step: trainDataParallel(MLP, 2), Gated: true},
 		{Name: "TrainDataParallelMLP4", Step: trainDataParallel(MLP, 4)},
 		{Name: "TrainDataParallelConv2", Step: trainDataParallel(Conv, 2)},
 		{Name: "TrainDataParallelNLP2", Step: trainDataParallel(NLP, 2)},
@@ -265,6 +278,30 @@ func Rows() []Row {
 		{Name: "TrainPipelineGPipeNoFill", Step: trainPipeline(train.PipeGPipe, false)},
 		{Name: "TrainPipeline1F1BFill", Step: trainPipeline(train.Pipe1F1B, true), Gated: true},
 		{Name: "TrainPipeline1F1BNoFill", Step: trainPipeline(train.Pipe1F1B, false)},
+		// Whole warm steps of the serial engine — forward, loss, backward,
+		// update — on the nets of the benchmark's two train workloads. Plain
+		// steps allocate nothing; a checkpointed one 25 times: its bookkeeping
+		// (7) and the stash buffers DropStash frees for the re-run to
+		// re-create (two lowerings of 3 allocations each, two masks, one
+		// argmax map, each once in the forward pass and once in the re-run).
+		// The bound leaves room for the runtime's own allocations in the
+		// collections those megabyte lowerings trigger (26 seen under load).
+		{Name: "TrainStepMLPSerial", Gated: true, Step: trainStep(MLP, 0)},
+		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, 0)},
+		{Name: "TrainStepConvRecompute", Gated: true, MaxAllocs: 28, Step: trainStep(convStepNet, 2)},
+		// The pooled rectifier pair at the size of the conv workload's larger
+		// activation: a branch-free select each way.
+		{Name: "NNReLUForwardBackward", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x, g := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 16, 12, 12)
+			relu, ws := nn.NewReLU("relu"), tensor.NewWorkspace()
+			op := func() {
+				relu.ForwardWS(x, ws)
+				relu.InputGradWS(g, ws)
+			}
+			op()
+			return op, nil
+		}},
 
 		// The profiler's warm recording path must stay allocation-free — the
 		// precondition for attaching it to the real engines without perturbing
@@ -483,6 +520,39 @@ func trainBackward(ref func() RefNet, mode train.ExecMode, reverseK bool) step {
 			}
 		}
 		op() // warm retained layer buffers and the chain workspace
+		return op, nil
+	}
+}
+
+// convStepNet is the net and batch shape of the benchmark's train_conv
+// workload: ConvNet(16, 8) on 32 images.
+func convStepNet() RefNet {
+	x, labels := data.Images(5, 32, 1, 16, 16, 10)
+	return RefNet{"conv16", func() *train.Network { return train.ConvNet(11, 16, 8, 10) }, x, labels}
+}
+
+// trainStep measures one whole training step on a serial executor under the
+// conventional order: Executor.Step, or StepRecompute keeping every
+// `every`-th activation when every > 1.
+func trainStep(ref func() RefNet, every int) step {
+	return func(tb testing.TB) (func(), func(*testing.B)) {
+		rn := ref()
+		net := rn.Build()
+		sched := graph.Conventional(len(net.Layers))
+		exec, opt := train.NewExecutor(train.ExecSerial, 0), &nn.SGD{LR: 0.01}
+		op := func() {
+			var err error
+			if every > 1 {
+				_, _, err = exec.StepRecompute(net, rn.X, rn.Labels, sched, every, opt)
+			} else {
+				_, err = exec.Step(net, rn.X, rn.Labels, sched, opt)
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+		op() // size the retained buffers, the workspace and the loss gradient
+		op()
 		return op, nil
 	}
 }

@@ -112,6 +112,7 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 func (r *ReLU) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
+	r.checkMask(gradOut)
 	out := gradOut.Clone()
 	for i := range out.Data {
 		if !r.mask[i] {
@@ -121,14 +122,26 @@ func (r *ReLU) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// checkMask rejects a backward call whose keep mask does not belong to
+// gradOut: dropped by DropStash and not rebuilt, or left over from a forward
+// pass of another shape.
+func (r *ReLU) checkMask(gradOut *tensor.Tensor) {
+	if len(r.mask) != gradOut.Len() {
+		panic(fmt.Sprintf("nn: %s keep mask has %d entries for %d gradient elements (stash dropped, or stale from another shape?)",
+			r.name, len(r.mask), gradOut.Len()))
+	}
+}
+
 func (r *ReLU) WeightGrad(*tensor.Tensor) {}
 func (r *ReLU) Params() []*Param          { return nil }
 
 // Conv2D is a valid (no padding), stride-1 convolution layer. Forward runs
-// the im2col lowering once and caches it, so the δW computation reuses the
-// forward lowering instead of rebuilding the (large) column matrix — removing
-// the redundant data movement the paper's §4.1 attributes to the weight
-// gradient kernel.
+// the im2col lowering once and caches it, so the pooled δW reuses the forward
+// lowering instead of rebuilding the (large) column matrix, and its three
+// GEMMs read and write NCHW in place (tensor.ConvForwardInto and siblings) —
+// removing the redundant data movement the paper's §4.1 attributes to the
+// gradient kernels. InputGrad and WeightGrad are the repacking reference
+// forms the pooled path is pinned against.
 type Conv2D struct {
 	name   string
 	W      *Param
@@ -136,8 +149,7 @@ type Conv2D struct {
 	x      *tensor.Tensor
 
 	wm   *tensor.Tensor // cached [F, C·KH·KW] view of W.Value
-	cols *tensor.Tensor // forward im2col lowering, reused by WeightGrad
-	rows *tensor.Tensor // retained [N·OH·OW, F] GEMM output buffer
+	cols *tensor.Tensor // forward im2col lowering, reused by the pooled δW
 	out  *tensor.Tensor // retained forward output buffer
 	gin  *tensor.Tensor // retained InputGradWS output buffer
 }
@@ -166,10 +178,8 @@ func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	l.cols = tensor.Ensure(l.cols, n*oh*ow, c*l.kh*l.kw)
 	tensor.Im2colInto(l.cols, x, l.kh, l.kw)
-	l.rows = tensor.Ensure(l.rows, n*oh*ow, f)
-	tensor.MatMulTInto(l.rows, l.cols, l.wm) // cols·wmᵀ, no transposed weights
 	l.out = tensor.Ensure(l.out, n, f, oh, ow)
-	return tensor.NCHWFromRowsInto(l.out, l.rows)
+	return tensor.ConvForwardInto(l.out, l.wm, l.cols) // per image wm·colsᵀ, straight into NCHW
 }
 
 func (l *Conv2D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
@@ -177,10 +187,8 @@ func (l *Conv2D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 func (l *Conv2D) WeightGrad(gradOut *tensor.Tensor) {
-	n, f, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2], gradOut.Shape[3]
-	rows := tensor.RowsFromNCHWInto(tensor.New(n*oh*ow, f), gradOut)
 	// Reuse the forward pass's im2col lowering; same bits as recomputing it.
-	tensor.AddFlatTo(l.W.Grad, tensor.TMatMul(rows, l.cols))
+	tensor.AddFlatTo(l.W.Grad, tensor.TMatMul(tensor.RowsFromNCHW(gradOut), l.cols))
 }
 
 func (l *Conv2D) Params() []*Param { return []*Param{l.W} }

@@ -7,18 +7,22 @@ import (
 	"oooback/internal/tensor"
 )
 
-// This file holds the two optional interfaces the microbatch pipeline engine
-// (internal/train.Pipeline) builds on, plus the chunked loss head.
+// This file holds the pooled forward interface every engine of internal/train
+// runs layers through, the microbatch δW interface the pipeline engine
+// (train.Pipeline) adds, and the chunked loss head.
 //
 // WorkspaceForward is the forward-pass analogue of WorkspaceBackward: same
 // bits as Forward, but all outputs and caches live in layer-retained buffers
-// (or caller workspace scratch), so a warm pipeline step performs zero heap
-// allocations even though it runs M forward passes per stage per step.
+// (or caller workspace scratch), so a warm step performs zero heap allocations
+// in its forward pass — one pass per step on the executors and data-parallel
+// replicas, M per stage on a pipeline. Forward itself stays the naive
+// allocating form Network.Forward walks as the differential reference (for
+// Conv2D the two are one body: its Forward never allocated on a warm step).
 //
 // ChunkBackward is the δW half of microbatch accumulation. A pipeline stage
 // calls WeightGradChunk once per microbatch, in ascending microbatch order,
 // after ZeroGrads; the layer continues the parameter-gradient fold in place
-// (tensor.TMatMulAcc / SumRowsAcc, or the already-in-place scatter/reduce
+// (tensor.TMatMulAcc / ConvWeightGradAcc / SumRowsAcc, or the in-place scatter/reduce
 // folds), so the accumulated gradient reproduces the serial full-batch
 // fold chain bit for bit. SealWeightGrad runs once at the end of the step:
 // the full-batch reference for GEMM-based layers computes Grad = 0 + Σ
@@ -99,14 +103,13 @@ func (r *ReLU) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 		r.mask = make([]bool, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
+	out, mask := r.out.Data[:len(x.Data)], r.mask
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			r.out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			r.out.Data[i] = 0
-		}
+		// v > 0 is false for −0 and for NaN of either sign, exactly as in
+		// Forward; the selected value keeps v's bits, the rest become +0.
+		keep := v > 0
+		mask[i] = keep
+		out[i] = math.Float64frombits(math.Float64bits(v) & keepBits(keep))
 	}
 	return r.out
 }
@@ -116,18 +119,16 @@ func (r *ReLU) SealWeightGrad()                                   {}
 
 // ---- Conv2D ----
 
-// Conv2D.Forward is already fully pooled.
+// Conv2D.Forward is already fully pooled: retained lowering and output, GEMM
+// written straight into NCHW.
 func (l *Conv2D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	return l.Forward(x)
 }
 
-func (l *Conv2D) WeightGradChunk(gradOut *tensor.Tensor, ws *tensor.Workspace) {
-	n, f, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2], gradOut.Shape[3]
-	rows := tensor.RowsFromNCHWInto(ws.Get(n*oh*ow, f), gradOut)
-	// Continue the fold over this chunk's im2col rows (l.cols holds this
-	// lane's forward lowering) directly into the flat weight gradient.
-	tensor.TMatMulAcc(l.W.Grad, rows, l.cols)
-	ws.Put(rows)
+func (l *Conv2D) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+	// Continue the fold over this chunk's images (l.cols holds this lane's
+	// forward lowering) directly into the flat weight gradient.
+	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.cols)
 }
 
 func (l *Conv2D) SealWeightGrad() { sealZeroSigns(l.W.Grad) }

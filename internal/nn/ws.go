@@ -1,6 +1,10 @@
 package nn
 
-import "oooback/internal/tensor"
+import (
+	"math"
+
+	"oooback/internal/tensor"
+)
 
 // WorkspaceBackward is the optional pooled backward interface. A layer that
 // implements it computes the same gradients as InputGrad/WeightGrad — bit for
@@ -20,10 +24,14 @@ import "oooback/internal/tensor"
 //     δW (which may run much later, on another lane) is safe.
 //   - InputGradWS and WeightGradWS stay independent — callable in either
 //     order, any schedule distance apart — exactly like the plain methods.
+//   - Both read the stash the layer's last forward left, whichever of Forward
+//     and ForwardWS (pipe.go) ran it: the two keep it in one representation.
 //
-// Every layer in this package implements the interface; it stays optional so
-// the naive allocating path (Network.Backward) survives as the differential
-// reference the executor tests compare against.
+// Every layer in this package implements the interface, and every engine in
+// internal/train calls it (through train's wsInputGrad/wsWeightGrad, which
+// fall back to the plain methods for a layer without it). The plain methods
+// stay the naive allocating form on purpose: Network.Backward walks them as
+// the differential reference the engines are compared against.
 type WorkspaceBackward interface {
 	// InputGradWS is δO into a layer-retained buffer.
 	InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
@@ -47,14 +55,25 @@ func (d *Dense) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
 	ws.Put(db)
 }
 
+// keepBits is all ones for true and zero for false. The compiler lowers the
+// branch to a flag move, so AND-ing a float's bit pattern with it selects
+// "the value or +0" with no data-dependent jump — on ReLU's inputs, whose
+// signs are a coin flip, the branch it replaces mispredicts every other
+// element.
+func keepBits(keep bool) uint64 {
+	var one uint64
+	if keep {
+		one = 1
+	}
+	return -one
+}
+
 func (r *ReLU) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
+	r.checkMask(gradOut)
 	r.gin = tensor.Ensure(r.gin, gradOut.Shape...)
+	gin, mask := r.gin.Data[:len(gradOut.Data)], r.mask[:len(gradOut.Data)]
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			r.gin.Data[i] = v
-		} else {
-			r.gin.Data[i] = 0
-		}
+		gin[i] = math.Float64frombits(math.Float64bits(v) & keepBits(mask[i]))
 	}
 	return r.gin
 }
@@ -62,25 +81,22 @@ func (r *ReLU) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.
 func (r *ReLU) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
 
 func (l *Conv2D) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	n, f, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2], gradOut.Shape[3]
-	c, h, w := l.x.Shape[1], l.x.Shape[2], l.x.Shape[3]
-	rows := tensor.RowsFromNCHWInto(ws.Get(n*oh*ow, f), gradOut)
-	colGrad := tensor.MatMulInto(ws.Get(n*oh*ow, c*l.kh*l.kw), rows, l.wm)
+	n, c, h, w := l.x.Shape[0], l.x.Shape[1], l.x.Shape[2], l.x.Shape[3]
+	// Per image gradOutᵀ·wm, read from NCHW in place.
+	colGrad := tensor.ConvInputGradInto(ws.Get(l.cols.Shape[0], l.cols.Shape[1]), gradOut, l.wm)
 	l.gin = tensor.Ensure(l.gin, n, c, h, w)
 	tensor.Col2imInto(l.gin, colGrad, l.kh, l.kw)
 	ws.Put(colGrad)
-	ws.Put(rows)
 	return l.gin
 }
 
 func (l *Conv2D) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
-	n, f, oh, ow := gradOut.Shape[0], gradOut.Shape[1], gradOut.Shape[2], gradOut.Shape[3]
-	rows := tensor.RowsFromNCHWInto(ws.Get(n*oh*ow, f), gradOut)
-	// Reuses the forward pass's cached im2col lowering (l.cols).
-	dw := tensor.TMatMulInto(ws.Get(f, l.cols.Shape[1]), rows, l.cols)
+	// Σ over images of gradOut·cols against the forward pass's cached lowering,
+	// folded in zeroed scratch first: the reference adds the finished sum to
+	// Grad, and adding term by term would associate differently.
+	dw := tensor.ConvWeightGradAcc(ws.GetZeroed(l.wm.Shape[0], l.wm.Shape[1]), gradOut, l.cols)
 	tensor.AddFlatTo(l.W.Grad, dw)
 	ws.Put(dw)
-	ws.Put(rows)
 }
 
 func (l *MaxPool2) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"oooback/internal/tensor"
@@ -179,5 +180,102 @@ func TestWSBackwardWarmAllocs(t *testing.T) {
 				t.Fatalf("warm pooled backward allocates %v per run, want 0", n)
 			}
 		})
+	}
+}
+
+// TestReLUPooledSelectMatchesPlainBitwise pins the branch-free select of
+// ReLU.ForwardWS / InputGradWS to the plain `v > 0 ? v : 0` on every class of
+// bit pattern a comparison treats specially — both zeros, NaN of either sign
+// and any payload, both infinities, subnormals — and on random data: same
+// output bits, same keep mask, same gradient bits.
+func TestReLUPooledSelectMatchesPlainBitwise(t *testing.T) {
+	patterns := []uint64{
+		0x0000000000000000, 0x8000000000000000, // ±0
+		0x7ff8000000000000, 0xfff8000000000000, // ±quiet NaN
+		0x7ff0000000000001, 0xfff0000000000001, // ±signalling NaN, smallest payload
+		0x7fffffffffffffff, 0xffffffffffffffff, // ±NaN, all payload bits
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x0000000000000001, 0x8000000000000001, // ±smallest subnormal
+		0x000fffffffffffff, 0x800fffffffffffff, // ±largest subnormal
+		0x0010000000000000, 0x8010000000000000, // ±smallest normal
+		0x7fefffffffffffff, 0xffefffffffffffff, // ±largest finite
+		0x3ff0000000000000, 0xbff0000000000000, // ±1
+	}
+	r := tensor.NewRNG(404)
+	x := tensor.Randn(r, 1, 1, len(patterns)+200)
+	g := tensor.Randn(r, 1, 1, len(patterns)+200)
+	for i, p := range patterns {
+		x.Data[i] = math.Float64frombits(p)
+		// Gradients cycle through the same patterns, offset so each meets
+		// kept and dropped positions.
+		g.Data[i] = math.Float64frombits(patterns[(i+3)%len(patterns)])
+	}
+	plain, pooled := NewReLU("plain"), NewReLU("pooled")
+	ws := tensor.NewWorkspace()
+	for round := 0; round < 2; round++ { // second round reuses retained buffers
+		want, got := plain.Forward(x), pooled.ForwardWS(x, ws)
+		if !bitEq(want, got) {
+			t.Fatalf("round %d: pooled forward differs from plain forward", round)
+		}
+		for i := range plain.mask {
+			if plain.mask[i] != pooled.mask[i] {
+				t.Fatalf("round %d: keep mask[%d] (x bits %#x): plain %v, pooled %v",
+					round, i, math.Float64bits(x.Data[i]), plain.mask[i], pooled.mask[i])
+			}
+		}
+		if !bitEq(plain.InputGrad(g), pooled.InputGradWS(g, ws)) {
+			t.Fatalf("round %d: pooled δO differs from plain δO", round)
+		}
+	}
+}
+
+// TestReLUStaleMaskPanics: a backward call whose keep mask was dropped
+// (DropStash without a re-run) or belongs to another shape is a diagnostic
+// panic on both paths, not a bare index-out-of-range.
+func TestReLUStaleMaskPanics(t *testing.T) {
+	r := tensor.NewRNG(6)
+	x, g := tensor.Randn(r, 1, 4, 6), tensor.Randn(r, 1, 4, 6)
+	ws := tensor.NewWorkspace()
+	backward := map[string]func(l *ReLU, g *tensor.Tensor){
+		"InputGrad":   func(l *ReLU, g *tensor.Tensor) { l.InputGrad(g) },
+		"InputGradWS": func(l *ReLU, g *tensor.Tensor) { l.InputGradWS(g, ws) },
+	}
+	for name, call := range backward {
+		for _, tc := range []struct {
+			name  string
+			spoil func(l *ReLU) *tensor.Tensor // returns the gradient to pass
+		}{
+			{"dropped", func(l *ReLU) *tensor.Tensor { l.DropStash(); return g }},
+			{"larger gradient", func(*ReLU) *tensor.Tensor { return tensor.Randn(r, 1, 5, 6) }},
+			{"smaller gradient", func(*ReLU) *tensor.Tensor { return tensor.Randn(r, 1, 2, 6) }},
+		} {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				l := NewReLU("relu")
+				l.ForwardWS(x, ws)
+				call(l, g) // a matching mask is fine
+				bad := tc.spoil(l)
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "keep mask") {
+						t.Fatalf("want a keep-mask diagnostic, got panic %q", msg)
+					}
+				}()
+				call(l, bad)
+			})
+		}
+	}
+}
+
+// TestConv2DForwardMatchesRepackingReference: the layer's forward — per-image
+// GEMMs written straight into NCHW — equals tensor.Conv2D, the im2col +
+// pixel-major GEMM + repack reference, bit for bit, warm buffers included.
+func TestConv2DForwardMatchesRepackingReference(t *testing.T) {
+	r := tensor.NewRNG(12)
+	l := NewConv2D("c", 5, 3, 3, 3, r)
+	for _, n := range []int{4, 1, 3} { // shrinking and growing retained buffers
+		x := tensor.Randn(r, 1, n, 3, 9, 7)
+		if !bitEq(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
+			t.Fatalf("batch %d: Conv2D.Forward differs from tensor.Conv2D", n)
+		}
 	}
 }

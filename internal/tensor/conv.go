@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // convParallelThreshold is the element-move count above which the im2col /
-// col2im / repack loops fan out across goroutines. The partitions below are
+// col2im loops fan out across goroutines. The partitions below are
 // all over disjoint output regions with an unchanged per-element order, so
 // parallel runs are bitwise identical to serial ones.
 const convParallelThreshold = 1 << 16
@@ -38,7 +38,7 @@ func Conv2DInputGrad(gradOut, w *Tensor, h, wd int) *Tensor {
 	if wf != f {
 		panic(fmt.Sprintf("tensor: Conv2DInputGrad filters %d vs %d", wf, f))
 	}
-	rows := rowsFromNCHW(gradOut)               // [N*oh*ow, F]
+	rows := RowsFromNCHW(gradOut)               // [N*oh*ow, F]
 	wm := w.Reshape(f, c*kh*kw)                 // [F, C*kh*kw]
 	colGrad := MatMul(rows, wm)                 // [N*oh*ow, C*kh*kw]
 	return col2im(colGrad, n, c, h, wd, kh, kw) // scatter-add back
@@ -52,9 +52,117 @@ func Conv2DWeightGrad(x, gradOut *Tensor, kh, kw int) *Tensor {
 	_, c, _, _ := conv2dDims(x)
 	_, f, _, _ := conv2dDims(gradOut)
 	cols := im2col(x, kh, kw)     // [N*oh*ow, C*kh*kw]
-	rows := rowsFromNCHW(gradOut) // [N*oh*ow, F]
+	rows := RowsFromNCHW(gradOut) // [N*oh*ow, F]
 	g := TMatMul(rows, cols)
 	return g.Reshape(f, c, kh, kw)
+}
+
+// The three convolution GEMMs of the training path. An NCHW activation or
+// gradient is, per image b, already a row-major [F × OH·OW] matrix, and the
+// im2col lowering is per image a row-major [OH·OW × K] matrix (K = C·KH·KW),
+// so each GEMM runs image by image on the existing range kernels with the
+// operand roles swapped — no pixel-major repack on either side of it:
+//
+//	forward  out_b = wm · cols_bᵀ      matMulTRange(out_b, wm, cols_b)
+//	δO       colGrad_b = g_bᵀ · wm     tMatMulRange(colGrad_b, g_b, wm)
+//	δW       dw += g_b · cols_b        matMulRange(dw, g_b, cols_b), b ascending
+//
+// Every output element keeps the accumulation chain of the repacking
+// reference (Conv2D, Conv2DInputGrad, Conv2DWeightGrad): forward is the same
+// ascending-K dot product from +0, δO the same ascending-filter sum from +0
+// with the factors in the same order, δW the same ascending (image, pixel)
+// fold. Forward and δO are partitioned over images, δW over filter rows —
+// disjoint outputs, unchanged chains, so any GOMAXPROCS gives the same bits.
+
+// convGEMMDims validates the operands of a conv GEMM — an NCHW tensor t
+// [N,F,OH,OW], the lowering-shaped matrix cols [N·OH·OW, K] and, where the
+// GEMM reads one, the weight matrix wm [F,K] — and returns (N, F, OH·OW, K).
+func convGEMMDims(op string, t, cols, wm *Tensor) (n, f, px, k int) {
+	n, f, oh, ow := conv2dDims(t)
+	px = oh * ow
+	if cols.Dims() != 2 || cols.Shape[0] != n*px {
+		panic(fmt.Sprintf("tensor: %s lowering %v does not match %v (want %d rows)", op, cols.Shape, t.Shape, n*px))
+	}
+	k = cols.Shape[1]
+	if wm != nil && (wm.Dims() != 2 || wm.Shape[0] != f || wm.Shape[1] != k) {
+		panic(fmt.Sprintf("tensor: %s weights %v, want [%d %d]", op, wm.Shape, f, k))
+	}
+	return n, f, px, k
+}
+
+// ConvForwardInto computes the convolution output out [N,F,OH,OW] from the
+// weight matrix wm [F,K] and the input's im2col lowering cols [N·OH·OW, K],
+// fully overwriting out. Bitwise identical to Conv2D.
+func ConvForwardInto(out, wm, cols *Tensor) *Tensor {
+	n, f, px, k := convGEMMDims("ConvForwardInto", out, cols, wm)
+	if serialRows(n, 2*n*px*k*f, matmulParallelThreshold) {
+		convForwardRange(out.Data, wm.Data, cols.Data, f, px, k, 0, n)
+	} else {
+		parallelRows(n, func(lo, hi int) {
+			convForwardRange(out.Data, wm.Data, cols.Data, f, px, k, lo, hi)
+		})
+	}
+	return out
+}
+
+func convForwardRange(out, wm, cols []float64, f, px, k, bLo, bHi int) {
+	for b := bLo; b < bHi; b++ {
+		matMulTRange(out[b*f*px:(b+1)*f*px], wm, cols[b*px*k:(b+1)*px*k], k, px, 0, f)
+	}
+}
+
+// ConvInputGradInto computes the column gradient colGrad [N·OH·OW, K] — the
+// operand Col2imInto scatters back to the input — from gradOut [N,F,OH,OW]
+// and the weight matrix wm [F,K], fully overwriting colGrad. Bitwise
+// identical to the MatMul inside Conv2DInputGrad.
+func ConvInputGradInto(colGrad, gradOut, wm *Tensor) *Tensor {
+	n, f, px, k := convGEMMDims("ConvInputGradInto", gradOut, colGrad, wm)
+	if serialRows(n, 2*n*px*k*f, matmulParallelThreshold) {
+		convInputGradRange(colGrad.Data, gradOut.Data, wm.Data, f, px, k, 0, n)
+	} else {
+		parallelRows(n, func(lo, hi int) {
+			convInputGradRange(colGrad.Data, gradOut.Data, wm.Data, f, px, k, lo, hi)
+		})
+	}
+	return colGrad
+}
+
+func convInputGradRange(colGrad, g, wm []float64, f, px, k, bLo, bHi int) {
+	for b := bLo; b < bHi; b++ {
+		// The kernel accumulates: start each image's block from +0 while it
+		// is about to be cache-resident anyway.
+		cg := colGrad[b*px*k : (b+1)*px*k]
+		clear(cg)
+		tMatMulRange(cg, g[b*f*px:(b+1)*f*px], wm, f, px, k, 0, px)
+	}
+}
+
+// ConvWeightGradAcc accumulates the weight gradient Σ_b g_b·cols_b of gradOut
+// [N,F,OH,OW] against the lowering cols [N·OH·OW, K] into dst without zeroing
+// it — dst is any tensor of F·K elements, so a [F,C,KH,KW] parameter gradient
+// takes the terms directly. On a zeroed dst the result is bitwise identical
+// to Conv2DWeightGrad; called once per ascending row-chunk of a batch it
+// continues the same fold, like TMatMulAcc.
+func ConvWeightGradAcc(dst, gradOut, cols *Tensor) *Tensor {
+	n, f, px, k := convGEMMDims("ConvWeightGradAcc", gradOut, cols, nil)
+	if dst.Len() != f*k {
+		panic(fmt.Sprintf("tensor: ConvWeightGradAcc dst %v, want %d elements", dst.Shape, f*k))
+	}
+	if serialRows(f, 2*n*px*k*f, matmulParallelThreshold) {
+		convWeightGradRange(dst.Data, gradOut.Data, cols.Data, n, f, px, k, 0, f)
+	} else {
+		parallelRows(f, func(lo, hi int) {
+			convWeightGradRange(dst.Data, gradOut.Data, cols.Data, n, f, px, k, lo, hi)
+		})
+	}
+	return dst
+}
+
+// convWeightGradRange folds every image into filter rows [lo, hi) of dw.
+func convWeightGradRange(dw, g, cols []float64, n, f, px, k, lo, hi int) {
+	for b := 0; b < n; b++ {
+		matMulRange(dw, g[b*f*px:(b+1)*f*px], cols[b*px*k:(b+1)*px*k], px, k, lo, hi)
+	}
 }
 
 func conv2dDims(t *Tensor) (n, c, h, w int) {
@@ -95,20 +203,46 @@ func Im2colInto(dst, x *Tensor, kh, kw int) *Tensor {
 	return dst
 }
 
-// im2colRange lowers output rows [lo, hi) of the column matrix.
+// im2colRange lowers output rows [lo, hi) of the column matrix. The (image,
+// oy, ox) position advances with the row instead of being re-derived by
+// division, and each kw-wide run moves through two slices of equal length, so
+// the copy carries no per-element bounds checks and no call. 3-wide kernels —
+// every convolution of the repository's networks — take an unrolled run
+// (measured 1.7× the general loop, whose three-iteration trip is mostly loop
+// control); the body is chosen from the shape alone.
 func im2colRange(dst, x []float64, c, h, w, oh, ow, kh, kw, lo, hi int) {
 	width := c * kh * kw
+	b, oy, ox := lo/(oh*ow), (lo/ow)%oh, lo%ow
 	for row := lo; row < hi; row++ {
-		b := row / (oh * ow)
-		oy := (row / ow) % oh
-		ox := row % ow
-		col := 0
-		base := width * row
+		d := dst[row*width : (row+1)*width]
+		chBase := (b*c*h+oy)*w + ox
 		for ch := 0; ch < c; ch++ {
-			for ky := 0; ky < kh; ky++ {
-				src := ((b*c+ch)*h+(oy+ky))*w + ox
-				copy(dst[base+col:base+col+kw], x[src:src+kw])
-				col += kw
+			src := chBase
+			if kw == 3 {
+				for ky := 0; ky < kh; ky++ {
+					s, run := x[src:src+3:src+3], d[:3:3]
+					run[0], run[1], run[2] = s[0], s[1], s[2]
+					d = d[3:]
+					src += w
+				}
+			} else {
+				for ky := 0; ky < kh; ky++ {
+					s := x[src : src+kw]
+					run := d[:len(s)]
+					for i, v := range s {
+						run[i] = v
+					}
+					d = d[len(s):]
+					src += w
+				}
+			}
+			chBase += h * w
+		}
+		if ox++; ox == ow {
+			ox = 0
+			if oy++; oy == oh {
+				oy = 0
+				b++
 			}
 		}
 	}
@@ -144,23 +278,37 @@ func Col2imInto(dst, cols *Tensor, kh, kw int) *Tensor {
 	return dst
 }
 
-// col2imRange scatter-adds batch images [bLo, bHi) back into dst.
+// col2imRange scatter-adds batch images [bLo, bHi) back into dst, walking
+// the column rows in ascending order (the order every destination element
+// receives its terms in) with the same runs as im2colRange.
 func col2imRange(dst, cols []float64, c, h, w, oh, ow, kh, kw, bLo, bHi int) {
 	width := c * kh * kw
 	for b := bLo; b < bHi; b++ {
 		row := b * oh * ow
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				col := 0
-				base := width * row
+				s := cols[row*width : (row+1)*width]
+				chBase := (b*c*h+oy)*w + ox
 				for ch := 0; ch < c; ch++ {
-					for ky := 0; ky < kh; ky++ {
-						dsti := ((b*c+ch)*h+(oy+ky))*w + ox
-						for kx := 0; kx < kw; kx++ {
-							dst[dsti+kx] += cols[base+col+kx]
+					di := chBase
+					if kw == 3 {
+						for ky := 0; ky < kh; ky++ {
+							run, t := dst[di:di+3:di+3], s[:3:3]
+							run[0], run[1], run[2] = run[0]+t[0], run[1]+t[1], run[2]+t[2]
+							s = s[3:]
+							di += w
 						}
-						col += kw
+					} else {
+						for ky := 0; ky < kh; ky++ {
+							run := dst[di : di+kw]
+							for i, v := range s[:len(run)] {
+								run[i] += v
+							}
+							s = s[len(run):]
+							di += w
+						}
 					}
+					chBase += h * w
 				}
 				row++
 			}
@@ -168,78 +316,36 @@ func col2imRange(dst, cols []float64, c, h, w, oh, ow, kh, kw, bLo, bHi int) {
 	}
 }
 
-// rowsFromNCHW flattens [N,F,OH,OW] to a fresh [N*OH*OW, F] matrix.
-func rowsFromNCHW(t *Tensor) *Tensor {
+// RowsFromNCHW flattens [N,F,OH,OW] to a fresh pixel-major [N*OH*OW, F]
+// matrix. Only the reference convolutions repack (the ones above and
+// nn.Conv2D.WeightGrad); the training path's GEMMs read NCHW in place (see
+// ConvForwardInto).
+func RowsFromNCHW(t *Tensor) *Tensor {
 	n, f, oh, ow := conv2dDims(t)
-	return RowsFromNCHWInto(New(n*oh*ow, f), t)
-}
-
-// RowsFromNCHWInto flattens t [N,F,OH,OW] to dst [N*OH*OW, F] (pixel-major
-// rows), fully overwriting dst. Partitioned by batch image on large inputs.
-func RowsFromNCHWInto(dst, t *Tensor) *Tensor {
-	n, f, oh, ow := conv2dDims(t)
-	if dst.Dims() != 2 || dst.Shape[0] != n*oh*ow || dst.Shape[1] != f {
-		panic(fmt.Sprintf("tensor: RowsFromNCHWInto dst %v, want [%d %d]", dst.Shape, n*oh*ow, f))
-	}
-	if serialRows(n, t.Len(), convParallelThreshold) {
-		rowsFromNCHWRange(dst.Data, t.Data, f, oh, ow, 0, n)
-	} else {
-		parallelRows(n, func(bLo, bHi int) {
-			rowsFromNCHWRange(dst.Data, t.Data, f, oh, ow, bLo, bHi)
-		})
-	}
-	return dst
-}
-
-// rowsFromNCHWRange repacks batch images [bLo, bHi) into pixel-major rows.
-func rowsFromNCHWRange(dst, src []float64, f, oh, ow, bLo, bHi int) {
-	for b := bLo; b < bHi; b++ {
+	px := oh * ow
+	rows := New(n*px, f)
+	for b := 0; b < n; b++ {
 		for ch := 0; ch < f; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := (b*oh+oy)*ow + ox
-					dst[row*f+ch] = src[((b*f+ch)*oh+oy)*ow+ox]
-				}
+			for p := 0; p < px; p++ {
+				rows.Data[(b*px+p)*f+ch] = t.Data[(b*f+ch)*px+p]
 			}
 		}
 	}
+	return rows
 }
 
-// nchwFromRows is the inverse of rowsFromNCHW.
+// nchwFromRows is the inverse of RowsFromNCHW.
 func nchwFromRows(rows *Tensor, n, f, oh, ow int) *Tensor {
-	return NCHWFromRowsInto(New(n, f, oh, ow), rows)
-}
-
-// NCHWFromRowsInto unflattens rows [N*OH*OW, F] into dst [N,F,OH,OW], fully
-// overwriting dst. Partitioned by batch image on large inputs.
-func NCHWFromRowsInto(dst, rows *Tensor) *Tensor {
-	n, f, oh, ow := conv2dDims(dst)
-	if rows.Dims() != 2 || rows.Shape[0] != n*oh*ow || rows.Shape[1] != f {
-		panic(fmt.Sprintf("tensor: NCHWFromRowsInto rows %v, want [%d %d]", rows.Shape, n*oh*ow, f))
-	}
-	if serialRows(n, dst.Len(), convParallelThreshold) {
-		nchwFromRowsRange(dst.Data, rows.Data, f, oh, ow, 0, n)
-	} else {
-		parallelRows(n, func(bLo, bHi int) {
-			nchwFromRowsRange(dst.Data, rows.Data, f, oh, ow, bLo, bHi)
-		})
-	}
-	return dst
-}
-
-// nchwFromRowsRange repacks pixel-major rows back into batch images
-// [bLo, bHi).
-func nchwFromRowsRange(dst, src []float64, f, oh, ow, bLo, bHi int) {
-	for b := bLo; b < bHi; b++ {
+	px := oh * ow
+	t := New(n, f, oh, ow)
+	for b := 0; b < n; b++ {
 		for ch := 0; ch < f; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := (b*oh+oy)*ow + ox
-					dst[((b*f+ch)*oh+oy)*ow+ox] = src[row*f+ch]
-				}
+			for p := 0; p < px; p++ {
+				t.Data[(b*f+ch)*px+p] = rows.Data[(b*px+p)*f+ch]
 			}
 		}
 	}
+	return t
 }
 
 // MaxPool2 performs 2×2 max pooling with stride 2 on x [N,C,H,W] (H, W even)
@@ -271,24 +377,29 @@ func MaxPool2Into(dst *Tensor, arg []int, x *Tensor) *Tensor {
 	if len(arg) != out.Len() {
 		panic(fmt.Sprintf("tensor: MaxPool2Into argmax map has %d entries, want %d", len(arg), out.Len()))
 	}
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := ((b*c+ch)*h+2*oy)*w + 2*ox
-					best := x.Data[bestIdx]
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							idx := ((b*c+ch)*h+(2*oy+dy))*w + (2*ox + dx)
-							if x.Data[idx] > best {
-								best, bestIdx = x.Data[idx], idx
-							}
-						}
-					}
-					o := ((b*c+ch)*oh+oy)*ow + ox
-					out.Data[o] = best
-					arg[o] = bestIdx
+	// One output row at a time over the two input rows it pools, with running
+	// indices. The window is compared in (0,0),(0,1),(1,0),(1,1) order under a
+	// strict >, so ties keep the earliest position and a NaN is never picked
+	// over an earlier candidate.
+	for plane := 0; plane < n*c; plane++ {
+		for oy := 0; oy < oh; oy++ {
+			top := (plane*h + 2*oy) * w
+			r0, r1 := x.Data[top:top+w], x.Data[top+w:top+2*w]
+			o := (plane*oh + oy) * ow
+			orow, arow := out.Data[o:o+ow], arg[o:o+ow]
+			for ox := range orow {
+				j := 2 * ox
+				best, bestIdx := r0[j], top+j
+				if v := r0[j+1]; v > best {
+					best, bestIdx = v, top+j+1
 				}
+				if v := r1[j]; v > best {
+					best, bestIdx = v, top+w+j
+				}
+				if v := r1[j+1]; v > best {
+					best, bestIdx = v, top+w+j+1
+				}
+				orow[ox], arow[ox] = best, bestIdx
 			}
 		}
 	}

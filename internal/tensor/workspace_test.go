@@ -77,30 +77,26 @@ func TestWorkspaceWarmGetAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledConvKernelsDifferential pins the Into conv kernels, running on
-// dirty pooled workspace buffers, bitwise against the allocating reference
-// forms — across shapes and GOMAXPROCS widths (crossing convParallelThreshold
-// on the larger shape).
+// TestPooledConvKernelsDifferential pins the Into lowering kernels, running on
+// dirty pooled workspace buffers, bitwise against the plain reference loops
+// (conv_test.go) — across kernel widths on both sides of the unrolled 3-wide
+// body and GOMAXPROCS widths (crossing convParallelThreshold on the larger
+// shapes).
 func TestPooledConvKernelsDifferential(t *testing.T) {
 	r := NewRNG(4242)
-	shapes := []struct{ n, c, h, w, f, kh, kw int }{
-		{1, 1, 3, 3, 1, 1, 1}, // degenerate 1×1 kernel, single channel
-		{2, 3, 8, 7, 4, 3, 3},
-		{1, 2, 5, 9, 3, 2, 4},
-		{4, 3, 32, 32, 8, 5, 5}, // large: n*oh*ow*width ≈ 235k > convParallelThreshold
-	}
+	shapes := append(convShapes(),
+		convShape{2, 3, 8, 7, 4, 3, 3},
+		convShape{1, 2, 5, 9, 3, 2, 4},
+		convShape{4, 3, 32, 32, 8, 5, 5}, // n*oh*ow*width ≈ 235k > convParallelThreshold
+	)
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	for _, sh := range shapes {
 		x := Randn(r, 1, sh.n, sh.c, sh.h, sh.w)
 		oh, ow := sh.h-sh.kh+1, sh.w-sh.kw+1
-		gradOut := Randn(r, 1, sh.n, sh.f, oh, ow)
-
-		runtime.GOMAXPROCS(1)
-		wantCols := im2col(x, sh.kh, sh.kw)
-		wantIm := col2im(wantCols, sh.n, sh.c, sh.h, sh.w, sh.kh, sh.kw)
-		wantRows := rowsFromNCHW(gradOut)
-		wantNCHW := nchwFromRows(wantRows, sh.n, sh.f, oh, ow)
+		wantCols := refIm2col(x, sh.kh, sh.kw)
+		colGrad := Randn(r, 1, wantCols.Shape...)
+		wantIm := refCol2im(colGrad, sh.n, sh.c, sh.h, sh.w, sh.kh, sh.kw)
 
 		for _, gmp := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(gmp)
@@ -113,19 +109,11 @@ func TestPooledConvKernelsDifferential(t *testing.T) {
 			}
 			cols := Im2colInto(dirty(ws.Get(sh.n*oh*ow, sh.c*sh.kh*sh.kw)), x, sh.kh, sh.kw)
 			if !bitwiseEqual(cols, wantCols) {
-				t.Fatalf("GOMAXPROCS=%d %+v: Im2colInto differs", gmp, sh)
+				t.Fatalf("GOMAXPROCS=%d %v: Im2colInto differs", gmp, sh)
 			}
-			im := Col2imInto(dirty(ws.Get(sh.n, sh.c, sh.h, sh.w)), cols, sh.kh, sh.kw)
+			im := Col2imInto(dirty(ws.Get(sh.n, sh.c, sh.h, sh.w)), colGrad, sh.kh, sh.kw)
 			if !bitwiseEqual(im, wantIm) {
-				t.Fatalf("GOMAXPROCS=%d %+v: Col2imInto differs", gmp, sh)
-			}
-			rows := RowsFromNCHWInto(dirty(ws.Get(sh.n*oh*ow, sh.f)), gradOut)
-			if !bitwiseEqual(rows, wantRows) {
-				t.Fatalf("GOMAXPROCS=%d %+v: RowsFromNCHWInto differs", gmp, sh)
-			}
-			nchw := NCHWFromRowsInto(dirty(ws.Get(sh.n, sh.f, oh, ow)), rows)
-			if !bitwiseEqual(nchw, wantNCHW) {
-				t.Fatalf("GOMAXPROCS=%d %+v: NCHWFromRowsInto differs", gmp, sh)
+				t.Fatalf("GOMAXPROCS=%d %v: Col2imInto differs", gmp, sh)
 			}
 		}
 	}

@@ -91,12 +91,16 @@ type Executor struct {
 	grads  []*tensor.Tensor
 	refcnt []int32
 
-	// Workspaces for the pooled backward paths (nn.WorkspaceBackward). Each
-	// is owned by exactly one goroutine: chainWS by the goroutine running
-	// Backward (the δO chain, and every op in serial mode), laneWS[i] by pool
-	// worker i — so the concurrent δW ops share no buffers and never contend.
+	// Workspaces for the pooled layer paths (nn.WorkspaceForward,
+	// nn.WorkspaceBackward). Each is owned by exactly one goroutine: chainWS by
+	// the goroutine running the step (forward, the δO chain, and every op in
+	// serial mode), laneWS[i] by pool worker i — so the concurrent δW ops share
+	// no buffers and never contend.
 	chainWS *tensor.Workspace
 	laneWS  []*tensor.Workspace
+
+	// lossGrad is the retained loss-gradient buffer of forwardLoss.
+	lossGrad *tensor.Tensor
 
 	// Cached analysis of the most recent schedule (steady-state Fit loops use
 	// one schedule for thousands of steps; re-validating would allocate).
@@ -143,17 +147,28 @@ func NewExecutor(mode ExecMode, workers int) *Executor {
 	return e
 }
 
-// wsInputGrad runs δO through the pooled path when the layer supports it.
+// The three ws* helpers are how every engine runs a layer: through the pooled
+// method on the caller's workspace when the layer has one, through the plain
+// allocating method otherwise — and always through the plain method when ws
+// is nil, which is how a nil *Executor (it owns no workspace) stays the naive
+// differential reference. No engine calls the plain methods directly.
+
+func wsForward(l nn.Layer, x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
+	if wf, ok := l.(nn.WorkspaceForward); ok && ws != nil {
+		return wf.ForwardWS(x, ws)
+	}
+	return l.Forward(x)
+}
+
 func wsInputGrad(l nn.Layer, g *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if wb, ok := l.(nn.WorkspaceBackward); ok {
+	if wb, ok := l.(nn.WorkspaceBackward); ok && ws != nil {
 		return wb.InputGradWS(g, ws)
 	}
 	return l.InputGrad(g)
 }
 
-// wsWeightGrad runs δW through the pooled path when the layer supports it.
 func wsWeightGrad(l nn.Layer, g *tensor.Tensor, ws *tensor.Workspace) {
-	if wb, ok := l.(nn.WorkspaceBackward); ok {
+	if wb, ok := l.(nn.WorkspaceBackward); ok && ws != nil {
 		wb.WeightGradWS(g, ws)
 		return
 	}
@@ -345,59 +360,79 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 	return BackwardStats{PeakLiveGrads: peak}, nil
 }
 
-// zeroForward clears the gradients and runs the forward pass: Network.Forward
-// itself, or — observed — the same per-layer loop with one event per layer.
+// zeroForward clears the gradients and runs the forward pass, one event per
+// layer when observed. A nil receiver runs Network.Forward, the naive
+// allocating reference; an executor runs every layer through the pooled path
+// on the chain workspace, so a warm pass performs zero allocations.
 func (e *Executor) zeroForward(n *Network, x *tensor.Tensor) *tensor.Tensor {
-	obs := e.observer()
-	if obs == nil {
+	if e == nil {
 		n.ZeroGrads()
 		return n.Forward(x)
 	}
-	start := time.Now()
-	n.ZeroGrads()
-	obs(OpEvent{Kind: OpZero, Start: start, End: time.Now()})
-	for i, l := range n.Layers {
-		in := x.Len()
+	obs := e.obs
+	var start time.Time
+	if obs != nil {
 		start = time.Now()
-		x = l.Forward(x)
-		obs(OpEvent{Kind: OpFwd, Layer: i + 1, Start: start, End: time.Now(), Elems: in + x.Len()})
+	}
+	n.ZeroGrads()
+	if obs != nil {
+		obs(OpEvent{Kind: OpZero, Start: start, End: time.Now()})
+	}
+	for i, l := range n.Layers {
+		var in int
+		if obs != nil {
+			start, in = time.Now(), x.Len()
+		}
+		x = wsForward(l, x, e.chainWS)
+		if obs != nil {
+			obs(OpEvent{Kind: OpFwd, Layer: i + 1, Start: start, End: time.Now(), Elems: in + x.Len()})
+		}
 	}
 	return x
 }
 
-// forwardLoss runs ZeroGrads → forward → loss, writing the loss gradient into
-// the caller-retained *lossGrad buffer, and returns the batch mean loss.
-func (e *Executor) forwardLoss(n *Network, x *tensor.Tensor, labels []int, lossGrad **tensor.Tensor) float64 {
+// loss computes the batch mean loss and the loss gradient — in the executor's
+// retained buffer, valid until its next loss call (a nil receiver allocates a
+// fresh one, like the reference it is).
+func (e *Executor) loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	if e == nil {
+		return nn.SoftmaxCrossEntropy(logits, labels)
+	}
+	e.lossGrad = tensor.Ensure(e.lossGrad, logits.Shape[0], logits.Shape[1])
+	return nn.SoftmaxCrossEntropyInto(e.lossGrad, logits, labels), e.lossGrad
+}
+
+// forwardLoss runs ZeroGrads → forward → loss and returns what loss returns.
+func (e *Executor) forwardLoss(n *Network, x *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	logits := e.zeroForward(n, x)
 	obs := e.observer()
 	var start time.Time
 	if obs != nil {
 		start = time.Now()
 	}
-	*lossGrad = tensor.Ensure(*lossGrad, logits.Shape[0], logits.Shape[1])
-	loss := nn.SoftmaxCrossEntropyInto(*lossGrad, logits, labels)
+	loss, lossGrad := e.loss(logits, labels)
 	if obs != nil {
 		obs(OpEvent{Kind: OpLoss, Start: start, End: time.Now(), Elems: logits.Len()})
 	}
-	return loss
+	return loss, lossGrad
 }
 
 // serialPass is forwardLoss followed by the backward pass, all on the calling
 // goroutine: what the parallel engines run for a batch too small to split,
 // and what DataParallel.ReferenceStep runs per replica. It returns the loss
 // and the forward and backward durations; the caller applies the update.
-func (e *Executor) serialPass(n *Network, x *tensor.Tensor, labels []int, lossGrad **tensor.Tensor,
+func (e *Executor) serialPass(n *Network, x *tensor.Tensor, labels []int,
 	sched graph.BackwardSchedule) (loss float64, fwd, bwd time.Duration, err error) {
 	t0 := time.Now()
-	loss = e.forwardLoss(n, x, labels, lossGrad)
+	loss, lossGrad := e.forwardLoss(n, x, labels)
 	t1 := time.Now()
-	_, err = e.Backward(n, *lossGrad, sched)
+	_, err = e.Backward(n, lossGrad, sched)
 	return loss, t1.Sub(t0), time.Since(t1), err
 }
 
 // Step runs one full training step (forward, loss, backward under the
 // executor's engine, optimizer update) and returns the loss. A nil receiver
-// runs the serial engine, making it a drop-in for train.Step.
+// runs the naive reference walk, which is what train.Step is.
 func (e *Executor) Step(n *Network, x *tensor.Tensor, labels []int, sched graph.BackwardSchedule, opt nn.Optimizer) (float64, error) {
 	if e != nil && e.closed {
 		return 0, ErrClosed
@@ -407,15 +442,8 @@ func (e *Executor) Step(n *Network, x *tensor.Tensor, labels []int, sched graph.
 	if obs != nil {
 		wall = time.Now()
 	}
-	logits := e.zeroForward(n, x)
-	if obs != nil {
-		start = time.Now()
-	}
-	loss, grad := nn.SoftmaxCrossEntropy(logits, labels)
-	if obs != nil {
-		obs(OpEvent{Kind: OpLoss, Start: start, End: time.Now(), Elems: logits.Len()})
-	}
-	if _, err := e.Backward(n, grad, sched); err != nil {
+	loss, lossGrad := e.forwardLoss(n, x, labels)
+	if _, err := e.Backward(n, lossGrad, sched); err != nil {
 		return 0, err
 	}
 	if obs != nil {

@@ -263,10 +263,13 @@ func TestConcurrentExecutorWarmPathAllocs(t *testing.T) {
 }
 
 // TestExecutorWarmPathZeroAllocs: the pooled engines (serial executor and
-// concurrent executor) run a warm backward pass with ZERO allocations on
-// every net kind — the tensor workspace arena and the layers' retained
-// buffers absorb all transients. The nil-executor path (Network.Backward)
-// stays allocating by design; it is the differential reference.
+// concurrent executor) run a warm backward pass — and a warm whole Step,
+// forward, loss and update included — with ZERO allocations on every net
+// kind: the tensor workspace arena and the layers' retained buffers absorb
+// all transients. A warm checkpointed step allocates only its bookkeeping
+// slices and the stash buffers DropStash frees for the re-run to re-create.
+// The nil-executor path (Network.Forward, Network.Backward) stays allocating
+// by design; it is the differential reference.
 func TestExecutorWarmPathZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -309,6 +312,15 @@ func TestExecutorWarmPathZeroAllocs(t *testing.T) {
 		}{"nlp", net, x, lbl, graph.ReverseFirstK(len(net.Layers), 2)})
 	}
 
+	// recomputeAllocs is what a warm StepRecompute(every=2) allocates: 7 for
+	// the step's own bookkeeping (six per-layer slices and the ledger
+	// closures' shared state), plus every dropped stash buffer twice — once
+	// in the forward pass, once in the re-run; a slice is one allocation, a
+	// tensor three (header, shape, data). MLP: 3 masks. Conv: 2 lowerings,
+	// 2 masks, 1 argmax map. NLP: ids, xhat (tensor), invStd, 1 mask. The
+	// check allows two more: re-creating buffers triggers collections, and the
+	// runtime's own allocations during one are counted too.
+	recomputeAllocs := map[string]float64{"mlp": 7 + 2*3, "conv": 7 + 2*(2*3+2+1), "nlp": 7 + 2*(1+3+1+1)}
 	for _, c := range cases {
 		for _, mode := range []ExecMode{ExecSerial, ExecConcurrent} {
 			t.Run(fmt.Sprintf("%s/%s", c.name, mode), func(t *testing.T) {
@@ -330,6 +342,32 @@ func TestExecutorWarmPathZeroAllocs(t *testing.T) {
 				})
 				if allocs != 0 {
 					t.Fatalf("warm %s backward allocates %v per pass, want 0", mode, allocs)
+				}
+
+				opt := &nn.SGD{LR: 0.01}
+				step := func() {
+					if _, err := e.Step(c.net, c.x, c.lbl, c.sched, opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				step() // sizes the pooled forward buffers and the loss gradient
+				step()
+				if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+					t.Fatalf("warm %s step allocates %v times, want 0", mode, allocs)
+				}
+
+				if mode != ExecSerial {
+					return
+				}
+				recompute := func() {
+					if _, _, err := e.StepRecompute(c.net, c.x, c.lbl, c.sched, 2, opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				recompute()
+				recompute()
+				if allocs, want := testing.AllocsPerRun(10, recompute), recomputeAllocs[c.name]; allocs > want+2 {
+					t.Fatalf("warm checkpointed step allocates %v times, want %v", allocs, want)
 				}
 			})
 		}

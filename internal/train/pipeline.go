@@ -59,8 +59,8 @@ type Pipeline struct {
 	stepN    int // examples in the current step's batch
 
 	// serial fallback for batches too small to split into M microbatches
-	fbSched    graph.BackwardSchedule
-	fbLossGrad *tensor.Tensor
+	fb      *Executor
+	fbSched graph.BackwardSchedule
 
 	statsBuf []StageStats
 
@@ -225,7 +225,6 @@ type pipeStage struct {
 	// Per-lane views of this stage's layer span and the pre-asserted
 	// interface forms ([lane][local layer]).
 	layers [][]nn.Layer
-	fws    [][]nn.WorkspaceForward
 	wsb    [][]nn.WorkspaceBackward
 	chb    [][]nn.ChunkBackward
 
@@ -300,6 +299,7 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 		acks:     make(chan struct{}, S),
 		mbX:      make([]*tensor.Tensor, M),
 		mbLabels: make([][]int, M),
+		fb:       NewExecutor(ExecSerial, 0),
 		fbSched:  graph.Conventional(L),
 		statsBuf: make([]StageStats, S),
 	}
@@ -350,19 +350,14 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 			st.gradIn = gradCh[s]
 		}
 		st.layers = make([][]nn.Layer, M)
-		st.fws = make([][]nn.WorkspaceForward, M)
 		st.wsb = make([][]nn.WorkspaceBackward, M)
 		st.chb = make([][]nn.ChunkBackward, M)
 		for m := 0; m < M; m++ {
 			span := p.lanes[m].Layers[lo:hi]
 			st.layers[m] = span
-			st.fws[m] = make([]nn.WorkspaceForward, len(span))
 			st.wsb[m] = make([]nn.WorkspaceBackward, len(span))
 			st.chb[m] = make([]nn.ChunkBackward, len(span))
 			for j, l := range span {
-				if wf, ok := l.(nn.WorkspaceForward); ok {
-					st.fws[m][j] = wf
-				}
 				st.wsb[m][j] = l.(nn.WorkspaceBackward)
 				st.chb[m][j] = l.(nn.ChunkBackward)
 			}
@@ -473,8 +468,8 @@ func shardViews(x *tensor.Tensor, labels []int, xs []*tensor.Tensor, ls [][]int)
 // Step runs one pipelined training step and returns the batch mean loss
 // (bitwise identical to the serial full-batch reference) plus the step's
 // schedule stats. Batches with fewer examples than microbatches (an epoch's
-// final short batch) fall back to the serial reference step on the prototype
-// — which computes the same bits a pipeline over that batch would.
+// final short batch) fall back to a serial step on the prototype — which
+// computes the same bits a pipeline over that batch would.
 func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats, error) {
 	if p.closed {
 		return 0, PipeStepStats{}, ErrClosed
@@ -482,7 +477,7 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 	if len(labels) < len(p.lanes) {
 		st := PipeStepStats{Stages: 1, MicroBatches: 1, Schedule: p.sched, FillDW: p.fill}
 		t0 := time.Now()
-		loss, _, _, err := (*Executor)(nil).serialPass(p.proto, x, labels, &p.fbLossGrad, p.fbSched)
+		loss, _, _, err := p.fb.serialPass(p.proto, x, labels, p.fbSched)
 		if err != nil {
 			return 0, st, err
 		}
@@ -575,11 +570,7 @@ func (st *pipeStage) runForward(mb int) {
 		if obs != nil {
 			s0 = time.Now()
 		}
-		if wf := st.fws[mb][j]; wf != nil {
-			x = wf.ForwardWS(x, st.ws)
-		} else {
-			x = l.Forward(x)
-		}
+		x = wsForward(l, x, st.ws)
 		if obs != nil {
 			st.span(obs, OpFwd, st.lo+j+1, mb, s0, in+x.Len())
 		}

@@ -43,6 +43,13 @@ type RecomputeStats struct {
 // parameters), so a re-run rebuilds exactly the state the first run built.
 // Only the serial engine supports checkpointing — segment re-runs mutate
 // shared layer state, which would race with ExecConcurrent's δW pool.
+//
+// Every layer op — first forward, segment re-forward, δO, δW — runs through
+// the pooled path on the executor's chain workspace (a nil receiver has none
+// and walks the plain allocating methods). The byte ledger counts logical
+// lifetimes and is the same either way: a pooled layer keeps its output
+// buffer after the ledger released the activation, and what DropStash
+// releases (masks, lowerings, index plans) is re-created by the re-run.
 func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	sched graph.BackwardSchedule, every int, opt nn.Optimizer) (float64, RecomputeStats, error) {
 	if e.Mode() == ExecConcurrent {
@@ -67,6 +74,10 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 		}
 	}
 
+	var ws *tensor.Workspace
+	if e != nil {
+		ws = e.chainWS
+	}
 	stats := RecomputeStats{Every: every}
 	var bytes int64
 	bump := func() {
@@ -90,7 +101,7 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	bump()
 	a := x
 	for j := 1; j <= L; j++ {
-		a = n.Layers[j-1].Forward(a)
+		a = wsForward(n.Layers[j-1], a, ws)
 		stashValid[j] = true
 		if j < L {
 			acts[j] = a
@@ -113,7 +124,7 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	}
 	logits := a
 	stats.CheckpointBytes = bytes
-	loss, lossGrad := nn.SoftmaxCrossEntropy(logits, labels)
+	loss, lossGrad := e.loss(logits, labels)
 
 	// ensure rebuilds layer i's stash: re-run the forward segment from the
 	// nearest resident activation below i. Legal schedules touch layers in
@@ -131,7 +142,7 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 		}
 		src := acts[c]
 		for j := c + 1; j <= i; j++ {
-			src = n.Layers[j-1].Forward(src)
+			src = wsForward(n.Layers[j-1], src, ws)
 			stashValid[j] = true
 			bytes += stashers[j-1].StashBytes()
 			stats.RecomputedLayers++
@@ -166,7 +177,7 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 		}
 		switch op.Kind {
 		case graph.OutGrad:
-			gin := n.Layers[i-1].InputGrad(g)
+			gin := wsInputGrad(n.Layers[i-1], g, ws)
 			doneDO[i] = true
 			if i > 1 {
 				grads[i-1] = gin
@@ -177,7 +188,7 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 				}
 			}
 		case graph.WeightGrad:
-			n.Layers[i-1].WeightGrad(g)
+			wsWeightGrad(n.Layers[i-1], g, ws)
 			doneDW[i] = true
 		}
 		bump()

@@ -77,8 +77,7 @@ type replica struct {
 	params  []*nn.Param
 	pending []int // per-bucket remaining δW count, owned by the running goroutine
 
-	lossGrad *tensor.Tensor // retained loss-gradient buffer
-	loss     float64        // shard mean loss of the last forward
+	loss float64 // shard mean loss of the last forward
 
 	cmd chan replicaOp
 }
@@ -284,11 +283,11 @@ func (dp *DataParallel) replicaLoop(r *replica) {
 	for op := range r.cmd {
 		switch op {
 		case opForward:
-			r.loss = r.exec.forwardLoss(r.net, dp.shardX[r.id], dp.shardLabels[r.id], &r.lossGrad)
+			r.loss, _ = r.exec.forwardLoss(r.net, dp.shardX[r.id], dp.shardLabels[r.id])
 			dp.acks <- nil
 		case opBackward:
 			copy(r.pending, dp.dwPerBucket)
-			_, err := r.exec.Backward(r.net, r.lossGrad, dp.sched)
+			_, err := r.exec.Backward(r.net, r.exec.lossGrad, dp.sched)
 			if err != nil {
 				// Cannot happen for a schedule validated at construction, but
 				// keep the reducer's per-step accounting consistent anyway:
@@ -405,7 +404,7 @@ func (dp *DataParallel) smallBatchStep(x *tensor.Tensor, labels []int) (float64,
 	dp.refMode = true
 	defer func() { dp.refMode = false }()
 	r0 := dp.replicas[0]
-	loss, fwd, bwd, err := r0.exec.serialPass(r0.net, x, labels, &r0.lossGrad, dp.sched)
+	loss, fwd, bwd, err := r0.exec.serialPass(r0.net, x, labels, dp.sched)
 	if err != nil {
 		return 0, st, err
 	}
@@ -435,7 +434,7 @@ func (dp *DataParallel) ReferenceStep(x *tensor.Tensor, labels []int) (float64, 
 	defer func() { dp.refMode = false }()
 	for _, rep := range dp.replicas {
 		var err error
-		rep.loss, _, _, err = rep.exec.serialPass(rep.net, dp.shardX[rep.id], dp.shardLabels[rep.id], &rep.lossGrad, dp.sched)
+		rep.loss, _, _, err = rep.exec.serialPass(rep.net, dp.shardX[rep.id], dp.shardLabels[rep.id], dp.sched)
 		if err != nil {
 			return 0, err
 		}
