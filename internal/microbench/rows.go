@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"oooback/internal/calib"
 	"oooback/internal/core"
@@ -225,6 +226,27 @@ func Rows() []Row {
 			dst := tensor.New(8, 8, 16, 16)
 			return func() { tensor.Col2imInto(dst, cols, 3, 3) }, nil
 		}},
+		// The axpy-form kernel on the shape the conv workload's δW gives it:
+		// g_b[16×144]·cols_b[144×72] folded over 32 images, whose 83 KB
+		// lowerings the panel walk reads once each.
+		{Name: "TensorKernelMatMul", Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			g := tensor.Randn(rng, 1, 32, 16, 12, 12)
+			cols := tensor.Randn(rng, 1, 32*12*12, 72)
+			dw := tensor.New(16, 72)
+			return func() {
+				dw.Zero()
+				tensor.ConvWeightGradAcc(dw, g, cols)
+			}, nil
+		}},
+		// The dot-form kernel's Go loops — the path of every CPU without AVX2
+		// and the oracle the vector path is tested against — on the operands of
+		// TensorKernelMatMulT, so the snapshot always holds both paths.
+		{Name: "TensorKernelMatMulTPortable", Step: func(testing.TB) (func(), func(*testing.B)) {
+			x, y := gemmOperands()
+			dst := tensor.New(128, 128)
+			return func() { tensorMatMulTRangeGo(dst.Data, x.Data, y.Data, 128, 128, 0, 128) }, nil
+		}},
 		// The zero-alloc contract of the pooled kernel layer: fused GEMMs,
 		// conv lowerings and the NCHW-direct conv GEMMs into workspace
 		// buffers never touch the allocator once the workspace is warm.
@@ -286,9 +308,14 @@ func Rows() []Row {
 		// argmax map, each once in the forward pass and once in the re-run).
 		// The bound leaves room for the runtime's own allocations in the
 		// collections those megabyte lowerings trigger (26 seen under load).
-		{Name: "TrainStepMLPSerial", Gated: true, Step: trainStep(MLP, 0)},
-		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, 0)},
-		{Name: "TrainStepConvRecompute", Gated: true, MaxAllocs: 28, Step: trainStep(convStepNet, 2)},
+		{Name: "TrainStepMLPSerial", Gated: true, Step: trainStep(MLP, train.ExecSerial, 0)},
+		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 0)},
+		{Name: "TrainStepConvRecompute", Gated: true, MaxAllocs: 28, Step: trainStep(convStepNet, train.ExecSerial, 2)},
+		// The same whole step under the concurrent engine and the out-of-order
+		// schedule: dispatch, the workers' poll, the caller's drain and the
+		// per-layer δW workspaces allocate nothing either. (The data-parallel
+		// whole step is TrainDataParallelMLP2 above, gated at 0 as well.)
+		{Name: "TrainStepMLPConcurrent", Gated: true, Step: trainStep(MLP, train.ExecConcurrent, 0)},
 		// The pooled rectifier pair at the size of the conv workload's larger
 		// activation: a branch-free select each way.
 		{Name: "NNReLUForwardBackward", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
@@ -442,6 +469,13 @@ func Rows() []Row {
 	}
 }
 
+// tensorMatMulTRangeGo is tensor's portable dot-form range kernel, reached by
+// linkname: which path the kernels take is decided from the CPU and is not
+// something a caller can choose, so there is no exported way to run this one.
+//
+//go:linkname tensorMatMulTRangeGo oooback/internal/tensor.matMulTRangeGo
+func tensorMatMulTRangeGo(out, a, b []float64, k, n, lo, hi int)
+
 // sinkDuration keeps the compiler from eliding a pure call under measurement.
 var sinkDuration time.Duration
 
@@ -531,15 +565,21 @@ func convStepNet() RefNet {
 	return RefNet{"conv16", func() *train.Network { return train.ConvNet(11, 16, 8, 10) }, x, labels}
 }
 
-// trainStep measures one whole training step on a serial executor under the
-// conventional order: Executor.Step, or StepRecompute keeping every
-// `every`-th activation when every > 1.
-func trainStep(ref func() RefNet, every int) step {
+// trainStep measures one whole training step: Executor.Step on a serial
+// executor under the conventional order or on a concurrent one under reverse
+// first-L/2, or StepRecompute keeping every `every`-th activation when
+// every > 1.
+func trainStep(ref func() RefNet, mode train.ExecMode, every int) step {
 	return func(tb testing.TB) (func(), func(*testing.B)) {
 		rn := ref()
 		net := rn.Build()
-		sched := graph.Conventional(len(net.Layers))
-		exec, opt := train.NewExecutor(train.ExecSerial, 0), &nn.SGD{LR: 0.01}
+		L := len(net.Layers)
+		sched := graph.Conventional(L)
+		if mode == train.ExecConcurrent {
+			sched = graph.ReverseFirstK(L, L/2)
+		}
+		exec, opt := train.NewExecutor(mode, 0), &nn.SGD{LR: 0.01}
+		tb.Cleanup(exec.Close)
 		op := func() {
 			var err error
 			if every > 1 {

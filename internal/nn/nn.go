@@ -78,7 +78,26 @@ func (d *Dense) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMulT(gradOut, d.W.Value) // g·Wᵀ without the transposed copy
 }
 
+// stashedBatch is the leading dimension of a stashed input, 0 once dropped.
+func stashedBatch(x *tensor.Tensor) int {
+	if x == nil {
+		return 0
+	}
+	return x.Shape[0]
+}
+
+// checkStash rejects a δW call whose stashed input does not belong to
+// gradOut: dropped by DropStash and not rebuilt by a forward pass, or left
+// over from a forward pass of another batch size.
+func (d *Dense) checkStash(gradOut *tensor.Tensor) {
+	if rows := stashedBatch(d.x); rows != gradOut.Shape[0] {
+		panic(fmt.Sprintf("nn: %s stashed input has %d rows for %d gradient rows (stash dropped, or stale from another shape?)",
+			d.name, rows, gradOut.Shape[0]))
+	}
+}
+
 func (d *Dense) WeightGrad(gradOut *tensor.Tensor) {
+	d.checkStash(gradOut)
 	tensor.AddTo(d.W.Grad, tensor.TMatMul(d.x, gradOut)) // xᵀ·g, fused
 	tensor.AddTo(d.B.Grad, tensor.SumRows(gradOut).Reshape(1, gradOut.Shape[1]))
 }
@@ -182,11 +201,23 @@ func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.ConvForwardInto(l.out, l.wm, l.cols) // per image wm·colsᵀ, straight into NCHW
 }
 
+// checkStash rejects a backward call whose stashed input and lowering do not
+// belong to gradOut: dropped by DropStash and not rebuilt by a forward pass,
+// or left over from a forward pass of another batch size.
+func (l *Conv2D) checkStash(gradOut *tensor.Tensor) {
+	if images := stashedBatch(l.x); l.cols == nil || images != gradOut.Shape[0] {
+		panic(fmt.Sprintf("nn: %s stashed input has %d images for %d gradient images (stash dropped, or stale from another shape?)",
+			l.name, images, gradOut.Shape[0]))
+	}
+}
+
 func (l *Conv2D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.checkStash(gradOut)
 	return tensor.Conv2DInputGrad(gradOut, l.W.Value, l.x.Shape[2], l.x.Shape[3])
 }
 
 func (l *Conv2D) WeightGrad(gradOut *tensor.Tensor) {
+	l.checkStash(gradOut)
 	// Reuse the forward pass's im2col lowering; same bits as recomputing it.
 	tensor.AddFlatTo(l.W.Grad, tensor.TMatMul(tensor.RowsFromNCHW(gradOut), l.cols))
 }

@@ -86,6 +86,7 @@ func (d *Dense) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor 
 }
 
 func (d *Dense) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+	d.checkStash(gradOut)
 	tensor.TMatMulAcc(d.W.Grad, d.x, gradOut)
 	tensor.SumRowsAcc(d.B.Grad, gradOut)
 }
@@ -126,6 +127,7 @@ func (l *Conv2D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor
 }
 
 func (l *Conv2D) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+	l.checkStash(gradOut)
 	// Continue the fold over this chunk's images (l.cols holds this lane's
 	// forward lowering) directly into the flat weight gradient.
 	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.cols)

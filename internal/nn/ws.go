@@ -15,8 +15,8 @@ import (
 //
 // Ownership rules:
 //
-//   - The workspace is owned by the calling goroutine. The executor gives its
-//     δO chain and each δW worker lane a private workspace, so pooled
+//   - The workspace is owned by whoever runs the call. The executor gives its
+//     δO chain one workspace and each layer's pooled δW op another, so pooled
 //     backward never synchronizes on buffers.
 //   - The tensor returned by InputGradWS is valid until the layer's next
 //     backward call. Training steps are serialized by the executor's
@@ -45,6 +45,7 @@ func (d *Dense) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tenso
 }
 
 func (d *Dense) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
+	d.checkStash(gradOut)
 	// GEMM into scratch, then accumulate: adding term-by-term directly into a
 	// nonzero Grad would associate the sums differently and change bits.
 	dw := ws.Get(d.W.Value.Shape[0], d.W.Value.Shape[1])
@@ -81,6 +82,7 @@ func (r *ReLU) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.
 func (r *ReLU) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
 
 func (l *Conv2D) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
+	l.checkStash(gradOut)
 	n, c, h, w := l.x.Shape[0], l.x.Shape[1], l.x.Shape[2], l.x.Shape[3]
 	// Per image gradOutᵀ·wm, read from NCHW in place.
 	colGrad := tensor.ConvInputGradInto(ws.Get(l.cols.Shape[0], l.cols.Shape[1]), gradOut, l.wm)
@@ -91,6 +93,7 @@ func (l *Conv2D) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tens
 }
 
 func (l *Conv2D) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
+	l.checkStash(gradOut)
 	// Σ over images of gradOut·cols against the forward pass's cached lowering,
 	// folded in zeroed scratch first: the reference adds the finished sum to
 	// Grad, and adding term by term would associate differently.

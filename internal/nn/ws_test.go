@@ -266,6 +266,67 @@ func TestReLUStaleMaskPanics(t *testing.T) {
 	}
 }
 
+// TestDroppedStashPanics: every Conv2D and Dense backward entry point that
+// reads the stashed forward state — plain, pooled and chunked — answers a call
+// after DropStash without a re-forward, or with a gradient of another batch
+// size, with the stash diagnostic instead of a nil dereference.
+func TestDroppedStashPanics(t *testing.T) {
+	r := tensor.NewRNG(8)
+	ws := tensor.NewWorkspace()
+	type layer interface {
+		Layer
+		Stasher
+		WorkspaceBackward
+		ChunkBackward
+	}
+	for _, lc := range []struct {
+		name  string
+		build func() layer
+		x     *tensor.Tensor
+		grad  func(batch int) *tensor.Tensor
+		// inputGrad: δO reads the stash too (Dense's needs only its weights).
+		inputGrad bool
+	}{
+		{"conv", func() layer { return NewConv2D("c", 4, 2, 3, 3, r) }, tensor.Randn(r, 1, 3, 2, 7, 6),
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 4, 5, 4) }, true},
+		{"dense", func() layer { return NewDense("d", 6, 5, r) }, tensor.Randn(r, 1, 3, 6),
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 5) }, false},
+	} {
+		calls := map[string]func(l layer, g *tensor.Tensor){
+			"WeightGrad":      func(l layer, g *tensor.Tensor) { l.WeightGrad(g) },
+			"WeightGradWS":    func(l layer, g *tensor.Tensor) { l.WeightGradWS(g, ws) },
+			"WeightGradChunk": func(l layer, g *tensor.Tensor) { l.WeightGradChunk(g, ws) },
+		}
+		if lc.inputGrad {
+			calls["InputGrad"] = func(l layer, g *tensor.Tensor) { l.InputGrad(g) }
+			calls["InputGradWS"] = func(l layer, g *tensor.Tensor) { l.InputGradWS(g, ws) }
+		}
+		for name, call := range calls {
+			for _, tc := range []struct {
+				name  string
+				spoil func(l layer) *tensor.Tensor // returns the gradient to pass
+			}{
+				{"dropped", func(l layer) *tensor.Tensor { l.DropStash(); return lc.grad(3) }},
+				{"other batch", func(layer) *tensor.Tensor { return lc.grad(2) }},
+			} {
+				t.Run(lc.name+"/"+name+"/"+tc.name, func(t *testing.T) {
+					l := lc.build()
+					l.Forward(lc.x)
+					call(l, lc.grad(3)) // a matching stash is fine
+					bad := tc.spoil(l)
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, "stash dropped, or stale from another shape?") {
+							t.Fatalf("want the stash diagnostic, got panic %q", msg)
+						}
+					}()
+					call(l, bad)
+				})
+			}
+		}
+	}
+}
+
 // TestConv2DForwardMatchesRepackingReference: the layer's forward — per-image
 // GEMMs written straight into NCHW — equals tensor.Conv2D, the im2col +
 // pixel-major GEMM + repack reference, bit for bit, warm buffers included.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Fused-transpose GEMM kernels. The backward pass of every GEMM-shaped layer
@@ -23,6 +24,14 @@ import (
 // is what keeps the executor's bit-identical-gradients differential suite
 // meaningful: reordered schedules, pooled buffers and fused kernels must all
 // produce the same bits as the plain serial walk.
+//
+// Each range kernel has two bodies behind one entry point: the Go loops below
+// (…Go), which are the portable path and the oracle the vector path is tested
+// against, and an AVX2 path (…Vec, over the two bodies of gemm_amd64.s) taken when
+// useVector says the CPU has it. A SIMD lane is always one output element
+// running the scalar loop's own sequence — multiply, round, add, never a fused
+// multiply-add — so both paths produce the same bits and the contract above
+// reads the same for either.
 const (
 	// gemmRowBlock tiles rows of the output (and of A) so an output tile and
 	// the B panel it consumes stay cache-resident.
@@ -33,7 +42,21 @@ const (
 	// gemmJBlock tiles B rows in MatMulT so a block of them is reused across
 	// many A rows (each B row is a whole dot-product operand there).
 	gemmJBlock = 120
+	// gemmPanelBytes is what the vector path lets a panel of the streamed
+	// operand occupy: a third of a 48 KB L1, so the panel, the output rows it
+	// updates and the rows of the other operand stay resident together.
+	gemmPanelBytes = 16 << 10
 )
+
+// panelRows sizes the vector path's panel of the streamed operand from its
+// row length: as many rows as fit gemmPanelBytes, in whole groups of four (the
+// bodies consume four rows per step), at least one group. The three fixed
+// blocks above were tuned for one shape each; this follows the shape, which is
+// what keeps a conv lowering's 83 KB image from being re-streamed once per
+// filter row.
+func panelRows(rowLen int) int {
+	return max(4, gemmPanelBytes/(8*rowLen)&^3)
+}
 
 // serialRows reports whether a row-partitioned kernel should run on the
 // calling goroutine: a single processor, a degenerate row count, or too
@@ -51,6 +74,8 @@ func serialRows(m, work, threshold int) bool {
 // produced by exactly one worker in the serial element order, so results are
 // bitwise identical at any GOMAXPROCS.
 func parallelRows(m int, f func(lo, hi int)) {
+	fanOuts.Add(1)
+	defer fanOuts.Add(-1)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > m {
 		workers = m
@@ -67,6 +92,15 @@ func parallelRows(m int, f func(lo, hi int)) {
 	}
 	wg.Wait()
 }
+
+// fanOuts counts the parallelRows calls in flight.
+var fanOuts atomic.Int32
+
+// FanOutActive reports whether some kernel is fanned out over goroutines right
+// now — chunks that want every processor they can get. A goroutine that is only
+// polling for its next message (train's hand-off poll) gives its processor up
+// when it sees this, so a spinning waiter never keeps a chunk from being run.
+func FanOutActive() bool { return fanOuts.Load() > 0 }
 
 func checkGEMM(op string, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 {
@@ -100,11 +134,47 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// matMulRange computes output rows [lo, hi) of a·b with cache-blocked ikj
+// matMulRange computes output rows [lo, hi) of a·b, accumulating into out.
+func matMulRange(out, a, b []float64, k, n, lo, hi int) {
+	if useVector && n > 0 {
+		// Row i's coefficient for term p is a[i·k + p].
+		axpyRangeVec(out, a, b, k, n, k, 1, lo, hi)
+	} else {
+		matMulRangeGo(out, a, b, k, n, lo, hi)
+	}
+}
+
+// axpyRangeVec is the vector path of both axpy-form kernels: for output rows
+// r in [lo, hi), out_r += Σ_t a[r·rs + t·ts]·b_t over the terms t < terms, b_t
+// being row t of b. The terms are walked in panels of b rows sized to stay in
+// L1 across every output row of the range; each output row takes a panel's
+// terms four at a time in the axpy body and the last panel's terms mod 4 in
+// the scalar loop — ascending t for every element, as in the Go loops.
+func axpyRangeVec(out, a, b []float64, terms, n, rs, ts, lo, hi int) {
+	panel := panelRows(n)
+	for tt := 0; tt < terms; tt += panel {
+		thi := min(tt+panel, terms)
+		groups := (thi - tt) / 4
+		for r := lo; r < hi; r++ {
+			orow := out[r*n : (r+1)*n]
+			if groups > 0 {
+				axpyPanel(&orow[0], &a[r*rs+tt*ts], ts, &b[tt*n], n, groups)
+			}
+			for t := tt + 4*groups; t < thi; t++ {
+				av := a[r*rs+t*ts]
+				for j, bv := range b[t*n : (t+1)*n] {
+					orow[j] += av * bv
+				}
+			}
+		}
+	}
+}
+
+// matMulRangeGo computes output rows [lo, hi) of a·b with cache-blocked ikj
 // loops: row tiles of A against k-panels of B, so a panel of B rows is reused
 // by the whole A tile while it is cache-hot. Within one (i, j) the p order is
 // ascending — the blocked walk is bitwise identical to the flat ikj loop.
-func matMulRange(out, a, b []float64, k, n, lo, hi int) {
+func matMulRangeGo(out, a, b []float64, k, n, lo, hi int) {
 	for it := lo; it < hi; it += gemmRowBlock {
 		ihi := min(it+gemmRowBlock, hi)
 		for pt := 0; pt < k; pt += gemmKBlock {
@@ -170,13 +240,58 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// matMulTRange computes output rows [lo, hi) of a·bᵀ. B rows are consumed in
+// matMulTRange computes output rows [lo, hi) of a·bᵀ, assigning every element.
+func matMulTRange(out, a, b []float64, k, n, lo, hi int) {
+	if useVector && k > 0 {
+		matMulTRangeVec(out, a, b, k, n, lo, hi)
+	} else {
+		matMulTRangeGo(out, a, b, k, n, lo, hi)
+	}
+}
+
+// matMulTRangeVec walks b in panels of rows sized to stay in L1 across the
+// whole row range. Four rows of a against a panel are a strip of 4×4 tiles in
+// the dot body; the ragged edges — the last panel's n mod 4 columns, the
+// range's last rows — are plain dot products. Ascending p from +0 for every
+// element, as in matMulTRangeGo.
+func matMulTRangeVec(out, a, b []float64, k, n, lo, hi int) {
+	vhi := lo + (hi-lo)&^3
+	panel := panelRows(k)
+	for jt := 0; jt < n; jt += panel {
+		jhi := min(jt+panel, n)
+		tiles := (jhi - jt) / 4
+		for i := lo; i < vhi; i += 4 {
+			if tiles > 0 {
+				dotTiles(&out[i*n+jt], n, &a[i*k], &b[jt*k], k, tiles)
+			}
+			for j := jt + 4*tiles; j < jhi; j++ {
+				brow := b[j*k : (j+1)*k]
+				for r := i; r < i+4; r++ {
+					out[r*n+j] = dot(a[r*k:(r+1)*k], brow)
+				}
+			}
+		}
+	}
+	matMulTRangeGo(out, a, b, k, n, vhi, hi)
+}
+
+// dot is the ascending-p dot product from +0 of two equally long rows.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	for p, v := range x {
+		s += v * y[p]
+	}
+	return s
+}
+
+// matMulTRangeGo computes output rows [lo, hi) of a·bᵀ. B rows are consumed in
 // tiles of gemmJBlock so a tile stays cache-resident across the whole row
 // range, and four output elements are produced per inner loop — four
 // independent accumulation chains for instruction-level parallelism (a single
 // dot product is latency-bound on its loop-carried add). Each chain sums in
 // ascending p order, so every element matches the ikj reference bitwise.
-func matMulTRange(out, a, b []float64, k, n, lo, hi int) {
+func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int) {
 	for jt := 0; jt < n; jt += gemmJBlock {
 		jhi := min(jt+gemmJBlock, n)
 		for i := lo; i < hi; i++ {
@@ -240,12 +355,23 @@ func TMatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// tMatMulRange computes output rows [lo, hi) (columns of a) of aᵀ·b. The
+// tMatMulRange computes output rows [lo, hi) (columns of a) of aᵀ·b,
+// accumulating into out.
+func tMatMulRange(out, a, b []float64, m, k, n, lo, hi int) {
+	if useVector && n > 0 {
+		// Row p's coefficient for term i is a[i·k + p].
+		axpyRangeVec(out, a, b, m, n, 1, k, lo, hi)
+	} else {
+		tMatMulRangeGo(out, a, b, m, k, n, lo, hi)
+	}
+}
+
+// tMatMulRangeGo computes output rows [lo, hi) (columns of a) of aᵀ·b. The
 // output row range is tiled so the tile stays cache-hot across the full sweep
 // of input rows; for a fixed output element, input rows are consumed in
 // ascending order — the same chain the ikj reference on the materialized
 // transpose would produce.
-func tMatMulRange(out, a, b []float64, m, k, n, lo, hi int) {
+func tMatMulRangeGo(out, a, b []float64, m, k, n, lo, hi int) {
 	for pt := lo; pt < hi; pt += gemmRowBlock {
 		phi := min(pt+gemmRowBlock, hi)
 		// Four input rows per sweep: each output element receives its four

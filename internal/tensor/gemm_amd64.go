@@ -1,0 +1,19 @@
+package tensor
+
+// useVector routes the three range kernels of gemm.go through the AVX2 bodies
+// of gemm_amd64.s. It is decided once, from CPUID alone; the Go loops run
+// wherever it is false. Nothing outside the tests ever writes it.
+var useVector = cpuHasAVX2()
+
+// cpuHasAVX2 reports whether the CPU implements AVX2 and the operating system
+// saves the YMM registers.
+func cpuHasAVX2() bool
+
+// axpyPanel and dotTiles are the AVX2 bodies; gemm_amd64.s states what each
+// computes. Pointers must address at least one element.
+//
+//go:noescape
+func axpyPanel(o, a *float64, sa int, b *float64, n, groups int)
+
+//go:noescape
+func dotTiles(out *float64, n int, a, b *float64, k, tiles int)

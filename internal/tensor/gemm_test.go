@@ -242,3 +242,25 @@ func TestEnsureReuse(t *testing.T) {
 		t.Fatalf("warm Ensure allocates %v per call, want 0", n)
 	}
 }
+
+// TestFanOutActive: the signal train's hand-off poll watches is up exactly
+// while a row-partitioned kernel has chunks out.
+func TestFanOutActive(t *testing.T) {
+	if FanOutActive() {
+		t.Fatal("active with no kernel running")
+	}
+	saw := make([]bool, 8)
+	parallelRows(len(saw), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			saw[i] = FanOutActive()
+		}
+	})
+	for i, s := range saw {
+		if !s {
+			t.Fatalf("row %d ran with the signal down", i)
+		}
+	}
+	if FanOutActive() {
+		t.Fatal("still active after the kernel returned")
+	}
+}

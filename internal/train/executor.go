@@ -56,8 +56,9 @@ const taskQueueCap = 1024
 // ExecConcurrent exploits that on real parallel hardware: the calling
 // goroutine executes the δO chain in schedule order while each δW op is
 // handed to a persistent bounded worker pool the moment the schedule issues
-// it. Backward returns once the chain and every dispatched δW finished, so
-// callers observe the same completion semantics as the serial walk.
+// it; once the chain is done the caller works the queue off alongside the pool.
+// Backward returns once the chain and every dispatched δW finished, so callers
+// observe the same completion semantics as the serial walk.
 //
 // Gradients are bit-identical to Network.Backward for every legal schedule:
 // each δW touches only its own layer's parameter gradients, each runs exactly
@@ -92,12 +93,13 @@ type Executor struct {
 	refcnt []int32
 
 	// Workspaces for the pooled layer paths (nn.WorkspaceForward,
-	// nn.WorkspaceBackward). Each is owned by exactly one goroutine: chainWS by
-	// the goroutine running the step (forward, the δO chain, and every op in
-	// serial mode), laneWS[i] by pool worker i — so the concurrent δW ops share
-	// no buffers and never contend.
+	// nn.WorkspaceBackward). chainWS belongs to the goroutine running the step:
+	// forward, the δO chain, and every op in serial mode. dwWS[i] belongs to
+	// layer i's pooled δW op, which runs once per pass on whichever goroutine
+	// takes it — so concurrent δW ops share no buffers and never contend, and
+	// which workspace is warm for an op does not depend on who ran it last.
 	chainWS *tensor.Workspace
-	laneWS  []*tensor.Workspace
+	dwWS    []*tensor.Workspace
 
 	// lossGrad is the retained loss-gradient buffer of forwardLoss.
 	lossGrad *tensor.Tensor
@@ -112,8 +114,8 @@ type Executor struct {
 	// index. NewDataParallel sets it to publish gradient buckets to the reducer
 	// the moment their last member layer finishes — possibly far out of layout
 	// order. It is control flow, not observation, hence not an Observer. In
-	// serial mode it runs on the calling goroutine; in concurrent mode on the
-	// pool worker that executed the op.
+	// serial mode it runs on the calling goroutine; in concurrent mode on
+	// whichever goroutine executed the op — a pool worker or the caller.
 	onDW func(layer int)
 
 	// obs receives the executor's op events (nil = none). Pool workers read it
@@ -135,10 +137,6 @@ func NewExecutor(mode ExecMode, workers int) *Executor {
 	if mode == ExecConcurrent {
 		e.tasks = make(chan dwTask, taskQueueCap)
 		e.quit = make(chan struct{})
-		e.laneWS = make([]*tensor.Workspace, workers)
-		for i := range e.laneWS {
-			e.laneWS[i] = tensor.NewWorkspace()
-		}
 		e.poolWG.Add(workers)
 		for i := 0; i < workers; i++ {
 			go e.worker(i)
@@ -206,7 +204,8 @@ func (e *Executor) Close() {
 }
 
 // Observe attaches the executor's observer (nil detaches). Lane 0 is the
-// calling goroutine, lane 1+w pool worker w; see OpEvent.
+// calling goroutine — the δO chain, then the δW ops it drains after the
+// chain's last δO — lane 1+w pool worker w; see OpEvent.
 func (e *Executor) Observe(obs Observer) {
 	if e != nil {
 		e.obs = obs
@@ -221,34 +220,48 @@ func (e *Executor) observer() Observer {
 	return e.obs
 }
 
-// worker is one pool goroutine. On quit it drains any queued tasks (their
-// dwWG entries are owed to a Backward caller) before exiting.
+// worker is one pool goroutine. After a task it polls the queue briefly before
+// it parks (recvSoon): the chain issues the next δW one δO later, usually
+// sooner than a parked worker would wake. On quit it drains any queued tasks
+// (their dwWG entries are owed to a Backward caller) before exiting.
 func (e *Executor) worker(id int) {
 	defer e.poolWG.Done()
+	var poll poller
+	for {
+		t, ok := recvSoon(e.tasks, &poll)
+		if !ok {
+			select {
+			case t = <-e.tasks:
+			case <-e.quit:
+				e.drainDW(1 + id)
+				return
+			}
+		}
+		e.runDW(1+id, t)
+	}
+}
+
+// drainDW runs queued δW tasks on the calling goroutine until the queue is
+// empty. Workers and the Backward caller may drain concurrently: a task is one
+// channel message, so each still runs exactly once.
+func (e *Executor) drainDW(lane int) {
 	for {
 		select {
 		case t := <-e.tasks:
-			e.runDW(id, t)
-		case <-e.quit:
-			for {
-				select {
-				case t := <-e.tasks:
-					e.runDW(id, t)
-				default:
-					return
-				}
-			}
+			e.runDW(lane, t)
+		default:
+			return
 		}
 	}
 }
 
-func (e *Executor) runDW(worker int, t dwTask) {
+func (e *Executor) runDW(lane int, t dwTask) {
 	if obs := e.obs; obs != nil {
 		start := time.Now()
-		wsWeightGrad(t.layer, t.grad, e.laneWS[worker])
-		obs(OpEvent{Kind: OpDW, Layer: t.idx, Lane: 1 + worker, Start: start, End: time.Now()})
+		wsWeightGrad(t.layer, t.grad, e.dwWS[t.idx])
+		obs(OpEvent{Kind: OpDW, Layer: t.idx, Lane: lane, Start: start, End: time.Now()})
 	} else {
-		wsWeightGrad(t.layer, t.grad, e.laneWS[worker])
+		wsWeightGrad(t.layer, t.grad, e.dwWS[t.idx])
 	}
 	if e.onDW != nil {
 		e.onDW(t.idx)
@@ -291,9 +304,10 @@ func (e *Executor) analyze(L int, sched graph.BackwardSchedule) (int, error) {
 // through the pooled engine (workspace scratch, retained layer buffers) with
 // every op on the calling goroutine using the chain workspace — so a warm pass
 // performs zero allocations, and every event lands on lane 0. Concurrent mode
-// keeps only the δO chain there and hands each δW to the pool at its schedule
-// position. Both produce bit-identical parameter gradients and the same
-// PeakLiveGrads as Network.Backward.
+// hands each δW to the pool at its schedule position and keeps the δO chain on
+// the caller, which joins the pool once the chain is done. Both produce
+// bit-identical parameter gradients and the same PeakLiveGrads as
+// Network.Backward.
 func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.BackwardSchedule) (BackwardStats, error) {
 	if e == nil {
 		return n.Backward(lossGrad, sched)
@@ -320,6 +334,9 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 		e.refcnt = e.refcnt[:L+1]
 		for i := 1; i <= L; i++ {
 			e.refcnt[i] = 2
+		}
+		for len(e.dwWS) <= L {
+			e.dwWS = append(e.dwWS, tensor.NewWorkspace())
 		}
 	}
 	obs := e.obs
@@ -356,7 +373,13 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 			e.release(i)
 		}
 	}
-	e.dwWG.Wait()
+	if pooled {
+		// The chain is done: help with whatever δW is still queued rather than
+		// park while it is worked off — being woken costs more than most of
+		// these ops.
+		e.drainDW(0)
+		e.dwWG.Wait()
+	}
 	return BackwardStats{PeakLiveGrads: peak}, nil
 }
 

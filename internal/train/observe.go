@@ -32,7 +32,7 @@ const (
 	OpUpdate
 	// OpReduce is one data-parallel gradient bucket reduction.
 	OpReduce
-	// OpIdle is a pipeline stage blocked on a queue with no δW left to fill
+	// OpIdle is a pipeline stage waiting on a queue with no δW left to fill
 	// with — the exposed bubble.
 	OpIdle
 	// OpStep closes a training step; its span is the step's wall time and
@@ -52,7 +52,8 @@ type OpEvent struct {
 	// bucket's first member layer for OpReduce.
 	Layer int
 	// Lane is the execution resource the op ran on. Executor: 0 is the calling
-	// goroutine (the δO chain, and every op of the serial engine), 1+w is δW
+	// goroutine (every op of the serial engine; under the concurrent one the δO
+	// chain and, after its last δO, the δW ops the caller drains), 1+w is δW
 	// pool worker w. Pipeline: stage s is lane s and the goroutine calling Step
 	// is lane Stages. DataParallel: replica r is lane r, the reducer is lane
 	// Replicas and the goroutine calling Step is lane Replicas+1. Spans on one

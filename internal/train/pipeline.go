@@ -242,6 +242,7 @@ type pipeStage struct {
 
 	stats StageStats
 	cmd   chan struct{}
+	poll  poller
 }
 
 // NewPipeline partitions proto into cfg.Stages contiguous stages and starts
@@ -527,10 +528,15 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 	return loss, st, nil
 }
 
-// loop is one stage's persistent goroutine.
+// loop is one stage's persistent goroutine. It polls for the next step's
+// command before it parks: between two back-to-back steps lies only the
+// caller's update, shorter than a wake-up.
 func (st *pipeStage) loop() {
 	defer st.p.wg.Done()
-	for range st.cmd {
+	for {
+		if _, ok := recvHot(st.cmd, &st.poll); !ok {
+			return
+		}
 		st.runStep()
 		st.p.acks <- struct{}{}
 	}
@@ -630,8 +636,9 @@ func (st *pipeStage) span(obs Observer, kind OpKind, layer, mb int, t0 time.Time
 }
 
 // recv returns the expected microbatch's message. While the queue is empty it
-// fills the wait with deferred δW ops; only when none remain does it block —
-// and that blocked time is the exposed bubble.
+// fills the wait with deferred δW ops; only when none remain does it wait —
+// polling briefly (recvHot: the neighbour stage is mid-op, and its send beats
+// a wake-up) before it blocks — and that waiting time is the exposed bubble.
 func (st *pipeStage) recv(ch chan pipeMsg, mb int) *tensor.Tensor {
 	for {
 		select {
@@ -644,7 +651,7 @@ func (st *pipeStage) recv(ch chan pipeMsg, mb int) *tensor.Tensor {
 		}
 		if !st.runOneDeferred() {
 			t0 := time.Now()
-			m := <-ch
+			m, _ := recvHot(ch, &st.poll)
 			st.stats.Idle += st.span(st.p.obs, OpIdle, 0, mb, t0, 0)
 			if m.mb != mb {
 				panic(fmt.Sprintf("train: stage %d expected microbatch %d, got %d", st.id, mb, m.mb))

@@ -43,7 +43,7 @@ type DataParallel struct {
 
 	pub     chan pubMsg      // replicas → reducer: bucket complete on replica
 	redDone chan reduceStats // reducer → step: all buckets reduced
-	acks    chan error       // replicas → step: phase complete
+	acks    chan error       // replicas → step: pass complete
 	wg      sync.WaitGroup
 
 	// dwPerBucket[b] is the member-layer count of bucket b — the per-replica
@@ -52,7 +52,7 @@ type DataParallel struct {
 
 	// refMode suppresses bucket publishing while ReferenceStep runs the
 	// replicas serially on the caller's goroutine. Written only between
-	// concurrent phases, so the replica goroutines' reads are ordered by the
+	// concurrent steps, so the replica goroutines' reads are ordered by the
 	// command-channel sends.
 	refMode bool
 
@@ -79,15 +79,15 @@ type replica struct {
 
 	loss float64 // shard mean loss of the last forward
 
-	cmd chan replicaOp
+	// The last pass on the replica's own clock: how long forward and loss
+	// took, how long backward took, and when backward ended.
+	fwd, bwd time.Duration
+	bwdEnd   time.Time
+
+	// cmd starts one pass — forward, loss, backward back to back. Capacity 1:
+	// Step's send never waits for a replica that is still waking up.
+	cmd chan struct{}
 }
-
-type replicaOp int
-
-const (
-	opForward replicaOp = iota
-	opBackward
-)
 
 // DataParallelConfig configures NewDataParallel.
 type DataParallelConfig struct {
@@ -172,7 +172,7 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 			exec:    NewExecutor(ExecSerial, 0),
 			params:  net.Params(),
 			pending: make([]int, B),
-			cmd:     make(chan replicaOp),
+			cmd:     make(chan struct{}, 1),
 		}
 		rid := r
 		rep.exec.onDW = func(layer int) {
@@ -261,54 +261,63 @@ func (dp *DataParallel) Plan() []BucketInfo {
 	return out
 }
 
-// StepStats reports one Step's timing decomposition. ReduceBusy is the time
-// the reducer spent summing buckets; ReduceExposed is the part of reduction
-// that extended past the last replica's backward completion — the
-// non-overlapped remainder, the quantity the paper's §5.1 scheduling
-// minimizes. Perfect overlap shows ReduceExposed ≈ 0 with ReduceBusy > 0.
+// StepStats reports one Step's timing decomposition. Forward and Backward are
+// the slowest replica's forward (with loss) and backward pass, each timed on
+// the replica's own goroutine, so neither includes the time a replica took to
+// wake up. ReduceBusy is the time the reducer spent summing buckets;
+// ReduceExposed is the part of reduction that extended past the last replica's
+// backward completion — the non-overlapped remainder, the quantity the paper's
+// §5.1 scheduling minimizes. Perfect overlap shows ReduceExposed ≈ 0 with
+// ReduceBusy > 0.
 type StepStats struct {
 	Replicas                  int
 	Buckets                   int
-	Forward                   time.Duration // wall time of the parallel forward phase
-	Backward                  time.Duration // wall time of the parallel backward phase
+	Forward, Backward         time.Duration
 	ReduceBusy, ReduceExposed time.Duration
 }
 
-// replicaLoop is one replica's persistent goroutine: it executes forward and
-// backward phases on command and acknowledges each. All replica state
-// (network, workspaces, pending counters) is owned by this goroutine while a
-// phase runs; ownership transfers through the command/ack channels.
+// replicaLoop is one replica's persistent goroutine: on each command it runs
+// one whole pass on its shard — forward, loss, backward, publishing buckets as
+// their δW ops finish — and acknowledges it, then polls for the next command
+// before it parks (between two back-to-back steps lies only the caller's
+// update, shorter than a wake-up). All replica state (network, workspaces,
+// pending counters, clocks) is owned by this goroutine while a pass runs;
+// ownership transfers through the command/ack channels.
 func (dp *DataParallel) replicaLoop(r *replica) {
 	defer dp.wg.Done()
-	for op := range r.cmd {
-		switch op {
-		case opForward:
-			r.loss, _ = r.exec.forwardLoss(r.net, dp.shardX[r.id], dp.shardLabels[r.id])
-			dp.acks <- nil
-		case opBackward:
-			copy(r.pending, dp.dwPerBucket)
-			_, err := r.exec.Backward(r.net, r.exec.lossGrad, dp.sched)
-			if err != nil {
-				// Cannot happen for a schedule validated at construction, but
-				// keep the reducer's per-step accounting consistent anyway:
-				// publish whatever this replica never finished.
-				for b, left := range r.pending {
-					if left > 0 {
-						r.pending[b] = 0
-						dp.pub <- pubMsg{bucket: b, replica: r.id}
-					}
+	var poll poller
+	for {
+		if _, ok := recvHot(r.cmd, &poll); !ok {
+			return
+		}
+		copy(r.pending, dp.dwPerBucket)
+		var err error
+		r.loss, r.fwd, r.bwd, err = r.exec.serialPass(r.net, dp.shardX[r.id], dp.shardLabels[r.id], dp.sched)
+		r.bwdEnd = time.Now()
+		if err != nil {
+			// Cannot happen for a schedule validated at construction, but
+			// keep the reducer's per-step accounting consistent anyway:
+			// publish whatever this replica never finished.
+			for b, left := range r.pending {
+				if left > 0 {
+					r.pending[b] = 0
+					dp.pub <- pubMsg{bucket: b, replica: r.id}
 				}
 			}
-			dp.acks <- err
 		}
+		dp.acks <- err
 	}
 }
 
-// Step runs one data-parallel training step: parallel forward, parallel
-// out-of-order backward with overlapped bucket reduction, one optimizer step
-// on the averaged gradient, and a weight broadcast. Returns the batch mean
-// loss (each shard's mean weighted by shard size — identical bits to
-// ReferenceStep) and the step's timing decomposition.
+// Step runs one data-parallel training step: every replica runs forward and
+// its out-of-order backward on its shard while the reducer drains published
+// buckets, then one optimizer step on the averaged gradient and a weight
+// broadcast. A step costs each replica one command and one acknowledgement —
+// no barrier between forward and backward, which nothing needs: a replica's
+// backward reads only its own forward, and the reducer counts publishes.
+// Returns the batch mean loss (each shard's mean weighted by shard size —
+// identical bits to ReferenceStep) and the step's timing decomposition. Once
+// warm, a step allocates nothing.
 func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats, error) {
 	if dp.closed {
 		return 0, StepStats{}, ErrClosed
@@ -321,9 +330,29 @@ func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats
 		return 0, st, err
 	}
 	wall := time.Now()
-	dp.forwardPhase(&st)
-	if err := dp.backwardReducePhase(&st); err != nil {
-		return 0, st, err
+	for _, rep := range dp.replicas {
+		rep.cmd <- struct{}{}
+	}
+	var firstErr error
+	for range dp.replicas {
+		if err := <-dp.acks; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	rs := <-dp.redDone
+	var lastBwd time.Time
+	for _, rep := range dp.replicas {
+		st.Forward, st.Backward = max(st.Forward, rep.fwd), max(st.Backward, rep.bwd)
+		if rep.bwdEnd.After(lastBwd) {
+			lastBwd = rep.bwdEnd
+		}
+	}
+	st.ReduceBusy = rs.busy
+	if exposed := rs.end.Sub(lastBwd); exposed > 0 {
+		st.ReduceExposed = exposed
+	}
+	if firstErr != nil {
+		return 0, st, firstErr
 	}
 	loss := dp.foldLoss(len(labels))
 	start := time.Now()
@@ -334,43 +363,6 @@ func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats
 		obs(OpEvent{Kind: OpStep, Lane: caller, Start: wall, End: end})
 	}
 	return loss, st, nil
-}
-
-// forwardPhase runs every replica's forward pass concurrently.
-func (dp *DataParallel) forwardPhase(st *StepStats) {
-	t0 := time.Now()
-	for _, rep := range dp.replicas {
-		rep.cmd <- opForward
-	}
-	for range dp.replicas {
-		<-dp.acks
-	}
-	st.Forward = time.Since(t0)
-}
-
-// backwardReducePhase runs every replica's backward pass concurrently while
-// the reducer drains published buckets, then waits for the last bucket.
-// This — not the forward pass, whose layer outputs allocate — is the
-// engine's zero-allocation warm path.
-func (dp *DataParallel) backwardReducePhase(st *StepStats) error {
-	t0 := time.Now()
-	for _, rep := range dp.replicas {
-		rep.cmd <- opBackward
-	}
-	var firstErr error
-	for range dp.replicas {
-		if err := <-dp.acks; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	tB := time.Now()
-	rs := <-dp.redDone
-	st.Backward = tB.Sub(t0)
-	st.ReduceBusy = rs.busy
-	if exposed := rs.end.Sub(tB); exposed > 0 {
-		st.ReduceExposed = exposed
-	}
-	return firstErr
 }
 
 // foldLoss combines shard mean losses into the batch mean, in replica order.

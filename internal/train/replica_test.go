@@ -300,11 +300,11 @@ func TestDataParallelErrors(t *testing.T) {
 	}
 }
 
-// TestDataParallelBackwardReduceWarmZeroAllocs pins the acceptance criterion:
-// once warm, the backward+reduce phase — replica backward passes, bucket
-// publication, tree reduction, the full channel protocol — performs zero
-// allocations. (The forward phase allocates inside layer Forward methods and
-// is out of scope, as in the single-network engine.)
+// TestDataParallelBackwardReduceWarmZeroAllocs pins the acceptance criterion
+// on the one-command step: once warm, a whole step — the command and
+// acknowledgement per replica, forward, loss, backward, bucket publication,
+// tree reduction, update and broadcast — performs zero allocations, and its
+// stats come from the replicas' own clocks.
 func TestDataParallelBackwardReduceWarmZeroAllocs(t *testing.T) {
 	x, labels := data.Vectors(3, 12, 16, 3)
 	build := func() *Network { return MLPNet(11, 16, 24, 3, 3) }
@@ -325,12 +325,21 @@ func TestDataParallelBackwardReduceWarmZeroAllocs(t *testing.T) {
 	}
 	var st StepStats
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := dp.backwardReducePhase(&st); err != nil {
+		var err error
+		if _, st, err = dp.Step(x, labels); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm backward+reduce phase allocates %v per step, want 0", allocs)
+		t.Fatalf("warm data-parallel step allocates %v per step, want 0", allocs)
+	}
+	if st.Forward <= 0 || st.Backward <= 0 || st.ReduceBusy <= 0 {
+		t.Fatalf("step stats not filled: %+v", st)
+	}
+	for _, rep := range dp.replicas {
+		if rep.fwd > st.Forward || rep.bwd > st.Backward {
+			t.Fatalf("replica %d took %v/%v, step reports %v/%v: want the slowest replica's", rep.id, rep.fwd, rep.bwd, st.Forward, st.Backward)
+		}
 	}
 }
 
