@@ -214,6 +214,9 @@ func Rows() []Row {
 			dst := tensor.New(128, 128)
 			return func() { tensor.TMatMulInto(dst, x, y) }, nil
 		}},
+		// Im2colInto and Col2imInto are the pixel-major lowering and scatter of
+		// the allocating reference convolutions (tensor.Conv2D and siblings) —
+		// the training path lowers channel-major, see TensorKernelConvLower.
 		{Name: "TensorKernelIm2col", Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			x := tensor.Randn(rng, 1, 8, 8, 16, 16)
@@ -226,17 +229,20 @@ func Rows() []Row {
 			dst := tensor.New(8, 8, 16, 16)
 			return func() { tensor.Col2imInto(dst, cols, 3, 3) }, nil
 		}},
-		// The axpy-form kernel on the shape the conv workload's δW gives it:
-		// g_b[16×144]·cols_b[144×72] folded over 32 images, whose 83 KB
-		// lowerings the panel walk reads once each.
+		// The axpy-form kernel on the shape the conv workload's forward gives
+		// it: wm[16×72]·colsT_b[72×144] for each of 32 images, the 83 KB
+		// lowering read once per image by the panel walk.
 		{Name: "TensorKernelMatMul", Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
-			g := tensor.Randn(rng, 1, 32, 16, 12, 12)
-			cols := tensor.Randn(rng, 1, 32*12*12, 72)
-			dw := tensor.New(16, 72)
+			wm, out := tensor.Randn(rng, 1, 16, 72), tensor.New(16, 144)
+			var images [32]*tensor.Tensor
+			for b := range images {
+				images[b] = tensor.Randn(rng, 1, 72, 144)
+			}
 			return func() {
-				dw.Zero()
-				tensor.ConvWeightGradAcc(dw, g, cols)
+				for _, colsT := range images {
+					tensor.MatMulInto(out, wm, colsT)
+				}
 			}, nil
 		}},
 		// The dot-form kernel's Go loops — the path of every CPU without AVX2
@@ -245,11 +251,12 @@ func Rows() []Row {
 		{Name: "TensorKernelMatMulTPortable", Step: func(testing.TB) (func(), func(*testing.B)) {
 			x, y := gemmOperands()
 			dst := tensor.New(128, 128)
-			return func() { tensorMatMulTRangeGo(dst.Data, x.Data, y.Data, 128, 128, 0, 128) }, nil
+			return func() { tensorMatMulTRangeGo(dst.Data, x.Data, y.Data, 128, 128, 0, 128, false) }, nil
 		}},
 		// The zero-alloc contract of the pooled kernel layer: fused GEMMs,
-		// conv lowerings and the NCHW-direct conv GEMMs into workspace
-		// buffers never touch the allocator once the workspace is warm.
+		// both conv lowerings and the fused channel-major conv kernels into
+		// workspace buffers never touch the allocator once the workspace is
+		// warm.
 		{Name: "TensorKernelsWarmWorkspace", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			a := tensor.Randn(rng, 1, 64, 48)
@@ -267,14 +274,13 @@ func Rows() []Row {
 				tensor.Im2colInto(cols, x, 3, 3)
 				im := ws.Get(2, 3, 12, 12)
 				tensor.Col2imInto(im, cols, 3, 3)
-				out := ws.Get(2, 5, 10, 10)
-				tensor.ConvForwardInto(out, wm, cols)
-				colGrad := ws.Get(2*10*10, 3*3*3)
-				tensor.ConvInputGradInto(colGrad, g, wm)
+				out, colsT := ws.Get(2, 5, 10, 10), ws.Get(2, 3*3*3, 10*10)
+				tensor.ConvForwardInto(out, colsT, x, wm, 3, 3)
+				tensor.ConvInputGradInto(im, g, wm, 3, 3, ws)
 				dw := ws.GetZeroed(5, 3*3*3)
-				tensor.ConvWeightGradAcc(dw, g, cols)
+				tensor.ConvWeightGradAcc(dw, g, colsT)
 				ws.Put(dw)
-				ws.Put(colGrad)
+				ws.Put(colsT)
 				ws.Put(out)
 				ws.Put(im)
 				ws.Put(cols)
@@ -301,23 +307,21 @@ func Rows() []Row {
 		{Name: "TrainPipeline1F1BFill", Step: trainPipeline(train.Pipe1F1B, true), Gated: true},
 		{Name: "TrainPipeline1F1BNoFill", Step: trainPipeline(train.Pipe1F1B, false)},
 		// Whole warm steps of the serial engine — forward, loss, backward,
-		// update — on the nets of the benchmark's two train workloads. Plain
-		// steps allocate nothing; a checkpointed one 25 times: its bookkeeping
-		// (7) and the stash buffers DropStash frees for the re-run to
-		// re-create (two lowerings of 3 allocations each, two masks, one
-		// argmax map, each once in the forward pass and once in the re-run).
-		// The bound leaves room for the runtime's own allocations in the
-		// collections those megabyte lowerings trigger (26 seen under load).
+		// update — on the nets of the benchmark's two train workloads. Neither
+		// a plain step nor a checkpointed one allocates: the checkpointed
+		// step's bookkeeping lives on the executor, and the stashes it drops
+		// (two lowerings, two masks, one argmax map) keep their capacity for
+		// the re-run.
 		{Name: "TrainStepMLPSerial", Gated: true, Step: trainStep(MLP, train.ExecSerial, 0)},
 		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 0)},
-		{Name: "TrainStepConvRecompute", Gated: true, MaxAllocs: 28, Step: trainStep(convStepNet, train.ExecSerial, 2)},
+		{Name: "TrainStepConvRecompute", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 2)},
 		// The same whole step under the concurrent engine and the out-of-order
 		// schedule: dispatch, the workers' poll, the caller's drain and the
 		// per-layer δW workspaces allocate nothing either. (The data-parallel
 		// whole step is TrainDataParallelMLP2 above, gated at 0 as well.)
 		{Name: "TrainStepMLPConcurrent", Gated: true, Step: trainStep(MLP, train.ExecConcurrent, 0)},
 		// The pooled rectifier pair at the size of the conv workload's larger
-		// activation: a branch-free select each way.
+		// activation (73 728 elements): a compare-and-mask select each way.
 		{Name: "NNReLUForwardBackward", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			x, g := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 16, 12, 12)
@@ -328,6 +332,56 @@ func Rows() []Row {
 			}
 			op()
 			return op, nil
+		}},
+		// The channel-major lowering and scatter of the training path's
+		// convolution, alone, on the conv workload's second layer (8 channels
+		// of 14×14 under a 3×3 window, 32 images): one strided row copy or row
+		// add of twelve 12-element runs per lowered row, in the order
+		// tensor.ConvForwardInto and ConvInputGradInto issue them.
+		{Name: "TensorKernelConvLower", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			x, colsT := tensor.Randn(tensor.NewRNG(1), 1, 32, 8, 14, 14), tensor.New(32, 72, 144)
+			return func() {
+				for b := 0; b < 32; b++ {
+					xb, cb := x.Data[b*8*14*14:(b+1)*8*14*14], colsT.Data[b*72*144:(b+1)*72*144]
+					for row := 0; row < 72; row++ {
+						ch, ky, kx := row/9, row/3%3, row%3
+						tensorCopyRows(cb[row*144:(row+1)*144], 12, xb[(ch*14+ky)*14+kx:], 14, 12, 12)
+					}
+				}
+			}, nil
+		}},
+		{Name: "TensorKernelConvScatter", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			cg, gin := tensor.Randn(tensor.NewRNG(1), 1, 32, 72, 144), tensor.New(32, 8, 14, 14)
+			return func() {
+				gin.Zero()
+				for b := 0; b < 32; b++ {
+					gb, cb := gin.Data[b*8*14*14:(b+1)*8*14*14], cg.Data[b*72*144:(b+1)*72*144]
+					for ch := 0; ch < 8; ch++ {
+						for w := 8; w >= 0; w-- {
+							row := ch*9 + w
+							tensorAddRows(gb[(ch*14+w/3)*14+w%3:], 14, cb[row*144:(row+1)*144], 12, 12, 12)
+						}
+					}
+				}
+			}, nil
+		}},
+		// The dot-form kernel seeded from its output, on the shape the conv
+		// workload's δW gives it: dw[16×72] += g_b[16×144]·colsT_b[72×144]ᵀ
+		// folded over 32 images.
+		{Name: "TensorKernelDotSeeded", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			g, colsT, dw := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 72, 144), tensor.New(16, 72)
+			return func() {
+				dw.Zero()
+				tensor.ConvWeightGradAcc(dw, g, colsT)
+			}, nil
+		}},
+		// 2×2 max pooling of the conv workload's pooled activation: three
+		// mask selects per output, no branch on the data.
+		{Name: "TensorKernelMaxPool2", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			x, out := tensor.Randn(tensor.NewRNG(1), 1, 32, 16, 12, 12), tensor.New(32, 16, 6, 6)
+			arg := make([]int, out.Len())
+			return func() { tensor.MaxPool2Into(out, arg, x) }, nil
 		}},
 
 		// The profiler's warm recording path must stay allocation-free — the
@@ -474,7 +528,16 @@ func Rows() []Row {
 // something a caller can choose, so there is no exported way to run this one.
 //
 //go:linkname tensorMatMulTRangeGo oooback/internal/tensor.matMulTRangeGo
-func tensorMatMulTRangeGo(out, a, b []float64, k, n, lo, hi int)
+func tensorMatMulTRangeGo(out, a, b []float64, k, n, lo, hi int, seeded bool)
+
+// tensorCopyRows and tensorAddRows are tensor's strided row kernels, the
+// bodies of the channel-major lowering and scatter, reached the same way.
+//
+//go:linkname tensorCopyRows oooback/internal/tensor.copyRows
+func tensorCopyRows(dst []float64, ds int, src []float64, ss, rows, n int)
+
+//go:linkname tensorAddRows oooback/internal/tensor.addRows
+func tensorAddRows(dst []float64, ds int, src []float64, ss, rows, n int)
 
 // sinkDuration keeps the compiler from eliding a pure call under measurement.
 var sinkDuration time.Duration

@@ -75,10 +75,16 @@ func softmaxRows(s *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+func (a *SelfAttention) checkStash(gradOut *tensor.Tensor) {
+	checkStash(a.name, "stashed input", "rows", stashedBatch(a.x), gradOut.Shape[0])
+	checkStash(a.name, "attention rows", "rows", stashedBatch(a.attn), gradOut.Shape[0])
+}
+
 // backThroughScores converts the gradient w.r.t. the attention output into
 // the gradients w.r.t. q, k and v. Shared by InputGrad and WeightGrad; each
 // call recomputes it so the two stay independent (callable in either order).
 func (a *SelfAttention) backThroughScores(gradOut *tensor.Tensor) (dq, dk, dv *tensor.Tensor) {
+	a.checkStash(gradOut)
 	// out = attn·v.
 	dAttn := tensor.MatMulT(gradOut, a.v)
 	dv = tensor.TMatMul(a.attn, gradOut)

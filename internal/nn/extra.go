@@ -56,6 +56,7 @@ func (e *Embedding) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 func (e *Embedding) WeightGrad(gradOut *tensor.Tensor) {
+	checkStash(e.name, "token ids", "rows", len(e.ids), gradOut.Shape[0])
 	for i, id := range e.ids {
 		dst := e.W.Grad.Data[id*e.dim : (id+1)*e.dim]
 		src := gradOut.Data[i*e.dim : (i+1)*e.dim]
@@ -128,7 +129,13 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+func (l *LayerNorm) checkStash(gradOut *tensor.Tensor) {
+	checkStash(l.name, "normalized input", "rows", stashedBatch(l.xhat), gradOut.Shape[0])
+	checkStash(l.name, "inverse deviations", "rows", len(l.invStd), gradOut.Shape[0])
+}
+
 func (l *LayerNorm) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.checkStash(gradOut)
 	out := tensor.New(l.rows, l.width)
 	w := float64(l.width)
 	for r := 0; r < l.rows; r++ {
@@ -150,6 +157,7 @@ func (l *LayerNorm) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 func (l *LayerNorm) WeightGrad(gradOut *tensor.Tensor) {
+	l.checkStash(gradOut)
 	for r := 0; r < l.rows; r++ {
 		base := r * l.width
 		for c := 0; c < l.width; c++ {

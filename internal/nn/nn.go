@@ -78,22 +78,8 @@ func (d *Dense) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMulT(gradOut, d.W.Value) // g·Wᵀ without the transposed copy
 }
 
-// stashedBatch is the leading dimension of a stashed input, 0 once dropped.
-func stashedBatch(x *tensor.Tensor) int {
-	if x == nil {
-		return 0
-	}
-	return x.Shape[0]
-}
-
-// checkStash rejects a δW call whose stashed input does not belong to
-// gradOut: dropped by DropStash and not rebuilt by a forward pass, or left
-// over from a forward pass of another batch size.
 func (d *Dense) checkStash(gradOut *tensor.Tensor) {
-	if rows := stashedBatch(d.x); rows != gradOut.Shape[0] {
-		panic(fmt.Sprintf("nn: %s stashed input has %d rows for %d gradient rows (stash dropped, or stale from another shape?)",
-			d.name, rows, gradOut.Shape[0]))
-	}
+	checkStash(d.name, "stashed input", "rows", stashedBatch(d.x), gradOut.Shape[0])
 }
 
 func (d *Dense) WeightGrad(gradOut *tensor.Tensor) {
@@ -141,36 +127,30 @@ func (r *ReLU) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// checkMask rejects a backward call whose keep mask does not belong to
-// gradOut: dropped by DropStash and not rebuilt, or left over from a forward
-// pass of another shape.
 func (r *ReLU) checkMask(gradOut *tensor.Tensor) {
-	if len(r.mask) != gradOut.Len() {
-		panic(fmt.Sprintf("nn: %s keep mask has %d entries for %d gradient elements (stash dropped, or stale from another shape?)",
-			r.name, len(r.mask), gradOut.Len()))
-	}
+	checkStash(r.name, "keep mask", "elements", len(r.mask), gradOut.Len())
 }
 
 func (r *ReLU) WeightGrad(*tensor.Tensor) {}
 func (r *ReLU) Params() []*Param          { return nil }
 
-// Conv2D is a valid (no padding), stride-1 convolution layer. Forward runs
-// the im2col lowering once and caches it, so the pooled δW reuses the forward
-// lowering instead of rebuilding the (large) column matrix, and its three
-// GEMMs read and write NCHW in place (tensor.ConvForwardInto and siblings) —
-// removing the redundant data movement the paper's §4.1 attributes to the
-// gradient kernels. InputGrad and WeightGrad are the repacking reference
-// forms the pooled path is pinned against.
+// Conv2D is a valid (no padding), stride-1 convolution layer. Forward lowers
+// the input channel-major, image by image, straight into its GEMM
+// (tensor.ConvForwardInto) and keeps the lowering, so the pooled δW reuses it
+// instead of rebuilding the (large) matrix, and all three GEMMs read and write
+// NCHW in place — removing the redundant data movement the paper's §4.1
+// attributes to the gradient kernels. InputGrad and WeightGrad are the
+// pixel-major allocating reference forms the pooled path is pinned against.
 type Conv2D struct {
 	name   string
 	W      *Param
 	kh, kw int
 	x      *tensor.Tensor
 
-	wm   *tensor.Tensor // cached [F, C·KH·KW] view of W.Value
-	cols *tensor.Tensor // forward im2col lowering, reused by the pooled δW
-	out  *tensor.Tensor // retained forward output buffer
-	gin  *tensor.Tensor // retained InputGradWS output buffer
+	wm    *tensor.Tensor // [F, C·KH·KW] view of W.Value
+	colsT *tensor.Tensor // forward lowering [N, C·KH·KW, OH·OW], read by the pooled δW
+	out   *tensor.Tensor // retained forward output buffer
+	gin   *tensor.Tensor // retained InputGradWS output buffer
 }
 
 // NewConv2D creates a convolution with f filters of c×kh×kw.
@@ -192,23 +172,19 @@ func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s input channels %d vs weight channels %d", l.name, c, l.W.Value.Shape[1]))
 	}
 	oh, ow := h-l.kh+1, w-l.kw+1
-	if l.wm == nil {
+	// The view is rebuilt whenever W.Value stops being the array it aliases,
+	// so a caller that re-points the parameter never trains on stale weights.
+	if l.wm == nil || &l.wm.Data[0] != &l.W.Value.Data[0] {
 		l.wm = l.W.Value.Reshape(f, c*l.kh*l.kw)
 	}
-	l.cols = tensor.Ensure(l.cols, n*oh*ow, c*l.kh*l.kw)
-	tensor.Im2colInto(l.cols, x, l.kh, l.kw)
+	l.colsT = tensor.Ensure(l.colsT, n, c*l.kh*l.kw, oh*ow)
 	l.out = tensor.Ensure(l.out, n, f, oh, ow)
-	return tensor.ConvForwardInto(l.out, l.wm, l.cols) // per image wm·colsᵀ, straight into NCHW
+	return tensor.ConvForwardInto(l.out, l.colsT, x, l.wm, l.kh, l.kw)
 }
 
-// checkStash rejects a backward call whose stashed input and lowering do not
-// belong to gradOut: dropped by DropStash and not rebuilt by a forward pass,
-// or left over from a forward pass of another batch size.
 func (l *Conv2D) checkStash(gradOut *tensor.Tensor) {
-	if images := stashedBatch(l.x); l.cols == nil || images != gradOut.Shape[0] {
-		panic(fmt.Sprintf("nn: %s stashed input has %d images for %d gradient images (stash dropped, or stale from another shape?)",
-			l.name, images, gradOut.Shape[0]))
-	}
+	// DropStash empties both, Forward fills both.
+	checkStash(l.name, "stashed input and lowering", "images", min(stashedBatch(l.x), stashedBatch(l.colsT)), gradOut.Shape[0])
 }
 
 func (l *Conv2D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
@@ -218,8 +194,7 @@ func (l *Conv2D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 
 func (l *Conv2D) WeightGrad(gradOut *tensor.Tensor) {
 	l.checkStash(gradOut)
-	// Reuse the forward pass's im2col lowering; same bits as recomputing it.
-	tensor.AddFlatTo(l.W.Grad, tensor.TMatMul(tensor.RowsFromNCHW(gradOut), l.cols))
+	tensor.AddFlatTo(l.W.Grad, tensor.Conv2DWeightGrad(l.x, gradOut, l.kh, l.kw))
 }
 
 func (l *Conv2D) Params() []*Param { return []*Param{l.W} }
@@ -245,7 +220,12 @@ func (l *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+func (l *MaxPool2) checkStash(gradOut *tensor.Tensor) {
+	checkStash(l.name, "argmax map", "elements", len(l.arg), gradOut.Len())
+}
+
 func (l *MaxPool2) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.checkStash(gradOut)
 	return tensor.MaxPool2Grad(gradOut, l.arg, l.inShape)
 }
 

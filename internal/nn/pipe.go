@@ -104,15 +104,9 @@ func (r *ReLU) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 		r.mask = make([]bool, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
-	out, mask := r.out.Data[:len(x.Data)], r.mask
-	for i, v := range x.Data {
-		// v > 0 is false for −0 and for NaN of either sign, exactly as in
-		// Forward; the selected value keeps v's bits, the rest become +0.
-		keep := v > 0
-		mask[i] = keep
-		out[i] = math.Float64frombits(math.Float64bits(v) & keepBits(keep))
-	}
-	return r.out
+	// v > 0 is false for −0 and for NaN of either sign, exactly as in Forward;
+	// the selected value keeps v's bits, the rest become +0.
+	return tensor.ReLUInto(r.out, r.mask, x)
 }
 
 func (r *ReLU) WeightGradChunk(*tensor.Tensor, *tensor.Workspace) {}
@@ -128,9 +122,9 @@ func (l *Conv2D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor
 
 func (l *Conv2D) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
 	l.checkStash(gradOut)
-	// Continue the fold over this chunk's images (l.cols holds this lane's
+	// Continue the fold over this chunk's images (l.colsT holds this lane's
 	// forward lowering) directly into the flat weight gradient.
-	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.cols)
+	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.colsT)
 }
 
 func (l *Conv2D) SealWeightGrad() { sealZeroSigns(l.W.Grad) }

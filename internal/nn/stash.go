@@ -1,6 +1,10 @@
 package nn
 
-import "oooback/internal/tensor"
+import (
+	"fmt"
+
+	"oooback/internal/tensor"
+)
 
 // Stasher is the optional interface of layers that are safe under activation
 // checkpointing (train.StepRecompute): the forward pass is a pure function of
@@ -35,23 +39,59 @@ func stashTensorBytes(ts ...*tensor.Tensor) int64 {
 	return n
 }
 
+// A dropped stash reads as empty and keeps its capacity. The ledger of
+// train.StepRecompute counts logical lifetimes — StashBytes is 0 from the drop
+// until the next forward — while the backing arrays stay with the layer, so
+// the forward pass that rebuilds the stash (ForwardWS sizes every buffer with
+// tensor.Ensure or a capacity test) allocates nothing. Slices are truncated,
+// tensors parked; either way every stash check below sees a length that
+// matches no gradient and answers a backward call before a re-forward with
+// the "stash dropped" diagnostic.
+
+// park empties a stash tensor in place: zero elements, backing array kept.
+func park(t *tensor.Tensor) {
+	if t != nil {
+		t.Shape = append(t.Shape[:0], 0)
+		t.Data = t.Data[:0]
+	}
+}
+
+// stashedBatch is the leading dimension of a stash tensor: 0 once dropped, or
+// before any forward pass.
+func stashedBatch(t *tensor.Tensor) int {
+	if t == nil {
+		return 0
+	}
+	return t.Shape[0]
+}
+
+// checkStash rejects a backward call whose stash — have units of it — does not
+// belong to a gradient of want units: dropped by DropStash and not rebuilt by
+// a forward pass, or left over from a forward pass of another shape.
+func checkStash(layer, what, unit string, have, want int) {
+	if have != want {
+		panic(fmt.Sprintf("nn: %s %s has %d %s for %d gradient %s (stash dropped, or stale from another shape?)",
+			layer, what, have, unit, want, unit))
+	}
+}
+
 // Dense stashes only the borrowed input reference.
 func (d *Dense) DropStash()        { d.x = nil }
 func (d *Dense) StashBytes() int64 { return 0 }
 
 // ReLU owns its elementwise keep mask.
-func (r *ReLU) DropStash()        { r.mask = nil }
+func (r *ReLU) DropStash()        { r.mask = r.mask[:0] }
 func (r *ReLU) StashBytes() int64 { return int64(len(r.mask)) }
 
-// Conv2D owns the im2col lowering WeightGrad replays; the input is borrowed.
+// Conv2D owns the lowering the pooled δW replays; the input is borrowed.
 func (l *Conv2D) DropStash() {
 	l.x = nil
-	l.cols = nil
+	park(l.colsT)
 }
-func (l *Conv2D) StashBytes() int64 { return stashTensorBytes(l.cols) }
+func (l *Conv2D) StashBytes() int64 { return stashTensorBytes(l.colsT) }
 
 // MaxPool2 owns the argmax index plan.
-func (l *MaxPool2) DropStash()        { l.arg = nil }
+func (l *MaxPool2) DropStash()        { l.arg = l.arg[:0] }
 func (l *MaxPool2) StashBytes() int64 { return 8 * int64(len(l.arg)) }
 
 // Flatten retains only the input shape.
@@ -59,13 +99,13 @@ func (l *Flatten) DropStash()        {}
 func (l *Flatten) StashBytes() int64 { return 0 }
 
 // Embedding owns the decoded token-id list.
-func (e *Embedding) DropStash()        { e.ids = nil }
+func (e *Embedding) DropStash()        { e.ids = e.ids[:0] }
 func (e *Embedding) StashBytes() int64 { return 8 * int64(len(e.ids)) }
 
 // LayerNorm owns the normalized rows and per-row inverse deviations.
 func (l *LayerNorm) DropStash() {
-	l.xhat = nil
-	l.invStd = nil
+	park(l.xhat)
+	l.invStd = l.invStd[:0]
 }
 func (l *LayerNorm) StashBytes() int64 {
 	return stashTensorBytes(l.xhat) + 8*int64(len(l.invStd))
@@ -76,7 +116,8 @@ func (p *MeanPool1D) DropStash()        {}
 func (p *MeanPool1D) StashBytes() int64 { return 0 }
 
 // SelfAttention owns the projections and attention rows; the input is
-// borrowed.
+// borrowed. Its forward pass has no pooled form — every pass allocates them
+// afresh — so there is no capacity worth keeping.
 func (a *SelfAttention) DropStash() {
 	a.x = nil
 	a.q, a.k, a.v, a.attn = nil, nil, nil, nil

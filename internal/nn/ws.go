@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"oooback/internal/tensor"
-)
+import "oooback/internal/tensor"
 
 // WorkspaceBackward is the optional pooled backward interface. A layer that
 // implements it computes the same gradients as InputGrad/WeightGrad — bit for
@@ -56,53 +52,33 @@ func (d *Dense) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
 	ws.Put(db)
 }
 
-// keepBits is all ones for true and zero for false. The compiler lowers the
-// branch to a flag move, so AND-ing a float's bit pattern with it selects
-// "the value or +0" with no data-dependent jump — on ReLU's inputs, whose
-// signs are a coin flip, the branch it replaces mispredicts every other
-// element.
-func keepBits(keep bool) uint64 {
-	var one uint64
-	if keep {
-		one = 1
-	}
-	return -one
-}
-
 func (r *ReLU) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	r.checkMask(gradOut)
 	r.gin = tensor.Ensure(r.gin, gradOut.Shape...)
-	gin, mask := r.gin.Data[:len(gradOut.Data)], r.mask[:len(gradOut.Data)]
-	for i, v := range gradOut.Data {
-		gin[i] = math.Float64frombits(math.Float64bits(v) & keepBits(mask[i]))
-	}
-	return r.gin
+	return tensor.ReLUGradInto(r.gin, gradOut, r.mask)
 }
 
 func (r *ReLU) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
 
 func (l *Conv2D) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	l.checkStash(gradOut)
-	n, c, h, w := l.x.Shape[0], l.x.Shape[1], l.x.Shape[2], l.x.Shape[3]
-	// Per image gradOutᵀ·wm, read from NCHW in place.
-	colGrad := tensor.ConvInputGradInto(ws.Get(l.cols.Shape[0], l.cols.Shape[1]), gradOut, l.wm)
-	l.gin = tensor.Ensure(l.gin, n, c, h, w)
-	tensor.Col2imInto(l.gin, colGrad, l.kh, l.kw)
-	ws.Put(colGrad)
-	return l.gin
+	l.gin = tensor.Ensure(l.gin, l.x.Shape...)
+	// Per image wmᵀ·gradOut scattered straight back, read from NCHW in place.
+	return tensor.ConvInputGradInto(l.gin, gradOut, l.wm, l.kh, l.kw, ws)
 }
 
 func (l *Conv2D) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
 	l.checkStash(gradOut)
-	// Σ over images of gradOut·cols against the forward pass's cached lowering,
+	// Σ over images of gradOut·colsTᵀ against the forward pass's lowering,
 	// folded in zeroed scratch first: the reference adds the finished sum to
 	// Grad, and adding term by term would associate differently.
-	dw := tensor.ConvWeightGradAcc(ws.GetZeroed(l.wm.Shape[0], l.wm.Shape[1]), gradOut, l.cols)
+	dw := tensor.ConvWeightGradAcc(ws.GetZeroed(l.wm.Shape[0], l.wm.Shape[1]), gradOut, l.colsT)
 	tensor.AddFlatTo(l.W.Grad, dw)
 	ws.Put(dw)
 }
 
 func (l *MaxPool2) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
+	l.checkStash(gradOut)
 	l.gin = tensor.Ensure(l.gin, l.inShape...)
 	return tensor.MaxPool2GradInto(l.gin, gradOut, l.arg)
 }
@@ -125,6 +101,7 @@ func (l *Flatten) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
 // backThroughScoresWS is backThroughScores with all four intermediates in
 // workspace buffers. Callers must Put dq, dk and dv when done.
 func (a *SelfAttention) backThroughScoresWS(gradOut *tensor.Tensor, ws *tensor.Workspace) (dq, dk, dv *tensor.Tensor) {
+	a.checkStash(gradOut)
 	seq, dim := a.x.Shape[0], a.x.Shape[1]
 	dAttn := tensor.MatMulTInto(ws.Get(seq, seq), gradOut, a.v)
 	dv = tensor.TMatMulInto(ws.Get(seq, dim), a.attn, gradOut)
@@ -147,8 +124,8 @@ func (a *SelfAttention) backThroughScoresWS(gradOut *tensor.Tensor, ws *tensor.W
 }
 
 func (a *SelfAttention) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	seq, dim := a.x.Shape[0], a.x.Shape[1]
 	dq, dk, dv := a.backThroughScoresWS(gradOut, ws)
+	seq, dim := a.x.Shape[0], a.x.Shape[1]
 	a.gin = tensor.Ensure(a.gin, seq, dim)
 	tensor.MatMulTInto(a.gin, dq, a.Wq.Value)
 	tmp := ws.Get(seq, dim)
@@ -162,8 +139,8 @@ func (a *SelfAttention) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace
 }
 
 func (a *SelfAttention) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
-	dim := a.x.Shape[1]
 	dq, dk, dv := a.backThroughScoresWS(gradOut, ws)
+	dim := a.x.Shape[1]
 	dw := ws.Get(dim, dim)
 	tensor.AddTo(a.Wq.Grad, tensor.TMatMulInto(dw, a.x, dq))
 	tensor.AddTo(a.Wk.Grad, tensor.TMatMulInto(dw, a.x, dk))
@@ -187,6 +164,7 @@ func (e *Embedding) WeightGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) {
 }
 
 func (l *LayerNorm) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
+	l.checkStash(gradOut)
 	l.gin = tensor.Ensure(l.gin, l.rows, l.width)
 	out := l.gin
 	w := float64(l.width)

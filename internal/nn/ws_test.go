@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -266,64 +267,171 @@ func TestReLUStaleMaskPanics(t *testing.T) {
 	}
 }
 
-// TestDroppedStashPanics: every Conv2D and Dense backward entry point that
-// reads the stashed forward state — plain, pooled and chunked — answers a call
+// stashCases are the layers whose DropStash releases something a backward
+// call reads, each with a batch-sized input and gradient generator and the
+// backward entry points that read the stash (Dense's and Embedding's δO need
+// only weights or shapes).
+type stashCase struct {
+	name   string
+	build  func() Stasher
+	x      func(batch int) *tensor.Tensor
+	grad   func(batch int) *tensor.Tensor
+	reads  []string
+	pooled bool // has a ForwardWS that rebuilds the stash in retained buffers
+}
+
+func stashCases(r *tensor.RNG) []stashCase {
+	tokens := func(b int) *tensor.Tensor {
+		x := tensor.New(b, 2)
+		for i := range x.Data {
+			x.Data[i] = float64(r.Uint64() % 10)
+		}
+		return x
+	}
+	both := []string{"InputGrad", "InputGradWS", "WeightGrad", "WeightGradWS", "WeightGradChunk"}
+	dw := both[2:]
+	return []stashCase{
+		{"conv", func() Stasher { return NewConv2D("c", 4, 2, 3, 3, r) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 2, 7, 6) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 4, 5, 4) }, both, true},
+		{"dense", func() Stasher { return NewDense("d", 6, 5, r) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 6) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 5) }, dw, true},
+		{"relu", func() Stasher { return NewReLU("r") },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 6) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 6) }, both[:2], true},
+		{"maxpool", func() Stasher { return NewMaxPool2("mp") },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 2, 4, 6) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 2, 2, 3) }, both[:2], true},
+		{"embedding", func() Stasher { return NewEmbedding("e", 10, 5, r) }, tokens,
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, 2*b, 5) }, dw, true},
+		{"layernorm", func() Stasher { return NewLayerNorm("ln", 6, r) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 6) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 6) }, both, true},
+		{"attention", func() Stasher { return NewSelfAttention("sa", 8, r) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 8) },
+			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 8) }, both[:4], false},
+	}
+}
+
+// TestDroppedStashPanics: every backward entry point of every Stasher that
+// reads stashed forward state — plain, pooled and chunked — answers a call
 // after DropStash without a re-forward, or with a gradient of another batch
-// size, with the stash diagnostic instead of a nil dereference.
+// size, with the stash diagnostic instead of a nil dereference or an index out
+// of range. The drop keeps capacity (a truncated slice, a parked tensor), so
+// this is the state a checkpointed step leaves a layer in.
 func TestDroppedStashPanics(t *testing.T) {
 	r := tensor.NewRNG(8)
 	ws := tensor.NewWorkspace()
-	type layer interface {
-		Layer
-		Stasher
-		WorkspaceBackward
-		ChunkBackward
-	}
-	for _, lc := range []struct {
-		name  string
-		build func() layer
-		x     *tensor.Tensor
-		grad  func(batch int) *tensor.Tensor
-		// inputGrad: δO reads the stash too (Dense's needs only its weights).
-		inputGrad bool
-	}{
-		{"conv", func() layer { return NewConv2D("c", 4, 2, 3, 3, r) }, tensor.Randn(r, 1, 3, 2, 7, 6),
-			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 4, 5, 4) }, true},
-		{"dense", func() layer { return NewDense("d", 6, 5, r) }, tensor.Randn(r, 1, 3, 6),
-			func(b int) *tensor.Tensor { return tensor.Randn(r, 1, b, 5) }, false},
-	} {
-		calls := map[string]func(l layer, g *tensor.Tensor){
-			"WeightGrad":      func(l layer, g *tensor.Tensor) { l.WeightGrad(g) },
-			"WeightGradWS":    func(l layer, g *tensor.Tensor) { l.WeightGradWS(g, ws) },
-			"WeightGradChunk": func(l layer, g *tensor.Tensor) { l.WeightGradChunk(g, ws) },
-		}
-		if lc.inputGrad {
-			calls["InputGrad"] = func(l layer, g *tensor.Tensor) { l.InputGrad(g) }
-			calls["InputGradWS"] = func(l layer, g *tensor.Tensor) { l.InputGradWS(g, ws) }
-		}
-		for name, call := range calls {
+	for _, lc := range stashCases(r) {
+		for _, name := range lc.reads {
+			call := func(l Stasher, g *tensor.Tensor) {
+				switch name {
+				case "InputGrad":
+					l.InputGrad(g)
+				case "InputGradWS":
+					l.(WorkspaceBackward).InputGradWS(g, ws)
+				case "WeightGrad":
+					l.WeightGrad(g)
+				case "WeightGradWS":
+					l.(WorkspaceBackward).WeightGradWS(g, ws)
+				case "WeightGradChunk":
+					l.(ChunkBackward).WeightGradChunk(g, ws)
+				}
+			}
 			for _, tc := range []struct {
 				name  string
-				spoil func(l layer) *tensor.Tensor // returns the gradient to pass
+				spoil func(l Stasher) *tensor.Tensor // returns the gradient to pass
 			}{
-				{"dropped", func(l layer) *tensor.Tensor { l.DropStash(); return lc.grad(3) }},
-				{"other batch", func(layer) *tensor.Tensor { return lc.grad(2) }},
+				{"dropped", func(l Stasher) *tensor.Tensor { l.DropStash(); return lc.grad(3) }},
+				{"other batch", func(Stasher) *tensor.Tensor { return lc.grad(2) }},
 			} {
-				t.Run(lc.name+"/"+name+"/"+tc.name, func(t *testing.T) {
-					l := lc.build()
-					l.Forward(lc.x)
-					call(l, lc.grad(3)) // a matching stash is fine
-					bad := tc.spoil(l)
-					defer func() {
-						msg, _ := recover().(string)
-						if !strings.Contains(msg, "stash dropped, or stale from another shape?") {
-							t.Fatalf("want the stash diagnostic, got panic %q", msg)
+				for _, pooled := range []bool{false, true} {
+					if pooled && !lc.pooled {
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/%s/%s/pooled=%v", lc.name, name, tc.name, pooled), func(t *testing.T) {
+						l := lc.build()
+						if pooled {
+							l.(WorkspaceForward).ForwardWS(lc.x(3), ws)
+						} else {
+							l.Forward(lc.x(3))
 						}
-					}()
-					call(l, bad)
-				})
+						call(l, lc.grad(3)) // a matching stash is fine
+						bad := tc.spoil(l)
+						defer func() {
+							msg, _ := recover().(string)
+							if !strings.Contains(msg, "stash dropped, or stale from another shape?") {
+								t.Fatalf("want the stash diagnostic, got panic %q", msg)
+							}
+						}()
+						call(l, bad)
+					})
+				}
 			}
 		}
+	}
+}
+
+// TestDroppedStashKeepsCapacity: after DropStash a layer reports no stash
+// bytes, and its next pooled forward — at the same batch or a smaller one —
+// rebuilds the stash in the buffers the drop left behind: no allocation, same
+// bits as a layer that never dropped anything.
+func TestDroppedStashKeepsCapacity(t *testing.T) {
+	r := tensor.NewRNG(21)
+	ws := tensor.NewWorkspace()
+	for _, lc := range stashCases(r) {
+		t.Run(lc.name, func(t *testing.T) {
+			l := lc.build()
+			l.Forward(lc.x(4))
+			l.DropStash()
+			if b := l.StashBytes(); b != 0 {
+				t.Fatalf("StashBytes after DropStash = %d, want 0", b)
+			}
+			if !lc.pooled {
+				return
+			}
+			wf := l.(WorkspaceForward)
+			wf.ForwardWS(lc.x(4), ws)
+			full := l.StashBytes()
+			for _, batch := range []int{4, 2} {
+				x, g := lc.x(batch), lc.grad(batch)
+				var out *tensor.Tensor
+				if allocs := testing.AllocsPerRun(5, func() {
+					l.DropStash()
+					out = wf.ForwardWS(x, ws)
+				}); allocs != 0 {
+					t.Fatalf("batch %d: drop + pooled forward allocates %v times, want 0", batch, allocs)
+				}
+				if got, want := l.StashBytes(), full*int64(batch)/4; got != want {
+					t.Fatalf("batch %d: StashBytes after the re-forward = %d, want %d", batch, got, want)
+				}
+				fresh := lc.build()
+				copyParams(fresh, l)
+				if !bitEq(out, fresh.Forward(x)) {
+					t.Fatalf("batch %d: forward on parked buffers differs from a fresh layer's", batch)
+				}
+				zeroGrads(l)
+				zeroGrads(fresh)
+				if !bitEq(l.(WorkspaceBackward).InputGradWS(g, ws), fresh.InputGrad(g)) {
+					t.Fatalf("batch %d: δO on the rebuilt stash differs", batch)
+				}
+				l.(WorkspaceBackward).WeightGradWS(g, ws)
+				fresh.WeightGrad(g)
+				for i, p := range l.Params() {
+					if !bitEq(p.Grad, fresh.Params()[i].Grad) {
+						t.Fatalf("batch %d: δW of %s on the rebuilt stash differs", batch, p.Name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// copyParams makes dst's parameter values equal src's.
+func copyParams(dst, src Layer) {
+	for i, p := range src.Params() {
+		copy(dst.Params()[i].Value.Data, p.Value.Data)
 	}
 }
 
@@ -338,5 +446,29 @@ func TestConv2DForwardMatchesRepackingReference(t *testing.T) {
 		if !bitEq(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
 			t.Fatalf("batch %d: Conv2D.Forward differs from tensor.Conv2D", n)
 		}
+	}
+}
+
+// TestConv2DFollowsRepointedWeights: the layer's [F, K] view of its weights is
+// re-derived when Param.Value is pointed at another tensor, so every path
+// trains on the weights the parameter holds — and an in-place update keeps the
+// view it has.
+func TestConv2DFollowsRepointedWeights(t *testing.T) {
+	r := tensor.NewRNG(77)
+	l := NewConv2D("c", 4, 2, 3, 3, r)
+	x, g := tensor.Randn(r, 1, 2, 2, 6, 5), tensor.Randn(r, 1, 2, 4, 4, 3)
+	ws := tensor.NewWorkspace()
+	l.Forward(x)
+	view := l.wm
+	l.W.Value.Data[0] += 1 // what RestoreParams and the optimizers do
+	if l.Forward(x); l.wm != view {
+		t.Fatal("an in-place update rebuilt the weight view")
+	}
+	l.W.Value = tensor.Randn(r, 1, 4, 2, 3, 3)
+	if !bitEq(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
+		t.Fatal("forward after re-pointing W.Value used the old weights")
+	}
+	if !bitEq(l.InputGradWS(g, ws), tensor.Conv2DInputGrad(g, l.W.Value, 6, 5)) {
+		t.Fatal("δO after re-pointing W.Value used the old weights")
 	}
 }

@@ -29,10 +29,10 @@ func TMatMulAcc(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMulAcc dst %v, want %d elements", dst.Shape, k*n))
 	}
 	if serialRows(k, 2*m*k*n, matmulParallelThreshold) {
-		tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, 0, k)
+		tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, 0, k, false)
 	} else {
-		parallelRows(k, func(lo, hi int) {
-			tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, lo, hi)
+		parallelRows(k, func(_, lo, hi int) {
+			tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, lo, hi, false)
 		})
 	}
 	return dst

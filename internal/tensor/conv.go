@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"runtime"
+)
 
 // convParallelThreshold is the element-move count above which the im2col /
 // col2im loops fan out across goroutines. The partitions below are
@@ -46,8 +50,8 @@ func Conv2DInputGrad(gradOut, w *Tensor, h, wd int) *Tensor {
 
 // Conv2DWeightGrad computes the gradient w.r.t. w given the stored input x
 // and gradOut — the δW computation of a conv layer. The GEMM is the fused
-// rowsᵀ·cols (TMatMul); nn.Conv2D additionally reuses the forward pass's
-// im2col lowering instead of calling this recomputing form.
+// rowsᵀ·cols (TMatMul); the training path reuses its forward pass's lowering
+// (ConvWeightGradAcc) instead of this recomputing form.
 func Conv2DWeightGrad(x, gradOut *Tensor, kh, kw int) *Tensor {
 	_, c, _, _ := conv2dDims(x)
 	_, f, _, _ := conv2dDims(gradOut)
@@ -57,111 +61,212 @@ func Conv2DWeightGrad(x, gradOut *Tensor, kh, kw int) *Tensor {
 	return g.Reshape(f, c, kh, kw)
 }
 
-// The three convolution GEMMs of the training path. An NCHW activation or
-// gradient is, per image b, already a row-major [F × OH·OW] matrix, and the
-// im2col lowering is per image a row-major [OH·OW × K] matrix (K = C·KH·KW),
-// so each GEMM runs image by image on the existing range kernels with the
-// operand roles swapped — no pixel-major repack on either side of it:
+// The training path's convolution. Its lowering is channel-major: image b of
+// x [N,C,H,W] lowers to a row-major [K × OH·OW] block (K = C·KH·KW) whose row
+// k = (c,ky,kx) is the output-sized window of channel c shifted by (ky,kx),
 //
-//	forward  out_b = wm · cols_bᵀ      matMulTRange(out_b, wm, cols_b)
-//	δO       colGrad_b = g_bᵀ · wm     tMatMulRange(colGrad_b, g_b, wm)
-//	δW       dw += g_b · cols_b        matMulRange(dw, g_b, cols_b), b ascending
+//	colsT_b[k] = x_b[c, ky:ky+OH, kx:kx+OW]      OH runs of OW contiguous elements
 //
-// Every output element keeps the accumulation chain of the repacking
-// reference (Conv2D, Conv2DInputGrad, Conv2DWeightGrad): forward is the same
-// ascending-K dot product from +0, δO the same ascending-filter sum from +0
-// with the factors in the same order, δW the same ascending (image, pixel)
-// fold. Forward and δO are partitioned over images, δW over filter rows —
-// disjoint outputs, unchanged chains, so any GOMAXPROCS gives the same bits.
+// — the transpose of the pixel-major [OH·OW × K] block im2col builds, whose
+// runs are only KW long. Lowering is therefore one strided row copy per k
+// (copyRows), the δO scatter one strided row add per k (addRows), and the
+// three GEMMs run image by image on the range kernels of gemm.go, every
+// operand read where it already lies (an NCHW activation or gradient is, per
+// image, a row-major [F × OH·OW] matrix):
+//
+//	forward  out_b = wm · colsT_b           matMulRange from +0
+//	δO       cgT_b = wmᵀ · g_b              tMatMulRange from +0, then the scatter
+//	δW       dw   += g_b · colsT_bᵀ         matMulTRange seeded from dw, b ascending
+//
+// Every output element keeps the accumulation chain of the pixel-major
+// reference (Conv2D, Conv2DInputGrad, Conv2DWeightGrad): forward is the
+// ascending-K sum from +0, δO the ascending-filter sum from +0 (its two
+// factors swap sides, which only the payload of a product of two NaNs could
+// show), δW the ascending (image, pixel) fold continued from whatever dw
+// holds. The scatter walks each channel's windows in descending ky, then
+// descending kx: a destination element (y,x) receives the term of window
+// (ky,kx) from output pixel (y−ky, x−kx), so descending (ky,kx) is ascending
+// (oy,ox) — the order col2im's row walk delivers the same terms in. Lowering
+// and GEMM, GEMM and scatter are fused per image inside one row-partitioned
+// call, so a lowered block is consumed while it is cache-hot. Forward and δO
+// are partitioned over images, δW over filter rows — disjoint outputs,
+// unchanged chains, so any GOMAXPROCS gives the same bits.
 
-// convGEMMDims validates the operands of a conv GEMM — an NCHW tensor t
-// [N,F,OH,OW], the lowering-shaped matrix cols [N·OH·OW, K] and, where the
-// GEMM reads one, the weight matrix wm [F,K] — and returns (N, F, OH·OW, K).
-func convGEMMDims(op string, t, cols, wm *Tensor) (n, f, px, k int) {
-	n, f, oh, ow := conv2dDims(t)
-	px = oh * ow
-	if cols.Dims() != 2 || cols.Shape[0] != n*px {
-		panic(fmt.Sprintf("tensor: %s lowering %v does not match %v (want %d rows)", op, cols.Shape, t.Shape, n*px))
+// convGeom is the geometry of a stride-1 valid convolution of c×h×w planes
+// with a kh×kw window: oh×ow output pixels, k lowered rows.
+type convGeom struct{ c, h, w, kh, kw, oh, ow int }
+
+func (g convGeom) k() int  { return g.c * g.kh * g.kw }
+func (g convGeom) px() int { return g.oh * g.ow }
+
+// convGeometry validates the operands every conv kernel is handed — the
+// input-shaped x [N,C,H,W] against the kh×kw window, the output-shaped y
+// [N,F,OH,OW] against both, the weight matrix wm [F,K] against those — and
+// returns N, F and the geometry.
+func convGeometry(op string, x, y, wm *Tensor, kh, kw int) (n, f int, g convGeom) {
+	n, c, h, w := conv2dDims(x)
+	if kh <= 0 || kw <= 0 || h < kh || w < kw {
+		panic(fmt.Sprintf("tensor: %s kernel %dx%d does not fit input %v", op, kh, kw, x.Shape))
 	}
-	k = cols.Shape[1]
-	if wm != nil && (wm.Dims() != 2 || wm.Shape[0] != f || wm.Shape[1] != k) {
-		panic(fmt.Sprintf("tensor: %s weights %v, want [%d %d]", op, wm.Shape, f, k))
+	g = convGeom{c: c, h: h, w: w, kh: kh, kw: kw, oh: h - kh + 1, ow: w - kw + 1}
+	if y.Dims() != 4 || y.Shape[0] != n || y.Shape[2] != g.oh || y.Shape[3] != g.ow {
+		panic(fmt.Sprintf("tensor: %s output-shaped operand %v for input %v, want [%d F %d %d]", op, y.Shape, x.Shape, n, g.oh, g.ow))
 	}
-	return n, f, px, k
+	f = y.Shape[1]
+	if wm.Dims() != 2 || wm.Shape[0] != f || wm.Shape[1] != g.k() {
+		panic(fmt.Sprintf("tensor: %s weights %v, want [%d %d]", op, wm.Shape, f, g.k()))
+	}
+	return n, f, g
 }
 
-// ConvForwardInto computes the convolution output out [N,F,OH,OW] from the
-// weight matrix wm [F,K] and the input's im2col lowering cols [N·OH·OW, K],
-// fully overwriting out. Bitwise identical to Conv2D.
-func ConvForwardInto(out, wm, cols *Tensor) *Tensor {
-	n, f, px, k := convGEMMDims("ConvForwardInto", out, cols, wm)
-	if serialRows(n, 2*n*px*k*f, matmulParallelThreshold) {
-		convForwardRange(out.Data, wm.Data, cols.Data, f, px, k, 0, n)
+// checkLowering validates a channel-major lowering against the output-shaped
+// tensor y [N,F,OH,OW] it belongs to: [N, k, OH·OW], any k when k is 0.
+func checkLowering(op string, colsT, y *Tensor, k int) {
+	if colsT.Dims() != 3 || colsT.Shape[0] != y.Shape[0] || colsT.Shape[2] != y.Shape[2]*y.Shape[3] || (k > 0 && colsT.Shape[1] != k) {
+		panic(fmt.Sprintf("tensor: %s lowering %v does not match %v (want [%d K %d])",
+			op, colsT.Shape, y.Shape, y.Shape[0], y.Shape[2]*y.Shape[3]))
+	}
+}
+
+// ConvForwardInto lowers x [N,C,H,W] into colsT [N,K,OH·OW] and computes the
+// convolution output out [N,F,OH,OW] against the weight matrix wm [F,K],
+// fully overwriting both. out is bitwise identical to Conv2D; colsT is what
+// ConvWeightGradAcc reads.
+func ConvForwardInto(out, colsT, x, wm *Tensor, kh, kw int) *Tensor {
+	n, f, g := convGeometry("ConvForwardInto", x, out, wm, kh, kw)
+	checkLowering("ConvForwardInto", colsT, out, g.k())
+	if serialRows(n, 2*n*g.px()*g.k()*f, matmulParallelThreshold) {
+		convForwardRange(out.Data, colsT.Data, x.Data, wm.Data, g, f, 0, n)
 	} else {
-		parallelRows(n, func(lo, hi int) {
-			convForwardRange(out.Data, wm.Data, cols.Data, f, px, k, lo, hi)
+		parallelRows(n, func(_, lo, hi int) {
+			convForwardRange(out.Data, colsT.Data, x.Data, wm.Data, g, f, lo, hi)
 		})
 	}
 	return out
 }
 
-func convForwardRange(out, wm, cols []float64, f, px, k, bLo, bHi int) {
+func convForwardRange(out, colsT, x, wm []float64, g convGeom, f, bLo, bHi int) {
+	k, px, plane := g.k(), g.px(), g.c*g.h*g.w
 	for b := bLo; b < bHi; b++ {
-		matMulTRange(out[b*f*px:(b+1)*f*px], wm, cols[b*px*k:(b+1)*px*k], k, px, 0, f)
+		cb := colsT[b*k*px : (b+1)*k*px]
+		xb := x[b*plane : (b+1)*plane]
+		row := 0
+		for ch := 0; ch < g.c; ch++ {
+			for ky := 0; ky < g.kh; ky++ {
+				for kx := 0; kx < g.kw; kx++ {
+					copyRows(cb[row*px:(row+1)*px], g.ow, xb[(ch*g.h+ky)*g.w+kx:], g.w, g.oh, g.ow)
+					row++
+				}
+			}
+		}
+		matMulRange(out[b*f*px:(b+1)*f*px], wm, cb, k, px, 0, f, true)
 	}
 }
 
-// ConvInputGradInto computes the column gradient colGrad [N·OH·OW, K] — the
-// operand Col2imInto scatters back to the input — from gradOut [N,F,OH,OW]
-// and the weight matrix wm [F,K], fully overwriting colGrad. Bitwise
-// identical to the MatMul inside Conv2DInputGrad.
-func ConvInputGradInto(colGrad, gradOut, wm *Tensor) *Tensor {
-	n, f, px, k := convGEMMDims("ConvInputGradInto", gradOut, colGrad, wm)
-	if serialRows(n, 2*n*px*k*f, matmulParallelThreshold) {
-		convInputGradRange(colGrad.Data, gradOut.Data, wm.Data, f, px, k, 0, n)
+// ConvInputGradInto computes the input gradient gin [N,C,H,W] from gradOut
+// [N,F,OH,OW] and the weight matrix wm [F,K], fully overwriting gin. The
+// lowered gradient exists one image at a time, in scratch ws lends for the
+// call (one block per worker). Bitwise identical to Conv2DInputGrad.
+func ConvInputGradInto(gin, gradOut, wm *Tensor, kh, kw int, ws *Workspace) *Tensor {
+	n, f, g := convGeometry("ConvInputGradInto", gin, gradOut, wm, kh, kw)
+	block := g.k() * g.px()
+	if serialRows(n, 2*n*block*f, matmulParallelThreshold) {
+		scratch := ws.Get(block)
+		convInputGradRange(gin.Data, gradOut.Data, wm.Data, scratch.Data, g, f, 0, n)
+		ws.Put(scratch)
 	} else {
-		parallelRows(n, func(lo, hi int) {
-			convInputGradRange(colGrad.Data, gradOut.Data, wm.Data, f, px, k, lo, hi)
+		scratch := ws.Get(min(runtime.GOMAXPROCS(0), n), block)
+		parallelRows(n, func(w, lo, hi int) {
+			convInputGradRange(gin.Data, gradOut.Data, wm.Data, scratch.Data[w*block:(w+1)*block], g, f, lo, hi)
 		})
+		ws.Put(scratch)
 	}
-	return colGrad
+	return gin
 }
 
-func convInputGradRange(colGrad, g, wm []float64, f, px, k, bLo, bHi int) {
+func convInputGradRange(gin, gradOut, wm, cg []float64, g convGeom, f, bLo, bHi int) {
+	k, px, plane, win := g.k(), g.px(), g.c*g.h*g.w, g.kh*g.kw
 	for b := bLo; b < bHi; b++ {
-		// The kernel accumulates: start each image's block from +0 while it
-		// is about to be cache-resident anyway.
-		cg := colGrad[b*px*k : (b+1)*px*k]
-		clear(cg)
-		tMatMulRange(cg, g[b*f*px:(b+1)*f*px], wm, f, px, k, 0, px)
+		gb := gin[b*plane : (b+1)*plane]
+		clear(gb)
+		// Channel by channel, so a channel's lowered rows are scattered while
+		// they are still in L1.
+		for ch := 0; ch < g.c; ch++ {
+			tMatMulRange(cg, wm, gradOut[b*f*px:(b+1)*f*px], f, k, px, ch*win, (ch+1)*win, true)
+			for ky := g.kh - 1; ky >= 0; ky-- {
+				for kx := g.kw - 1; kx >= 0; kx-- {
+					row := (ch*g.kh+ky)*g.kw + kx
+					addRows(gb[(ch*g.h+ky)*g.w+kx:], g.w, cg[row*px:(row+1)*px], g.ow, g.oh, g.ow)
+				}
+			}
+		}
 	}
 }
 
-// ConvWeightGradAcc accumulates the weight gradient Σ_b g_b·cols_b of gradOut
-// [N,F,OH,OW] against the lowering cols [N·OH·OW, K] into dst without zeroing
-// it — dst is any tensor of F·K elements, so a [F,C,KH,KW] parameter gradient
-// takes the terms directly. On a zeroed dst the result is bitwise identical
-// to Conv2DWeightGrad; called once per ascending row-chunk of a batch it
-// continues the same fold, like TMatMulAcc.
-func ConvWeightGradAcc(dst, gradOut, cols *Tensor) *Tensor {
-	n, f, px, k := convGEMMDims("ConvWeightGradAcc", gradOut, cols, nil)
+// ConvWeightGradAcc accumulates the weight gradient Σ_b g_b·colsT_bᵀ of
+// gradOut [N,F,OH,OW] against the lowering colsT [N,K,OH·OW] into dst without
+// zeroing it — dst is any tensor of F·K elements, so a [F,C,KH,KW] parameter
+// gradient takes the terms directly. Every element's chain continues from
+// what dst holds: on a zeroed dst the result is bitwise identical to
+// Conv2DWeightGrad, and called once per ascending row-chunk of a batch it is
+// the same fold, like TMatMulAcc.
+func ConvWeightGradAcc(dst, gradOut, colsT *Tensor) *Tensor {
+	n, f, oh, ow := conv2dDims(gradOut)
+	checkLowering("ConvWeightGradAcc", colsT, gradOut, 0)
+	px, k := oh*ow, colsT.Shape[1]
 	if dst.Len() != f*k {
 		panic(fmt.Sprintf("tensor: ConvWeightGradAcc dst %v, want %d elements", dst.Shape, f*k))
 	}
 	if serialRows(f, 2*n*px*k*f, matmulParallelThreshold) {
-		convWeightGradRange(dst.Data, gradOut.Data, cols.Data, n, f, px, k, 0, f)
+		convWeightGradRange(dst.Data, gradOut.Data, colsT.Data, n, f, px, k, 0, f)
 	} else {
-		parallelRows(f, func(lo, hi int) {
-			convWeightGradRange(dst.Data, gradOut.Data, cols.Data, n, f, px, k, lo, hi)
+		parallelRows(f, func(_, lo, hi int) {
+			convWeightGradRange(dst.Data, gradOut.Data, colsT.Data, n, f, px, k, lo, hi)
 		})
 	}
 	return dst
 }
 
 // convWeightGradRange folds every image into filter rows [lo, hi) of dw.
-func convWeightGradRange(dw, g, cols []float64, n, f, px, k, lo, hi int) {
+func convWeightGradRange(dw, g, colsT []float64, n, f, px, k, lo, hi int) {
 	for b := 0; b < n; b++ {
-		matMulRange(dw, g[b*f*px:(b+1)*f*px], cols[b*px*k:(b+1)*px*k], px, k, lo, hi)
+		matMulTRange(dw, g[b*f*px:(b+1)*f*px], colsT[b*k*px:(b+1)*k*px], px, k, lo, hi, true)
+	}
+}
+
+// copyRows moves rows runs of n elements: dst[r·ds + j] = src[r·ss + j]. The
+// Go loop is the portable path and the oracle of the vector body.
+func copyRows(dst []float64, ds int, src []float64, ss, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	// The last element either side touches: a short slice panics here, not
+	// in — or past — the vector body.
+	_, _ = dst[(rows-1)*ds+n-1], src[(rows-1)*ss+n-1]
+	if useVector {
+		copyRowsVec(&dst[0], ds, &src[0], ss, rows, n)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		copy(dst[r*ds:r*ds+n], src[r*ss:r*ss+n])
+	}
+}
+
+// addRows adds rows runs of n elements: dst[r·ds + j] += src[r·ss + j].
+func addRows(dst []float64, ds int, src []float64, ss, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	_, _ = dst[(rows-1)*ds+n-1], src[(rows-1)*ss+n-1]
+	if useVector {
+		addRowsVec(&dst[0], ds, &src[0], ss, rows, n)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d := dst[r*ds : r*ds+n]
+		for j, v := range src[r*ss : r*ss+n][:len(d)] {
+			d[j] += v
+		}
 	}
 }
 
@@ -196,7 +301,7 @@ func Im2colInto(dst, x *Tensor, kh, kw int) *Tensor {
 	if serialRows(rows, rows*width, convParallelThreshold) {
 		im2colRange(dst.Data, x.Data, c, h, w, oh, ow, kh, kw, 0, rows)
 	} else {
-		parallelRows(rows, func(lo, hi int) {
+		parallelRows(rows, func(_, lo, hi int) {
 			im2colRange(dst.Data, x.Data, c, h, w, oh, ow, kh, kw, lo, hi)
 		})
 	}
@@ -271,7 +376,7 @@ func Col2imInto(dst, cols *Tensor, kh, kw int) *Tensor {
 	if serialRows(n, n*oh*ow*width, convParallelThreshold) {
 		col2imRange(dst.Data, cols.Data, c, h, w, oh, ow, kh, kw, 0, n)
 	} else {
-		parallelRows(n, func(bLo, bHi int) {
+		parallelRows(n, func(_, bLo, bHi int) {
 			col2imRange(dst.Data, cols.Data, c, h, w, oh, ow, kh, kw, bLo, bHi)
 		})
 	}
@@ -317,9 +422,8 @@ func col2imRange(dst, cols []float64, c, h, w, oh, ow, kh, kw, bLo, bHi int) {
 }
 
 // RowsFromNCHW flattens [N,F,OH,OW] to a fresh pixel-major [N*OH*OW, F]
-// matrix. Only the reference convolutions repack (the ones above and
-// nn.Conv2D.WeightGrad); the training path's GEMMs read NCHW in place (see
-// ConvForwardInto).
+// matrix. Only the reference convolutions above repack; the training path's
+// GEMMs read NCHW in place (see ConvForwardInto).
 func RowsFromNCHW(t *Tensor) *Tensor {
 	n, f, oh, ow := conv2dDims(t)
 	px := oh * ow
@@ -377,10 +481,13 @@ func MaxPool2Into(dst *Tensor, arg []int, x *Tensor) *Tensor {
 	if len(arg) != out.Len() {
 		panic(fmt.Sprintf("tensor: MaxPool2Into argmax map has %d entries, want %d", len(arg), out.Len()))
 	}
-	// One output row at a time over the two input rows it pools, with running
-	// indices. The window is compared in (0,0),(0,1),(1,0),(1,1) order under a
-	// strict >, so ties keep the earliest position and a NaN is never picked
-	// over an earlier candidate.
+	// One output row at a time over the two input rows it pools. The window is
+	// compared in (0,0),(0,1),(1,0),(1,1) order under a strict >, so ties keep
+	// the earliest position and a NaN is never picked over an earlier
+	// candidate. Which candidate wins is a coin flip three times per output, so
+	// nothing here branches on it: each compare becomes an all-ones-or-zero
+	// mask (keepBits) that selects the winner's bits and its offset in the
+	// window.
 	for plane := 0; plane < n*c; plane++ {
 		for oy := 0; oy < oh; oy++ {
 			top := (plane*h + 2*oy) * w
@@ -389,21 +496,23 @@ func MaxPool2Into(dst *Tensor, arg []int, x *Tensor) *Tensor {
 			orow, arow := out.Data[o:o+ow], arg[o:o+ow]
 			for ox := range orow {
 				j := 2 * ox
-				best, bestIdx := r0[j], top+j
-				if v := r0[j+1]; v > best {
-					best, bestIdx = v, top+j+1
-				}
-				if v := r1[j]; v > best {
-					best, bestIdx = v, top+w+j
-				}
-				if v := r1[j+1]; v > best {
-					best, bestIdx = v, top+w+j+1
-				}
-				orow[ox], arow[ox] = best, bestIdx
+				best, off := r0[j], uint64(0)
+				best, off = pickGreater(best, off, r0[j+1], 1)
+				best, off = pickGreater(best, off, r1[j], uint64(w))
+				best, off = pickGreater(best, off, r1[j+1], uint64(w+1))
+				orow[ox], arow[ox] = best, top+j+int(off)
 			}
 		}
 	}
 	return out
+}
+
+// pickGreater returns (v, vOff) if v > best and (best, off) otherwise, as a
+// select on bits rather than a jump.
+func pickGreater(best float64, off uint64, v float64, vOff uint64) (float64, uint64) {
+	m := keepBits(v > best)
+	bb := math.Float64bits(best)
+	return math.Float64frombits(bb ^ (bb^math.Float64bits(v))&m), off ^ (off^vOff)&m
 }
 
 // MaxPool2Grad routes gradOut back through the argmax map onto a tensor with

@@ -70,10 +70,11 @@ func serialRows(m, work, threshold int) bool {
 
 // parallelRows splits the row range [0, m) into one contiguous chunk per
 // worker with the same deterministic w·m/workers partition MatMul has always
-// used, and runs f on each chunk. Chunks are disjoint and each output row is
-// produced by exactly one worker in the serial element order, so results are
-// bitwise identical at any GOMAXPROCS.
-func parallelRows(m int, f func(lo, hi int)) {
+// used, and runs f on each chunk, handing it the worker's index w <
+// min(GOMAXPROCS, m) too (for per-worker scratch). Chunks are disjoint and each
+// output row is produced by exactly one worker in the serial element order, so
+// results are bitwise identical at any GOMAXPROCS.
+func parallelRows(m int, f func(w, lo, hi int)) {
 	fanOuts.Add(1)
 	defer fanOuts.Add(-1)
 	workers := runtime.GOMAXPROCS(0)
@@ -87,7 +88,7 @@ func parallelRows(m int, f func(lo, hi int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f(lo, hi)
+			f(w, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -123,49 +124,51 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkInto("MatMulInto", dst, m, n)
-	dst.Zero()
 	if serialRows(m, 2*m*k*n, matmulParallelThreshold) {
-		matMulRange(dst.Data, a.Data, b.Data, k, n, 0, m)
+		matMulRange(dst.Data, a.Data, b.Data, k, n, 0, m, true)
 	} else {
-		parallelRows(m, func(lo, hi int) {
-			matMulRange(dst.Data, a.Data, b.Data, k, n, lo, hi)
+		parallelRows(m, func(_, lo, hi int) {
+			matMulRange(dst.Data, a.Data, b.Data, k, n, lo, hi, true)
 		})
 	}
 	return dst
 }
 
-// matMulRange computes output rows [lo, hi) of a·b, accumulating into out.
-func matMulRange(out, a, b []float64, k, n, lo, hi int) {
+// matMulRange computes output rows [lo, hi) of a·b. It accumulates into out —
+// or, with fromZero, into +0 whatever the rows hold: the vector path then
+// starts each element's chain in a cleared register instead of reading a
+// zeroed row (0 + a·b either way, so the same bits), the Go loops clear the
+// rows first.
+func matMulRange(out, a, b []float64, k, n, lo, hi int, fromZero bool) {
 	if useVector && n > 0 {
 		// Row i's coefficient for term p is a[i·k + p].
-		axpyRangeVec(out, a, b, k, n, k, 1, lo, hi)
-	} else {
-		matMulRangeGo(out, a, b, k, n, lo, hi)
+		axpyRangeVec(out, a, b, k, n, k, 1, lo, hi, fromZero)
+		return
 	}
+	if fromZero {
+		clear(out[lo*n : hi*n])
+	}
+	matMulRangeGo(out, a, b, k, n, lo, hi)
 }
 
 // axpyRangeVec is the vector path of both axpy-form kernels: for output rows
 // r in [lo, hi), out_r += Σ_t a[r·rs + t·ts]·b_t over the terms t < terms, b_t
-// being row t of b. The terms are walked in panels of b rows sized to stay in
-// L1 across every output row of the range; each output row takes a panel's
-// terms four at a time in the axpy body and the last panel's terms mod 4 in
-// the scalar loop — ascending t for every element, as in the Go loops.
-func axpyRangeVec(out, a, b []float64, terms, n, rs, ts, lo, hi int) {
+// being row t of b (fromZero: out_r = +0 + Σ…). The terms are walked in panels
+// of b rows sized to stay in L1 across every output row of the range; each
+// output row takes a panel's terms in the axpy body, four at a time and the
+// last panel's terms mod 4 singly — ascending t for every element, as in the
+// Go loops.
+func axpyRangeVec(out, a, b []float64, terms, n, rs, ts, lo, hi int, fromZero bool) {
+	if fromZero && terms < 4 {
+		// Too few terms for a group that starts from a cleared register.
+		clear(out[lo*n : hi*n])
+		fromZero = false
+	}
 	panel := panelRows(n)
 	for tt := 0; tt < terms; tt += panel {
 		thi := min(tt+panel, terms)
-		groups := (thi - tt) / 4
 		for r := lo; r < hi; r++ {
-			orow := out[r*n : (r+1)*n]
-			if groups > 0 {
-				axpyPanel(&orow[0], &a[r*rs+tt*ts], ts, &b[tt*n], n, groups)
-			}
-			for t := tt + 4*groups; t < thi; t++ {
-				av := a[r*rs+t*ts]
-				for j, bv := range b[t*n : (t+1)*n] {
-					orow[j] += av * bv
-				}
-			}
+			axpyPanel(&out[r*n], &a[r*rs+tt*ts], ts, &b[tt*n], n, thi-tt, fromZero && tt == 0)
 		}
 	}
 }
@@ -231,30 +234,33 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	checkInto("MatMulTInto", dst, m, n)
 	if serialRows(m, 2*m*k*n, matmulParallelThreshold) {
-		matMulTRange(dst.Data, a.Data, b.Data, k, n, 0, m)
+		matMulTRange(dst.Data, a.Data, b.Data, k, n, 0, m, false)
 	} else {
-		parallelRows(m, func(lo, hi int) {
-			matMulTRange(dst.Data, a.Data, b.Data, k, n, lo, hi)
+		parallelRows(m, func(_, lo, hi int) {
+			matMulTRange(dst.Data, a.Data, b.Data, k, n, lo, hi, false)
 		})
 	}
 	return dst
 }
 
-// matMulTRange computes output rows [lo, hi) of a·bᵀ, assigning every element.
-func matMulTRange(out, a, b []float64, k, n, lo, hi int) {
+// matMulTRange computes output rows [lo, hi) of a·bᵀ. Unseeded it assigns every
+// element its ascending-p dot product from +0. Seeded, each element's chain
+// starts from the value out already holds — out += a·bᵀ as a single fold, the
+// form the conv δW continues image after image and chunk after chunk.
+func matMulTRange(out, a, b []float64, k, n, lo, hi int, seeded bool) {
 	if useVector && k > 0 {
-		matMulTRangeVec(out, a, b, k, n, lo, hi)
+		matMulTRangeVec(out, a, b, k, n, lo, hi, seeded)
 	} else {
-		matMulTRangeGo(out, a, b, k, n, lo, hi)
+		matMulTRangeGo(out, a, b, k, n, lo, hi, seeded)
 	}
 }
 
 // matMulTRangeVec walks b in panels of rows sized to stay in L1 across the
 // whole row range. Four rows of a against a panel are a strip of 4×4 tiles in
 // the dot body; the ragged edges — the last panel's n mod 4 columns, the
-// range's last rows — are plain dot products. Ascending p from +0 for every
-// element, as in matMulTRangeGo.
-func matMulTRangeVec(out, a, b []float64, k, n, lo, hi int) {
+// range's last rows — are plain dot products. Ascending p from the seed for
+// every element, as in matMulTRangeGo.
+func matMulTRangeVec(out, a, b []float64, k, n, lo, hi int, seeded bool) {
 	vhi := lo + (hi-lo)&^3
 	panel := panelRows(k)
 	for jt := 0; jt < n; jt += panel {
@@ -262,23 +268,38 @@ func matMulTRangeVec(out, a, b []float64, k, n, lo, hi int) {
 		tiles := (jhi - jt) / 4
 		for i := lo; i < vhi; i += 4 {
 			if tiles > 0 {
-				dotTiles(&out[i*n+jt], n, &a[i*k], &b[jt*k], k, tiles)
+				dotTiles(&out[i*n+jt], n, &a[i*k], &b[jt*k], k, tiles, seeded)
 			}
 			for j := jt + 4*tiles; j < jhi; j++ {
-				brow := b[j*k : (j+1)*k]
-				for r := i; r < i+4; r++ {
-					out[r*n+j] = dot(a[r*k:(r+1)*k], brow)
-				}
+				dot4(out[i*n+j:], n, a[i*k:(i+4)*k], b[j*k:(j+1)*k], seeded)
 			}
 		}
 	}
-	matMulTRangeGo(out, a, b, k, n, vhi, hi)
+	matMulTRangeGo(out, a, b, k, n, vhi, hi, seeded)
 }
 
-// dot is the ascending-p dot product from +0 of two equally long rows.
-func dot(x, y []float64) float64 {
+// dot4 is one ragged column of a strip: out[r·n] for the four rows r of a
+// against one row of b, four independent chains side by side (one alone is
+// bound by the latency of its add).
+func dot4(out []float64, n int, a, brow []float64, seeded bool) {
+	k := len(brow)
+	a0, a1, a2, a3 := a[:k], a[k:2*k], a[2*k:3*k], a[3*k:4*k]
+	var s0, s1, s2, s3 float64
+	if seeded {
+		s0, s1, s2, s3 = out[0], out[n], out[2*n], out[3*n]
+	}
+	for p, bv := range brow {
+		s0 += a0[p] * bv
+		s1 += a1[p] * bv
+		s2 += a2[p] * bv
+		s3 += a3[p] * bv
+	}
+	out[0], out[n], out[2*n], out[3*n] = s0, s1, s2, s3
+}
+
+// dot continues s with the ascending-p dot product of two equally long rows.
+func dot(s float64, x, y []float64) float64 {
 	y = y[:len(x)]
-	var s float64
 	for p, v := range x {
 		s += v * y[p]
 	}
@@ -290,8 +311,9 @@ func dot(x, y []float64) float64 {
 // range, and four output elements are produced per inner loop — four
 // independent accumulation chains for instruction-level parallelism (a single
 // dot product is latency-bound on its loop-carried add). Each chain sums in
-// ascending p order, so every element matches the ikj reference bitwise.
-func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int) {
+// ascending p order from its seed, so every element matches the ikj reference
+// bitwise.
+func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int, seeded bool) {
 	for jt := 0; jt < n; jt += gemmJBlock {
 		jhi := min(jt+gemmJBlock, n)
 		for i := lo; i < hi; i++ {
@@ -306,6 +328,9 @@ func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int) {
 				b2 := b[(j+2)*k : (j+3)*k][:len(arow)]
 				b3 := b[(j+3)*k : (j+4)*k][:len(arow)]
 				var s0, s1, s2, s3 float64
+				if seeded {
+					s0, s1, s2, s3 = orow[j], orow[j+1], orow[j+2], orow[j+3]
+				}
 				for p, av := range arow {
 					s0 += av * b0[p]
 					s1 += av * b1[p]
@@ -315,12 +340,11 @@ func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int) {
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
 			for ; j < jhi; j++ {
-				brow := b[j*k : (j+1)*k]
 				var s float64
-				for p, av := range arow {
-					s += av * brow[p]
+				if seeded {
+					s = orow[j]
 				}
-				orow[j] = s
+				orow[j] = dot(s, arow, b[j*k:(j+1)*k])
 			}
 		}
 	}
@@ -344,26 +368,28 @@ func TMatMulInto(dst, a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkInto("TMatMulInto", dst, k, n)
-	dst.Zero()
 	if serialRows(k, 2*m*k*n, matmulParallelThreshold) {
-		tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, 0, k)
+		tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, 0, k, true)
 	} else {
-		parallelRows(k, func(lo, hi int) {
-			tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, lo, hi)
+		parallelRows(k, func(_, lo, hi int) {
+			tMatMulRange(dst.Data, a.Data, b.Data, m, k, n, lo, hi, true)
 		})
 	}
 	return dst
 }
 
 // tMatMulRange computes output rows [lo, hi) (columns of a) of aᵀ·b,
-// accumulating into out.
-func tMatMulRange(out, a, b []float64, m, k, n, lo, hi int) {
+// accumulating into out or, with fromZero, into +0 (see matMulRange).
+func tMatMulRange(out, a, b []float64, m, k, n, lo, hi int, fromZero bool) {
 	if useVector && n > 0 {
 		// Row p's coefficient for term i is a[i·k + p].
-		axpyRangeVec(out, a, b, m, n, 1, k, lo, hi)
-	} else {
-		tMatMulRangeGo(out, a, b, m, k, n, lo, hi)
+		axpyRangeVec(out, a, b, m, n, 1, k, lo, hi, fromZero)
+		return
 	}
+	if fromZero {
+		clear(out[lo*n : hi*n])
+	}
+	tMatMulRangeGo(out, a, b, m, k, n, lo, hi)
 }
 
 // tMatMulRangeGo computes output rows [lo, hi) (columns of a) of aᵀ·b. The

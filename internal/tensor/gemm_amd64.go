@@ -13,7 +13,25 @@ func cpuHasAVX2() bool
 // computes. Pointers must address at least one element.
 //
 //go:noescape
-func axpyPanel(o, a *float64, sa int, b *float64, n, groups int)
+func axpyPanel(o, a *float64, sa int, b *float64, n, terms int, fromZero bool)
 
 //go:noescape
-func dotTiles(out *float64, n int, a, b *float64, k, tiles int)
+func dotTiles(out *float64, n int, a, b *float64, k, tiles int, seeded bool)
+
+// copyRowsVec and addRowsVec are the strided row bodies behind copyRows and
+// addRows (conv.go). rows and n must be positive.
+//
+//go:noescape
+func copyRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
+
+//go:noescape
+func addRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
+
+// reluVec and reluGradVec are the bodies behind ReLUInto and ReLUGradInto
+// (relu.go). n must be positive.
+//
+//go:noescape
+func reluVec(out *float64, keep *bool, x *float64, n int)
+
+//go:noescape
+func reluGradVec(gin, gradOut *float64, keep *bool, n int)

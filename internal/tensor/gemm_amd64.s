@@ -37,29 +37,83 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpyPanel(o, a *float64, sa int, b *float64, n, groups int)
+// func axpyPanel(o, a *float64, sa int, b *float64, n, terms int, fromZero bool)
 //
-// The axpy form. For g = 0 .. groups-1 and every j < n:
+// The axpy form. The terms are taken four at a time, for every j < n
 //
 //	o[j] = (((o[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
 //
-// where a_t = a[(4g+t)·sa] and b_t = b[(4g+t)·n ..], row 4g+t of a row-major
-// matrix with n columns. Eight j per iteration, then four, then a scalar tail.
-TEXT ·axpyPanel(SB), NOSPLIT, $0-48
+// where a_t = a[t·sa] and b_t = b[t·n ..], row t of a row-major matrix with n
+// columns, and the last terms mod 4 one at a time, o[j] = o[j] + a_t·b_t[j].
+// Eight j per iteration, then four, then a scalar tail. With fromZero (terms
+// must then be at least 4) the first group does not read o: its sums start
+// from a cleared register, +0 + a0·b0[j] — the value a zeroed o would have
+// given, a −0 product included.
+//
+// AXPY4_n is one group's arithmetic on n-wide registers, the running sums
+// starting from S0 (and S1) and ending in Y0 (and Y1).
+#define AXPY4_8(S0, S1) \
+	VMULPD  (DX)(AX*1), Y12, Y2; \
+	VMULPD  32(DX)(AX*1), Y12, Y3; \
+	VADDPD  Y2, S0, Y0; \
+	VADDPD  Y3, S1, Y1; \
+	VMULPD  (R11)(AX*1), Y13, Y4; \
+	VMULPD  32(R11)(AX*1), Y13, Y5; \
+	VADDPD  Y4, Y0, Y0; \
+	VADDPD  Y5, Y1, Y1; \
+	VMULPD  (R12)(AX*1), Y14, Y6; \
+	VMULPD  32(R12)(AX*1), Y14, Y7; \
+	VADDPD  Y6, Y0, Y0; \
+	VADDPD  Y7, Y1, Y1; \
+	VMULPD  (R13)(AX*1), Y15, Y8; \
+	VMULPD  32(R13)(AX*1), Y15, Y9; \
+	VADDPD  Y8, Y0, Y0; \
+	VADDPD  Y9, Y1, Y1; \
+	VMOVUPD Y0, (DI)(AX*1); \
+	VMOVUPD Y1, 32(DI)(AX*1); \
+	ADDQ    $64, AX
+
+#define AXPY4_4(S0) \
+	VMULPD  (DX)(AX*1), Y12, Y2; \
+	VADDPD  Y2, S0, Y0; \
+	VMULPD  (R11)(AX*1), Y13, Y4; \
+	VADDPD  Y4, Y0, Y0; \
+	VMULPD  (R12)(AX*1), Y14, Y6; \
+	VADDPD  Y6, Y0, Y0; \
+	VMULPD  (R13)(AX*1), Y15, Y8; \
+	VADDPD  Y8, Y0, Y0; \
+	VMOVUPD Y0, (DI)(AX*1); \
+	ADDQ    $32, AX
+
+#define AXPY4_1(S0) \
+	VMULSD (DX)(AX*1), X12, X2; \
+	VADDSD X2, S0, X0; \
+	VMULSD (R11)(AX*1), X13, X4; \
+	VADDSD X4, X0, X0; \
+	VMULSD (R12)(AX*1), X14, X6; \
+	VADDSD X6, X0, X0; \
+	VMULSD (R13)(AX*1), X15, X8; \
+	VADDSD X8, X0, X0; \
+	VMOVSD X0, (DI)(AX*1); \
+	ADDQ   $8, AX
+
+TEXT ·axpyPanel(SB), NOSPLIT, $0-49
 	MOVQ o+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ sa+16(FP), R8
 	MOVQ b+24(FP), DX
 	MOVQ n+32(FP), CX
-	MOVQ groups+40(FP), R10
+	MOVQ terms+40(FP), R10
+	MOVBQZX fromZero+48(FP), R14
 	SHLQ $3, R8              // a's stride and the row length in bytes
 	SHLQ $3, CX
 	MOVQ CX, BX
 	ANDQ $-64, BX            // end of the eight-wide part
+	VXORPD Y11, Y11, Y11     // the +0 a from-zero group starts its sums from
 
 axpy_group:
-	TESTQ R10, R10
-	JZ    axpy_done
+	CMPQ R10, $4
+	JLT  axpy_term
 	VBROADCASTSD (SI), Y12
 	VBROADCASTSD (SI)(R8*1), Y13
 	LEAQ         (SI)(R8*2), R11
@@ -70,82 +124,101 @@ axpy_group:
 	LEAQ (DX)(CX*2), R12     // b2
 	LEAQ (R11)(CX*2), R13    // b3
 	XORQ AX, AX
+	TESTQ R14, R14
+	JNZ   axpyz_8
 
 axpy_8:
 	CMPQ AX, BX
 	JGE  axpy_4
 	VMOVUPD (DI)(AX*1), Y0
 	VMOVUPD 32(DI)(AX*1), Y1
-	VMULPD  (DX)(AX*1), Y12, Y2
-	VMULPD  32(DX)(AX*1), Y12, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R11)(AX*1), Y13, Y4
-	VMULPD  32(R11)(AX*1), Y13, Y5
-	VADDPD  Y4, Y0, Y0
-	VADDPD  Y5, Y1, Y1
-	VMULPD  (R12)(AX*1), Y14, Y6
-	VMULPD  32(R12)(AX*1), Y14, Y7
-	VADDPD  Y6, Y0, Y0
-	VADDPD  Y7, Y1, Y1
-	VMULPD  (R13)(AX*1), Y15, Y8
-	VMULPD  32(R13)(AX*1), Y15, Y9
-	VADDPD  Y8, Y0, Y0
-	VADDPD  Y9, Y1, Y1
-	VMOVUPD Y0, (DI)(AX*1)
-	VMOVUPD Y1, 32(DI)(AX*1)
-	ADDQ    $64, AX
-	JMP     axpy_8
+	AXPY4_8(Y0, Y1)
+	JMP  axpy_8
 
 axpy_4:
 	TESTQ $32, CX            // four more elements left?
 	JZ    axpy_1
 	VMOVUPD (DI)(AX*1), Y0
-	VMULPD  (DX)(AX*1), Y12, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R11)(AX*1), Y13, Y4
-	VADDPD  Y4, Y0, Y0
-	VMULPD  (R12)(AX*1), Y14, Y6
-	VADDPD  Y6, Y0, Y0
-	VMULPD  (R13)(AX*1), Y15, Y8
-	VADDPD  Y8, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
-	ADDQ    $32, AX
+	AXPY4_4(Y0)
 
 axpy_1:
 	CMPQ AX, CX
 	JGE  axpy_next
 	VMOVSD (DI)(AX*1), X0
-	VMULSD (DX)(AX*1), X12, X2
-	VADDSD X2, X0, X0
-	VMULSD (R11)(AX*1), X13, X4
-	VADDSD X4, X0, X0
-	VMULSD (R12)(AX*1), X14, X6
-	VADDSD X6, X0, X0
-	VMULSD (R13)(AX*1), X15, X8
-	VADDSD X8, X0, X0
-	VMOVSD X0, (DI)(AX*1)
-	ADDQ   $8, AX
-	JMP    axpy_1
+	AXPY4_1(X0)
+	JMP  axpy_1
+
+axpyz_8:
+	CMPQ AX, BX
+	JGE  axpyz_4
+	AXPY4_8(Y11, Y11)
+	JMP  axpyz_8
+
+axpyz_4:
+	TESTQ $32, CX
+	JZ    axpyz_1
+	AXPY4_4(Y11)
+
+axpyz_1:
+	CMPQ AX, CX
+	JGE  axpy_next
+	AXPY4_1(X11)
+	JMP  axpyz_1
 
 axpy_next:
 	LEAQ (DX)(CX*4), DX
-	DECQ R10
+	SUBQ $4, R10
+	XORQ R14, R14            // only the first group starts from zero
 	JMP  axpy_group
+
+axpy_term:
+	TESTQ R10, R10
+	JLE   axpy_done
+	VBROADCASTSD (SI), Y12
+	ADDQ R8, SI
+	XORQ AX, AX
+
+axpyt_4:
+	LEAQ 32(AX), R11
+	CMPQ R11, CX
+	JGT  axpyt_1
+	VMOVUPD (DI)(AX*1), Y0
+	VMULPD  (DX)(AX*1), Y12, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	MOVQ    R11, AX
+	JMP     axpyt_4
+
+axpyt_1:
+	CMPQ AX, CX
+	JGE  axpyt_next
+	VMOVSD (DI)(AX*1), X0
+	VMULSD (DX)(AX*1), X12, X2
+	VADDSD X2, X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    axpyt_1
+
+axpyt_next:
+	ADDQ CX, DX
+	DECQ R10
+	JMP  axpy_term
 
 axpy_done:
 	VZEROUPPER
 	RET
 
-// func dotTiles(out *float64, n int, a, b *float64, k, tiles int)
+// func dotTiles(out *float64, n int, a, b *float64, k, tiles int, seeded bool)
 //
 // The dot form, on row-major a and b with k columns and out with n. For
 // t = 0 .. tiles-1, i < 4 and j < 4:
 //
-//	out[i·n + 4t+j] = Σ_{p < k} a[i·k + p] · b[(4t+j)·k + p]
+//	out[i·n + 4t+j] = seed + Σ_{p < k} a[i·k + p] · b[(4t+j)·k + p]
 //
-// summed from +0 in ascending p. One tile keeps four accumulators, one per row
-// of a, whose four lanes are the tile's four rows of b. Four p at a time: four
+// summed in ascending p from seed = +0, or, when seeded, from the element's
+// prior value — the chain a fold over several calls continues. One tile keeps
+// four accumulators, one per row of a, whose four lanes are the tile's four
+// rows of b. Four p at a time: four
 // rows of b are loaded and transposed in registers so that each register holds
 // one p across the four rows,
 //
@@ -158,7 +231,7 @@ axpy_done:
 // and every row of a then takes its four terms in order: broadcast a_i[p],
 // multiply, add. The last k mod 4 terms gather their one p from the four rows
 // with scalar loads instead.
-TEXT ·dotTiles(SB), NOSPLIT, $0-48
+TEXT ·dotTiles(SB), NOSPLIT, $0-49
 	MOVQ out+0(FP), DI
 	MOVQ a+16(FP), SI
 	MOVQ b+24(FP), DX
@@ -176,10 +249,24 @@ dot_tile:
 	LEAQ  (DX)(BX*1), R11    // b1
 	LEAQ  (DX)(BX*2), R12    // b2
 	LEAQ  (R11)(BX*2), R13   // b3
+	CMPB  seeded+48(FP), $0
+	JNE   dot_seed
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	JMP   dot_terms
+
+dot_seed:
+	MOVQ n+8(FP), AX         // the tile as dot_store lays it out
+	SHLQ $3, AX
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(AX*1), Y1
+	VMOVUPD (DI)(AX*2), Y2
+	LEAQ    (AX)(AX*2), AX
+	VMOVUPD (DI)(AX*1), Y3
+
+dot_terms:
 	XORQ  AX, AX
 	TESTQ CX, CX
 	JZ    dot_1
@@ -286,5 +373,215 @@ dot_store:
 	JMP  dot_tile
 
 dot_done:
+	VZEROUPPER
+	RET
+
+// func copyRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
+//
+// The strided row copy of the channel-major conv lowering: for r < rows and
+// j < n, dst[r·ds + j] = src[r·ss + j]. Four elements per vector move, then
+// one at a time through an integer register — either way the bits are moved,
+// never interpreted.
+TEXT ·copyRowsVec(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ds+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ ss+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ n+40(FP), CX
+	SHLQ $3, R8              // both strides and the run length in bytes
+	SHLQ $3, R9
+	SHLQ $3, CX
+	MOVQ CX, BX
+	ANDQ $-32, BX            // end of the four-wide part
+
+copy_row:
+	TESTQ R10, R10
+	JLE   copy_done
+	XORQ  AX, AX
+	TESTQ BX, BX
+	JZ    copy_1
+
+copy_4:
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, BX
+	JLT     copy_4
+
+copy_1:
+	CMPQ AX, CX
+	JGE  copy_next
+	MOVQ (SI)(AX*1), DX
+	MOVQ DX, (DI)(AX*1)
+	ADDQ $8, AX
+	JMP  copy_1
+
+copy_next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R10
+	JMP  copy_row
+
+copy_done:
+	VZEROUPPER
+	RET
+
+// func addRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
+//
+// The strided row scatter-add: for r < rows and j < n,
+// dst[r·ds + j] = dst[r·ds + j] + src[r·ss + j] — one addition per element,
+// the destination first, as in the Go loop.
+TEXT ·addRowsVec(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ds+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ ss+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ n+40(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, CX
+	MOVQ CX, BX
+	ANDQ $-32, BX
+
+add_row:
+	TESTQ R10, R10
+	JLE   add_done
+	XORQ  AX, AX
+	TESTQ BX, BX
+	JZ    add_1
+
+add_4:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, BX
+	JLT     add_4
+
+add_1:
+	CMPQ AX, CX
+	JGE  add_next
+	VMOVSD (DI)(AX*1), X0
+	VADDSD (SI)(AX*1), X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    add_1
+
+add_next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R10
+	JMP  add_row
+
+add_done:
+	VZEROUPPER
+	RET
+
+// reluKeep maps the four sign-test bits VMOVMSKPD collects to four bool bytes:
+// entry i holds byte j = bit j of i.
+DATA reluKeep<>+0(SB)/4, $0x00000000
+DATA reluKeep<>+4(SB)/4, $0x00000001
+DATA reluKeep<>+8(SB)/4, $0x00000100
+DATA reluKeep<>+12(SB)/4, $0x00000101
+DATA reluKeep<>+16(SB)/4, $0x00010000
+DATA reluKeep<>+20(SB)/4, $0x00010001
+DATA reluKeep<>+24(SB)/4, $0x00010100
+DATA reluKeep<>+28(SB)/4, $0x00010101
+DATA reluKeep<>+32(SB)/4, $0x01000000
+DATA reluKeep<>+36(SB)/4, $0x01000001
+DATA reluKeep<>+40(SB)/4, $0x01000100
+DATA reluKeep<>+44(SB)/4, $0x01000101
+DATA reluKeep<>+48(SB)/4, $0x01010000
+DATA reluKeep<>+52(SB)/4, $0x01010001
+DATA reluKeep<>+56(SB)/4, $0x01010100
+DATA reluKeep<>+60(SB)/4, $0x01010101
+GLOBL reluKeep<>(SB), RODATA|NOPTR, $64
+
+// func reluVec(out *float64, keep *bool, x *float64, n int)
+//
+// For i < n: keep[i] = x[i] > 0, out[i] = x[i] where kept and +0 elsewhere.
+// The compare is GT_OQ against +0 — false for −0 and for a NaN of either sign,
+// like the Go loop's v > 0 — and its all-ones-or-zero lanes are ANDed with the
+// value, so a kept value keeps its bits; VMOVMSKPD gathers the lanes' sign
+// bits and reluKeep spells them as bool bytes, exactly 0 or 1.
+TEXT ·reluVec(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ keep+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), CX
+	LEAQ reluKeep<>(SB), R8
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX             // end of the four-wide part
+	JZ   relu_1
+
+relu_4:
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $0x1e, Y15, Y0, Y1
+	VANDPD    Y1, Y0, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	VMOVMSKPD Y1, R9
+	MOVL      (R8)(R9*4), R9
+	MOVL      R9, (DX)(AX*1)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JLT       relu_4
+
+relu_1:
+	CMPQ AX, CX
+	JGE  relu_done
+	VMOVSD    (SI)(AX*8), X0
+	VCMPSD    $0x1e, X15, X0, X1
+	VANDPD    X1, X0, X0
+	VMOVSD    X0, (DI)(AX*8)
+	VMOVMSKPD X1, R9
+	ANDL      $1, R9
+	MOVB      R9, (DX)(AX*1)
+	INCQ      AX
+	JMP       relu_1
+
+relu_done:
+	VZEROUPPER
+	RET
+
+// func reluGradVec(gin, gradOut *float64, keep *bool, n int)
+//
+// For i < n: gin[i] = gradOut[i] where keep[i], +0 elsewhere. Four bool bytes
+// widen to four quadwords of 0 or 1; 0 − them is the all-ones-or-zero mask the
+// gradient is ANDed with, so a kept gradient keeps its bits.
+TEXT ·reluGradVec(SB), NOSPLIT, $0-32
+	MOVQ gin+0(FP), DI
+	MOVQ gradOut+8(FP), SI
+	MOVQ keep+16(FP), DX
+	MOVQ n+24(FP), CX
+	VPXOR Y15, Y15, Y15
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	JZ   relugrad_1
+
+relugrad_4:
+	VPMOVZXBQ (DX)(AX*1), Y1
+	VPSUBQ    Y1, Y15, Y1
+	VANDPD    (SI)(AX*8), Y1, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JLT       relugrad_4
+
+relugrad_1:
+	CMPQ AX, CX
+	JGE  relugrad_done
+	MOVBQZX (DX)(AX*1), R9
+	NEGQ    R9
+	ANDQ    (SI)(AX*8), R9
+	MOVQ    R9, (DI)(AX*8)
+	INCQ    AX
+	JMP     relugrad_1
+
+relugrad_done:
 	VZEROUPPER
 	RET

@@ -250,7 +250,7 @@ func TestFanOutActive(t *testing.T) {
 		t.Fatal("active with no kernel running")
 	}
 	saw := make([]bool, 8)
-	parallelRows(len(saw), func(lo, hi int) {
+	parallelRows(len(saw), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			saw[i] = FanOutActive()
 		}

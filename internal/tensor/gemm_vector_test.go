@@ -56,16 +56,41 @@ type rangeKernel struct {
 	run  func(out, a, b []float64, m, k, n, lo, hi int)
 	// accumulates: the kernel adds to out's prior contents.
 	accumulates bool
+	// sweep is the m, k, n sweep of the battery: vectorDims for the three
+	// kernels, variantDims for the forms that differ from one of them only in
+	// how an element's chain starts.
+	sweep []int
 }
+
+// variantDims keeps every remainder of the vector steps, a panel straddle and
+// the conv shapes, at a fifth of vectorDims' cross product.
+var variantDims = []int{1, 3, 4, 5, 8, 9, 13, 31, 72, 144}
 
 var rangeKernels = []rangeKernel{
 	{"matMulRange", func(m, k, n int) (int, int, int) { return m * k, k * n, m },
-		func(out, a, b []float64, m, k, n, lo, hi int) { matMulRange(out, a, b, k, n, lo, hi) }, true},
+		func(out, a, b []float64, m, k, n, lo, hi int) { matMulRange(out, a, b, k, n, lo, hi, false) }, true, vectorDims},
+	{"matMulRange from zero", func(m, k, n int) (int, int, int) { return m * k, k * n, m },
+		func(out, a, b []float64, m, k, n, lo, hi int) { matMulRange(out, a, b, k, n, lo, hi, true) }, false, variantDims},
 	{"tMatMulRange", func(m, k, n int) (int, int, int) { return m * k, m * n, k },
-		func(out, a, b []float64, m, k, n, lo, hi int) { tMatMulRange(out, a, b, m, k, n, lo, hi) }, true},
+		func(out, a, b []float64, m, k, n, lo, hi int) { tMatMulRange(out, a, b, m, k, n, lo, hi, false) }, true, vectorDims},
+	{"tMatMulRange from zero", func(m, k, n int) (int, int, int) { return m * k, m * n, k },
+		func(out, a, b []float64, m, k, n, lo, hi int) { tMatMulRange(out, a, b, m, k, n, lo, hi, true) }, false, variantDims},
 	{"matMulTRange", func(m, k, n int) (int, int, int) { return m * k, n * k, m },
-		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, lo, hi) }, false},
+		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, lo, hi, false) }, false, vectorDims},
+	{"matMulTRange seeded", func(m, k, n int) (int, int, int) { return m * k, n * k, m },
+		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, lo, hi, true) }, true, variantDims},
 }
+
+// rowKernels are the two strided row kernels of the conv lowering.
+var rowKernels = []struct {
+	name string
+	run  func(dst []float64, ds int, src []float64, ss, rows, n int)
+}{{"copyRows", copyRows}, {"addRows", addRows}}
+
+// rowLens are the run lengths of the row-kernel battery: every remainder of
+// the four-wide step around zero, one, two and three whole vectors, and a long
+// odd run.
+var rowLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 31}
 
 // diffKernel runs rk on both paths over the same operands (filled by fa, fb;
 // out starts from fo on both sides) and returns the two outputs.
@@ -79,10 +104,13 @@ func diffKernel(rk rangeKernel, m, k, n, lo, hi int, fa, fb, fo func(int) float6
 }
 
 // TestVectorKernelsMatchGoLoops is the bit-level differential suite of the
-// AVX2 path against the kept Go loops: all three range kernels over every
-// combination of vectorDims, three row ranges, operands at odd element offsets
-// and, for the accumulating forms, a non-zero initial output. Rows outside the
-// range must come back untouched.
+// AVX2 path against the kept Go loops: the range kernels (the dot form also
+// seeded) over every combination of vectorDims, three row ranges, operands at
+// odd element offsets and, for the accumulating forms, a non-zero initial
+// output; then the two strided row kernels over rowLens, row counts 0–5 and
+// strides from n to n+5 on both sides, onto non-zero destinations. Everything
+// outside a kernel's range — other rows, the gaps between strided runs — must
+// come back untouched.
 func TestVectorKernelsMatchGoLoops(t *testing.T) {
 	if !useVector {
 		t.Skip("no vector path on this CPU (or this is the portable run)")
@@ -97,9 +125,9 @@ func TestVectorKernelsMatchGoLoops(t *testing.T) {
 	}
 	shapes := 0
 	for _, rk := range rangeKernels {
-		for _, m := range vectorDims {
-			for _, k := range vectorDims {
-				for _, n := range vectorDims {
+		for _, m := range rk.sweep {
+			for _, k := range rk.sweep {
+				for _, n := range rk.sweep {
 					_, _, outRows := rk.dims(m, k, n)
 					for _, rg := range [][2]int{{0, outRows}, {outRows / 3, outRows}, {0, (outRows + 1) / 2}} {
 						vec, ref := diffKernel(rk, m, k, n, rg[0], rg[1], pick(m), pick(k+n), pick(3*n+1))
@@ -111,6 +139,29 @@ func TestVectorKernelsMatchGoLoops(t *testing.T) {
 						}
 						shapes++
 					}
+				}
+			}
+		}
+	}
+	for _, rk := range rowKernels {
+		for _, n := range rowLens {
+			for rows := 0; rows <= 5; rows++ {
+				for _, pad := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {5, 2}} {
+					ds, ss := n+pad[0], n+pad[1]
+					src := oddSlice(rows*ss+1, pick(n))
+					vec, ref := oddSlice(rows*ds+1, pick(rows+40)), oddSlice(rows*ds+1, pick(rows+40))
+					rk.run(vec, ds, src, ss, rows, n)
+					onGoPath(func() { rk.run(ref, ds, src, ss, rows, n) })
+					for i := range ref {
+						if math.Float64bits(vec[i]) != math.Float64bits(ref[i]) {
+							t.Fatalf("%s rows=%d n=%d strides %d/%d: element %d = %x, Go loop %x",
+								rk.name, rows, n, ds, ss, i, math.Float64bits(vec[i]), math.Float64bits(ref[i]))
+						}
+						if inRun := i/max(ds, 1) < rows && i%max(ds, 1) < n; !inRun && vec[i] != pick(rows+40)(i+1) {
+							t.Fatalf("%s rows=%d n=%d strides %d/%d: element %d outside the runs was written", rk.name, rows, n, ds, ss, i)
+						}
+					}
+					shapes++
 				}
 			}
 		}
@@ -167,6 +218,20 @@ func TestVectorKernelsSpecialValues(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	// The scatter's row add over the same table (the copy moves bits and is
+	// covered bit for bit, NaN included, by TestVectorKernelsMatchGoLoops).
+	for _, n := range []int{1, 4, 7, 13} {
+		for salt := 0; salt < 8; salt++ {
+			const rows = 3
+			src := oddSlice(rows*(n+1), fill(salt, 2))
+			vec, ref := oddSlice(rows*(n+2), fill(salt+50, 2)), oddSlice(rows*(n+2), fill(salt+50, 2))
+			addRows(vec, n+2, src, n+1, rows, n)
+			onGoPath(func() { addRows(ref, n+2, src, n+1, rows, n) })
+			if i, ok := sameBitsOrBothNaN(vec, ref); !ok {
+				t.Fatalf("addRows n=%d salt=%d: element %d = %v, Go loop %v", n, salt, i, vec[i], ref[i])
 			}
 		}
 	}

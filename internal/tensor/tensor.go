@@ -223,10 +223,10 @@ func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := New(m, n)
 	if serialRows(m, 2*m*k*n, matmulParallelThreshold) {
-		matMulRange(out.Data, a.Data, b.Data, k, n, 0, m)
+		matMulRange(out.Data, a.Data, b.Data, k, n, 0, m, false)
 	} else {
-		parallelRows(m, func(lo, hi int) {
-			matMulRange(out.Data, a.Data, b.Data, k, n, lo, hi)
+		parallelRows(m, func(_, lo, hi int) {
+			matMulRange(out.Data, a.Data, b.Data, k, n, lo, hi, false)
 		})
 	}
 	return out

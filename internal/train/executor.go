@@ -104,6 +104,9 @@ type Executor struct {
 	// lossGrad is the retained loss-gradient buffer of forwardLoss.
 	lossGrad *tensor.Tensor
 
+	// rec is StepRecompute's bookkeeping, retained between steps.
+	rec recomputeState
+
 	// Cached analysis of the most recent schedule (steady-state Fit loops use
 	// one schedule for thousands of steps; re-validating would allocate).
 	cachedSched graph.BackwardSchedule
@@ -171,6 +174,45 @@ func wsWeightGrad(l nn.Layer, g *tensor.Tensor, ws *tensor.Workspace) {
 		return
 	}
 	l.WeightGrad(g)
+}
+
+// forwardLayer, inputGrad and weightGrad run one op of layer i (1-based)
+// through the ws* helpers and, when the executor is observed, report it — one
+// nil-checked branch, no timestamp otherwise. forwardLayer reports as kind
+// (OpFwd, or OpRefwd for a checkpointed step's re-run); forward and δO always
+// run on lane 0. All three are safe on a nil receiver.
+
+func (e *Executor) forwardLayer(kind OpKind, l nn.Layer, i int, x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
+	obs := e.observer()
+	if obs == nil {
+		return wsForward(l, x, ws)
+	}
+	start := time.Now()
+	out := wsForward(l, x, ws)
+	obs(OpEvent{Kind: kind, Layer: i, Start: start, End: time.Now(), Elems: x.Len() + out.Len()})
+	return out
+}
+
+func (e *Executor) inputGrad(l nn.Layer, i int, g *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
+	obs := e.observer()
+	if obs == nil {
+		return wsInputGrad(l, g, ws)
+	}
+	start := time.Now()
+	gin := wsInputGrad(l, g, ws)
+	obs(OpEvent{Kind: OpDO, Layer: i, Start: start, End: time.Now()})
+	return gin
+}
+
+func (e *Executor) weightGrad(lane int, l nn.Layer, i int, g *tensor.Tensor, ws *tensor.Workspace) {
+	obs := e.observer()
+	if obs == nil {
+		wsWeightGrad(l, g, ws)
+		return
+	}
+	start := time.Now()
+	wsWeightGrad(l, g, ws)
+	obs(OpEvent{Kind: OpDW, Layer: i, Lane: lane, Start: start, End: time.Now()})
 }
 
 // Mode returns the executor's execution mode (serial for a nil receiver).
@@ -256,13 +298,7 @@ func (e *Executor) drainDW(lane int) {
 }
 
 func (e *Executor) runDW(lane int, t dwTask) {
-	if obs := e.obs; obs != nil {
-		start := time.Now()
-		wsWeightGrad(t.layer, t.grad, e.dwWS[t.idx])
-		obs(OpEvent{Kind: OpDW, Layer: t.idx, Lane: lane, Start: start, End: time.Now()})
-	} else {
-		wsWeightGrad(t.layer, t.grad, e.dwWS[t.idx])
-	}
+	e.weightGrad(lane, t.layer, t.idx, t.grad, e.dwWS[t.idx])
 	if e.onDW != nil {
 		e.onDW(t.idx)
 	}
@@ -320,18 +356,11 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 	if err != nil {
 		return BackwardStats{}, err
 	}
-	if cap(e.grads) < L+1 {
-		e.grads = make([]*tensor.Tensor, L+1)
-	}
-	e.grads = e.grads[:L+1]
-	clear(e.grads)
+	e.grads = resized(e.grads, L+1)
 	e.grads[L] = lossGrad
 	pooled := e.mode == ExecConcurrent
 	if pooled {
-		if cap(e.refcnt) < L+1 {
-			e.refcnt = make([]int32, L+1)
-		}
-		e.refcnt = e.refcnt[:L+1]
+		e.refcnt = resized(e.refcnt, L+1)
 		for i := 1; i <= L; i++ {
 			e.refcnt[i] = 2
 		}
@@ -339,33 +368,22 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 			e.dwWS = append(e.dwWS, tensor.NewWorkspace())
 		}
 	}
-	obs := e.obs
 	for _, op := range sched {
 		i := op.Layer
 		layer, g := n.Layers[i-1], e.grads[i]
-		if pooled && op.Kind == graph.WeightGrad {
-			e.dwWG.Add(1)
-			e.tasks <- dwTask{layer: layer, idx: i, grad: g}
-			continue
-		}
-		var start time.Time
-		if obs != nil {
-			start = time.Now()
-		}
 		if op.Kind == graph.WeightGrad {
-			wsWeightGrad(layer, g, e.chainWS)
-			if obs != nil {
-				obs(OpEvent{Kind: OpDW, Layer: i, Start: start, End: time.Now()})
+			if pooled {
+				e.dwWG.Add(1)
+				e.tasks <- dwTask{layer: layer, idx: i, grad: g}
+				continue
 			}
+			e.weightGrad(0, layer, i, g, e.chainWS)
 			if e.onDW != nil {
 				e.onDW(i)
 			}
 			continue
 		}
-		gin := wsInputGrad(layer, g, e.chainWS)
-		if obs != nil {
-			obs(OpEvent{Kind: OpDO, Layer: i, Start: start, End: time.Now()})
-		}
+		gin := e.inputGrad(layer, i, g, e.chainWS)
 		if i > 1 {
 			e.grads[i-1] = gin
 		}
@@ -402,14 +420,7 @@ func (e *Executor) zeroForward(n *Network, x *tensor.Tensor) *tensor.Tensor {
 		obs(OpEvent{Kind: OpZero, Start: start, End: time.Now()})
 	}
 	for i, l := range n.Layers {
-		var in int
-		if obs != nil {
-			start, in = time.Now(), x.Len()
-		}
-		x = wsForward(l, x, e.chainWS)
-		if obs != nil {
-			obs(OpEvent{Kind: OpFwd, Layer: i + 1, Start: start, End: time.Now(), Elems: in + x.Len()})
-		}
+		x = e.forwardLayer(OpFwd, l, i+1, x, e.chainWS)
 	}
 	return x
 }
@@ -425,19 +436,21 @@ func (e *Executor) loss(logits *tensor.Tensor, labels []int) (float64, *tensor.T
 	return nn.SoftmaxCrossEntropyInto(e.lossGrad, logits, labels), e.lossGrad
 }
 
+// observedLoss is loss, reported when the executor is observed.
+func (e *Executor) observedLoss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	obs := e.observer()
+	if obs == nil {
+		return e.loss(logits, labels)
+	}
+	start := time.Now()
+	loss, lossGrad := e.loss(logits, labels)
+	obs(OpEvent{Kind: OpLoss, Start: start, End: time.Now(), Elems: logits.Len()})
+	return loss, lossGrad
+}
+
 // forwardLoss runs ZeroGrads → forward → loss and returns what loss returns.
 func (e *Executor) forwardLoss(n *Network, x *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	logits := e.zeroForward(n, x)
-	obs := e.observer()
-	var start time.Time
-	if obs != nil {
-		start = time.Now()
-	}
-	loss, lossGrad := e.loss(logits, labels)
-	if obs != nil {
-		obs(OpEvent{Kind: OpLoss, Start: start, End: time.Now(), Elems: logits.Len()})
-	}
-	return loss, lossGrad
+	return e.observedLoss(e.zeroForward(n, x), labels)
 }
 
 // serialPass is forwardLoss followed by the backward pass, all on the calling

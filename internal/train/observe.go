@@ -38,9 +38,12 @@ const (
 	// OpStep closes a training step; its span is the step's wall time and
 	// encloses every other event of the step.
 	OpStep
+	// OpRefwd is one layer's forward computation re-run by a checkpointed step
+	// (Executor.StepRecompute) to rebuild state its backward pass dropped.
+	OpRefwd
 )
 
-var opKindNames = [...]string{"zeroGrad", "fwd", "loss", "dO", "dW", "dWFill", "update", "reduce", "idle", "step"}
+var opKindNames = [...]string{"zeroGrad", "fwd", "loss", "dO", "dW", "dWFill", "update", "reduce", "idle", "step", "reFwd"}
 
 func (k OpKind) String() string { return opKindNames[k] }
 

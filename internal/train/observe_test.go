@@ -55,7 +55,29 @@ func observedEngines() []observedEngine {
 			return net, func() error { _, err := e.Step(net, x, labels, sched, opt); return err }, e.Observe, want
 		}}
 	}
-	engines := []observedEngine{executor(ExecSerial), executor(ExecConcurrent), {
+	// A checkpointed step is the serial schedule plus one reFwd per layer its
+	// backward pass re-materializes. With every = 2 all stashes are dropped
+	// after the forward pass and each segment is re-run once, from the
+	// checkpoint below it, when the chain first reaches it: every layer once,
+	// RecomputeStats.RecomputedLayers = L re-runs in all.
+	recompute := observedEngine{"recompute", 1, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+		net, e, opt := build(), NewExecutor(ExecSerial, 0), &nn.SGD{LR: 0.05}
+		sched := graph.ReverseFirstK(L, 2)
+		want := perLayer(1, OpDW, 0, false)
+		want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
+		for l := 1; l <= L; l++ {
+			want[evKey{OpRefwd, l, 0}] = 1
+		}
+		step := func() error {
+			_, st, err := e.StepRecompute(net, x, labels, sched, 2, opt)
+			if err == nil && st.RecomputedLayers != L {
+				err = fmt.Errorf("step reports %d recomputed layers, the event table expects %d", st.RecomputedLayers, L)
+			}
+			return err
+		}
+		return net, step, e.Observe, want
+	}}
+	engines := []observedEngine{executor(ExecSerial), executor(ExecConcurrent), recompute, {
 		"dp2", 4, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
 			net := build()
 			dp, err := NewDataParallel(net, &nn.SGD{LR: 0.05}, DataParallelConfig{
@@ -102,12 +124,14 @@ func observedEngines() []observedEngine {
 	return engines
 }
 
-// TestObserver pins the op-event seam on every engine: (a) observing changes
-// no parameter bit, (b) one step's events are exactly its schedule, (c) spans
-// are well-formed and never overlap on a lane, (d) a warm step with
-// ProfileObserver attached allocates exactly what an unobserved one does —
-// nothing, on every engine: forward, loss, backward, the reduction or the
-// stage hand-offs and the update all run on retained buffers.
+// TestObserver pins the op-event seam on every engine, the checkpointed step
+// included: (a) observing changes no parameter bit, (b) one step's events are
+// exactly its schedule (L + RecomputedLayers forward spans when
+// checkpointed), (c) spans are well-formed and never overlap on a lane, (d) a
+// warm step with ProfileObserver attached allocates exactly what an
+// unobserved one does — nothing, on every engine: forward, loss, backward,
+// the reduction or the stage hand-offs and the update all run on retained
+// buffers.
 func TestObserver(t *testing.T) {
 	const steps = 3
 	for _, eng := range observedEngines() {

@@ -57,7 +57,7 @@ func layerTypeName(l nn.Layer) string {
 // calibKind maps the event kinds a profile records to calib's op kinds.
 var calibKind = [...]calib.OpKind{
 	OpZero: calib.OpZero, OpFwd: calib.OpFwd, OpLoss: calib.OpLoss, OpDO: calib.OpDO, OpDW: calib.OpDW,
-	OpDWFill: calib.OpDWFill, OpUpdate: calib.OpUpdate, OpReduce: calib.OpReduce,
+	OpDWFill: calib.OpDWFill, OpUpdate: calib.OpUpdate, OpReduce: calib.OpReduce, OpRefwd: calib.OpFwd,
 }
 
 // ProfileObserver returns an observer recording the steps of net n into p:
@@ -95,9 +95,9 @@ func ProfileObserver(p *calib.Profiler, n *Network) Observer {
 			w = total
 		case OpReduce:
 			lt = "bucket"
-		case OpFwd, OpDO, OpDW, OpDWFill:
+		case OpFwd, OpRefwd, OpDO, OpDW, OpDWFill:
 			mu.Lock()
-			if ev.Kind == OpFwd {
+			if ev.Kind == OpFwd || ev.Kind == OpRefwd {
 				work[ev.Layer] = w + params[ev.Layer]
 			}
 			lt, w = ltype[ev.Layer], work[ev.Layer]

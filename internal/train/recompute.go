@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"time"
 
 	"oooback/internal/graph"
 	"oooback/internal/nn"
@@ -29,6 +30,49 @@ type RecomputeStats struct {
 	RecomputeShare float64
 }
 
+// recomputeState is the per-layer bookkeeping and byte ledger of one
+// StepRecompute call. An executor retains it between steps, so a warm
+// checkpointed step allocates nothing; a nil executor uses a fresh one.
+type recomputeState struct {
+	stashers   []nn.Stasher
+	acts       []*tensor.Tensor // acts[j] = a_j, nil when discarded
+	grads      []*tensor.Tensor
+	stashValid []bool
+	doneDO     []bool
+	doneDW     []bool
+
+	bytes int64
+	stats RecomputeStats
+}
+
+// reset sizes the tables for an L-layer network and clears them.
+func (r *recomputeState) reset(L, every int) {
+	r.stashers = resized(r.stashers, L)
+	r.acts, r.grads = resized(r.acts, L+1), resized(r.grads, L+1)
+	r.stashValid, r.doneDO, r.doneDW = resized(r.stashValid, L+1), resized(r.doneDO, L+1), resized(r.doneDW, L+1)
+	r.bytes, r.stats = 0, RecomputeStats{Every: every}
+}
+
+// resized returns s with n zeroed elements, reusing its array when it can.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// hold adds n bytes to the ledger and records a new peak.
+func (r *recomputeState) hold(n int64) {
+	r.bytes += n
+	if r.bytes > r.stats.PeakLiveBytes {
+		r.stats.PeakLiveBytes = r.bytes
+	}
+}
+
+func tensorBytes(t *tensor.Tensor) int64 { return 8 * int64(t.Len()) }
+
 // StepRecompute runs one full training step under activation checkpointing
 // (gradient checkpointing, §6 of the paper): the forward pass keeps only
 // every `every`-th activation; the backward pass re-materializes each
@@ -46,23 +90,32 @@ type RecomputeStats struct {
 //
 // Every layer op — first forward, segment re-forward, δO, δW — runs through
 // the pooled path on the executor's chain workspace (a nil receiver has none
-// and walks the plain allocating methods). The byte ledger counts logical
-// lifetimes and is the same either way: a pooled layer keeps its output
-// buffer after the ledger released the activation, and what DropStash
-// releases (masks, lowerings, index plans) is re-created by the re-run.
+// and walks the plain allocating methods), and reports on lane 0 like the
+// serial engine's, a re-forward as OpRefwd. The byte ledger is logical and is
+// the same either way: a pooled layer keeps its output buffer after the
+// ledger released the activation, and a dropped stash (masks, lowerings, index
+// plans) reads 0 bytes while its layer keeps the capacity for the re-run — so
+// a warm step on an executor allocates nothing.
 func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	sched graph.BackwardSchedule, every int, opt nn.Optimizer) (float64, RecomputeStats, error) {
 	if e.Mode() == ExecConcurrent {
 		return 0, RecomputeStats{}, fmt.Errorf("train: recompute requires the serial engine, executor is %v", e.Mode())
 	}
 	L := len(n.Layers)
-	if err := sched.Validate(L); err != nil {
+	var ws *tensor.Workspace
+	r := &recomputeState{}
+	if e != nil {
+		ws, r = e.chainWS, &e.rec
+		if _, err := e.analyze(L, sched); err != nil {
+			return 0, RecomputeStats{}, err
+		}
+	} else if err := sched.Validate(L); err != nil {
 		return 0, RecomputeStats{}, fmt.Errorf("train: %w", err)
 	}
 	if every < 1 {
 		every = 1
 	}
-	stashers := make([]nn.Stasher, L)
+	r.reset(L, every)
 	if every > 1 {
 		for i, l := range n.Layers {
 			st, ok := l.(nn.Stasher)
@@ -70,150 +123,143 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 				return 0, RecomputeStats{}, fmt.Errorf(
 					"train: layer %d (%s) does not support recompute: its forward pass is not re-runnable", i+1, l.Name())
 			}
-			stashers[i] = st
+			r.stashers[i] = st
 		}
 	}
 
-	var ws *tensor.Workspace
-	if e != nil {
-		ws = e.chainWS
+	obs := e.observer()
+	var wall, start time.Time
+	if obs != nil {
+		wall = time.Now()
 	}
-	stats := RecomputeStats{Every: every}
-	var bytes int64
-	bump := func() {
-		if bytes > stats.PeakLiveBytes {
-			stats.PeakLiveBytes = bytes
-		}
-	}
-	tb := func(t *tensor.Tensor) int64 { return 8 * int64(t.Len()) }
-
 	n.ZeroGrads()
+	if obs != nil {
+		obs(OpEvent{Kind: OpZero, Start: wall, End: time.Now()})
+	}
 
 	// Forward: run every layer; keep activation a_j only at checkpoint
 	// boundaries (j % every == 0). The batch a_0 is always resident (the
 	// data loader holds it). With checkpointing on, a layer's stash is
 	// counted while its forward runs, then dropped — the backward pass
 	// rebuilds it.
-	acts := make([]*tensor.Tensor, L+1) // acts[j] = a_j, nil when discarded
-	stashValid := make([]bool, L+1)
-	acts[0] = x
-	bytes += tb(x)
-	bump()
+	r.acts[0] = x
+	r.hold(tensorBytes(x))
 	a := x
 	for j := 1; j <= L; j++ {
-		a = wsForward(n.Layers[j-1], a, ws)
-		stashValid[j] = true
+		a = e.forwardLayer(OpFwd, n.Layers[j-1], j, a, ws)
+		r.stashValid[j] = true
 		if j < L {
-			acts[j] = a
-			bytes += tb(a)
+			r.acts[j] = a
+			r.bytes += tensorBytes(a)
 		}
 		if every > 1 {
-			bytes += stashers[j-1].StashBytes()
-			bump()
+			st := r.stashers[j-1]
+			r.hold(st.StashBytes())
 			// Discard what checkpointing does not keep.
-			bytes -= stashers[j-1].StashBytes()
-			stashers[j-1].DropStash()
-			stashValid[j] = false
+			r.bytes -= st.StashBytes()
+			st.DropStash()
+			r.stashValid[j] = false
 			if prev := j - 1; prev > 0 && prev%every != 0 {
-				bytes -= tb(acts[prev])
-				acts[prev] = nil
+				r.bytes -= tensorBytes(r.acts[prev])
+				r.acts[prev] = nil
 			}
 		} else {
-			bump()
+			r.hold(0)
 		}
 	}
-	logits := a
-	stats.CheckpointBytes = bytes
-	loss, lossGrad := e.loss(logits, labels)
-
-	// ensure rebuilds layer i's stash: re-run the forward segment from the
-	// nearest resident activation below i. Legal schedules touch layers in
-	// descending δO order, so the needed source is always still resident.
-	ensure := func(i int) error {
-		if stashValid[i] {
-			return nil
-		}
-		c := i - 1
-		for c > 0 && acts[c] == nil {
-			c--
-		}
-		if acts[c] == nil {
-			return fmt.Errorf("train: recompute source for layer %d already released", i)
-		}
-		src := acts[c]
-		for j := c + 1; j <= i; j++ {
-			src = wsForward(n.Layers[j-1], src, ws)
-			stashValid[j] = true
-			bytes += stashers[j-1].StashBytes()
-			stats.RecomputedLayers++
-			if j < L && acts[j] == nil {
-				acts[j] = src
-				bytes += tb(src)
-			}
-			bump()
-		}
-		return nil
-	}
+	r.stats.CheckpointBytes = r.bytes
+	loss, lossGrad := e.observedLoss(a, labels)
 
 	// Backward: the exact op order and gradient math of Network.Backward,
 	// with segment re-materialization and the checkpointing release rules.
-	grads := make([]*tensor.Tensor, L+1)
-	grads[L] = lossGrad
-	bytes += tb(lossGrad)
-	bump()
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
+	r.grads[L] = lossGrad
+	r.hold(tensorBytes(lossGrad))
 	live, peakLive := 1, 1
 	for _, op := range sched {
 		i := op.Layer
 		if every > 1 {
-			if err := ensure(i); err != nil {
+			if err := e.rematerialize(r, n, i, ws); err != nil {
 				return 0, RecomputeStats{}, err
 			}
 		}
-		g := grads[i]
+		g := r.grads[i]
 		if g == nil {
 			return 0, RecomputeStats{}, fmt.Errorf("train: schedule op %v ran after its gradient was released", op)
 		}
 		switch op.Kind {
 		case graph.OutGrad:
-			gin := wsInputGrad(n.Layers[i-1], g, ws)
-			doneDO[i] = true
+			gin := e.inputGrad(n.Layers[i-1], i, g, ws)
+			r.doneDO[i] = true
 			if i > 1 {
-				grads[i-1] = gin
-				bytes += tb(gin)
+				r.grads[i-1] = gin
+				r.bytes += tensorBytes(gin)
 				live++
-				if live > peakLive {
-					peakLive = live
-				}
+				peakLive = max(peakLive, live)
 			}
 		case graph.WeightGrad:
-			wsWeightGrad(n.Layers[i-1], g, ws)
-			doneDW[i] = true
+			e.weightGrad(0, n.Layers[i-1], i, g, ws)
+			r.doneDW[i] = true
 		}
-		bump()
-		if doneDO[i] && doneDW[i] && grads[i] != nil {
-			bytes -= tb(grads[i])
-			grads[i] = nil
+		r.hold(0)
+		if r.doneDO[i] && r.doneDW[i] && r.grads[i] != nil {
+			r.bytes -= tensorBytes(r.grads[i])
+			r.grads[i] = nil
 			live--
 			if every > 1 {
-				bytes -= stashers[i-1].StashBytes()
-				stashers[i-1].DropStash()
-				stashValid[i] = false
+				r.bytes -= r.stashers[i-1].StashBytes()
+				r.stashers[i-1].DropStash()
+				r.stashValid[i] = false
 			}
 		}
 		// Sweep: a_{j-1} is dead once δW_j ran (graph.MemoryProfileRecompute's
 		// release rule); re-materialized copies go the same way.
 		for j := 1; j <= L; j++ {
-			if doneDW[j] && acts[j-1] != nil {
-				bytes -= tb(acts[j-1])
-				acts[j-1] = nil
+			if r.doneDW[j] && r.acts[j-1] != nil {
+				r.bytes -= tensorBytes(r.acts[j-1])
+				r.acts[j-1] = nil
 			}
 		}
 	}
-	stats.PeakLiveGrads = peakLive
-	stats.RecomputeShare = float64(stats.RecomputedLayers) / float64(L)
+	r.stats.PeakLiveGrads = peakLive
+	r.stats.RecomputeShare = float64(r.stats.RecomputedLayers) / float64(L)
 
+	if obs != nil {
+		start = time.Now()
+	}
 	opt.Step(n.Params())
-	return loss, stats, nil
+	if obs != nil {
+		end := time.Now()
+		obs(OpEvent{Kind: OpUpdate, Start: start, End: end})
+		obs(OpEvent{Kind: OpStep, Start: wall, End: end})
+	}
+	return loss, r.stats, nil
+}
+
+// rematerialize rebuilds layer i's stash: re-run the forward segment from the
+// nearest resident activation below i. Legal schedules touch layers in
+// descending δO order, so the needed source is always still resident.
+func (e *Executor) rematerialize(r *recomputeState, n *Network, i int, ws *tensor.Workspace) error {
+	if r.stashValid[i] {
+		return nil
+	}
+	c := i - 1
+	for c > 0 && r.acts[c] == nil {
+		c--
+	}
+	if r.acts[c] == nil {
+		return fmt.Errorf("train: recompute source for layer %d already released", i)
+	}
+	src := r.acts[c]
+	for j := c + 1; j <= i; j++ {
+		src = e.forwardLayer(OpRefwd, n.Layers[j-1], j, src, ws)
+		r.stashValid[j] = true
+		r.bytes += r.stashers[j-1].StashBytes()
+		r.stats.RecomputedLayers++
+		if j < len(n.Layers) && r.acts[j] == nil {
+			r.acts[j] = src
+			r.bytes += tensorBytes(src)
+		}
+		r.hold(0)
+	}
+	return nil
 }
