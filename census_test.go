@@ -1,0 +1,246 @@
+package oooback
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// censusAllow lists the exported identifiers of ./internal/... that no
+// non-test file of the module refers to, each with the reason it stays.
+// TestExportedSurfaceCensus fails on any such identifier that is not here —
+// and on any entry that has gained a reference or no longer exists, so the
+// list cannot go stale. ROADMAP item 9 decides these; the test only keeps the
+// surface from regrowing silently.
+var censusAllow = map[string]string{
+	"autograd.Conv2D":                        "only tests refer to it",
+	"autograd.MeanPoolRows":                  "only tests refer to it",
+	"autograd.Reshape":                       "only tests refer to it",
+	"autograd.Tape.Reset":                    "only tests refer to it",
+	"autograd.Tape.ZeroGrads":                "only tests refer to it",
+	"autograd.Variable.IsParam":              "only tests refer to it",
+	"bfc.Allocator.Allocs":                   "only tests refer to it",
+	"bfc.Allocator.CheckInvariants":          "only tests refer to it",
+	"bfc.Allocator.Used":                     "only tests refer to it",
+	"calib.Accuracy.MaxAPE":                  "nothing refers to it, tests included",
+	"calib.Profile.FindNet":                  "only tests refer to it",
+	"calib.Profiler.Steps":                   "only tests refer to it",
+	"calib.Profiler.WarmSteps":               "only tests refer to it",
+	"calib.WhatIf.IsZero":                    "nothing refers to it, tests included",
+	"core.ContiguousAllocation":              "allocation baseline only tests compare with",
+	"core.ReverseFirstKCheckpointed":         "ROADMAP item 3 names it as the planner's checkpoint-interval candidate; only tests call it today",
+	"experiments.RunAll":                     "only the golden test calls it; cmd/oooexp runs ids one by one",
+	"gpusim.GPU.Engine":                      "only tests refer to it",
+	"gpusim.GPU.Mem":                         "only tests refer to it",
+	"gpusim.Launcher.IssueKernel":            "only tests refer to it",
+	"gpusim.MemAccount.Alloc":                "only tests refer to it",
+	"gpusim.MemAccount.Free":                 "only tests refer to it",
+	"gpusim.MemAccount.Peak":                 "only tests refer to it",
+	"gpusim.MemAccount.ResetPeak":            "only tests refer to it",
+	"gpusim.MemAccount.Used":                 "only tests refer to it",
+	"gpusim.Stream.Idle":                     "only tests refer to it",
+	"graph.AnalyzeModel":                     "byte-level analysis only its own test calls",
+	"graph.BackwardSchedule.WeightGradOrder": "only tests refer to it",
+	"graph.Dependency":                       "documents the §2 dependency rule; only its own test calls it",
+	"graph.Partition.StageOf":                "only tests refer to it",
+	"models.CostTable.WriteJSON":             "only tests refer to it",
+	"models.ReadCostTableJSON":               "only tests refer to it",
+	"netsim.SimulateRingAllReduce":           "only its own test calls it",
+	"nn.ConstantLR":                          "learning-rate schedule only the Fit tests drive",
+	"nn.CosineLR":                            "learning-rate schedule only the Fit tests drive",
+	"nn.NewDropout":                          "layer only tests build: the rejection paths of Pipeline and StepRecompute",
+	"nn.NewSelfAttention":                    "layer only tests build: the rejection path of Pipeline",
+	"nn.StateSnapshot":                       "optimizer-state oracle of the data-parallel differential suite",
+	"nn.StateSnapshotsEqual":                 "optimizer-state oracle of the data-parallel differential suite",
+	"nn.StepDecayLR":                         "learning-rate schedule only its own test drives",
+	"nn.WarmupLR":                            "learning-rate schedule only the Fit tests drive",
+	"plansearch.Perturbation.Validate":       "only tests refer to it",
+	"plansvc.LoadSpec.DistinctBodies":        "nothing refers to it, tests included",
+	"plansvc.Service.WhatIf":                 "in-process form of /v1/whatif that only tests call; the HTTP handler parses and computes through the shared request path",
+	"plansvc/warmcache.Cache.Dir":            "nothing refers to it, tests included",
+	"plansvc/warmcache.Cache.Loaded":         "only tests refer to it",
+	"shardsvc.Ring.Owners":                   "only tests refer to it",
+	"shardsvc.Ring.Without":                  "only tests refer to it",
+	"shardsvc.Shard.Metrics":                 "only tests refer to it",
+	"sim.Engine.Pending":                     "only tests refer to it",
+	"sim.Engine.RunUntil":                    "only its own test calls it",
+	"sim.Engine.Steps":                       "only tests refer to it",
+	"sim.Event.At":                           "only tests refer to it",
+	"sim.Server.Busy":                        "nothing refers to it, tests included",
+	"sim.Server.QueueLen":                    "nothing refers to it, tests included",
+	"singlegpu.OOOXLANoReorder":              "only tests refer to it",
+	"stats.StdErr":                           "only tests refer to it",
+	"tensor.Add":                             "allocating reference the pooled kernels are compared with in tests",
+	"tensor.FromSlice":                       "test fixture constructor",
+	"tensor.MaxAbsDiff":                      "test assertion helper",
+	"tensor.Mul":                             "allocating reference, only tests",
+	"tensor.Tensor.Set":                      "test fixture helper",
+	"tensor.Transpose":                       "allocating reference, only tests",
+	"tensor.Workspace.Pooled":                "introspection only the workspace test reads",
+	"trace.Trace.CSV":                        "only tests refer to it",
+	"trace.Trace.KindTime":                   "only tests refer to it",
+	"trace.Trace.MeanUtilization":            "only tests refer to it",
+	"train.Accuracy":                         "evaluation helper only a test calls",
+	"train.Executor.Workers":                 "reports the pool size NewExecutor chose; only tests read it (part of ISSUE 24's frozen Executor API)",
+	"train.Fit":                              "the epoch/batch loop for a caller-built engine; only tests drive it (ISSUE 24 cut it to 5 knobs, ROADMAP 9 decides)",
+	"train.Network.InvalidateParams":         "only TestParamsCached calls it; no caller mutates Layers after first use",
+	"train.Pipeline.Net":                     "accessor only tests use; DataParallel.Net, its twin, is what the benchmark calls",
+	"xir.OpCount":                            "only tests refer to it",
+}
+
+// censusModule is the type-checked module: every package's non-test files,
+// checked from source with the standard library's own importer behind it.
+type censusModule struct {
+	root  string
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	infos map[string]*types.Info
+}
+
+func (m *censusModule) Import(path string) (*types.Package, error) {
+	if path != "oooback" && !strings.HasPrefix(path, "oooback/") {
+		return m.std.Import(path)
+	}
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	dir := filepath.Join(m.root, strings.TrimPrefix(path, "oooback"))
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	m.pkgs[path], m.infos[path] = pkg, info
+	return pkg, nil
+}
+
+// TestExportedSurfaceCensus is the surface census of ROADMAP item 9: an
+// exported function, type, variable, constant or method declared in
+// ./internal/... must be referred to by some non-test file of the module
+// (any package, its own included), or carry a reason in censusAllow. A
+// method also counts as referred to when a call through an interface reaches
+// it: its receiver implements an interface of the module one of whose
+// methods, of that name, is called somewhere. Struct fields are not counted.
+func TestExportedSurfaceCensus(t *testing.T) {
+	m := &censusModule{root: ".", fset: token.NewFileSet(), pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
+	m.std = importer.ForCompiler(m.fset, "source", nil)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if src, _ := filepath.Glob(filepath.Join(path, "*.go")); len(src) == 0 {
+			return nil
+		}
+		if _, err := m.Import(filepath.ToSlash(filepath.Join("oooback", path))); err != nil && !strings.Contains(err.Error(), "no Go files") {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	used := map[types.Object]bool{}
+	ifaceCalls := map[*types.Func]bool{} // interface methods the module calls
+	for _, info := range m.infos {
+		for _, obj := range info.Uses {
+			fn, ok := obj.(*types.Func)
+			if ok {
+				obj = fn.Origin() // a method of an instantiated generic type counts for the generic's
+			}
+			used[obj] = true
+			if ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceCalls[fn] = true
+				}
+			}
+		}
+	}
+	reached := func(fn *types.Func, recv types.Type) bool {
+		for call := range ifaceCalls {
+			if call.Name() != fn.Name() {
+				continue
+			}
+			iface := call.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var orphans []string
+	for path, pkg := range m.pkgs {
+		if !strings.HasPrefix(path, "oooback/internal/") {
+			continue
+		}
+		short := strings.TrimPrefix(path, "oooback/internal/")
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			if !used[obj] {
+				orphans = append(orphans, short+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if fn := named.Method(i); fn.Exported() && !used[fn] && !reached(fn, named) {
+					orphans = append(orphans, short+"."+name+"."+fn.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(orphans)
+	found := map[string]bool{}
+	for _, o := range orphans {
+		found[o] = true
+		if censusAllow[o] == "" {
+			t.Errorf("%s is exported but no non-test file refers to it: delete it, unexport it, or give censusAllow a reason", o)
+		}
+	}
+	for o := range censusAllow {
+		if !found[o] {
+			t.Errorf("censusAllow lists %s, which is referred to or gone: drop the entry", o)
+		}
+	}
+}

@@ -170,7 +170,7 @@ func runDataParallel(build func() *train.Network, x *tensor.Tensor, labels []int
 	}
 	fmt.Printf("overlap: backward %s  reduce-busy %s  reduce-exposed %s  (%.0f%% of reduction hidden behind backward)\n",
 		backTot.Round(time.Microsecond), busyTot.Round(time.Microsecond), exposedTot.Round(time.Microsecond),
-		100*float64(overlapped)/float64(max64(busyTot, 1)))
+		100*float64(overlapped)/float64(max(busyTot, 1)))
 
 	if verify {
 		ref := build()
@@ -197,13 +197,6 @@ func runDataParallel(build func() *train.Network, x *tensor.Tensor, labels []int
 			os.Exit(1)
 		}
 	}
-}
-
-func max64(d time.Duration, min time.Duration) time.Duration {
-	if d < min {
-		return min
-	}
-	return d
 }
 
 func mkSync(name string) train.SyncSchedule {
@@ -300,20 +293,7 @@ func buildSchedule(name string, L, k int) graph.BackwardSchedule {
 	case "fastforward":
 		return core.FastForward(L)
 	case "reverse-k":
-		var s graph.BackwardSchedule
-		if k > L {
-			k = L
-		}
-		for i := L; i >= 1; i-- {
-			if i > k {
-				s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-			}
-			s = append(s, graph.Op{Kind: graph.OutGrad, Layer: i})
-		}
-		for i := 1; i <= k; i++ {
-			s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-		}
-		return s
+		return graph.ReverseFirstK(L, k)
 	default:
 		fatal("unknown schedule %q", name)
 		return nil

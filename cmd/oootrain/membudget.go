@@ -20,12 +20,12 @@ type probePoint struct {
 // interval and reports each interval's peak live bytes. every = 1 is full
 // retention (no recompute); larger intervals store fewer activations and
 // re-materialize the rest during backward.
-func probeRecomputeIntervals(build func() *train.Network, x *tensor.Tensor, labels []int,
+func probeRecomputeIntervals(exec *train.Executor, build func() *train.Network, x *tensor.Tensor, labels []int,
 	sched graph.BackwardSchedule, L int) ([]probePoint, error) {
 	points := make([]probePoint, 0, L)
 	for every := 1; every <= L; every++ {
 		net := build()
-		_, stats, err := (*train.Executor)(nil).StepRecompute(net, x, labels, sched, every, &nn.SGD{LR: 0})
+		_, stats, err := exec.StepRecompute(net, x, labels, sched, every, &nn.SGD{LR: 0})
 		if err != nil {
 			return nil, fmt.Errorf("probe interval %d: %w", every, err)
 		}
@@ -41,7 +41,10 @@ func probeRecomputeIntervals(build func() *train.Network, x *tensor.Tensor, labe
 // conventional-order reference exactly like the plain path.
 func runMemBudget(build func() *train.Network, x *tensor.Tensor, labels []int,
 	sched graph.BackwardSchedule, optName string, steps int, budget int64, verify bool, L int) {
-	points, err := probeRecomputeIntervals(build, x, labels, sched, L)
+	// One pooled serial executor probes and trains: the same bits and the same
+	// ledger as the naive walk, without its per-step garbage.
+	exec := train.NewExecutor(train.ExecSerial, 0)
+	points, err := probeRecomputeIntervals(exec, build, x, labels, sched, L)
 	if err != nil {
 		fatal("mem-budget: %v", err)
 	}
@@ -73,7 +76,7 @@ func runMemBudget(build func() *train.Network, x *tensor.Tensor, labels []int,
 	var losses []float64
 	var last train.RecomputeStats
 	for i := 0; i < steps; i++ {
-		loss, stats, err := (*train.Executor)(nil).StepRecompute(net, x, labels, sched, chosen, opt)
+		loss, stats, err := exec.StepRecompute(net, x, labels, sched, chosen, opt)
 		if err != nil {
 			fatal("training step: %v", err)
 		}

@@ -272,37 +272,5 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 // training steps skip the per-step gradient allocation. Bitwise identical to
 // SoftmaxCrossEntropy.
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 {
-	if logits.Dims() != 2 || logits.Shape[0] != len(labels) {
-		panic(fmt.Sprintf("nn: logits %v vs %d labels", logits.Shape, len(labels)))
-	}
-	n, c := logits.Shape[0], logits.Shape[1]
-	if grad.Dims() != 2 || grad.Shape[0] != n || grad.Shape[1] != c {
-		panic(fmt.Sprintf("nn: loss grad buffer %v, want %v", grad.Shape, logits.Shape))
-	}
-	var loss float64
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*c : (i+1)*c]
-		maxV := row[0]
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(v - maxV)
-		}
-		logZ := math.Log(sum) + maxV
-		y := labels[i]
-		if y < 0 || y >= c {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, c))
-		}
-		loss += logZ - row[y]
-		for j := 0; j < c; j++ {
-			p := math.Exp(row[j]-maxV) / sum
-			grad.Data[i*c+j] = p / float64(n)
-		}
-		grad.Data[i*c+y] -= 1 / float64(n)
-	}
-	return loss / float64(n)
+	return SoftmaxCrossEntropyChunk(grad, logits, labels, len(labels), 0) / float64(len(labels))
 }

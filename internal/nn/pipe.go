@@ -261,8 +261,8 @@ func (p *MeanPool1D) SealWeightGrad()                                   {}
 
 // ---- chunked loss head ----
 
-// SoftmaxCrossEntropyChunk is SoftmaxCrossEntropyInto restricted to one
-// contiguous chunk of a batch of `total` examples. The per-row gradient is
+// SoftmaxCrossEntropyChunk is the loss head over one contiguous chunk of a
+// batch of `total` examples (SoftmaxCrossEntropyInto is the one-chunk case). The per-row gradient is
 // scaled by 1/total (row-local, so chunking cannot change its bits), and the
 // raw loss sum continues from lossAcc and is returned undivided: calling the
 // chunks in ascending row order and dividing the final sum by total once

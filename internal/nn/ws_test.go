@@ -460,7 +460,7 @@ func TestConv2DFollowsRepointedWeights(t *testing.T) {
 	ws := tensor.NewWorkspace()
 	l.Forward(x)
 	view := l.wm
-	l.W.Value.Data[0] += 1 // what RestoreParams and the optimizers do
+	l.W.Value.Data[0] += 1 // what the optimizers do
 	if l.Forward(x); l.wm != view {
 		t.Fatal("an in-place update rebuilt the weight view")
 	}

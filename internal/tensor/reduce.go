@@ -50,48 +50,3 @@ func ScaleSpan(dst []float64, s float64) {
 		dst[i] *= s
 	}
 }
-
-// AddInto computes dst = a + b elementwise for same-shaped tensors. dst may
-// alias a or b (the kernel reads each element before writing it).
-func AddInto(dst, a, b *Tensor) *Tensor {
-	checkSameShape("AddInto", a, b)
-	checkSameShape("AddInto", dst, a)
-	da, db, dd := a.Data, b.Data, dst.Data
-	da = da[:len(dd)]
-	db = db[:len(dd)]
-	i := 0
-	for ; i+4 <= len(dd); i += 4 {
-		d := dd[i : i+4 : i+4]
-		x := da[i : i+4 : i+4]
-		y := db[i : i+4 : i+4]
-		d[0] = x[0] + y[0]
-		d[1] = x[1] + y[1]
-		d[2] = x[2] + y[2]
-		d[3] = x[3] + y[3]
-	}
-	for ; i < len(dd); i++ {
-		dd[i] = da[i] + db[i]
-	}
-	return dst
-}
-
-// ScaleInto computes dst = a * s elementwise for same-shaped tensors. dst may
-// alias a.
-func ScaleInto(dst, a *Tensor, s float64) *Tensor {
-	checkSameShape("ScaleInto", dst, a)
-	da, dd := a.Data, dst.Data
-	da = da[:len(dd)]
-	i := 0
-	for ; i+4 <= len(dd); i += 4 {
-		d := dd[i : i+4 : i+4]
-		x := da[i : i+4 : i+4]
-		d[0] = x[0] * s
-		d[1] = x[1] * s
-		d[2] = x[2] * s
-		d[3] = x[3] * s
-	}
-	for ; i < len(dd); i++ {
-		dd[i] = da[i] * s
-	}
-	return dst
-}

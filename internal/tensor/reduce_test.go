@@ -59,60 +59,16 @@ func TestAddSpanLengthMismatchPanics(t *testing.T) {
 	AddSpan(make([]float64, 3), make([]float64, 4))
 }
 
-// TestAddIntoMatchesAdd: AddInto equals the allocating Add bitwise, including
-// when dst aliases an operand.
-func TestAddIntoMatchesAdd(t *testing.T) {
-	rng := NewRNG(3)
-	a := Randn(rng, 1, 5, 13)
-	b := Randn(rng, 1, 5, 13)
-	want := Add(a, b)
-
-	dst := New(5, 13)
-	AddInto(dst, a, b)
-	if !Equal(dst, want) {
-		t.Fatal("AddInto differs from Add")
-	}
-
-	alias := a.Clone()
-	AddInto(alias, alias, b) // dst aliases a
-	if !Equal(alias, want) {
-		t.Fatal("aliased AddInto differs from Add")
-	}
-}
-
-// TestScaleIntoMatchesScale: ScaleInto equals the allocating Scale bitwise,
-// including in place.
-func TestScaleIntoMatchesScale(t *testing.T) {
-	rng := NewRNG(5)
-	a := Randn(rng, 1, 7, 9)
-	want := Scale(a, -1.5)
-
-	dst := New(7, 9)
-	ScaleInto(dst, a, -1.5)
-	if !Equal(dst, want) {
-		t.Fatal("ScaleInto differs from Scale")
-	}
-
-	inPlace := a.Clone()
-	ScaleInto(inPlace, inPlace, -1.5)
-	if !Equal(inPlace, want) {
-		t.Fatal("in-place ScaleInto differs from Scale")
-	}
-}
-
 // TestReduceKernelsZeroAllocs: the reduction leaves allocate nothing — the
 // data-parallel reducer calls them once per chunk per tree edge on the warm
 // path.
 func TestReduceKernelsZeroAllocs(t *testing.T) {
 	rng := NewRNG(11)
 	a := Randn(rng, 1, 64)
-	b := Randn(rng, 1, 64)
 	dst := New(64)
 	if n := testing.AllocsPerRun(20, func() {
 		AddSpan(dst.Data, a.Data)
 		ScaleSpan(dst.Data, 0.5)
-		AddInto(dst, a, b)
-		ScaleInto(dst, dst, 2)
 	}); n != 0 {
 		t.Fatalf("reduce kernels allocate %v per run, want 0", n)
 	}

@@ -132,13 +132,10 @@ func TestFitWithConcurrentExecutor(t *testing.T) {
 	run := func(exec *Executor) ([]float64, map[string]*tensor.Tensor) {
 		net := MLPNet(41, 10, 16, 2, 3)
 		opt := &nn.Momentum{LR: 0.05, Beta: 0.9}
-		losses, err := Fit(net, x, labels, opt, FitConfig{
-			Epochs:    3,
-			BatchSize: 8,
-			Schedule:  graph.ReverseFirstK(len(net.Layers), 3),
-			Seed:      1,
-			Exec:      exec,
-		})
+		sched := graph.ReverseFirstK(len(net.Layers), 3)
+		losses, err := Fit(func(b Batch) (float64, error) {
+			return exec.Step(net, b.X, b.Labels, sched, opt)
+		}, x, labels, FitConfig{Epochs: 3, BatchSize: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

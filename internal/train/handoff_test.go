@@ -86,8 +86,8 @@ func TestRecvSoon(t *testing.T) {
 
 // TestExecutorSharedDrainRunsEachDWOnce: the caller and the pool workers drain
 // one queue, and over 1 000 passes at GOMAXPROCS 1, 2 and 4 every layer's δW
-// runs exactly once per pass — counted by the per-δW hook and by the event
-// stream — with gradients equal to the serial walk's on the last pass. Run
+// runs exactly once per pass — counted by the event stream — with gradients
+// equal to the serial walk's on the last pass. Run
 // under -race it is also the proof that a δW on the caller and one on a worker
 // share nothing.
 func TestExecutorSharedDrainRunsEachDWOnce(t *testing.T) {
@@ -106,10 +106,8 @@ func TestExecutorSharedDrainRunsEachDWOnce(t *testing.T) {
 		atProcs(procs, func() {
 			e := NewExecutor(ExecConcurrent, 2)
 			defer e.Close()
-			hook := make([]atomic.Int32, L+1)
 			events := make([]atomic.Int32, L+1)
 			var onCaller atomic.Int32
-			e.onDW = func(layer int) { hook[layer].Add(1) }
 			e.Observe(func(ev OpEvent) {
 				if ev.Kind == OpDW {
 					events[ev.Layer].Add(1)
@@ -125,9 +123,8 @@ func TestExecutorSharedDrainRunsEachDWOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 1; i <= L; i++ {
-					if h, ev := hook[i].Load(), events[i].Load(); h != int32(p+1) || ev != int32(p+1) {
-						t.Fatalf("GOMAXPROCS=%d pass %d layer %d: δW ran %d times by the hook, %d by the events, want %d",
-							procs, p, i, h, ev, p+1)
+					if ev := events[i].Load(); ev != int32(p+1) {
+						t.Fatalf("GOMAXPROCS=%d pass %d layer %d: δW ran %d times by the events, want %d", procs, p, i, ev, p+1)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 
-	"oooback/internal/graph"
 	"oooback/internal/nn"
 	"oooback/internal/tensor"
 )
@@ -91,122 +90,49 @@ func Batches(x *tensor.Tensor, labels []int, batchSize int, seed uint64) []Batch
 type FitConfig struct {
 	// Epochs over the dataset (≥ 1).
 	Epochs int
-	// BatchSize per step.
+	// BatchSize per step (≤ 0 = the whole dataset).
 	BatchSize int
-	// Schedule is the backward execution order (nil = conventional).
-	Schedule graph.BackwardSchedule
 	// LR, if non-nil, sets the optimizer's rate each step via SetLR.
 	LR nn.LRSchedule
 	// SetLR applies the scheduled rate to the optimizer (required with LR).
 	SetLR func(float64)
 	// Seed shuffles batches per epoch deterministically.
 	Seed uint64
-	// Exec selects the backward execution engine (nil = serial). A concurrent
-	// executor overlaps δW work with the δO chain without changing any
-	// gradient bit, so trajectories are identical across engines. Ignored when
-	// Replicas > 1 (each replica runs its own serial executor).
-	Exec *Executor
-	// Replicas trains data-parallel when > 1: each batch is sharded across
-	// this many model replicas whose gradients are bucket-reduced overlapped
-	// with backward (see DataParallel).
-	Replicas int
-	// BuildReplica constructs one additional replica (or pipeline lane)
-	// network; required when Replicas > 1 or Stages > 1.
-	BuildReplica func() *Network
-	// Sync picks the data-parallel reducer's bucket drain order.
-	Sync SyncSchedule
-	// BucketBytes is the data-parallel gradient bucket size (0 = default).
-	BucketBytes int64
-	// Stages trains pipeline-parallel when > 1: the network is split into
-	// contiguous stages and each batch into MicroBatches microbatches (see
-	// Pipeline). Mutually exclusive with Replicas.
-	Stages int
-	// MicroBatches per pipeline step (0 = Stages).
-	MicroBatches int
-	// PipeSched picks the pipeline discipline (GPipe or 1F1B).
-	PipeSched PipeSchedule
-	// NoDWFill disables the pipeline's out-of-order δW bubble filling.
-	NoDWFill bool
 }
 
-// Fit trains the network and returns the mean loss of each epoch — each
-// batch's mean loss weighted by its size, so the final short batch does not
-// skew the epoch mean. It is the high-level loop cmd/oootrain and the
-// examples build on; everything is deterministic, so two Fit calls with equal
-// inputs produce identical trajectories regardless of the backward schedule
-// or execution engine used.
-func Fit(n *Network, x *tensor.Tensor, labels []int, opt nn.Optimizer, cfg FitConfig) ([]float64, error) {
+// Fit drives step — one training step of whatever engine the caller built:
+// Executor.Step, DataParallel.Step or Pipeline.Step behind a closure — over
+// the dataset, epoch by epoch in deterministically shuffled batches, and
+// returns the mean loss of each epoch: each batch's mean loss weighted by its
+// size, so the final short batch does not skew the epoch mean. Everything is
+// deterministic, and every engine's step lands on the same bits, so two Fit
+// calls with equal inputs produce identical trajectories regardless of the
+// backward schedule or engine behind step.
+func Fit(step func(Batch) (float64, error), x *tensor.Tensor, labels []int, cfg FitConfig) ([]float64, error) {
 	if len(labels) == 0 || x.Shape[0]%len(labels) != 0 {
 		return nil, fmt.Errorf("train: %d labels for a leading dim of %d (want a positive count dividing it)", len(labels), x.Shape[0])
-	}
-	if cfg.Epochs < 1 {
-		cfg.Epochs = 1
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = len(labels)
 	}
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = graph.Conventional(len(n.Layers))
-	}
 	if cfg.LR != nil && cfg.SetLR == nil {
 		return nil, fmt.Errorf("train: LR schedule given without SetLR")
 	}
-	if cfg.Replicas > 1 && cfg.Stages > 1 {
-		return nil, fmt.Errorf("train: Replicas and Stages are mutually exclusive")
-	}
-	stepFn := func(b Batch) (float64, error) {
-		return cfg.Exec.Step(n, b.X, b.Labels, sched, opt)
-	}
-	if cfg.Stages > 1 {
-		pipe, err := NewPipeline(n, opt, PipelineConfig{
-			Stages:       cfg.Stages,
-			MicroBatches: cfg.MicroBatches,
-			Schedule:     cfg.PipeSched,
-			Build:        cfg.BuildReplica,
-			NoDWFill:     cfg.NoDWFill,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer pipe.Close()
-		stepFn = func(b Batch) (float64, error) {
-			loss, _, err := pipe.Step(b.X, b.Labels)
-			return loss, err
-		}
-	}
-	if cfg.Replicas > 1 {
-		dp, err := NewDataParallel(n, opt, DataParallelConfig{
-			Replicas:    cfg.Replicas,
-			Build:       cfg.BuildReplica,
-			Schedule:    sched,
-			Sync:        cfg.Sync,
-			BucketBytes: cfg.BucketBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer dp.Close()
-		stepFn = func(b Batch) (float64, error) {
-			loss, _, err := dp.Step(b.X, b.Labels)
-			return loss, err
-		}
-	}
 	var epochLosses []float64
 	var bb BatchBuffer
-	step := 0
-	for e := 0; e < cfg.Epochs; e++ {
+	steps := 0
+	for e := 0; e < max(cfg.Epochs, 1); e++ {
 		var sum float64
 		for _, b := range bb.Batches(x, labels, cfg.BatchSize, cfg.Seed+uint64(e)) {
 			if cfg.LR != nil {
-				cfg.SetLR(cfg.LR(step))
+				cfg.SetLR(cfg.LR(steps))
 			}
-			loss, err := stepFn(b)
+			loss, err := step(b)
 			if err != nil {
 				return nil, err
 			}
 			sum += loss * float64(len(b.Labels))
-			step++
+			steps++
 		}
 		epochLosses = append(epochLosses, sum/float64(len(labels)))
 	}

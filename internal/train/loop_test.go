@@ -59,8 +59,10 @@ func TestFitConvergesAndPreservesSemantics(t *testing.T) {
 	run := func(s graph.BackwardSchedule) []float64 {
 		net := mlp(77, 8, 3)
 		opt := &nn.Momentum{Beta: 0.9}
-		losses, err := Fit(net, x, labels, opt, FitConfig{
-			Epochs: 6, BatchSize: 16, Schedule: s,
+		losses, err := Fit(func(b Batch) (float64, error) {
+			return Step(net, b.X, b.Labels, s, opt)
+		}, x, labels, FitConfig{
+			Epochs: 6, BatchSize: 16,
 			LR:    nn.WarmupLR(nn.CosineLR(0.08, 0.01, 18), 3),
 			SetLR: func(lr float64) { opt.LR = lr },
 			Seed:  5,
@@ -70,7 +72,7 @@ func TestFitConvergesAndPreservesSemantics(t *testing.T) {
 		}
 		return losses
 	}
-	conv := run(nil)
+	conv := run(graph.Conventional(5))
 	ooo := run(core.FastForward(5))
 	for i := range conv {
 		if conv[i] != ooo[i] {
@@ -91,9 +93,9 @@ func TestFitEpochLossWeightedByBatchSize(t *testing.T) {
 	net := mlp(7, 8, 3)
 	// SGD with LR 0: weights never move, so the epoch loss must equal the
 	// batch losses recomputed on the same frozen weights.
-	losses, err := Fit(net, x, labels, &nn.SGD{LR: 0}, FitConfig{
-		Epochs: 1, BatchSize: 5, Seed: 9,
-	})
+	losses, err := Fit(func(b Batch) (float64, error) {
+		return Step(net, b.X, b.Labels, graph.Conventional(len(net.Layers)), &nn.SGD{LR: 0})
+	}, x, labels, FitConfig{Epochs: 1, BatchSize: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,43 +164,45 @@ func TestBatchesTokenInput(t *testing.T) {
 	}
 }
 
-// TestFitDataParallel: routing Fit through the data-parallel engine trains
+// TestFitDataParallel: driving the data-parallel engine through Fit trains
 // (losses fall) and the final short batch takes the single-replica fallback
 // without error.
 func TestFitDataParallel(t *testing.T) {
 	x, labels := data.Vectors(41, 26, 8, 3) // batch 8 → 8,8,8,2: final batch < 3 replicas
 	build := func() *Network { return mlp(77, 8, 3) }
 	net := build()
-	opt := &nn.Momentum{LR: 0.05, Beta: 0.9}
-	losses, err := Fit(net, x, labels, opt, FitConfig{
-		Epochs: 4, BatchSize: 8, Seed: 5,
-		Replicas: 3, BuildReplica: build,
-		Schedule: graph.ReverseFirstK(len(net.Layers), 2),
-		Sync:     SyncLayerPriority,
+	dp, err := NewDataParallel(net, &nn.Momentum{LR: 0.05, Beta: 0.9}, DataParallelConfig{
+		Replicas: 3, Build: build, Schedule: graph.ReverseFirstK(len(net.Layers), 2), Sync: SyncLayerPriority,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	losses, err := Fit(func(b Batch) (float64, error) {
+		loss, _, err := dp.Step(b.X, b.Labels)
+		return loss, err
+	}, x, labels, FitConfig{Epochs: 4, BatchSize: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if losses[len(losses)-1] >= losses[0] {
 		t.Fatalf("data-parallel Fit did not converge: %v", losses)
 	}
-	if _, err := Fit(build(), x, labels, opt, FitConfig{Replicas: 2}); err == nil {
-		t.Fatal("Replicas=2 without BuildReplica accepted")
-	}
 }
 
 func TestFitRejectsLRWithoutSetter(t *testing.T) {
 	x, labels := data.Vectors(1, 8, 8, 3)
 	net := mlp(1, 8, 3)
-	_, err := Fit(net, x, labels, &nn.SGD{LR: 0.1}, FitConfig{
-		Epochs: 1, BatchSize: 4, LR: nn.ConstantLR(0.1),
-	})
+	step := func(b Batch) (float64, error) {
+		return Step(net, b.X, b.Labels, graph.Conventional(len(net.Layers)), &nn.SGD{LR: 0.1})
+	}
+	_, err := Fit(step, x, labels, FitConfig{Epochs: 1, BatchSize: 4, LR: nn.ConstantLR(0.1)})
 	if err == nil {
 		t.Fatal("LR schedule without SetLR accepted")
 	}
 	// An empty or misaligned dataset is an error, not BatchBuffer's panic.
 	for _, bad := range [][]int{nil, labels[:3]} {
-		if _, err := Fit(net, x, bad, &nn.SGD{LR: 0.1}, FitConfig{BatchSize: 4}); err == nil {
+		if _, err := Fit(step, x, bad, FitConfig{BatchSize: 4}); err == nil {
 			t.Fatalf("%d labels for %d rows accepted", len(bad), x.Shape[0])
 		}
 	}

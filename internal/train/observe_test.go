@@ -3,6 +3,7 @@ package train
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -21,11 +22,12 @@ type evKey struct {
 }
 
 // observedEngine is one engine under TestObserver: a fresh network and engine
-// per start call, stepped through step and observed through observe.
+// per start call, stepped through step and observed through observe. tables
+// returns, per lane that runs one, the table its steps execute.
 type observedEngine struct {
 	name  string
 	lanes int // events report on lanes [0, lanes)
-	start func(t *testing.T) (net *Network, step func() error, observe func(Observer), want map[evKey]int)
+	start func(t *testing.T) (net *Network, step func() error, observe func(Observer), want map[evKey]int, tables func() map[int][]row)
 }
 
 func observedEngines() []observedEngine {
@@ -46,13 +48,14 @@ func observedEngines() []observedEngine {
 		return want
 	}
 	executor := func(mode ExecMode) observedEngine {
-		return observedEngine{mode.String(), 3, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+		return observedEngine{mode.String(), 3, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int, func() map[int][]row) {
 			net, e, opt := build(), NewExecutor(mode, 2), &nn.SGD{LR: 0.05}
 			t.Cleanup(e.Close)
 			sched := graph.ReverseFirstK(L, 2)
 			want := perLayer(1, OpDW, 0, false)
 			want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
-			return net, func() error { _, err := e.Step(net, x, labels, sched, opt); return err }, e.Observe, want
+			return net, func() error { _, err := e.Step(net, x, labels, sched, opt); return err }, e.Observe, want,
+				func() map[int][]row { return map[int][]row{0: e.cachedRows} }
 		}}
 	}
 	// A checkpointed step is the serial schedule plus one reFwd per layer its
@@ -60,7 +63,7 @@ func observedEngines() []observedEngine {
 	// after the forward pass and each segment is re-run once, from the
 	// checkpoint below it, when the chain first reaches it: every layer once,
 	// RecomputeStats.RecomputedLayers = L re-runs in all.
-	recompute := observedEngine{"recompute", 1, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+	recompute := observedEngine{"recompute", 1, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int, func() map[int][]row) {
 		net, e, opt := build(), NewExecutor(ExecSerial, 0), &nn.SGD{LR: 0.05}
 		sched := graph.ReverseFirstK(L, 2)
 		want := perLayer(1, OpDW, 0, false)
@@ -75,10 +78,23 @@ func observedEngines() []observedEngine {
 			}
 			return err
 		}
-		return net, step, e.Observe, want
+		return net, step, e.Observe, want, func() map[int][]row { return map[int][]row{0: e.cachedRows} }
 	}}
-	engines := []observedEngine{executor(ExecSerial), executor(ExecConcurrent), recompute, {
-		"dp2", 4, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
+	// short engines step a batch too small to split: the serial table on
+	// replica 0's lane (data-parallel) or the caller's (pipeline), and the
+	// update and the step on the caller's like any other step.
+	serialOnce := func() map[evKey]int {
+		want := perLayer(1, OpDW, 0, false)
+		want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
+		return want
+	}
+	dp2 := func(short bool) observedEngine {
+		name, bx, bl := "dp2", x, labels
+		if short {
+			name = "dp2/short"
+			bx, bl = data.Vectors(3, 1, 16, 3)
+		}
+		return observedEngine{name, 4, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int, func() map[int][]row) {
 			net := build()
 			dp, err := NewDataParallel(net, &nn.SGD{LR: 0.05}, DataParallelConfig{
 				Replicas: 2, Build: build, Schedule: graph.ReverseFirstK(L, 2), Sync: SyncLayerPriority, BucketBytes: 4 << 10,
@@ -87,47 +103,86 @@ func observedEngines() []observedEngine {
 				t.Fatal(err)
 			}
 			t.Cleanup(dp.Close)
+			step := func() error { _, _, err := dp.Step(bx, bl); return err }
+			if short {
+				return net, step, dp.Observe, serialOnce(), func() map[int][]row { return map[int][]row{0: dp.serial} }
+			}
 			want := perLayer(2, OpDW, 0, false)
 			want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 2, 2
 			for _, b := range dp.Plan() {
 				want[evKey{OpReduce, b.Layers[0], 0}] = 1
 			}
-			return net, func() error { _, _, err := dp.Step(x, labels); return err }, dp.Observe, want
-		}}}
+			return net, step, dp.Observe, want, func() map[int][]row { return map[int][]row{0: dp.rows, 1: dp.rows} }
+		}}
+	}
+	pipe2x4 := func(sched PipeSchedule, fill, short bool) observedEngine {
+		name, bx, bl := fmt.Sprintf("pipe2x4/%v/fill=%v", sched, fill), x, labels
+		if short {
+			name = "pipe2x4/short"
+			bx, bl = data.Vectors(3, 3, 16, 3)
+		}
+		return observedEngine{name, 3, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int, func() map[int][]row) {
+			pipe, err := NewPipeline(build(), &nn.SGD{LR: 0.05}, PipelineConfig{
+				Stages: 2, MicroBatches: 4, Schedule: sched, Build: build, NoDWFill: !fill,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(pipe.Close)
+			step := func() error { _, _, err := pipe.Step(bx, bl); return err }
+			if short {
+				return pipe.Net(), step, pipe.Observe, serialOnce(), func() map[int][]row { return map[int][]row{2: pipe.serial} }
+			}
+			dw := OpDW
+			if fill {
+				dw = OpDWFill
+			}
+			want := map[evKey]int{{OpZero, 0, 0}: 1}
+			for m := 1; m <= 4; m++ {
+				// Stage 0 skips the bottommost δO.
+				for k, c := range perLayer(1, dw, m, true) {
+					want[k] = c
+				}
+				want[evKey{OpLoss, 0, m}] = 1
+			}
+			return pipe.Net(), step, pipe.Observe, want, func() map[int][]row {
+				return map[int][]row{0: pipe.stages[0].rows, 1: pipe.stages[1].rows, 2: zeroRows}
+			}
+		}}
+	}
+	engines := []observedEngine{executor(ExecSerial), executor(ExecConcurrent), recompute, dp2(false), dp2(true), pipe2x4(Pipe1F1B, true, true)}
 	for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
 		for _, fill := range []bool{true, false} {
-			name := fmt.Sprintf("pipe2x4/%v/fill=%v", sched, fill)
-			engines = append(engines, observedEngine{name, 3, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int) {
-				pipe, err := NewPipeline(build(), &nn.SGD{LR: 0.05}, PipelineConfig{
-					Stages: 2, MicroBatches: 4, Schedule: sched, Build: build, NoDWFill: !fill,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(pipe.Close)
-				dw := OpDW
-				if fill {
-					dw = OpDWFill
-				}
-				want := map[evKey]int{{OpZero, 0, 0}: 1}
-				for m := 1; m <= 4; m++ {
-					// Stage 0 skips the bottommost δO.
-					for k, c := range perLayer(1, dw, m, true) {
-						want[k] = c
-					}
-					want[evKey{OpLoss, 0, m}] = 1
-				}
-				return pipe.Net(), func() error { _, _, err := pipe.Step(x, labels); return err }, pipe.Observe, want
-			}})
+			engines = append(engines, pipe2x4(sched, fill, false))
 		}
 	}
 	return engines
 }
 
+// tableEvents is the event sequence a lane reports for a table: one event per
+// op row it runs itself, in table order. δW rows handed to the pool or the
+// FIFO run whenever and wherever they are taken.
+func tableEvents(rows []row) (seq []evKey, inlineDW bool) {
+	kinds := map[rowKind]OpKind{rowZero: OpZero, rowFwd: OpFwd, rowLoss: OpLoss, rowDO: OpDO, rowDW: OpDW}
+	for _, r := range rows {
+		kind, op := kinds[r.kind]
+		switch {
+		case !op, r.flags&(dwPooled|dwDeferred) != 0:
+			continue
+		case r.flags&reFwd != 0:
+			kind = OpRefwd
+		}
+		inlineDW = inlineDW || r.kind == rowDW
+		seq = append(seq, evKey{kind, r.layer, r.micro})
+	}
+	return seq, inlineDW
+}
+
 // TestObserver pins the op-event seam on every engine, the checkpointed step
-// included: (a) observing changes no parameter bit, (b) one step's events are
-// exactly its schedule (L + RecomputedLayers forward spans when
-// checkpointed), (c) spans are well-formed and never overlap on a lane, (d) a
+// and both small-batch fallbacks included: (a) observing changes no parameter
+// bit, (b) one step's events are exactly its schedule (L + RecomputedLayers
+// forward spans when checkpointed) and, per lane, arrive in the order of the
+// lane's table, (c) spans are well-formed and never overlap on a lane, (d) a
 // warm step with ProfileObserver attached allocates exactly what an
 // unobserved one does — nothing, on every engine: forward, loss, backward,
 // the reduction or the stage hand-offs and the update all run on retained
@@ -136,8 +191,8 @@ func TestObserver(t *testing.T) {
 	const steps = 3
 	for _, eng := range observedEngines() {
 		t.Run(eng.name, func(t *testing.T) {
-			run := func(obs Observer, beforeLast func()) (*Network, map[evKey]int) {
-				net, step, observe, want := eng.start(t)
+			run := func(obs Observer, beforeLast func()) (*Network, map[evKey]int, func() map[int][]row) {
+				net, step, observe, want, tables := eng.start(t)
 				observe(obs)
 				for s := 0; s < steps; s++ {
 					if s == steps-1 && beforeLast != nil {
@@ -147,12 +202,12 @@ func TestObserver(t *testing.T) {
 						t.Fatalf("step %d: %v", s, err)
 					}
 				}
-				return net, want
+				return net, want, tables
 			}
 			var mu sync.Mutex
 			var events []OpEvent
-			plain, _ := run(nil, nil)
-			observed, want := run(func(ev OpEvent) {
+			plain, _, _ := run(nil, nil)
+			observed, want, tables := run(func(ev OpEvent) {
 				mu.Lock()
 				events = append(events, ev)
 				mu.Unlock()
@@ -187,8 +242,27 @@ func TestObserver(t *testing.T) {
 					t.Errorf("unexpected %d× %v layer %d micro %d", c, k.kind, k.layer, k.micro)
 				}
 			}
+			for lane, rows := range tables() {
+				wantSeq, inlineDW := tableEvents(rows)
+				var gotSeq []evKey
+				for _, ev := range byLane[lane] { // a lane's events arrive in its own order
+					switch ev.Kind {
+					case OpZero, OpFwd, OpRefwd, OpLoss, OpDO:
+					case OpDW:
+						if !inlineDW {
+							continue
+						}
+					default:
+						continue
+					}
+					gotSeq = append(gotSeq, evKey{ev.Kind, ev.Layer, ev.Micro})
+				}
+				if !slices.Equal(gotSeq, wantSeq) {
+					t.Errorf("lane %d reported\n%v, its table says\n%v", lane, gotSeq, wantSeq)
+				}
+			}
 			for lane, evs := range byLane {
-				sort.Slice(evs, func(i, j int) bool { return evs[i].Start.Before(evs[j].Start) })
+				sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start.Before(evs[j].Start) })
 				for i := 1; i < len(evs); i++ {
 					if evs[i].Start.Before(evs[i-1].End) {
 						t.Fatalf("lane %d: %v overlaps %v", lane, evs[i], evs[i-1])
@@ -197,7 +271,7 @@ func TestObserver(t *testing.T) {
 			}
 
 			warmAllocs := func(profiled bool) float64 {
-				net, step, observe, _ := eng.start(t)
+				net, step, observe, _, _ := eng.start(t)
 				if profiled {
 					observe(ProfileObserver(calib.NewProfiler("mlp", eng.name, len(net.Layers), 1), net))
 				}

@@ -29,12 +29,12 @@ import (
 // in place (nn.ChunkBackward over tensor.TMatMulAcc/SumRowsAcc), microbatch
 // loss continues the full-batch loss fold (nn.SoftmaxCrossEntropyChunk), and
 // per-layer δW chunks execute in ascending microbatch order because each
-// stage's deferral queue is FIFO and its schedule emits backwards in
+// stage's deferral queue is FIFO and its table (stageRows) emits backwards in
 // ascending microbatch order. The differential suite asserts the identity
 // under the race detector.
 //
-// Concurrency/ownership: all M lanes (per-microbatch clones of the network)
-// share the prototype's Param tensors; stage s is the only goroutine that
+// Concurrency/ownership: all M microbatch networks (the prototype and M−1
+// clones) share the prototype's Param tensors; stage s is the only goroutine that
 // ever touches layers [Bounds[s], Bounds[s+1]) — their forward caches, their
 // retained gradient buffers, and their parameters' Grad tensors — so no δW
 // write ever races. Tensors cross stages only through channel sends, which
@@ -43,7 +43,7 @@ import (
 // deadlock-free.
 type Pipeline struct {
 	proto  *Network
-	lanes  []*Network
+	nets   []*Network // nets[m] runs microbatch m (nets[1] is proto itself); nets[0] = proto, the whole batch
 	part   graph.Partition
 	sched  PipeSchedule
 	fill   bool
@@ -54,13 +54,15 @@ type Pipeline struct {
 	wg     sync.WaitGroup
 	closed bool
 
-	mbX      []*tensor.Tensor // retained per-microbatch input view headers
-	mbLabels [][]int
-	stepN    int // examples in the current step's batch
+	// xs and ls are the retained input view headers and label subslices of a
+	// step's microbatches, indexed like nets (index 0 stays empty).
+	xs []*tensor.Tensor
+	ls [][]int
 
-	// serial fallback for batches too small to split into M microbatches
-	fb      *Executor
-	fbSched graph.BackwardSchedule
+	// caller is the lane of the goroutine calling Step: gradient zeroing, the
+	// update — and the whole serial table for a batch too small to split.
+	caller lane
+	serial []row
 
 	statsBuf []StageStats
 
@@ -196,53 +198,12 @@ type pipeMsg struct {
 	t  *tensor.Tensor
 }
 
-type deferredDW struct {
-	layer nn.ChunkBackward
-	grad  *tensor.Tensor
-	gi    int // 1-based global layer index
-	mb    int // microbatch the chunk belongs to
-}
-
-type stageOpKind uint8
-
-const (
-	opFwdMB stageOpKind = iota
-	opBwdMB
-)
-
-type stageOp struct {
-	kind stageOpKind
-	mb   int
-}
-
+// pipeStage is one stage's persistent goroutine: a lane, the table it runs
+// every step, and the channel that starts one.
 type pipeStage struct {
-	p      *Pipeline
-	id     int
-	lo, hi int
-	last   bool
-	ops    []stageOp
-
-	// Per-lane views of this stage's layer span and the pre-asserted
-	// interface forms ([lane][local layer]).
-	layers [][]nn.Layer
-	wsb    [][]nn.WorkspaceBackward
-	chb    [][]nn.ChunkBackward
-
-	actIn, gradIn   chan pipeMsg // nil at the pipeline ends
-	actOut, gradOut chan pipeMsg
-
-	ws     *tensor.Workspace
-	dwq    []deferredDW
-	dwHead int
-
-	// Last stage only: per-microbatch logits and retained loss-grad buffers.
-	logits   []*tensor.Tensor
-	lossGrad []*tensor.Tensor
-	lossRaw  float64
-
-	stats StageStats
-	cmd   chan struct{}
-	poll  poller
+	lane
+	rows []row
+	cmd  chan struct{}
 }
 
 // NewPipeline partitions proto into cfg.Stages contiguous stages and starts
@@ -292,41 +253,42 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	}
 	p := &Pipeline{
 		proto:    proto,
-		lanes:    make([]*Network, M),
+		nets:     make([]*Network, M+1),
 		part:     part,
 		sched:    cfg.Schedule,
 		fill:     !cfg.NoDWFill,
 		opt:      opt,
 		acks:     make(chan struct{}, S),
-		mbX:      make([]*tensor.Tensor, M),
-		mbLabels: make([][]int, M),
-		fb:       NewExecutor(ExecSerial, 0),
-		fbSched:  graph.Conventional(L),
+		xs:       make([]*tensor.Tensor, M+1),
+		ls:       make([][]int, M+1),
+		serial:   stepRows(L, graph.Conventional(L), 0),
 		statsBuf: make([]StageStats, S),
 	}
-	p.lanes[0] = proto
+	p.nets[0], p.nets[1] = proto, proto
 	protoParams := proto.Params()
-	for m := 1; m < M; m++ {
-		lane := cfg.Build()
-		if lane == nil {
+	for m := 2; m <= M; m++ {
+		net := cfg.Build()
+		if net == nil {
 			return nil, fmt.Errorf("train: Build returned nil lane")
 		}
-		if err := alignParams(proto, lane); err != nil {
+		if err := alignParams(proto, net); err != nil {
 			return nil, err
 		}
-		// All lanes share the prototype's parameters: re-alias before any
-		// forward so cached views (e.g. Conv2D's weight reshape) bind to the
-		// shared tensors. Grad writes stay race-free because each Param's
+		// All microbatch networks share the prototype's parameters: re-alias
+		// before any forward so cached views (e.g. Conv2D's weight reshape) bind
+		// to the shared tensors. Grad writes stay race-free because each Param's
 		// layer lives in exactly one stage.
-		for i, lp := range lane.Params() {
+		for i, lp := range net.Params() {
 			lp.Value = protoParams[i].Value
 			lp.Grad = protoParams[i].Grad
 		}
-		p.lanes[m] = lane
+		p.nets[m] = net
 	}
 	for _, l := range proto.Layers {
 		p.seal = append(p.seal, l.(nn.ChunkBackward))
 	}
+	p.caller = newLane(S, &p.obs, tensor.NewWorkspace())
+	p.caller.bind(proto, nil, nil)
 	// Inter-stage queues with capacity M: producers never block.
 	actCh := make([]chan pipeMsg, S-1)
 	gradCh := make([]chan pipeMsg, S-1)
@@ -337,78 +299,26 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	for s := 0; s < S; s++ {
 		lo, hi := part.Range(s)
 		st := &pipeStage{
-			p: p, id: s, lo: lo, hi: hi, last: s == S-1,
-			ops: stageOps(cfg.Schedule, s, S, M),
-			ws:  tensor.NewWorkspace(),
-			cmd: make(chan struct{}, 1),
+			lane: lane{id: s, obs: &p.obs, timed: true, ws: tensor.NewWorkspace(), nets: p.nets, labels: p.ls},
+			rows: stageRows(cfg.Schedule, s, S, M, lo, hi, p.fill),
+			cmd:  make(chan struct{}, 1),
 		}
-		if s > 0 {
-			st.actIn = actCh[s-1]
-			st.gradOut = gradCh[s-1]
+		if s == 0 {
+			st.x = p.xs
+		} else {
+			st.actIn, st.gradOut = actCh[s-1], gradCh[s-1]
 		}
 		if s < S-1 {
-			st.actOut = actCh[s]
-			st.gradIn = gradCh[s]
+			st.actOut, st.gradIn = actCh[s], gradCh[s]
 		}
-		st.layers = make([][]nn.Layer, M)
-		st.wsb = make([][]nn.WorkspaceBackward, M)
-		st.chb = make([][]nn.ChunkBackward, M)
-		for m := 0; m < M; m++ {
-			span := p.lanes[m].Layers[lo:hi]
-			st.layers[m] = span
-			st.wsb[m] = make([]nn.WorkspaceBackward, len(span))
-			st.chb[m] = make([]nn.ChunkBackward, len(span))
-			for j, l := range span {
-				st.wsb[m][j] = l.(nn.WorkspaceBackward)
-				st.chb[m][j] = l.(nn.ChunkBackward)
-			}
-		}
-		if st.last {
-			st.logits = make([]*tensor.Tensor, M)
-			st.lossGrad = make([]*tensor.Tensor, M)
-		}
+		st.size()
 		p.stages = append(p.stages, st)
 	}
 	p.wg.Add(S)
 	for _, st := range p.stages {
-		go st.loop()
+		go p.stageLoop(st)
 	}
 	return p, nil
-}
-
-// stageOps emits stage s's per-step operation sequence. Backwards always
-// appear in ascending microbatch order — the δW chunk-accumulation contract
-// depends on it.
-func stageOps(sched PipeSchedule, s, S, M int) []stageOp {
-	ops := make([]stageOp, 0, 2*M)
-	switch sched {
-	case Pipe1F1B:
-		w := S - 1 - s
-		if w > M {
-			w = M
-		}
-		f, b := 0, 0
-		for ; f < w; f++ {
-			ops = append(ops, stageOp{opFwdMB, f})
-		}
-		for f < M {
-			ops = append(ops, stageOp{opFwdMB, f})
-			ops = append(ops, stageOp{opBwdMB, b})
-			f++
-			b++
-		}
-		for ; b < M; b++ {
-			ops = append(ops, stageOp{opBwdMB, b})
-		}
-	default: // PipeGPipe
-		for m := 0; m < M; m++ {
-			ops = append(ops, stageOp{opFwdMB, m})
-		}
-		for m := 0; m < M; m++ {
-			ops = append(ops, stageOp{opBwdMB, m})
-		}
-	}
-	return ops
 }
 
 // Net returns the prototype network holding the trained weights.
@@ -418,7 +328,7 @@ func (p *Pipeline) Net() *Network { return p.proto }
 func (p *Pipeline) Partition() graph.Partition { return p.part }
 
 // MicroBatches returns M.
-func (p *Pipeline) MicroBatches() int { return len(p.lanes) }
+func (p *Pipeline) MicroBatches() int { return len(p.nets) - 1 }
 
 // Observe attaches the pipeline's observer (nil detaches). Stage s reports on
 // lane s, the goroutine calling Step on lane Stages; see OpEvent.
@@ -469,210 +379,59 @@ func shardViews(x *tensor.Tensor, labels []int, xs []*tensor.Tensor, ls [][]int)
 // Step runs one pipelined training step and returns the batch mean loss
 // (bitwise identical to the serial full-batch reference) plus the step's
 // schedule stats. Batches with fewer examples than microbatches (an epoch's
-// final short batch) fall back to a serial step on the prototype — which
-// computes the same bits a pipeline over that batch would.
+// final short batch) run the serial table on the prototype, on the calling
+// goroutine — which computes the same bits a pipeline over that batch would.
 func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats, error) {
 	if p.closed {
 		return 0, PipeStepStats{}, ErrClosed
 	}
-	if len(labels) < len(p.lanes) {
-		st := PipeStepStats{Stages: 1, MicroBatches: 1, Schedule: p.sched, FillDW: p.fill}
+	st := PipeStepStats{Stages: 1, MicroBatches: 1, Schedule: p.sched, FillDW: p.fill}
+	update := func() { p.opt.Step(p.proto.Params()) }
+	if M := len(p.nets) - 1; len(labels) < M {
 		t0 := time.Now()
-		loss, _, _, err := p.fb.serialPass(p.proto, x, labels, p.fbSched)
-		if err != nil {
-			return 0, st, err
-		}
-		p.opt.Step(p.proto.Params())
+		p.caller.bind(p.proto, x, labels)
+		p.caller.step(func() { p.caller.run(p.serial) }, update)
 		st.Wall = time.Since(t0)
-		return loss, st, nil
+		return p.caller.loss(), st, nil
 	}
-	st := PipeStepStats{
-		Stages:       len(p.stages),
-		MicroBatches: len(p.lanes),
-		Schedule:     p.sched,
-		FillDW:       p.fill,
-		PerStage:     p.statsBuf,
-	}
-	if err := shardViews(x, labels, p.mbX, p.mbLabels); err != nil {
+	st.Stages, st.MicroBatches, st.PerStage = len(p.stages), len(p.nets)-1, p.statsBuf
+	if err := shardViews(x, labels, p.xs[1:], p.ls[1:]); err != nil {
 		return 0, st, err
 	}
-	obs, caller := p.obs, len(p.stages)
-	wall := time.Now()
-	p.stepN = len(labels)
-	p.proto.ZeroGrads()
-	if obs != nil {
-		obs(OpEvent{Kind: OpZero, Lane: caller, Start: wall, End: time.Now()})
-	}
-	t0 := time.Now()
-	for _, s := range p.stages {
-		s.cmd <- struct{}{}
-	}
-	for range p.stages {
-		<-p.acks
-	}
-	st.Wall = time.Since(t0)
-	tU := time.Now()
-	for _, cb := range p.seal {
-		cb.SealWeightGrad()
-	}
-	loss := p.stages[len(p.stages)-1].lossRaw / float64(p.stepN)
-	p.opt.Step(p.proto.Params())
-	if obs != nil {
-		end := time.Now()
-		obs(OpEvent{Kind: OpUpdate, Lane: caller, Start: tU, End: end})
-		obs(OpEvent{Kind: OpStep, Lane: caller, Start: wall, End: end})
-	}
+	p.caller.step(func() {
+		p.caller.run(zeroRows)
+		t0 := time.Now()
+		for _, s := range p.stages {
+			s.cmd <- struct{}{}
+		}
+		for range p.stages {
+			<-p.acks
+		}
+		st.Wall = time.Since(t0)
+	}, func() {
+		for _, cb := range p.seal {
+			cb.SealWeightGrad()
+		}
+		update()
+	})
 	for i, s := range p.stages {
-		p.statsBuf[i] = s.stats
+		b := &s.busy
+		p.statsBuf[i] = StageStats{Fwd: b[OpFwd], DO: b[OpDO] + b[OpLoss], DWInline: b[OpDW], DWFill: b[OpDWFill], Idle: b[OpIdle]}
 	}
-	return loss, st, nil
+	return p.stages[len(p.stages)-1].loss(), st, nil
 }
 
-// loop is one stage's persistent goroutine. It polls for the next step's
-// command before it parks: between two back-to-back steps lies only the
-// caller's update, shorter than a wake-up.
-func (st *pipeStage) loop() {
-	defer st.p.wg.Done()
+// stageLoop is one stage's persistent goroutine: one run of the stage's table
+// per command. It polls for the next step's command before it parks: between
+// two back-to-back steps lies only the caller's update, shorter than a
+// wake-up.
+func (p *Pipeline) stageLoop(st *pipeStage) {
+	defer p.wg.Done()
 	for {
 		if _, ok := recvHot(st.cmd, &st.poll); !ok {
 			return
 		}
-		st.runStep()
-		st.p.acks <- struct{}{}
+		st.run(st.rows)
+		p.acks <- struct{}{}
 	}
-}
-
-func (st *pipeStage) runStep() {
-	st.stats = StageStats{}
-	st.dwq = st.dwq[:0]
-	st.dwHead = 0
-	if st.last {
-		st.lossRaw = 0
-	}
-	for _, op := range st.ops {
-		if op.kind == opFwdMB {
-			st.runForward(op.mb)
-		} else {
-			st.runBackward(op.mb)
-		}
-	}
-	// Drain the remaining deferred δW — the trapezoid tail. Still counted as
-	// fill: on a multicore host it overlaps the other stages' remaining work.
-	for st.runOneDeferred() {
-	}
-}
-
-func (st *pipeStage) runForward(mb int) {
-	var x *tensor.Tensor
-	if st.actIn == nil {
-		x = st.p.mbX[mb]
-	} else {
-		x = st.recv(st.actIn, mb)
-	}
-	t0 := time.Now()
-	obs := st.p.obs
-	for j, l := range st.layers[mb] {
-		in, s0 := x.Len(), t0
-		if obs != nil {
-			s0 = time.Now()
-		}
-		x = wsForward(l, x, st.ws)
-		if obs != nil {
-			st.span(obs, OpFwd, st.lo+j+1, mb, s0, in+x.Len())
-		}
-	}
-	st.stats.Fwd += time.Since(t0)
-	if st.last {
-		st.logits[mb] = x
-	} else {
-		st.actOut <- pipeMsg{mb: mb, t: x}
-	}
-}
-
-func (st *pipeStage) runBackward(mb int) {
-	obs := st.p.obs
-	var g *tensor.Tensor
-	if st.last {
-		t0 := time.Now()
-		logits := st.logits[mb]
-		st.lossGrad[mb] = tensor.Ensure(st.lossGrad[mb], logits.Shape[0], logits.Shape[1])
-		st.lossRaw = nn.SoftmaxCrossEntropyChunk(st.lossGrad[mb], logits, st.p.mbLabels[mb], st.p.stepN, st.lossRaw)
-		g = st.lossGrad[mb]
-		st.stats.DO += st.span(obs, OpLoss, 0, mb, t0, logits.Len())
-	} else {
-		g = st.recv(st.gradIn, mb)
-	}
-	for j := len(st.layers[mb]) - 1; j >= 0; j-- {
-		gi := st.lo + j + 1
-		if st.p.fill {
-			st.dwq = append(st.dwq, deferredDW{layer: st.chb[mb][j], grad: g, gi: gi, mb: mb})
-		} else {
-			t0 := time.Now()
-			st.chb[mb][j].WeightGradChunk(g, st.ws)
-			st.stats.DWInline += st.span(obs, OpDW, gi, mb, t0, 0)
-		}
-		if st.id == 0 && j == 0 {
-			// δO of the bottommost layer feeds nothing; the serial reference
-			// computes and discards it, so skipping cannot change any bit.
-			break
-		}
-		t0 := time.Now()
-		g = st.wsb[mb][j].InputGradWS(g, st.ws)
-		st.stats.DO += st.span(obs, OpDO, gi, mb, t0, 0)
-	}
-	if st.gradOut != nil {
-		st.gradOut <- pipeMsg{mb: mb, t: g}
-	}
-}
-
-// span closes the op that started at t0: it returns the op's duration for the
-// stage's stats and, observed, reports it on the stage's lane.
-func (st *pipeStage) span(obs Observer, kind OpKind, layer, mb int, t0 time.Time, elems int) time.Duration {
-	end := time.Now()
-	if obs != nil {
-		obs(OpEvent{Kind: kind, Layer: layer, Lane: st.id, Micro: mb + 1, Start: t0, End: end, Elems: elems})
-	}
-	return end.Sub(t0)
-}
-
-// recv returns the expected microbatch's message. While the queue is empty it
-// fills the wait with deferred δW ops; only when none remain does it wait —
-// polling briefly (recvHot: the neighbour stage is mid-op, and its send beats
-// a wake-up) before it blocks — and that waiting time is the exposed bubble.
-func (st *pipeStage) recv(ch chan pipeMsg, mb int) *tensor.Tensor {
-	for {
-		select {
-		case m := <-ch:
-			if m.mb != mb {
-				panic(fmt.Sprintf("train: stage %d expected microbatch %d, got %d", st.id, mb, m.mb))
-			}
-			return m.t
-		default:
-		}
-		if !st.runOneDeferred() {
-			t0 := time.Now()
-			m, _ := recvHot(ch, &st.poll)
-			st.stats.Idle += st.span(st.p.obs, OpIdle, 0, mb, t0, 0)
-			if m.mb != mb {
-				panic(fmt.Sprintf("train: stage %d expected microbatch %d, got %d", st.id, mb, m.mb))
-			}
-			return m.t
-		}
-	}
-}
-
-// runOneDeferred pops and executes the oldest deferred δW, preserving the
-// per-layer ascending-microbatch accumulation order (the queue is FIFO and
-// backwards are emitted in ascending microbatch order).
-func (st *pipeStage) runOneDeferred() bool {
-	if st.dwHead >= len(st.dwq) {
-		return false
-	}
-	d := st.dwq[st.dwHead]
-	st.dwq[st.dwHead] = deferredDW{}
-	st.dwHead++
-	t0 := time.Now()
-	d.layer.WeightGradChunk(d.grad, st.ws)
-	st.stats.DWFill += st.span(st.p.obs, OpDWFill, d.gi, d.mb, t0, 0)
-	return true
 }

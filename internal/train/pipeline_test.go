@@ -144,16 +144,25 @@ func TestPipelineMixedBatchSizesViaFit(t *testing.T) {
 	build := func() *Network { return MLPNet(61, 6, 8, 3, 3) }
 	x, labels := data.Vectors(63, 23, 6, 3) // 23 = 3 batches of 8 + short 7... per size 8
 	pipeNet, refNet := build(), build()
-	pipeLoss, err := Fit(pipeNet, x, labels, &nn.SGD{LR: 0.05}, FitConfig{
-		Epochs: 2, BatchSize: 8, Seed: 9,
-		Stages: 3, MicroBatches: 4, PipeSched: PipeGPipe, BuildReplica: build,
+	pipe, err := NewPipeline(pipeNet, &nn.SGD{LR: 0.05}, PipelineConfig{
+		Stages: 3, MicroBatches: 4, Schedule: PipeGPipe, Build: build,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refLoss, err := Fit(refNet, x, labels, &nn.SGD{LR: 0.05}, FitConfig{
-		Epochs: 2, BatchSize: 8, Seed: 9,
-	})
+	defer pipe.Close()
+	cfg := FitConfig{Epochs: 2, BatchSize: 8, Seed: 9}
+	pipeLoss, err := Fit(func(b Batch) (float64, error) {
+		loss, _, err := pipe.Step(b.X, b.Labels)
+		return loss, err
+	}, x, labels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOpt := &nn.SGD{LR: 0.05}
+	refLoss, err := Fit(func(b Batch) (float64, error) {
+		return Step(refNet, b.X, b.Labels, graph.Conventional(len(refNet.Layers)), refOpt)
+	}, x, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,55 +276,5 @@ func TestPipelineStatsAccounting(t *testing.T) {
 			t.Fatal("no δW time recorded")
 		}
 		pipe.Close()
-	}
-}
-
-// TestStageOps pins the two schedules' per-stage op sequences, including the
-// last stage's zero-warmup 1F1B alternation.
-func TestStageOps(t *testing.T) {
-	fmtOps := func(ops []stageOp) string {
-		s := ""
-		for _, op := range ops {
-			if op.kind == opFwdMB {
-				s += fmt.Sprintf("F%d ", op.mb)
-			} else {
-				s += fmt.Sprintf("B%d ", op.mb)
-			}
-		}
-		return s
-	}
-	if got := fmtOps(stageOps(PipeGPipe, 0, 2, 3)); got != "F0 F1 F2 B0 B1 B2 " {
-		t.Fatalf("gpipe stage 0: %s", got)
-	}
-	if got := fmtOps(stageOps(Pipe1F1B, 0, 3, 4)); got != "F0 F1 F2 B0 F3 B1 B2 B3 " {
-		t.Fatalf("1f1b stage 0: %s", got)
-	}
-	if got := fmtOps(stageOps(Pipe1F1B, 2, 3, 4)); got != "F0 B0 F1 B1 F2 B2 F3 B3 " {
-		t.Fatalf("1f1b last stage: %s", got)
-	}
-	// Backwards must be ascending for every stage/schedule combination (the
-	// δW chunk-order contract).
-	for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
-		for S := 2; S <= 5; S++ {
-			for s := 0; s < S; s++ {
-				for M := S; M <= S+3; M++ {
-					next := 0
-					fwd := 0
-					for _, op := range stageOps(sched, s, S, M) {
-						if op.kind == opBwdMB {
-							if op.mb != next {
-								t.Fatalf("%v S=%d s=%d M=%d: backward order broken", sched, S, s, M)
-							}
-							next++
-						} else {
-							fwd++
-						}
-					}
-					if next != M || fwd != M {
-						t.Fatalf("%v S=%d s=%d M=%d: %d forwards, %d backwards", sched, S, s, M, fwd, next)
-					}
-				}
-			}
-		}
 	}
 }

@@ -142,7 +142,7 @@ type pubMsg struct {
 	replica int
 }
 
-// reduceStats is the reducer's per-step report.
+// reduceStats is the reducer's per-step report, read off its lane.
 type reduceStats struct {
 	end  time.Time     // when the last bucket finished reducing
 	busy time.Duration // total time spent inside bucket reductions
@@ -159,10 +159,9 @@ func (dp *DataParallel) reducerLoop() {
 	N := len(dp.replicas)
 	counts := make([]int, B)
 	ready := make([]bool, B)
+	red := &dp.reducer
 	for {
-		done := 0
-		var busy time.Duration
-		for done < B {
+		for done := 0; done < B; {
 			b := dp.pickReady(ready)
 			if b < 0 {
 				msg, ok := <-dp.pub
@@ -192,19 +191,16 @@ func (dp *DataParallel) reducerLoop() {
 			if nb := dp.pickReady(ready); nb >= 0 {
 				b = nb
 			}
-			t0 := time.Now()
+			bk := &dp.plan.buckets[b]
+			red.mark()
 			dp.reduceBucket(b)
-			end := time.Now()
-			busy += end.Sub(t0)
-			if obs := dp.obs; obs != nil {
-				bk := &dp.plan.buckets[b]
-				obs(OpEvent{Kind: OpReduce, Layer: bk.layers[0], Lane: N, Start: t0, End: end, Elems: bk.elems})
-			}
+			red.span(OpReduce, row{layer: bk.layers[0]}, bk.elems)
 			ready[b] = false
 			counts[b] = 0
 			done++
 		}
-		dp.redDone <- reduceStats{end: time.Now(), busy: busy}
+		dp.redDone <- reduceStats{end: red.clock, busy: red.busy[OpReduce]}
+		red.busy[OpReduce] = 0
 	}
 }
 

@@ -13,15 +13,16 @@ import (
 // DataParallel trains N replicas of one network on disjoint shards of each
 // batch, with gradient reduction overlapped with the still-running backward
 // passes — the real (executed, not simulated) counterpart of the paper's §5.1
-// gradient synchronization scheduling. Each replica runs forward and an
-// out-of-order backward pass on its shard via its own serial Executor; the
-// moment a replica finishes the last δW of a gradient bucket (possibly far
-// out of layout order, e.g. under reverse first-k), it publishes the bucket
-// to a dedicated reducer goroutine. The reducer sums every bucket across
-// replicas with a fixed pairwise tree the instant all N replicas published
-// it, draining ready buckets in SyncSchedule priority order, concurrently
-// with whatever backward work remains. A single optimizer step then applies
-// the averaged gradient and broadcasts the updated weights to all replicas.
+// gradient synchronization scheduling. Each replica runs the step table on its
+// shard — forward and an out-of-order backward pass — on its own goroutine;
+// the table carries a publish row right after the last δW of every gradient
+// bucket (possibly far out of layout order, e.g. under reverse first-k), which
+// announces the bucket to a dedicated reducer goroutine. The reducer sums
+// every bucket across replicas with a fixed pairwise tree the instant all N
+// replicas published it, draining ready buckets in SyncSchedule priority
+// order, concurrently with whatever backward work remains. A single optimizer
+// step then applies the averaged gradient and broadcasts the updated weights
+// to all replicas.
 //
 // Determinism: the reduction tree shape, the intra-bucket chunk order, and
 // every kernel it calls are fixed by replica index and tensor size alone, so
@@ -37,29 +38,24 @@ import (
 type DataParallel struct {
 	replicas []*replica
 	plan     *reducePlan
-	sched    graph.BackwardSchedule
-	sync     SyncSchedule
 	opt      nn.Optimizer
+
+	// serial is the replicas' table, the same immutable slice for all of them;
+	// rows is serial with the publish rows Step's reducer consumes.
+	serial, rows []row
 
 	pub     chan pubMsg      // replicas → reducer: bucket complete on replica
 	redDone chan reduceStats // reducer → step: all buckets reduced
-	acks    chan error       // replicas → step: pass complete
+	acks    chan struct{}    // replicas → step: pass complete
 	wg      sync.WaitGroup
 
-	// dwPerBucket[b] is the member-layer count of bucket b — the per-replica
-	// publish countdown reset at each backward start.
-	dwPerBucket []int
+	// caller is the lane of the goroutine calling Step (the update and the
+	// step), reducer the reducer goroutine's.
+	caller, reducer lane
 
-	// refMode suppresses bucket publishing while ReferenceStep runs the
-	// replicas serially on the caller's goroutine. Written only between
-	// concurrent steps, so the replica goroutines' reads are ordered by the
-	// command-channel sends.
-	refMode bool
-
-	// obs receives the engine's own op events — per-bucket reduction, update,
-	// step (nil = none); the replicas' events reach it through their executors.
-	// The reducer goroutine's read is ordered by the publish-channel receives
-	// that precede every reduction.
+	// obs receives the engine's op events (nil = none). Replica and reducer
+	// goroutines read it after the command- or publish-channel receive that
+	// hands them their work, which orders the read after Observe.
 	obs Observer
 
 	// shardX/shardLabels are the retained per-replica views into the step batch.
@@ -69,20 +65,14 @@ type DataParallel struct {
 	closed bool
 }
 
-// replica is one model copy with its private executor and step state.
+// replica is one model copy: the lane its passes run on and its step state.
 type replica struct {
-	id      int
-	net     *Network
-	exec    *Executor
-	params  []*nn.Param
-	pending []int // per-bucket remaining δW count, owned by the running goroutine
+	lane
+	params []*nn.Param
 
-	loss float64 // shard mean loss of the last forward
-
-	// The last pass on the replica's own clock: how long forward and loss
-	// took, how long backward took, and when backward ended.
+	// The last pass on the replica's own clock: how long zeroing, forward and
+	// loss took, and how long backward took. The lane's clock is when it ended.
 	fwd, bwd time.Duration
-	bwdEnd   time.Time
 
 	// cmd starts one pass — forward, loss, backward back to back. Capacity 1:
 	// Step's send never waits for a replica that is still waking up.
@@ -138,20 +128,17 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 	}
 	dp := &DataParallel{
 		plan:        newReducePlan(proto, a, cfg.Sync, bb),
-		sched:       append(graph.BackwardSchedule(nil), sched...),
-		sync:        cfg.Sync,
 		opt:         opt,
+		serial:      stepRows(L, sched, 0),
 		shardX:      make([]*tensor.Tensor, N),
 		shardLabels: make([][]int, N),
 	}
-	B := len(dp.plan.buckets)
-	dp.pub = make(chan pubMsg, B*N+1)
+	dp.rows = publishRows(dp.serial, dp.plan)
+	dp.pub = make(chan pubMsg, len(dp.plan.buckets)*N+1)
 	dp.redDone = make(chan reduceStats, 1)
-	dp.acks = make(chan error, N)
-	dp.dwPerBucket = make([]int, B)
-	for i := range dp.plan.buckets {
-		dp.dwPerBucket[i] = len(dp.plan.buckets[i].layers)
-	}
+	dp.acks = make(chan struct{}, N)
+	dp.caller = lane{id: N + 1, obs: &dp.obs}
+	dp.reducer = lane{id: N, obs: &dp.obs, timed: true}
 	for r := 0; r < N; r++ {
 		net := proto
 		if r > 0 {
@@ -167,26 +154,12 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 			}
 		}
 		rep := &replica{
-			id:      r,
-			net:     net,
-			exec:    NewExecutor(ExecSerial, 0),
-			params:  net.Params(),
-			pending: make([]int, B),
-			cmd:     make(chan struct{}, 1),
+			lane: lane{id: r, obs: &dp.obs, timed: true, ws: tensor.NewWorkspace(), pub: dp.pub,
+				nets: []*Network{net}, x: dp.shardX[r : r+1], labels: dp.shardLabels[r : r+1]},
+			params: net.Params(),
+			cmd:    make(chan struct{}, 1),
 		}
-		rid := r
-		rep.exec.onDW = func(layer int) {
-			if dp.refMode {
-				return
-			}
-			b := dp.plan.layerBucket[layer]
-			if b < 0 {
-				return
-			}
-			if rep.pending[b]--; rep.pending[b] == 0 {
-				dp.pub <- pubMsg{bucket: b, replica: rid}
-			}
-		}
+		rep.size()
 		dp.replicas = append(dp.replicas, rep)
 	}
 	dp.wg.Add(N + 1)
@@ -218,28 +191,15 @@ func alignParams(proto, rep *Network) error {
 
 // Net returns replica 0's network — the one whose parameters the optimizer
 // updates and that holds the trained weights.
-func (dp *DataParallel) Net() *Network { return dp.replicas[0].net }
+func (dp *DataParallel) Net() *Network { return dp.replicas[0].nets[0] }
 
 // Replicas returns the data-parallel width.
 func (dp *DataParallel) Replicas() int { return len(dp.replicas) }
 
-// Observe attaches the engine's observer (nil detaches). Replica r's serial
-// executor reports on lane r, the reducer on lane Replicas, the goroutine
-// calling Step on lane Replicas+1; see OpEvent.
-func (dp *DataParallel) Observe(obs Observer) {
-	dp.obs = obs
-	for _, rep := range dp.replicas {
-		if obs == nil {
-			rep.exec.Observe(nil)
-			continue
-		}
-		lane := rep.id
-		rep.exec.Observe(func(ev OpEvent) {
-			ev.Lane = lane
-			obs(ev)
-		})
-	}
-}
+// Observe attaches the engine's observer (nil detaches). Replica r reports on
+// lane r, the reducer on lane Replicas, the goroutine calling Step on lane
+// Replicas+1; see OpEvent.
+func (dp *DataParallel) Observe(obs Observer) { dp.obs = obs }
 
 // BucketInfo describes one bucket of the reduction plan.
 type BucketInfo struct {
@@ -277,36 +237,29 @@ type StepStats struct {
 }
 
 // replicaLoop is one replica's persistent goroutine: on each command it runs
-// one whole pass on its shard — forward, loss, backward, publishing buckets as
-// their δW ops finish — and acknowledges it, then polls for the next command
+// the table once on its shard — forward, loss, backward, publishing buckets at
+// their publish rows — and acknowledges it, then polls for the next command
 // before it parks (between two back-to-back steps lies only the caller's
-// update, shorter than a wake-up). All replica state (network, workspaces,
-// pending counters, clocks) is owned by this goroutine while a pass runs;
-// ownership transfers through the command/ack channels.
+// update, shorter than a wake-up). All replica state is owned by this
+// goroutine while a pass runs; ownership transfers through the command/ack
+// channels.
 func (dp *DataParallel) replicaLoop(r *replica) {
 	defer dp.wg.Done()
-	var poll poller
 	for {
-		if _, ok := recvHot(r.cmd, &poll); !ok {
+		if _, ok := recvHot(r.cmd, &r.poll); !ok {
 			return
 		}
-		copy(r.pending, dp.dwPerBucket)
-		var err error
-		r.loss, r.fwd, r.bwd, err = r.exec.serialPass(r.net, dp.shardX[r.id], dp.shardLabels[r.id], dp.sched)
-		r.bwdEnd = time.Now()
-		if err != nil {
-			// Cannot happen for a schedule validated at construction, but
-			// keep the reducer's per-step accounting consistent anyway:
-			// publish whatever this replica never finished.
-			for b, left := range r.pending {
-				if left > 0 {
-					r.pending[b] = 0
-					dp.pub <- pubMsg{bucket: b, replica: r.id}
-				}
-			}
-		}
-		dp.acks <- err
+		r.pass(dp.rows)
+		dp.acks <- struct{}{}
 	}
+}
+
+// pass runs one table on the replica's lane and reads the pass's phase times
+// off it.
+func (r *replica) pass(rows []row) {
+	r.run(rows)
+	r.fwd = r.busy[OpZero] + r.busy[OpFwd] + r.busy[OpLoss]
+	r.bwd = r.busy[OpDO] + r.busy[OpDW]
 }
 
 // Step runs one data-parallel training step: every replica runs forward and
@@ -317,59 +270,55 @@ func (dp *DataParallel) replicaLoop(r *replica) {
 // backward reads only its own forward, and the reducer counts publishes.
 // Returns the batch mean loss (each shard's mean weighted by shard size —
 // identical bits to ReferenceStep) and the step's timing decomposition. Once
-// warm, a step allocates nothing.
+// warm, a step allocates nothing. A batch with fewer examples than replicas —
+// the final short batch of an epoch — cannot be sharded: replica 0 runs it
+// whole on the calling goroutine (no reduction, no averaging) and the update
+// broadcasts as usual; the path taken depends only on the batch size.
 func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats, error) {
 	if dp.closed {
 		return 0, StepStats{}, ErrClosed
 	}
-	if len(labels) < len(dp.replicas) {
-		return dp.smallBatchStep(x, labels)
-	}
 	st := StepStats{Replicas: len(dp.replicas), Buckets: len(dp.plan.buckets)}
+	if len(labels) < len(dp.replicas) {
+		st.Replicas = 1
+		r0 := dp.replicas[0]
+		if err := shardViews(x, labels, dp.shardX[:1], dp.shardLabels[:1]); err != nil {
+			return 0, st, err
+		}
+		dp.caller.step(func() { r0.pass(dp.serial) }, dp.applyUpdate)
+		st.Forward, st.Backward = r0.fwd, r0.bwd
+		return r0.loss(), st, nil
+	}
 	if err := shardViews(x, labels, dp.shardX, dp.shardLabels); err != nil {
 		return 0, st, err
 	}
-	wall := time.Now()
-	for _, rep := range dp.replicas {
-		rep.cmd <- struct{}{}
-	}
-	var firstErr error
-	for range dp.replicas {
-		if err := <-dp.acks; err != nil && firstErr == nil {
-			firstErr = err
+	var rs reduceStats
+	dp.caller.step(func() {
+		for _, rep := range dp.replicas {
+			rep.cmd <- struct{}{}
 		}
-	}
-	rs := <-dp.redDone
+		for range dp.replicas {
+			<-dp.acks
+		}
+		rs = <-dp.redDone
+	}, dp.applyUpdate)
 	var lastBwd time.Time
 	for _, rep := range dp.replicas {
 		st.Forward, st.Backward = max(st.Forward, rep.fwd), max(st.Backward, rep.bwd)
-		if rep.bwdEnd.After(lastBwd) {
-			lastBwd = rep.bwdEnd
+		if rep.clock.After(lastBwd) {
+			lastBwd = rep.clock
 		}
 	}
 	st.ReduceBusy = rs.busy
-	if exposed := rs.end.Sub(lastBwd); exposed > 0 {
-		st.ReduceExposed = exposed
-	}
-	if firstErr != nil {
-		return 0, st, firstErr
-	}
-	loss := dp.foldLoss(len(labels))
-	start := time.Now()
-	dp.applyUpdate()
-	if obs := dp.obs; obs != nil {
-		end, caller := time.Now(), len(dp.replicas)+1
-		obs(OpEvent{Kind: OpUpdate, Lane: caller, Start: start, End: end})
-		obs(OpEvent{Kind: OpStep, Lane: caller, Start: wall, End: end})
-	}
-	return loss, st, nil
+	st.ReduceExposed = max(rs.end.Sub(lastBwd), 0)
+	return dp.foldLoss(len(labels)), st, nil
 }
 
 // foldLoss combines shard mean losses into the batch mean, in replica order.
 func (dp *DataParallel) foldLoss(n int) float64 {
 	var loss float64
 	for _, rep := range dp.replicas {
-		loss += rep.loss * float64(len(dp.shardLabels[rep.id]))
+		loss += rep.loss() * float64(rep.total)
 	}
 	return loss / float64(n)
 }
@@ -386,57 +335,32 @@ func (dp *DataParallel) applyUpdate() {
 	}
 }
 
-// smallBatchStep handles a batch with fewer examples than replicas — e.g.
-// the final short batch of an epoch. Sharding it is impossible, so replica 0
-// runs the whole batch serially on the calling goroutine (no reduction, no
-// averaging) and the update broadcasts as usual. Deterministic: the path
-// taken depends only on the batch size.
-func (dp *DataParallel) smallBatchStep(x *tensor.Tensor, labels []int) (float64, StepStats, error) {
-	st := StepStats{Replicas: 1, Buckets: len(dp.plan.buckets)}
-	dp.refMode = true
-	defer func() { dp.refMode = false }()
-	r0 := dp.replicas[0]
-	loss, fwd, bwd, err := r0.exec.serialPass(r0.net, x, labels, dp.sched)
-	if err != nil {
-		return 0, st, err
-	}
-	st.Forward, st.Backward = fwd, bwd
-	dp.applyUpdate()
-	return loss, st, nil
-}
-
 // ReferenceStep is the serial oracle for Step: the same shards, the same
-// backward schedule, the same fixed reduction tree and bucket arithmetic —
-// all executed sequentially on the calling goroutine, replica by replica,
-// bucket by bucket in index order. Step must match it bit for bit; the
-// differential tests assert exactly that under the race detector. An attached
-// observer sees the replicas' events only.
+// table without its publish rows, the same fixed reduction tree and bucket
+// arithmetic — all executed sequentially on the calling goroutine, replica by
+// replica, bucket by bucket in index order. Step must match it bit for bit;
+// the differential tests assert exactly that under the race detector. An
+// attached observer sees no reduce events.
 func (dp *DataParallel) ReferenceStep(x *tensor.Tensor, labels []int) (float64, error) {
 	if dp.closed {
 		return 0, ErrClosed
 	}
 	if len(labels) < len(dp.replicas) {
-		loss, _, err := dp.smallBatchStep(x, labels)
+		loss, _, err := dp.Step(x, labels)
 		return loss, err
 	}
 	if err := shardViews(x, labels, dp.shardX, dp.shardLabels); err != nil {
 		return 0, err
 	}
-	dp.refMode = true
-	defer func() { dp.refMode = false }()
-	for _, rep := range dp.replicas {
-		var err error
-		rep.loss, _, _, err = rep.exec.serialPass(rep.net, dp.shardX[rep.id], dp.shardLabels[rep.id], dp.sched)
-		if err != nil {
-			return 0, err
+	dp.caller.step(func() {
+		for _, rep := range dp.replicas {
+			rep.pass(dp.serial)
 		}
-	}
-	for b := range dp.plan.buckets {
-		dp.reduceBucket(b)
-	}
-	loss := dp.foldLoss(len(labels))
-	dp.applyUpdate()
-	return loss, nil
+		for b := range dp.plan.buckets {
+			dp.reduceBucket(b)
+		}
+	}, dp.applyUpdate)
+	return dp.foldLoss(len(labels)), nil
 }
 
 // Close stops the replica and reducer goroutines. Idempotent; must not
@@ -448,7 +372,6 @@ func (dp *DataParallel) Close() {
 	dp.closed = true
 	for _, rep := range dp.replicas {
 		close(rep.cmd)
-		rep.exec.Close()
 	}
 	close(dp.pub)
 	dp.wg.Wait()

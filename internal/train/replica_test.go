@@ -343,9 +343,10 @@ func TestDataParallelBackwardReduceWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestExecutorDWCallback: the per-δW hook fires exactly once per layer with
-// the right indices, in both executor modes, and a cleared hook stays silent.
-func TestExecutorDWCallback(t *testing.T) {
+// TestExecutorReportsEachDWOnce: every layer's δW is reported exactly once per
+// pass with the right index, in both executor modes — on whichever goroutine
+// ran it — and a detached observer stays silent.
+func TestExecutorReportsEachDWOnce(t *testing.T) {
 	net := MLPNet(11, 16, 24, 3, 3)
 	L := len(net.Layers)
 	x, labels := data.Vectors(3, 8, 16, 3)
@@ -357,25 +358,29 @@ func TestExecutorDWCallback(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := NewExecutor(mode, 2)
 			defer e.Close()
-			var mu chan int // collect via channel: concurrent mode fires on pool workers
-			mu = make(chan int, L)
-			e.onDW = func(layer int) { mu <- layer }
+			// Collect via channel: concurrent mode reports from pool workers.
+			seen := make(chan int, L)
+			e.Observe(func(ev OpEvent) {
+				if ev.Kind == OpDW {
+					seen <- ev.Layer
+				}
+			})
 			if _, err := e.Backward(net, lossGrad, sched); err != nil {
 				t.Fatal(err)
 			}
-			e.onDW = nil
-			close(mu)
+			e.Observe(nil)
+			close(seen)
 			counts := make([]int, L+1)
-			for layer := range mu {
+			for layer := range seen {
 				counts[layer]++
 			}
 			for i := 1; i <= L; i++ {
 				if counts[i] != 1 {
-					t.Fatalf("layer %d δW callback fired %d times, want 1", i, counts[i])
+					t.Fatalf("layer %d δW reported %d times, want 1", i, counts[i])
 				}
 			}
 			if _, err := e.Backward(net, lossGrad, sched); err != nil {
-				t.Fatal(err) // cleared hook: must not panic on closed channel
+				t.Fatal(err) // detached: must not send on the closed channel
 			}
 		})
 	}

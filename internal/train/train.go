@@ -114,11 +114,18 @@ func (n *Network) Backward(lossGrad *tensor.Tensor, sched graph.BackwardSchedule
 	return BackwardStats{PeakLiveGrads: peak}, nil
 }
 
-// Step runs one full training step (forward, loss, backward in the given
-// order, optimizer update) on the serial engine and returns the loss.
-// Executor.Step is the engine-selectable form.
+// Step runs one full training step — forward, loss, backward in the given
+// order, optimizer update — through the plain allocating layer methods and
+// returns the loss. It is the reference every engine's step is compared with
+// bit for bit, so it shares no code with them; Executor.Step is the engine.
 func Step(n *Network, x *tensor.Tensor, labels []int, sched graph.BackwardSchedule, opt nn.Optimizer) (float64, error) {
-	return (*Executor)(nil).Step(n, x, labels, sched, opt)
+	n.ZeroGrads()
+	loss, lossGrad := nn.SoftmaxCrossEntropy(n.Forward(x), labels)
+	if _, err := n.Backward(lossGrad, sched); err != nil {
+		return 0, err
+	}
+	opt.Step(n.Params())
+	return loss, nil
 }
 
 // GradSnapshot deep-copies every parameter gradient, keyed by name.
@@ -137,17 +144,6 @@ func ParamSnapshot(n *Network) map[string]*tensor.Tensor {
 		out[p.Name] = p.Value.Clone()
 	}
 	return out
-}
-
-// RestoreParams writes a snapshot back into the network.
-func RestoreParams(n *Network, snap map[string]*tensor.Tensor) {
-	for _, p := range n.Params() {
-		src, ok := snap[p.Name]
-		if !ok {
-			panic(fmt.Sprintf("train: snapshot missing %q", p.Name))
-		}
-		copy(p.Value.Data, src.Data)
-	}
 }
 
 // SnapshotsEqual reports whether two snapshots are bit-for-bit identical.
