@@ -6,43 +6,37 @@
 // allocator-level effects of out-of-order schedules: reordering δW changes
 // tensor lifetimes, which changes fragmentation and the high-water mark of
 // the arena.
+//
+// The policy is TensorFlow's: best fit, lowest address on ties, immediate
+// coalescing of freed neighbours. The index is sized to the traffic it
+// serves: TensorFlow bins free chunks by size class for arenas with many
+// holes, while every schedule trace of the model zoo leaves at most 3 free
+// extents at any allocation (1.3 on average), so the free space is one
+// address-ordered slice that best fit scans.
 package bfc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrOutOfMemory is returned when no free region can satisfy a request.
 var ErrOutOfMemory = errors.New("bfc: out of memory")
 
-// none is the nil link of the block list.
-const none = -1
-
-// block is a contiguous arena region, free or allocated, in a doubly linked
-// address-ordered list. Blocks live in the allocator's slab and link by slab
-// index, so resetting an allocator is a truncation and the records hold no
-// pointers.
-type block struct {
-	off, size  int64
-	prev, next int32
-	free       bool
-}
+// extent is a contiguous arena region.
+type extent struct{ off, size int64 }
 
 // Allocator manages a fixed arena with best-fit allocation and immediate
-// coalescing of freed neighbours. Free blocks are indexed in power-of-two
-// size-class bins (see bins.go), so Alloc is O(log classes + log bin) rather
-// than a scan of every block — the same structure TensorFlow's bfc_allocator
-// uses.
+// coalescing of freed neighbours. The allocator indexes only the free
+// space; a live allocation's extent is held by its owner (the offset map
+// for Alloc/Free, the Replayer's per-ID slot for a replay).
 type Allocator struct {
 	arena int64
-	// blocks is the record slab. Index 0 is always the block at offset 0:
-	// splits keep the low part in place and coalescing keeps the low
-	// neighbour's record.
-	blocks []block
-	spare  []int32         // slab records released by coalescing
-	byOff  map[int64]int32 // allocated blocks by offset (Alloc/Free only)
-	free   freeBins
+	// free holds the free extents in address order, never two touching.
+	free []extent
+	live map[int64]int64 // allocated sizes by offset (Alloc/Free only)
 
 	used, peak int64
 	footprint  int64
@@ -51,23 +45,21 @@ type Allocator struct {
 
 // New creates an allocator over an arena of the given size.
 func New(arena int64) *Allocator {
-	a := &Allocator{byOff: make(map[int64]int32)}
+	a := &Allocator{live: make(map[int64]int64)}
 	a.reset(arena)
 	return a
 }
 
-// reset returns the allocator to one free block spanning a new arena,
-// keeping the slab's and the bins' storage.
+// reset returns the allocator to one free extent spanning a new arena,
+// keeping the free list's storage (room for 4 from the start: traces leave
+// few holes).
 func (a *Allocator) reset(arena int64) {
 	if arena <= 0 {
 		panic("bfc: non-positive arena")
 	}
 	a.arena = arena
-	a.blocks = append(a.blocks[:0], block{size: arena, prev: none, next: none, free: true})
-	a.spare = a.spare[:0]
-	clear(a.byOff)
-	a.free.reset()
-	a.free.insert(a.blocks, 0)
+	a.free = append(slices.Grow(a.free[:0], 4), extent{size: arena})
+	clear(a.live)
 	a.used, a.peak, a.footprint, a.allocs = 0, 0, 0, 0
 }
 
@@ -78,7 +70,7 @@ func roundUp(n int64) int64 {
 	if n <= 0 {
 		return align
 	}
-	return (n + align - 1) / align * align
+	return (n + align - 1) &^ (align - 1)
 }
 
 // Alloc reserves n bytes and returns the arena offset.
@@ -87,98 +79,79 @@ func (a *Allocator) Alloc(n int64) (int64, error) {
 		panic("bfc: negative allocation")
 	}
 	n = roundUp(n)
-	i := a.allocBlock(n)
-	if i == none {
+	off, ok := a.place(n)
+	if !ok {
 		return 0, fmt.Errorf("%w: want %d, used %d of %d (largest free %d)",
 			ErrOutOfMemory, n, a.used, a.arena, a.largestFree())
 	}
-	off := a.blocks[i].off
-	a.byOff[off] = i
+	a.live[off] = n
 	return off, nil
 }
 
-// allocBlock reserves n aligned bytes in the best-fitting free block,
-// splitting off the remainder, and returns the block's slab index, or none
-// when nothing fits.
-func (a *Allocator) allocBlock(n int64) int32 {
-	i := a.free.take(a.blocks, n)
-	if i == none {
-		return none
-	}
-	if b := a.blocks[i]; b.size > n {
-		rest := a.newBlock(block{off: b.off + n, size: b.size - n, prev: i, next: b.next, free: true})
-		if b.next != none {
-			a.blocks[b.next].prev = rest
+// place reserves n aligned bytes at the low end of the best-fitting free
+// extent — the smallest that holds n, the lowest-addressed on ties — and
+// returns their offset, or false when nothing fits.
+func (a *Allocator) place(n int64) (int64, bool) {
+	best := -1
+	for i := range a.free {
+		if s := a.free[i].size; s >= n && (best < 0 || s < a.free[best].size) {
+			best = i
 		}
-		a.blocks[i].next = rest
-		a.blocks[i].size = n
-		a.free.insert(a.blocks, rest)
 	}
-	b := &a.blocks[i]
-	b.free = false
-	a.used += b.size
-	if a.used > a.peak {
-		a.peak = a.used
+	if best < 0 {
+		return 0, false
 	}
-	if end := b.off + b.size; end > a.footprint {
-		a.footprint = end
+	e := &a.free[best]
+	off := e.off
+	if e.size == n {
+		a.free = append(a.free[:best], a.free[best+1:]...)
+	} else {
+		e.off += n
+		e.size -= n
 	}
+	a.used += n
+	a.peak = max(a.peak, a.used)
+	a.footprint = max(a.footprint, off+n)
 	a.allocs++
-	return i
-}
-
-// newBlock stores a record in the slab, reusing a released slot if any.
-func (a *Allocator) newBlock(b block) int32 {
-	if n := len(a.spare); n > 0 {
-		i := a.spare[n-1]
-		a.spare = a.spare[:n-1]
-		a.blocks[i] = b
-		return i
-	}
-	a.blocks = append(a.blocks, b)
-	return int32(len(a.blocks) - 1)
+	return off, true
 }
 
 // Free releases the allocation at the given offset, coalescing with free
 // neighbours. Freeing an unknown offset panics — it is always a caller bug.
 func (a *Allocator) Free(off int64) {
-	i, ok := a.byOff[off]
+	n, ok := a.live[off]
 	if !ok {
 		panic(fmt.Sprintf("bfc: free of unallocated offset %d", off))
 	}
-	delete(a.byOff, off)
-	a.freeBlock(i)
+	delete(a.live, off)
+	a.release(extent{off, n})
 }
 
-// freeBlock releases allocated block i, coalescing with next, then with
-// prev, keeping the bins in sync.
-func (a *Allocator) freeBlock(i int32) {
-	b := &a.blocks[i]
-	a.used -= b.size
-	b.free = true
-	if n := b.next; n != none && a.blocks[n].free {
-		a.free.remove(a.blocks, n)
-		a.absorbNext(i)
+// release returns allocated extent x to the free list, merging it with the
+// free extent that ends at its offset and the one that starts at its end.
+func (a *Allocator) release(x extent) {
+	a.used -= x.size
+	f := a.free
+	j := 0
+	for j < len(f) && f[j].off < x.off {
+		j++
 	}
-	if p := b.prev; p != none && a.blocks[p].free {
-		a.free.remove(a.blocks, p)
-		a.absorbNext(p)
-		i = p
+	prev := j > 0 && f[j-1].off+f[j-1].size == x.off
+	next := j < len(f) && f[j].off == x.off+x.size
+	switch {
+	case prev && next:
+		f[j-1].size += x.size + f[j].size
+		a.free = append(f[:j], f[j+1:]...)
+	case prev:
+		f[j-1].size += x.size
+	case next:
+		f[j] = extent{x.off, x.size + f[j].size}
+	default:
+		f = append(f, extent{})
+		copy(f[j+1:], f[j:])
+		f[j] = x
+		a.free = f
 	}
-	a.free.insert(a.blocks, i)
-}
-
-// absorbNext merges block i's successor into it and releases the
-// successor's record.
-func (a *Allocator) absorbNext(i int32) {
-	b := &a.blocks[i]
-	n := b.next
-	b.size += a.blocks[n].size
-	b.next = a.blocks[n].next
-	if b.next != none {
-		a.blocks[b.next].prev = i
-	}
-	a.spare = append(a.spare, n)
 }
 
 // Used returns the currently allocated bytes (after alignment).
@@ -190,25 +163,17 @@ func (a *Allocator) Peak() int64 { return a.peak }
 // Allocs returns the number of successful allocations.
 func (a *Allocator) Allocs() uint64 { return a.allocs }
 
-// freeSpace walks the block list and returns the number of free regions,
-// their total size and the largest one.
-func (a *Allocator) freeSpace() (regions int, total, largest int64) {
-	for i := int32(0); i != none; i = a.blocks[i].next {
-		b := &a.blocks[i]
-		if !b.free {
-			continue
-		}
-		regions++
-		total += b.size
-		if b.size > largest {
-			largest = b.size
-		}
+// freeSpace returns the free extents' total size and the largest one.
+func (a *Allocator) freeSpace() (total, largest int64) {
+	for _, e := range a.free {
+		total += e.size
+		largest = max(largest, e.size)
 	}
-	return regions, total, largest
+	return total, largest
 }
 
 func (a *Allocator) largestFree() int64 {
-	_, _, largest := a.freeSpace()
+	_, largest := a.freeSpace()
 	return largest
 }
 
@@ -216,8 +181,7 @@ func (a *Allocator) largestFree() int64 {
 // one contiguous region, approaching 1 as it shatters. Returns 0 when the
 // arena is full.
 func (a *Allocator) Fragmentation() float64 {
-	_, total, largest := a.freeSpace()
-	return fragmentation(total, largest)
+	return fragmentation(a.freeSpace())
 }
 
 func fragmentation(totalFree, largestFree int64) float64 {
@@ -227,38 +191,42 @@ func fragmentation(totalFree, largestFree int64) float64 {
 	return 1 - float64(largestFree)/float64(totalFree)
 }
 
-// CheckInvariants validates the block list: address-ordered, gap-free, no
-// adjacent free blocks, sizes positive. Used by tests after every operation.
+// CheckInvariants validates the free list — address-ordered, inside the
+// arena, sizes positive, no two extents touching (coalesced) — and that it
+// and the bytes in use cover the arena; extents held through Alloc must
+// tile the holes exactly. Used by tests after every operation.
 func (a *Allocator) CheckInvariants() error {
-	var off int64
-	prevFree := false
-	freeBlocks := 0
-	for i := int32(0); i != none; i = a.blocks[i].next {
-		b := &a.blocks[i]
-		if b.off != off {
-			return fmt.Errorf("bfc: block at %d, expected %d", b.off, off)
+	var end, free int64
+	for i, e := range a.free {
+		if e.size <= 0 || e.off < 0 {
+			return fmt.Errorf("bfc: free extent of %d bytes at %d", e.size, e.off)
 		}
-		if b.size <= 0 {
-			return fmt.Errorf("bfc: non-positive block size at %d", b.off)
+		if i > 0 && e.off <= end {
+			return fmt.Errorf("bfc: free extent at %d overlaps or touches the one ending at %d", e.off, end)
 		}
-		if b.free && prevFree {
-			return fmt.Errorf("bfc: uncoalesced free blocks at %d", b.off)
-		}
-		if b.next != none && a.blocks[b.next].prev != i {
-			return fmt.Errorf("bfc: broken back-link at %d", b.off)
-		}
-		if b.free {
-			freeBlocks++
-		}
-		prevFree = b.free
-		off += b.size
+		end = e.off + e.size
+		free += e.size
 	}
-	if off != a.arena {
-		return fmt.Errorf("bfc: blocks cover %d of %d", off, a.arena)
+	if end > a.arena || free+a.used != a.arena {
+		return fmt.Errorf("bfc: %d free and %d used bytes (list ending at %d) in an arena of %d", free, a.used, end, a.arena)
 	}
-	// Bin consistency: every free block binned exactly once.
-	if got := a.free.count(); got != freeBlocks {
-		return fmt.Errorf("bfc: %d blocks binned, %d free in the list", got, freeBlocks)
+	if len(a.live) == 0 {
+		return nil
+	}
+	all := slices.Clone(a.free)
+	for off, n := range a.live {
+		all = append(all, extent{off, n})
+	}
+	slices.SortFunc(all, func(x, y extent) int { return cmp.Compare(x.off, y.off) })
+	var at int64
+	for _, e := range all {
+		if e.off != at {
+			return fmt.Errorf("bfc: extent at %d, expected %d", e.off, at)
+		}
+		at += e.size
+	}
+	if at != a.arena {
+		return fmt.Errorf("bfc: extents cover %d of %d", at, a.arena)
 	}
 	return nil
 }

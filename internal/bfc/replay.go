@@ -1,6 +1,9 @@
 package bfc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Event is one step of an allocation trace: an alloc or a free of a named
 // tensor. Traces are how schedule planners ask "what would this alloc/free
@@ -37,8 +40,6 @@ type ReplayResult struct {
 	FragRatio float64
 	// Events is the number of trace events applied.
 	Events int
-	// Final is the allocator snapshot after the last event.
-	Final Stats
 }
 
 // Replay runs a trace through a fresh Replayer; see Replayer.Replay.
@@ -52,10 +53,10 @@ func Replay(events []Event) ReplayResult {
 // The zero value is ready to use; a Replayer is not safe for concurrent use.
 type Replayer struct {
 	a Allocator
-	// slot is the per-ID table: while checking the trace, the requested
-	// bytes of a live ID (dead = −1); while replaying, its block's slab
-	// index.
-	slot []int64
+	// slot is the per-ID table: while checking the trace, a live ID's
+	// requested bytes in size (dead = −1); while replaying, the extent the
+	// ID holds.
+	slot []extent
 }
 
 // Replay runs a trace through the allocator and reports the fragmented
@@ -74,17 +75,17 @@ type Replayer struct {
 // stays usable after such a panic.
 func (r *Replayer) Replay(events []Event) ReplayResult {
 	for i := range r.slot {
-		r.slot[i] = -1
+		r.slot[i].size = -1
 	}
 	var logical, logicalPeak int64
 	liveIDs := 0
 	for _, ev := range events {
 		if ev.Free {
-			if ev.ID < 0 || ev.ID >= len(r.slot) || r.slot[ev.ID] < 0 {
+			if ev.ID < 0 || ev.ID >= len(r.slot) || r.slot[ev.ID].size < 0 {
 				panic(fmt.Sprintf("bfc: replay frees dead id %d", ev.ID))
 			}
-			logical -= r.slot[ev.ID]
-			r.slot[ev.ID] = -1
+			logical -= r.slot[ev.ID].size
+			r.slot[ev.ID].size = -1
 			liveIDs--
 			continue
 		}
@@ -94,13 +95,18 @@ func (r *Replayer) Replay(events []Event) ReplayResult {
 		if ev.ID < 0 {
 			panic(fmt.Sprintf("bfc: replay allocs negative id %d", ev.ID))
 		}
-		for ev.ID >= len(r.slot) {
-			r.slot = append(r.slot, -1)
+		if n := len(r.slot); ev.ID >= n {
+			// Allocate once per trace: the planner numbers a trace's
+			// tensors below its length, so that capacity holds them all.
+			r.slot = slices.Grow(r.slot, max(ev.ID+1, len(events))-n)[:ev.ID+1]
+			for i := n; i <= ev.ID; i++ {
+				r.slot[i].size = -1
+			}
 		}
-		if r.slot[ev.ID] >= 0 {
+		if r.slot[ev.ID].size >= 0 {
 			panic(fmt.Sprintf("bfc: replay re-allocs live id %d", ev.ID))
 		}
-		r.slot[ev.ID] = ev.Bytes
+		r.slot[ev.ID].size = ev.Bytes
 		liveIDs++
 		logical += ev.Bytes
 		if logical > logicalPeak {
@@ -121,7 +127,6 @@ func (r *Replayer) Replay(events []Event) ReplayResult {
 		AlignedPeakBytes: r.a.Peak(),
 		FragPeakBytes:    r.a.Footprint(),
 		Events:           len(events),
-		Final:            r.a.Stats(),
 	}
 	if res.AlignedPeakBytes > 0 {
 		res.FragRatio = float64(res.FragPeakBytes) / float64(res.AlignedPeakBytes)
@@ -135,14 +140,15 @@ func (r *Replayer) fits(events []Event, arena int64) bool {
 	r.a.reset(arena)
 	for _, ev := range events {
 		if ev.Free {
-			r.a.freeBlock(int32(r.slot[ev.ID]))
+			r.a.release(r.slot[ev.ID])
 			continue
 		}
-		i := r.a.allocBlock(roundUp(ev.Bytes))
-		if i == none {
+		n := roundUp(ev.Bytes)
+		off, ok := r.a.place(n)
+		if !ok {
 			return false
 		}
-		r.slot[ev.ID] = int64(i)
+		r.slot[ev.ID] = extent{off, n}
 	}
 	return true
 }

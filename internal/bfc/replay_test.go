@@ -24,9 +24,6 @@ func TestReplaySimpleTrace(t *testing.T) {
 	if res.FragRatio < 1 {
 		t.Fatalf("frag ratio %v < 1", res.FragRatio)
 	}
-	if res.Final.BytesInUse != 0 {
-		t.Fatalf("trace left %d bytes live", res.Final.BytesInUse)
-	}
 	if res.Events != 6 {
 		t.Fatalf("events %d, want 6", res.Events)
 	}

@@ -68,7 +68,7 @@ func (a *refArena) release(off int64) {
 }
 
 // refReplay is the map-based replay the Replayer replaced, on refArena. It
-// reports every ReplayResult field but Final.
+// reports every ReplayResult field.
 func refReplay(events []Event) ReplayResult {
 	var logical, logicalPeak int64
 	liveIDs := make(map[int]int64)
@@ -168,13 +168,12 @@ func TestReplayerMatchesReference(t *testing.T) {
 		if fresh := Replay(events); got != fresh {
 			t.Fatalf("trial %d: warm replayer %+v, fresh %+v", trial, got, fresh)
 		}
-		if got.Final.BytesInUse != 0 || got.Final.Arena != got.Arena || got.Final.Footprint != got.FragPeakBytes {
-			t.Fatalf("trial %d: final snapshot %+v disagrees with %+v", trial, got.Final, got)
+		if st := r.a.Stats(); st.BytesInUse != 0 || st.Arena != got.Arena || st.Footprint != got.FragPeakBytes {
+			t.Fatalf("trial %d: final snapshot %+v disagrees with %+v", trial, st, got)
 		}
 		if err := r.a.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got.Final = Stats{}
 		if want := refReplay(events); got != want {
 			t.Fatalf("trial %d (%d ids, %d events): replayer %+v, reference %+v", trial, ids, len(events), got, want)
 		}

@@ -18,33 +18,25 @@ type Stats struct {
 	// FragmentationRatio is 1 − largestFree/totalFree (0 = one contiguous
 	// free region, → 1 as the free space shatters; 0 when the arena is full).
 	FragmentationRatio float64
-	// FreeBlocks is the number of free regions in the block list.
+	// FreeBlocks is the number of free regions.
 	FreeBlocks int
 	// LargestFree is the largest single free region.
 	LargestFree int64
-	// BinOccupancy[c] is the number of free blocks in power-of-two size
-	// class c (class = floor(log2(size/256))). Only classes with at least
-	// one block are non-zero; the array mirrors the allocator's bins.
-	BinOccupancy [64]int
 }
 
-// Stats snapshots the allocator. It is O(blocks) and read-only.
+// Stats snapshots the allocator. It is O(free regions) and read-only.
 func (a *Allocator) Stats() Stats {
-	regions, total, largest := a.freeSpace()
-	st := Stats{
+	total, largest := a.freeSpace()
+	return Stats{
 		Arena:              a.arena,
 		BytesInUse:         a.used,
 		HighWater:          a.peak,
 		Footprint:          a.footprint,
 		Allocs:             a.allocs,
 		FragmentationRatio: fragmentation(total, largest),
-		FreeBlocks:         regions,
+		FreeBlocks:         len(a.free),
 		LargestFree:        largest,
 	}
-	for c, bin := range a.free.bins {
-		st.BinOccupancy[c] = len(bin)
-	}
-	return st
 }
 
 // Footprint returns the high-water mark of the arena extent (see

@@ -17,9 +17,6 @@ func TestStatsFreshArena(t *testing.T) {
 	if st.FragmentationRatio != 0 {
 		t.Fatalf("fresh arena fragmented: %v", st.FragmentationRatio)
 	}
-	if st.BinOccupancy[class(1<<20)] != 1 {
-		t.Fatalf("free arena block not binned: %v", st.BinOccupancy)
-	}
 }
 
 func TestStatsTracksUseAndFootprint(t *testing.T) {
@@ -58,14 +55,6 @@ func TestStatsTracksUseAndFootprint(t *testing.T) {
 	}
 	if st.FragmentationRatio <= 0 {
 		t.Fatalf("hole not reflected in fragmentation: %v", st.FragmentationRatio)
-	}
-	// Bin occupancy counts exactly the free blocks.
-	binned := 0
-	for _, n := range st.BinOccupancy {
-		binned += n
-	}
-	if binned != st.FreeBlocks {
-		t.Fatalf("binned %d, free %d", binned, st.FreeBlocks)
 	}
 
 	// An alloc too big for the hole extends past it; one that fits reuses it

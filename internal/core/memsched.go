@@ -29,7 +29,7 @@ import (
 // reverse-first-k family.
 func MemSchedule(m *models.Model) graph.BackwardSchedule {
 	L := len(m.Layers)
-	layer := func(i int) models.Layer { return m.Layers[i-1] }
+	layer := func(i int) *models.Layer { return &m.Layers[i-1] }
 
 	var live int64
 	for i := 1; i <= L; i++ {

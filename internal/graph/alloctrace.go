@@ -82,15 +82,15 @@ func (t *AllocTracer) Trace(m *models.Model, s BackwardSchedule) AllocTrace {
 		panic(fmt.Sprintf("graph: %v", err))
 	}
 	clear(t.flags[:2*L+4])
-	// Per op at most four events (δW: workspace, activation, gradient,
-	// workspace), on top of the L+1 initially resident tensors.
-	if n := L + 1 + 4*len(s); cap(t.events) < n {
+	// Each activation, gradient and δW workspace is allocated and freed at
+	// most once.
+	if n := 6 * L; cap(t.events) < n {
 		t.events = make([]AllocEvent, 0, n)
 	}
 	if cap(t.opEnd) < len(s) {
 		t.opEnd = make([]int, 0, len(s))
 	}
-	layer := func(i int) models.Layer { return m.Layers[i-1] }
+	layer := func(i int) *models.Layer { return &m.Layers[i-1] } // no 136-byte copy
 	actID := func(i int) int { return i }
 	gradID := func(i int) int { return L + i }
 	wsID := 2*L + 1

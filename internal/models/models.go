@@ -112,6 +112,11 @@ func (m *Model) Blocks() []string {
 	return out
 }
 
+// maxLayerBytes bounds every byte size of a layer: with up to 4096 layers
+// no sum of a model's sizes — a trace's live bytes, an arena doubled past
+// them — can overflow an int64.
+const maxLayerBytes = 1 << 40
+
 // Validate checks internal consistency; builders call it before returning.
 func (m *Model) Validate() error {
 	if len(m.Layers) == 0 {
@@ -122,8 +127,11 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("model %q layer %d (%s): non-positive times F=%v dO=%v dW=%v",
 				m.Name, i, l.Name, l.Fwd, l.DO, l.DW)
 		}
-		if l.ParamBytes < 0 || l.ActBytes < 0 || l.OutBytes < 0 {
-			return fmt.Errorf("model %q layer %d (%s): negative sizes", m.Name, i, l.Name)
+		for _, b := range [...]int64{l.ParamBytes, l.ActBytes, l.OutBytes, l.WorkBytes} {
+			if b < 0 || b > maxLayerBytes {
+				return fmt.Errorf("model %q layer %d (%s): byte sizes param=%d act=%d out=%d work=%d outside [0, 2^40]",
+					m.Name, i, l.Name, l.ParamBytes, l.ActBytes, l.OutBytes, l.WorkBytes)
+			}
 		}
 		if l.FwdKernels <= 0 || l.DOKernels <= 0 || l.DWKernels <= 0 {
 			return fmt.Errorf("model %q layer %d (%s): non-positive kernel counts", m.Name, i, l.Name)

@@ -96,3 +96,36 @@ func TestBindingBudgetSearchMatchesUnmemoised(t *testing.T) {
 		}
 	}
 }
+
+// TestClampAtPeakBound: across the zoo, at budgets just below, at and just
+// above peakBound, the clamp picks for every k the depth the per-depth
+// graph.PeakMemory scan picks; at and above the bound the memo starts full,
+// below it empty.
+func TestClampAtPeakBound(t *testing.T) {
+	var sc core.IterScratch
+	for _, e := range models.Zoo() {
+		m := e.Build(models.V100Profile())
+		L := len(m.Layers)
+		bound := peakBound(m)
+		sp := zooSpace(m, datapar.OOOBytePS)
+		for _, budget := range []int64{bound - 1, bound, bound + 1} {
+			sp.MaxMemoryBytes = budget
+			st := newState(sp, Config{}.withDefaults())
+			if prefilled := !slices.Contains(st.fit, 0); prefilled != (budget >= bound) {
+				t.Fatalf("%s budget %d (bound %d): memo prefilled = %v", e.Name, budget, bound, prefilled)
+			}
+			for k := 0; k < L; k++ {
+				want := 0
+				for j := k; j > 0; j-- {
+					if graph.PeakMemory(m, graph.ReverseFirstK(L, j)) <= budget {
+						want = j
+						break
+					}
+				}
+				if got := st.clamp(&sc, k); got != want {
+					t.Fatalf("%s budget %d (bound %d): clamp(%d) = %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want)
+				}
+			}
+		}
+	}
+}

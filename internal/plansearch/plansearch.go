@@ -36,7 +36,8 @@
 // One probe costs one simulation: its order is built in the borrowed
 // scratch's schedule buffer, and the memory clamp (core.ClampK over an
 // allocation-free graph.PeakMemory) is answered from a per-search memo of
-// which depths fit, so a search evaluates each depth's peak at most once.
+// which depths fit, so a search evaluates each depth's peak at most once —
+// and none under a budget no schedule can reach (peakBound).
 package plansearch
 
 import (
@@ -249,7 +250,7 @@ func (s *state) dk(id int) (d, k int) { return id / s.L, id % s.L }
 func newState(sp Space, cfg Config) *state {
 	L := sp.Costs.Layers()
 	D := len(sp.Disciplines)
-	return &state{
+	s := &state{
 		sp:       sp,
 		cfg:      cfg,
 		L:        L,
@@ -260,6 +261,27 @@ func newState(sp Space, cfg Config) *state {
 		probed:   make([]bool, L*D),
 		fit:      make([]int8, L),
 	}
+	if sp.MaxMemoryBytes > 0 && sp.MaxMemoryBytes >= peakBound(sp.Model) {
+		for j := range s.fit {
+			s.fit[j] = 1
+		}
+	}
+	return s
+}
+
+// peakBound bounds graph.PeakMemory over every schedule of m: with sizes
+// non-negative (models.Validate), no schedule holds more live than every
+// activation and gradient plus the largest δW workspace. A budget at or
+// above it cannot bind, so the search marks every depth as fitting for one
+// sum instead of a peak walk per probed depth.
+func peakBound(m *models.Model) int64 {
+	var live, work int64
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		live += l.ActBytes + l.OutBytes
+		work = max(work, l.WorkBytes)
+	}
+	return live + work
 }
 
 // probe measures the listed candidate ids exactly, fanning out through

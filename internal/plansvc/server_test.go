@@ -462,3 +462,37 @@ func TestInlineModelSpecPlan(t *testing.T) {
 		t.Fatalf("%d models memoised after an inline plan; only zoo models are", n)
 	}
 }
+
+// TestInlineModelSpecByteSizesBounded: an inline spec whose byte sizes would
+// overflow a trace sum (ffnn16 at 2^61 bytes per tensor), or that carries a
+// negative δW workspace, is a 400 on model_spec under every objective —
+// before the bound in models.Validate it drove the replay into a
+// non-positive arena and failed with a 500.
+func TestInlineModelSpecByteSizesBounded(t *testing.T) {
+	_, srv := newTestService(t, Options{})
+	for name, edit := range map[string]func(*models.Layer){
+		"overflowing sums":   func(l *models.Layer) { l.ActBytes, l.OutBytes = 1<<61, 1<<61 },
+		"negative workspace": func(l *models.Layer) { l.WorkBytes = -1 },
+	} {
+		m := models.FFNN(models.V100Profile(), 16, 4096, 1024)
+		for i := range m.Layers {
+			edit(&m.Layers[i])
+		}
+		var spec bytes.Buffer
+		if err := m.WriteJSON(&spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, objective := range []string{"time", "memory", "pareto"} {
+			body := fmt.Sprintf(`{"model_spec":%s,"cluster":{"preset":"pub-a","gpus":4},"objective":%q,"max_memory_bytes":%d}`,
+				spec.String(), objective, int64(1)<<40)
+			resp, b := postPlan(t, srv, body)
+			var envelope struct {
+				Error *APIError `json:"error"`
+			}
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &envelope) != nil || envelope.Error == nil ||
+				envelope.Error.Field != "model_spec" {
+				t.Fatalf("%s, objective %s: status %d, want 400 on model_spec: %s", name, objective, resp.StatusCode, b)
+			}
+		}
+	}
+}
