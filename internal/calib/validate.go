@@ -47,7 +47,9 @@ func (a Accuracy) MaxAPE() float64 {
 // (core.SimulateIteration, conventional schedule, no parameter syncs — the
 // single-device serial timeline the real executor ran), plus the step-scoped
 // ops (loss, update, zeroGrad, reduce) the simulator's compute timeline does
-// not model.
+// not model. Every layer needs fwd, δO and δW stats except δO_1: the real
+// engines never run it (it feeds nothing), so a live profile has none and it
+// costs zero.
 func SimulateNet(n *NetProfile, t *models.CostTable) (time.Duration, error) {
 	L := n.Layers
 	costs := core.IterCosts{
@@ -84,7 +86,7 @@ func SimulateNet(n *NetProfile, t *models.CostTable) (time.Duration, error) {
 		}
 	}
 	for i := 0; i < L; i++ {
-		if !haveF[i] || !haveDO[i] || !haveDW[i] {
+		if !haveF[i] || (!haveDO[i] && i > 0) || !haveDW[i] {
 			return 0, fmt.Errorf("calib: net %q: layer %d missing fwd/dO/dW stats (have %v/%v/%v)",
 				n.Net, i+1, haveF[i], haveDO[i], haveDW[i])
 		}

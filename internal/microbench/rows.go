@@ -333,6 +333,31 @@ func Rows() []Row {
 			op()
 			return op, nil
 		}},
+		// The pooled forward, δO and δW of the MLP's hidden Dense layer
+		// (x[32×96]·W[96×96]): three GEMMs, the bias broadcast, and the δW
+		// folded into the parameter gradients.
+		{Name: "NNDenseStep", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x, g := tensor.Randn(rng, 1, 32, 96), tensor.Randn(rng, 1, 32, 96)
+			dense, ws := nn.NewDense("fc", 96, 96, rng), tensor.NewWorkspace()
+			op := func() {
+				dense.ForwardWS(x, ws)
+				dense.InputGradWS(g, ws)
+				dense.WeightGradWS(g, ws)
+			}
+			op()
+			return op, nil
+		}},
+		// The plain SGD update of the MLP's 34 564 parameters: one rounded
+		// multiply and one subtract per element.
+		{Name: "NNOptimizerSGD", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			params, rng := MLP().Build().Params(), tensor.NewRNG(1)
+			for _, p := range params {
+				copy(p.Grad.Data, tensor.Randn(rng, 1, p.Grad.Len()).Data)
+			}
+			opt := &nn.SGD{LR: 0.01}
+			return func() { opt.Step(params) }, nil
+		}},
 		// The channel-major lowering and scatter of the training path's
 		// convolution, alone, on the conv workload's second layer (8 channels
 		// of 14×14 under a 3×3 window, 32 images): one strided row copy or row
@@ -382,6 +407,13 @@ func Rows() []Row {
 			x, out := tensor.Randn(tensor.NewRNG(1), 1, 32, 16, 12, 12), tensor.New(32, 16, 6, 6)
 			arg := make([]int, out.Len())
 			return func() { tensor.MaxPool2Into(out, arg, x) }, nil
+		}},
+		// The elementwise add that folds the hidden Dense layer's δW (96×96)
+		// into its gradient and sums data-parallel gradient buckets.
+		{Name: "TensorKernelAddSpan", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			dst, src := tensor.Randn(rng, 1, 96, 96), tensor.Randn(rng, 1, 96, 96)
+			return func() { tensor.AddSpan(dst.Data, src.Data) }, nil
 		}},
 
 		// The profiler's warm recording path must stay allocation-free — the

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"oooback/internal/tensor"
+)
 
 // Optimizer updates parameters from their accumulated gradients. The four
 // optimizers the paper trains with (§8.1) are provided: SGD, momentum,
@@ -17,9 +21,7 @@ type SGD struct{ LR float64 }
 // Step applies w ← w − lr·g.
 func (o *SGD) Step(params []*Param) {
 	for _, p := range params {
-		for i := range p.Value.Data {
-			p.Value.Data[i] -= o.LR * p.Grad.Data[i]
-		}
+		tensor.SubScaledSpan(p.Value.Data, p.Grad.Data, o.LR)
 	}
 }
 
@@ -41,10 +43,9 @@ func (o *Momentum) Step(params []*Param) {
 			v = make([]float64, len(p.Value.Data))
 			o.vel[p] = v
 		}
-		for i := range p.Value.Data {
-			v[i] = o.Beta*v[i] + p.Grad.Data[i]
-			p.Value.Data[i] -= o.LR * v[i]
-		}
+		tensor.ScaleSpan(v, o.Beta)
+		tensor.AddSpan(v, p.Grad.Data)
+		tensor.SubScaledSpan(p.Value.Data, v, o.LR)
 	}
 }
 

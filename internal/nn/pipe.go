@@ -59,30 +59,12 @@ type ChunkBackward interface {
 	SealWeightGrad()
 }
 
-// sealZeroSigns rewrites −0 elements to +0. The explicit constant store (not
-// an arithmetic identity like 0+v, which a compiler may fold away) keeps the
-// normalization guaranteed.
-func sealZeroSigns(t *tensor.Tensor) {
-	for i, v := range t.Data {
-		if v == 0 {
-			t.Data[i] = 0
-		}
-	}
-}
-
 // ---- Dense ----
 
 func (d *Dense) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	d.x = x
 	d.out = tensor.Ensure(d.out, x.Shape[0], d.W.Value.Shape[1])
-	out := tensor.MatMulInto(d.out, x, d.W.Value)
-	cols := out.Shape[1]
-	for r := 0; r < out.Shape[0]; r++ {
-		for c := 0; c < cols; c++ {
-			out.Data[r*cols+c] += d.B.Value.Data[c]
-		}
-	}
-	return out
+	return tensor.AddToRows(tensor.MatMulInto(d.out, x, d.W.Value), d.B.Value)
 }
 
 func (d *Dense) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
@@ -92,8 +74,8 @@ func (d *Dense) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
 }
 
 func (d *Dense) SealWeightGrad() {
-	sealZeroSigns(d.W.Grad)
-	sealZeroSigns(d.B.Grad)
+	tensor.SealZeros(d.W.Grad.Data)
+	tensor.SealZeros(d.B.Grad.Data)
 }
 
 // ---- ReLU ----
@@ -127,7 +109,7 @@ func (l *Conv2D) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
 	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.colsT)
 }
 
-func (l *Conv2D) SealWeightGrad() { sealZeroSigns(l.W.Grad) }
+func (l *Conv2D) SealWeightGrad() { tensor.SealZeros(l.W.Grad.Data) }
 
 // ---- MaxPool2 ----
 

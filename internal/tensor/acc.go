@@ -42,19 +42,19 @@ func TMatMulAcc(dst, a, b *Tensor) *Tensor {
 // shape with exactly n elements), without zeroing dst first. Rows fold in
 // ascending order, continuing dst's existing chains.
 func SumRowsAcc(dst, a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic("tensor: SumRowsAcc needs 2D")
+	return sumRows(dst, a, false)
+}
+
+// sumRows folds the rows of a [m×n] matrix into dst in ascending order — from
+// +0 when fromZero — as addRows' row add with a destination stride of 0.
+func sumRows(dst, a *Tensor, fromZero bool) *Tensor {
+	if a.Dims() != 2 || dst.Len() != a.Shape[1] {
+		panic(fmt.Sprintf("tensor: column sums of %v into dst %v", a.Shape, dst.Shape))
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	if dst.Len() != n {
-		panic(fmt.Sprintf("tensor: SumRowsAcc dst %v, want %d elements", dst.Shape, n))
+	if fromZero {
+		clear(dst.Data)
 	}
-	out := dst.Data
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			out[j] += v
-		}
-	}
+	addRows(dst.Data, 0, a.Data, n, m, n)
 	return dst
 }

@@ -442,22 +442,7 @@ func tMatMulRangeGo(out, a, b []float64, m, k, n, lo, hi int) {
 // (any shape with exactly n elements; prior contents are ignored). Rows are
 // accumulated in ascending order, matching SumRows bitwise.
 func SumRowsInto(dst, a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic("tensor: SumRowsInto needs 2D")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	if dst.Len() != n {
-		panic(fmt.Sprintf("tensor: SumRowsInto dst %v, want %d elements", dst.Shape, n))
-	}
-	dst.Zero()
-	out := dst.Data
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return dst
+	return sumRows(dst, a, true)
 }
 
 // AddFlatTo accumulates src into dst elementwise by flat index, for
@@ -468,9 +453,7 @@ func AddFlatTo(dst, src *Tensor) {
 	if dst.Len() != len(src.Data) || len(dst.Data) != len(src.Data) {
 		panic(fmt.Sprintf("tensor: AddFlatTo size mismatch %v vs %v", dst.Shape, src.Shape))
 	}
-	for i, v := range src.Data {
-		dst.Data[i] += v
-	}
+	AddSpan(dst.Data, src.Data)
 }
 
 // Ensure returns t if its backing array can hold shape (reslicing the header

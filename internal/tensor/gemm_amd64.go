@@ -1,7 +1,8 @@
 package tensor
 
-// useVector routes the three range kernels of gemm.go through the AVX2 bodies
-// of gemm_amd64.s. It is decided once, from CPUID alone; the Go loops run
+// useVector routes the range kernels of gemm.go, the conv row kernels, ReLU
+// and the elementwise family (elem.go) through the AVX2 bodies of
+// gemm_amd64.s. It is decided once, from CPUID alone; the Go loops run
 // wherever it is false. Nothing outside the tests ever writes it.
 var useVector = cpuHasAVX2()
 
@@ -35,3 +36,15 @@ func reluVec(out *float64, keep *bool, x *float64, n int)
 
 //go:noescape
 func reluGradVec(gin, gradOut *float64, keep *bool, n int)
+
+// subScaledVec, scaleVec and sealZerosVec are the bodies behind SubScaledSpan,
+// ScaleSpan and SealZeros (elem.go). n must be positive.
+//
+//go:noescape
+func subScaledVec(dst, src *float64, s float64, n int)
+
+//go:noescape
+func scaleVec(dst *float64, s float64, n int)
+
+//go:noescape
+func sealZerosVec(dst *float64, n int)

@@ -585,3 +585,116 @@ relugrad_1:
 relugrad_done:
 	VZEROUPPER
 	RET
+
+// The elementwise family (elem.go): one pass over a span, four elements per
+// vector step and then one at a time, one rounded operation per element and
+// pass with the destination's value as the first operand, as the Go loops
+// write it.
+// Its adds run on addRowsVec above.
+
+// func subScaledVec(dst, src *float64, s float64, n int)
+//
+// For i < n: dst[i] = dst[i] − s·src[i]. The product is rounded before the
+// subtraction — a multiply, then a subtract, never a fused step.
+TEXT ·subScaledVec(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	VBROADCASTSD s+16(FP), Y15
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX         // end of the four-wide part
+	JZ           subsc_1
+
+subsc_4:
+	VMULPD  (SI)(AX*8), Y15, Y1
+	VMOVUPD (DI)(AX*8), Y0
+	VSUBPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     subsc_4
+
+subsc_1:
+	CMPQ AX, CX
+	JGE  subsc_done
+	VMULSD (SI)(AX*8), X15, X1
+	VMOVSD (DI)(AX*8), X0
+	VSUBSD X1, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    subsc_1
+
+subsc_done:
+	VZEROUPPER
+	RET
+
+// func scaleVec(dst *float64, s float64, n int)
+//
+// For i < n: dst[i] = dst[i]·s.
+TEXT ·scaleVec(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	VBROADCASTSD s+8(FP), Y15
+	MOVQ         n+16(FP), CX
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	JZ           scale_1
+
+scale_4:
+	VMOVUPD (DI)(AX*8), Y0
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     scale_4
+
+scale_1:
+	CMPQ AX, CX
+	JGE  scale_done
+	VMOVSD (DI)(AX*8), X0
+	VMULSD X15, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    scale_1
+
+scale_done:
+	VZEROUPPER
+	RET
+
+// func sealZerosVec(dst *float64, n int)
+//
+// For i < n: dst[i] = +0 where dst[i] == 0 (either sign). The EQ_OQ compare
+// against +0 is all ones on exactly those lanes — false for a NaN — and
+// VANDNPD clears them, so every other lane keeps its bits.
+TEXT ·sealZerosVec(SB), NOSPLIT, $0-16
+	MOVQ   dst+0(FP), DI
+	MOVQ   n+8(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ   AX, AX
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	JZ     seal_1
+
+seal_4:
+	VMOVUPD (DI)(AX*8), Y0
+	VCMPPD  $0, Y15, Y0, Y1
+	VANDNPD Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     seal_4
+
+seal_1:
+	CMPQ AX, CX
+	JGE  seal_done
+	VMOVSD  (DI)(AX*8), X0
+	VCMPSD  $0, X15, X0, X1
+	VANDNPD X0, X1, X0
+	VMOVSD  X0, (DI)(AX*8)
+	INCQ    AX
+	JMP     seal_1
+
+seal_done:
+	VZEROUPPER
+	RET

@@ -29,3 +29,15 @@ func reluVec(out *float64, keep *bool, x *float64, n int) {
 func reluGradVec(gin, gradOut *float64, keep *bool, n int) {
 	panic("tensor: no vector kernels on this architecture")
 }
+
+func subScaledVec(dst, src *float64, s float64, n int) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func scaleVec(dst *float64, s float64, n int) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func sealZerosVec(dst *float64, n int) {
+	panic("tensor: no vector kernels on this architecture")
+}

@@ -137,12 +137,10 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// AddTo accumulates src into dst elementwise.
+// AddTo accumulates src into dst elementwise (AddSpan on same-shaped tensors).
 func AddTo(dst, src *Tensor) {
 	checkSameShape("AddTo", dst, src)
-	for i := range dst.Data {
-		dst.Data[i] += src.Data[i]
-	}
+	AddSpan(dst.Data, src.Data)
 }
 
 // Mul returns the Hadamard product.

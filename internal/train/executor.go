@@ -15,10 +15,10 @@ import (
 type ExecMode int
 
 const (
-	// ExecSerial walks the schedule on the calling goroutine, exactly like
-	// Network.Backward.
+	// ExecSerial walks the schedule on the calling goroutine, like
+	// Network.Backward but without δO_1, which feeds nothing (stepRows).
 	ExecSerial ExecMode = iota
-	// ExecConcurrent keeps the δO_L → δO_1 chain on the calling goroutine and
+	// ExecConcurrent keeps the δO_L → δO_2 chain on the calling goroutine and
 	// dispatches each δW op to a bounded worker pool at its schedule position
 	// (its input gradient exists from that point on, per graph.Analyze).
 	ExecConcurrent

@@ -35,13 +35,14 @@ func observedEngines() []observedEngine {
 	build := func() *Network { return MLPNet(11, 16, 24, 3, 3) }
 	const L = 7
 	// perLayer is the schedule every engine shares: each layer's fwd/δO/δW
-	// reps times, plus the step-scoped ops.
-	perLayer := func(reps int, dw OpKind, micro int, skipDO1 bool) map[evKey]int {
+	// reps times — no table runs δO_1, which feeds nothing (stepRows) — plus
+	// the step-scoped ops.
+	perLayer := func(reps int, dw OpKind, micro int) map[evKey]int {
 		want := map[evKey]int{{OpUpdate, 0, 0}: 1, {OpStep, 0, 0}: 1}
 		for l := 1; l <= L; l++ {
 			want[evKey{OpFwd, l, micro}] = reps
 			want[evKey{dw, l, micro}] = reps
-			if l > 1 || !skipDO1 {
+			if l > 1 {
 				want[evKey{OpDO, l, micro}] = reps
 			}
 		}
@@ -52,7 +53,7 @@ func observedEngines() []observedEngine {
 			net, e, opt := build(), NewExecutor(mode, 2), &nn.SGD{LR: 0.05}
 			t.Cleanup(e.Close)
 			sched := graph.ReverseFirstK(L, 2)
-			want := perLayer(1, OpDW, 0, false)
+			want := perLayer(1, OpDW, 0)
 			want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
 			return net, func() error { _, err := e.Step(net, x, labels, sched, opt); return err }, e.Observe, want,
 				func() map[int][]row { return map[int][]row{0: e.cachedRows} }
@@ -66,7 +67,7 @@ func observedEngines() []observedEngine {
 	recompute := observedEngine{"recompute", 1, func(t *testing.T) (*Network, func() error, func(Observer), map[evKey]int, func() map[int][]row) {
 		net, e, opt := build(), NewExecutor(ExecSerial, 0), &nn.SGD{LR: 0.05}
 		sched := graph.ReverseFirstK(L, 2)
-		want := perLayer(1, OpDW, 0, false)
+		want := perLayer(1, OpDW, 0)
 		want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
 		for l := 1; l <= L; l++ {
 			want[evKey{OpRefwd, l, 0}] = 1
@@ -84,7 +85,7 @@ func observedEngines() []observedEngine {
 	// replica 0's lane (data-parallel) or the caller's (pipeline), and the
 	// update and the step on the caller's like any other step.
 	serialOnce := func() map[evKey]int {
-		want := perLayer(1, OpDW, 0, false)
+		want := perLayer(1, OpDW, 0)
 		want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 1, 1
 		return want
 	}
@@ -107,7 +108,7 @@ func observedEngines() []observedEngine {
 			if short {
 				return net, step, dp.Observe, serialOnce(), func() map[int][]row { return map[int][]row{0: dp.serial} }
 			}
-			want := perLayer(2, OpDW, 0, false)
+			want := perLayer(2, OpDW, 0)
 			want[evKey{OpZero, 0, 0}], want[evKey{OpLoss, 0, 0}] = 2, 2
 			for _, b := range dp.Plan() {
 				want[evKey{OpReduce, b.Layers[0], 0}] = 1
@@ -139,8 +140,7 @@ func observedEngines() []observedEngine {
 			}
 			want := map[evKey]int{{OpZero, 0, 0}: 1}
 			for m := 1; m <= 4; m++ {
-				// Stage 0 skips the bottommost δO.
-				for k, c := range perLayer(1, dw, m, true) {
+				for k, c := range perLayer(1, dw, m) {
 					want[k] = c
 				}
 				want[evKey{OpLoss, 0, m}] = 1

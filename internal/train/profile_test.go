@@ -6,7 +6,9 @@ import (
 	"oooback/internal/calib"
 	"oooback/internal/data"
 	"oooback/internal/graph"
+	"oooback/internal/models"
 	"oooback/internal/nn"
+	"oooback/internal/tensor"
 )
 
 // countKinds tallies a profiled net's op stats by kind string.
@@ -23,8 +25,9 @@ func countKinds(np calib.NetProfile) map[string]int {
 // the snapshot each engine's event stream folds into.
 
 // TestExecutorProfiledStepBitwise: on both backward engines the snapshot
-// validates and carries per-layer fwd/dO/dW stats plus the step-scoped ops,
-// with warmup steps discarded and a work feature on every layer.
+// validates and carries per-layer fwd/dO/dW stats — δO on every layer but the
+// first, which no table runs (stepRows) — plus the step-scoped ops, with
+// warmup steps discarded and a work feature on every layer.
 func TestExecutorProfiledStepBitwise(t *testing.T) {
 	x, labels := data.Vectors(3, 12, 16, 3)
 	const steps = 6
@@ -48,8 +51,8 @@ func TestExecutorProfiledStepBitwise(t *testing.T) {
 				t.Fatalf("snapshot does not validate: %v", err)
 			}
 			kinds := countKinds(np)
-			if kinds["fwd"] != L || kinds["dO"] != L || kinds["dW"] != L {
-				t.Fatalf("want %d fwd/dO/dW stats each, got %v", L, kinds)
+			if kinds["fwd"] != L || kinds["dO"] != L-1 || kinds["dW"] != L {
+				t.Fatalf("want %d fwd and dW stats and %d dO, got %v", L, L-1, kinds)
 			}
 			for _, k := range []string{"loss", "update", "zeroGrad"} {
 				if kinds[k] != 1 {
@@ -97,7 +100,7 @@ func TestPipelineProfiledStepBitwise(t *testing.T) {
 		t.Fatalf("want %d fwd stats, got %v", L, kinds)
 	}
 	// Every layer's δW is deferred into bubbles, so dWFill covers all layers;
-	// stage 0 skips the bottommost δO.
+	// stage 0 skips the bottommost δO, like every table.
 	if kinds["dWFill"] != L || kinds["dW"] != 0 {
 		t.Fatalf("want %d dWFill and 0 inline dW stats, got %v", L, kinds)
 	}
@@ -147,5 +150,54 @@ func TestDataParallelProfilerRecordsReduce(t *testing.T) {
 	}
 	if np.IterMedianNs <= 0 {
 		t.Fatal("no iteration wall recorded")
+	}
+}
+
+// TestLiveSerialProfileValidates: a profile of live serial steps of the MLP and
+// the conv net — which has no δO_1 stat, as no table runs δO_1 — fits into a
+// cost table and validates under it and under the hand-written default table.
+// (The committed fixture TestCalibAccuracy gates still holds δO_1.)
+func TestLiveSerialProfileValidates(t *testing.T) {
+	mx, ml := data.Vectors(3, 12, 16, 3)
+	cx, cl := data.Images(5, 4, 1, 8, 8, 3)
+	prof := &calib.Profile{Version: calib.ProfileVersion}
+	for _, c := range []struct {
+		name   string
+		net    *Network
+		x      *tensor.Tensor
+		labels []int
+	}{
+		{"mlp", MLPNet(11, 16, 24, 3, 3), mx, ml},
+		{"conv", ConvNet(13, 8, 2, 3), cx, cl},
+	} {
+		L := len(c.net.Layers)
+		e := NewExecutor(ExecSerial, 0)
+		p := calib.NewProfiler(c.name, "serial", L, 1)
+		e.Observe(ProfileObserver(p, c.net))
+		for s := 0; s < 3; s++ {
+			if _, err := e.Step(c.net, c.x, c.labels, graph.Conventional(L), &nn.SGD{LR: 0.05}); err != nil {
+				t.Fatalf("%s step %d: %v", c.name, s, err)
+			}
+		}
+		np := p.Snapshot()
+		for _, s := range np.Ops {
+			if s.Kind == "dO" && s.Layer == 1 {
+				t.Fatalf("%s: the live profile has a δO_1 stat", c.name)
+			}
+		}
+		prof.Nets = append(prof.Nets, np)
+	}
+	fitted, err := calib.Fit(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []*models.CostTable{fitted, models.DefaultCostTable(models.V100Profile())} {
+		acc, err := calib.Validate(prof, table)
+		if err != nil {
+			t.Fatalf("table %s: %v", table.Name, err)
+		}
+		if len(acc.PerNet) != 2 {
+			t.Fatalf("table %s validated %d nets, want 2", table.Name, len(acc.PerNet))
+		}
 	}
 }

@@ -38,9 +38,11 @@ type RecomputeStats struct {
 // activation below it, the first time the layer is touched — and followed by
 // what its completion releases: the gradient and stash of a layer that has
 // had both its ops, and every activation whose δW has run
-// (graph.MemoryProfileRecompute's rules). What is resident when is a function
-// of (sched, every) alone, so the walk happens here, once, and a schedule it
-// cannot serve is an error here, not in the middle of a step.
+// (graph.MemoryProfileRecompute's rules). δO_1 is left out like in every
+// table (stepRows): it counts as done from the start, so layer 1's gradient and
+// stash go with its δW. What is resident when is a function of (sched, every)
+// alone, so the walk happens here, once, and a schedule it cannot serve is an
+// error here, not in the middle of a step.
 func recomputeRows(L int, sched graph.BackwardSchedule, every int) ([]row, error) {
 	ckpt := every > 1
 	rows := stepRows(L, nil, 0)
@@ -48,7 +50,7 @@ func recomputeRows(L int, sched graph.BackwardSchedule, every int) ([]row, error
 	stash := make([]bool, L+1)    // layer j's stash is valid
 	live := make([]bool, L+1)     // g_j exists and still has a consumer
 	doneDO, doneDW := make([]bool, L+1), make([]bool, L+1)
-	resident[0], live[L] = true, true
+	resident[0], live[L], doneDO[1] = true, true, true
 	for j := 1; j <= L; j++ {
 		f := &rows[j]
 		stash[j] = !ckpt
@@ -66,6 +68,9 @@ func recomputeRows(L int, sched graph.BackwardSchedule, every int) ([]row, error
 	}
 	for _, op := range sched {
 		i := op.Layer
+		if op.Kind == graph.OutGrad && i == 1 {
+			continue
+		}
 		if !stash[i] {
 			c := i - 1
 			for c > 0 && !resident[c] {
@@ -93,7 +98,7 @@ func recomputeRows(L int, sched graph.BackwardSchedule, every int) ([]row, error
 			doneDW[i] = true
 		} else {
 			doneDO[i] = true
-			live[i-1] = i > 1
+			live[i-1] = true
 		}
 		if doneDO[i] && doneDW[i] {
 			r.flags |= lastUse
@@ -146,9 +151,7 @@ func (led *ledger) apply(r row, l *lane) {
 		led.stats.CheckpointBytes = led.bytes
 		led.bytes += tensorBytes(l.grads[l.stride-1])
 	case rowDO:
-		if r.layer > 1 {
-			led.bytes += tensorBytes(l.grads[r.layer-1])
-		}
+		led.bytes += tensorBytes(l.grads[r.layer-1])
 	case rowFree:
 		led.bytes -= tensorBytes(l.acts[r.layer])
 		l.acts[r.layer] = nil

@@ -62,6 +62,9 @@ type row struct {
 // stepRows is the table of a whole-batch step on one lane: zero, forward
 // 1..L, loss, then the backward schedule with every δW in hand-off mode dw.
 // The serial and concurrent executors and every data-parallel replica run it.
+// No table computes δO_1: the gradient into the batch feeds nothing (the
+// reference walk, Network.Backward, computes and discards it), so leaving it
+// out cannot change any bit.
 func stepRows(L int, sched graph.BackwardSchedule, dw rowFlags) []row {
 	rows := make([]row, 0, 2+L+len(sched))
 	rows = append(rows, row{kind: rowZero})
@@ -70,9 +73,10 @@ func stepRows(L int, sched graph.BackwardSchedule, dw rowFlags) []row {
 	}
 	rows = append(rows, row{kind: rowLoss})
 	for _, op := range sched {
-		if op.Kind == graph.WeightGrad {
+		switch {
+		case op.Kind == graph.WeightGrad:
 			rows = append(rows, row{kind: rowDW, flags: dw, layer: op.Layer})
-		} else {
+		case op.Layer > 1:
 			rows = append(rows, row{kind: rowDO, layer: op.Layer})
 		}
 	}
@@ -117,8 +121,7 @@ func publishRows(rows []row, plan *reducePlan) []row {
 // stage), then per layer top-down δW — deferred when fill is on, inline
 // otherwise — and δO, then send. Backwards always appear in ascending
 // microbatch order: the δW chunk-accumulation contract depends on it. Stage
-// 0 omits δO_1, which feeds nothing; the serial reference computes and
-// discards it, so skipping cannot change any bit.
+// 0 omits δO_1, like every table (stepRows).
 func stageRows(sched PipeSchedule, s, S, M, lo, hi int, fill bool) []row {
 	dw := dwChunk
 	if fill {

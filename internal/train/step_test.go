@@ -51,6 +51,8 @@ func rowsString(rows []row) string {
 
 // TestStepRowsGolden pins the whole-batch generator: one fixed op set, the
 // schedule only reorders its backward rows, the engine only flags its δW rows.
+// The set is the schedule's ops less δO_1, which feeds nothing (the reference
+// walk computes and discards it), so no table has an o1.
 func TestStepRowsGolden(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -58,9 +60,9 @@ func TestStepRowsGolden(t *testing.T) {
 		dw    rowFlags
 		want  string
 	}{
-		{"conventional", graph.Conventional(3), 0, "z f1 f2 f3 L o3 w3 o2 w2 o1 w1"},
-		{"reverse-first-1 pooled", graph.ReverseFirstK(3, 1), dwPooled, "z f1 f2 f3 L w3p o3 w2p o2 o1 w1p"},
-		{"fast-forward", core.FastForward(3), 0, "z f1 f2 f3 L o3 o2 o1 w3 w2 w1"},
+		{"conventional", graph.Conventional(3), 0, "z f1 f2 f3 L o3 w3 o2 w2 w1"},
+		{"reverse-first-1 pooled", graph.ReverseFirstK(3, 1), dwPooled, "z f1 f2 f3 L w3p o3 w2p o2 w1p"},
+		{"fast-forward", core.FastForward(3), 0, "z f1 f2 f3 L o3 o2 w3 w2 w1"},
 	} {
 		rows := stepRows(3, c.sched, c.dw)
 		if got := rowsString(rows); got != c.want {
@@ -72,22 +74,84 @@ func TestStepRowsGolden(t *testing.T) {
 	}
 }
 
+// TestNoTableRunsDO1: no generator emits δO_1 — not the whole-batch table
+// under any reverse-first-k depth or fast-forward, not its publishing copy,
+// not a checkpointed table at any interval, not a pipeline stage — while every
+// other δO of the schedule is there exactly once.
+func TestNoTableRunsDO1(t *testing.T) {
+	net := MLPNet(11, 16, 24, 3, 3)
+	L := len(net.Layers)
+	check := func(what string, rows []row, wantDO int) {
+		t.Helper()
+		seen := 0
+		for _, r := range rows {
+			if r.kind != rowDO {
+				continue
+			}
+			if r.layer == 1 {
+				t.Fatalf("%s: the table runs δO_1: %s", what, rowsString(rows))
+			}
+			seen++
+		}
+		if seen != wantDO {
+			t.Fatalf("%s: %d δO rows, want %d: %s", what, seen, wantDO, rowsString(rows))
+		}
+	}
+	scheds := []graph.BackwardSchedule{core.FastForward(L)}
+	for k := 0; k <= L; k++ {
+		scheds = append(scheds, graph.ReverseFirstK(L, k))
+	}
+	for i, sched := range scheds {
+		a, err := graph.Analyze(L, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := stepRows(L, sched, dwPooled)
+		check(fmt.Sprintf("stepRows sched %d", i), rows, L-1)
+		check(fmt.Sprintf("publishRows sched %d", i), publishRows(rows, newReducePlan(net, a, SyncLayerPriority, -1)), L-1)
+		for every := 1; every <= 3; every++ {
+			rows, err := recomputeRows(L, sched, every)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("recomputeRows sched %d every %d", i, every), rows, L-1)
+		}
+	}
+	for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
+		for S := 2; S <= 3; S++ {
+			part, err := graph.PartitionEven(L, S)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < S; s++ {
+				lo, hi := part.Range(s)
+				want := 2 * (hi - lo) // M = 2 microbatches, one δO per layer each
+				if lo == 0 {
+					want -= 2
+				}
+				check(fmt.Sprintf("stageRows %v S%d s%d", sched, S, s), stageRows(sched, s, S, 2, lo, hi, true), want)
+			}
+		}
+	}
+}
+
 // TestRecomputeRowsGolden pins the checkpointed generator on L = 5: which
 // activations the forward rows keep, where the backward order re-forwards
-// which segment, and what every op releases.
+// which segment, and what every op releases. Without δO_1 (stepRows), layer
+// 1's gradient and stash are released by its δW.
 func TestRecomputeRowsGolden(t *testing.T) {
 	for _, c := range []struct {
 		every int
 		sched graph.BackwardSchedule
 		want  string
 	}{
-		{1, graph.Conventional(5), "z f1+a f2+a f3+a f4+a f5 L o5 w5! x4 o4 w4! x3 o3 w3! x2 o2 w2! x1 o1 w1! x0"},
+		{1, graph.Conventional(5), "z f1+a f2+a f3+a f4+a f5 L o5 w5! x4 o4 w4! x3 o3 w3! x2 o2 w2! x1 w1! x0"},
 		{2, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s f4+a+s-s-p f5+s-s L " +
-			"r5+s o5 w5-s! x4 r3+a+s r4+a+s o4 x4 w4-s! x3 o3 w3-s! x2 r1+a+s r2+a+s o2 x2 w2-s! x1 o1 w1-s! x0"},
+			"r5+s o5 w5-s! x4 r3+a+s r4+a+s o4 x4 w4-s! x3 o3 w3-s! x2 r1+a+s r2+a+s o2 x2 w2-s! x1 w1-s! x0"},
 		{3, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
-			"r4+a+s r5+s o5 w5-s! x4 o4 w4-s! x3 r1+a+s r2+a+s r3+a+s o3 x3 w3-s! x2 o2 w2-s! x1 o1 w1-s! x0"},
+			"r4+a+s r5+s o5 w5-s! x4 o4 w4-s! x3 r1+a+s r2+a+s r3+a+s o3 x3 w3-s! x2 o2 w2-s! x1 w1-s! x0"},
 		{3, graph.ReverseFirstK(5, 2), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
-			"r4+a+s r5+s w5 x4 o5-s! w4 x3 o4-s! r1+a+s r2+a+s r3+a+s w3 x2 x3 o3-s! o2 o1 w1-s! x0 w2-s! x1"},
+			"r4+a+s r5+s w5 x4 o5-s! w4 x3 o4-s! r1+a+s r2+a+s r3+a+s w3 x2 x3 o3-s! o2 w1-s! x0 w2-s! x1"},
 	} {
 		rows, err := recomputeRows(5, c.sched, c.every)
 		if err != nil {
@@ -291,8 +355,8 @@ func TestPublishRows(t *testing.T) {
 		sched graph.BackwardSchedule
 		want  string
 	}{
-		{graph.Conventional(3), "z f1 f2 f3 L o3 w3 P0 o2 w2 o1 w1 P1"},
-		{graph.ReverseFirstK(3, 2), "z f1 f2 f3 L w3 P0 o3 o2 o1 w1 P1 w2"},
+		{graph.Conventional(3), "z f1 f2 f3 L o3 w3 P0 o2 w2 w1 P1"},
+		{graph.ReverseFirstK(3, 2), "z f1 f2 f3 L w3 P0 o3 o2 w1 P1 w2"},
 	} {
 		a, _ := graph.Analyze(3, c.sched)
 		if got := rowsString(publishRows(stepRows(3, c.sched, 0), newReducePlan(small, a, SyncLayerPriority, -1))); got != c.want {
