@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -80,7 +81,8 @@ type IterScratch struct {
 	done  []time.Duration
 	segs  []commSegment
 	tasks []commTask // arrival queue
-	heap  []commTask // available tasks of a multi-class channel
+	heap  []uint64   // keys of the arrived tasks of a multi-class channel
+	ranks []int      // distinct priorities, when their spread needs ranking
 	adjDW []time.Duration
 	state []uint8 // schedule-validation flags, one byte per layer
 	order graph.BackwardSchedule
@@ -261,7 +263,7 @@ type commSegment struct {
 }
 
 // commTask is one pending synchronization on the channel. prio is cached at
-// task creation (one call per layer).
+// task creation (one call per layer); rankPrios may replace it by its rank.
 type commTask struct {
 	layer     int
 	prio      int
@@ -281,8 +283,7 @@ func (s *IterScratch) addSync(layer, prio int, ready, sync time.Duration) {
 // commTimeline computes when each queued synchronization (addSync) completes
 // on a single channel with the given discipline, plus the service segments.
 // It selects exactly as the naive reference (commTimelineNaive) does — most
-// urgent priority first, then earliest ready, then lowest layer — in one of
-// three ways:
+// urgent priority first, then earliest ready, then lowest layer:
 //
 //   - The arrival queue is ordered by (ready, layer). The simulator fills it
 //     in δW completion order, which already is that order unless zero-cost
@@ -291,7 +292,7 @@ func (s *IterScratch) addSync(layer, prio int, ready, sync time.Duration) {
 //     (prio, ready, layer) is the arrival order itself, so the queue is
 //     served front to back with no second structure. A preemptive channel
 //     still cuts a segment at every arrival, and resumes the same task.
-//   - Several classes: a binary heap of the available tasks, keyed by value.
+//   - Several classes: a binary heap of packed keys (serveByPriority).
 //
 // The returned slices belong to the scratch.
 func (s *IterScratch) commTimeline(c IterCosts, preemptive bool) ([]time.Duration, []commSegment) {
@@ -300,14 +301,14 @@ func (s *IterScratch) commTimeline(c IterCosts, preemptive bool) ([]time.Duratio
 	if !slices.IsSortedFunc(s.tasks, byArrival) {
 		slices.SortFunc(s.tasks, byArrival)
 	}
-	oneClass := true
-	for i := 1; i < len(s.tasks) && oneClass; i++ {
-		oneClass = s.tasks[i].prio == s.tasks[0].prio
+	lo, hi := math.MaxInt, math.MinInt
+	for _, tk := range s.tasks {
+		lo, hi = min(lo, tk.prio), max(hi, tk.prio)
 	}
-	if oneClass {
+	if lo >= hi { // at most one class
 		s.serveInOrder(c, preemptive)
 	} else {
-		s.serveByPriority(c, preemptive)
+		s.serveByPriority(c, preemptive, lo, hi)
 	}
 	return s.done, s.segs
 }
@@ -338,96 +339,93 @@ func (s *IterScratch) serveInOrder(c IterCosts, preemptive bool) {
 	}
 }
 
-// serveByPriority runs a multi-class channel with two queues: the arrival
-// queue and a heap of the tasks that have arrived — O(L log L) where the
-// reference's selection scan is O(L²).
-func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool) {
-	s.heap = s.heap[:0]
+// serveByPriority runs a multi-class channel, whose priorities span lo…hi,
+// with two queues: the arrival queue and a min-heap of the arrived tasks —
+// O(L log L) where the reference's selection scan is O(L²). A heap entry is
+// one key, (prio − lo) above the task's arrival index. Within a class,
+// arrival order is (ready, layer) order, so the smallest key is the task the
+// reference selects. The task, with what is left of it, stays in the arrival
+// queue. A task cut by an arrival keeps its key at the top of the heap while
+// the arrivals are pushed.
+func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) {
+	if uint64(hi)-uint64(lo) >= 1<<32 {
+		s.rankPrios()
+		lo = 0
+	}
+	h := s.heap[:0]
 	var now time.Duration
 	ai := 0 // next not-yet-arrived task index
-	npend := len(s.tasks)
-	for npend > 0 {
-		for ai < len(s.tasks) && s.tasks[ai].ready <= now {
-			s.pushTask(s.tasks[ai])
-			ai++
+	for npend := len(s.tasks); npend > 0; {
+		for ; ai < len(s.tasks) && s.tasks[ai].ready <= now; ai++ {
+			h = pushKey(h, uint64(s.tasks[ai].prio-lo)<<32|uint64(ai))
 		}
-		if len(s.heap) == 0 {
+		if len(h) == 0 {
 			now = s.tasks[ai].ready
 			continue
 		}
-		best := s.popTask()
+		best := &s.tasks[uint32(h[0])]
 		if preemptive && ai < len(s.tasks) {
 			if na := s.tasks[ai].ready; na < now+best.remaining {
 				// Serve until the next arrival, then re-evaluate priorities.
 				best.remaining -= na - now
 				s.segs = append(s.segs, commSegment{best.layer, now, na})
 				now = na
-				s.pushTask(best)
 				continue
 			}
 		}
+		h = popKey(h)
 		s.segs = append(s.segs, commSegment{best.layer, now, now + best.remaining})
 		now += best.remaining
 		s.done[best.layer] = now + c.lag(best.layer)
 		npend--
 	}
+	s.heap = h
 }
 
-// taskLess orders the available-task heap by (prio, ready, layer): most
-// urgent priority first, FIFO by ready time within a priority, and layer
-// index as the final tie-break (the naive reference scans layers in
-// ascending order with a strict-less comparison, which resolves full ties
-// the same way).
-func taskLess(a, b commTask) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
+// rankPrios replaces each queued priority by its rank among the distinct
+// ones queued: the same order, in a spread that fits a key's 32 bits.
+func (s *IterScratch) rankPrios() {
+	s.ranks = s.ranks[:0]
+	for _, tk := range s.tasks {
+		s.ranks = append(s.ranks, tk.prio)
 	}
-	if a.ready != b.ready {
-		return a.ready < b.ready
+	slices.Sort(s.ranks)
+	s.ranks = slices.Compact(s.ranks)
+	for i := range s.tasks {
+		s.tasks[i].prio, _ = slices.BinarySearch(s.ranks, s.tasks[i].prio)
 	}
-	return a.layer < b.layer
 }
 
-func (s *IterScratch) pushTask(tk commTask) {
-	s.heap = append(s.heap, tk)
-	h := s.heap
+// pushKey and popKey keep h a binary min-heap.
+func pushKey(h []uint64, key uint64) []uint64 {
+	h = append(h, key)
 	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !taskLess(tk, h[parent]) {
+	for i > 0 && h[(i-1)/2] > key {
+		h[i] = h[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	h[i] = key
+	return h
+}
+
+func popKey(h []uint64) []uint64 {
+	n := len(h) - 1
+	last, h := h[n], h[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= last {
 			break
 		}
-		h[i] = h[parent]
-		i = parent
+		h[i] = h[c]
+		i = c
 	}
-	h[i] = tk
-}
-
-func (s *IterScratch) popTask() commTask {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			child := 2*i + 1
-			if child >= n {
-				break
-			}
-			if r := child + 1; r < n && taskLess(h[r], h[child]) {
-				child = r
-			}
-			if !taskLess(h[child], last) {
-				break
-			}
-			h[i] = h[child]
-			i = child
-		}
+	if i < n {
 		h[i] = last
 	}
-	return top
+	return h
 }
 
 // byArrival orders tasks ascending by (ready, layer). Layer indices are

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -107,20 +108,75 @@ func dwReady(c IterCosts, order graph.BackwardSchedule) []time.Duration {
 // and identical service segments over randomized costs, priorities, ready
 // times, and both channel disciplines. The queue is filled in layer order
 // from clustered random ready times, so it almost always needs the sort.
+// Each trial's few priority classes are also mapped onto negative, sparse
+// (layer × 10⁶) and ≥ 2³²-wide priorities; the wide ones make the channel
+// rank its priorities before packing them into heap keys.
 func TestCommTimelineMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	prioMaps := []struct {
+		name string
+		fn   func(layer, class int) int
+	}{
+		{"classes", func(_, class int) int { return class }},
+		{"negative", func(_, class int) int { return -1 - class }},
+		{"sparse", func(layer, class int) int { return (class + 1) * layer * 1_000_000 }},
+		{"wide", func(layer, class int) int { return class<<40 - layer }},
+		{"extremes", func(_, class int) int { return [...]int{math.MinInt64, math.MaxInt64, 0, -1}[class] }},
+	}
 	var scratch IterScratch
 	for trial := 0; trial < 500; trial++ {
 		L := 1 + rng.Intn(60)
-		c, prio := randomIterCosts(rng, L)
+		c, class := randomIterCosts(rng, L)
 		ready := make([]time.Duration, L+1)
-		scratch.tasks = scratch.tasks[:0]
 		for i := 1; i <= L; i++ {
 			// Clustered ready times: many exact collisions.
 			ready[i] = time.Duration(rng.Intn(10)) * 5 * time.Microsecond
-			scratch.addSync(i, prio(i), ready[i], c.SyncW[i-1])
 		}
-		diffChannel(t, fmt.Sprintf("trial %d", trial), &scratch, c, ready, prio, trial%2 == 0)
+		for _, pm := range prioMaps {
+			prio := func(layer int) int { return pm.fn(layer, class(layer)) }
+			scratch.tasks = scratch.tasks[:0]
+			for i := 1; i <= L; i++ {
+				scratch.addSync(i, prio(i), ready[i], c.SyncW[i-1])
+			}
+			diffChannel(t, fmt.Sprintf("trial %d %s", trial, pm.name), &scratch, c, ready, prio, trial%2 == 0)
+		}
+	}
+
+	// Long preemption chains: long syncs arriving one per microsecond, each
+	// more urgent than those before it (or than those of its sawtooth
+	// tooth), so a preemptive channel cuts a task at every later arrival
+	// and holds up to L cut tasks at once.
+	chains := []struct {
+		name string
+		prio func(int) int
+	}{
+		{"rising", func(layer int) int { return -layer }},
+		{"sawtooth", func(layer int) int { return -(layer % 8) }},
+	}
+	for _, L := range []int{2, 17, 64, 200} {
+		c := IterCosts{
+			F:     make([]time.Duration, L),
+			DO:    make([]time.Duration, L),
+			DW:    make([]time.Duration, L),
+			SyncW: make([]time.Duration, L),
+		}
+		ready := make([]time.Duration, L+1)
+		for i := 1; i <= L; i++ {
+			c.SyncW[i-1] = time.Duration(L+rng.Intn(L)) * time.Microsecond
+			ready[i] = time.Duration(i) * time.Microsecond
+		}
+		for _, ch := range chains {
+			for _, preemptive := range []bool{false, true} {
+				scratch.tasks = scratch.tasks[:0]
+				for i := 1; i <= L; i++ {
+					scratch.addSync(i, ch.prio(i), ready[i], c.SyncW[i-1])
+				}
+				diffChannel(t, "chain "+ch.name, &scratch, c, ready, ch.prio, preemptive)
+				if ch.name == "rising" && preemptive && len(scratch.segs) != 2*L-1 {
+					t.Fatalf("rising chain, L=%d: %d segments, want every arrival to cut one (%d)", L, len(scratch.segs), 2*L-1)
+				}
+			}
+		}
 	}
 }
 

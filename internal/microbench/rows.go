@@ -123,11 +123,20 @@ func Rows() []Row {
 			return func() { plansearch.ParetoSweep(sp, plansearch.Config{}) }, nil
 		}},
 		// On a warm simulator pool a sweep allocates nothing per candidate
-		// (there are 51 here): 14 today — the points, the frontier as it
-		// grows, the sort index, the one list schedule (4) and the fan-out
-		// closure.
+		// (there are 51 here): 16 today — the points, the frontier as it
+		// grows, the sort index, the fan-out closure, and the sweep's own
+		// footprint table (2) with its list schedule (4).
 		{Name: "ParetoSweepWarmPool", Gated: true, MaxAllocs: 19, Step: func(testing.TB) (func(), func(*testing.B)) {
 			sp := paretoSpace()
+			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
+			plansearch.ParetoSweep(sp, cfg)
+			return func() { plansearch.ParetoSweep(sp, cfg) }, nil
+		}},
+		// The same sweep over the model's filled footprint table, as the plan
+		// service runs it: 51 simulations, no replay, and 10 allocations.
+		{Name: "ParetoSweepWarmTable", Gated: true, MaxAllocs: 12, Step: func(testing.TB) (func(), func(*testing.B)) {
+			sp := paretoSpace()
+			sp.Mem = plansearch.NewMemTable(sp.Model)
 			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
 			plansearch.ParetoSweep(sp, cfg)
 			return func() { plansearch.ParetoSweep(sp, cfg) }, nil
@@ -473,8 +482,9 @@ func Rows() []Row {
 		}},
 
 		{Name: "PlanColdMissExact", Step: planColdMiss(plansvc.SearchExact)},
-		// 72 today: the plan's own slices (costs, bounds, search state, two
-		// schedules, labels) and the JSON encoder; no probe allocates.
+		// 71 today: the plan's own slices (costs, bounds, search state, the
+		// baseline schedule, labels) and the JSON encoder; no probe
+		// allocates, and the footprint is a table lookup.
 		{Name: "PlanColdMissGuided", Gated: true, MaxAllocs: 80, Step: planColdMiss(plansvc.SearchGuided)},
 		// Steady-state batch fan-out: 8 distinct specs, each duplicated once,
 		// answered from the LRU under a single PlanBatch call. The row prices

@@ -98,9 +98,9 @@ func TestBindingBudgetSearchMatchesUnmemoised(t *testing.T) {
 }
 
 // TestClampAtPeakBound: across the zoo, at budgets just below, at and just
-// above peakBound, the clamp picks for every k the depth the per-depth
-// graph.PeakMemory scan picks; at and above the bound the memo starts full,
-// below it empty.
+// above peakBound, the clamp and Space.Depth pick for every k the depth the
+// per-depth graph.PeakMemory scan picks; at and above the bound the memo
+// starts full, below it empty.
 func TestClampAtPeakBound(t *testing.T) {
 	var sc core.IterScratch
 	for _, e := range models.Zoo() {
@@ -124,6 +124,9 @@ func TestClampAtPeakBound(t *testing.T) {
 				}
 				if got := st.clamp(&sc, k); got != want {
 					t.Fatalf("%s budget %d (bound %d): clamp(%d) = %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want)
+				}
+				if got := sp.Depth(Candidate{K: k}); got != want {
+					t.Fatalf("%s budget %d (bound %d): Space.Depth(%d) = %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package plansearch
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"oooback/internal/datapar"
 	"oooback/internal/graph"
 	"oooback/internal/models"
+	"oooback/internal/parexec"
 )
 
 // The naive reference of the memory axis: every schedule materialized, a
@@ -154,6 +157,41 @@ func TestZooMemoryAxisMatchesReference(t *testing.T) {
 	t.Logf("%d of %d zoo replays needed a larger arena than the rounded logical peak", doubled, replays)
 	if doubled == 0 {
 		t.Fatal("no zoo schedule needed an arena doubling")
+	}
+}
+
+// TestZooMemTable: on all zoo models, every slot of a footprint table —
+// filled in shuffled order by concurrent readers — equals a fresh
+// MemFootprint of its schedule, the table's list schedule equals
+// core.MemSchedule, and sweeps over the filled table return what sweeps
+// replaying into tables of their own return.
+func TestZooMemTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, entry := range models.Zoo() {
+		m := entry.Build(models.V100Profile())
+		tab := NewMemTable(m)
+		perm := rng.Perm(len(m.Layers) + 1)
+		parexec.ForEach(len(perm), 4, func(i int) { tab.Footprint(perm[i]) })
+		for k, s := range refSchedules(m) {
+			if got, want := tab.Footprint(k), MemFootprint(m, s); got != want {
+				t.Fatalf("%s slot %d: table %+v, fresh footprint %+v", entry.Name, k, got, want)
+			}
+		}
+		if !slices.Equal(tab.ListSchedule(), core.MemSchedule(m)) {
+			t.Fatalf("%s: table's list schedule differs from core.MemSchedule", entry.Name)
+		}
+
+		sp := zooSpace(m, datapar.OOOBytePS, datapar.P3)
+		sp.Mem = tab
+		own := sp
+		own.Mem = nil
+		if got, want := ParetoSweep(sp, Config{Workers: 2}), ParetoSweep(own, Config{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: sweep over the filled table differs", entry.Name)
+		}
+		budget := MemorySearch(own, 0, Config{}).MinFragPeakBytes
+		if got, want := MemorySearch(sp, budget, Config{Workers: 2}), MemorySearch(own, budget, Config{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memory search over the filled table differs", entry.Name)
+		}
 	}
 }
 

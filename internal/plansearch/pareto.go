@@ -8,7 +8,9 @@
 // reported peak includes alignment and fragmentation holes, not just the
 // logical byte sum. The candidate set is the reverse-first-k family plus the
 // LESCEA memory list schedule (core.MemSchedule), which anchors the
-// low-memory end of the frontier.
+// low-memory end of the frontier. A footprint depends on the model alone, so
+// it is replayed once per model into a MemTable, and a sweep over a filled
+// table only simulates.
 package plansearch
 
 import (
@@ -71,6 +73,59 @@ func MemFootprint(m *models.Model, s graph.BackwardSchedule) MemStats {
 	return e.footprint(m, s)
 }
 
+// MemTable is the memory axis of one model: the footprints of the sweep's
+// L+1 candidate schedules, in candidate order (reverse first-k at depths
+// 0…L−1, then the LESCEA list schedule), and the list schedule itself. A
+// footprint reads only the layers' byte sizes, never a space's costs,
+// disciplines or budget, so one table serves every space over its model.
+// Each slot is computed on first use; a table is safe for concurrent use.
+type MemTable struct {
+	m        *models.Model
+	slots    []memSlot
+	listOnce sync.Once
+	list     graph.BackwardSchedule
+}
+
+type memSlot struct {
+	once sync.Once
+	mem  MemStats
+}
+
+// NewMemTable returns an empty table over m. The model must not change
+// while the table is in use.
+func NewMemTable(m *models.Model) *MemTable {
+	return &MemTable{m: m, slots: make([]memSlot, len(m.Layers)+1)}
+}
+
+// Model returns the model the table describes.
+func (t *MemTable) Model() *models.Model { return t.m }
+
+// ListSchedule returns the model's LESCEA list schedule (core.MemSchedule),
+// built once. It is shared: callers must not modify it.
+func (t *MemTable) ListSchedule() graph.BackwardSchedule {
+	t.listOnce.Do(func() { t.list = core.MemSchedule(t.m) })
+	return t.list
+}
+
+// Footprint returns the footprint of candidate k: reverse first-k for
+// k < L, the list schedule for k = L.
+func (t *MemTable) Footprint(k int) MemStats {
+	slot := &t.slots[k]
+	slot.once.Do(func() {
+		e := evaluators.Get().(*evaluator)
+		defer evaluators.Put(e)
+		var s graph.BackwardSchedule
+		if L := len(t.m.Layers); k < L {
+			e.sched = graph.AppendReverseFirstK(e.sched[:0], L, k)
+			s = e.sched
+		} else {
+			s = t.ListSchedule()
+		}
+		slot.mem = e.footprint(t.m, s)
+	})
+	return slot.mem
+}
+
 // MemPoint is one candidate of the joint sweep.
 type MemPoint struct {
 	// K is the reverse-first-k depth; −1 when MemSched.
@@ -104,30 +159,30 @@ type ParetoResult struct {
 // is to expose the memory axis; budget filtering happens in MemorySearch.
 //
 // Memory is a property of the schedule alone, so the pass runs over the L+1
-// distinct schedules: each task builds its schedule into a pooled
-// evaluator, replays it once and simulates it under every discipline,
-// writing the slots of its own k.
+// distinct schedules: each task reads its footprint from the space's table
+// (filling the slot on first use), builds its schedule in a pooled scratch
+// and simulates it under every discipline, writing the slots of its own k.
 func sweep(sp Space, cfg Config) []MemPoint {
 	validateSpace(sp)
 	cfg = cfg.withDefaults()
+	tab := sp.Mem
+	if tab == nil {
+		tab = NewMemTable(sp.Model)
+	}
 	L, D := sp.Costs.Layers(), len(sp.Disciplines)
 	pts := make([]MemPoint, D*(L+1))
 	parexec.ForEach(L+1, cfg.Workers, func(k int) {
-		e := evaluators.Get().(*evaluator)
-		defer evaluators.Put(e)
 		sc := cfg.Scratch.Get().(*core.IterScratch)
 		defer cfg.Scratch.Put(sc)
 
-		p := MemPoint{K: k}
+		p := MemPoint{K: k, Mem: tab.Footprint(k)}
 		var s graph.BackwardSchedule
 		if k < L {
-			e.sched = graph.AppendReverseFirstK(e.sched[:0], L, k)
-			s = e.sched
+			s = sc.ReverseFirstK(L, k)
 		} else {
-			s = core.MemSchedule(sp.Model)
+			s = tab.ListSchedule()
 			p.K, p.MemSched = -1, true
 		}
-		p.Mem = e.footprint(sp.Model, s)
 		for d, disc := range sp.Disciplines {
 			p.Discipline = d
 			p.Makespan = sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan
@@ -212,12 +267,17 @@ func MemorySearch(sp Space, maxMemoryBytes int64, cfg Config) MemResult {
 	return res
 }
 
-// MemPointSchedule materializes a sweep candidate's backward schedule.
+// MemPointSchedule materializes a sweep candidate's backward schedule. A
+// list schedule comes from the space's table when it has one, and is then
+// shared: callers must not modify it.
 func (sp Space) MemPointSchedule(p MemPoint) graph.BackwardSchedule {
-	if p.MemSched {
-		return core.MemSchedule(sp.Model)
+	switch {
+	case !p.MemSched:
+		return graph.ReverseFirstK(len(sp.Model.Layers), p.K)
+	case sp.Mem != nil:
+		return sp.Mem.ListSchedule()
 	}
-	return core.ReverseFirstK(sp.Model, p.K, 0)
+	return core.MemSchedule(sp.Model)
 }
 
 // validateSpace panics on a structurally invalid space.
@@ -227,6 +287,9 @@ func validateSpace(sp Space) {
 	}
 	if sp.Model == nil {
 		panic("plansearch: space has no model")
+	}
+	if sp.Mem != nil && sp.Mem.m != sp.Model {
+		panic("plansearch: space's memory table is of another model")
 	}
 	L := sp.Costs.Layers()
 	if L == 0 || len(sp.Model.Layers) != L {

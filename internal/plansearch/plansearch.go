@@ -80,6 +80,10 @@ type Space struct {
 	// least one is required. A single-discipline space is the plansvc
 	// planning case; multi-discipline spaces search (k × discipline) grids.
 	Disciplines []Discipline
+	// Mem, if non-nil, is Model's footprint table, shared by every space
+	// over the model. Without one, each ParetoSweep or MemorySearch replays
+	// its candidates into a table of its own.
+	Mem *MemTable
 }
 
 // Mode selects the search strategy.
@@ -523,8 +527,22 @@ func (s *state) polish(bestID int, bestM time.Duration) (int, time.Duration) {
 	}
 }
 
+// Depth is the reverse-first-k depth a candidate's schedule runs at: its K
+// under the memory clamp the probes applied.
+func (sp Space) Depth(c Candidate) int {
+	L := len(sp.Model.Layers)
+	if sp.MaxMemoryBytes >= peakBound(sp.Model) {
+		return core.ClampK(L, c.K, 0, nil) // a budget that cannot bind
+	}
+	var buf graph.BackwardSchedule
+	return core.ClampK(L, c.K, sp.MaxMemoryBytes, func(j int) bool {
+		buf = graph.AppendReverseFirstK(buf[:0], L, j)
+		return graph.PeakMemory(sp.Model, buf) <= sp.MaxMemoryBytes
+	})
+}
+
 // Schedule materializes a candidate's backward schedule — the same memory
 // clamp the probes applied.
 func (sp Space) Schedule(c Candidate) graph.BackwardSchedule {
-	return core.ReverseFirstK(sp.Model, c.K, sp.MaxMemoryBytes)
+	return graph.ReverseFirstK(len(sp.Model.Layers), sp.Depth(c))
 }

@@ -13,6 +13,7 @@ import (
 	"oooback/internal/models"
 	"oooback/internal/netsim"
 	"oooback/internal/pipepar"
+	"oooback/internal/plansearch"
 )
 
 // Plan modes: which of the paper's schedulers the request targets.
@@ -366,6 +367,8 @@ type planSpec struct {
 	// model is the resolved model (built from the zoo or decoded inline);
 	// excluded from the fingerprint (ModelName/ModelDigest stand for it).
 	model *models.Model
+	// mem is model's footprint table (memTable).
+	mem *plansearch.MemTable
 	// retime is the fitted cost table applied to zoo models at resolution
 	// time; excluded from the fingerprint (CostModel stands for it).
 	retime *models.CostTable

@@ -26,18 +26,20 @@ var searchModes = map[string]plansearch.Mode{
 // steady-state planning performs no per-request simulator allocation: the
 // concave k search fans its coarse probes out through internal/parexec, and
 // every probe borrows a scratch from the pool. It also holds the zoo models
-// it has built, so a cold plan does not rebuild its model.
+// it has built, each with its footprint table, so a cold plan neither
+// rebuilds its model nor replays a schedule another plan already replayed.
 type planner struct {
 	// search configures every schedule search: the parexec fan-out of one k
 	// search and the warm scratch pool.
 	search plansearch.Config
 
 	// zoo memoises built zoo models, re-timed when the key carries a cost
-	// table. A model is read-only once stored: planning workers share it.
-	// At most one entry per zoo name × GPU profile × the service's table;
-	// inline model_spec bodies never enter.
+	// table. A model is read-only once stored; planning workers share it
+	// and its footprint table, which fills as plans read it. At most one
+	// entry per zoo name × GPU profile × the service's table; inline
+	// model_spec bodies never enter.
 	zooMu sync.Mutex
-	zoo   map[zooKey]*models.Model
+	zoo   map[zooKey]*plansearch.MemTable
 }
 
 type zooKey struct {
@@ -51,7 +53,7 @@ func newPlanner(searchWorkers int) *planner {
 			Workers: searchWorkers,
 			Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }},
 		},
-		zoo: make(map[zooKey]*models.Model),
+		zoo: make(map[zooKey]*plansearch.MemTable),
 	}
 }
 
@@ -62,11 +64,23 @@ func (p *planner) model(sp *planSpec) *models.Model {
 		key := zooKey{sp.ModelName, sp.GPU, sp.retime}
 		p.zooMu.Lock()
 		defer p.zooMu.Unlock()
-		if sp.model = p.zoo[key]; sp.model == nil {
-			p.zoo[key] = sp.resolveModel()
+		if sp.mem = p.zoo[key]; sp.mem == nil {
+			sp.mem = plansearch.NewMemTable(sp.resolveModel())
+			p.zoo[key] = sp.mem
 		}
+		sp.model = sp.mem.Model()
 	}
 	return sp.model
+}
+
+// memTable returns the footprint table of the spec's resolved model
+// (planner.model): the zoo entry's, or a fresh one for a model no entry
+// holds (an inline spec, a what-if's re-costed copy).
+func (sp *planSpec) memTable() *plansearch.MemTable {
+	if sp.mem == nil || sp.mem.Model() != sp.model {
+		sp.mem = plansearch.NewMemTable(sp.model)
+	}
+	return sp.mem
 }
 
 // plan dispatches on the normalized spec's mode. The returned response is a
@@ -137,6 +151,7 @@ func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 		Disciplines: []plansearch.Discipline{
 			{Name: sp.Method, Prio: prio, Preemptive: preemptive},
 		},
+		Mem: sp.memTable(),
 	}
 	resp.BaselineIterTimeNs = int64(base.Makespan)
 	resp.Baseline = sp.Method + " conventional order"
@@ -151,14 +166,16 @@ func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 	resp.Objective = ObjectiveTime
 
 	r := plansearch.Search(space, searchModes[sp.Search], p.search)
-	order := space.Schedule(r.Best)
+	k := space.Depth(r.Best)
 
 	resp.K = r.Best.K
-	resp.Schedule = scheduleStrings(order)
+	sc = p.search.Scratch.Get().(*core.IterScratch)
+	resp.Schedule = scheduleStrings(sc.ReverseFirstK(L, k))
+	p.search.Scratch.Put(sc)
 	resp.IterTimeNs = int64(r.Best.Makespan)
 	resp.Speedup = speedup(base.Makespan, r.Best.Makespan)
 	resp.ThroughputSPS = core.Throughput(r.Best.Makespan, m.Batch*sp.GPUs)
-	resp.Memory = memoryStats(sp, plansearch.MemFootprint(m, order), "reverse-first-k")
+	resp.Memory = memoryStats(sp, space.Mem.Footprint(k), "reverse-first-k")
 	st := &SearchStats{
 		Probes:          r.Probes,
 		Exhaustive:      r.Candidates,

@@ -17,7 +17,8 @@ func zooSnapshot(svc *Service) map[zooKey][sha256.Size]byte {
 	p.zooMu.Lock()
 	defer p.zooMu.Unlock()
 	out := make(map[zooKey][sha256.Size]byte, len(p.zoo))
-	for key, m := range p.zoo {
+	for key, tab := range p.zoo {
+		m := tab.Model()
 		out[key] = sha256.Sum256([]byte(fmt.Sprintf("%p %+v", m, *m)))
 	}
 	return out
