@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -81,11 +82,16 @@ type IterScratch struct {
 	done  []time.Duration
 	segs  []commSegment
 	tasks []commTask // arrival queue
-	heap  []uint64   // keys of the arrived tasks of a multi-class channel
 	ranks []int      // distinct priorities, when their spread needs ranking
 	adjDW []time.Duration
 	state []uint8 // schedule-validation flags, one byte per layer
 	order graph.BackwardSchedule
+
+	// A multi-class channel's bucket queue: per class the first and last
+	// task of its FIFO, per task the next of its class, and a bitmap of the
+	// non-empty classes.
+	head, tail, next []int32
+	nonEmpty         []uint64
 }
 
 // ReverseFirstK builds graph.ReverseFirstK(L, k) in the scratch's schedule
@@ -248,10 +254,7 @@ func (s *IterScratch) validateOrder(order graph.BackwardSchedule, L int) error {
 // resizeDur returns buf with length n and all elements zero, reusing its
 // capacity when possible.
 func resizeDur(buf []time.Duration, n int) []time.Duration {
-	if cap(buf) < n {
-		return make([]time.Duration, n)
-	}
-	buf = buf[:n]
+	buf = slices.Grow(buf[:0], n)[:n]
 	clear(buf)
 	return buf
 }
@@ -292,7 +295,7 @@ func (s *IterScratch) addSync(layer, prio int, ready, sync time.Duration) {
 //     (prio, ready, layer) is the arrival order itself, so the queue is
 //     served front to back with no second structure. A preemptive channel
 //     still cuts a segment at every arrival, and resumes the same task.
-//   - Several classes: a binary heap of packed keys (serveByPriority).
+//   - Several classes: a bucket queue, one FIFO per class (serveByPriority).
 //
 // The returned slices belong to the scratch.
 func (s *IterScratch) commTimeline(c IterCosts, preemptive bool) ([]time.Duration, []commSegment) {
@@ -340,31 +343,53 @@ func (s *IterScratch) serveInOrder(c IterCosts, preemptive bool) {
 }
 
 // serveByPriority runs a multi-class channel, whose priorities span lo…hi,
-// with two queues: the arrival queue and a min-heap of the arrived tasks —
-// O(L log L) where the reference's selection scan is O(L²). A heap entry is
-// one key, (prio − lo) above the task's arrival index. Within a class,
-// arrival order is (ready, layer) order, so the smallest key is the task the
-// reference selects. The task, with what is left of it, stays in the arrival
-// queue. A task cut by an arrival keeps its key at the top of the heap while
-// the arrivals are pushed.
+// with two queues: the arrival queue and a bucket queue of the arrived
+// tasks — one FIFO of arrival indices per class, linked through next, and a
+// bitmap of the non-empty classes. Within a class, arrival order is (ready,
+// layer) order, so the head of the lowest non-empty class (the bitmap's
+// lowest set bit) is the task the reference selects. The task, with what is
+// left of it, stays in the arrival queue. A task cut by an arrival stays at
+// its class head while the arrivals join their classes' tails.
 func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) {
-	if uint64(hi)-uint64(lo) >= 1<<32 {
+	n := len(s.tasks)
+	if uint64(hi)-uint64(lo) >= 4*uint64(n) {
 		s.rankPrios()
-		lo = 0
+		lo, hi = 0, len(s.ranks)-1
 	}
-	h := s.heap[:0]
+	// Only the bitmap is cleared: a class's head and tail are read only
+	// while its bit is set, a task's next only once a later task joined.
+	classes, words := hi-lo+1, (hi-lo+64)/64
+	head, tail := slices.Grow(s.head[:0], classes)[:classes], slices.Grow(s.tail[:0], classes)[:classes]
+	next, nonEmpty := slices.Grow(s.next[:0], n)[:n], slices.Grow(s.nonEmpty[:0], words)[:words]
+	clear(nonEmpty)
+	s.head, s.tail, s.next, s.nonEmpty = head, tail, next, nonEmpty
+
 	var now time.Duration
 	ai := 0 // next not-yet-arrived task index
-	for npend := len(s.tasks); npend > 0; {
-		for ; ai < len(s.tasks) && s.tasks[ai].ready <= now; ai++ {
-			h = pushKey(h, uint64(s.tasks[ai].prio-lo)<<32|uint64(ai))
+	for served := 0; served < n; {
+		for ; ai < n && s.tasks[ai].ready <= now; ai++ {
+			p := s.tasks[ai].prio - lo
+			w, bit := p>>6, uint64(1)<<(p&63)
+			if nonEmpty[w]&bit == 0 {
+				nonEmpty[w] |= bit
+				head[p] = int32(ai)
+			} else {
+				next[tail[p]] = int32(ai)
+			}
+			tail[p] = int32(ai)
 		}
-		if len(h) == 0 {
+		if ai == served { // nothing arrived is pending
 			now = s.tasks[ai].ready
 			continue
 		}
-		best := &s.tasks[uint32(h[0])]
-		if preemptive && ai < len(s.tasks) {
+		w := 0
+		for nonEmpty[w] == 0 {
+			w++
+		}
+		p := w<<6 | bits.TrailingZeros64(nonEmpty[w])
+		bi := head[p]
+		best := &s.tasks[bi]
+		if preemptive && ai < n {
 			if na := s.tasks[ai].ready; na < now+best.remaining {
 				// Serve until the next arrival, then re-evaluate priorities.
 				best.remaining -= na - now
@@ -373,17 +398,20 @@ func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) 
 				continue
 			}
 		}
-		h = popKey(h)
+		if bi == tail[p] {
+			nonEmpty[w] &^= 1 << (p & 63)
+		} else {
+			head[p] = next[bi]
+		}
 		s.segs = append(s.segs, commSegment{best.layer, now, now + best.remaining})
 		now += best.remaining
 		s.done[best.layer] = now + c.lag(best.layer)
-		npend--
+		served++
 	}
-	s.heap = h
 }
 
 // rankPrios replaces each queued priority by its rank among the distinct
-// ones queued: the same order, in a spread that fits a key's 32 bits.
+// ones queued: the same order, in a spread below the number of tasks.
 func (s *IterScratch) rankPrios() {
 	s.ranks = s.ranks[:0]
 	for _, tk := range s.tasks {
@@ -394,38 +422,6 @@ func (s *IterScratch) rankPrios() {
 	for i := range s.tasks {
 		s.tasks[i].prio, _ = slices.BinarySearch(s.ranks, s.tasks[i].prio)
 	}
-}
-
-// pushKey and popKey keep h a binary min-heap.
-func pushKey(h []uint64, key uint64) []uint64 {
-	h = append(h, key)
-	i := len(h) - 1
-	for i > 0 && h[(i-1)/2] > key {
-		h[i] = h[(i-1)/2]
-		i = (i - 1) / 2
-	}
-	h[i] = key
-	return h
-}
-
-func popKey(h []uint64) []uint64 {
-	n := len(h) - 1
-	last, h := h[n], h[:n]
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if c+1 < n && h[c+1] < h[c] {
-			c++
-		}
-		if h[c] >= last {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	if i < n {
-		h[i] = last
-	}
-	return h
 }
 
 // byArrival orders tasks ascending by (ready, layer). Layer indices are

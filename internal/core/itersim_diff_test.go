@@ -109,8 +109,12 @@ func dwReady(c IterCosts, order graph.BackwardSchedule) []time.Duration {
 // times, and both channel disciplines. The queue is filled in layer order
 // from clustered random ready times, so it almost always needs the sort.
 // Each trial's few priority classes are also mapped onto negative, sparse
-// (layer × 10⁶) and ≥ 2³²-wide priorities; the wide ones make the channel
-// rank its priorities before packing them into heap keys.
+// (layer × 10⁶) and ≥ 2³²-wide priorities, and each layer is also given a
+// class of its own; the sparse and wide ones make the channel rank its
+// priorities before it sizes its bucket queue. Spreads of exactly 4n − 1 and
+// 4n over n queued tasks sit either side of that ranking threshold, and a
+// preemption chain whose urgent class empties and refills between arrivals
+// reuses a bucket after draining it.
 func TestCommTimelineMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prioMaps := []struct {
@@ -122,6 +126,8 @@ func TestCommTimelineMatchesNaiveReference(t *testing.T) {
 		{"sparse", func(layer, class int) int { return (class + 1) * layer * 1_000_000 }},
 		{"wide", func(layer, class int) int { return class<<40 - layer }},
 		{"extremes", func(_, class int) int { return [...]int{math.MinInt64, math.MaxInt64, 0, -1}[class] }},
+		{"singletons", func(layer, _ int) int { return layer }},
+		{"singletons-descending", func(layer, _ int) int { return -3 * layer }},
 	}
 	var scratch IterScratch
 	for trial := 0; trial < 500; trial++ {
@@ -139,6 +145,68 @@ func TestCommTimelineMatchesNaiveReference(t *testing.T) {
 				scratch.addSync(i, prio(i), ready[i], c.SyncW[i-1])
 			}
 			diffChannel(t, fmt.Sprintf("trial %d %s", trial, pm.name), &scratch, c, ready, prio, trial%2 == 0)
+		}
+
+		// The ranking threshold: the first and last queued layers take the
+		// extreme priorities 0 and spread, the rest a class in between.
+		var queued []int
+		for i := 1; i <= L; i++ {
+			if c.SyncW[i-1] > 0 {
+				queued = append(queued, i)
+			}
+		}
+		if len(queued) < 2 {
+			continue
+		}
+		n := len(queued)
+		for _, spread := range []int{4*n - 1, 4 * n} {
+			prios := make([]int, L+1)
+			for _, i := range queued {
+				prios[i] = rng.Intn(spread + 1)
+			}
+			prios[queued[0]], prios[queued[n-1]] = 0, spread
+			prio := func(layer int) int { return prios[layer] }
+			scratch.tasks, scratch.ranks = scratch.tasks[:0], scratch.ranks[:0]
+			for i := 1; i <= L; i++ {
+				scratch.addSync(i, prio(i), ready[i], c.SyncW[i-1])
+			}
+			diffChannel(t, fmt.Sprintf("trial %d spread %d over %d tasks", trial, spread, n), &scratch, c, ready, prio, trial%2 == 0)
+			if ranked := len(scratch.ranks) > 0; ranked != (spread >= 4*n) {
+				t.Fatalf("trial %d: spread %d over %d tasks ranked=%v", trial, spread, n, ranked)
+			}
+		}
+	}
+
+	// An urgent class that empties and refills inside a preemption chain:
+	// odd layers are long, lax syncs, even layers short urgent ones, one
+	// arrival per microsecond. Every urgent sync finishes before the next
+	// urgent arrival, so its bucket drains and is refilled each time, while
+	// the lax ones are cut at every arrival.
+	for _, L := range []int{3, 16, 65} {
+		c := IterCosts{
+			F:     make([]time.Duration, L),
+			DO:    make([]time.Duration, L),
+			DW:    make([]time.Duration, L),
+			SyncW: make([]time.Duration, L),
+		}
+		ready := make([]time.Duration, L+1)
+		for i := 1; i <= L; i++ {
+			c.SyncW[i-1] = time.Duration(2*L) * time.Microsecond
+			if i%2 == 0 {
+				c.SyncW[i-1] = time.Duration(100+rng.Intn(900)) * time.Nanosecond
+			}
+			ready[i] = time.Duration(i) * time.Microsecond
+		}
+		prio := func(layer int) int { return 1 - layer%2 }
+		for _, preemptive := range []bool{false, true} {
+			scratch.tasks = scratch.tasks[:0]
+			for i := 1; i <= L; i++ {
+				scratch.addSync(i, prio(i), ready[i], c.SyncW[i-1])
+			}
+			diffChannel(t, fmt.Sprintf("refilling urgent class, L=%d", L), &scratch, c, ready, prio, preemptive)
+			if preemptive && len(scratch.segs) <= L {
+				t.Fatalf("refilling urgent class, L=%d: %d segments, want the lax syncs cut", L, len(scratch.segs))
+			}
 		}
 	}
 

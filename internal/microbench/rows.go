@@ -141,6 +141,23 @@ func Rows() []Row {
 			plansearch.ParetoSweep(sp, cfg)
 			return func() { plansearch.ParetoSweep(sp, cfg) }, nil
 		}},
+		// A budgeted search over the same filled table at a mid budget, as
+		// the plan service runs objective=memory: the bound order simulates 4
+		// of the 51 candidates, in 9 allocations, none of them per probe.
+		{Name: "MemorySearchWarmTable", Gated: true, MaxAllocs: 10, Step: func(testing.TB) (func(), func(*testing.B)) {
+			sp := paretoSpace()
+			sp.Mem = plansearch.NewMemTable(sp.Model)
+			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
+			lo, hi := sp.Mem.Footprint(0).FragPeakBytes, sp.Mem.Footprint(0).FragPeakBytes
+			for k := range len(sp.Model.Layers) + 1 {
+				lo, hi = min(lo, sp.Mem.Footprint(k).FragPeakBytes), max(hi, sp.Mem.Footprint(k).FragPeakBytes)
+			}
+			budget := lo + (hi-lo)/2
+			probes := plansearch.MemorySearch(sp, budget, cfg).Probes
+			return func() { plansearch.MemorySearch(sp, budget, cfg) }, func(b *testing.B) {
+				b.ReportMetric(float64(probes), "probes/op")
+			}
+		}},
 		// One footprint replay per time plan, on pooled scratch.
 		{Name: "MemFootprintWarm", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			m := paretoSpace().Model

@@ -15,6 +15,9 @@ import (
 type kBounds struct {
 	// lb[k] ≤ makespan of reverse-first-k under ANY discipline of the space.
 	lb []time.Duration
+	// base = ΣδO + ΣδW + ΣF ≤ the makespan of ANY schedule under any
+	// discipline (the base bound below).
+	base time.Duration
 	// feats[k] is the predictor feature row φ(k) (see features()).
 	feats [][numFeatures]float64
 }
@@ -54,9 +57,10 @@ const numFeatures = 6
 // lb(k) ≤ makespan(k), so a loose bound costs probes, never correctness.
 func computeBounds(c core.IterCosts) *kBounds {
 	L := c.Layers()
-	prefDW := make([]time.Duration, L+1)   // prefDW[k] = Σ_{i≤k} δW_i
-	prefSync := make([]time.Duration, L+1) // prefSync[k] = Σ_{i≤k} S_i
-	prefF := make([]time.Duration, L+1)    // prefF[k] = Σ_{i≤k} F_i
+	pref := make([]time.Duration, 3*(L+1))
+	prefDW := pref[:L+1]          // prefDW[k] = Σ_{i≤k} δW_i
+	prefSync := pref[L+1 : 2*L+2] // prefSync[k] = Σ_{i≤k} S_i
+	prefF := pref[2*L+2:]         // prefF[k] = Σ_{i≤k} F_i
 	var sumDO time.Duration
 	for i := 0; i < L; i++ {
 		prefDW[i+1] = prefDW[i] + c.DW[i]
@@ -74,6 +78,7 @@ func computeBounds(c core.IterCosts) *kBounds {
 
 	kb := &kBounds{
 		lb:    make([]time.Duration, L),
+		base:  B + sumF,
 		feats: make([][numFeatures]float64, L),
 	}
 	invB := 1.0
@@ -88,7 +93,7 @@ func computeBounds(c core.IterCosts) *kBounds {
 		} else {
 			dw1done = B - c.DO[0]
 		}
-		lb := B + sumF
+		lb := kb.base
 		if c.SyncW[0] > 0 {
 			if v := dw1done + c.SyncW[0] + lag1 + sumF; v > lb {
 				lb = v

@@ -1,7 +1,8 @@
 // Joint throughput×peak-memory planning: the Pareto sweep evaluates every
 // candidate schedule on both axes — exact simulated makespan and allocator-
 // replayed peak memory — and returns the frontier; the memory search picks
-// the fastest schedule whose *fragmented* peak fits a byte budget.
+// the fastest schedule whose *fragmented* peak fits a byte budget, simulating
+// only the candidates that fit and whose lower bound can still win.
 //
 // Memory is scored by replaying the schedule's alloc/free trace
 // (graph.TraceAllocs) through a real BFC arena (internal/bfc), so the
@@ -153,51 +154,33 @@ type ParetoResult struct {
 	Probes int
 }
 
-// sweep evaluates every candidate — per discipline, every depth k ∈ [0, L)
-// plus the memory list schedule — and returns them in candidate-id order.
-// Schedules are NOT clamped by Space.MaxMemoryBytes: the sweep's whole point
-// is to expose the memory axis; budget filtering happens in MemorySearch.
+// ParetoSweep evaluates the full (k × discipline) grid plus the memory list
+// schedule on both objectives and extracts the Pareto frontier. Schedules
+// are NOT clamped by Space.MaxMemoryBytes: the sweep's whole point is to
+// expose the memory axis. The result is bit-identical at any Config.Workers
+// / GOMAXPROCS: candidates land in fixed slots and the frontier scan is
+// serial over a total order.
 //
 // Memory is a property of the schedule alone, so the pass runs over the L+1
 // distinct schedules: each task reads its footprint from the space's table
 // (filling the slot on first use), builds its schedule in a pooled scratch
 // and simulates it under every discipline, writing the slots of its own k.
-func sweep(sp Space, cfg Config) []MemPoint {
+func ParetoSweep(sp Space, cfg Config) ParetoResult {
 	validateSpace(sp)
 	cfg = cfg.withDefaults()
-	tab := sp.Mem
-	if tab == nil {
-		tab = NewMemTable(sp.Model)
-	}
+	tab := sp.memTable()
 	L, D := sp.Costs.Layers(), len(sp.Disciplines)
 	pts := make([]MemPoint, D*(L+1))
 	parexec.ForEach(L+1, cfg.Workers, func(k int) {
 		sc := cfg.Scratch.Get().(*core.IterScratch)
 		defer cfg.Scratch.Put(sc)
-
-		p := MemPoint{K: k, Mem: tab.Footprint(k)}
-		var s graph.BackwardSchedule
-		if k < L {
-			s = sc.ReverseFirstK(L, k)
-		} else {
-			s = tab.ListSchedule()
-			p.K, p.MemSched = -1, true
-		}
+		s, p := tab.schedule(sc, k), tab.point(k)
 		for d, disc := range sp.Disciplines {
 			p.Discipline = d
 			p.Makespan = sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan
 			pts[d*(L+1)+k] = p
 		}
 	})
-	return pts
-}
-
-// ParetoSweep evaluates the full (k × discipline) grid plus the memory list
-// schedule on both objectives and extracts the Pareto frontier. The result
-// is bit-identical at any Config.Workers / GOMAXPROCS: candidates land in
-// fixed slots and the frontier scan is serial over a total order.
-func ParetoSweep(sp Space, cfg Config) ParetoResult {
-	pts := sweep(sp, cfg)
 
 	// Frontier: sort by (makespan, frag peak, id) and keep the strictly
 	// improving memory prefix.
@@ -234,37 +217,119 @@ type MemResult struct {
 	MinFragPeakBytes int64
 	// Probes is the number of exact simulator probes issued.
 	Probes int
-	// Candidates is the size of the space.
+	// Candidates is the size of the space — the probes an exhaustive scan
+	// would issue.
 	Candidates int
 }
 
 // MemorySearch finds the minimum-makespan schedule whose BFC-replayed
-// fragmented peak fits maxMemoryBytes (≤ 0 = unconstrained). Ties break by
-// candidate id, matching the exhaustive scan order. Deterministic at any
-// worker count.
+// fragmented peak fits maxMemoryBytes (≤ 0 = unconstrained), ties broken by
+// candidate id: exactly the exhaustive scan's answer, found by branch and
+// bound over the footprint table. Footprints cost no simulation, so only the
+// candidates that fit are ordered, by admissible lower bound (bounds.go) and
+// then id, and simulated in that order in fixed batches until the next
+// bound exceeds the best makespan found: every candidate left is provably
+// slower. A candidate that ties the best has a bound at or below it and is
+// simulated, so the lowest id still wins. When nothing fits, one simulation
+// times the least-infeasible candidate. The probe set depends only on the
+// space and the budget, never on Config.Workers.
 func MemorySearch(sp Space, maxMemoryBytes int64, cfg Config) MemResult {
-	pts := sweep(sp, cfg)
+	validateSpace(sp)
+	cfg = cfg.withDefaults()
+	tab := sp.memTable()
+	L, D := sp.Costs.Layers(), len(sp.Disciplines)
+	kb := computeBounds(sp.Costs)
 
-	res := MemResult{Probes: len(pts), Candidates: len(pts)}
-	bestFit, minMem := -1, -1
-	for id, p := range pts {
-		if minMem < 0 || p.Mem.FragPeakBytes < pts[minMem].Mem.FragPeakBytes {
-			minMem = id
+	type bounded struct {
+		lb time.Duration
+		id int // d·(L+1) + k, the exhaustive scan order
+	}
+	order := make([]bounded, 0, D*(L+1))
+	minK := 0 // the first depth of the smallest footprint
+	for k := 0; k <= L; k++ {
+		peak := tab.Footprint(k).FragPeakBytes
+		if peak < tab.Footprint(minK).FragPeakBytes {
+			minK = k
 		}
-		if maxMemoryBytes > 0 && p.Mem.FragPeakBytes > maxMemoryBytes {
+		if maxMemoryBytes > 0 && peak > maxMemoryBytes {
 			continue
 		}
-		if bestFit < 0 || p.Makespan < pts[bestFit].Makespan {
-			bestFit = id
+		lb := kb.base
+		if k < L {
+			lb = kb.lb[k]
+		}
+		for d := range D {
+			order = append(order, bounded{lb, d*(L+1) + k})
 		}
 	}
-	res.MinFragPeakBytes = pts[minMem].Mem.FragPeakBytes
-	if bestFit >= 0 {
-		res.Best, res.Feasible = pts[bestFit], true
+	res := MemResult{Candidates: D * (L + 1), MinFragPeakBytes: tab.Footprint(minK).FragPeakBytes}
+	if len(order) == 0 {
+		// The exhaustive scan's least-infeasible candidate is the first id
+		// of the smallest footprint: discipline 0 at depth minK.
+		order = append(order, bounded{id: minK})
 	} else {
-		res.Best = pts[minMem]
+		res.Feasible = true
+		slices.SortFunc(order, func(a, b bounded) int {
+			return cmp.Or(cmp.Compare(a.lb, b.lb), cmp.Compare(a.id, b.id))
+		})
 	}
+
+	var ms [probeBatch]time.Duration
+	best, bestM := -1, time.Duration(0)
+	for next := 0; next < len(order); {
+		end := next
+		for end < len(order) && end-next < probeBatch && (best < 0 || order[end].lb <= bestM) {
+			end++
+		}
+		if end == next {
+			break // every candidate left is bounded above the best
+		}
+		batch := order[next:end]
+		parexec.ForEach(len(batch), cfg.Workers, func(i int) {
+			sc := cfg.Scratch.Get().(*core.IterScratch)
+			defer cfg.Scratch.Put(sc)
+			disc := sp.Disciplines[batch[i].id/(L+1)]
+			s := tab.schedule(sc, batch[i].id%(L+1))
+			ms[i] = sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan
+		})
+		for i, c := range batch {
+			if best < 0 || better(ms[i], c.id, bestM, best) {
+				best, bestM = c.id, ms[i]
+			}
+		}
+		res.Probes += len(batch)
+		next = end
+	}
+	res.Best = tab.point(best % (L + 1))
+	res.Best.Discipline, res.Best.Makespan = best/(L+1), bestM
 	return res
+}
+
+// memTable returns the space's footprint table, or a fresh one for this call
+// when the space carries none.
+func (sp Space) memTable() *MemTable {
+	if sp.Mem != nil {
+		return sp.Mem
+	}
+	return NewMemTable(sp.Model)
+}
+
+// point returns sweep candidate k's point with K, MemSched and Mem filled
+// in: reverse first-k for k < L, the list schedule for k = L.
+func (t *MemTable) point(k int) MemPoint {
+	if k < len(t.m.Layers) {
+		return MemPoint{K: k, Mem: t.Footprint(k)}
+	}
+	return MemPoint{K: -1, MemSched: true, Mem: t.Footprint(k)}
+}
+
+// schedule returns sweep candidate k's schedule: reverse first-k built in
+// sc, or the table's list schedule.
+func (t *MemTable) schedule(sc *core.IterScratch, k int) graph.BackwardSchedule {
+	if L := len(t.m.Layers); k < L {
+		return sc.ReverseFirstK(L, k)
+	}
+	return t.ListSchedule()
 }
 
 // MemPointSchedule materializes a sweep candidate's backward schedule. A

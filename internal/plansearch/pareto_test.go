@@ -3,8 +3,11 @@ package plansearch
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
+	"oooback/internal/core"
 	"oooback/internal/datapar"
 	"oooback/internal/graph"
 	"oooback/internal/models"
@@ -174,6 +177,135 @@ func TestZooTimeNotSlower(t *testing.T) {
 		if sweep.Frontier[0].Makespan > exact.Best.Makespan {
 			t.Errorf("%s: frontier head %v slower than exhaustive best %v",
 				e.Name, sweep.Frontier[0].Makespan, exact.Best.Makespan)
+		}
+	}
+}
+
+// TestZooMemorySearchBoundOrdered is the mem-pareto gate of the bound-ordered
+// memory search. On every zoo model under every GPU profile the service
+// plans for, with each datapar method's costs and its channel discipline
+// alone (D = 1) and beside the next method's (D = 2), at the tightest, mid
+// and loosest budgets, one byte below the tightest (infeasible) and none
+// (≤ 0), MemorySearch returns the exhaustive scan's Best, Feasible and
+// MinFragPeakBytes, and never probes more than it.
+func TestZooMemorySearchBoundOrdered(t *testing.T) {
+	methods := []datapar.Method{datapar.WFBP, datapar.Horovod, datapar.P3, datapar.BytePS, datapar.OOOBytePS, datapar.OOOHorovod}
+	var sc core.IterScratch
+	probes, exhaustive, infeasible := 0, 0, 0
+	for _, profile := range []models.GPUProfile{models.V100Profile(), models.TitanXPProfile(), models.P100Profile()} {
+		for _, e := range models.Zoo() {
+			m := e.Build(profile)
+			L := len(m.Layers)
+			scheds := refSchedules(m)
+			tab := NewMemTable(m)
+			lo, hi := tab.Footprint(0).FragPeakBytes, tab.Footprint(0).FragPeakBytes
+			for k := range scheds {
+				lo, hi = min(lo, tab.Footprint(k).FragPeakBytes), max(hi, tab.Footprint(k).FragPeakBytes)
+			}
+			budgets := []int64{lo, lo + (hi-lo)/2, hi, lo - 1, 0, -1}
+			for i, method := range methods {
+				sp := Space{
+					Model: m,
+					Costs: datapar.Costs(m, datapar.PubA(), 8, method),
+					Disciplines: []Discipline{
+						zooDiscipline(method),
+						zooDiscipline(methods[(i+1)%len(methods)]),
+					},
+					Mem: tab,
+				}
+				// Every candidate of the D = 2 space in id order; the D = 1
+				// space's are its first L+1.
+				var pts []MemPoint
+				for d, disc := range sp.Disciplines {
+					for k, s := range scheds {
+						p := MemPoint{K: k, Discipline: d, Mem: tab.Footprint(k),
+							Makespan: sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan}
+						if k == L {
+							p.K, p.MemSched = -1, true
+						}
+						pts = append(pts, p)
+					}
+				}
+				for D := 1; D <= 2; D++ {
+					sub := sp
+					sub.Disciplines = sp.Disciplines[:D]
+					for _, budget := range budgets {
+						got, want := MemorySearch(sub, budget, Config{}), scanMemorySearch(pts[:D*(L+1)], budget)
+						if !sameMemResult(got, want) {
+							t.Fatalf("%s on %s, %s D=%d, budget %d:\n got %+v\nwant %+v",
+								e.Name, profile.Name, method, D, budget, got, want)
+						}
+						probes, exhaustive = probes+got.Probes, exhaustive+want.Probes
+						if !got.Feasible {
+							infeasible++
+							if got.Probes != 1 {
+								t.Fatalf("%s on %s, %s D=%d: an infeasible budget took %d probes, want 1",
+									e.Name, profile.Name, method, D, got.Probes)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d probes where the exhaustive scan issues %d (%.1f%%); %d infeasible searches",
+		probes, exhaustive, 100*float64(probes)/float64(exhaustive), infeasible)
+}
+
+// TestMemorySearchTieLowestID: in this space every candidate runs 15 µs, so
+// the answer is the lowest id, depth 0 under discipline 0. Its bound is
+// 15 µs, but the list schedule's (13 µs) and depth 2's (14 µs) are lower
+// under both disciplines, so the first batch holds those four and keeps
+// depth 2. Depth 0 ties that makespan; its bound is not above it, so it is
+// simulated in the next batch and wins on id.
+func TestMemorySearchTieLowestID(t *testing.T) {
+	us := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Microsecond
+		}
+		return out
+	}
+	c := core.IterCosts{F: us(2, 1, 2), DO: us(0, 1, 2), DW: us(1, 2, 2), SyncW: us(2, 4, 0)}
+	sp := Space{Model: synthModel(3, c.F, c.DO, c.DW), Costs: c, Disciplines: []Discipline{prioDisc(), prioDisc()}}
+	if kb := computeBounds(c); !slices.Equal(kb.lb, us(15, 15, 14)) || kb.base != 13*time.Microsecond {
+		t.Fatalf("bounds %v, base %v: the case no longer orders depth 0 after a full batch", kb.lb, kb.base)
+	}
+	for _, p := range refPoints(sp) {
+		if p.Makespan != 15*time.Microsecond {
+			t.Fatalf("candidate %+v does not tie", p)
+		}
+	}
+	got := MemorySearch(sp, 0, Config{})
+	if got.Best.K != 0 || got.Best.MemSched || got.Best.Discipline != 0 {
+		t.Fatalf("best %+v, want depth 0 under discipline 0", got.Best)
+	}
+	if got.Probes <= probeBatch {
+		t.Fatalf("%d probes: depth 0 was in the first batch, so the case tests nothing", got.Probes)
+	}
+	if want := refMemorySearch(sp, 0); !sameMemResult(got, want) {
+		t.Fatalf("got %+v, reference %+v", got, want)
+	}
+}
+
+// TestMemorySearchWorkersDeterministic: the probe set, and so every field of
+// the result, Probes included, is the same at any worker count.
+func TestMemorySearchWorkersDeterministic(t *testing.T) {
+	for _, name := range []string{"resnet50", "densenet169"} {
+		m, err := models.BuildZoo(name, models.V100Profile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := zooSpace(m, datapar.OOOBytePS, datapar.P3)
+		sp.Mem = NewMemTable(m)
+		lo, hi := sp.Mem.Footprint(0).FragPeakBytes, sp.Mem.Footprint(len(m.Layers)-1).FragPeakBytes
+		for _, budget := range []int64{0, lo, lo + (hi-lo)/2, lo - 1} {
+			base := MemorySearch(sp, budget, Config{Workers: 1})
+			for _, w := range []int{2, 8} {
+				if got := MemorySearch(sp, budget, Config{Workers: w}); got != base {
+					t.Fatalf("%s budget %d: workers=%d %+v, serial %+v", name, budget, w, got, base)
+				}
+			}
 		}
 	}
 }

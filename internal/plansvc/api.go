@@ -212,10 +212,15 @@ type SearchStats struct {
 	// Exhaustive is the probe count an exhaustive sweep would have issued
 	// (the candidate-space size).
 	Exhaustive int `json:"exhaustive"`
-	// Saved is Exhaustive − Probes.
+	// Saved is Exhaustive − Probes: the candidates never simulated, because
+	// guided search pruned them or, under objective=memory, they did not fit
+	// the budget or their lower bound exceeded the optimum. Always 0 under
+	// objective=pareto, which simulates every candidate.
 	Saved int `json:"saved"`
 	// CutoffProven reports that the admissible-bound cutoff certified the
-	// optimum (or the sweep was exhaustive).
+	// optimum: guided search stopped on the bound, the memory search's bound
+	// order proved every unsimulated candidate slower, or the sweep was
+	// exhaustive.
 	CutoffProven bool `json:"cutoff_proven"`
 	// RankCorrelation is the predictor's Spearman rank correlation against
 	// the measured makespans (1 for exhaustive sweeps).

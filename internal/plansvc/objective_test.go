@@ -3,8 +3,15 @@ package plansvc
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"testing"
+	"time"
+
+	"oooback/internal/datapar"
+	"oooback/internal/models"
+	"oooback/internal/plansearch"
+	"oooback/internal/plansvc/warmcache"
 )
 
 // TestNormalizeObjective covers the objective/budget vocabulary: defaults,
@@ -286,4 +293,117 @@ func FuzzPlanRequestDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMemoryBodyMatchesExhaustive: on every zoo model, under a FIFO, a
+// priority and a preemptive method and at the tightest, mid and loosest
+// budgets, a memory-objective body without its search_stats is
+// byte-identical to the body of the exhaustive scan's winner — the first
+// fastest fitting candidate of the full sweep — and its stats say how many
+// candidates the search did not simulate.
+func TestMemoryBodyMatchesExhaustive(t *testing.T) {
+	p := newPlanner(2)
+	saved := 0
+	for _, name := range models.ZooNames() {
+		tab := zooTable(p, mustNormalize(t, &PlanRequest{Model: name}))
+		L := len(tab.Model().Layers)
+		lo, hi := int64(math.MaxInt64), int64(0)
+		for k := 0; k <= L; k++ {
+			lo, hi = min(lo, tab.Footprint(k).FragPeakBytes), max(hi, tab.Footprint(k).FragPeakBytes)
+		}
+		for _, method := range []string{"ooo-horovod", "p3", "ooo-byteps"} {
+			for _, budget := range []int64{lo, lo + (hi-lo)/2, hi} {
+				sp := mustNormalize(t, &PlanRequest{Model: name, Cluster: ClusterSpec{Preset: "pub-a", GPUs: 16},
+					Method: method, Objective: ObjectiveMemory, MaxMemoryBytes: budget})
+				resp, err := p.plan(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := resp.SearchStats
+				if st.Exhaustive != L+1 || st.Saved != st.Exhaustive-st.Probes || !st.CutoffProven {
+					t.Fatalf("%s %s budget %d: search_stats %+v", name, method, budget, *st)
+				}
+				saved += st.Saved
+
+				prio, preemptive := discipline(dpMethods[sp.Method])
+				space := plansearch.Space{
+					Model:       sp.model,
+					Costs:       datapar.Costs(sp.model, sp.cluster(), sp.GPUs, dpMethods[sp.Method]),
+					Disciplines: []plansearch.Discipline{{Name: sp.Method, Prio: prio, Preemptive: preemptive}},
+				}
+				var best *plansearch.MemPoint
+				for _, pt := range plansearch.ParetoSweep(space, plansearch.Config{}).Points {
+					if pt.Mem.FragPeakBytes <= budget && (best == nil || pt.Makespan < best.Makespan) {
+						best = &pt
+					}
+				}
+				ref := *resp
+				p.fillPlanFromPoint(sp, space, time.Duration(resp.BaselineIterTimeNs), *best, &ref)
+				ref.SearchStats, resp.SearchStats = nil, nil
+				got, err := marshalBody(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := marshalBody(&ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s %s budget %d: body differs from the exhaustive scan's\n got: %s\nwant: %s", name, method, budget, got, want)
+				}
+			}
+		}
+	}
+	if saved == 0 {
+		t.Fatal("no memory plan saved a probe")
+	}
+}
+
+// TestWarmParentMemoryBodyServes: a memory-objective body written to the
+// warm cache by a planner that simulated every candidate (probes = L+1,
+// saved = 0) still loads and is served byte for byte, not replanned.
+func TestWarmParentMemoryBodyServes(t *testing.T) {
+	body := `{"model":"resnet50","cluster":{"preset":"pub-a","gpus":16},"objective":"memory","max_memory_bytes":4000000000}`
+	_, srv := newTestService(t, Options{})
+	r, b := postPlan(t, srv, body)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", r.StatusCode, b)
+	}
+	var resp PlanResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	resp.SearchStats.Probes, resp.SearchStats.Saved = resp.SearchStats.Exhaustive, 0
+	parent, err := marshalBody(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(parent, b) {
+		t.Fatal("the bound-ordered search simulated every candidate; the case tests nothing")
+	}
+
+	dir := t.TempDir()
+	wc, err := warmcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wc.Put(resp.Fingerprint, parent); err != nil {
+		t.Fatal(err)
+	}
+	wc.Close()
+	if wc, err = warmcache.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wc.Close() })
+	svc, srv := newTestService(t, Options{WarmCache: wc})
+	r, b = postPlan(t, srv, body)
+	if r.StatusCode != http.StatusOK || r.Header.Get(HeaderOutcome) != OutcomeWarm {
+		t.Fatalf("status %d, outcome %q, want 200 %q", r.StatusCode, r.Header.Get(HeaderOutcome), OutcomeWarm)
+	}
+	if !bytes.Equal(b, parent) {
+		t.Fatalf("served body differs from the stored one\n got: %s\nwant: %s", b, parent)
+	}
+	if svc.met.plansComputed.Value() != 0 {
+		t.Fatal("the stored body was replanned")
+	}
 }

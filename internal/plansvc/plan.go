@@ -231,7 +231,8 @@ func (p *planner) fillPlanFromPoint(sp *planSpec, space plansearch.Space, baseli
 
 // planDataParMemory plans under objective=memory: the fastest schedule —
 // reverse first-k or the LESCEA memory list schedule — whose BFC-replayed
-// fragmented peak fits the budget. An unmeetable budget is a client error
+// fragmented peak fits the budget, found by the bound-ordered search, whose
+// lower bounds prove the optimum. An unmeetable budget is a client error
 // naming the tightest budget the model can meet.
 func (p *planner) planDataParMemory(sp *planSpec, space plansearch.Space, baseline time.Duration, resp *PlanResponse) error {
 	r := plansearch.MemorySearch(space, sp.MaxMemoryBytes, p.search)
@@ -245,6 +246,7 @@ func (p *planner) planDataParMemory(sp *planSpec, space plansearch.Space, baseli
 	resp.SearchStats = &SearchStats{
 		Probes:          r.Probes,
 		Exhaustive:      r.Candidates,
+		Saved:           r.Candidates - r.Probes,
 		CutoffProven:    true,
 		RankCorrelation: 1,
 	}
