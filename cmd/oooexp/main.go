@@ -85,12 +85,12 @@ func main() {
 			os.Exit(1)
 		}
 	case "search":
-		if err := runSearch(*outDir); err != nil {
+		if err := runSearch(os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}
 	case "pareto":
-		if err := runPareto(*outDir); err != nil {
+		if err := runPareto(os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}

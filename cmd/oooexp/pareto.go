@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ import (
 // frontier point's schedule (k or the memory list schedule), simulated
 // iteration time and BFC-replayed fragmented peak. With -o DIR the report is
 // also written to DIR/pareto.txt.
-func runPareto(outDir string) error {
+func runPareto(w io.Writer, outDir string) error {
 	profile := models.V100Profile()
 	cl := datapar.PubA()
 	const gpus = 8
@@ -57,7 +58,9 @@ func runPareto(outDir string) error {
 	fmt.Fprintf(&sb, "anchors the low-memory end when reverse-first-k cannot reach it).\n")
 
 	report := sb.String()
-	fmt.Print(report)
+	if _, err := io.WriteString(w, report); err != nil {
+		return err
+	}
 	if outDir != "" {
 		if err := os.WriteFile(filepath.Join(outDir, "pareto.txt"), []byte(report), 0o644); err != nil {
 			return err
