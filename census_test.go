@@ -38,7 +38,6 @@ var censusAllow = map[string]string{
 	"calib.Profiler.WarmSteps":               "only tests refer to it",
 	"calib.WhatIf.IsZero":                    "nothing refers to it, tests included",
 	"core.ContiguousAllocation":              "allocation baseline only tests compare with",
-	"core.ReverseFirstKCheckpointed":         "ROADMAP item 3 names it as the planner's checkpoint-interval candidate; only tests call it today",
 	"experiments.RunAll":                     "only the golden test calls it; cmd/oooexp runs ids one by one",
 	"gpusim.GPU.Engine":                      "only tests refer to it",
 	"gpusim.GPU.Mem":                         "only tests refer to it",
@@ -64,7 +63,6 @@ var censusAllow = map[string]string{
 	"nn.StateSnapshotsEqual":                 "optimizer-state oracle of the data-parallel differential suite",
 	"nn.StepDecayLR":                         "learning-rate schedule only its own test drives",
 	"nn.WarmupLR":                            "learning-rate schedule only the Fit tests drive",
-	"plansearch.Perturbation.Validate":       "only tests refer to it",
 	"plansvc.LoadSpec.DistinctBodies":        "nothing refers to it, tests included",
 	"plansvc.Service.WhatIf":                 "in-process form of /v1/whatif that only tests call; the HTTP handler parses and computes through the shared request path",
 	"plansvc/warmcache.Cache.Dir":            "nothing refers to it, tests included",

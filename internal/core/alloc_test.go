@@ -156,50 +156,6 @@ func TestMultiRegionJointEmptyInput(t *testing.T) {
 	}
 }
 
-func TestReverseFirstKCheckpointedAllowsLargerK(t *testing.T) {
-	m := modelsFFNN16()
-	L := 16
-	// A budget between the checkpointed and store-all peaks: the plain clamp
-	// collapses k, the checkpoint-aware clamp keeps it.
-	ckptPeak := graph.MemoryProfileRecompute(m, ReverseFirstK(m, 10, 0), 4).Peak()
-	plainPeak := graph.PeakMemory(m, ReverseFirstK(m, 10, 0))
-	if ckptPeak >= plainPeak {
-		t.Skipf("checkpointing did not reduce this model's peak: %d vs %d", ckptPeak, plainPeak)
-	}
-	budget := (ckptPeak + plainPeak) / 2
-	plain := ReverseFirstK(m, 10, budget)
-	ckpt := ReverseFirstKCheckpointed(m, 10, 4, budget)
-	if got := countTailDW(ckpt, L); got != 10 {
-		t.Fatalf("checkpoint-aware k = %d, want 10 under budget %d", got, budget)
-	}
-	if got := countTailDW(plain, L); got >= 10 {
-		t.Fatalf("plain clamp kept k = %d, expected a collapse below 10", got)
-	}
-	if rc := graph.MemoryProfileRecompute(m, ckpt, 4); rc.Peak() > budget {
-		t.Fatalf("checkpoint-aware schedule exceeds budget: %d > %d", rc.Peak(), budget)
-	}
-}
-
-func modelsFFNN16() *models.Model {
-	return models.FFNN(models.V100Profile(), 16, 2048, 128)
-}
-
-// countTailDW counts δW ops after δO_1 (the deferred tail).
-func countTailDW(s graph.BackwardSchedule, L int) int {
-	seen := false
-	n := 0
-	for _, op := range s {
-		if op.Kind == graph.OutGrad && op.Layer == 1 {
-			seen = true
-			continue
-		}
-		if seen && op.Kind == graph.WeightGrad {
-			n++
-		}
-	}
-	return n
-}
-
 func TestMakespanLowerBoundNoSync(t *testing.T) {
 	c := unitCosts(4, 0)
 	if got := MakespanLowerBound(c); got != 12*time.Millisecond {

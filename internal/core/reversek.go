@@ -16,27 +16,19 @@ import (
 // k is clamped to max_k, the largest deferral whose peak memory stays under
 // maxMem bytes (Algorithm 2 lines 1–2); pass maxMem ≤ 0 for no constraint.
 func ReverseFirstK(m *models.Model, k int, maxMem int64) graph.BackwardSchedule {
-	return reverseFirstK(len(m.Layers), k, maxMem, func(s graph.BackwardSchedule) int64 {
-		return graph.PeakMemory(m, s)
-	})
-}
-
-// reverseFirstK clamps k under the given peak measure and builds the order,
-// trying every depth in the one buffer it returns.
-func reverseFirstK(L, k int, maxMem int64, peak func(graph.BackwardSchedule) int64) graph.BackwardSchedule {
+	L := len(m.Layers)
 	buf := make(graph.BackwardSchedule, 0, 2*L)
 	k = ClampK(L, k, maxMem, func(j int) bool {
 		buf = graph.AppendReverseFirstK(buf[:0], L, j)
-		return peak(buf) <= maxMem
+		return graph.PeakMemory(m, buf) <= maxMem
 	})
 	return graph.AppendReverseFirstK(buf[:0], L, k)
 }
 
-// ClampK is Algorithm 2's lines 1–2, the one clamp behind ReverseFirstK,
-// ReverseFirstKCheckpointed and plansearch's probes: k is brought into
-// [0, L] and, when maxMem > 0, lowered to max_k — the first depth j ≤ k,
-// scanning down from k, whose schedule fits(j) reports within the bound
-// (depth 0 is taken to fit). The scan is a first fit rather than a bisection
+// ClampK is Algorithm 2's lines 1–2, the one clamp behind ReverseFirstK and
+// plansearch's probes: k is brought into [0, L] and, when maxMem > 0,
+// lowered to max_k — the first depth j ≤ k, scanning down from k, whose
+// schedule fits(j) reports within the bound (depth 0 is taken to fit). The scan is a first fit rather than a bisection
 // because peak memory is nondecreasing in j on every zoo model
 // (TestZooPeakMonotoneInK) but not by theorem: the transient δW workspace
 // (WorkBytes) is charged where its op runs, and deferral moves it.
@@ -94,14 +86,4 @@ func SearchK(L int, measure func(k int) float64) int {
 		}
 	}
 	return best
-}
-
-// ReverseFirstKCheckpointed is ReverseFirstK for training that runs with
-// activation checkpointing every `every` layers (§6): the memory clamp is
-// evaluated against the re-computation profile rather than the store-all
-// profile, so k can usually stay much larger under the same budget.
-func ReverseFirstKCheckpointed(m *models.Model, k, every int, maxMem int64) graph.BackwardSchedule {
-	return reverseFirstK(len(m.Layers), k, maxMem, func(s graph.BackwardSchedule) int64 {
-		return graph.MemoryProfileRecompute(m, s, every).Peak()
-	})
 }

@@ -104,6 +104,23 @@ func (m Method) String() string {
 	}
 }
 
+// Channel returns the method's communication-channel discipline: the
+// synchronization priority of a layer (lower is more urgent) and whether a
+// more urgent synchronization preempts an in-flight one at chunk
+// granularity. WFBP and the Horovods serve FIFO and run each transfer to
+// completion; P3 prioritizes by layer without preemption; the BytePS
+// methods prioritize and preempt.
+func (m Method) Channel() (prio func(layer int) int, preemptive bool) {
+	switch m {
+	case P3:
+		return func(layer int) int { return layer }, false
+	case BytePS, OOOBytePS:
+		return func(layer int) int { return layer }, true
+	default:
+		return func(int) int { return 0 }, false
+	}
+}
+
 // horovodNegotiation is the per-tensor coordination cost of Horovod's
 // decentralized readiness negotiation, growing with the worker count.
 func horovodNegotiation(workers int) time.Duration {
@@ -211,46 +228,23 @@ func RunTraced(m *models.Model, cl Cluster, workers int, method Method, tr *trac
 	L := len(m.Layers)
 	c := Costs(m, cl, workers, method)
 
+	prio, preemptive := method.Channel()
 	var order graph.BackwardSchedule
-	var prio func(int) int
-	preemptive := false
 	k := 0
 	switch method {
-	case WFBP:
-		order = graph.Conventional(L)
-		prio = func(int) int { return 0 }
-	case Horovod:
+	case WFBP, Horovod, P3, BytePS:
 		// Horovod negotiates tensors in reverse layer order with no urgency
-		// notion; FIFO non-preemptive models its fused pipeline.
+		// notion; its FIFO non-preemptive channel models the fused pipeline.
 		order = graph.Conventional(L)
-		prio = func(int) int { return 0 }
-	case P3:
-		order = graph.Conventional(L)
-		prio = func(layer int) int { return layer }
-	case BytePS:
-		order = graph.Conventional(L)
-		prio = func(layer int) int { return layer }
-		preemptive = true
-	case OOOBytePS:
-		prio = func(layer int) int { return layer }
-		preemptive = true
-		// The probes run serially through one scratch, so the search
-		// allocates only the candidate schedules after warm-up.
+	case OOOBytePS, OOOHorovod:
+		// The OOO methods keep their base system's channel; only the
+		// gradient computations are reordered. The probes run serially
+		// through one scratch, so the search allocates only the candidate
+		// schedules after warm-up.
 		var scratch core.IterScratch
 		k = core.SearchK(L, func(kk int) float64 {
 			s := core.ReverseFirstK(m, kk, 0)
-			r := scratch.SimulateIteration(c, s, prio, true)
-			return core.Throughput(r.Makespan, m.Batch)
-		})
-		order = core.ReverseFirstK(m, k, 0)
-	case OOOHorovod:
-		// Horovod keeps its FIFO collective pipeline; only the gradient
-		// computations are reordered.
-		prio = func(int) int { return 0 }
-		var scratch core.IterScratch
-		k = core.SearchK(L, func(kk int) float64 {
-			s := core.ReverseFirstK(m, kk, 0)
-			r := scratch.SimulateIteration(c, s, prio, false)
+			r := scratch.SimulateIteration(c, s, prio, preemptive)
 			return core.Throughput(r.Makespan, m.Batch)
 		})
 		order = core.ReverseFirstK(m, k, 0)

@@ -6,26 +6,31 @@ import (
 	"oooback/internal/core"
 )
 
-// kBounds carries, per deferral depth k, the admissible lower bound on the
-// simulated makespan and the predictor's feature row. Both are closed-form
-// in O(1) per k after one O(L) prefix-sum pass, and both are independent of
-// the channel discipline — a priority permutation or preemption cannot make
-// the channel serve faster than its total service time, and the GPU timeline
-// does not depend on the discipline at all.
+// kBounds carries, per candidate schedule, an admissible lower bound on the
+// simulated makespan, and the prefix sums the predictor's feature rows are
+// read from. Both are closed-form in O(1) per k after one O(L) prefix-sum
+// pass, and both are independent of the channel discipline — a priority
+// permutation or preemption cannot make the channel serve faster than its
+// total service time, and the GPU timeline does not depend on the
+// discipline at all.
 type kBounds struct {
-	// lb[k] ≤ makespan of reverse-first-k under ANY discipline of the space.
+	// lb[k] ≤ the makespan of reverse first-k under ANY discipline of the
+	// space, for k < L; lb[L] is the base bound ΣδO + ΣδW + ΣF, which holds
+	// for every schedule, the list schedule included.
 	lb []time.Duration
-	// base = ΣδO + ΣδW + ΣF ≤ the makespan of ANY schedule under any
-	// discipline (the base bound below).
-	base time.Duration
-	// feats[k] is the predictor feature row φ(k) (see features()).
-	feats [][numFeatures]float64
+	// prefDW[k] = Σ_{i≤k} δW_i and prefSync[k] = Σ_{i≤k} S_i.
+	prefDW, prefSync []time.Duration
+	// B = ΣδO + ΣδW is the backward end; invB its inverse (1 when B = 0).
+	B    time.Duration
+	invB float64
+	// do1 and dw1 are layer 1's δO and δW times.
+	do1, dw1 time.Duration
 }
 
 // numFeatures is the size of the predictor's feature vector.
 const numFeatures = 6
 
-// computeBounds derives the per-k bounds and features from the cost vector.
+// computeBounds derives the per-k bounds from the cost vector.
 //
 // Notation (1-indexed layers, L = len): B = ΣδO + ΣδW is the backward end
 // (schedule-independent: the GPU runs every backward op back to back),
@@ -53,14 +58,15 @@ const numFeatures = 6
 //     backward op (δW_L for k < L) completes, must serve every
 //     synchronization, and the last-served layer's forward tail is ≥ F_L.
 //
-// lb(k) is the max of the four. The cutoff in searchGuided only ever uses
-// lb(k) ≤ makespan(k), so a loose bound costs probes, never correctness.
+// lb(k) is the max of the four; lb(L), the list schedule's, is the base
+// bound alone. Every stop rule only ever uses lb ≤ makespan, so a loose
+// bound costs probes, never correctness.
 func computeBounds(c core.IterCosts) *kBounds {
 	L := c.Layers()
-	pref := make([]time.Duration, 3*(L+1))
-	prefDW := pref[:L+1]          // prefDW[k] = Σ_{i≤k} δW_i
-	prefSync := pref[L+1 : 2*L+2] // prefSync[k] = Σ_{i≤k} S_i
-	prefF := pref[2*L+2:]         // prefF[k] = Σ_{i≤k} F_i
+	buf := make([]time.Duration, 4*(L+1))
+	prefDW := buf[:L+1]          // prefDW[k] = Σ_{i≤k} δW_i
+	prefSync := buf[L+1 : 2*L+2] // prefSync[k] = Σ_{i≤k} S_i
+	prefF := buf[2*L+2 : 3*L+3]  // prefF[k] = Σ_{i≤k} F_i
 	var sumDO time.Duration
 	for i := 0; i < L; i++ {
 		prefDW[i+1] = prefDW[i] + c.DW[i]
@@ -77,25 +83,22 @@ func computeBounds(c core.IterCosts) *kBounds {
 	}
 
 	kb := &kBounds{
-		lb:    make([]time.Duration, L),
-		base:  B + sumF,
-		feats: make([][numFeatures]float64, L),
+		lb:       buf[3*L+3:],
+		prefDW:   prefDW,
+		prefSync: prefSync,
+		B:        B,
+		invB:     1.0,
+		do1:      c.DO[0],
+		dw1:      c.DW[0],
 	}
-	invB := 1.0
 	if B > 0 {
-		invB = 1.0 / float64(B)
+		kb.invB = 1.0 / float64(B)
 	}
+	base := B + sumF
 	for k := 0; k < L; k++ {
-		// dW₁done(k): exact on the serial GPU timeline.
-		var dw1done time.Duration
-		if k >= 1 {
-			dw1done = B - prefDW[k] + c.DW[0]
-		} else {
-			dw1done = B - c.DO[0]
-		}
-		lb := kb.base
+		lb := base
 		if c.SyncW[0] > 0 {
-			if v := dw1done + c.SyncW[0] + lag1 + sumF; v > lb {
+			if v := kb.dw1done(k) + c.SyncW[0] + lag1 + sumF; v > lb {
 				lb = v
 			}
 		}
@@ -111,14 +114,30 @@ func computeBounds(c core.IterCosts) *kBounds {
 			}
 		}
 		kb.lb[k] = lb
-		kb.feats[k] = [numFeatures]float64{
-			1,
-			float64(lb) * invB,
-			float64(prefDW[k]) * invB,
-			float64(prefSync[k]) * invB,
-			float64(dw1done) * invB,
-			float64(k) / float64(L),
-		}
 	}
+	kb.lb[L] = base
 	return kb
+}
+
+// dw1done is layer 1's δW completion time under reverse first-k, exact on
+// the serial GPU timeline.
+func (kb *kBounds) dw1done(k int) time.Duration {
+	if k >= 1 {
+		return kb.B - kb.prefDW[k] + kb.dw1
+	}
+	return kb.B - kb.do1
+}
+
+// features is the predictor's feature row φ(k) of reverse first-k: the
+// intercept, the bound, the deferred δW and synchronization masses and layer
+// 1's δW completion (all over B), and k/L.
+func (kb *kBounds) features(k int) [numFeatures]float64 {
+	return [numFeatures]float64{
+		1,
+		float64(kb.lb[k]) * kb.invB,
+		float64(kb.prefDW[k]) * kb.invB,
+		float64(kb.prefSync[k]) * kb.invB,
+		float64(kb.dw1done(k)) * kb.invB,
+		float64(k) / float64(len(kb.lb)-1),
+	}
 }

@@ -20,7 +20,6 @@ import (
 // consulted both above and below the depths it has already evaluated.
 func TestClampMatchesMaxK(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var sc core.IterScratch
 	for _, e := range models.Zoo() {
 		m := e.Build(models.V100Profile())
 		L := len(m.Layers)
@@ -36,7 +35,7 @@ func TestClampMatchesMaxK(t *testing.T) {
 		sp := zooSpace(m, datapar.OOOBytePS)
 		for _, budget := range budgets {
 			sp.MaxMemoryBytes = budget
-			st := newState(sp, Config{}.withDefaults())
+			st := newState(sp, Config{}, false)
 			for _, k := range rng.Perm(L) {
 				want := 0
 				for j := k; j > 0; j-- {
@@ -45,7 +44,7 @@ func TestClampMatchesMaxK(t *testing.T) {
 						break
 					}
 				}
-				got := st.clamp(&sc, k)
+				got := st.clamp(k)
 				if got != want {
 					t.Fatalf("%s budget %d: clamp(%d) = %d, first fit from k is %d", e.Name, budget, k, got, want)
 				}
@@ -98,11 +97,10 @@ func TestBindingBudgetSearchMatchesUnmemoised(t *testing.T) {
 }
 
 // TestClampAtPeakBound: across the zoo, at budgets just below, at and just
-// above peakBound, the clamp and Space.Depth pick for every k the depth the
-// per-depth graph.PeakMemory scan picks; at and above the bound the memo
-// starts full, below it empty.
+// above peakBound, the clamp picks for every k the depth the per-depth
+// graph.PeakMemory scan picks, and a probed candidate reports that depth; at
+// and above the bound the memo starts full, below it empty.
 func TestClampAtPeakBound(t *testing.T) {
-	var sc core.IterScratch
 	for _, e := range models.Zoo() {
 		m := e.Build(models.V100Profile())
 		L := len(m.Layers)
@@ -110,23 +108,26 @@ func TestClampAtPeakBound(t *testing.T) {
 		sp := zooSpace(m, datapar.OOOBytePS)
 		for _, budget := range []int64{bound - 1, bound, bound + 1} {
 			sp.MaxMemoryBytes = budget
-			st := newState(sp, Config{}.withDefaults())
+			st := newState(sp, Config{}, false)
 			if prefilled := !slices.Contains(st.fit, 0); prefilled != (budget >= bound) {
 				t.Fatalf("%s budget %d (bound %d): memo prefilled = %v", e.Name, budget, bound, prefilled)
 			}
-			for k := 0; k < L; k++ {
-				want := 0
+			want := make([]int, L)
+			for k := range want {
 				for j := k; j > 0; j-- {
 					if graph.PeakMemory(m, graph.ReverseFirstK(L, j)) <= budget {
-						want = j
+						want[k] = j
 						break
 					}
 				}
-				if got := st.clamp(&sc, k); got != want {
-					t.Fatalf("%s budget %d (bound %d): clamp(%d) = %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want)
+				if got := st.clamp(k); got != want[k] {
+					t.Fatalf("%s budget %d (bound %d): clamp(%d) = %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want[k])
 				}
-				if got := sp.Depth(Candidate{K: k}); got != want {
-					t.Fatalf("%s budget %d (bound %d): Space.Depth(%d) = %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want)
+			}
+			st.measure(st.allIDs())
+			for k := range want {
+				if got := st.candidate(k).Depth; got != want[k] {
+					t.Fatalf("%s budget %d (bound %d): candidate %d ran at depth %d, per-depth PeakMemory says %d", e.Name, budget, bound, k, got, want[k])
 				}
 			}
 		}

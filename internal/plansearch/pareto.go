@@ -1,22 +1,7 @@
-// Joint throughput×peak-memory planning: the Pareto sweep evaluates every
-// candidate schedule on both axes — exact simulated makespan and allocator-
-// replayed peak memory — and returns the frontier; the memory search picks
-// the fastest schedule whose *fragmented* peak fits a byte budget, simulating
-// only the candidates that fit and whose lower bound can still win.
-//
-// Memory is scored by replaying the schedule's alloc/free trace
-// (graph.TraceAllocs) through a real BFC arena (internal/bfc), so the
-// reported peak includes alignment and fragmentation holes, not just the
-// logical byte sum. The candidate set is the reverse-first-k family plus the
-// LESCEA memory list schedule (core.MemSchedule), which anchors the
-// low-memory end of the frontier. A footprint depends on the model alone, so
-// it is replayed once per model into a MemTable, and a sweep over a filled
-// table only simulates.
 package plansearch
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -25,8 +10,15 @@ import (
 	"oooback/internal/core"
 	"oooback/internal/graph"
 	"oooback/internal/models"
-	"oooback/internal/parexec"
 )
+
+// The memory axis. A schedule's memory is scored by replaying its alloc/free
+// trace (graph.TraceAllocs) through a real BFC arena (internal/bfc), so the
+// reported peak includes alignment and fragmentation holes, not just the
+// logical byte sum. The LESCEA list schedule (core.MemSchedule) anchors the
+// low-memory end of the frontier. A footprint depends on the model alone, so
+// it is replayed once per model into a MemTable, and a search over a filled
+// table only simulates.
 
 // MemStats is the memory footprint of one schedule.
 type MemStats struct {
@@ -74,7 +66,7 @@ func MemFootprint(m *models.Model, s graph.BackwardSchedule) MemStats {
 	return e.footprint(m, s)
 }
 
-// MemTable is the memory axis of one model: the footprints of the sweep's
+// MemTable is the memory axis of one model: the footprints of its
 // L+1 candidate schedules, in candidate order (reverse first-k at depths
 // 0…L−1, then the LESCEA list schedule), and the list schedule itself. A
 // footprint reads only the layers' byte sizes, never a space's costs,
@@ -127,7 +119,7 @@ func (t *MemTable) Footprint(k int) MemStats {
 	return slot.mem
 }
 
-// MemPoint is one candidate of the joint sweep.
+// MemPoint is one candidate of the memory axis.
 type MemPoint struct {
 	// K is the reverse-first-k depth; −1 when MemSched.
 	K int `json:"k"`
@@ -139,6 +131,15 @@ type MemPoint struct {
 	Makespan time.Duration `json:"makespan_ns"`
 	// Mem is the schedule's replayed memory footprint.
 	Mem MemStats `json:"mem"`
+}
+
+// point returns memory-axis candidate id with its makespan and footprint.
+func (st *state) point(id int) MemPoint {
+	p := MemPoint{K: id % st.S, Discipline: id / st.S, Makespan: st.measured[id], Mem: st.tab.Footprint(id % st.S)}
+	if p.K == st.L {
+		p.K, p.MemSched = -1, true
+	}
+	return p
 }
 
 // ParetoResult reports one joint sweep.
@@ -154,54 +155,42 @@ type ParetoResult struct {
 	Probes int
 }
 
-// ParetoSweep evaluates the full (k × discipline) grid plus the memory list
-// schedule on both objectives and extracts the Pareto frontier. Schedules
-// are NOT clamped by Space.MaxMemoryBytes: the sweep's whole point is to
-// expose the memory axis. The result is bit-identical at any Config.Workers
-// / GOMAXPROCS: candidates land in fixed slots and the frontier scan is
-// serial over a total order.
-//
-// Memory is a property of the schedule alone, so the pass runs over the L+1
-// distinct schedules: each task reads its footprint from the space's table
-// (filling the slot on first use), builds its schedule in a pooled scratch
-// and simulates it under every discipline, writing the slots of its own k.
+// ParetoSweep probes every candidate of the memory axis — the full
+// (k × discipline) grid plus the memory list schedule — and extracts the
+// frontier. Schedules are NOT clamped by Space.MaxMemoryBytes: the sweep's
+// whole point is to expose the memory axis. No bound can prune it (a
+// frontier point's nearest lower-footprint rival is too close in makespan),
+// so it reads none. The result is bit-identical at any Config.Workers /
+// GOMAXPROCS: candidates land in fixed slots and the frontier scan is serial
+// over a total order.
 func ParetoSweep(sp Space, cfg Config) ParetoResult {
-	validateSpace(sp)
-	cfg = cfg.withDefaults()
-	tab := sp.memTable()
-	L, D := sp.Costs.Layers(), len(sp.Disciplines)
-	pts := make([]MemPoint, D*(L+1))
-	parexec.ForEach(L+1, cfg.Workers, func(k int) {
-		sc := cfg.Scratch.Get().(*core.IterScratch)
-		defer cfg.Scratch.Put(sc)
-		s, p := tab.schedule(sc, k), tab.point(k)
-		for d, disc := range sp.Disciplines {
-			p.Discipline = d
-			p.Makespan = sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan
-			pts[d*(L+1)+k] = p
-		}
-	})
+	st := newState(sp, cfg, true)
+	ids := st.allIDs()
+	st.measure(ids)
+	pts := make([]MemPoint, st.n)
+	for id := range pts {
+		pts[id] = st.point(id)
+	}
 
 	// Frontier: sort by (makespan, frag peak, id) and keep the strictly
-	// improving memory prefix.
-	ids := make([]int, len(pts))
-	for i := range ids {
-		ids[i] = i
-	}
+	// improving memory prefix, compacted into the front of ids.
 	slices.SortFunc(ids, func(a, b int) int {
 		return cmp.Or(
 			cmp.Compare(pts[a].Makespan, pts[b].Makespan),
 			cmp.Compare(pts[a].Mem.FragPeakBytes, pts[b].Mem.FragPeakBytes),
 			cmp.Compare(a, b))
 	})
-	var frontier []MemPoint
+	front := ids[:0]
 	for _, id := range ids {
-		if len(frontier) == 0 ||
-			pts[id].Mem.FragPeakBytes < frontier[len(frontier)-1].Mem.FragPeakBytes {
-			frontier = append(frontier, pts[id])
+		if len(front) == 0 || pts[id].Mem.FragPeakBytes < pts[front[len(front)-1]].Mem.FragPeakBytes {
+			front = append(front, id)
 		}
 	}
-	return ParetoResult{Frontier: frontier, Points: pts, Probes: len(pts)}
+	frontier := make([]MemPoint, len(front))
+	for i, id := range front {
+		frontier[i] = pts[id]
+	}
+	return ParetoResult{Frontier: frontier, Points: pts, Probes: st.probes}
 }
 
 // MemResult reports one budget-constrained memory search.
@@ -226,114 +215,51 @@ type MemResult struct {
 // fragmented peak fits maxMemoryBytes (≤ 0 = unconstrained), ties broken by
 // candidate id: exactly the exhaustive scan's answer, found by branch and
 // bound over the footprint table. Footprints cost no simulation, so only the
-// candidates that fit are ordered, by admissible lower bound (bounds.go) and
-// then id, and simulated in that order in fixed batches until the next
-// bound exceeds the best makespan found: every candidate left is provably
-// slower. A candidate that ties the best has a bound at or below it and is
-// simulated, so the lowest id still wins. When nothing fits, one simulation
-// times the least-infeasible candidate. The probe set depends only on the
-// space and the budget, never on Config.Workers.
+// candidates that fit are ordered, by admissible lower bound and then id,
+// and the bound-ordered loop cuts each batch at the first bound above the
+// best makespan found: every candidate left is provably slower. A candidate
+// that ties the best has a bound at or below it and is simulated, so the
+// lowest id still wins. When nothing fits, one simulation times the
+// least-infeasible candidate. The probe set depends only on the space and
+// the budget, never on Config.Workers.
 func MemorySearch(sp Space, maxMemoryBytes int64, cfg Config) MemResult {
-	validateSpace(sp)
-	cfg = cfg.withDefaults()
-	tab := sp.memTable()
-	L, D := sp.Costs.Layers(), len(sp.Disciplines)
-	kb := computeBounds(sp.Costs)
-
-	type bounded struct {
-		lb time.Duration
-		id int // d·(L+1) + k, the exhaustive scan order
-	}
-	order := make([]bounded, 0, D*(L+1))
-	minK := 0 // the first depth of the smallest footprint
-	for k := 0; k <= L; k++ {
-		peak := tab.Footprint(k).FragPeakBytes
-		if peak < tab.Footprint(minK).FragPeakBytes {
-			minK = k
+	st := newState(sp, cfg, true)
+	st.kb = computeBounds(sp.Costs)
+	order := make([]int, 0, st.n)
+	minS := 0 // the first schedule of the smallest footprint
+	for s := 0; s < st.S; s++ {
+		peak := st.tab.Footprint(s).FragPeakBytes
+		if peak < st.tab.Footprint(minS).FragPeakBytes {
+			minS = s
 		}
 		if maxMemoryBytes > 0 && peak > maxMemoryBytes {
 			continue
 		}
-		lb := kb.base
-		if k < L {
-			lb = kb.lb[k]
-		}
-		for d := range D {
-			order = append(order, bounded{lb, d*(L+1) + k})
+		for d := range sp.Disciplines {
+			order = append(order, d*st.S+s)
 		}
 	}
-	res := MemResult{Candidates: D * (L + 1), MinFragPeakBytes: tab.Footprint(minK).FragPeakBytes}
-	if len(order) == 0 {
+	res := MemResult{Candidates: st.n, MinFragPeakBytes: st.tab.Footprint(minS).FragPeakBytes, Feasible: len(order) > 0}
+	if !res.Feasible {
 		// The exhaustive scan's least-infeasible candidate is the first id
-		// of the smallest footprint: discipline 0 at depth minK.
-		order = append(order, bounded{id: minK})
-	} else {
-		res.Feasible = true
-		slices.SortFunc(order, func(a, b bounded) int {
-			return cmp.Or(cmp.Compare(a.lb, b.lb), cmp.Compare(a.id, b.id))
-		})
+		// of the smallest footprint: discipline 0 at schedule minS.
+		order = append(order, minS)
 	}
-
-	var ms [probeBatch]time.Duration
-	best, bestM := -1, time.Duration(0)
-	for next := 0; next < len(order); {
-		end := next
-		for end < len(order) && end-next < probeBatch && (best < 0 || order[end].lb <= bestM) {
+	lb := func(id int) time.Duration { return st.kb.lb[id%st.S] }
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(lb(a), lb(b)), cmp.Compare(a, b)) })
+	best, _ := st.descend(order, -1, func(i, best int) int {
+		end := i
+		for end < len(order) && end-i < probeBatch && (best < 0 || lb(order[end]) <= st.measured[best]) {
 			end++
 		}
-		if end == next {
-			break // every candidate left is bounded above the best
-		}
-		batch := order[next:end]
-		parexec.ForEach(len(batch), cfg.Workers, func(i int) {
-			sc := cfg.Scratch.Get().(*core.IterScratch)
-			defer cfg.Scratch.Put(sc)
-			disc := sp.Disciplines[batch[i].id/(L+1)]
-			s := tab.schedule(sc, batch[i].id%(L+1))
-			ms[i] = sc.SimulateIteration(sp.Costs, s, disc.Prio, disc.Preemptive).Makespan
-		})
-		for i, c := range batch {
-			if best < 0 || better(ms[i], c.id, bestM, best) {
-				best, bestM = c.id, ms[i]
-			}
-		}
-		res.Probes += len(batch)
-		next = end
-	}
-	res.Best = tab.point(best % (L + 1))
-	res.Best.Discipline, res.Best.Makespan = best/(L+1), bestM
+		return end
+	})
+	res.Best, res.Probes = st.point(best), st.probes
 	return res
 }
 
-// memTable returns the space's footprint table, or a fresh one for this call
-// when the space carries none.
-func (sp Space) memTable() *MemTable {
-	if sp.Mem != nil {
-		return sp.Mem
-	}
-	return NewMemTable(sp.Model)
-}
-
-// point returns sweep candidate k's point with K, MemSched and Mem filled
-// in: reverse first-k for k < L, the list schedule for k = L.
-func (t *MemTable) point(k int) MemPoint {
-	if k < len(t.m.Layers) {
-		return MemPoint{K: k, Mem: t.Footprint(k)}
-	}
-	return MemPoint{K: -1, MemSched: true, Mem: t.Footprint(k)}
-}
-
-// schedule returns sweep candidate k's schedule: reverse first-k built in
-// sc, or the table's list schedule.
-func (t *MemTable) schedule(sc *core.IterScratch, k int) graph.BackwardSchedule {
-	if L := len(t.m.Layers); k < L {
-		return sc.ReverseFirstK(L, k)
-	}
-	return t.ListSchedule()
-}
-
-// MemPointSchedule materializes a sweep candidate's backward schedule. A
-// list schedule comes from the space's table when it has one, and is then
+// MemPointSchedule materializes a memory-axis candidate's backward schedule.
+// A list schedule comes from the space's table when it has one, and is then
 // shared: callers must not modify it.
 func (sp Space) MemPointSchedule(p MemPoint) graph.BackwardSchedule {
 	switch {
@@ -343,21 +269,4 @@ func (sp Space) MemPointSchedule(p MemPoint) graph.BackwardSchedule {
 		return sp.Mem.ListSchedule()
 	}
 	return core.MemSchedule(sp.Model)
-}
-
-// validateSpace panics on a structurally invalid space.
-func validateSpace(sp Space) {
-	if len(sp.Disciplines) == 0 {
-		panic("plansearch: space has no disciplines")
-	}
-	if sp.Model == nil {
-		panic("plansearch: space has no model")
-	}
-	if sp.Mem != nil && sp.Mem.m != sp.Model {
-		panic("plansearch: space's memory table is of another model")
-	}
-	L := sp.Costs.Layers()
-	if L == 0 || len(sp.Model.Layers) != L {
-		panic(fmt.Sprintf("plansearch: model has %d layers, costs %d", len(sp.Model.Layers), L))
-	}
 }

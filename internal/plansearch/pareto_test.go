@@ -268,8 +268,8 @@ func TestMemorySearchTieLowestID(t *testing.T) {
 	}
 	c := core.IterCosts{F: us(2, 1, 2), DO: us(0, 1, 2), DW: us(1, 2, 2), SyncW: us(2, 4, 0)}
 	sp := Space{Model: synthModel(3, c.F, c.DO, c.DW), Costs: c, Disciplines: []Discipline{prioDisc(), prioDisc()}}
-	if kb := computeBounds(c); !slices.Equal(kb.lb, us(15, 15, 14)) || kb.base != 13*time.Microsecond {
-		t.Fatalf("bounds %v, base %v: the case no longer orders depth 0 after a full batch", kb.lb, kb.base)
+	if kb := computeBounds(c); !slices.Equal(kb.lb, us(15, 15, 14, 13)) {
+		t.Fatalf("bounds %v: the case no longer orders depth 0 after a full batch", kb.lb)
 	}
 	for _, p := range refPoints(sp) {
 		if p.Makespan != 15*time.Microsecond {

@@ -251,8 +251,7 @@ func TestPerturbedCosts(t *testing.T) {
 		SyncW:   []time.Duration{500, 0},
 		SyncLag: []time.Duration{7, 7},
 	}
-	p := Perturbation{Name: "x", WhatIf: perturb(map[string]float64{"dW": 0.5}, 2)}
-	got := perturbedCosts(c, p)
+	got := perturbedCosts(c, perturb(map[string]float64{"dW": 0.5}, 2))
 	want := core.IterCosts{
 		F:       []time.Duration{100, 200},
 		DO:      []time.Duration{10, 20},
@@ -265,7 +264,7 @@ func TestPerturbedCosts(t *testing.T) {
 	}
 	// Positive durations never scale to zero (simulator contract).
 	tiny := perturbedCosts(core.IterCosts{F: []time.Duration{1}, DO: []time.Duration{1}, DW: []time.Duration{1}, SyncW: []time.Duration{1}},
-		Perturbation{WhatIf: perturb(map[string]float64{"dW": 0.001}, 0)})
+		perturb(map[string]float64{"dW": 0.001}, 0))
 	if tiny.DW[0] != 1 {
 		t.Fatalf("tiny δW scaled to %v, want floor 1", tiny.DW[0])
 	}
@@ -305,17 +304,13 @@ func TestSearchPanics(t *testing.T) {
 	})
 }
 
-// TestPerturbationValidate: the robust mode's own set is valid; a family an
-// IterCosts vector does not carry is not.
+// TestPerturbationValidate: the robust mode's own set uses only the families
+// an IterCosts vector carries.
 func TestPerturbationValidate(t *testing.T) {
-	for _, p := range perturbations {
-		if err := p.Validate(); err != nil {
-			t.Errorf("stock perturbation: %v", err)
+	for i, w := range perturbations {
+		if err := w.Validate(calib.ModelFamilies()...); err != nil {
+			t.Errorf("perturbation %d: %v", i, err)
 		}
-	}
-	bogus := Perturbation{Name: "bogus", WhatIf: perturb(map[string]float64{"warp": 2}, 0)}
-	if err := bogus.Validate(); err == nil {
-		t.Error("perturbation of unknown family warp validated")
 	}
 }
 

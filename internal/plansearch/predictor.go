@@ -15,31 +15,26 @@ import (
 // no dependence on worker count.
 
 // fitPredictor fits one weight vector per discipline from the probed
-// anchors and fills s.pred for every candidate.
-func (s *state) fitPredictor(anchors []int) {
-	s.pred = make([]float64, s.n)
-	perD := make([][]int, s.D)
-	for _, id := range anchors {
-		d, _ := s.dk(id)
-		perD[d] = append(perD[d], id)
-	}
-	for d := 0; d < s.D; d++ {
-		w := s.fitWeights(perD[d])
-		for k := 0; k < s.L; k++ {
-			s.pred[s.id(d, k)] = dot(w, s.bounds.feats[k])
+// anchors and fills st.pred for every candidate.
+func (st *state) fitPredictor(anchors []int) {
+	st.pred = make([]float64, st.n)
+	per := len(anchors) / len(st.sp.Disciplines) // anchorIDs lists them discipline-major
+	for d := range st.sp.Disciplines {
+		w := st.fitWeights(anchors[d*per : (d+1)*per])
+		for k := 0; k < st.S; k++ {
+			st.pred[d*st.S+k] = dot(w, st.kb.features(k))
 		}
 	}
 }
 
 // fitWeights solves the ridge-regularized normal equations over the probed
 // anchor ids of one discipline.
-func (s *state) fitWeights(ids []int) [numFeatures]float64 {
+func (st *state) fitWeights(ids []int) [numFeatures]float64 {
 	var ata [numFeatures][numFeatures]float64
 	var aty [numFeatures]float64
 	for _, id := range ids {
-		_, k := s.dk(id)
-		phi := s.bounds.feats[k]
-		y := float64(s.measured[id])
+		phi := st.kb.features(id % st.S)
+		y := float64(st.measured[id])
 		for i := 0; i < numFeatures; i++ {
 			for j := 0; j < numFeatures; j++ {
 				ata[i][j] += phi[i] * phi[j]
@@ -114,21 +109,18 @@ func dot(w, phi [numFeatures]float64) float64 {
 // values and the measured makespans over every probed candidate (average
 // ranks on ties). 0 when fewer than three candidates were probed or either
 // ranking is constant.
-func (s *state) rankCorrelation() float64 {
-	if s.pred == nil {
-		return 0
-	}
-	ids := make([]int, 0, s.probes)
-	for id := 0; id < s.n; id++ {
-		if s.probed[id] {
+func (st *state) rankCorrelation() float64 {
+	ids := make([]int, 0, st.probes)
+	for id, m := range st.measured {
+		if m >= 0 {
 			ids = append(ids, id)
 		}
 	}
 	if len(ids) < 3 {
 		return 0
 	}
-	pr := ranks(ids, func(id int) float64 { return s.pred[id] })
-	mr := ranks(ids, func(id int) float64 { return float64(s.measured[id]) })
+	pr := ranks(ids, func(id int) float64 { return st.pred[id] })
+	mr := ranks(ids, func(id int) float64 { return float64(st.measured[id]) })
 	return pearson(pr, mr)
 }
 

@@ -7,17 +7,10 @@ import (
 	"oooback/internal/models"
 )
 
-// zooDiscipline mirrors plansvc's method→channel mapping for the methods the
-// gate sweeps.
+// zooDiscipline is a datapar method's channel as a search discipline.
 func zooDiscipline(method datapar.Method) Discipline {
-	switch method {
-	case datapar.P3:
-		return Discipline{Name: method.String(), Prio: func(layer int) int { return layer }}
-	case datapar.BytePS, datapar.OOOBytePS:
-		return Discipline{Name: method.String(), Prio: func(layer int) int { return layer }, Preemptive: true}
-	default:
-		return Discipline{Name: method.String(), Prio: func(int) int { return 0 }}
-	}
+	prio, preemptive := method.Channel()
+	return Discipline{Name: method.String(), Prio: prio, Preemptive: preemptive}
 }
 
 // TestZooGuidedOptimality is the CI gate of this package: across the whole

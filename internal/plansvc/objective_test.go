@@ -325,7 +325,7 @@ func TestMemoryBodyMatchesExhaustive(t *testing.T) {
 				}
 				saved += st.Saved
 
-				prio, preemptive := discipline(dpMethods[sp.Method])
+				prio, preemptive := dpMethods[sp.Method].Channel()
 				space := plansearch.Space{
 					Model:       sp.model,
 					Costs:       datapar.Costs(sp.model, sp.cluster(), sp.GPUs, dpMethods[sp.Method]),
@@ -338,7 +338,7 @@ func TestMemoryBodyMatchesExhaustive(t *testing.T) {
 					}
 				}
 				ref := *resp
-				p.fillPlanFromPoint(sp, space, time.Duration(resp.BaselineIterTimeNs), *best, &ref)
+				fillHeadline(sp, sp.model, time.Duration(resp.BaselineIterTimeNs), *best, space.MemPointSchedule(*best), &ref)
 				ref.SearchStats, resp.SearchStats = nil, nil
 				got, err := marshalBody(resp)
 				if err != nil {

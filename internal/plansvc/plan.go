@@ -1,7 +1,9 @@
 package plansvc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -114,34 +116,22 @@ func (p *planner) plan(sp *planSpec) (*PlanResponse, error) {
 	return resp, nil
 }
 
-// discipline returns the communication-channel behaviour of a data-parallel
-// method (mirrors datapar.Run's switch).
-func discipline(m datapar.Method) (prio func(int) int, preemptive bool) {
-	switch m {
-	case datapar.P3:
-		return func(layer int) int { return layer }, false
-	case datapar.BytePS, datapar.OOOBytePS:
-		return func(layer int) int { return layer }, true
-	default: // WFBP, Horovod, OOOHorovod: FIFO, run to completion
-		return func(int) int { return 0 }, false
-	}
-}
-
-// planDataPar plans one data-parallel iteration: reverse first-k (Algorithm
-// 2) under the requested synchronization method's cost model and channel
-// discipline, with the depth k found by the plansearch engine in the
+// planDataPar plans one data-parallel iteration under the requested
+// synchronization method's cost model and channel discipline. The baseline
+// is the conventional backward order under the same method. The objective
+// picks the schedule: time searches reverse first-k (Algorithm 2) in the
 // requested search mode (exhaustive sweep, predictor-guided pruning, or
-// robust selection under perturbed costs). The baseline is the conventional
-// backward order under the same method.
+// robust selection under perturbed costs); memory and pareto choose among
+// reverse first-k and the LESCEA memory list schedule by BFC-replayed peak.
 func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 	m := p.model(sp)
 	L := len(m.Layers)
 	method := dpMethods[sp.Method]
 	costs := datapar.Costs(m, sp.cluster(), sp.GPUs, method)
-	prio, preemptive := discipline(method)
+	prio, preemptive := method.Channel()
 
 	sc := p.search.Scratch.Get().(*core.IterScratch)
-	base := sc.SimulateIteration(costs, graph.Conventional(L), prio, preemptive)
+	baseline := sc.SimulateIteration(costs, graph.Conventional(L), prio, preemptive).Makespan
 	p.search.Scratch.Put(sc)
 
 	space := plansearch.Space{
@@ -153,29 +143,100 @@ func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 		},
 		Mem: sp.memTable(),
 	}
-	resp.BaselineIterTimeNs = int64(base.Makespan)
+	resp.BaselineIterTimeNs = int64(baseline)
 	resp.Baseline = sp.Method + " conventional order"
 	resp.Search = sp.Search
+	resp.Objective = cmp.Or(sp.Objective, ObjectiveTime)
 
+	// The chosen point, the depth its schedule runs at, and the search
+	// effort, whichever objective chose them.
+	var (
+		pt    plansearch.MemPoint
+		depth int
+		r     plansearch.Result
+	)
 	switch sp.Objective {
 	case ObjectiveMemory:
-		return p.planDataParMemory(sp, space, base.Makespan, resp)
+		mr := plansearch.MemorySearch(space, sp.MaxMemoryBytes, p.search)
+		if !mr.Feasible {
+			return budgetError(sp, mr.MinFragPeakBytes)
+		}
+		pt, depth = mr.Best, mr.Best.K
+		r = plansearch.Result{Probes: mr.Probes, Candidates: mr.Candidates, CutoffProven: true, RankCorrelation: 1}
 	case ObjectivePareto:
-		return p.planDataParPareto(sp, space, base.Makespan, resp)
+		pr := plansearch.ParetoSweep(space, p.search)
+		// The frontier is makespan-ascending with strictly decreasing
+		// memory, so the first fitting point is the fastest feasible one.
+		head := slices.IndexFunc(pr.Frontier, func(pt plansearch.MemPoint) bool {
+			return sp.MaxMemoryBytes <= 0 || pt.Mem.FragPeakBytes <= sp.MaxMemoryBytes
+		})
+		if head < 0 {
+			return budgetError(sp, pr.Frontier[len(pr.Frontier)-1].Mem.FragPeakBytes)
+		}
+		pt, depth = pr.Frontier[head], pr.Frontier[head].K
+		for _, pt := range pr.Frontier {
+			resp.Pareto = append(resp.Pareto, ParetoPoint{
+				K:                pt.K,
+				MemSched:         pt.MemSched,
+				IterTimeNs:       int64(pt.Makespan),
+				PeakMemoryBytes:  pt.Mem.FragPeakBytes,
+				LogicalPeakBytes: pt.Mem.LogicalPeakBytes,
+				FragRatio:        pt.Mem.FragRatio,
+			})
+		}
+		r = plansearch.Result{Probes: pr.Probes, Candidates: pr.Probes, CutoffProven: true, RankCorrelation: 1}
+	default:
+		r = plansearch.Search(space, searchModes[sp.Search], p.search)
+		pt = plansearch.MemPoint{K: r.Best.K, Makespan: r.Best.Makespan, Mem: space.Mem.Footprint(r.Best.Depth)}
+		depth = r.Best.Depth
 	}
-	resp.Objective = ObjectiveTime
 
-	r := plansearch.Search(space, searchModes[sp.Search], p.search)
-	k := space.Depth(r.Best)
-
-	resp.K = r.Best.K
 	sc = p.search.Scratch.Get().(*core.IterScratch)
-	resp.Schedule = scheduleStrings(sc.ReverseFirstK(L, k))
-	p.search.Scratch.Put(sc)
-	resp.IterTimeNs = int64(r.Best.Makespan)
-	resp.Speedup = speedup(base.Makespan, r.Best.Makespan)
-	resp.ThroughputSPS = core.Throughput(r.Best.Makespan, m.Batch*sp.GPUs)
-	resp.Memory = memoryStats(sp, space.Mem.Footprint(k), "reverse-first-k")
+	defer p.search.Scratch.Put(sc)
+	var order graph.BackwardSchedule
+	if pt.MemSched {
+		order = space.Mem.ListSchedule()
+	} else {
+		order = sc.ReverseFirstK(L, depth)
+	}
+	fillHeadline(sp, m, baseline, pt, order, resp)
+	resp.SearchStats = searchStats(r)
+	return nil
+}
+
+// budgetError is the client error of a budget below every candidate's
+// footprint, naming the tightest budget the model can meet.
+func budgetError(sp *planSpec, minPeak int64) error {
+	return invalidf("max_memory_bytes",
+		"budget %d bytes is below the tightest schedule this model can meet (%d bytes)",
+		sp.MaxMemoryBytes, minPeak)
+}
+
+// fillHeadline writes the chosen point as the response's headline plan:
+// its K, schedule, iteration time, speedup over the baseline, throughput
+// and memory footprint.
+func fillHeadline(sp *planSpec, m *models.Model, baseline time.Duration, pt plansearch.MemPoint,
+	order graph.BackwardSchedule, resp *PlanResponse) {
+	scheduler := "reverse-first-k"
+	if pt.MemSched {
+		scheduler = "mem-list"
+	}
+	resp.K = pt.K
+	resp.Schedule = scheduleStrings(order)
+	resp.IterTimeNs = int64(pt.Makespan)
+	resp.Speedup = speedup(baseline, pt.Makespan)
+	resp.ThroughputSPS = core.Throughput(pt.Makespan, m.Batch*sp.GPUs)
+	resp.Memory = &MemoryStats{
+		PeakMemoryBytes:  pt.Mem.FragPeakBytes,
+		LogicalPeakBytes: pt.Mem.LogicalPeakBytes,
+		FragRatio:        pt.Mem.FragRatio,
+		Scheduler:        scheduler,
+		BudgetBytes:      sp.MaxMemoryBytes,
+	}
+}
+
+// searchStats renders a search's effort into the response shape.
+func searchStats(r plansearch.Result) *SearchStats {
 	st := &SearchStats{
 		Probes:          r.Probes,
 		Exhaustive:      r.Candidates,
@@ -192,106 +253,7 @@ func (p *planner) planDataPar(sp *planSpec, resp *PlanResponse) error {
 			WorstRegret: a.WorstRegret,
 		})
 	}
-	resp.SearchStats = st
-	return nil
-}
-
-// memoryStats renders a schedule footprint into the response shape.
-func memoryStats(sp *planSpec, mem plansearch.MemStats, scheduler string) *MemoryStats {
-	return &MemoryStats{
-		PeakMemoryBytes:  mem.FragPeakBytes,
-		LogicalPeakBytes: mem.LogicalPeakBytes,
-		FragRatio:        mem.FragRatio,
-		Scheduler:        scheduler,
-		BudgetBytes:      sp.MaxMemoryBytes,
-	}
-}
-
-// pointScheduler names the schedule family of a sweep candidate.
-func pointScheduler(pt plansearch.MemPoint) string {
-	if pt.MemSched {
-		return "mem-list"
-	}
-	return "reverse-first-k"
-}
-
-// fillPlanFromPoint writes one sweep candidate as the response's headline
-// plan.
-func (p *planner) fillPlanFromPoint(sp *planSpec, space plansearch.Space, baseline time.Duration,
-	pt plansearch.MemPoint, resp *PlanResponse) {
-	m := space.Model
-	order := space.MemPointSchedule(pt)
-	resp.K = pt.K
-	resp.Schedule = scheduleStrings(order)
-	resp.IterTimeNs = int64(pt.Makespan)
-	resp.Speedup = speedup(baseline, pt.Makespan)
-	resp.ThroughputSPS = core.Throughput(pt.Makespan, m.Batch*sp.GPUs)
-	resp.Memory = memoryStats(sp, pt.Mem, pointScheduler(pt))
-}
-
-// planDataParMemory plans under objective=memory: the fastest schedule —
-// reverse first-k or the LESCEA memory list schedule — whose BFC-replayed
-// fragmented peak fits the budget, found by the bound-ordered search, whose
-// lower bounds prove the optimum. An unmeetable budget is a client error
-// naming the tightest budget the model can meet.
-func (p *planner) planDataParMemory(sp *planSpec, space plansearch.Space, baseline time.Duration, resp *PlanResponse) error {
-	r := plansearch.MemorySearch(space, sp.MaxMemoryBytes, p.search)
-	if !r.Feasible {
-		return invalidf("max_memory_bytes",
-			"budget %d bytes is below the tightest schedule this model can meet (%d bytes)",
-			sp.MaxMemoryBytes, r.MinFragPeakBytes)
-	}
-	resp.Objective = ObjectiveMemory
-	p.fillPlanFromPoint(sp, space, baseline, r.Best, resp)
-	resp.SearchStats = &SearchStats{
-		Probes:          r.Probes,
-		Exhaustive:      r.Candidates,
-		Saved:           r.Candidates - r.Probes,
-		CutoffProven:    true,
-		RankCorrelation: 1,
-	}
-	return nil
-}
-
-// planDataParPareto plans under objective=pareto: the full joint frontier in
-// the response, with the headline plan the fastest point that fits the
-// budget (or the time optimum when no budget is set).
-func (p *planner) planDataParPareto(sp *planSpec, space plansearch.Space, baseline time.Duration, resp *PlanResponse) error {
-	r := plansearch.ParetoSweep(space, p.search)
-	// The frontier is makespan-ascending with strictly decreasing memory, so
-	// the first fitting point is the fastest feasible one.
-	head := -1
-	for i, pt := range r.Frontier {
-		if sp.MaxMemoryBytes <= 0 || pt.Mem.FragPeakBytes <= sp.MaxMemoryBytes {
-			head = i
-			break
-		}
-	}
-	if head < 0 {
-		tail := r.Frontier[len(r.Frontier)-1]
-		return invalidf("max_memory_bytes",
-			"budget %d bytes is below the tightest schedule this model can meet (%d bytes)",
-			sp.MaxMemoryBytes, tail.Mem.FragPeakBytes)
-	}
-	resp.Objective = ObjectivePareto
-	p.fillPlanFromPoint(sp, space, baseline, r.Frontier[head], resp)
-	for _, pt := range r.Frontier {
-		resp.Pareto = append(resp.Pareto, ParetoPoint{
-			K:                pt.K,
-			MemSched:         pt.MemSched,
-			IterTimeNs:       int64(pt.Makespan),
-			PeakMemoryBytes:  pt.Mem.FragPeakBytes,
-			LogicalPeakBytes: pt.Mem.LogicalPeakBytes,
-			FragRatio:        pt.Mem.FragRatio,
-		})
-	}
-	resp.SearchStats = &SearchStats{
-		Probes:          r.Probes,
-		Exhaustive:      r.Probes,
-		CutoffProven:    true,
-		RankCorrelation: 1,
-	}
-	return nil
+	return st
 }
 
 // planPipeline plans one pipeline-parallel iteration: gradient
