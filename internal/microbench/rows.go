@@ -123,18 +123,18 @@ func Rows() []Row {
 			return func() { plansearch.ParetoSweep(sp, plansearch.Config{}) }, nil
 		}},
 		// On a warm simulator pool a sweep allocates nothing per candidate
-		// (there are 51 here): 16 today — the points, the frontier as it
-		// grows, the sort index, the fan-out closure, and the sweep's own
+		// (there are 51 here): 13 today — the search state (3), the id list,
+		// the fan-out closure, the points, the frontier, and the sweep's own
 		// footprint table (2) with its list schedule (4).
-		{Name: "ParetoSweepWarmPool", Gated: true, MaxAllocs: 19, Step: func(testing.TB) (func(), func(*testing.B)) {
+		{Name: "ParetoSweepWarmPool", Gated: true, MaxAllocs: 16, Step: func(testing.TB) (func(), func(*testing.B)) {
 			sp := paretoSpace()
 			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
 			plansearch.ParetoSweep(sp, cfg)
 			return func() { plansearch.ParetoSweep(sp, cfg) }, nil
 		}},
 		// The same sweep over the model's filled footprint table, as the plan
-		// service runs it: 51 simulations, no replay, and 10 allocations.
-		{Name: "ParetoSweepWarmTable", Gated: true, MaxAllocs: 12, Step: func(testing.TB) (func(), func(*testing.B)) {
+		// service runs it: 51 simulations, no replay, and 7 allocations.
+		{Name: "ParetoSweepWarmTable", Gated: true, MaxAllocs: 9, Step: func(testing.TB) (func(), func(*testing.B)) {
 			sp := paretoSpace()
 			sp.Mem = plansearch.NewMemTable(sp.Model)
 			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
@@ -143,8 +143,8 @@ func Rows() []Row {
 		}},
 		// A budgeted search over the same filled table at a mid budget, as
 		// the plan service runs objective=memory: the bound order simulates 4
-		// of the 51 candidates, in 9 allocations, none of them per probe.
-		{Name: "MemorySearchWarmTable", Gated: true, MaxAllocs: 10, Step: func(testing.TB) (func(), func(*testing.B)) {
+		// of the 51 candidates, in 7 allocations, none of them per probe.
+		{Name: "MemorySearchWarmTable", Gated: true, MaxAllocs: 8, Step: func(testing.TB) (func(), func(*testing.B)) {
 			sp := paretoSpace()
 			sp.Mem = plansearch.NewMemTable(sp.Model)
 			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
@@ -499,10 +499,10 @@ func Rows() []Row {
 		}},
 
 		{Name: "PlanColdMissExact", Step: planColdMiss(plansvc.SearchExact)},
-		// 71 today: the plan's own slices (costs, bounds, search state, the
+		// 57 today: the plan's own slices (costs, bounds, search state, the
 		// baseline schedule, labels) and the JSON encoder; no probe
 		// allocates, and the footprint is a table lookup.
-		{Name: "PlanColdMissGuided", Gated: true, MaxAllocs: 80, Step: planColdMiss(plansvc.SearchGuided)},
+		{Name: "PlanColdMissGuided", Gated: true, MaxAllocs: 68, Step: planColdMiss(plansvc.SearchGuided)},
 		// Steady-state batch fan-out: 8 distinct specs, each duplicated once,
 		// answered from the LRU under a single PlanBatch call. The row prices
 		// the batch path itself (dedup, singleflight probing, fan-out, one
