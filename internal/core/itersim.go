@@ -84,7 +84,7 @@ type IterScratch struct {
 	tasks []commTask // arrival queue
 	ranks []int      // distinct priorities, when their spread needs ranking
 	adjDW []time.Duration
-	state []uint8 // schedule-validation flags, one byte per layer
+	walk  graph.Walker // validates each order, one flag byte per layer
 	order graph.BackwardSchedule
 
 	// A multi-class channel's bucket queue: per class the first and last
@@ -145,7 +145,7 @@ func (s *IterScratch) SimulateIterationTraced(c IterCosts, order graph.BackwardS
 		panic(err)
 	}
 	L := c.Layers()
-	if err := s.validateOrder(order, L); err != nil {
+	if err := s.walk.Validate(order, L); err != nil {
 		panic(err)
 	}
 	if prio == nil {
@@ -203,52 +203,6 @@ func (s *IterScratch) backward(c IterCosts, order graph.BackwardSchedule, prio f
 		}
 	}
 	return t
-}
-
-// validateOrder mirrors graph.BackwardSchedule.Validate but keeps its
-// working set in the scratch so valid schedules validate without allocating.
-func (s *IterScratch) validateOrder(order graph.BackwardSchedule, L int) error {
-	if len(order) != 2*L {
-		return fmt.Errorf("core: schedule has %d ops, want %d", len(order), 2*L)
-	}
-	const (
-		flagDoneDO = 1 << iota // δO_i executed (gradient g_{i-1} exists)
-		flagSeenDO
-		flagSeenDW
-	)
-	if cap(s.state) < L+2 {
-		s.state = make([]uint8, L+2)
-	} else {
-		s.state = s.state[:L+2]
-		clear(s.state)
-	}
-	st := s.state
-	st[L+1] = flagDoneDO // loss gradient
-	for pos, op := range order {
-		if op.Layer < 1 || op.Layer > L {
-			return fmt.Errorf("core: op %v at %d: layer out of range 1..%d", op, pos, L)
-		}
-		var flag uint8
-		switch op.Kind {
-		case graph.OutGrad:
-			flag = flagSeenDO
-		case graph.WeightGrad:
-			flag = flagSeenDW
-		default:
-			return fmt.Errorf("core: op %v at %d: backward schedules hold only dO/dW", op, pos)
-		}
-		if st[op.Layer]&flag != 0 {
-			return fmt.Errorf("core: op %v duplicated at %d", op, pos)
-		}
-		st[op.Layer] |= flag
-		if st[op.Layer+1]&flagDoneDO == 0 {
-			return fmt.Errorf("core: op %v at %d runs before dO%d", op, pos, op.Layer+1)
-		}
-		if op.Kind == graph.OutGrad {
-			st[op.Layer] |= flagDoneDO
-		}
-	}
-	return nil
 }
 
 // resizeDur returns buf with length n and all elements zero, reusing its

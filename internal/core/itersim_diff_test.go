@@ -405,36 +405,6 @@ func TestSimulateIterationScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestScratchValidationAgreesWithGraph cross-checks the scratch-based
-// schedule validator against graph.BackwardSchedule.Validate on random op
-// soups (mostly illegal): both must accept/reject identically.
-func TestScratchValidationAgreesWithGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var scratch IterScratch
-	for trial := 0; trial < 2000; trial++ {
-		L := 1 + rng.Intn(6)
-		var s graph.BackwardSchedule
-		if trial%3 == 0 {
-			s = randomBackwardOrder(rng, L) // legal
-		} else {
-			n := 2 * L
-			if trial%5 == 0 {
-				n = rng.Intn(3 * L) // wrong length sometimes
-			}
-			s = make(graph.BackwardSchedule, n)
-			for i := range s {
-				s[i] = graph.Op{Kind: graph.OpKind(rng.Intn(3)), Layer: rng.Intn(L+2) - 1 + 1}
-			}
-		}
-		wantErr := s.Validate(L) != nil
-		gotErr := scratch.validateOrder(s, L) != nil
-		if wantErr != gotErr {
-			t.Fatalf("trial %d: scratch validation err=%v, graph.Validate err=%v for %v (L=%d)",
-				trial, gotErr, wantErr, s, L)
-		}
-	}
-}
-
 // TestSimulateIterationWarmScratchAllocsZero locks in the tentpole: a warm
 // SimulateIteration probe through a scratch performs zero heap allocations.
 func TestSimulateIterationWarmScratchAllocsZero(t *testing.T) {

@@ -17,62 +17,31 @@ import (
 //     that frees the most bytes relative to what it defines (equivalently:
 //     minimizes the resulting live bytes).
 //
-// Byte accounting matches graph.MemoryProfile exactly: δO_i defines g_{i-1}
-// and frees g_i when δW_i already ran; δW_i frees a_{i-1} (and g_i when δO_i
-// already ran) and charges its workspace transiently. Ties break
-// deterministically: prefer δW over δO (retiring a weight gradient releases
-// its activation sooner), then the higher layer. The result is always a
-// valid schedule — ready ops are legal by construction.
+// It reads each ready op's effect from a graph.Walker, so its byte
+// accounting is graph.MemoryProfile's: an op's resulting live bytes are
+// those after its frees, and its transient peak adds a δW's workspace. Ties
+// break deterministically: prefer δW over δO (retiring a weight gradient
+// releases its activation sooner), then the higher layer. The result is
+// always a valid schedule — ready ops are legal by construction.
 //
 // The scheduler greedily minimizes memory and ignores time entirely; the
 // Pareto sweep in internal/plansearch places it on the frontier next to the
 // reverse-first-k family.
 func MemSchedule(m *models.Model) graph.BackwardSchedule {
 	L := len(m.Layers)
-	layer := func(i int) *models.Layer { return &m.Layers[i-1] }
-
-	var live int64
-	for i := 1; i <= L; i++ {
-		live += layer(i).ActBytes
-	}
-	live += layer(L).OutBytes // loss gradient g_L
-	peak := live
-
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
-	nextDO := L
+	var w graph.Walker
+	w.Reset(m)
+	peak := w.Live()
 	s := make(graph.BackwardSchedule, 0, 2*L)
 
-	// step describes one ready op's memory effect: after is the live bytes
-	// once it retires; opPeak the transient maximum it touches (after +
-	// workspace for δW, mirroring MemoryProfile's charge).
+	// step is one ready op's memory effect: after is the live bytes once it
+	// retires, opPeak the transient maximum it touches.
 	type step struct {
 		op            graph.Op
 		after, opPeak int64
 	}
-	eval := func(op graph.Op) step {
-		i := op.Layer
-		after := live
-		var transient int64
-		switch op.Kind {
-		case graph.OutGrad:
-			if i > 1 {
-				after += layer(i - 1).OutBytes
-			}
-			if doneDW[i] {
-				after -= layer(i).OutBytes
-			}
-		case graph.WeightGrad:
-			after -= layer(i).ActBytes
-			if doneDO[i] {
-				after -= layer(i).OutBytes
-			}
-			transient = layer(i).WorkBytes
-		}
-		return step{op: op, after: after, opPeak: after + transient}
-	}
-	// prefer reports whether a beats b under the LESCEA comparison key:
-	// primary key depends on the fit/grow phase, tie-breaks are fixed.
+	// tieBetter breaks ties of the LESCEA comparison key, whose primary key
+	// depends on the fit/grow phase.
 	tieBetter := func(a, b graph.Op) bool {
 		if a.Kind != b.Kind {
 			return a.Kind == graph.WeightGrad
@@ -80,17 +49,16 @@ func MemSchedule(m *models.Model) graph.BackwardSchedule {
 		return a.Layer > b.Layer
 	}
 
-	// At most one δO and L δW are ever ready.
+	// The ready list: the chain's next δO and every δW whose input gradient
+	// exists and that has not run — at most one δO and L δW. The comparison
+	// key is a total order, so the list's order does not matter.
 	ready := make([]step, 0, L+1)
-	for len(s) < 2*L {
-		ready = ready[:0]
-		if nextDO >= 1 {
-			ready = append(ready, eval(graph.Op{Kind: graph.OutGrad, Layer: nextDO}))
-		}
-		for i := nextDO; i <= L; i++ {
-			if i >= 1 && !doneDW[i] {
-				ready = append(ready, eval(graph.Op{Kind: graph.WeightGrad, Layer: i}))
-			}
+	ready = append(ready,
+		step{op: graph.Op{Kind: graph.OutGrad, Layer: L}},
+		step{op: graph.Op{Kind: graph.WeightGrad, Layer: L}})
+	for len(ready) > 0 {
+		for c := range ready {
+			ready[c].after, ready[c].opPeak = w.Peek(ready[c].op)
 		}
 
 		// Fit phase: ops whose transient peak stays under the running peak.
@@ -115,16 +83,18 @@ func MemSchedule(m *models.Model) graph.BackwardSchedule {
 		}
 
 		chosen := ready[best]
-		s = append(s, chosen.op)
-		live = chosen.after
-		if chosen.opPeak > peak {
-			peak = chosen.opPeak
+		if err := w.Step(chosen.op); err != nil {
+			panic(err) // unreachable: ready ops are legal
 		}
-		if chosen.op.Kind == graph.OutGrad {
-			doneDO[chosen.op.Layer] = true
-			nextDO--
+		s = append(s, chosen.op)
+		peak = max(peak, chosen.opPeak)
+		// δO_i hands g_{i-1} to δO_{i-1} and δW_{i-1}.
+		if i := chosen.op.Layer - 1; chosen.op.Kind == graph.OutGrad && i >= 1 {
+			ready[best] = step{op: graph.Op{Kind: graph.OutGrad, Layer: i}}
+			ready = append(ready, step{op: graph.Op{Kind: graph.WeightGrad, Layer: i}})
 		} else {
-			doneDW[chosen.op.Layer] = true
+			ready[best] = ready[len(ready)-1]
+			ready = ready[:len(ready)-1]
 		}
 	}
 	return s

@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"fmt"
-
 	"oooback/internal/bfc"
 	"oooback/internal/models"
 )
@@ -40,7 +38,7 @@ type AllocTrace struct {
 type AllocTracer struct {
 	events []AllocEvent
 	opEnd  []int
-	flags  []bool
+	walk   Walker
 }
 
 // TraceAllocs derives the trace of one schedule with a fresh AllocTracer;
@@ -50,38 +48,25 @@ func TraceAllocs(m *models.Model, s BackwardSchedule) AllocTrace {
 	return t.Trace(m, s)
 }
 
-// Trace derives the alloc/free trace of a backward schedule over a
-// model, following exactly the lifetime rules of MemoryProfile: activation
-// a_{i-1} (ActBytes of layer i) is live from the start and freed by δW_i;
-// gradient g_i (OutBytes of layer i) is produced by the upstream δO and
-// freed once both δO_i and δW_i ran; the δW workspace (WorkBytes) is
-// allocated and freed within its own op. Within a δW op the workspace is
-// allocated first and freed last — δW reads a_{i-1} and g_i *while* using
-// its workspace, so the trace's transient peak at that op is at least the
-// value MemoryProfile charges there (which books the frees before the
-// workspace), and the live sum at each op boundary is exactly
-// MemoryProfile[p] minus the WorkBytes transient for δW ops.
+// Trace derives the alloc/free trace of a backward schedule over a model:
+// the Walker's lifetime rule, one event per tensor it defines or frees.
+// Within a δW op the workspace is allocated first and freed last — δW reads
+// a_{i-1} and g_i *while* using its workspace — so the events of δW_i are:
+// alloc workspace, free a_{i-1}, free g_i (when δO_i has run), free
+// workspace. Those of δO_i are: alloc g_{i-1}, then free g_i (when δW_i has
+// run). The trace's transient peak at a δW op is therefore at least the value
+// MemoryProfile charges there (which books the frees before the workspace),
+// and the live sum at each op boundary is exactly MemoryProfile[p] minus the
+// workspace for δW ops.
 //
 // Zero-byte tensors emit no events (an allocator would round them up and
-// distort the profile). The schedule must be valid; Trace panics otherwise,
-// mirroring MemoryProfile's contract via Validate. The returned trace
-// aliases the tracer's storage and is valid until the next call.
+// distort the profile). The schedule must be valid; Trace panics with
+// Validate's error otherwise, as MemoryProfile and PeakMemory do. The
+// returned trace aliases the tracer's storage and is valid until the next
+// call.
 func (t *AllocTracer) Trace(m *models.Model, s BackwardSchedule) AllocTrace {
 	L := len(m.Layers)
-	// flags holds three tables: two of L+2 flags that first serve validate
-	// and then mark the δO and δW ops run so far, and one marking the live
-	// tensor IDs, which run to 2L+1.
-	if n := 4*L + 6; cap(t.flags) < n {
-		t.flags = make([]bool, n)
-	} else {
-		t.flags = t.flags[:n]
-		clear(t.flags)
-	}
-	doneDO, doneDW, allocated := t.flags[:L+2], t.flags[L+2:2*L+4], t.flags[2*L+4:]
-	if err := s.validate(L, doneDO, doneDW); err != nil {
-		panic(fmt.Sprintf("graph: %v", err))
-	}
-	clear(t.flags[:2*L+4])
+	t.walk.begin(m, s)
 	// Each activation, gradient and δW workspace is allocated and freed at
 	// most once.
 	if n := 6 * L; cap(t.events) < n {
@@ -90,54 +75,41 @@ func (t *AllocTracer) Trace(m *models.Model, s BackwardSchedule) AllocTrace {
 	if cap(t.opEnd) < len(s) {
 		t.opEnd = make([]int, 0, len(s))
 	}
-	layer := func(i int) *models.Layer { return &m.Layers[i-1] } // no 136-byte copy
-	actID := func(i int) int { return i }
-	gradID := func(i int) int { return L + i }
 	wsID := 2*L + 1
-
 	events := t.events[:0]
 	alloc := func(id int, bytes int64) {
-		if bytes <= 0 {
-			return
+		if bytes > 0 {
+			events = append(events, AllocEvent{ID: id, Bytes: bytes})
 		}
-		events = append(events, AllocEvent{ID: id, Bytes: bytes})
-		allocated[id] = true
 	}
-	free := func(id int) {
-		if !allocated[id] {
-			return
+	free := func(id int, bytes int64) {
+		if bytes > 0 {
+			events = append(events, AllocEvent{ID: id, Free: true})
 		}
-		events = append(events, AllocEvent{ID: id, Free: true})
-		allocated[id] = false
 	}
 
 	// Initial residency: every stored activation, then the loss gradient.
 	for i := 1; i <= L; i++ {
-		alloc(actID(i), layer(i).ActBytes)
+		alloc(i, m.Layers[i-1].ActBytes)
 	}
-	alloc(gradID(L), layer(L).OutBytes)
+	alloc(2*L, m.Layers[L-1].OutBytes)
 	resident := len(events)
 
 	opEnd := t.opEnd[:0]
 	for _, op := range s {
 		i := op.Layer
-		switch op.Kind {
-		case OutGrad:
-			doneDO[i] = true
-			if i > 1 {
-				alloc(gradID(i-1), layer(i-1).OutBytes)
-			}
-			if doneDW[i] {
-				free(gradID(i))
-			}
-		case WeightGrad:
-			doneDW[i] = true
-			alloc(wsID, layer(i).WorkBytes)
-			free(actID(i))
-			if doneDO[i] {
-				free(gradID(i))
-			}
-			free(wsID)
+		e, ok := t.walk.next(op)
+		if !ok {
+			panic(t.walk.illegal(op))
+		}
+		if op.Kind == WeightGrad {
+			alloc(wsID, e.work)
+			free(i, e.act)
+			free(L+i, e.grad)
+			free(wsID, e.work)
+		} else {
+			alloc(L+i-1, e.def)
+			free(L+i, e.grad)
 		}
 		opEnd = append(opEnd, len(events))
 	}

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"oooback/internal/models"
-)
+import "oooback/internal/models"
 
 // This file is the dependency / ready-set analysis of backward schedules.
 // The concurrent executor in internal/train consumes it: the §2 dependency
@@ -13,147 +9,50 @@ import (
 // a schedule walk can hand each δW to a worker pool the moment the schedule
 // issues it while the δO chain keeps running.
 
-// Dependency returns the backward op that op directly depends on — δO_{i+1}
-// for both δO_i and δW_i — and reports whether such an op exists. Layer-L ops
-// consume the loss gradient, which is available before the backward pass
-// starts, so they depend on nothing inside the schedule.
-func Dependency(op Op, L int) (Op, bool) {
-	if op.Layer >= L {
-		return Op{}, false
-	}
-	return Op{Kind: OutGrad, Layer: op.Layer + 1}, true
-}
-
-// Analysis summarizes the dependency structure of one backward schedule for
-// an execution engine: when each δW becomes ready, in what order the δWs are
-// issued, and how many gradient tensors the schedule's retention plan keeps
-// alive at peak.
+// Analysis summarizes one backward schedule for an execution engine: the
+// order it issues its δWs in, and how many gradient tensors its retention
+// plan keeps alive at peak.
 type Analysis struct {
-	// L is the layer count the schedule covers.
-	L int
-
 	// PeakLiveGrads is the maximum number of gradient tensors simultaneously
 	// retained under the both-consumers rule: g_i stays live until δO_i and
-	// δW_i have both executed. It is a property of the schedule's retention
-	// plan, not of any particular engine — a concurrent executor retains
-	// exactly the tensors the plan retains, so the serial walk and the
-	// concurrent one report the same value.
+	// δW_i have both executed, and while δO_i runs g_i and g_{i-1} coexist.
+	// It is a property of the schedule's retention plan, not of any
+	// particular engine — a concurrent executor retains exactly the tensors
+	// the plan retains, so the serial walk and the concurrent one report the
+	// same value.
 	PeakLiveGrads int
-
-	// PeakLiveGradBytes is PeakLiveGrads in dtype-sized bytes: the maximum
-	// sum of OutBytes over simultaneously retained gradients. Tensor counts
-	// mislead when layer widths differ by orders of magnitude (an embedding
-	// gradient vs a logit gradient), so budget decisions use this field.
-	// Filled by AnalyzeModel; Analyze without a model leaves it zero.
-	PeakLiveGradBytes int64
-
-	// PeakMemoryBytes is the schedule's overall peak of live bytes —
-	// retained gradients plus stored activations plus the transient δW
-	// workspace, i.e. max(MemoryProfile). Filled by AnalyzeModel.
-	PeakMemoryBytes int64
 
 	// DWLayers lists the layer of every δW op in schedule order — the order a
 	// dispatching executor hands weight-gradient work to its pool.
 	DWLayers []int
-
-	// DWIssueAfter[j] is the number of δO ops preceding the j-th δW op in the
-	// schedule: the issue point on the critical chain. Because δO ops execute
-	// in chain order δO_L → δO_1, the j-th δW's input gradient exists once
-	// that many chain links have run.
-	DWIssueAfter []int
-
-	// DWReadyAfter[j] is the earliest legal issue point of the j-th δW op:
-	// L − DWLayers[j] chain links (δW_i is ready as soon as δO_{i+1} has run;
-	// δW_L is ready at zero). Validate guarantees
-	// DWReadyAfter[j] ≤ DWIssueAfter[j] for every j.
-	DWReadyAfter []int
 }
 
 // Analyze validates the schedule for an L-layer network and computes its
-// dependency summary.
+// dependency summary. It walks a model of unit gradients: every g_i weighs
+// one byte and nothing else weighs anything, so the walk's live bytes are
+// the number of retained gradients.
 func Analyze(L int, s BackwardSchedule) (*Analysis, error) {
-	if err := s.Validate(L); err != nil {
+	unit := make([]models.Layer, L)
+	for i := range unit {
+		unit[i].OutBytes = 1
+	}
+	var w Walker
+	if err := w.start(L, unit, s); err != nil {
 		return nil, err
 	}
-	a := &Analysis{
-		L:            L,
-		DWLayers:     make([]int, 0, L),
-		DWIssueAfter: make([]int, 0, L),
-		DWReadyAfter: make([]int, 0, L),
-	}
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
-	live, peak, doCount := 1, 1, 0
+	a := &Analysis{PeakLiveGrads: int(w.live), DWLayers: make([]int, 0, L)}
 	for _, op := range s {
-		i := op.Layer
-		switch op.Kind {
-		case OutGrad:
-			doneDO[i] = true
-			doCount++
-			if i > 1 {
-				live++
-				if live > peak {
-					peak = live
-				}
-			}
-		case WeightGrad:
-			doneDW[i] = true
-			a.DWLayers = append(a.DWLayers, i)
-			a.DWIssueAfter = append(a.DWIssueAfter, doCount)
-			a.DWReadyAfter = append(a.DWReadyAfter, L-i)
+		// What an op defines is live before what it frees is released.
+		before := w.live
+		e, ok := w.next(op)
+		if !ok {
+			return nil, w.illegal(op)
 		}
-		if doneDO[i] && doneDW[i] {
-			live--
+		a.PeakLiveGrads = max(a.PeakLiveGrads, int(before+e.def))
+		if op.Kind == WeightGrad {
+			a.DWLayers = append(a.DWLayers, op.Layer)
 		}
 	}
-	if live != 0 {
-		// Unreachable for a validated schedule; guards future edits.
-		return nil, fmt.Errorf("graph: analysis left %d gradients live", live)
-	}
-	a.PeakLiveGrads = peak
-	return a, nil
-}
-
-// AnalyzeModel is Analyze with byte-level peak accounting: the schedule is
-// analyzed for m's layer count and the byte fields (PeakLiveGradBytes,
-// PeakMemoryBytes) are filled from the model's dtype-sized tensor sizes.
-// The tensor-count and byte peaks can disagree on *where* the peak is — a
-// retention plan holding many small gradients can be cheaper than one
-// holding two huge ones — which is exactly why the byte fields exist.
-func AnalyzeModel(m *models.Model, s BackwardSchedule) (*Analysis, error) {
-	L := len(m.Layers)
-	a, err := Analyze(L, s)
-	if err != nil {
-		return nil, err
-	}
-	layer := func(i int) models.Layer { return m.Layers[i-1] }
-
-	// Gradient-byte walk, mirroring Analyze's count walk with OutBytes
-	// weights. g_L is live from the start (the loss gradient).
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
-	live := layer(L).OutBytes
-	peak := live
-	for _, op := range s {
-		i := op.Layer
-		switch op.Kind {
-		case OutGrad:
-			doneDO[i] = true
-			if i > 1 {
-				live += layer(i - 1).OutBytes
-				if live > peak {
-					peak = live
-				}
-			}
-		case WeightGrad:
-			doneDW[i] = true
-		}
-		if doneDO[i] && doneDW[i] {
-			live -= layer(i).OutBytes
-		}
-	}
-	a.PeakLiveGradBytes = peak
-	a.PeakMemoryBytes = PeakMemory(m, s)
 	return a, nil
 }
 
@@ -163,7 +62,7 @@ func AnalyzeModel(m *models.Model, s BackwardSchedule) (*Analysis, error) {
 // data-parallel reducer needs to drain synchronization buckets in WFBP-style
 // completion order.
 func (a *Analysis) DWRank() []int {
-	rank := make([]int, a.L+1)
+	rank := make([]int, len(a.DWLayers)+1)
 	for j, l := range a.DWLayers {
 		rank[l] = j
 	}

@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestDependency(t *testing.T) {
-	const L = 5
-	for _, kind := range []OpKind{OutGrad, WeightGrad} {
-		for i := 1; i < L; i++ {
-			dep, ok := Dependency(Op{Kind: kind, Layer: i}, L)
-			if !ok || dep != (Op{Kind: OutGrad, Layer: i + 1}) {
-				t.Fatalf("Dependency(%v%d) = %v, %v", kind, i, dep, ok)
-			}
-		}
-		if _, ok := Dependency(Op{Kind: kind, Layer: L}, L); ok {
-			t.Fatalf("layer-%d %v op should have no in-schedule dependency", L, kind)
-		}
-	}
-}
-
 func TestAnalyzeRejectsIllegal(t *testing.T) {
 	if _, err := Analyze(3, BackwardSchedule{{Kind: WeightGrad, Layer: 1}}); err == nil {
 		t.Fatal("short schedule accepted")
@@ -47,13 +32,6 @@ func TestAnalyzeConventional(t *testing.T) {
 		if a.DWLayers[j] != l {
 			t.Fatalf("DWLayers = %v, want %v", a.DWLayers, wantLayers)
 		}
-		// Conventional issues δW_i right after δO_i: L−i+1 chain links done.
-		if a.DWIssueAfter[j] != L-l+1 {
-			t.Fatalf("DWIssueAfter[%d] = %d, want %d", j, a.DWIssueAfter[j], L-l+1)
-		}
-		if a.DWReadyAfter[j] != L-l {
-			t.Fatalf("DWReadyAfter[%d] = %d, want %d", j, a.DWReadyAfter[j], L-l)
-		}
 	}
 }
 
@@ -65,19 +43,11 @@ func TestAnalyzeReverseFirstK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		// Deferred δW: the first k layers issue only after the whole chain.
-		deferred := 0
-		for j, l := range a.DWLayers {
-			if l <= k {
-				deferred++
-				if a.DWIssueAfter[j] != L {
-					t.Fatalf("k=%d: deferred dW%d issues after %d links, want %d",
-						k, l, a.DWIssueAfter[j], L)
-				}
+		// Deferred δW: the first k layers issue last, in ascending order.
+		for j, l := range a.DWLayers[L-k:] {
+			if l != j+1 {
+				t.Fatalf("k=%d: δW order %v does not end in dW1..dW%d", k, a.DWLayers, k)
 			}
-		}
-		if deferred != k {
-			t.Fatalf("k=%d: %d deferred δW ops", k, deferred)
 		}
 		// Retention plan: once the chain completes, the k deferred gradients
 		// are all still live, so the peak is k, floored at the conventional 2
@@ -101,8 +71,8 @@ func TestReverseFirstKClamps(t *testing.T) {
 	}
 }
 
-// Property over random legal schedules: issue points never precede ready
-// points, every layer's δW appears exactly once, and the analysis validates.
+// Property over random legal schedules: every layer's δW appears exactly
+// once, and the analysis validates.
 func TestAnalyzeRandomSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -113,12 +83,8 @@ func TestAnalyzeRandomSchedules(t *testing.T) {
 			t.Fatalf("L=%d trial %d: %v", L, trial, err)
 		}
 		seen := make(map[int]bool)
-		for j := range a.DWLayers {
-			if a.DWIssueAfter[j] < a.DWReadyAfter[j] {
-				t.Fatalf("dW%d issues at %d before ready point %d",
-					a.DWLayers[j], a.DWIssueAfter[j], a.DWReadyAfter[j])
-			}
-			seen[a.DWLayers[j]] = true
+		for _, l := range a.DWLayers {
+			seen[l] = true
 		}
 		if len(seen) != L {
 			t.Fatalf("δW layers %v incomplete for L=%d", a.DWLayers, L)

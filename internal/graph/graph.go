@@ -11,9 +11,11 @@
 //	U_i          requires S[δW_i] (or δW_i if no sync)
 //	F_i          requires U_i and F_{i-1} (next iteration)
 //
-// The package provides schedule representation, legality checking against
-// these dependencies, and the memory profile of a backward schedule — the
-// quantity Algorithm 2 constrains and Figure 9 plots.
+// The package provides schedule representation and one schedule walk, the
+// Walker, which checks a backward schedule against these dependencies and
+// applies the §3 tensor-lifetime rule. Validate, the memory profile (the
+// quantity Algorithm 2 constrains and Figure 9 plots), the alloc trace and
+// the dependency analysis are walks.
 //
 // Convention: layers are numbered 1..L as in the paper; δO_{L+1} is the loss
 // gradient, treated as available at time zero and not represented explicitly.
@@ -100,136 +102,51 @@ func Conventional(L int) BackwardSchedule {
 
 // Validate checks that the schedule is a legal execution order for an
 // L-layer network: each op appears exactly once and no op runs before its
-// dependency (δO_i and δW_i require δO_{i+1}).
+// dependency (δO_i and δW_i require δO_{i+1}). It is a walk without a model.
 func (s BackwardSchedule) Validate(L int) error {
-	flags := make([]bool, 2*(L+2))
-	return s.validate(L, flags[:L+2], flags[L+2:])
-}
-
-// validate is Validate on caller-supplied tables: seenDO and seenDW hold
-// L+2 cleared flags each and come back marking the ops seen.
-func (s BackwardSchedule) validate(L int, seenDO, seenDW []bool) error {
-	if len(s) != 2*L {
-		return fmt.Errorf("graph: schedule has %d ops, want %d", len(s), 2*L)
-	}
-	seenDO[L+1] = true // loss gradient
-	for pos, op := range s {
-		if op.Layer < 1 || op.Layer > L {
-			return fmt.Errorf("graph: op %v at %d: layer out of range 1..%d", op, pos, L)
-		}
-		seen := seenDO
-		switch op.Kind {
-		case OutGrad:
-		case WeightGrad:
-			seen = seenDW
-		default:
-			return fmt.Errorf("graph: op %v at %d: backward schedules hold only dO/dW", op, pos)
-		}
-		if seen[op.Layer] {
-			return fmt.Errorf("graph: op %v duplicated at %d", op, pos)
-		}
-		seen[op.Layer] = true
-		if !seenDO[op.Layer+1] {
-			return fmt.Errorf("graph: op %v at %d runs before dO%d", op, pos, op.Layer+1)
-		}
-	}
-	return nil
-}
-
-// WeightGradOrder extracts the layer indices of the δW ops in schedule order.
-func (s BackwardSchedule) WeightGradOrder() []int {
-	var order []int
-	for _, op := range s {
-		if op.Kind == WeightGrad {
-			order = append(order, op.Layer)
-		}
-	}
-	return order
+	var w Walker
+	return w.Validate(s, L)
 }
 
 // MemoryProfile computes the temporary-memory timeline of a backward
 // schedule over a model (the paper's Fig 9 and the M(·) terms of
 // Algorithm 2). Position p of the result is the live bytes after executing
-// schedule op p.
-//
-// Tensor lifetime rules (the paper's §3 memory discussion):
-//   - activation a_{i-1} (models.Layer.ActBytes of layer i) is live from the
-//     start of the backward pass (stored by the forward pass) and is freed
-//     once δW_i has executed;
-//   - gradient g_i (OutBytes of layer i) is produced by the upstream δO
-//     (δO_{i+1}, or the loss for i=L) and freed once both δO_i and δW_i have
-//     executed;
-//   - the δW workspace (WorkBytes) is live only during its own op and is
-//     charged at that position.
+// schedule op p, under the Walker's lifetime rule, plus the workspace when
+// op p is a δW: the workspace is charged after that op's frees. The
+// schedule must be valid; MemoryProfile panics with Validate's error
+// otherwise.
 func MemoryProfile(m *models.Model, s BackwardSchedule) []int64 {
-	w := newMemWalk(m, make([]uint8, len(m.Layers)+1))
 	prof := make([]int64, len(s))
-	for p, op := range s {
-		prof[p] = w.step(op)
-	}
+	var w Walker
+	w.profile(m, s, prof)
 	return prof
 }
 
 // PeakMemory returns the maximum of MemoryProfile as a running max: no
 // profile is materialised, and for models of up to 512 layers the walk's
-// flags live on the stack, so the call does not allocate.
+// flags live on the stack, so the call does not allocate. It panics on an
+// invalid schedule as MemoryProfile does.
 func PeakMemory(m *models.Model, s BackwardSchedule) int64 {
-	var stack [513]uint8
-	done := stack[:]
-	if n := len(m.Layers) + 1; n > len(stack) {
-		done = make([]uint8, n)
-	}
-	w := newMemWalk(m, done)
+	var flags [512 + 2]uint8
+	w := Walker{done: flags[:0]}
+	return w.profile(m, s, nil)
+}
+
+// profile walks s over m and returns the largest of MemoryProfile's
+// charges, storing each in prof unless prof is nil.
+func (w *Walker) profile(m *models.Model, s BackwardSchedule, prof []int64) int64 {
+	w.begin(m, s)
 	var peak int64
-	for _, op := range s {
-		peak = max(peak, w.step(op))
+	for p, op := range s {
+		e, ok := w.next(op)
+		if !ok {
+			panic(w.illegal(op))
+		}
+		charge := w.live + e.work
+		if prof != nil {
+			prof[p] = charge
+		}
+		peak = max(peak, charge)
 	}
 	return peak
-}
-
-// memWalk applies MemoryProfile's lifetime rules one op at a time.
-type memWalk struct {
-	layers []models.Layer
-	live   int64
-	done   []uint8 // per layer: doneDO | doneDW
-}
-
-const (
-	doneDO = 1 << iota
-	doneDW
-)
-
-// newMemWalk starts a walk at the backward pass's initial residency: all
-// stored activations plus the loss gradient g_L. done holds at least L+1
-// cleared flags.
-func newMemWalk(m *models.Model, done []uint8) memWalk {
-	w := memWalk{layers: m.Layers, done: done}
-	for i := range m.Layers {
-		w.live += m.Layers[i].ActBytes
-	}
-	w.live += m.Layers[len(m.Layers)-1].OutBytes
-	return w
-}
-
-// step executes op and returns the live bytes charged at its position.
-func (w *memWalk) step(op Op) int64 {
-	i := op.Layer
-	l := &w.layers[i-1]
-	switch op.Kind {
-	case OutGrad:
-		w.done[i] |= doneDO
-		if i > 1 {
-			w.live += w.layers[i-2].OutBytes // produces g_{i-1}
-		}
-	case WeightGrad:
-		w.done[i] |= doneDW
-		w.live -= l.ActBytes // frees a_{i-1}
-	}
-	if w.done[i] == doneDO|doneDW {
-		w.live -= l.OutBytes // frees g_i
-	}
-	if op.Kind == WeightGrad {
-		return w.live + l.WorkBytes
-	}
-	return w.live
 }

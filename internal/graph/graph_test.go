@@ -75,17 +75,6 @@ func TestDeferredDWIsValid(t *testing.T) {
 	}
 }
 
-func TestWeightGradOrder(t *testing.T) {
-	s := Conventional(3)
-	got := s.WeightGradOrder()
-	want := []int{3, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
 func testModel(L int) *models.Model {
 	return models.FFNN(models.V100Profile(), L, 512, 32)
 }

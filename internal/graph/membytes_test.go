@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -129,20 +130,17 @@ func TestTraceAllocsMatchesMemoryProfile(t *testing.T) {
 	}
 }
 
-// TestAnalyzeModelBytesDifferential checks AnalyzeModel's byte peaks against
-// a naive per-position liveness walk that re-derives, from the schedule
-// positions alone, which gradients are live after every op.
-func TestAnalyzeModelBytesDifferential(t *testing.T) {
+// TestWalksMatchNaiveLiveness checks the walks against a naive liveness
+// oracle that re-derives, from the schedule positions alone, which tensors
+// are live at every op: Analyze's PeakLiveGrads against the gradients live
+// while each op runs, PeakMemory against the bytes live after each op's
+// frees plus its workspace.
+func TestWalksMatchNaiveLiveness(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		L := 1 + rng.Intn(24)
 		m := randModel(rng, L)
 		for _, s := range schedules(rng, L) {
-			a, err := AnalyzeModel(m, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			// posOf[op] is the schedule position of each op.
 			posOf := map[Op]int{}
 			for p, op := range s {
@@ -157,30 +155,27 @@ func TestAnalyzeModelBytesDifferential(t *testing.T) {
 				return posOf[Op{Kind: OutGrad, Layer: i + 1}]
 			}
 			diesAfter := func(i int) int {
-				d := posOf[Op{Kind: OutGrad, Layer: i}]
-				if w := posOf[Op{Kind: WeightGrad, Layer: i}]; w > d {
-					d = w
-				}
-				return d
+				return max(posOf[Op{Kind: OutGrad, Layer: i}], posOf[Op{Kind: WeightGrad, Layer: i}])
 			}
 			// Gradient liveness is sampled *during* each op (p ≤ diesAfter):
 			// while δO_i runs, its input g_i and its output g_{i-1} coexist,
 			// and the retention plan must hold both.
-			var wantGradPeak int64
+			wantGrads := 0
 			for p := -1; p < len(s); p++ {
-				var liveBytes int64
+				n := 0
 				for i := 1; i <= L; i++ {
 					if producedAt(i) <= p && p <= diesAfter(i) {
-						liveBytes += m.Layers[i-1].OutBytes
+						n++
 					}
 				}
-				if liveBytes > wantGradPeak {
-					wantGradPeak = liveBytes
-				}
+				wantGrads = max(wantGrads, n)
 			}
-			if a.PeakLiveGradBytes != wantGradPeak {
-				t.Fatalf("L=%d: PeakLiveGradBytes %d, naive walk %d",
-					L, a.PeakLiveGradBytes, wantGradPeak)
+			a, err := Analyze(L, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.PeakLiveGrads != wantGrads {
+				t.Fatalf("L=%d: PeakLiveGrads %d, naive walk %d", L, a.PeakLiveGrads, wantGrads)
 			}
 
 			// Overall peak: acts live until δW, grads as above, workspace at
@@ -199,49 +194,44 @@ func TestAnalyzeModelBytesDifferential(t *testing.T) {
 				if op.Kind == WeightGrad {
 					liveBytes += m.Layers[op.Layer-1].WorkBytes
 				}
-				if liveBytes > wantPeak {
-					wantPeak = liveBytes
-				}
+				wantPeak = max(wantPeak, liveBytes)
 			}
-			if a.PeakMemoryBytes != wantPeak {
-				t.Fatalf("L=%d: PeakMemoryBytes %d, naive walk %d",
-					L, a.PeakMemoryBytes, wantPeak)
+			if got := PeakMemory(m, s); got != wantPeak {
+				t.Fatalf("L=%d: PeakMemory %d, naive walk %d", L, got, wantPeak)
 			}
 		}
 	}
 }
 
-// TestAnalyzeModelZoo sanity-checks the byte fields over the real zoo: the
-// byte peak under full deferral dominates k = 0, and counts/bytes stay
-// consistent with Analyze.
-func TestAnalyzeModelZoo(t *testing.T) {
-	for _, e := range models.Zoo() {
-		m := e.Build(models.V100Profile())
-		L := len(m.Layers)
-		a0, err := AnalyzeModel(m, ReverseFirstK(L, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		aL, err := AnalyzeModel(m, ReverseFirstK(L, L))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aL.PeakLiveGradBytes < a0.PeakLiveGradBytes {
-			t.Errorf("%s: full deferral retains %d grad bytes < k=0's %d",
-				m.Name, aL.PeakLiveGradBytes, a0.PeakLiveGradBytes)
-		}
-		if a0.PeakMemoryBytes != PeakMemory(m, ReverseFirstK(L, 0)) {
-			t.Errorf("%s: PeakMemoryBytes disagrees with PeakMemory", m.Name)
-		}
-		plain, err := Analyze(L, ReverseFirstK(L, L))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.PeakLiveGrads != aL.PeakLiveGrads {
-			t.Errorf("%s: AnalyzeModel changed the tensor-count peak", m.Name)
-		}
-		if plain.PeakLiveGradBytes != 0 {
-			t.Errorf("%s: Analyze without a model filled byte fields", m.Name)
+// TestByteWalksRejectInvalidSchedules: MemoryProfile and PeakMemory panic
+// with Validate's error on every kind of invalid schedule, as the trace
+// does, rather than returning a profile of ops that cannot run.
+func TestByteWalksRejectInvalidSchedules(t *testing.T) {
+	const L = 6
+	m := randModel(rand.New(rand.NewSource(41)), L)
+	walks := map[string]func(BackwardSchedule){
+		"MemoryProfile": func(s BackwardSchedule) { MemoryProfile(m, s) },
+		"PeakMemory":    func(s BackwardSchedule) { PeakMemory(m, s) },
+		"Trace":         func(s BackwardSchedule) { TraceAllocs(m, s) },
+	}
+	// The conventional schedule with its last op replaced by a second δW_L:
+	// δW_1 never runs.
+	twice := Conventional(L)
+	twice[len(twice)-1] = Op{Kind: WeightGrad, Layer: L}
+	cases := invalidSchedules(L)
+	cases["dW-twice"] = twice
+	for name, s := range cases {
+		want := s.Validate(L)
+		for walk, f := range walks {
+			func() {
+				defer func() {
+					got, _ := recover().(error)
+					if got == nil || got.Error() != want.Error() {
+						t.Errorf("%s %s: panic %v, want Validate's %v", walk, name, got, want)
+					}
+				}()
+				f(s)
+			}()
 		}
 	}
 }
@@ -268,6 +258,59 @@ func TestPeakMemoryIsProfileMax(t *testing.T) {
 		s := ReverseFirstK(L, L/2)
 		if n := testing.AllocsPerRun(20, func() { PeakMemory(m, s) }); n != 0 {
 			t.Fatalf("L=%d: PeakMemory allocates %v times per call, want 0", L, n)
+		}
+	}
+}
+
+// TestWalkerStepsAsTheWalksDo: stepping a walker by hand, Peek foretells
+// each op's MemoryProfile charge and the live bytes Step leaves, and Step
+// stops at the op Validate names, with its error.
+func TestWalkerStepsAsTheWalksDo(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var w Walker
+	for trial := 0; trial < 20; trial++ {
+		L := 1 + rng.Intn(24)
+		m := randModel(rng, L)
+		for _, s := range schedules(rng, L) {
+			prof := MemoryProfile(m, s)
+			w.Reset(m)
+			for p, op := range s {
+				after, charge := w.Peek(op)
+				if err := w.Step(op); err != nil {
+					t.Fatalf("L=%d op %d (%v): %v", L, p, op, err)
+				}
+				if charge != prof[p] || w.Live() != after {
+					t.Fatalf("L=%d op %d (%v): Peek %d/%d, profile %d, live %d", L, p, op, after, charge, prof[p], w.Live())
+				}
+			}
+		}
+		for name, s := range invalidSchedules(L + 1) {
+			if len(s) != 2*(L+1) {
+				continue // Step walks ops; the length rule is Validate's
+			}
+			want := s.Validate(L + 1)
+			w.Reset(randModel(rng, L+1))
+			var got error
+			for _, op := range s {
+				if got = w.Step(op); got != nil {
+					break
+				}
+			}
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("L=%d %s: Step error %v, Validate %v", L+1, name, got, want)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsExtremeOps: layers and kinds far out of range are
+// errors, not panics.
+func TestValidateRejectsExtremeOps(t *testing.T) {
+	for _, op := range []Op{{OutGrad, math.MaxInt}, {WeightGrad, math.MinInt}, {OpKind(math.MaxInt), 1}, {OpKind(math.MinInt), 1}} {
+		s := Conventional(2)
+		s[0] = op
+		if err := s.Validate(2); err == nil {
+			t.Errorf("%v validated", op)
 		}
 	}
 }

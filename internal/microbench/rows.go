@@ -107,9 +107,9 @@ func Rows() []Row {
 			m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
 			return func() { core.ReverseFirstK(m, 40, 16<<30) }, nil
 		}},
-		// MemSchedule allocates its schedule, two done tables and one ready
-		// buffer.
-		{Name: "MemSchedule", Gated: true, MaxAllocs: 4, Step: func(testing.TB) (func(), func(*testing.B)) {
+		// MemSchedule allocates its schedule, its walker's flags and its
+		// ready list.
+		{Name: "MemSchedule", Gated: true, MaxAllocs: 3, Step: func(testing.TB) (func(), func(*testing.B)) {
 			m := models.ResNet(models.V100Profile(), 101, 64, models.ImageNet)
 			return func() { core.MemSchedule(m) }, nil
 		}},

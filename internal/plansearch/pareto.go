@@ -22,8 +22,10 @@ import (
 
 // MemStats is the memory footprint of one schedule.
 type MemStats struct {
-	// LogicalPeakBytes is the plain live-byte high-water mark
-	// (graph.PeakMemory's quantity, via the trace).
+	// LogicalPeakBytes is the plain live-byte high-water mark of the
+	// replayed trace. The trace books a δW's workspace before that op's
+	// frees, so this is never below graph.PeakMemory, which charges the
+	// workspace after them, and on most schedules it is above it.
 	LogicalPeakBytes int64 `json:"logical_peak_bytes"`
 	// AlignedPeakBytes is the peak after 256-byte alignment.
 	AlignedPeakBytes int64 `json:"aligned_peak_bytes"`

@@ -178,7 +178,9 @@ type MemoryStats struct {
 	// footprint high-water mark — the arena the schedule actually needs,
 	// alignment and holes included.
 	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
-	// LogicalPeakBytes is the plain live-byte high-water mark.
+	// LogicalPeakBytes is the plain live-byte high-water mark of the
+	// replayed trace, which holds a δW's workspace together with the tensors
+	// the op frees (see plansearch.MemStats); it is not graph.PeakMemory.
 	LogicalPeakBytes int64 `json:"logical_peak_bytes"`
 	// FragRatio is PeakMemoryBytes over the aligned in-use peak (≥ 1).
 	FragRatio float64 `json:"frag_ratio"`
@@ -199,7 +201,8 @@ type ParetoPoint struct {
 	IterTimeNs int64 `json:"iter_time_ns"`
 	// PeakMemoryBytes is the point's BFC-replayed fragmented peak.
 	PeakMemoryBytes int64 `json:"peak_memory_bytes"`
-	// LogicalPeakBytes is the point's logical live-byte peak.
+	// LogicalPeakBytes is the point's logical live-byte peak, from the
+	// replayed trace as in MemoryStats.
 	LogicalPeakBytes int64 `json:"logical_peak_bytes"`
 	// FragRatio is the point's fragmentation ratio (≥ 1).
 	FragRatio float64 `json:"frag_ratio"`

@@ -226,11 +226,30 @@ func runIters(eng *sim.Engine, m *models.Model, exec Executor, gpu gpusim.Config
 // Algorithm 1 region assignment.
 type iterPlan struct {
 	// joint is nil for single-stream executors (conventional interleaving).
+	// Its Regions map a backward region to the δW layers run in the
+	// sub-stream during it.
 	joint *core.JointSchedule
-	// regionLayers maps a backward-pass region index (0 = last block,
-	// executed first) to the δW layers run in the sub-stream during it.
-	regionLayers [][]int
-	blockOrder   []string
+	// dos lists each backward region's δO layers (see backwardRegions).
+	dos [][]int
+}
+
+// backwardRegions splits m's backward pass into regions: the model's blocks
+// in backward order, so region 0 is the last block and runs first. It
+// returns each layer's region (of[i-1] for layer i) and, per region, its δO
+// layers in chain order.
+func backwardRegions(m *models.Model) (of []int, dos [][]int) {
+	blocks := m.Blocks()
+	idx := make(map[string]int, len(blocks))
+	for i, b := range blocks {
+		idx[b] = len(blocks) - 1 - i
+	}
+	of, dos = make([]int, len(m.Layers)), make([][]int, len(blocks))
+	for i := len(m.Layers); i >= 1; i-- {
+		r := idx[m.Layers[i-1].Block]
+		of[i-1] = r
+		dos[r] = append(dos[r], i)
+	}
+	return of, dos
 }
 
 // buildPlan computes the backward schedule. Without Opt2 it is conventional;
@@ -240,21 +259,13 @@ func buildPlan(m *models.Model, exec Executor, gpu gpusim.Config) iterPlan {
 	if !exec.MultiStreamOOO {
 		return iterPlan{}
 	}
-	// Regions are the model's blocks, traversed in backward order.
-	blocks := m.Blocks()
-	rev := make([]string, len(blocks))
-	for i, b := range blocks {
-		rev[len(blocks)-1-i] = b
-	}
-	regionIdx := make(map[string]int, len(rev))
-	for i, b := range rev {
-		regionIdx[b] = i
-	}
-	tMain := make([]time.Duration, len(rev))
-	mainBlocks := make([]int, len(rev)) // representative δO occupancy
-	counts := make([]int, len(rev))
-	for _, l := range m.Layers {
-		r := regionIdx[l.Block]
+	of, dos := backwardRegions(m)
+	R := len(dos)
+	tMain := make([]time.Duration, R)
+	mainBlocks := make([]int, R) // representative δO occupancy
+	counts := make([]int, R)
+	for i, l := range m.Layers {
+		r := of[i]
 		tMain[r] += scaleDur(l.DO, exec.ExecScale) + companionSetup(l.DOKernels, exec, gpu)
 		mainBlocks[r] += l.DOBlocks
 		counts[r]++
@@ -273,7 +284,7 @@ func buildPlan(m *models.Model, exec Executor, gpu gpusim.Config) iterPlan {
 		if i == L {
 			earliest[i] = 0
 		} else {
-			earliest[i] = regionIdx[m.Layers[i].Block] // m.Layers[i] is layer i+1
+			earliest[i] = of[i] // of[i] is layer i+1's region
 		}
 	}
 	tSub := func(layer, region int) time.Duration {
@@ -295,7 +306,7 @@ func buildPlan(m *models.Model, exec Executor, gpu gpusim.Config) iterPlan {
 	var joint core.JointSchedule
 	startPre := 0
 	if exec.NoReorder {
-		startPre = len(rev) // pin every δW to its gradient's region
+		startPre = R // pin every δW to its gradient's region
 	}
 	for pre := startPre; ; pre++ {
 		pinned := make(map[int]int) // δW layer -> forced region
@@ -317,8 +328,8 @@ func buildPlan(m *models.Model, exec Executor, gpu gpusim.Config) iterPlan {
 		for r := range joint.Regions {
 			sortInts(joint.Regions[r])
 		}
-		plan := iterPlan{joint: &joint, regionLayers: joint.Regions, blockOrder: rev}
-		if pre >= len(rev) ||
+		plan := iterPlan{joint: &joint, dos: dos}
+		if pre >= R ||
 			graph.PeakMemory(m, InducedBackwardOrder(m, &joint)) <= budget {
 			return plan
 		}
@@ -422,21 +433,12 @@ func lowerToKernels(m *models.Model, exec Executor, dev *gpusim.GPU, main, sub *
 
 	// Opt2: δO chain on main; δW on sub, interleaved by region so the issue
 	// order matches Fig 8's S1/S2 layout.
-	regionIdx := make(map[string]int, len(plan.blockOrder))
-	for r, b := range plan.blockOrder {
-		regionIdx[b] = r
-	}
-	byRegionDO := make([][]int, len(plan.blockOrder))
-	for i := L; i >= 1; i-- {
-		r := regionIdx[m.Layers[i-1].Block]
-		byRegionDO[r] = append(byRegionDO[r], i)
-	}
-	for r := range plan.blockOrder {
-		for _, i := range byRegionDO[r] {
+	for r, chain := range plan.dos {
+		for _, i := range chain {
 			pushN(main, mkDO(i), m.Layers[i-1].DOKernels)
 		}
-		if r < len(plan.regionLayers) {
-			for _, i := range plan.regionLayers[r] {
+		if r < len(plan.joint.Regions) {
+			for _, i := range plan.joint.Regions[r] {
 				pushN(sub, mkDW(i), m.Layers[i-1].DWKernels)
 			}
 		}
@@ -516,20 +518,7 @@ func InducedBackwardOrder(m *models.Model, plan *core.JointSchedule) graph.Backw
 	if plan == nil {
 		return graph.Conventional(L)
 	}
-	blocks := m.Blocks()
-	rev := make([]string, len(blocks))
-	for i, b := range blocks {
-		rev[len(blocks)-1-i] = b
-	}
-	regionIdx := make(map[string]int, len(rev))
-	for i, b := range rev {
-		regionIdx[b] = i
-	}
-	byRegionDO := make([][]int, len(rev))
-	for i := L; i >= 1; i-- {
-		r := regionIdx[m.Layers[i-1].Block]
-		byRegionDO[r] = append(byRegionDO[r], i)
-	}
+	_, dos := backwardRegions(m)
 	// Within a region the sub-stream runs concurrently with the δO chain
 	// (§8.2: "the weight gradient computations run concurrently with the
 	// corresponding output gradient computations in the same region, hence
@@ -538,7 +527,7 @@ func InducedBackwardOrder(m *models.Model, plan *core.JointSchedule) graph.Backw
 	var out graph.BackwardSchedule
 	emitted := make(map[int]bool, L)
 	minDO := L + 2 // δO_j emitted for all j ≥ minDO
-	for r := range rev {
+	for r, chain := range dos {
 		var queue []int
 		if r < len(plan.Regions) {
 			queue = append(queue, plan.Regions[r]...)
@@ -553,7 +542,7 @@ func InducedBackwardOrder(m *models.Model, plan *core.JointSchedule) graph.Backw
 			}
 		}
 		drain()
-		for _, i := range byRegionDO[r] {
+		for _, i := range chain {
 			out = append(out, graph.Op{Kind: graph.OutGrad, Layer: i})
 			if i < minDO {
 				minDO = i
