@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"oooback/internal/graph"
 	"oooback/internal/models"
@@ -22,16 +23,17 @@ const lifetimePath = "testdata/lifetime_golden.txt"
 
 // lifetimeDigests hashes, per quantity, everything the schedule walks derive
 // from a set of legal schedules: the memory profile, the peak, the alloc
-// trace (events, Init, OpEnd), the analysis (PeakLiveGrads, DWRank) and the
-// list scheduler's ops.
+// trace (events, Init, OpEnd), the analysis (PeakLiveGrads, DWRank), the
+// list scheduler's ops and the checkpointed walk (Profile, RecomputeTime,
+// Recomputed).
 type lifetimeDigests struct {
-	profile, peak, trace, analysis, memsched hash.Hash
-	buf                                      []byte
+	profile, peak, trace, analysis, memsched, recompute hash.Hash
+	buf                                                 []byte
 }
 
 func newLifetimeDigests() *lifetimeDigests {
 	return &lifetimeDigests{profile: sha256.New(), peak: sha256.New(), trace: sha256.New(),
-		analysis: sha256.New(), memsched: sha256.New()}
+		analysis: sha256.New(), memsched: sha256.New(), recompute: sha256.New()}
 }
 
 // put writes vs to h as little-endian 64-bit words, with a length prefix so
@@ -77,6 +79,15 @@ func (d *lifetimeDigests) schedule(t *testing.T, m *models.Model, s graph.Backwa
 	d.putInts(d.analysis, a.DWRank())
 }
 
+// checkpointed hashes the checkpointed walk of s at each interval in every.
+func (d *lifetimeDigests) checkpointed(m *models.Model, s graph.BackwardSchedule, every ...int) {
+	for _, c := range every {
+		rc := graph.MemoryProfileRecompute(m, s, c)
+		d.put(d.recompute, rc.Profile...)
+		d.put(d.recompute, int64(rc.RecomputeTime), int64(rc.Recomputed))
+	}
+}
+
 func (d *lifetimeDigests) memSchedule(m *models.Model) graph.BackwardSchedule {
 	s := MemSchedule(m)
 	ops := make([]int64, 0, 2*len(s))
@@ -93,10 +104,12 @@ func (d *lifetimeDigests) add(add func(name string, h hash.Hash), prefix string)
 	add(prefix+"/trace", d.trace)
 	add(prefix+"/analysis", d.analysis)
 	add(prefix+"/memsched", d.memsched)
+	add(prefix+"/recompute", d.recompute)
 }
 
 // lifetimeModel is a random byte profile with some zero-byte tensors, which
-// exercise the trace's no-event paths.
+// exercise the trace's no-event paths. Forward times are the layer numbers,
+// so the checkpointed walk's recompute time names the layers it re-forwards.
 func lifetimeModel(rng *rand.Rand, L int) *models.Model {
 	m := &models.Model{Name: "rand", Layers: make([]models.Layer, L)}
 	bytes := func() int64 {
@@ -106,7 +119,8 @@ func lifetimeModel(rng *rand.Rand, L int) *models.Model {
 		return int64(rng.Intn(1 << 22))
 	}
 	for i := range m.Layers {
-		m.Layers[i] = models.Layer{ActBytes: bytes(), OutBytes: bytes(), WorkBytes: bytes()}
+		m.Layers[i] = models.Layer{ActBytes: bytes(), OutBytes: bytes(), WorkBytes: bytes(),
+			Fwd: time.Duration(i + 1)}
 	}
 	return m
 }
@@ -114,9 +128,11 @@ func lifetimeModel(rng *rand.Rand, L int) *models.Model {
 // TestLifetimeGolden pins every quantity the §2 legality rule and the §3
 // tensor-lifetime rule produce. For each zoo model under V100, TitanXP and
 // P100 it walks the conventional, fast-forward, every reverse first-k
-// (k = 0..L) and the list scheduler's schedule; then 200 random legal orders
-// on random models; then it records the Validate verdict, error text
-// included, of 500 random op soups. -update rewrites the file.
+// (k = 0..L) and the list scheduler's schedule, checkpointed every 1..4
+// layers too; then 200 random legal orders and their list schedules on
+// random models, checkpointed every 1 + trial%6 layers; then it records the
+// Validate verdict, error text included, of 500 random op soups. -update
+// rewrites the file.
 func TestLifetimeGolden(t *testing.T) {
 	var cases, digests []string
 	add := func(name string, h hash.Hash) {
@@ -128,12 +144,15 @@ func TestLifetimeGolden(t *testing.T) {
 			m := e.Build(p)
 			L := len(m.Layers)
 			d := newLifetimeDigests()
-			d.schedule(t, m, graph.Conventional(L))
-			d.schedule(t, m, FastForward(L))
+			scheds := []graph.BackwardSchedule{graph.Conventional(L), FastForward(L)}
 			for k := 0; k <= L; k++ {
-				d.schedule(t, m, graph.ReverseFirstK(L, k))
+				scheds = append(scheds, graph.ReverseFirstK(L, k))
 			}
-			d.schedule(t, m, d.memSchedule(m))
+			scheds = append(scheds, d.memSchedule(m))
+			for _, s := range scheds {
+				d.schedule(t, m, s)
+				d.checkpointed(m, s, 1, 2, 3, 4)
+			}
 			d.add(add, p.Name+"/"+e.Name)
 		}
 	}
@@ -143,8 +162,10 @@ func TestLifetimeGolden(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		L := 1 + rng.Intn(48)
 		m := lifetimeModel(rng, L)
-		d.schedule(t, m, randomBackwardOrder(rng, L))
-		d.schedule(t, m, d.memSchedule(m))
+		for _, s := range []graph.BackwardSchedule{randomBackwardOrder(rng, L), d.memSchedule(m)} {
+			d.schedule(t, m, s)
+			d.checkpointed(m, s, 1+trial%6)
+		}
 	}
 	d.add(add, "random")
 
