@@ -22,75 +22,69 @@ import (
 // list cannot go stale. ROADMAP item 9 decides these; the test only keeps the
 // surface from regrowing silently.
 var censusAllow = map[string]string{
-	"autograd.Conv2D":                 "only tests refer to it",
-	"autograd.MeanPoolRows":           "only tests refer to it",
-	"autograd.Reshape":                "only tests refer to it",
-	"autograd.Tape.Reset":             "only tests refer to it",
-	"autograd.Tape.ZeroGrads":         "only tests refer to it",
-	"autograd.Variable.IsParam":       "only tests refer to it",
-	"bfc.Allocator.Allocs":            "only tests refer to it",
-	"bfc.Allocator.CheckInvariants":   "only tests refer to it",
-	"bfc.Allocator.Stats":             "arena snapshot only tests read since ReplayResult.Final, its one reader, went with the bins (ISSUE 25)",
-	"bfc.Allocator.Used":              "only tests refer to it",
-	"calib.Accuracy.MaxAPE":           "nothing refers to it, tests included",
-	"calib.Profile.FindNet":           "only tests refer to it",
-	"calib.Profiler.Steps":            "only tests refer to it",
-	"calib.Profiler.WarmSteps":        "only tests refer to it",
-	"calib.WhatIf.IsZero":             "nothing refers to it, tests included",
-	"core.ContiguousAllocation":       "allocation baseline only tests compare with",
-	"experiments.RunAll":              "only the golden test calls it; cmd/oooexp runs ids one by one",
-	"gpusim.GPU.Engine":               "only tests refer to it",
-	"gpusim.GPU.Mem":                  "only tests refer to it",
-	"gpusim.Launcher.IssueKernel":     "only tests refer to it",
-	"gpusim.MemAccount.Alloc":         "only tests refer to it",
-	"gpusim.MemAccount.Free":          "only tests refer to it",
-	"gpusim.MemAccount.Peak":          "only tests refer to it",
-	"gpusim.MemAccount.ResetPeak":     "only tests refer to it",
-	"gpusim.MemAccount.Used":          "only tests refer to it",
-	"gpusim.Stream.Idle":              "only tests refer to it",
-	"graph.Partition.StageOf":         "only tests refer to it",
-	"models.CostTable.WriteJSON":      "only tests refer to it",
-	"models.ReadCostTableJSON":        "only tests refer to it",
-	"netsim.SimulateRingAllReduce":    "only its own test calls it",
-	"nn.ConstantLR":                   "learning-rate schedule only the Fit tests drive",
-	"nn.CosineLR":                     "learning-rate schedule only the Fit tests drive",
-	"nn.NewDropout":                   "layer only tests build: the rejection paths of Pipeline and StepRecompute",
-	"nn.NewSelfAttention":             "layer only tests build: the rejection path of Pipeline",
-	"nn.StateSnapshot":                "optimizer-state oracle of the data-parallel differential suite",
-	"nn.StateSnapshotsEqual":          "optimizer-state oracle of the data-parallel differential suite",
-	"nn.StepDecayLR":                  "learning-rate schedule only its own test drives",
-	"nn.WarmupLR":                     "learning-rate schedule only the Fit tests drive",
-	"plansvc.LoadSpec.DistinctBodies": "nothing refers to it, tests included",
-	"plansvc.Service.WhatIf":          "in-process form of /v1/whatif that only tests call; the HTTP handler parses and computes through the shared request path",
-	"plansvc/warmcache.Cache.Dir":     "nothing refers to it, tests included",
-	"plansvc/warmcache.Cache.Loaded":  "only tests refer to it",
-	"shardsvc.Ring.Owners":            "only tests refer to it",
-	"shardsvc.Ring.Without":           "only tests refer to it",
-	"shardsvc.Shard.Metrics":          "only tests refer to it",
-	"sim.Engine.Pending":              "only tests refer to it",
-	"sim.Engine.RunUntil":             "only its own test calls it",
-	"sim.Engine.Steps":                "only tests refer to it",
-	"sim.Event.At":                    "only tests refer to it",
-	"sim.Server.Busy":                 "nothing refers to it, tests included",
-	"sim.Server.QueueLen":             "nothing refers to it, tests included",
-	"singlegpu.OOOXLANoReorder":       "only tests refer to it",
-	"stats.StdErr":                    "only tests refer to it",
-	"tensor.Add":                      "allocating reference the pooled kernels are compared with in tests",
-	"tensor.FromSlice":                "test fixture constructor",
-	"tensor.MaxAbsDiff":               "test assertion helper",
-	"tensor.Mul":                      "allocating reference, only tests",
-	"tensor.Tensor.Set":               "test fixture helper",
-	"tensor.Transpose":                "allocating reference, only tests",
-	"tensor.Workspace.Pooled":         "introspection only the workspace test reads",
-	"trace.Trace.CSV":                 "only tests refer to it",
-	"trace.Trace.KindTime":            "only tests refer to it",
-	"trace.Trace.MeanUtilization":     "only tests refer to it",
-	"train.Accuracy":                  "evaluation helper only a test calls",
-	"train.Executor.Workers":          "reports the pool size NewExecutor chose; only tests read it (part of ISSUE 24's frozen Executor API)",
-	"train.Fit":                       "the epoch/batch loop for a caller-built engine; only tests drive it (ISSUE 24 cut it to 5 knobs, ROADMAP 9 decides)",
-	"train.Network.InvalidateParams":  "only TestParamsCached calls it; no caller mutates Layers after first use",
-	"train.Pipeline.Net":              "accessor only tests use; DataParallel.Net, its twin, is what the benchmark calls",
-	"xir.OpCount":                     "only tests refer to it",
+	"autograd.Conv2D":                "only tests refer to it",
+	"autograd.MeanPoolRows":          "only tests refer to it",
+	"autograd.Reshape":               "only tests refer to it",
+	"autograd.Tape.Reset":            "only tests refer to it",
+	"autograd.Tape.ZeroGrads":        "only tests refer to it",
+	"autograd.Variable.IsParam":      "only tests refer to it",
+	"bfc.Allocator.Allocs":           "only tests refer to it",
+	"bfc.Allocator.CheckInvariants":  "only tests refer to it",
+	"bfc.Allocator.Stats":            "arena snapshot only tests read since ReplayResult.Final, its one reader, went with the bins",
+	"bfc.Allocator.Used":             "only tests refer to it",
+	"calib.Profile.FindNet":          "only tests refer to it",
+	"calib.Profiler.Steps":           "only tests refer to it",
+	"calib.Profiler.WarmSteps":       "only tests refer to it",
+	"core.ContiguousAllocation":      "allocation baseline only tests compare with",
+	"experiments.RunAll":             "only the golden test calls it; cmd/oooexp runs ids one by one",
+	"gpusim.GPU.Engine":              "only tests refer to it",
+	"gpusim.GPU.Mem":                 "only tests refer to it",
+	"gpusim.Launcher.IssueKernel":    "only tests refer to it",
+	"gpusim.MemAccount.Alloc":        "only tests refer to it",
+	"gpusim.MemAccount.Free":         "only tests refer to it",
+	"gpusim.MemAccount.Peak":         "only tests refer to it",
+	"gpusim.MemAccount.ResetPeak":    "only tests refer to it",
+	"gpusim.MemAccount.Used":         "only tests refer to it",
+	"gpusim.Stream.Idle":             "only tests refer to it",
+	"graph.Partition.StageOf":        "only tests refer to it",
+	"models.CostTable.WriteJSON":     "only tests refer to it",
+	"models.ReadCostTableJSON":       "only tests refer to it",
+	"netsim.SimulateRingAllReduce":   "only its own test calls it",
+	"nn.ConstantLR":                  "learning-rate schedule only the Fit tests drive",
+	"nn.CosineLR":                    "learning-rate schedule only the Fit tests drive",
+	"nn.NewDropout":                  "layer only tests build: the rejection paths of Pipeline and StepRecompute",
+	"nn.NewSelfAttention":            "layer only tests build: the rejection path of Pipeline",
+	"nn.StateSnapshot":               "optimizer-state oracle of the data-parallel differential suite",
+	"nn.StateSnapshotsEqual":         "optimizer-state oracle of the data-parallel differential suite",
+	"nn.StepDecayLR":                 "learning-rate schedule only its own test drives",
+	"nn.WarmupLR":                    "learning-rate schedule only the Fit tests drive",
+	"plansvc.Service.WhatIf":         "in-process form of /v1/whatif that only tests call; the HTTP handler parses and computes through the shared request path",
+	"plansvc/warmcache.Cache.Loaded": "only tests refer to it",
+	"shardsvc.Ring.Owners":           "only tests refer to it",
+	"shardsvc.Ring.Without":          "only tests refer to it",
+	"shardsvc.Shard.Metrics":         "only tests refer to it",
+	"sim.Engine.Pending":             "only tests refer to it",
+	"sim.Engine.RunUntil":            "only its own test calls it",
+	"sim.Engine.Steps":               "only tests refer to it",
+	"sim.Event.At":                   "only tests refer to it",
+	"singlegpu.OOOXLANoReorder":      "only tests refer to it",
+	"stats.StdErr":                   "only tests refer to it",
+	"tensor.Add":                     "allocating reference the pooled kernels are compared with in tests",
+	"tensor.FromSlice":               "test fixture constructor",
+	"tensor.MaxAbsDiff":              "test assertion helper",
+	"tensor.Mul":                     "allocating reference, only tests",
+	"tensor.Tensor.Set":              "test fixture helper",
+	"tensor.Transpose":               "allocating reference, only tests",
+	"tensor.Workspace.Pooled":        "introspection only the workspace test reads",
+	"trace.Trace.CSV":                "only tests refer to it",
+	"trace.Trace.KindTime":           "only tests refer to it",
+	"trace.Trace.MeanUtilization":    "only tests refer to it",
+	"train.Accuracy":                 "evaluation helper only a test calls",
+	"train.Executor.Workers":         "reports the pool size NewExecutor chose; only tests read it (part of the frozen Executor API)",
+	"train.Fit":                      "the epoch/batch loop for a caller-built engine; only tests drive it (cut to 5 knobs; ROADMAP item 9 decides)",
+	"train.Network.InvalidateParams": "only TestParamsCached calls it; no caller mutates Layers after first use",
+	"train.Pipeline.Net":             "accessor only tests use; DataParallel.Net, its twin, is what the benchmark calls",
+	"xir.OpCount":                    "only tests refer to it",
 }
 
 // censusModule is the type-checked module: every package's non-test files,

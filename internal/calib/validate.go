@@ -30,17 +30,6 @@ type Accuracy struct {
 	MAPE float64
 }
 
-// MaxAPE returns the worst per-net error.
-func (a Accuracy) MaxAPE() float64 {
-	var max float64
-	for _, n := range a.PerNet {
-		if n.APE > max {
-			max = n.APE
-		}
-	}
-	return max
-}
-
 // SimulateNet predicts one profiled net's iteration time from a cost table:
 // per-layer F/δO/δW durations are evaluated at the profile's recorded work
 // features and replayed through the analytic iteration simulator

@@ -29,11 +29,6 @@ const (
 	maxScale = 1e3
 )
 
-// IsZero reports whether the what-if perturbs nothing.
-func (w WhatIf) IsZero() bool {
-	return len(w.ScaleOpKind) == 0 && (w.ScaleBandwidth == 0 || w.ScaleBandwidth == 1)
-}
-
 // Validate checks factor ranges and op-kind names. allowed, if non-empty,
 // restricts the accepted families (plansvc's model-level what-if supports
 // only the families a models.Layer carries).

@@ -19,20 +19,6 @@ func init() {
 func Recompute() string {
 	m := models.ResNet(models.V100Profile(), 50, 64, models.ImageNet)
 	L := len(m.Layers)
-	revK := func(k int) graph.BackwardSchedule {
-		var s graph.BackwardSchedule
-		for i := L; i >= 1; i-- {
-			if i > k {
-				s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-			}
-			s = append(s, graph.Op{Kind: graph.OutGrad, Layer: i})
-		}
-		for i := 1; i <= k; i++ {
-			s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-		}
-		return s
-	}
-
 	plainPeak := graph.PeakMemory(m, graph.Conventional(L))
 	t := stats.NewTable("schedule", "checkpoint every", "peak (MB)", "vs no-ckpt", "recompute time")
 	t.Add("conventional", "-", float64(plainPeak)/(1<<20), 1.0, "0s")
@@ -43,7 +29,7 @@ func Recompute() string {
 	}
 	for _, k := range []int{10, 20} {
 		for _, every := range []int{4, 8} {
-			rc := graph.MemoryProfileRecompute(m, revK(k), every)
+			rc := graph.MemoryProfileRecompute(m, graph.ReverseFirstK(L, k), every)
 			t.Add(fmt.Sprintf("reverse-first-%d", k), every, float64(rc.Peak())/(1<<20),
 				float64(rc.Peak())/float64(plainPeak), rc.RecomputeTime.String())
 		}

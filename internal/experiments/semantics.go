@@ -56,8 +56,8 @@ func Semantics() string {
 		sched graph.BackwardSchedule
 	}{
 		{"fast-forwarding", core.FastForward(L)},
-		{"reverse-first-3", reverseK(L, 3)},
-		{"reverse-first-7", reverseK(L, 7)},
+		{"reverse-first-3", graph.ReverseFirstK(L, 3)},
+		{"reverse-first-7", graph.ReverseFirstK(L, 7)},
 	}
 
 	var b strings.Builder
@@ -78,18 +78,4 @@ func Semantics() string {
 			sc.name, identicalLoss, train.SnapshotsEqual(convW, w))
 	}
 	return b.String()
-}
-
-func reverseK(L, k int) graph.BackwardSchedule {
-	var s graph.BackwardSchedule
-	for i := L; i >= 1; i-- {
-		if i > k {
-			s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-		}
-		s = append(s, graph.Op{Kind: graph.OutGrad, Layer: i})
-	}
-	for i := 1; i <= k; i++ {
-		s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
-	}
-	return s
 }

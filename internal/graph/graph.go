@@ -14,8 +14,8 @@
 // The package provides schedule representation and one schedule walk, the
 // Walker, which checks a backward schedule against these dependencies and
 // applies the §3 tensor-lifetime rule. Validate, the memory profile (the
-// quantity Algorithm 2 constrains and Figure 9 plots), the alloc trace and
-// the dependency analysis are walks.
+// quantity Algorithm 2 constrains and Figure 9 plots), its checkpointed
+// variant, the alloc trace and the dependency analysis are walks.
 //
 // Convention: layers are numbered 1..L as in the paper; δO_{L+1} is the loss
 // gradient, treated as available at time zero and not represented explicitly.
@@ -138,6 +138,9 @@ func (w *Walker) profile(m *models.Model, s BackwardSchedule, prof []int64) int6
 	w.begin(m, s)
 	var peak int64
 	for p, op := range s {
+		if w.every > 1 {
+			w.materialise(op)
+		}
 		e, ok := w.next(op)
 		if !ok {
 			panic(w.illegal(op))

@@ -203,16 +203,19 @@ func TestWalksMatchNaiveLiveness(t *testing.T) {
 	}
 }
 
-// TestByteWalksRejectInvalidSchedules: MemoryProfile and PeakMemory panic
-// with Validate's error on every kind of invalid schedule, as the trace
-// does, rather than returning a profile of ops that cannot run.
+// TestByteWalksRejectInvalidSchedules: MemoryProfile, PeakMemory and the
+// checkpointed walk panic with Validate's error on every kind of invalid
+// schedule, as the trace does, rather than returning a profile of ops that
+// cannot run.
 func TestByteWalksRejectInvalidSchedules(t *testing.T) {
 	const L = 6
 	m := randModel(rand.New(rand.NewSource(41)), L)
 	walks := map[string]func(BackwardSchedule){
-		"MemoryProfile": func(s BackwardSchedule) { MemoryProfile(m, s) },
-		"PeakMemory":    func(s BackwardSchedule) { PeakMemory(m, s) },
-		"Trace":         func(s BackwardSchedule) { TraceAllocs(m, s) },
+		"MemoryProfile":            func(s BackwardSchedule) { MemoryProfile(m, s) },
+		"PeakMemory":               func(s BackwardSchedule) { PeakMemory(m, s) },
+		"Trace":                    func(s BackwardSchedule) { TraceAllocs(m, s) },
+		"MemoryProfileRecompute/1": func(s BackwardSchedule) { MemoryProfileRecompute(m, s, 1) },
+		"MemoryProfileRecompute/3": func(s BackwardSchedule) { MemoryProfileRecompute(m, s, 3) },
 	}
 	// The conventional schedule with its last op replaced by a second δW_L:
 	// δW_1 never runs.

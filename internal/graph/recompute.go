@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"time"
 
 	"oooback/internal/models"
@@ -34,107 +33,20 @@ func (r RecomputeResult) Peak() int64 {
 	return m
 }
 
-// MemoryProfileRecompute walks a backward schedule under checkpointing every
-// `every` layers (every ≤ 1 means every activation is stored, reducing to
-// MemoryProfile). Layer i's input a_{i-1} is checkpointed iff (i-1) % every
-// == 0 (the segment boundaries); when a non-checkpointed a_{i-1} is first
-// needed (by δO_i or δW_i), the segment from the checkpoint below it up to
-// layer i-1 is re-run forward, materializing every activation in between.
-//
-// Lifetime rules match MemoryProfile: a_{i-1} is freed once δW_i ran;
-// gradient g_i is freed once both δO_i and δW_i ran. This makes the §6
-// argument checkable: reverse first-k defers δW of the first k layers, which
-// under checkpointing retains their re-materialized activations longer — but
-// by that point the later segments' memory has been released.
+// MemoryProfileRecompute is MemoryProfile under checkpointing every `every`
+// layers (every ≤ 1 stores every activation and reduces to MemoryProfile):
+// the forward pass stores layer i's input a_{i−1} iff (i−1) % every == 0,
+// the segment boundaries, and the Walker re-forwards a discarded one from
+// the checkpoint below it when δW_i needs it (see Walker). The lifetime rule
+// is the walk's own, so the §6 argument is checkable: reverse first-k defers
+// δW of the first k layers, which under checkpointing re-materialises their
+// activations late — but by then the later segments' memory has been
+// released. The schedule must be valid; MemoryProfileRecompute panics with
+// Validate's error otherwise.
 func MemoryProfileRecompute(m *models.Model, s BackwardSchedule, every int) RecomputeResult {
-	L := len(m.Layers)
-	if err := s.Validate(L); err != nil {
-		panic(fmt.Sprintf("graph: %v", err))
-	}
-	if every < 1 {
-		every = 1
-	}
-	layer := func(i int) models.Layer { return m.Layers[i-1] }
-	checkpointed := func(i int) bool { return (i-1)%every == 0 } // a_{i-1} stored?
-
-	live := make([]bool, L+1) // live[i] ⇔ a_{i-1} (input of layer i) resident
-	var bytes int64
-	for i := 1; i <= L; i++ {
-		if checkpointed(i) {
-			live[i] = true
-			bytes += layer(i).ActBytes
-		}
-	}
-	bytes += layer(L).OutBytes // loss gradient g_L
-
-	var res RecomputeResult
-	ensure := func(i int) {
-		if live[i] {
-			return
-		}
-		// Recompute forward from the nearest resident activation at or below
-		// i, materializing a_c .. a_{i-1} (inputs of layers c+1 .. i). The
-		// input batch a_0 is always available (the data loader holds it), so
-		// the walk bottoms out at layer 1.
-		c := i
-		for c > 1 && !live[c] {
-			c--
-		}
-		if c == 1 && !live[1] {
-			live[1] = true
-			bytes += layer(1).ActBytes
-		}
-		for j := c; j < i; j++ {
-			// Run F_j to produce a_j (the input of layer j+1).
-			res.RecomputeTime += layer(j).Fwd
-			res.Recomputed++
-			if !live[j+1] {
-				live[j+1] = true
-				bytes += layer(j + 1).ActBytes
-			}
-		}
-	}
-
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
-	res.Profile = make([]int64, len(s))
-	for p, op := range s {
-		i := op.Layer
-		if op.Kind == WeightGrad {
-			// δW_i consumes the stored input a_{i-1} (δO_i only needs the
-			// incoming gradient, matching MemoryProfile's lifetime rules).
-			ensure(i)
-		}
-		switch op.Kind {
-		case OutGrad:
-			doneDO[i] = true
-			if i > 1 {
-				bytes += layer(i - 1).OutBytes
-			}
-		case WeightGrad:
-			doneDW[i] = true
-			if live[i] {
-				live[i] = false
-				bytes -= layer(i).ActBytes
-			}
-		}
-		if doneDO[i] && doneDW[i] {
-			bytes -= layer(i).OutBytes
-		}
-		// Sweep: re-materialized activations whose consumer already ran were
-		// only needed as recompute intermediates — release them (they can be
-		// re-materialized again if a later segment needs them as sources).
-		for j := 1; j <= L; j++ {
-			if live[j] && doneDW[j] {
-				live[j] = false
-				bytes -= layer(j).ActBytes
-			}
-		}
-		peakHere := bytes
-		if op.Kind == WeightGrad {
-			peakHere += layer(i).WorkBytes
-		}
-		res.Profile[p] = peakHere
-	}
+	res := RecomputeResult{Profile: make([]int64, len(s))}
+	w := Walker{every: every}
+	w.profile(m, s, res.Profile)
+	res.RecomputeTime, res.Recomputed = w.refwdTime, w.refwd
 	return res
 }

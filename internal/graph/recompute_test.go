@@ -61,22 +61,9 @@ func TestRecomputeTimeGrowsWithSparserCheckpoints(t *testing.T) {
 func TestSection6ReverseKUnderRecompute(t *testing.T) {
 	m := models.FFNN(models.V100Profile(), 16, 1024, 64)
 	L := 16
-	revK := func(k int) BackwardSchedule {
-		var s BackwardSchedule
-		for i := L; i >= 1; i-- {
-			if i > k {
-				s = append(s, Op{WeightGrad, i})
-			}
-			s = append(s, Op{OutGrad, i})
-		}
-		for i := 1; i <= k; i++ {
-			s = append(s, Op{WeightGrad, i})
-		}
-		return s
-	}
 	noCkpt := PeakMemory(m, Conventional(L))
 	convCkpt := MemoryProfileRecompute(m, Conventional(L), 4).Peak()
-	revCkpt := MemoryProfileRecompute(m, revK(5), 4).Peak()
+	revCkpt := MemoryProfileRecompute(m, ReverseFirstK(L, 5), 4).Peak()
 	if revCkpt >= noCkpt {
 		t.Fatalf("reverse-k + checkpointing (%d) should stay below no-checkpoint peak (%d)", revCkpt, noCkpt)
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
 	"oooback/internal/models"
 )
@@ -20,22 +21,35 @@ import (
 //     lives only while δW_i runs.
 //
 // Validate checks legality alone. Every other walk — MemoryProfile,
-// PeakMemory, the alloc trace, Analyze, and core's list scheduler asking
-// what each ready op would do — is over a model and weighs tensors in its
-// bytes.
+// PeakMemory, MemoryProfileRecompute, the alloc trace, Analyze, and core's
+// list scheduler asking what each ready op would do — is over a model and
+// weighs tensors in its bytes.
+//
+// A checkpointed walk (MemoryProfileRecompute) stores a_{i−1} from the
+// forward pass only for i ≡ 1 mod its interval. Before δW_i reads an a_{i−1}
+// that is not resident, it re-forwards layers c..i−1 from the nearest
+// resident activation a_{c−1}, c ≤ i (the input batch a_0 is always at
+// hand), and keeps of what it passes through only the activations whose δW
+// has yet to run. δW_i then frees a_{i−1} as on any walk.
 //
 // The zero value is ready to use and a warm walker allocates nothing. A
 // walker is not safe for concurrent use.
 type Walker struct {
 	layers []models.Layer // nil on a walk that checks legality alone
-	done   []uint8        // per layer 1..L+1: ranDO | ranDW
+	done   []uint8        // per layer 1..L+1: ranDO | ranDW | resident
 	live   int64          // bytes live after the ops run so far
+
+	every     int           // checkpoint interval; ≤ 1 stores every activation
+	refwd     int           // layers re-forwarded so far on a checkpointed walk
+	refwdTime time.Duration // their forward time
 }
 
-// An op's done flag is its kind's value.
+// An op's done flag is its kind's value. resident marks a_{i−1} as held
+// while δW_i has yet to run; only a checkpointed walk sets or reads it.
 const (
-	ranDO = uint8(OutGrad)
-	ranDW = uint8(WeightGrad)
+	ranDO    = uint8(OutGrad)
+	ranDW    = uint8(WeightGrad)
+	resident = uint8(4)
 )
 
 // Reset starts a walk over m's backward pass. Live bytes start at the pass's
@@ -55,8 +69,16 @@ func (w *Walker) reset(L int, layers []models.Layer) {
 	}
 	w.done[L+1] = ranDO
 	var live int64
-	for i := range layers {
-		live += layers[i].ActBytes
+	if w.every > 1 {
+		w.refwd, w.refwdTime = 0, 0
+		for i := 1; i <= len(layers); i += w.every {
+			w.done[i] = resident
+			live += layers[i-1].ActBytes
+		}
+	} else {
+		for i := range layers {
+			live += layers[i].ActBytes
+		}
 	}
 	if len(layers) > 0 {
 		live += layers[L-1].OutBytes
@@ -115,7 +137,7 @@ func (w *Walker) illegal(op Op) error {
 	L := len(w.done) - 2
 	pos := 0 // every op run so far set one flag of its own
 	for _, d := range w.done[1 : L+1] {
-		pos += bits.OnesCount8(d)
+		pos += bits.OnesCount8(d & (ranDO | ranDW))
 	}
 	switch {
 	case op.Layer < 1 || op.Layer > L:
@@ -181,8 +203,30 @@ func (w *Walker) effect(op Op) (e effect) {
 	} else if i > 1 {
 		e.def = w.layers[i-2].OutBytes
 	}
-	if w.done[i]|uint8(op.Kind) == ranDO|ranDW {
+	if w.done[i]&((ranDO|ranDW)^uint8(op.Kind)) != 0 { // the other of δO_i, δW_i ran
 		e.grad = l.OutBytes
 	}
 	return e
+}
+
+// materialise makes a_{i−1} resident on a checkpointed walk before op, δW_i,
+// reads it, re-forwarding as the Walker's doc states. It does nothing for
+// any other op, or for one that may not run next.
+func (w *Walker) materialise(op Op) {
+	i, done := op.Layer, w.done
+	if op.Kind != WeightGrad || !ready(done, op) || done[i]&resident != 0 {
+		return
+	}
+	c := i
+	for c > 1 && done[c]&(resident|ranDW) != resident {
+		c--
+	}
+	w.refwd += i - c
+	for j := c; j < i; j++ {
+		w.refwdTime += w.layers[j-1].Fwd
+		if done[j+1]&ranDW == 0 { // a_j, the input of layer j+1, is still needed
+			done[j+1] |= resident
+			w.live += w.layers[j].ActBytes
+		}
+	}
 }

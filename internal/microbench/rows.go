@@ -170,6 +170,14 @@ func Rows() []Row {
 			s := graph.Conventional(len(m.Layers))
 			return func() { graph.MemoryProfile(m, s) }, nil
 		}},
+		// The recompute report's costliest row: ResNet-50 under reverse
+		// first-20, checkpointed every 4 layers. The walk allocates its
+		// profile and its walker's flags.
+		{Name: "MemoryProfileRecompute", Gated: true, MaxAllocs: 2, Step: func(testing.TB) (func(), func(*testing.B)) {
+			m := models.ResNet(models.V100Profile(), 50, 64, models.ImageNet)
+			s := graph.ReverseFirstK(len(m.Layers), 20)
+			return func() { graph.MemoryProfileRecompute(m, s, 4) }, nil
+		}},
 		{Name: "MultiRegionJoint", Step: func(testing.TB) (func(), func(*testing.B)) {
 			m := models.DenseNet(models.V100Profile(), 121, 32, 64, models.ImageNet)
 			gpu := gpusim.V100()

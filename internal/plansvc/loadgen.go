@@ -114,17 +114,6 @@ func (ls LoadSpec) RequestBody(i int) []byte {
 	return b
 }
 
-// DistinctBodies returns how many distinct request bodies the sequence of n
-// requests contains (== the number of plans the service must compute).
-func (ls LoadSpec) DistinctBodies(n int) int {
-	ls = ls.withDefaults()
-	distinct := len(ls.Models) * len(ls.GPUCounts)
-	if n < distinct {
-		return n
-	}
-	return distinct
-}
-
 // LoadReport aggregates one load run.
 type LoadReport struct {
 	Requests  int     `json:"requests"`

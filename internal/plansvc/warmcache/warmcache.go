@@ -207,9 +207,6 @@ func (c *Cache) Corrupt() int64 {
 	return c.corrupt
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Close syncs and closes the append segment. Get keeps working (the index
 // stays in memory); further Puts fail.
 func (c *Cache) Close() error {

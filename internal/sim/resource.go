@@ -58,12 +58,6 @@ func (s *Server) Submit(prio int, dur Time, done func(start, end Time)) {
 	}
 }
 
-// Busy reports whether the server is currently serving a request.
-func (s *Server) Busy() bool { return s.busy }
-
-// QueueLen reports the number of waiting (not in-service) requests.
-func (s *Server) QueueLen() int { return len(s.queue) }
-
 // pop removes and returns the minimum request.
 func (s *Server) pop() request {
 	q := s.queue
