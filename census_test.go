@@ -37,23 +37,12 @@ var censusAllow = map[string]string{
 	"calib.Profiler.WarmSteps":       "only tests refer to it",
 	"core.ContiguousAllocation":      "allocation baseline only tests compare with",
 	"experiments.RunAll":             "only the golden test calls it; cmd/oooexp runs ids one by one",
-	"gpusim.GPU.Engine":              "only tests refer to it",
-	"gpusim.GPU.Mem":                 "only tests refer to it",
-	"gpusim.Launcher.IssueKernel":    "only tests refer to it",
-	"gpusim.MemAccount.Alloc":        "only tests refer to it",
-	"gpusim.MemAccount.Free":         "only tests refer to it",
-	"gpusim.MemAccount.Peak":         "only tests refer to it",
-	"gpusim.MemAccount.ResetPeak":    "only tests refer to it",
-	"gpusim.MemAccount.Used":         "only tests refer to it",
-	"gpusim.Stream.Idle":             "only tests refer to it",
-	"graph.Partition.StageOf":        "only tests refer to it",
 	"models.CostTable.WriteJSON":     "only tests refer to it",
 	"models.ReadCostTableJSON":       "only tests refer to it",
 	"netsim.SimulateRingAllReduce":   "only its own test calls it",
 	"nn.ConstantLR":                  "learning-rate schedule only the Fit tests drive",
 	"nn.CosineLR":                    "learning-rate schedule only the Fit tests drive",
-	"nn.NewDropout":                  "layer only tests build: the rejection paths of Pipeline and StepRecompute",
-	"nn.NewSelfAttention":            "layer only tests build: the rejection path of Pipeline",
+	"nn.NewSelfAttention":            "reference-only layer: the transformer semantics check and the engines' rejection path",
 	"nn.StateSnapshot":               "optimizer-state oracle of the data-parallel differential suite",
 	"nn.StateSnapshotsEqual":         "optimizer-state oracle of the data-parallel differential suite",
 	"nn.StepDecayLR":                 "learning-rate schedule only its own test drives",

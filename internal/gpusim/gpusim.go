@@ -1,8 +1,7 @@
 // Package gpusim models a GPU as seen by a deep-learning executor: in-order
 // command streams with priorities, a pool of streaming multiprocessors (SMs)
 // with a bounded number of concurrently resident thread blocks, a fixed
-// per-kernel execution-setup overhead, cross-stream events, and a memory
-// accountant.
+// per-kernel execution-setup overhead and cross-stream events.
 //
 // # Execution model
 //
@@ -175,7 +174,6 @@ type GPU struct {
 	streams []*Stream
 	running []*Kernel
 	recalc  sim.Event // pending completion event (zero handle = none)
-	mem     MemAccount
 
 	// SM occupancy integral: Σ allocated-thread-block-slots × dt, in
 	// slot-nanoseconds, maintained across reallocation points.
@@ -193,14 +191,8 @@ func New(eng *sim.Engine, cfg Config) *GPU {
 	if cfg.SMCapacity <= 0 {
 		panic("gpusim: SMCapacity must be positive")
 	}
-	return &GPU{Cfg: cfg, eng: eng, mem: MemAccount{Capacity: cfg.MemoryBytes}}
+	return &GPU{Cfg: cfg, eng: eng}
 }
-
-// Engine returns the simulation engine the GPU is bound to.
-func (g *GPU) Engine() *sim.Engine { return g.eng }
-
-// Mem returns the device memory accountant.
-func (g *GPU) Mem() *MemAccount { return &g.mem }
 
 // NewStream creates a stream with the given priority (lower = more SM share).
 func (g *GPU) NewStream(name string, priority int) *Stream {
@@ -228,9 +220,6 @@ func (s *Stream) Submit(k *Kernel) {
 	s.queue = append(s.queue, k)
 	s.gpu.pump(s)
 }
-
-// Idle reports whether the stream has no queued or in-flight kernel.
-func (s *Stream) Idle() bool { return s.head == nil && len(s.queue) == 0 }
 
 // pump advances the head of a stream if possible.
 func (g *GPU) pump(s *Stream) {
@@ -423,54 +412,3 @@ func (g *GPU) SMUtilization(until sim.Time) float64 {
 	total := g.occIntegral + g.occCurrent*float64(until-g.occIntegratedTo)
 	return total / (float64(g.Cfg.SMCapacity) * float64(until))
 }
-
-// MemAccount tracks device-memory usage with peak recording.
-type MemAccount struct {
-	Capacity int64 // 0 = unlimited
-	used     int64
-	peak     int64
-}
-
-// ErrOOM is returned by Alloc when the allocation would exceed capacity.
-type ErrOOM struct {
-	Want, Used, Capacity int64
-}
-
-func (e *ErrOOM) Error() string {
-	return fmt.Sprintf("gpusim: out of memory: want %d, used %d of %d", e.Want, e.Used, e.Capacity)
-}
-
-// Alloc reserves n bytes.
-func (m *MemAccount) Alloc(n int64) error {
-	if n < 0 {
-		panic("gpusim: negative alloc")
-	}
-	if m.Capacity > 0 && m.used+n > m.Capacity {
-		return &ErrOOM{Want: n, Used: m.used, Capacity: m.Capacity}
-	}
-	m.used += n
-	if m.used > m.peak {
-		m.peak = m.used
-	}
-	return nil
-}
-
-// Free releases n bytes.
-func (m *MemAccount) Free(n int64) {
-	if n < 0 {
-		panic("gpusim: negative free")
-	}
-	m.used -= n
-	if m.used < 0 {
-		panic("gpusim: free below zero")
-	}
-}
-
-// Used returns current usage in bytes.
-func (m *MemAccount) Used() int64 { return m.used }
-
-// Peak returns the high-water mark in bytes.
-func (m *MemAccount) Peak() int64 { return m.peak }
-
-// ResetPeak sets the peak to the current usage.
-func (m *MemAccount) ResetPeak() { m.peak = m.used }

@@ -169,28 +169,11 @@ func TestEventFireTwicePanics(t *testing.T) {
 	e.Fire()
 }
 
-func TestLauncherSerializesIssue(t *testing.T) {
-	// Per-kernel issue of 10µs with 1µs kernels: the GPU starves on issue and
-	// the makespan is issue-bound (§2 Fig 1 situation).
-	eng := sim.New()
-	g := testGPU(eng)
-	s := g.NewStream("main", 0)
-	l := NewLauncher(eng, 10*time.Microsecond, time.Microsecond)
-	for i := 0; i < 5; i++ {
-		l.IssueKernel(s, &Kernel{Name: "k", Blocks: 10, Dur: time.Microsecond})
-	}
-	end := eng.Run()
-	// Last issue completes at 50µs; kernel runs 1µs.
-	if want := 51 * time.Microsecond; end != want {
-		t.Fatalf("makespan = %v, want %v (issue bound)", end, want)
-	}
-}
-
 func TestIssueGraphAmortizesLaunch(t *testing.T) {
 	eng := sim.New()
 	g := testGPU(eng)
 	s := g.NewStream("main", 0)
-	l := NewLauncher(eng, 10*time.Microsecond, time.Microsecond)
+	l := NewLauncher(eng, time.Microsecond)
 	var items []GraphItem
 	for i := 0; i < 5; i++ {
 		items = append(items, GraphItem{Stream: s, Kernel: &Kernel{Name: "k", Blocks: 10, Dur: time.Microsecond}})
@@ -216,39 +199,6 @@ func TestSpanSinkObservesExecution(t *testing.T) {
 	if len(spans) != 1 || spans[0] != "main/k1" {
 		t.Fatalf("spans = %v", spans)
 	}
-}
-
-func TestMemAccount(t *testing.T) {
-	m := MemAccount{Capacity: 100}
-	if err := m.Alloc(60); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Alloc(50); err == nil {
-		t.Fatal("expected OOM")
-	}
-	if err := m.Alloc(40); err != nil {
-		t.Fatal(err)
-	}
-	if m.Peak() != 100 {
-		t.Fatalf("peak = %d, want 100", m.Peak())
-	}
-	m.Free(100)
-	if m.Used() != 0 {
-		t.Fatalf("used = %d, want 0", m.Used())
-	}
-	if m.Peak() != 100 {
-		t.Fatalf("peak after free = %d, want 100", m.Peak())
-	}
-}
-
-func TestMemFreeBelowZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on over-free")
-		}
-	}()
-	var m MemAccount
-	m.Free(1)
 }
 
 // Property: for any batch of kernels on one stream with zero setup, makespan
@@ -320,55 +270,6 @@ func TestWaitOnAlreadyFiredEvent(t *testing.T) {
 	eng.Run()
 	if !done {
 		t.Fatal("kernel waiting on fired event never ran")
-	}
-}
-
-func TestStreamIdle(t *testing.T) {
-	eng := sim.New()
-	g := testGPU(eng)
-	s := g.NewStream("main", 0)
-	if !s.Idle() {
-		t.Fatal("fresh stream not idle")
-	}
-	s.Submit(&Kernel{Name: "k", Blocks: 1, Dur: time.Microsecond})
-	if s.Idle() {
-		t.Fatal("stream with queued kernel reported idle")
-	}
-	eng.Run()
-	if !s.Idle() {
-		t.Fatal("drained stream not idle")
-	}
-}
-
-func TestOOMErrorMessage(t *testing.T) {
-	m := MemAccount{Capacity: 10}
-	err := m.Alloc(11)
-	if err == nil || err.Error() == "" {
-		t.Fatal("OOM error missing")
-	}
-	var oom *ErrOOM
-	if !errorsAs(err, &oom) || oom.Want != 11 || oom.Capacity != 10 {
-		t.Fatalf("wrong OOM payload: %v", err)
-	}
-}
-
-func errorsAs(err error, target **ErrOOM) bool {
-	e, ok := err.(*ErrOOM)
-	if ok {
-		*target = e
-	}
-	return ok
-}
-
-func TestMemResetPeak(t *testing.T) {
-	var m MemAccount
-	if err := m.Alloc(100); err != nil {
-		t.Fatal(err)
-	}
-	m.Free(50)
-	m.ResetPeak()
-	if m.Peak() != 50 {
-		t.Fatalf("peak after reset = %d, want 50", m.Peak())
 	}
 }
 

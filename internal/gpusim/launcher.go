@@ -6,19 +6,12 @@ import (
 	"oooback/internal/sim"
 )
 
-// Launcher models the CPU-side kernel issue thread of an executor. Issuing a
-// kernel occupies the thread for PerKernel; a kernel becomes visible to the
-// GPU (Stream.Submit) only when its issue completes. This reproduces the
-// kernel-issue bottleneck of §2: if PerKernel exceeds kernel execution time,
-// the GPU starves between kernels.
-//
-// IssueGraph models CUDA Graph launch (§4.2): an entire pre-captured kernel
-// sequence is made visible after a single GraphLaunch occupancy, eliminating
-// the per-kernel issue cost.
+// Launcher models the CPU-side issue thread of a pre-compiled executor:
+// IssueGraph models CUDA Graph launch (§4.2), making an entire pre-captured
+// kernel sequence visible to the GPU after a single GraphLaunch occupancy, with
+// no per-kernel issue cost. Eager per-kernel issue — the kernel-issue
+// bottleneck of §2 — is singlegpu's issue thread, not this type.
 type Launcher struct {
-	// PerKernel is the CPU latency to issue one kernel (executor dependent:
-	// eager TF ≫ XLA ≫ 0 for pre-compiled).
-	PerKernel time.Duration
 	// GraphLaunch is the one-time latency to launch a pre-compiled graph.
 	GraphLaunch time.Duration
 
@@ -28,19 +21,8 @@ type Launcher struct {
 }
 
 // NewLauncher returns a launcher whose issue thread runs on eng.
-func NewLauncher(eng *sim.Engine, perKernel, graphLaunch time.Duration) *Launcher {
-	return &Launcher{PerKernel: perKernel, GraphLaunch: graphLaunch, srv: sim.NewServer(eng)}
-}
-
-// IssueKernel occupies the issue thread for PerKernel, then submits k to s.
-func (l *Launcher) IssueKernel(s *Stream, k *Kernel) {
-	name := k.Name
-	l.srv.Submit(0, l.PerKernel, func(start, end sim.Time) {
-		if l.IssueSink != nil {
-			l.IssueSink(name, start, end)
-		}
-		s.Submit(k)
-	})
+func NewLauncher(eng *sim.Engine, graphLaunch time.Duration) *Launcher {
+	return &Launcher{GraphLaunch: graphLaunch, srv: sim.NewServer(eng)}
 }
 
 // GraphItem pairs a kernel with its destination stream inside a captured

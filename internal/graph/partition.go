@@ -17,19 +17,6 @@ func (p Partition) Stages() int { return len(p.Bounds) - 1 }
 // Range returns the layer range [lo, hi) of stage s.
 func (p Partition) Range(s int) (lo, hi int) { return p.Bounds[s], p.Bounds[s+1] }
 
-// StageOf returns the stage owning the given 0-based layer.
-func (p Partition) StageOf(layer int) int {
-	if layer < 0 || layer >= p.L {
-		panic(fmt.Sprintf("graph: layer %d outside [0,%d)", layer, p.L))
-	}
-	for s := 0; s < p.Stages(); s++ {
-		if layer < p.Bounds[s+1] {
-			return s
-		}
-	}
-	panic("graph: malformed partition")
-}
-
 // Validate checks the structural invariants.
 func (p Partition) Validate() error {
 	if p.L < 1 {

@@ -350,9 +350,10 @@ func Rows() []Row {
 		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 0)},
 		{Name: "TrainStepConvRecompute", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 2)},
 		// The same whole step under the concurrent engine and the out-of-order
-		// schedule: dispatch, the workers' poll, the caller's drain and the
-		// per-layer δW workspaces allocate nothing either. (The data-parallel
-		// whole step is TrainDataParallelMLP2 above, gated at 0 as well.)
+		// schedule: dispatch, the workers' poll and the caller's drain allocate
+		// nothing either, and the δW ops fold straight into Grad with no
+		// scratch. (The data-parallel whole step is TrainDataParallelMLP2
+		// above, gated at 0 as well.)
 		{Name: "TrainStepMLPConcurrent", Gated: true, Step: trainStep(MLP, train.ExecConcurrent, 0)},
 		// The pooled rectifier pair at the size of the conv workload's larger
 		// activation (73 728 elements): a compare-and-mask select each way.
@@ -369,7 +370,7 @@ func Rows() []Row {
 		}},
 		// The pooled forward, δO and δW of the MLP's hidden Dense layer
 		// (x[32×96]·W[96×96]): three GEMMs, the bias broadcast, and the δW
-		// folded into the parameter gradients.
+		// folded straight into the parameter gradients.
 		{Name: "NNDenseStep", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			x, g := tensor.Randn(rng, 1, 32, 96), tensor.Randn(rng, 1, 32, 96)
@@ -377,7 +378,7 @@ func Rows() []Row {
 			op := func() {
 				dense.ForwardWS(x, ws)
 				dense.InputGradWS(g, ws)
-				dense.WeightGradWS(g, ws)
+				dense.WeightGradAcc(g)
 			}
 			op()
 			return op, nil

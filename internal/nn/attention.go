@@ -13,6 +13,11 @@ import (
 // previous layer while WeightGrad accumulates into Wq/Wk/Wv — each
 // independently deferrable, which is what lets the paper apply modulo
 // allocation and fast-forwarding at transformer granularity (§5.2.1).
+//
+// It is the package's reference-only layer: it has no Pooled form, so the
+// engines run its plain methods, and Pipeline and checkpointed steps reject
+// it — it treats its whole input as one sequence, so a row chunk of a batch
+// is not a smaller batch.
 type SelfAttention struct {
 	name       string
 	Wq, Wk, Wv *Param
@@ -21,7 +26,6 @@ type SelfAttention struct {
 	q, k, v *tensor.Tensor
 	attn    *tensor.Tensor // softmax rows [seq, seq]
 	scale   float64
-	gin     *tensor.Tensor // retained InputGradWS output buffer
 }
 
 // NewSelfAttention creates the layer with deterministic init.

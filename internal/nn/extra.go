@@ -205,7 +205,14 @@ func (p *MeanPool1D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// checkStash rejects a gradient whose rows are not the pooled rows of the
+// last forward pass: one of another batch, or any after DropStash.
+func (p *MeanPool1D) checkStash(gradOut *tensor.Tensor) {
+	checkStash(p.name, "pooled row count", "rows", p.rows/p.group, gradOut.Shape[0])
+}
+
 func (p *MeanPool1D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
+	p.checkStash(gradOut)
 	dim := gradOut.Shape[1]
 	out := tensor.New(p.rows, dim)
 	for r := 0; r < p.rows; r++ {
@@ -219,58 +226,3 @@ func (p *MeanPool1D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
 
 func (p *MeanPool1D) WeightGrad(*tensor.Tensor) {}
 func (p *MeanPool1D) Params() []*Param          { return nil }
-
-// Dropout zeroes each element with probability p during Forward, scaling the
-// survivors by 1/(1−p) (inverted dropout). The mask is drawn from the
-// layer's own deterministic generator at forward time and cached, so the
-// backward computations are pure functions of the forward state — reordering
-// δO/δW cannot change the mask, preserving the bit-for-bit semantics
-// guarantee under every schedule.
-type Dropout struct {
-	name string
-	p    float64
-	rng  *tensor.RNG
-	keep []bool
-	gin  *tensor.Tensor // retained InputGradWS output buffer
-}
-
-// NewDropout creates a dropout layer with drop probability p ∈ [0, 1).
-func NewDropout(name string, p float64, rng *tensor.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %v outside [0,1)", p))
-	}
-	return &Dropout{name: name, p: p, rng: rng}
-}
-
-func (d *Dropout) Name() string { return d.name }
-
-func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d.keep = make([]bool, len(out.Data))
-	scale := 1 / (1 - d.p)
-	for i := range out.Data {
-		if d.rng.Float64() < d.p {
-			out.Data[i] = 0
-		} else {
-			d.keep[i] = true
-			out.Data[i] *= scale
-		}
-	}
-	return out
-}
-
-func (d *Dropout) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {
-	out := gradOut.Clone()
-	scale := 1 / (1 - d.p)
-	for i := range out.Data {
-		if d.keep[i] {
-			out.Data[i] *= scale
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
-func (d *Dropout) WeightGrad(*tensor.Tensor) {}
-func (d *Dropout) Params() []*Param          { return nil }

@@ -146,50 +146,3 @@ func TestMeanPool1DUnevenPanics(t *testing.T) {
 	}()
 	NewMeanPool1D("pool", 3).Forward(tensor.New(4, 2))
 }
-
-func TestDropoutMaskAndScaling(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	d := NewDropout("drop", 0.5, rng)
-	x := tensor.FromSlice([]float64{1, 1, 1, 1, 1, 1, 1, 1}, 1, 8)
-	out := d.Forward(x)
-	var zeros, twos int
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2: // 1/(1−0.5) scaling
-			twos++
-		default:
-			t.Fatalf("unexpected value %v", v)
-		}
-	}
-	if zeros == 0 || twos == 0 {
-		t.Fatalf("degenerate mask: zeros=%d kept=%d", zeros, twos)
-	}
-	// Backward follows the cached mask exactly (order-independent).
-	g := tensor.FromSlice([]float64{1, 1, 1, 1, 1, 1, 1, 1}, 1, 8)
-	gin1 := d.InputGrad(g)
-	d.WeightGrad(g) // no-op, may run in any order
-	gin2 := d.InputGrad(g)
-	if !tensor.Equal(gin1, gin2) {
-		t.Fatal("dropout backward not a pure function of forward state")
-	}
-	for i, v := range gin1.Data {
-		want := 0.0
-		if out.Data[i] != 0 {
-			want = 2
-		}
-		if v != want {
-			t.Fatalf("grad[%d] = %v, want %v", i, v, want)
-		}
-	}
-}
-
-func TestDropoutRejectsBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewDropout("bad", 1.0, tensor.NewRNG(1))
-}

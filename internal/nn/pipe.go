@@ -7,57 +7,37 @@ import (
 	"oooback/internal/tensor"
 )
 
-// This file holds the pooled forward interface every engine of internal/train
-// runs layers through, the microbatch δW interface the pipeline engine
-// (train.Pipeline) adds, and the chunked loss head.
+// This file holds the pooled forward and the δW fold of every Pooled layer,
+// and the chunked loss head.
 //
-// WorkspaceForward is the forward-pass analogue of WorkspaceBackward: same
-// bits as Forward, but all outputs and caches live in layer-retained buffers
-// (or caller workspace scratch), so a warm step performs zero heap allocations
-// in its forward pass — one pass per step on the executors and data-parallel
-// replicas, M per stage on a pipeline. Forward itself stays the naive
-// allocating form Network.Forward walks as the differential reference (for
-// Conv2D the two are one body: its Forward never allocated on a warm step).
+// ForwardWS is Forward into layer-retained buffers (or caller workspace
+// scratch), so a warm step performs zero heap allocations in its forward pass
+// — one pass per step on the executors and data-parallel replicas, M per stage
+// on a pipeline. Forward itself stays the naive allocating form
+// Network.Forward walks as the differential reference (for Conv2D the two are
+// one body: its Forward never allocated on a warm step).
 //
-// ChunkBackward is the δW half of microbatch accumulation. A pipeline stage
-// calls WeightGradChunk once per microbatch, in ascending microbatch order,
-// after ZeroGrads; the layer continues the parameter-gradient fold in place
-// (tensor.TMatMulAcc / ConvWeightGradAcc / SumRowsAcc, or the in-place scatter/reduce
-// folds), so the accumulated gradient reproduces the serial full-batch
-// fold chain bit for bit. SealWeightGrad runs once at the end of the step:
-// the full-batch reference for GEMM-based layers computes Grad = 0 + Σ
-// (accumulate into zeroed scratch, then AddTo), while the chunked fold
-// computes Σ directly, and 0 + x ≠ x in exactly one case — x = −0. With the
-// current kernels that case cannot arise (every fold continues from a +0
-// destination, and a round-to-nearest addition chain seeded at +0 never
-// yields −0), so Seal is a provable no-op; it stays as a cheap end-of-step
-// pass so the bitwise contract does not silently start depending on that
-// proof if a kernel's fold seeding ever changes.
+// WeightGradAcc is every engine's δW, and the whole batch is its one-chunk
+// case, as SoftmaxCrossEntropyInto is one SoftmaxCrossEntropyChunk call. δW_i
+// reads only layer i's stashed input and g_i (the paper's §3), so a batch
+// splits into ascending row chunks: each call continues the parameter-gradient
+// fold in place (tensor.TMatMulAcc / ConvWeightGradAcc / SumRowsAcc, or the
+// in-place scatter and reduce folds), and the calls of a step — one, or one per
+// microbatch in ascending order — after ZeroGrads reproduce the serial
+// full-batch fold chain bit for bit. From non-zero gradients the fold
+// continues the chain rather than adding a finished sum.
 //
-// Layers that cannot split a batch into row chunks do not implement
-// ChunkBackward, and the pipeline constructor rejects networks containing
-// them: Dropout draws its mask from a sequential per-layer RNG (microbatch
-// forwards would consume the stream in a different order than the full-batch
-// forward), and SelfAttention treats its whole input as one sequence, so
-// row-chunking it changes the math, not just the schedule.
-
-// WorkspaceForward is the optional pooled forward interface.
-type WorkspaceForward interface {
-	// ForwardWS is Forward into layer-retained buffers, bit-identical to
-	// Forward. The returned tensor is valid until the layer's next forward.
-	ForwardWS(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
-}
-
-// ChunkBackward is the optional microbatch δW interface.
-type ChunkBackward interface {
-	// WeightGradChunk accumulates this chunk's δW into the parameter
-	// gradients, continuing the full-batch fold in place. Chunks must arrive
-	// in ascending row order after a ZeroGrads.
-	WeightGradChunk(gradOut *tensor.Tensor, ws *tensor.Workspace)
-	// SealWeightGrad finishes the step, making the accumulated gradient
-	// bitwise equal to the plain full-batch WeightGrad result.
-	SealWeightGrad()
-}
+// SealWeightGrad runs once at the end of a pipeline step: the full-batch
+// reference for GEMM-based layers computes Grad = 0 + Σ (the finished sum
+// added to the zeroed gradient), while the fold computes Σ directly, and
+// 0 + x ≠ x in exactly one case — x = −0. With the current kernels that case
+// cannot arise (every fold continues from a +0 destination, and a
+// round-to-nearest addition chain seeded at +0 never yields −0), so Seal is a
+// provable no-op, and the whole-batch engines, which make one call, rely on
+// that proof without it (TestWeightGradChunkZeroSigns checks it before the
+// seal). The pipeline keeps the cheap end-of-step pass so its bitwise contract
+// does not silently start depending on the proof if a kernel's fold seeding
+// ever changes.
 
 // ---- Dense ----
 
@@ -67,7 +47,7 @@ func (d *Dense) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor 
 	return tensor.AddToRows(tensor.MatMulInto(d.out, x, d.W.Value), d.B.Value)
 }
 
-func (d *Dense) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+func (d *Dense) WeightGradAcc(gradOut *tensor.Tensor) {
 	d.checkStash(gradOut)
 	tensor.TMatMulAcc(d.W.Grad, d.x, gradOut)
 	tensor.SumRowsAcc(d.B.Grad, gradOut)
@@ -91,8 +71,8 @@ func (r *ReLU) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	return tensor.ReLUInto(r.out, r.mask, x)
 }
 
-func (r *ReLU) WeightGradChunk(*tensor.Tensor, *tensor.Workspace) {}
-func (r *ReLU) SealWeightGrad()                                   {}
+func (r *ReLU) WeightGradAcc(*tensor.Tensor) {}
+func (r *ReLU) SealWeightGrad()              {}
 
 // ---- Conv2D ----
 
@@ -102,10 +82,10 @@ func (l *Conv2D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor
 	return l.Forward(x)
 }
 
-func (l *Conv2D) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+func (l *Conv2D) WeightGradAcc(gradOut *tensor.Tensor) {
 	l.checkStash(gradOut)
-	// Continue the fold over this chunk's images (l.colsT holds this lane's
-	// forward lowering) directly into the flat weight gradient.
+	// Continue the fold over these images (l.colsT holds this lane's forward
+	// lowering) directly into the flat weight gradient.
 	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.colsT)
 }
 
@@ -124,8 +104,8 @@ func (l *MaxPool2) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tens
 	return tensor.MaxPool2Into(l.out, l.arg, x)
 }
 
-func (l *MaxPool2) WeightGradChunk(*tensor.Tensor, *tensor.Workspace) {}
-func (l *MaxPool2) SealWeightGrad()                                   {}
+func (l *MaxPool2) WeightGradAcc(*tensor.Tensor) {}
+func (l *MaxPool2) SealWeightGrad()              {}
 
 // ---- Flatten ----
 
@@ -140,8 +120,8 @@ func (l *Flatten) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tenso
 	return l.fview
 }
 
-func (l *Flatten) WeightGradChunk(*tensor.Tensor, *tensor.Workspace) {}
-func (l *Flatten) SealWeightGrad()                                   {}
+func (l *Flatten) WeightGradAcc(*tensor.Tensor) {}
+func (l *Flatten) SealWeightGrad()              {}
 
 // ---- Embedding ----
 
@@ -165,10 +145,10 @@ func (e *Embedding) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Ten
 	return e.out
 }
 
-// The full-batch scatter-add already folds rows ascending directly into
-// W.Grad, so per-chunk delegation continues the identical chain and no seal
-// step is needed.
-func (e *Embedding) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+// The plain scatter-add already folds rows ascending directly into W.Grad,
+// so delegating to it continues the identical chain and no seal step is
+// needed.
+func (e *Embedding) WeightGradAcc(gradOut *tensor.Tensor) {
 	e.WeightGrad(gradOut)
 }
 
@@ -211,9 +191,9 @@ func (l *LayerNorm) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Ten
 	return out
 }
 
-// The full-batch reduction already folds rows ascending directly into the
-// gain/bias gradients; per-chunk delegation continues the identical chain.
-func (l *LayerNorm) WeightGradChunk(gradOut *tensor.Tensor, _ *tensor.Workspace) {
+// The plain reduction already folds rows ascending directly into the
+// gain/bias gradients; delegating to it continues the identical chain.
+func (l *LayerNorm) WeightGradAcc(gradOut *tensor.Tensor) {
 	l.WeightGrad(gradOut)
 }
 
@@ -238,8 +218,8 @@ func (p *MeanPool1D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Te
 	return p.out
 }
 
-func (p *MeanPool1D) WeightGradChunk(*tensor.Tensor, *tensor.Workspace) {}
-func (p *MeanPool1D) SealWeightGrad()                                   {}
+func (p *MeanPool1D) WeightGradAcc(*tensor.Tensor) {}
+func (p *MeanPool1D) SealWeightGrad()              {}
 
 // ---- chunked loss head ----
 

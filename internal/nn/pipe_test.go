@@ -18,7 +18,7 @@ func chunkRows(x *tensor.Tensor, lo, hi, rowsPer int) *tensor.Tensor {
 
 type pipeLayerCase struct {
 	name    string
-	build   func() Layer
+	build   func() Pooled
 	x       *tensor.Tensor
 	rowsPer int // leading-dim rows per example
 }
@@ -34,14 +34,14 @@ func pipeLayerCases() []pipeLayerCase {
 	}
 	wrng := func(seed uint64) *tensor.RNG { return tensor.NewRNG(seed) }
 	return []pipeLayerCase{
-		{"dense", func() Layer { return NewDense("d", 5, 4, wrng(5)) }, xDense, 1},
-		{"relu", func() Layer { return NewReLU("r") }, xDense, 1},
-		{"conv", func() Layer { return NewConv2D("c", 3, 2, 3, 3, wrng(7)) }, xConv, 1},
-		{"maxpool", func() Layer { return NewMaxPool2("p") }, xConv, 1},
-		{"flatten", func() Layer { return NewFlatten("f") }, xConv, 1},
-		{"embedding", func() Layer { return NewEmbedding("e", 7, 4, wrng(9)) }, ids, 3},
-		{"layernorm", func() Layer { return NewLayerNorm("n", 6, wrng(11)) }, xNorm, 2},
-		{"meanpool", func() Layer { return NewMeanPool1D("m", 2) }, xNorm, 2},
+		{"dense", func() Pooled { return NewDense("d", 5, 4, wrng(5)) }, xDense, 1},
+		{"relu", func() Pooled { return NewReLU("r") }, xDense, 1},
+		{"conv", func() Pooled { return NewConv2D("c", 3, 2, 3, 3, wrng(7)) }, xConv, 1},
+		{"maxpool", func() Pooled { return NewMaxPool2("p") }, xConv, 1},
+		{"flatten", func() Pooled { return NewFlatten("f") }, xConv, 1},
+		{"embedding", func() Pooled { return NewEmbedding("e", 7, 4, wrng(9)) }, ids, 3},
+		{"layernorm", func() Pooled { return NewLayerNorm("n", 6, wrng(11)) }, xNorm, 2},
+		{"meanpool", func() Pooled { return NewMeanPool1D("m", 2) }, xNorm, 2},
 	}
 }
 
@@ -49,7 +49,7 @@ func pipeLayerCases() []pipeLayerCase {
 // bit for bit, including on a second call with reused buffers.
 func TestForwardWSMatchesForward(t *testing.T) {
 	for _, c := range pipeLayerCases() {
-		ref, pooled := c.build(), c.build().(WorkspaceForward)
+		ref, pooled := c.build(), c.build()
 		ws := tensor.NewWorkspace()
 		want := ref.Forward(c.x)
 		for call := 0; call < 2; call++ {
@@ -61,10 +61,12 @@ func TestForwardWSMatchesForward(t *testing.T) {
 	}
 }
 
-// TestWeightGradChunkMatchesFullBatch is the core microbatch-accumulation
-// contract: forward+δW per ascending chunk, then SealWeightGrad, must equal
-// the single full-batch forward+WeightGrad bit for bit — for every layer the
-// pipeline supports and several chunk splits.
+// TestWeightGradChunkMatchesFullBatch is the core δW-fold contract: forward+δW
+// per ascending chunk, then SealWeightGrad, must equal the single full-batch
+// forward+WeightGrad bit for bit — for every Pooled layer and every chunk
+// split. The one-chunk split (chunk = examples) is what the whole-batch
+// engines run, and they never seal: it must match before the seal, sign bits
+// included.
 func TestWeightGradChunkMatchesFullBatch(t *testing.T) {
 	grng := tensor.NewRNG(21)
 	for _, c := range pipeLayerCases() {
@@ -77,18 +79,23 @@ func TestWeightGradChunkMatchesFullBatch(t *testing.T) {
 		outRowsPer := refOut.Shape[0] / examples
 		for chunk := 1; chunk <= examples; chunk++ {
 			lay := c.build()
-			cb := lay.(ChunkBackward)
-			wf := lay.(WorkspaceForward)
 			ws := tensor.NewWorkspace()
 			for lo := 0; lo < examples; lo += chunk {
 				hi := lo + chunk
 				if hi > examples {
 					hi = examples
 				}
-				wf.ForwardWS(chunkRows(c.x, lo, hi, c.rowsPer), ws)
-				cb.WeightGradChunk(chunkRows(gradOut, lo, hi, outRowsPer), ws)
+				lay.ForwardWS(chunkRows(c.x, lo, hi, c.rowsPer), ws)
+				lay.WeightGradAcc(chunkRows(gradOut, lo, hi, outRowsPer))
 			}
-			cb.SealWeightGrad()
+			if chunk == examples {
+				for i, p := range lay.Params() {
+					if !bitEq(p.Grad, ref.Params()[i].Grad) {
+						t.Fatalf("%s whole batch: %s gradient differs from the reference before the seal", c.name, p.Name)
+					}
+				}
+			}
+			lay.SealWeightGrad()
 			for i, p := range lay.Params() {
 				if !tensor.Equal(p.Grad, ref.Params()[i].Grad) {
 					t.Fatalf("%s chunk=%d: %s gradient differs from full batch", c.name, chunk, p.Name)
@@ -100,8 +107,9 @@ func TestWeightGradChunkMatchesFullBatch(t *testing.T) {
 
 // TestWeightGradChunkZeroSigns pins the −0 corner: a weight column whose δW
 // terms are all −0 (dead zero activations against negative gradients). The
-// reference computes 0 + Σ, the chunked path computes Σ directly; both must
-// land on +0 — including its sign bit — and SealWeightGrad must keep it so.
+// reference computes 0 + Σ, the fold computes Σ directly; both must land on
+// +0 — including its sign bit — before SealWeightGrad, which is all a
+// whole-batch engine runs, and the seal must keep it so.
 func TestWeightGradChunkZeroSigns(t *testing.T) {
 	ref := NewDense("d", 2, 1, tensor.NewRNG(1))
 	lay := NewDense("d", 2, 1, tensor.NewRNG(1))
@@ -111,19 +119,20 @@ func TestWeightGradChunkZeroSigns(t *testing.T) {
 	g.Data = []float64{-1, -2} // 0·(−1) = −0 terms for W.Grad[0]
 	ref.Forward(x)
 	ref.WeightGrad(g)
-	ws := tensor.NewWorkspace()
-	lay.ForwardWS(x, ws)
-	lay.WeightGradChunk(g, ws)
-	lay.SealWeightGrad()
+	lay.ForwardWS(x, tensor.NewWorkspace())
+	lay.WeightGradAcc(g)
 	if ref.W.Grad.Data[0] != 0 {
 		t.Fatalf("corner not exercised: dead column gradient is %v", ref.W.Grad.Data[0])
 	}
-	for i := range ref.W.Grad.Data {
-		r, l := ref.W.Grad.Data[i], lay.W.Grad.Data[i]
-		if r != l || math.Signbit(r) != math.Signbit(l) {
-			t.Fatalf("W.Grad[%d]: ref %v (neg=%v) vs chunked %v (neg=%v)",
-				i, r, math.Signbit(r), l, math.Signbit(l))
+	for _, stage := range []string{"before the seal", "after the seal"} {
+		for i := range ref.W.Grad.Data {
+			r, l := ref.W.Grad.Data[i], lay.W.Grad.Data[i]
+			if r != l || math.Signbit(r) != math.Signbit(l) {
+				t.Fatalf("%s: W.Grad[%d]: ref %v (neg=%v) vs fold %v (neg=%v)",
+					stage, i, r, math.Signbit(r), l, math.Signbit(l))
+			}
 		}
+		lay.SealWeightGrad()
 	}
 }
 
@@ -159,15 +168,11 @@ func TestSoftmaxCrossEntropyChunkMatchesFull(t *testing.T) {
 	}
 }
 
-// TestPipelineUnsupportedLayers documents which layers opt out of microbatch
-// execution and why (sequential RNG, whole-input coupling).
+// TestPipelineUnsupportedLayers documents the layer that opts out of the
+// pooled contract and why (whole-input coupling).
 func TestPipelineUnsupportedLayers(t *testing.T) {
-	var l Layer = NewDropout("drop", 0.5, tensor.NewRNG(1))
-	if _, ok := l.(ChunkBackward); ok {
-		t.Fatal("Dropout must not implement ChunkBackward: its mask RNG is sequential across forwards")
-	}
-	l = NewSelfAttention("attn", 4, tensor.NewRNG(1))
-	if _, ok := l.(ChunkBackward); ok {
-		t.Fatal("SelfAttention must not implement ChunkBackward: it treats the whole input as one sequence")
+	var l Layer = NewSelfAttention("attn", 4, tensor.NewRNG(1))
+	if _, ok := l.(Pooled); ok {
+		t.Fatal("SelfAttention must not implement Pooled: it treats the whole input as one sequence")
 	}
 }

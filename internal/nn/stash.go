@@ -6,26 +6,11 @@ import (
 	"oooback/internal/tensor"
 )
 
-// Stasher is the optional interface of layers that are safe under activation
-// checkpointing (train.StepRecompute): the forward pass is a pure function of
-// (input, parameters), so re-running Forward on the original input rebuilds
-// bit-identical backward state, and the state retained between forward and
-// backward can be dropped to free memory. Dropout deliberately does not
-// implement it — each Forward draws fresh values from its generator, so a
-// re-run would change the mask and break the bitwise-identity guarantee.
-type Stasher interface {
-	Layer
-	// DropStash releases the forward state retained for the backward pass
-	// (input references, masks, lowering buffers, normalization statistics).
-	// The layer's next Forward call rebuilds it from scratch.
-	DropStash()
-	// StashBytes reports the footprint of the forward state the layer owns:
-	// buffers Forward allocated for backward's use. The input activation is a
-	// borrowed reference and is NOT counted — its bytes are tracked by the
-	// checkpointing engine's activation ledger, so owned + activations sums
-	// without double counting.
-	StashBytes() int64
-}
+// This file holds the stash half of Pooled: DropStash and StashBytes. A
+// Pooled layer's forward pass is a pure function of (input, parameters), so
+// re-running it on the original input rebuilds bit-identical backward state,
+// and the state retained between forward and backward can be dropped to free
+// memory — what activation checkpointing (train.StepRecompute) does.
 
 // stashTensorBytes sums the byte footprint of owned stash tensors
 // (8 bytes per element, nils skipped).
@@ -112,16 +97,5 @@ func (l *LayerNorm) StashBytes() int64 {
 }
 
 // MeanPool1D retains only the input row count.
-func (p *MeanPool1D) DropStash()        {}
+func (p *MeanPool1D) DropStash()        { p.rows = 0 }
 func (p *MeanPool1D) StashBytes() int64 { return 0 }
-
-// SelfAttention owns the projections and attention rows; the input is
-// borrowed. Its forward pass has no pooled form — every pass allocates them
-// afresh — so there is no capacity worth keeping.
-func (a *SelfAttention) DropStash() {
-	a.x = nil
-	a.q, a.k, a.v, a.attn = nil, nil, nil, nil
-}
-func (a *SelfAttention) StashBytes() int64 {
-	return stashTensorBytes(a.q, a.k, a.v, a.attn)
-}

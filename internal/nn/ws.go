@@ -2,54 +2,62 @@ package nn
 
 import "oooback/internal/tensor"
 
-// WorkspaceBackward is the optional pooled backward interface. A layer that
-// implements it computes the same gradients as InputGrad/WeightGrad — bit for
-// bit — but without touching the allocator on warm steps: transient scratch
-// comes from the caller-supplied workspace (Get/Put strictly within the
-// call), and the returned δO lives in a buffer the layer retains across
-// steps.
+// Pooled is the one optional layer interface: the form every engine of
+// internal/train runs a layer in. Its methods compute the same bits as the
+// plain Layer methods without touching the allocator on warm steps, and they
+// make the layer safe for a pipeline stage and for activation checkpointing.
+// The plain methods stay the naive allocating form on purpose:
+// Network.Forward and Network.Backward walk them as the differential
+// reference every engine is compared against.
 //
-// Ownership rules:
+// Ownership and ordering rules:
 //
-//   - The workspace is owned by whoever runs the call. The executor gives its
-//     δO chain one workspace and each layer's pooled δW op another, so pooled
-//     backward never synchronizes on buffers.
-//   - The tensor returned by InputGradWS is valid until the layer's next
-//     backward call. Training steps are serialized by the executor's
-//     end-of-backward barrier, so handing it to the previous layer's δO and
-//     δW (which may run much later, on another lane) is safe.
-//   - InputGradWS and WeightGradWS stay independent — callable in either
+//   - The workspace of ForwardWS and InputGradWS is owned by whoever runs the
+//     call; scratch comes from it and goes back within the call. δW takes
+//     none: its fold writes straight into Grad.
+//   - The tensor ForwardWS returns is valid until the layer's next forward,
+//     the one InputGradWS returns until its next δO. Training steps are
+//     serialized by the engines' end-of-step barriers, so handing either to
+//     a neighbour layer (which may run much later, on another lane) is safe.
+//   - InputGradWS and WeightGradAcc stay independent — callable in either
 //     order, any schedule distance apart — exactly like the plain methods.
 //   - Both read the stash the layer's last forward left, whichever of Forward
-//     and ForwardWS (pipe.go) ran it: the two keep it in one representation.
+//     and ForwardWS ran it: the two keep it in one representation.
 //
-// Every layer in this package implements the interface, and every engine in
-// internal/train calls it (through train's wsInputGrad/wsWeightGrad, which
-// fall back to the plain methods for a layer without it). The plain methods
-// stay the naive allocating form on purpose: Network.Backward walks them as
-// the differential reference the engines are compared against.
-type WorkspaceBackward interface {
+// The engines reach the interface through train's ws helpers, which fall
+// back to the plain methods for a layer without it. Pipeline and
+// StepRecompute with checkpointing reject such a layer: SelfAttention treats
+// its whole input as one sequence, so splitting a batch into row chunks
+// changes its math, not just the schedule, and it keeps no pooled form.
+type Pooled interface {
+	Layer
+	// ForwardWS is Forward into layer-retained buffers, bit-identical to
+	// Forward.
+	ForwardWS(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
 	// InputGradWS is δO into a layer-retained buffer.
 	InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
-	// WeightGradWS is δW using workspace scratch for intermediates.
-	WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace)
+	// WeightGradAcc is δW: it continues the parameter-gradient fold in place
+	// over gradOut's rows (pipe.go). A whole-batch step makes one call; a
+	// pipeline stage makes one per microbatch, in ascending row order.
+	WeightGradAcc(gradOut *tensor.Tensor)
+	// SealWeightGrad finishes a chunked step, making the accumulated gradient
+	// bitwise equal to the plain full-batch WeightGrad result.
+	SealWeightGrad()
+	// DropStash releases the forward state retained for the backward pass
+	// (input references, masks, lowering buffers, normalization statistics).
+	// The layer's next forward rebuilds it from scratch (stash.go).
+	DropStash()
+	// StashBytes reports the footprint of the forward state the layer owns:
+	// buffers the forward pass filled for backward's use. The input activation
+	// is a borrowed reference and is NOT counted — its bytes are tracked by
+	// the checkpointing engine's activation ledger, so owned + activations
+	// sums without double counting.
+	StashBytes() int64
 }
 
 func (d *Dense) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	d.gin = tensor.Ensure(d.gin, gradOut.Shape[0], d.W.Value.Shape[0])
 	return tensor.MatMulTInto(d.gin, gradOut, d.W.Value)
-}
-
-func (d *Dense) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
-	d.checkStash(gradOut)
-	// GEMM into scratch, then accumulate: adding term-by-term directly into a
-	// nonzero Grad would associate the sums differently and change bits.
-	dw := ws.Get(d.W.Value.Shape[0], d.W.Value.Shape[1])
-	tensor.AddTo(d.W.Grad, tensor.TMatMulInto(dw, d.x, gradOut))
-	ws.Put(dw)
-	db := ws.Get(1, gradOut.Shape[1])
-	tensor.AddTo(d.B.Grad, tensor.SumRowsInto(db, gradOut))
-	ws.Put(db)
 }
 
 func (r *ReLU) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
@@ -58,8 +66,6 @@ func (r *ReLU) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.
 	return tensor.ReLUGradInto(r.gin, gradOut, r.mask)
 }
 
-func (r *ReLU) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
-
 func (l *Conv2D) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
 	l.checkStash(gradOut)
 	l.gin = tensor.Ensure(l.gin, l.x.Shape...)
@@ -67,23 +73,11 @@ func (l *Conv2D) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tens
 	return tensor.ConvInputGradInto(l.gin, gradOut, l.wm, l.kh, l.kw, ws)
 }
 
-func (l *Conv2D) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
-	l.checkStash(gradOut)
-	// Σ over images of gradOut·colsTᵀ against the forward pass's lowering,
-	// folded in zeroed scratch first: the reference adds the finished sum to
-	// Grad, and adding term by term would associate differently.
-	dw := tensor.ConvWeightGradAcc(ws.GetZeroed(l.wm.Shape[0], l.wm.Shape[1]), gradOut, l.colsT)
-	tensor.AddFlatTo(l.W.Grad, dw)
-	ws.Put(dw)
-}
-
 func (l *MaxPool2) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	l.checkStash(gradOut)
 	l.gin = tensor.Ensure(l.gin, l.inShape...)
 	return tensor.MaxPool2GradInto(l.gin, gradOut, l.arg)
 }
-
-func (l *MaxPool2) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
 
 func (l *Flatten) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	// A reshaped alias of gradOut, like the plain path — only the view header
@@ -96,71 +90,12 @@ func (l *Flatten) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tens
 	return l.gview
 }
 
-func (l *Flatten) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
-
-// backThroughScoresWS is backThroughScores with all four intermediates in
-// workspace buffers. Callers must Put dq, dk and dv when done.
-func (a *SelfAttention) backThroughScoresWS(gradOut *tensor.Tensor, ws *tensor.Workspace) (dq, dk, dv *tensor.Tensor) {
-	a.checkStash(gradOut)
-	seq, dim := a.x.Shape[0], a.x.Shape[1]
-	dAttn := tensor.MatMulTInto(ws.Get(seq, seq), gradOut, a.v)
-	dv = tensor.TMatMulInto(ws.Get(seq, dim), a.attn, gradOut)
-	dScores := ws.Get(seq, seq)
-	rows, cols := a.attn.Shape[0], a.attn.Shape[1]
-	for r := 0; r < rows; r++ {
-		var dot float64
-		for c := 0; c < cols; c++ {
-			dot += dAttn.Data[r*cols+c] * a.attn.Data[r*cols+c]
-		}
-		for c := 0; c < cols; c++ {
-			dScores.Data[r*cols+c] = a.attn.Data[r*cols+c] * (dAttn.Data[r*cols+c] - dot) * a.scale
-		}
-	}
-	dq = tensor.MatMulInto(ws.Get(seq, dim), dScores, a.k)
-	dk = tensor.TMatMulInto(ws.Get(seq, dim), dScores, a.q)
-	ws.Put(dScores)
-	ws.Put(dAttn)
-	return dq, dk, dv
-}
-
-func (a *SelfAttention) InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	dq, dk, dv := a.backThroughScoresWS(gradOut, ws)
-	seq, dim := a.x.Shape[0], a.x.Shape[1]
-	a.gin = tensor.Ensure(a.gin, seq, dim)
-	tensor.MatMulTInto(a.gin, dq, a.Wq.Value)
-	tmp := ws.Get(seq, dim)
-	tensor.AddTo(a.gin, tensor.MatMulTInto(tmp, dk, a.Wk.Value))
-	tensor.AddTo(a.gin, tensor.MatMulTInto(tmp, dv, a.Wv.Value))
-	ws.Put(tmp)
-	ws.Put(dv)
-	ws.Put(dk)
-	ws.Put(dq)
-	return a.gin
-}
-
-func (a *SelfAttention) WeightGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) {
-	dq, dk, dv := a.backThroughScoresWS(gradOut, ws)
-	dim := a.x.Shape[1]
-	dw := ws.Get(dim, dim)
-	tensor.AddTo(a.Wq.Grad, tensor.TMatMulInto(dw, a.x, dq))
-	tensor.AddTo(a.Wk.Grad, tensor.TMatMulInto(dw, a.x, dk))
-	tensor.AddTo(a.Wv.Grad, tensor.TMatMulInto(dw, a.x, dv))
-	ws.Put(dw)
-	ws.Put(dv)
-	ws.Put(dk)
-	ws.Put(dq)
-}
-
 func (e *Embedding) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	// Token ids are not differentiable; a retained zero tensor of the input
 	// shape (the plain path allocates a fresh one).
 	e.gin = tensor.Ensure(e.gin, e.inSh...)
 	e.gin.Zero()
 	return e.gin
-}
-
-func (e *Embedding) WeightGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) {
-	e.WeightGrad(gradOut) // scatter-add is already allocation-free
 }
 
 func (l *LayerNorm) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
@@ -185,11 +120,8 @@ func (l *LayerNorm) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *te
 	return out
 }
 
-func (l *LayerNorm) WeightGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) {
-	l.WeightGrad(gradOut) // in-place row reduction, already allocation-free
-}
-
 func (p *MeanPool1D) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
+	p.checkStash(gradOut)
 	dim := gradOut.Shape[1]
 	p.gin = tensor.Ensure(p.gin, p.rows, dim)
 	for r := 0; r < p.rows; r++ {
@@ -200,20 +132,3 @@ func (p *MeanPool1D) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *t
 	}
 	return p.gin
 }
-
-func (p *MeanPool1D) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}
-
-func (d *Dropout) InputGradWS(gradOut *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
-	d.gin = tensor.Ensure(d.gin, gradOut.Shape...)
-	scale := 1 / (1 - d.p)
-	for i, v := range gradOut.Data {
-		if d.keep[i] {
-			d.gin.Data[i] = v * scale
-		} else {
-			d.gin.Data[i] = 0
-		}
-	}
-	return d.gin
-}
-
-func (d *Dropout) WeightGradWS(*tensor.Tensor, *tensor.Workspace) {}

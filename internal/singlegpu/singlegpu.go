@@ -195,7 +195,7 @@ func runIters(eng *sim.Engine, m *models.Model, exec Executor, gpu gpusim.Config
 	}
 	main := dev.NewStream("main", 0)
 	sub := dev.NewStream("sub", 1)
-	launcher := gpusim.NewLauncher(eng, exec.IssuePerKernel, GraphLaunchLatency)
+	launcher := gpusim.NewLauncher(eng, GraphLaunchLatency)
 	launcher.IssueSink = func(kernel string, start, end sim.Time) {
 		tr.Add("issue", kernel, "issue", start, end)
 	}

@@ -40,21 +40,13 @@ func TMatMulAcc(dst, a, b *Tensor) *Tensor {
 
 // SumRowsAcc accumulates the column sums of a [m×n] matrix into dst (any
 // shape with exactly n elements), without zeroing dst first. Rows fold in
-// ascending order, continuing dst's existing chains.
+// ascending order, continuing dst's existing chains: addRows' row add with a
+// destination stride of 0.
 func SumRowsAcc(dst, a *Tensor) *Tensor {
-	return sumRows(dst, a, false)
-}
-
-// sumRows folds the rows of a [m×n] matrix into dst in ascending order — from
-// +0 when fromZero — as addRows' row add with a destination stride of 0.
-func sumRows(dst, a *Tensor, fromZero bool) *Tensor {
 	if a.Dims() != 2 || dst.Len() != a.Shape[1] {
 		panic(fmt.Sprintf("tensor: column sums of %v into dst %v", a.Shape, dst.Shape))
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	if fromZero {
-		clear(dst.Data)
-	}
 	addRows(dst.Data, 0, a.Data, n, m, n)
 	return dst
 }

@@ -62,13 +62,13 @@ func TestTMatMulAccFlatDst(t *testing.T) {
 	}
 }
 
-// TestSumRowsAccChunkedMatchesInto is the same contract for the bias kernel.
-func TestSumRowsAccChunkedMatchesInto(t *testing.T) {
+// TestSumRowsAccChunkedMatchesSumRows is the same contract for the bias
+// kernel, against the plain allocating reduction.
+func TestSumRowsAccChunkedMatchesSumRows(t *testing.T) {
 	rng := NewRNG(13)
 	for _, s := range []struct{ m, n int }{{1, 1}, {2, 5}, {7, 3}, {16, 9}} {
 		a := Randn(rng, 1, s.m, s.n)
-		want := New(1, s.n)
-		SumRowsInto(want, a)
+		want := SumRows(a).Reshape(1, s.n)
 		for chunk := 1; chunk <= s.m; chunk++ {
 			got := New(1, s.n)
 			for lo := 0; lo < s.m; lo += chunk {
@@ -79,7 +79,7 @@ func TestSumRowsAccChunkedMatchesInto(t *testing.T) {
 				SumRowsAcc(got, rowView(a, lo, hi))
 			}
 			if !Equal(got, want) {
-				t.Fatalf("m=%d n=%d chunk=%d: chunked SumRowsAcc differs from SumRowsInto", s.m, s.n, chunk)
+				t.Fatalf("m=%d n=%d chunk=%d: chunked SumRowsAcc differs from SumRows", s.m, s.n, chunk)
 			}
 		}
 	}

@@ -438,13 +438,6 @@ func tMatMulRangeGo(out, a, b []float64, m, k, n, lo, hi int) {
 	}
 }
 
-// SumRowsInto reduces a [m×n] matrix to its column sums, written into dst
-// (any shape with exactly n elements; prior contents are ignored). Rows are
-// accumulated in ascending order, matching SumRows bitwise.
-func SumRowsInto(dst, a *Tensor) *Tensor {
-	return sumRows(dst, a, true)
-}
-
 // AddFlatTo accumulates src into dst elementwise by flat index, for
 // same-sized tensors whose shapes differ only by reshaping (e.g. a [F,C·KH·KW]
 // GEMM result into a [F,C,KH,KW] parameter gradient). Same accumulation as

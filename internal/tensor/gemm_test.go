@@ -184,24 +184,6 @@ func TestGEMMParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestSumRowsIntoMatchesSumRows: the Into form is bitwise identical and
-// accepts any dst shape of the right size.
-func TestSumRowsIntoMatchesSumRows(t *testing.T) {
-	r := NewRNG(9)
-	a := Randn(r, 1, 7, 5)
-	want := SumRows(a)
-	dst := New(1, 5)
-	for i := range dst.Data {
-		dst.Data[i] = 42
-	}
-	SumRowsInto(dst, a)
-	for i := range want.Data {
-		if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("SumRowsInto[%d] = %v, want %v", i, dst.Data[i], want.Data[i])
-		}
-	}
-}
-
 // TestAddFlatTo: same accumulation as AddTo across a reshape, and size
 // mismatches panic.
 func TestAddFlatTo(t *testing.T) {

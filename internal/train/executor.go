@@ -53,10 +53,11 @@ const taskQueueCap = 1024
 // observe the same completion semantics as the serial walk.
 //
 // Both modes run the same step table (stepRows) through the same loop
-// (lane.run); they differ in one flag on its δW rows. Gradients are
-// bit-identical to Network.Backward for every legal schedule: each δW touches
-// only its own layer's parameter gradients, each runs exactly once per pass,
-// and the accumulation order within a layer is unchanged — reordering across
+// (lane.run); they differ in one flag on its δW rows. From zeroed gradients
+// their gradients are bit-identical to Network.Backward's for every legal
+// schedule: each δW is the layer's one fold (nn.Pooled.WeightGradAcc) and
+// touches only its own layer's parameter gradients, each runs exactly once per
+// pass, and the accumulation order within a layer is unchanged — reordering across
 // layers never reorders floating-point additions into the same accumulator.
 // The reported PeakLiveGrads is the schedule's retention-plan peak from
 // graph.Analyze, identical to what the serial walk reports.
@@ -80,13 +81,10 @@ type Executor struct {
 	// dwWG counts outstanding δW ops of the in-flight run.
 	dwWG sync.WaitGroup
 
-	// lane is the calling goroutine's: forward, the δO chain, and every op in
-	// serial mode run on its workspace. dwWS[i] belongs to layer i's pooled δW
-	// op, which runs once per pass on whichever goroutine takes it — so
-	// concurrent δW ops share no buffers and never contend, and which workspace
-	// is warm for an op does not depend on who ran it last.
+	// lane is the calling goroutine's: forward and the δO chain run on its
+	// workspace. A δW op needs none — its fold writes straight into its own
+	// layer's Grad — so pooled δW ops share no buffers, whoever runs them.
 	lane lane
-	dwWS []*tensor.Workspace
 
 	// led is StepRecompute's ledger, retained so a warm step allocates nothing.
 	led ledger
@@ -126,29 +124,29 @@ func NewExecutor(mode ExecMode, workers int) *Executor {
 	return e
 }
 
-// The three ws* helpers are how the loop runs a layer: through the pooled
-// method on the lane's workspace when the layer has one, through the plain
-// allocating method otherwise — and always through the plain method when ws
-// is nil, which is how a nil *Executor (its lane owns no workspace) stays the
-// naive ledger reference.
+// The three ws* helpers are how the loop runs a layer: through its nn.Pooled
+// method when it has one and the lane runs pooled, through the plain
+// allocating method otherwise. A lane with no workspace runs plain, which is
+// how a nil *Executor stays the naive ledger reference; the δW fold takes no
+// workspace, so its helper is told directly.
 
 func wsForward(l nn.Layer, x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if wf, ok := l.(nn.WorkspaceForward); ok && ws != nil {
-		return wf.ForwardWS(x, ws)
+	if p, ok := l.(nn.Pooled); ok && ws != nil {
+		return p.ForwardWS(x, ws)
 	}
 	return l.Forward(x)
 }
 
 func wsInputGrad(l nn.Layer, g *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if wb, ok := l.(nn.WorkspaceBackward); ok && ws != nil {
-		return wb.InputGradWS(g, ws)
+	if p, ok := l.(nn.Pooled); ok && ws != nil {
+		return p.InputGradWS(g, ws)
 	}
 	return l.InputGrad(g)
 }
 
-func wsWeightGrad(l nn.Layer, g *tensor.Tensor, ws *tensor.Workspace) {
-	if wb, ok := l.(nn.WorkspaceBackward); ok && ws != nil {
-		wb.WeightGradWS(g, ws)
+func wsWeightGrad(l nn.Layer, g *tensor.Tensor, pooled bool) {
+	if p, ok := l.(nn.Pooled); ok && pooled {
+		p.WeightGradAcc(g)
 		return
 	}
 	l.WeightGrad(g)
@@ -232,7 +230,7 @@ func (e *Executor) drainDW(l *lane) {
 
 func (e *Executor) runDW(l *lane, t dwTask) {
 	l.mark()
-	l.weightGrad(t, OpDW, e.dwWS[t.r.layer])
+	l.weightGrad(t, OpDW)
 	e.dwWG.Done()
 }
 
@@ -260,9 +258,6 @@ func (e *Executor) table(L int, sched graph.BackwardSchedule, every int) ([]row,
 		}
 	case e.mode == ExecConcurrent:
 		rows = stepRows(L, sched, dwPooled)
-		for len(e.dwWS) <= L {
-			e.dwWS = append(e.dwWS, tensor.NewWorkspace())
-		}
 	default:
 		rows = stepRows(L, sched, 0)
 	}
@@ -275,8 +270,12 @@ func (e *Executor) table(L int, sched graph.BackwardSchedule, every int) ([]row,
 // — under the executor's mode: a serial executor runs every op on the calling
 // goroutine, a concurrent one hands each δW to the pool at its schedule
 // position and keeps the δO chain on the caller, which joins the pool once
-// the chain is done. Both produce bit-identical parameter gradients and the
-// same PeakLiveGrads as Network.Backward, which is what a nil receiver calls.
+// the chain is done. From zeroed gradients both produce bit-identical
+// parameter gradients and the same PeakLiveGrads as Network.Backward, which is
+// what a nil receiver calls. From non-zero gradients each δW continues its
+// layer's fold (nn.Pooled.WeightGradAcc) instead of adding a finished sum, so
+// the bits may differ from Network.Backward's; a step (Step) always zeroes
+// first.
 func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.BackwardSchedule) (BackwardStats, error) {
 	if e == nil {
 		return n.Backward(lossGrad, sched)

@@ -26,8 +26,8 @@ import (
 // parameter update of the serial full-batch reference (Network.Backward after
 // one full-batch forward), for every schedule, stage count, microbatch count
 // and GOMAXPROCS. Microbatch δW accumulation continues the full-batch fold
-// in place (nn.ChunkBackward over tensor.TMatMulAcc/SumRowsAcc), microbatch
-// loss continues the full-batch loss fold (nn.SoftmaxCrossEntropyChunk), and
+// in place (nn.Pooled.WeightGradAcc over tensor.TMatMulAcc/SumRowsAcc),
+// microbatch loss continues the full-batch loss fold (nn.SoftmaxCrossEntropyChunk), and
 // per-layer δW chunks execute in ascending microbatch order because each
 // stage's deferral queue is FIFO and its table (stageRows) emits backwards in
 // ascending microbatch order. The differential suite asserts the identity
@@ -48,7 +48,7 @@ type Pipeline struct {
 	sched  PipeSchedule
 	fill   bool
 	opt    nn.Optimizer
-	seal   []nn.ChunkBackward
+	seal   []nn.Pooled
 	stages []*pipeStage
 	acks   chan struct{}
 	wg     sync.WaitGroup
@@ -207,10 +207,9 @@ type pipeStage struct {
 }
 
 // NewPipeline partitions proto into cfg.Stages contiguous stages and starts
-// their goroutines. Every layer must support pooled backward and microbatch
-// δW accumulation (nn.WorkspaceBackward + nn.ChunkBackward); layers that
-// cannot split a batch — Dropout (sequential mask RNG), SelfAttention
-// (whole-input sequence coupling) — are rejected here.
+// their goroutines. Every layer must be nn.Pooled, whose δW fold splits a
+// batch into microbatches; a layer that is not — SelfAttention, which couples
+// its whole input as one sequence — is rejected here.
 func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipeline, error) {
 	L := len(proto.Layers)
 	S := cfg.Stages
@@ -243,13 +242,13 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	if err != nil {
 		return nil, err
 	}
-	for _, l := range proto.Layers {
-		if _, ok := l.(nn.ChunkBackward); !ok {
-			return nil, fmt.Errorf("train: layer %q does not support microbatch execution (no ChunkBackward)", l.Name())
+	seal := make([]nn.Pooled, L)
+	for i, l := range proto.Layers {
+		pl, ok := l.(nn.Pooled)
+		if !ok {
+			return nil, fmt.Errorf("train: layer %q does not support microbatch execution (not nn.Pooled)", l.Name())
 		}
-		if _, ok := l.(nn.WorkspaceBackward); !ok {
-			return nil, fmt.Errorf("train: layer %q does not support pooled backward (no WorkspaceBackward)", l.Name())
-		}
+		seal[i] = pl
 	}
 	p := &Pipeline{
 		proto:    proto,
@@ -258,6 +257,7 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 		sched:    cfg.Schedule,
 		fill:     !cfg.NoDWFill,
 		opt:      opt,
+		seal:     seal,
 		acks:     make(chan struct{}, S),
 		xs:       make([]*tensor.Tensor, M+1),
 		ls:       make([][]int, M+1),
@@ -283,9 +283,6 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 			lp.Grad = protoParams[i].Grad
 		}
 		p.nets[m] = net
-	}
-	for _, l := range proto.Layers {
-		p.seal = append(p.seal, l.(nn.ChunkBackward))
 	}
 	p.caller = newLane(S, &p.obs, tensor.NewWorkspace())
 	p.caller.bind(proto, nil, nil)
@@ -409,8 +406,8 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 		}
 		st.Wall = time.Since(t0)
 	}, func() {
-		for _, cb := range p.seal {
-			cb.SealWeightGrad()
+		for _, pl := range p.seal {
+			pl.SealWeightGrad()
 		}
 		update()
 	})

@@ -191,9 +191,9 @@ func TestPipelineConfigValidation(t *testing.T) {
 		{"no build", build(), PipelineConfig{Stages: 2}},
 		{"bad bounds count", build(), PipelineConfig{Stages: 3, Build: build, Boundaries: []int{2}}},
 		{"bad bounds order", build(), PipelineConfig{Stages: 3, Build: build, Boundaries: []int{4, 2}}},
-		{"dropout", &Network{Layers: []nn.Layer{
+		{"attention", &Network{Layers: []nn.Layer{
 			nn.NewDense("d", 4, 4, tensor.NewRNG(1)),
-			nn.NewDropout("drop", 0.5, tensor.NewRNG(2)),
+			nn.NewSelfAttention("attn", 4, tensor.NewRNG(2)),
 			nn.NewDense("e", 4, 4, tensor.NewRNG(3)),
 		}}, PipelineConfig{Stages: 2, Build: build}},
 	}

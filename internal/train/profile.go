@@ -47,8 +47,6 @@ func layerTypeName(l nn.Layer) string {
 		return "meanpool1d"
 	case *nn.SelfAttention:
 		return "attention"
-	case *nn.Dropout:
-		return "dropout"
 	default:
 		return "layer"
 	}

@@ -135,7 +135,7 @@ func tensorBytes(t *tensor.Tensor) int64 { return 8 * int64(t.Len()) }
 // resident, record the peak, then release (and actually drop) what the row's
 // flags say nothing needs any more.
 func (led *ledger) apply(r row, l *lane) {
-	stasher := func() nn.Stasher { return l.nets[0].Layers[r.layer-1].(nn.Stasher) }
+	stasher := func() nn.Pooled { return l.nets[0].Layers[r.layer-1].(nn.Pooled) }
 	switch r.kind {
 	case rowFwd:
 		if r.flags&keepAct != 0 {
@@ -181,9 +181,10 @@ func (led *ledger) apply(r row, l *lane) {
 // comparison baseline.
 //
 // Parameter gradients, loss and the post-step parameters are bitwise
-// identical to train.Step on the same state for every legal schedule: every
-// layer must implement nn.Stasher (Forward is a pure function of input and
-// parameters), so a re-run rebuilds exactly the state the first run built.
+// identical to train.Step on the same state for every legal schedule: with
+// checkpointing on, every layer must be nn.Pooled (its forward is a pure
+// function of input and parameters, and it can drop its stash), so a re-run
+// rebuilds exactly the state the first run built.
 // Only the serial engine supports checkpointing — segment re-runs mutate
 // shared layer state, which would race with ExecConcurrent's δW pool.
 //
@@ -199,9 +200,9 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	}
 	every = max(every, 1)
 	for i := 0; every > 1 && i < len(n.Layers); i++ {
-		if _, ok := n.Layers[i].(nn.Stasher); !ok {
+		if _, ok := n.Layers[i].(nn.Pooled); !ok {
 			return 0, RecomputeStats{}, fmt.Errorf(
-				"train: layer %d (%s) does not support recompute: its forward pass is not re-runnable", i+1, n.Layers[i].Name())
+				"train: layer %d (%s) does not support recompute (not nn.Pooled)", i+1, n.Layers[i].Name())
 		}
 	}
 	if e == nil {

@@ -171,8 +171,8 @@ func TestStepRecomputeSerialExecutor(t *testing.T) {
 	}
 }
 
-// TestStepRecomputeRejections: the concurrent engine and non-replayable
-// layers (Dropout draws fresh RNG values each Forward) are rejected.
+// TestStepRecomputeRejections: the concurrent engine and layers without the
+// pooled contract (SelfAttention cannot drop its stash) are rejected.
 func TestStepRecomputeRejections(t *testing.T) {
 	x, y := data.Vectors(3, 12, 16, 3)
 	net := MLPNet(11, 16, 24, 3, 3)
@@ -185,18 +185,18 @@ func TestStepRecomputeRejections(t *testing.T) {
 	}
 
 	rng := tensor.NewRNG(5)
-	dropNet := &Network{Layers: []nn.Layer{
+	attnNet := &Network{Layers: []nn.Layer{
 		nn.NewDense("fc1", 16, 8, rng),
-		nn.NewDropout("drop", 0.3, rng),
+		nn.NewSelfAttention("attn", 8, rng),
 		nn.NewDense("fc2", 8, 3, rng),
 	}}
-	_, _, err := (*Executor)(nil).StepRecompute(dropNet, x, y, graph.Conventional(3), 2, &nn.SGD{LR: 0.05})
+	_, _, err := (*Executor)(nil).StepRecompute(attnNet, x, y, graph.Conventional(3), 2, &nn.SGD{LR: 0.05})
 	if err == nil {
-		t.Fatal("dropout network accepted for recompute")
+		t.Fatal("attention network accepted for recompute")
 	}
 
-	// every ≤ 1 is full retention: Dropout is fine there.
-	if _, _, err := (*Executor)(nil).StepRecompute(dropNet, x, y, graph.Conventional(3), 1, &nn.SGD{LR: 0.05}); err != nil {
+	// every ≤ 1 is full retention: SelfAttention is fine there.
+	if _, _, err := (*Executor)(nil).StepRecompute(attnNet, x, y, graph.Conventional(3), 1, &nn.SGD{LR: 0.05}); err != nil {
 		t.Fatalf("full-retention step rejected: %v", err)
 	}
 }

@@ -40,7 +40,6 @@ type rowFlags uint16
 const (
 	dwPooled   rowFlags = 1 << iota // δW goes to the executor's task channel
 	dwDeferred                      // δW goes to the lane's FIFO, run inside a bubble or the tail
-	dwChunk                         // δW continues a microbatch fold (nn.ChunkBackward)
 	reFwd                           // forward re-run by a checkpointed step (reported as OpRefwd)
 	keepAct                         // ledger: the row's output activation stays resident
 	holdStash                       // ledger: the layer's stash is resident from this row on
@@ -120,12 +119,13 @@ func publishRows(rows []row, plan *reducePlan) []row {
 // the stage's layers, send; a backward is receive (the loss head on the last
 // stage), then per layer top-down δW — deferred when fill is on, inline
 // otherwise — and δO, then send. Backwards always appear in ascending
-// microbatch order: the δW chunk-accumulation contract depends on it. Stage
-// 0 omits δO_1, like every table (stepRows).
+// microbatch order: the δW fold (nn.Pooled.WeightGradAcc) continues chunk by
+// chunk, and its contract depends on it. Stage 0 omits δO_1, like every table
+// (stepRows).
 func stageRows(sched PipeSchedule, s, S, M, lo, hi int, fill bool) []row {
-	dw := dwChunk
+	var dw rowFlags
 	if fill {
-		dw |= dwDeferred
+		dw = dwDeferred
 	}
 	var rows []row
 	fwd := func(m int) {
@@ -334,7 +334,7 @@ func (l *lane) run(rows []row) {
 			case r.flags&dwDeferred != 0:
 				l.dwq = append(l.dwq, t)
 			default:
-				l.weightGrad(t, OpDW, l.ws)
+				l.weightGrad(t, OpDW)
 			}
 		case rowPublish:
 			l.pub <- pubMsg{bucket: r.layer, replica: l.id}
@@ -360,13 +360,11 @@ func (l *lane) run(rows []row) {
 }
 
 // weightGrad runs one δW — at its row, from the pool's queue, or out of the
-// lane's FIFO — and reports it as kind.
-func (l *lane) weightGrad(t dwTask, kind OpKind, ws *tensor.Workspace) {
-	if t.r.flags&dwChunk != 0 {
-		t.layer.(nn.ChunkBackward).WeightGradChunk(t.grad, ws)
-	} else {
-		wsWeightGrad(t.layer, t.grad, ws)
-	}
+// lane's FIFO — and reports it as kind. It runs pooled on a lane with a
+// workspace and on a pool worker, which owns none but takes only the pooled
+// rows of an executor whose lane has one.
+func (l *lane) weightGrad(t dwTask, kind OpKind) {
+	wsWeightGrad(t.layer, t.grad, l.ws != nil || t.r.flags&dwPooled != 0)
 	l.span(kind, t.r, 0)
 }
 
@@ -379,7 +377,7 @@ func (l *lane) runDeferred() bool {
 	t := l.dwq[l.dwHead]
 	l.dwq[l.dwHead] = dwTask{}
 	l.dwHead++
-	l.weightGrad(t, OpDWFill, l.ws)
+	l.weightGrad(t, OpDWFill)
 	return true
 }
 

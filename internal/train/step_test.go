@@ -14,8 +14,8 @@ import (
 // String renders a row for the generator goldens: z zero, f/r forward /
 // re-forward, L loss, o δO, w δW, x free activation, P publish bucket, ra/sa/
 // rg/sg the pipeline queue ops; "#m" the microbatch; δW hand-off p pooled, ~
-// deferred, c chunked; ledger flags +a keep activation, +s hold stash, -s drop
-// stash, -p drop input activation, ! last use of the gradient.
+// deferred; ledger flags +a keep activation, +s hold stash, -s drop stash, -p
+// drop input activation, ! last use of the gradient.
 func (r row) String() string {
 	names := [...]string{rowZero: "z", rowFwd: "f", rowLoss: "L", rowDO: "o", rowDW: "w", rowFree: "x",
 		rowPublish: "P", rowRecvAct: "ra", rowSendAct: "sa", rowRecvGrad: "rg", rowSendGrad: "sg"}
@@ -32,7 +32,7 @@ func (r row) String() string {
 	for _, f := range []struct {
 		flag rowFlags
 		tag  string
-	}{{dwPooled, "p"}, {dwDeferred, "~"}, {dwChunk, "c"}, {keepAct, "+a"}, {holdStash, "+s"},
+	}{{dwPooled, "p"}, {dwDeferred, "~"}, {keepAct, "+a"}, {holdStash, "+s"},
 		{dropStash, "-s"}, {dropPrev, "-p"}, {lastUse, "!"}} {
 		if r.flags&f.flag != 0 {
 			s += f.tag
@@ -236,22 +236,22 @@ func TestRecomputeRejectsAtConstruction(t *testing.T) {
 func TestStageRowsGolden(t *testing.T) {
 	golden := map[string]string{
 		"gpipe S2 s0": "f1#1 f2#1 sa2#1 f1#2 f2#2 sa2#2 f1#3 f2#3 sa2#3 f1#4 f2#4 sa2#4 " +
-			"rg2#1 w2#1~c o2#1 w1#1~c rg2#2 w2#2~c o2#2 w1#2~c rg2#3 w2#3~c o2#3 w1#3~c rg2#4 w2#4~c o2#4 w1#4~c",
+			"rg2#1 w2#1~ o2#1 w1#1~ rg2#2 w2#2~ o2#2 w1#2~ rg2#3 w2#3~ o2#3 w1#3~ rg2#4 w2#4~ o2#4 w1#4~",
 		"gpipe S2 s1": "ra2#1 f3#1 f4#1 ra2#2 f3#2 f4#2 ra2#3 f3#3 f4#3 ra2#4 f3#4 f4#4 " +
-			"L#1 w4#1~c o4#1 w3#1~c o3#1 sg2#1 L#2 w4#2~c o4#2 w3#2~c o3#2 sg2#2 L#3 w4#3~c o4#3 w3#3~c o3#3 sg2#3 L#4 w4#4~c o4#4 w3#4~c o3#4 sg2#4",
-		"1f1b S2 s0": "f1#1 f2#1 sa2#1 f1#2 f2#2 sa2#2 rg2#1 w2#1~c o2#1 w1#1~c f1#3 f2#3 sa2#3 rg2#2 w2#2~c o2#2 w1#2~c " +
-			"f1#4 f2#4 sa2#4 rg2#3 w2#3~c o2#3 w1#3~c rg2#4 w2#4~c o2#4 w1#4~c",
-		"1f1b S2 s1": "ra2#1 f3#1 f4#1 L#1 w4#1~c o4#1 w3#1~c o3#1 sg2#1 ra2#2 f3#2 f4#2 L#2 w4#2~c o4#2 w3#2~c o3#2 sg2#2 " +
-			"ra2#3 f3#3 f4#3 L#3 w4#3~c o4#3 w3#3~c o3#3 sg2#3 ra2#4 f3#4 f4#4 L#4 w4#4~c o4#4 w3#4~c o3#4 sg2#4",
-		"gpipe S3 s0": "f1#1 sa1#1 f1#2 sa1#2 f1#3 sa1#3 f1#4 sa1#4 rg1#1 w1#1~c rg1#2 w1#2~c rg1#3 w1#3~c rg1#4 w1#4~c",
+			"L#1 w4#1~ o4#1 w3#1~ o3#1 sg2#1 L#2 w4#2~ o4#2 w3#2~ o3#2 sg2#2 L#3 w4#3~ o4#3 w3#3~ o3#3 sg2#3 L#4 w4#4~ o4#4 w3#4~ o3#4 sg2#4",
+		"1f1b S2 s0": "f1#1 f2#1 sa2#1 f1#2 f2#2 sa2#2 rg2#1 w2#1~ o2#1 w1#1~ f1#3 f2#3 sa2#3 rg2#2 w2#2~ o2#2 w1#2~ " +
+			"f1#4 f2#4 sa2#4 rg2#3 w2#3~ o2#3 w1#3~ rg2#4 w2#4~ o2#4 w1#4~",
+		"1f1b S2 s1": "ra2#1 f3#1 f4#1 L#1 w4#1~ o4#1 w3#1~ o3#1 sg2#1 ra2#2 f3#2 f4#2 L#2 w4#2~ o4#2 w3#2~ o3#2 sg2#2 " +
+			"ra2#3 f3#3 f4#3 L#3 w4#3~ o4#3 w3#3~ o3#3 sg2#3 ra2#4 f3#4 f4#4 L#4 w4#4~ o4#4 w3#4~ o3#4 sg2#4",
+		"gpipe S3 s0": "f1#1 sa1#1 f1#2 sa1#2 f1#3 sa1#3 f1#4 sa1#4 rg1#1 w1#1~ rg1#2 w1#2~ rg1#3 w1#3~ rg1#4 w1#4~",
 		"gpipe S3 s1": "ra1#1 f2#1 sa2#1 ra1#2 f2#2 sa2#2 ra1#3 f2#3 sa2#3 ra1#4 f2#4 sa2#4 " +
-			"rg2#1 w2#1~c o2#1 sg1#1 rg2#2 w2#2~c o2#2 sg1#2 rg2#3 w2#3~c o2#3 sg1#3 rg2#4 w2#4~c o2#4 sg1#4",
+			"rg2#1 w2#1~ o2#1 sg1#1 rg2#2 w2#2~ o2#2 sg1#2 rg2#3 w2#3~ o2#3 sg1#3 rg2#4 w2#4~ o2#4 sg1#4",
 		"gpipe S3 s2": "ra2#1 f3#1 ra2#2 f3#2 ra2#3 f3#3 ra2#4 f3#4 " +
-			"L#1 w3#1~c o3#1 sg2#1 L#2 w3#2~c o3#2 sg2#2 L#3 w3#3~c o3#3 sg2#3 L#4 w3#4~c o3#4 sg2#4",
-		"1f1b S3 s0": "f1#1 sa1#1 f1#2 sa1#2 f1#3 sa1#3 rg1#1 w1#1~c f1#4 sa1#4 rg1#2 w1#2~c rg1#3 w1#3~c rg1#4 w1#4~c",
-		"1f1b S3 s1": "ra1#1 f2#1 sa2#1 ra1#2 f2#2 sa2#2 rg2#1 w2#1~c o2#1 sg1#1 ra1#3 f2#3 sa2#3 rg2#2 w2#2~c o2#2 sg1#2 " +
-			"ra1#4 f2#4 sa2#4 rg2#3 w2#3~c o2#3 sg1#3 rg2#4 w2#4~c o2#4 sg1#4",
-		"1f1b S3 s2": "ra2#1 f3#1 L#1 w3#1~c o3#1 sg2#1 ra2#2 f3#2 L#2 w3#2~c o3#2 sg2#2 ra2#3 f3#3 L#3 w3#3~c o3#3 sg2#3 ra2#4 f3#4 L#4 w3#4~c o3#4 sg2#4",
+			"L#1 w3#1~ o3#1 sg2#1 L#2 w3#2~ o3#2 sg2#2 L#3 w3#3~ o3#3 sg2#3 L#4 w3#4~ o3#4 sg2#4",
+		"1f1b S3 s0": "f1#1 sa1#1 f1#2 sa1#2 f1#3 sa1#3 rg1#1 w1#1~ f1#4 sa1#4 rg1#2 w1#2~ rg1#3 w1#3~ rg1#4 w1#4~",
+		"1f1b S3 s1": "ra1#1 f2#1 sa2#1 ra1#2 f2#2 sa2#2 rg2#1 w2#1~ o2#1 sg1#1 ra1#3 f2#3 sa2#3 rg2#2 w2#2~ o2#2 sg1#2 " +
+			"ra1#4 f2#4 sa2#4 rg2#3 w2#3~ o2#3 sg1#3 rg2#4 w2#4~ o2#4 sg1#4",
+		"1f1b S3 s2": "ra2#1 f3#1 L#1 w3#1~ o3#1 sg2#1 ra2#2 f3#2 L#2 w3#2~ o3#2 sg2#2 ra2#3 f3#3 L#3 w3#3~ o3#3 sg2#3 ra2#4 f3#4 L#4 w3#4~ o3#4 sg2#4",
 	}
 	for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
 		for _, S := range []int{2, 3} {
@@ -266,7 +266,7 @@ func TestStageRowsGolden(t *testing.T) {
 					t.Errorf("%s fill on:\n got %s\nwant %s", name, got, golden[name])
 				}
 				// Fill off is the same table with every δW inline.
-				if got, want := rowsString(stageRows(sched, s, S, 4, lo, hi, false)), strings.ReplaceAll(golden[name], "~c", "c"); got != want {
+				if got, want := rowsString(stageRows(sched, s, S, 4, lo, hi, false)), strings.ReplaceAll(golden[name], "~", ""); got != want {
 					t.Errorf("%s fill off:\n got %s\nwant %s", name, got, want)
 				}
 			}
