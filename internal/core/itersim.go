@@ -79,19 +79,29 @@ type IterResult struct {
 // SimulateIteration wrappers use a fresh scratch per call and stay safe to
 // retain).
 type IterScratch struct {
-	done  []time.Duration
-	segs  []commSegment
-	tasks []commTask // arrival queue
-	ranks []int      // distinct priorities, when their spread needs ranking
-	adjDW []time.Duration
-	walk  graph.Walker // validates each order, one flag byte per layer
-	order graph.BackwardSchedule
+	channel         // the one-shot's channel; the family sweep's shared prefix
+	fork    channel // the family sweep's per-depth copy of the prefix
+	class   []int   // the family sweep's class of each layer's sync
+	ranks   []int   // distinct priorities, when their spread needs ranking
+	adjDW   []time.Duration
+	walk    graph.Walker // validates each order, one flag byte per layer
+	order   graph.BackwardSchedule
+}
 
-	// A multi-class channel's bucket queue: per class the first and last
-	// task of its FIFO, per task the next of its class, and a bitmap of the
-	// non-empty classes.
+// channel is the communication channel's working state: the arrival queue,
+// the completion times and service segments, and a multi-class channel's
+// bucket queue — per class the first and last task of its FIFO, per task
+// the next of its class, and a bitmap of the non-empty classes. now, ai (the
+// first task not yet arrived at now) and served say where a run stopped, so
+// a later run resumes there.
+type channel struct {
+	tasks            []commTask
+	done             []time.Duration
+	segs             []commSegment
 	head, tail, next []int32
 	nonEmpty         []uint64
+	now              time.Duration
+	ai, served       int
 }
 
 // ReverseFirstK builds graph.ReverseFirstK(L, k) in the scratch's schedule
@@ -220,7 +230,7 @@ type commSegment struct {
 }
 
 // commTask is one pending synchronization on the channel. prio is cached at
-// task creation (one call per layer); rankPrios may replace it by its rank.
+// task creation (one call per layer); classify replaces it by its class.
 type commTask struct {
 	layer     int
 	prio      int
@@ -253,76 +263,131 @@ func (s *IterScratch) addSync(layer, prio int, ready, sync time.Duration) {
 //
 // The returned slices belong to the scratch.
 func (s *IterScratch) commTimeline(c IterCosts, preemptive bool) ([]time.Duration, []commSegment) {
-	s.done = resizeDur(s.done, c.Layers()+1) // zero = no sync needed
-	s.segs = s.segs[:0]
 	if !slices.IsSortedFunc(s.tasks, byArrival) {
 		slices.SortFunc(s.tasks, byArrival)
 	}
-	lo, hi := math.MaxInt, math.MinInt
-	for _, tk := range s.tasks {
-		lo, hi = min(lo, tk.prio), max(hi, tk.prio)
-	}
-	if lo >= hi { // at most one class
-		s.serveInOrder(c, preemptive)
-	} else {
-		s.serveByPriority(c, preemptive, lo, hi)
-	}
+	classes := s.classify(s.tasks)
+	s.reset(c.Layers(), classes, len(s.tasks))
+	s.serve(&c, preemptive, classes, math.MaxInt64)
 	return s.done, s.segs
 }
 
+// classify returns the number of priority classes the queued tasks span and,
+// with more than one, replaces each task's priority by its class index:
+// priority minus the lowest one, or, when that spread is 4 × the tasks or
+// more, the priority's rank among the distinct ones queued (rankPrios).
+func (s *IterScratch) classify(tasks []commTask) int {
+	lo, hi := math.MaxInt, math.MinInt
+	for _, tk := range tasks {
+		lo, hi = min(lo, tk.prio), max(hi, tk.prio)
+	}
+	switch {
+	case lo >= hi: // at most one class
+		return 1
+	case uint64(hi)-uint64(lo) >= 4*uint64(len(tasks)):
+		return s.rankPrios(tasks)
+	}
+	for i := range tasks {
+		tasks[i].prio -= lo
+	}
+	return hi - lo + 1
+}
+
+// reset empties the channel for L layers, keeping its arrival queue, and
+// sizes the bucket queue for tasks over classes — none for one class, so a
+// copy copies none. Only the bitmap is cleared: a class's head and tail are
+// read only while its bit is set, a task's next only once a later task
+// joined.
+func (ch *channel) reset(L, classes, tasks int) {
+	ch.done = resizeDur(ch.done, L+1) // zero = no sync needed
+	ch.segs = ch.segs[:0]
+	ch.now, ch.ai, ch.served = 0, 0, 0
+	if classes > 1 {
+		ch.head = slices.Grow(ch.head[:0], classes)[:classes]
+		ch.tail = slices.Grow(ch.tail[:0], classes)[:classes]
+		ch.next = slices.Grow(ch.next[:0], tasks)[:tasks]
+		ch.nonEmpty = slices.Grow(ch.nonEmpty[:0], (classes+63)/64)[:(classes+63)/64]
+		clear(ch.nonEmpty)
+	} else {
+		ch.head, ch.tail, ch.next, ch.nonEmpty = ch.head[:0], ch.tail[:0], ch.next[:0], ch.nonEmpty[:0]
+	}
+}
+
+// copyFrom makes ch a copy of src's state, segments aside.
+func (ch *channel) copyFrom(src *channel) {
+	ch.tasks = append(ch.tasks[:0], src.tasks...)
+	ch.done = append(ch.done[:0], src.done...)
+	ch.segs = ch.segs[:0]
+	ch.head = append(ch.head[:0], src.head...)
+	ch.tail = append(ch.tail[:0], src.tail...)
+	ch.next = append(ch.next[:0], src.next...)
+	ch.nonEmpty = append(ch.nonEmpty[:0], src.nonEmpty...)
+	ch.now, ch.ai, ch.served = src.now, src.ai, src.served
+}
+
+// serve runs the channel over its classes: a one-class channel serves every
+// queued task (serveInOrder), a multi-class one decides up to until
+// (serveByPriority).
+func (ch *channel) serve(c *IterCosts, preemptive bool, classes int, until time.Duration) {
+	if classes == 1 {
+		ch.serveInOrder(c, preemptive)
+	} else {
+		ch.serveByPriority(c, preemptive, until)
+	}
+}
+
 // serveInOrder runs a single-class channel: arrival order is service order.
-func (s *IterScratch) serveInOrder(c IterCosts, preemptive bool) {
-	var now time.Duration
-	ai := 0 // first task arriving after now
-	for _, tk := range s.tasks {
+// It serves every queued task; a task's completion does not depend on later
+// arrivals, so a run over a prefix of the arrivals is resumed exactly.
+func (ch *channel) serveInOrder(c *IterCosts, preemptive bool) {
+	tasks := ch.tasks
+	now, ai := ch.now, ch.ai
+	for _, tk := range tasks[ch.served:] {
 		now = max(now, tk.ready)
 		if preemptive {
 			for {
-				for ai < len(s.tasks) && s.tasks[ai].ready <= now {
+				for ai < len(tasks) && tasks[ai].ready <= now {
 					ai++
 				}
-				if ai == len(s.tasks) || s.tasks[ai].ready >= now+tk.remaining {
+				if ai == len(tasks) || tasks[ai].ready >= now+tk.remaining {
 					break
 				}
-				na := s.tasks[ai].ready
-				s.segs = append(s.segs, commSegment{tk.layer, now, na})
+				na := tasks[ai].ready
+				ch.segs = append(ch.segs, commSegment{tk.layer, now, na})
 				tk.remaining -= na - now
 				now = na
 			}
 		}
-		s.segs = append(s.segs, commSegment{tk.layer, now, now + tk.remaining})
+		ch.segs = append(ch.segs, commSegment{tk.layer, now, now + tk.remaining})
 		now += tk.remaining
-		s.done[tk.layer] = now + c.lag(tk.layer)
+		ch.done[tk.layer] = now + c.lag(tk.layer)
 	}
+	ch.now, ch.ai, ch.served = now, ai, len(tasks)
 }
 
-// serveByPriority runs a multi-class channel, whose priorities span lo…hi,
-// with two queues: the arrival queue and a bucket queue of the arrived
-// tasks — one FIFO of arrival indices per class, linked through next, and a
-// bitmap of the non-empty classes. Within a class, arrival order is (ready,
-// layer) order, so the head of the lowest non-empty class (the bitmap's
-// lowest set bit) is the task the reference selects. The task, with what is
-// left of it, stays in the arrival queue. A task cut by an arrival stays at
-// its class head while the arrivals join their classes' tails.
-func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) {
-	n := len(s.tasks)
-	if uint64(hi)-uint64(lo) >= 4*uint64(n) {
-		s.rankPrios()
-		lo, hi = 0, len(s.ranks)-1
-	}
-	// Only the bitmap is cleared: a class's head and tail are read only
-	// while its bit is set, a task's next only once a later task joined.
-	classes, words := hi-lo+1, (hi-lo+64)/64
-	head, tail := slices.Grow(s.head[:0], classes)[:classes], slices.Grow(s.tail[:0], classes)[:classes]
-	next, nonEmpty := slices.Grow(s.next[:0], n)[:n], slices.Grow(s.nonEmpty[:0], words)[:words]
-	clear(nonEmpty)
-	s.head, s.tail, s.next, s.nonEmpty = head, tail, next, nonEmpty
-
-	var now time.Duration
-	ai := 0 // next not-yet-arrived task index
-	for served := 0; served < n; {
-		for ; ai < n && s.tasks[ai].ready <= now; ai++ {
-			p := s.tasks[ai].prio - lo
+// serveByPriority runs a multi-class channel, whose tasks carry class
+// indices (classify), with two queues: the arrival queue and a bucket queue
+// of the arrived tasks — one FIFO of arrival indices per class, linked
+// through next, and a bitmap of the non-empty classes. Within a class,
+// arrival order is (ready, layer) order, so the head of the lowest non-empty
+// class (the bitmap's lowest set bit) is the task the reference selects.
+// The task, with what is left of it, stays in the arrival queue. A task cut
+// by an arrival stays at its class head while the arrivals join their
+// classes' tails.
+//
+// The run decides only at times before until, taking the queue's last
+// arrival for its last unless until is reached first: it stops at the first
+// decision at or after until, and a preemptive task whose service would
+// cross until with no arrival queued before is cut there. Resumed with
+// every later arrival after until, the run serves exactly as one run over
+// the whole queue: nothing new arrives at the cut, so the same head resumes.
+func (ch *channel) serveByPriority(c *IterCosts, preemptive bool, until time.Duration) {
+	tasks, head, tail, next, nonEmpty := ch.tasks, ch.head, ch.tail, ch.next, ch.nonEmpty
+	n := len(tasks)
+	now, ai, served := ch.now, ch.ai, ch.served
+	for served < n && now < until {
+		for ; ai < n && tasks[ai].ready <= now; ai++ {
+			p := tasks[ai].prio
 			w, bit := p>>6, uint64(1)<<(p&63)
 			if nonEmpty[w]&bit == 0 {
 				nonEmpty[w] |= bit
@@ -333,7 +398,7 @@ func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) 
 			tail[p] = int32(ai)
 		}
 		if ai == served { // nothing arrived is pending
-			now = s.tasks[ai].ready
+			now = tasks[ai].ready
 			continue
 		}
 		w := 0
@@ -342,12 +407,16 @@ func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) 
 		}
 		p := w<<6 | bits.TrailingZeros64(nonEmpty[w])
 		bi := head[p]
-		best := &s.tasks[bi]
-		if preemptive && ai < n {
-			if na := s.tasks[ai].ready; na < now+best.remaining {
+		best := &tasks[bi]
+		if preemptive {
+			na := until
+			if ai < n {
+				na = tasks[ai].ready
+			}
+			if na < now+best.remaining {
 				// Serve until the next arrival, then re-evaluate priorities.
 				best.remaining -= na - now
-				s.segs = append(s.segs, commSegment{best.layer, now, na})
+				ch.segs = append(ch.segs, commSegment{best.layer, now, na})
 				now = na
 				continue
 			}
@@ -357,25 +426,28 @@ func (s *IterScratch) serveByPriority(c IterCosts, preemptive bool, lo, hi int) 
 		} else {
 			head[p] = next[bi]
 		}
-		s.segs = append(s.segs, commSegment{best.layer, now, now + best.remaining})
+		ch.segs = append(ch.segs, commSegment{best.layer, now, now + best.remaining})
 		now += best.remaining
-		s.done[best.layer] = now + c.lag(best.layer)
+		ch.done[best.layer] = now + c.lag(best.layer)
 		served++
 	}
+	ch.now, ch.ai, ch.served = now, ai, served
 }
 
-// rankPrios replaces each queued priority by its rank among the distinct
-// ones queued: the same order, in a spread below the number of tasks.
-func (s *IterScratch) rankPrios() {
+// rankPrios replaces each task's priority by its rank among the distinct
+// ones queued — the same order, in a spread below the number of tasks — and
+// returns the number of ranks.
+func (s *IterScratch) rankPrios(tasks []commTask) int {
 	s.ranks = s.ranks[:0]
-	for _, tk := range s.tasks {
+	for _, tk := range tasks {
 		s.ranks = append(s.ranks, tk.prio)
 	}
 	slices.Sort(s.ranks)
 	s.ranks = slices.Compact(s.ranks)
-	for i := range s.tasks {
-		s.tasks[i].prio, _ = slices.BinarySearch(s.ranks, s.tasks[i].prio)
+	for i := range tasks {
+		tasks[i].prio, _ = slices.BinarySearch(s.ranks, tasks[i].prio)
 	}
+	return len(s.ranks)
 }
 
 // byArrival orders tasks ascending by (ready, layer). Layer indices are

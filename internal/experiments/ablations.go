@@ -181,13 +181,15 @@ func AblationKSweep() string {
 		return core.Throughput(r.Makespan, m.Batch)
 	}
 
-	// Exhaustive sweep (ground truth): L independent probes, fanned out and
+	// Exhaustive sweep (ground truth): the L depths as one family sweep,
 	// reduced in k order so the argmax matches the serial scan exactly.
-	sweep := parexec.Map(L, parexec.Default(), measure)
+	sweep := make([]time.Duration, L)
+	var s core.IterScratch
+	s.SweepReverseFirstK(c, prio, true, 0, L, sweep)
 	bestK, bestV := 0, 0.0
 	evals := len(sweep)
-	for k, v := range sweep {
-		if v > bestV {
+	for k, makespan := range sweep {
+		if v := core.Throughput(makespan, m.Batch); v > bestV {
 			bestK, bestV = k, v
 		}
 	}

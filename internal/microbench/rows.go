@@ -90,6 +90,11 @@ func Rows() []Row {
 		{Name: "ProbeReverseFirstKFIFO", Gated: true, Step: probeReverseFirstK(datapar.OOOHorovod, false, false)},
 		{Name: "ProbeReverseFirstKPriority", Gated: true, Step: probeReverseFirstK(datapar.P3, true, false)},
 		{Name: "ProbeReverseFirstKPreemptive", Gated: true, Step: probeReverseFirstK(datapar.OOOBytePS, true, true)},
+		// Every reverse-first-k depth of ResNet-50 as one family sweep on a
+		// warm scratch (core.IterScratch.SweepReverseFirstK), per case.
+		{Name: "SweepReverseFirstKFIFO", Gated: true, Step: sweepReverseFirstK(datapar.OOOHorovod)},
+		{Name: "SweepReverseFirstKPriority", Gated: true, Step: sweepReverseFirstK(datapar.P3)},
+		{Name: "SweepReverseFirstKPreemptive", Gated: true, Step: sweepReverseFirstK(datapar.OOOBytePS)},
 		{Name: "SearchK", Step: func(testing.TB) (func(), func(*testing.B)) {
 			m := models.ResNet(models.V100Profile(), 50, 128, models.ImageNet)
 			c := datapar.Costs(m, datapar.PubA(), 16, datapar.BytePS)
@@ -133,8 +138,9 @@ func Rows() []Row {
 			return func() { plansearch.ParetoSweep(sp, cfg) }, nil
 		}},
 		// The same sweep over the model's filled footprint table, as the plan
-		// service runs it: 51 simulations, no replay, and 7 allocations.
-		{Name: "ParetoSweepWarmTable", Gated: true, MaxAllocs: 9, Step: func(testing.TB) (func(), func(*testing.B)) {
+		// service runs it: one family sweep and one list-schedule simulation,
+		// no replay, and 7 allocations.
+		{Name: "ParetoSweepWarmTable", Gated: true, MaxAllocs: 7, Step: func(testing.TB) (func(), func(*testing.B)) {
 			sp := paretoSpace()
 			sp.Mem = plansearch.NewMemTable(sp.Model)
 			cfg := plansearch.Config{Scratch: &sync.Pool{New: func() any { return new(core.IterScratch) }}}
@@ -646,6 +652,19 @@ func probeReverseFirstK(method datapar.Method, byLayer, preemptive bool) step {
 			})
 			sinkDuration = s.SimulateIteration(c, s.ReverseFirstK(L, k), prio, preemptive).Makespan
 		}, nil
+	}
+}
+
+// sweepReverseFirstK is one family sweep of ResNet-50's L depths under
+// method's channel.
+func sweepReverseFirstK(method datapar.Method) step {
+	return func(testing.TB) (func(), func(*testing.B)) {
+		m := models.ResNet(models.V100Profile(), 50, 64, models.ImageNet)
+		c := datapar.Costs(m, datapar.PubA(), 32, method)
+		prio, preemptive := method.Channel()
+		out := make([]time.Duration, len(m.Layers))
+		var s core.IterScratch
+		return func() { s.SweepReverseFirstK(c, prio, preemptive, 0, len(out), out) }, nil
 	}
 }
 

@@ -167,8 +167,8 @@ type ParetoResult struct {
 // over a total order.
 func ParetoSweep(sp Space, cfg Config) ParetoResult {
 	st := newState(sp, cfg, true)
+	st.measureAll()
 	ids := st.allIDs()
-	st.measure(ids)
 	pts := make([]MemPoint, st.n)
 	for id := range pts {
 		pts[id] = st.point(id)

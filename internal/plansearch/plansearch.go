@@ -13,7 +13,9 @@
 //     each with its footprint in the model's MemTable.
 //   - One oracle (state.probe): each candidate's schedule is built in a
 //     pooled core.IterScratch and simulated exactly, fanned out through
-//     internal/parexec. The memory clamp is answered from a per-search memo
+//     internal/parexec. A whole space (state.measureAll) is simulated as
+//     one reverse-first-k family sweep per discipline, exact to the same
+//     bit (core.IterScratch.SweepReverseFirstK). The memory clamp is answered from a per-search memo
 //     of which depths fit (core.ClampK over an allocation-free
 //     graph.PeakMemory), so a depth's peak is measured at most once — and
 //     never under a budget no schedule can reach (peakBound).
@@ -355,6 +357,57 @@ func (st *state) probe(costs core.IterCosts, out []time.Duration, ids []int) {
 	})
 }
 
+// measureAll probes every candidate under the space's own costs, each
+// discipline's reverse-first-k depths as one family sweep
+// (core.IterScratch.SweepReverseFirstK) — split into contiguous chunks of
+// depths across the workers, each writing its own slots — and the memory
+// axis's list schedule one-shot. A clamped candidate reads the family's
+// makespan at the depth it runs at. Every candidate counts as a probe.
+// Scattered probes stay one-shot (measure): a family of one depth shares
+// no prefix with anything.
+func (st *state) measureAll() {
+	for id := range st.n {
+		st.depth[id] = st.clamp(id % st.S)
+	}
+	D, L := len(st.sp.Disciplines), st.L
+	fam, stride := st.measured, st.S // without a clamp, depth k is candidate d·S+k
+	if st.fit != nil {
+		fam, stride = make([]time.Duration, D*L), L
+	}
+	chunks := max(1, min(st.cfg.Workers, L))
+	lists := 0
+	if st.tab != nil {
+		lists = D
+	}
+	parexec.ForEach(D*chunks+lists, st.cfg.Workers, func(i int) {
+		sc := st.cfg.Scratch.Get().(*core.IterScratch)
+		if i >= D*chunks {
+			id := (i-D*chunks)*st.S + L
+			disc := st.sp.Disciplines[id/st.S]
+			st.measured[id] = sc.SimulateIteration(st.sp.Costs, st.tab.ListSchedule(), disc.Prio, disc.Preemptive).Makespan
+			st.cfg.Scratch.Put(sc)
+			st.tab.Footprint(L)
+			return
+		}
+		d, j := i/chunks, i%chunks
+		lo, hi := j*L/chunks, (j+1)*L/chunks
+		disc := st.sp.Disciplines[d]
+		sc.SweepReverseFirstK(st.sp.Costs, disc.Prio, disc.Preemptive, lo, hi, fam[d*stride+lo:d*stride+hi])
+		st.cfg.Scratch.Put(sc)
+		if st.tab != nil {
+			for k := lo; k < hi; k++ {
+				st.tab.Footprint(k)
+			}
+		}
+	})
+	if st.fit != nil {
+		for id := range st.n {
+			st.measured[id] = fam[id/st.S*L+st.depth[id]]
+		}
+	}
+	st.probes += st.n
+}
+
 // measure probes the listed candidates under the space's own costs: the
 // probes a result reports.
 func (st *state) measure(ids []int) {
@@ -435,7 +488,7 @@ func (st *state) result(best int, proven bool, rankCorrelation float64) Result {
 
 // searchExact probes the whole space.
 func (st *state) searchExact() Result {
-	st.measure(st.allIDs())
+	st.measureAll()
 	return st.result(st.bestOf(), true, 1)
 }
 
