@@ -28,10 +28,6 @@ var censusAllow = map[string]string{
 	"autograd.Tape.Reset":            "only tests refer to it",
 	"autograd.Tape.ZeroGrads":        "only tests refer to it",
 	"autograd.Variable.IsParam":      "only tests refer to it",
-	"bfc.Allocator.Allocs":           "only tests refer to it",
-	"bfc.Allocator.CheckInvariants":  "only tests refer to it",
-	"bfc.Allocator.Stats":            "arena snapshot only tests read since ReplayResult.Final, its one reader, went with the bins",
-	"bfc.Allocator.Used":             "only tests refer to it",
 	"calib.Profile.FindNet":          "only tests refer to it",
 	"calib.Profiler.Steps":           "only tests refer to it",
 	"calib.Profiler.WarmSteps":       "only tests refer to it",
@@ -52,10 +48,6 @@ var censusAllow = map[string]string{
 	"shardsvc.Ring.Owners":           "only tests refer to it",
 	"shardsvc.Ring.Without":          "only tests refer to it",
 	"shardsvc.Shard.Metrics":         "only tests refer to it",
-	"sim.Engine.Pending":             "only tests refer to it",
-	"sim.Engine.RunUntil":            "only its own test calls it",
-	"sim.Engine.Steps":               "only tests refer to it",
-	"sim.Event.At":                   "only tests refer to it",
 	"singlegpu.OOOXLANoReorder":      "only tests refer to it",
 	"stats.StdErr":                   "only tests refer to it",
 	"tensor.Add":                     "allocating reference the pooled kernels are compared with in tests",

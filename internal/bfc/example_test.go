@@ -6,22 +6,25 @@ import (
 	"oooback/internal/bfc"
 )
 
-// Example shows the allocator's coalescing behaviour: freeing two adjacent
-// blocks leaves one hole, so a larger allocation fits again.
+// Example replays a trace through the BFC arena: the 512-byte tensor does
+// not fit the 256-byte hole its predecessor left, so it lands past the
+// 1024-byte one and the fragmented peak exceeds the aligned one.
 func Example() {
-	a := bfc.New(4096)
-	x, _ := a.Alloc(1024)
-	y, _ := a.Alloc(1024)
-	if _, err := a.Alloc(4096); err != nil {
-		fmt.Println("full:", err != nil)
-	}
-	a.Free(x)
-	a.Free(y) // coalesces with x's block and the tail
-	_, err := a.Alloc(4096)
-	fmt.Println("after coalescing:", err == nil)
-	fmt.Println("fragmentation:", a.Fragmentation())
+	res := bfc.Replay([]bfc.Event{
+		{ID: 0, Bytes: 256},
+		{ID: 1, Bytes: 1024},
+		{ID: 0, Free: true},
+		{ID: 2, Bytes: 512},
+		{ID: 1, Free: true},
+		{ID: 2, Free: true},
+	})
+	fmt.Println("logical peak:", res.LogicalPeakBytes)
+	fmt.Println("aligned peak:", res.AlignedPeakBytes)
+	fmt.Println("fragmented peak:", res.FragPeakBytes)
+	fmt.Printf("frag ratio: %.3f\n", res.FragRatio)
 	// Output:
-	// full: true
-	// after coalescing: true
-	// fragmentation: 0
+	// logical peak: 1536
+	// aligned peak: 1536
+	// fragmented peak: 1792
+	// frag ratio: 1.167
 }

@@ -9,30 +9,29 @@ func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{10, 0, 20, 1, 0})
 	f.Add([]byte{255, 255, 1, 2, 3, 4, 5})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		a := New(1 << 16)
+		a := newTestArena(1 << 16)
 		var live []int64
 		for i := 0; i+1 < len(program) && i < 200; i += 2 {
 			op, arg := program[i], program[i+1]
 			if op%2 == 0 || len(live) == 0 {
 				size := int64(arg)*64 + 1
-				off, err := a.Alloc(size)
-				if err == nil {
+				if off, ok := a.alloc(size); ok {
 					live = append(live, off)
 				}
 			} else {
 				j := int(arg) % len(live)
-				a.Free(live[j])
+				a.dealloc(live[j])
 				live = append(live[:j], live[j+1:]...)
 			}
-			if err := a.CheckInvariants(); err != nil {
+			if err := a.check(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, off := range live {
-			a.Free(off)
+			a.dealloc(off)
 		}
-		if a.Used() != 0 || a.Fragmentation() != 0 {
-			t.Fatalf("drain left used=%d frag=%v", a.Used(), a.Fragmentation())
+		if !a.drained() {
+			t.Fatalf("drain left used=%d free=%v", a.used, a.free)
 		}
 	})
 }

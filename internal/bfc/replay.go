@@ -52,7 +52,7 @@ func Replay(events []Event) ReplayResult {
 // between arenas and between traces, so a warm Replayer allocates nothing.
 // The zero value is ready to use; a Replayer is not safe for concurrent use.
 type Replayer struct {
-	a Allocator
+	a allocator
 	// slot is the per-ID table: while checking the trace, a live ID's
 	// requested bytes in size (dead = −1); while replaying, the extent the
 	// ID holds.
@@ -124,8 +124,8 @@ func (r *Replayer) Replay(events []Event) ReplayResult {
 	res := ReplayResult{
 		Arena:            arena,
 		LogicalPeakBytes: logicalPeak,
-		AlignedPeakBytes: r.a.Peak(),
-		FragPeakBytes:    r.a.Footprint(),
+		AlignedPeakBytes: r.a.peak,
+		FragPeakBytes:    r.a.footprint,
 		Events:           len(events),
 	}
 	if res.AlignedPeakBytes > 0 {

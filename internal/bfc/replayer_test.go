@@ -9,7 +9,7 @@ import (
 // refArena is the naive reference allocator: an address-ordered slice of
 // regions, best fit by a scan of every free region (smallest adequate size,
 // lowest offset on ties), coalescing by a scan on free. It shares no code
-// with Allocator.
+// with allocator.
 type refArena struct {
 	size    int64
 	regions []refRegion
@@ -168,10 +168,12 @@ func TestReplayerMatchesReference(t *testing.T) {
 		if fresh := Replay(events); got != fresh {
 			t.Fatalf("trial %d: warm replayer %+v, fresh %+v", trial, got, fresh)
 		}
-		if st := r.a.Stats(); st.BytesInUse != 0 || st.Arena != got.Arena || st.Footprint != got.FragPeakBytes {
-			t.Fatalf("trial %d: final snapshot %+v disagrees with %+v", trial, st, got)
+		if a := r.a; a.used != 0 || a.footprint != got.FragPeakBytes {
+			t.Fatalf("trial %d: final arena (used %d, footprint %d) disagrees with %+v", trial, a.used, a.footprint, got)
 		}
-		if err := r.a.CheckInvariants(); err != nil {
+		// Nothing is live at the end, so the free list must be the whole
+		// arena the replay settled on.
+		if err := checkInvariants(&r.a, got.Arena, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if want := refReplay(events); got != want {
@@ -213,7 +215,7 @@ func TestFootprintDependsOnArena(t *testing.T) {
 	if !r.fits(events, 4*2816) {
 		t.Fatal("trace does not fit a 4x arena")
 	}
-	if got := r.a.Footprint(); got != 3072 {
+	if got := r.a.footprint; got != 3072 {
 		t.Fatalf("footprint in a 4x arena %d, want 3072", got)
 	}
 	if again := r.Replay(events); again != res {

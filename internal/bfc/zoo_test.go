@@ -13,9 +13,9 @@ import (
 // allocator — every zoo model's L+1 sweep schedules (each reverse-first-k
 // depth and the memory list schedule) — through Replay, a warm Replayer and
 // the scan-everything reference, which must agree on every ReplayResult
-// field. The same traces, pushed through the Alloc/Free API in the arena the
-// replay settled on, land at the same footprint and never meet more than 3
-// free extents at an allocation: the size the free list is built for.
+// field. The same traces, applied again in the arena the replay settled on,
+// never meet more than 3 free extents at an allocation: the size the free
+// list is built for.
 func TestZooSweepTracesMatchReference(t *testing.T) {
 	var warm bfc.Replayer
 	traces, doubled, allocs, extents, most := 0, 0, 0, 0, 0
@@ -40,23 +40,12 @@ func TestZooSweepTracesMatchReference(t *testing.T) {
 				doubled++
 			}
 
-			a := bfc.New(got.Arena)
-			off := map[int]int64{}
-			for _, ev := range events {
-				if ev.Free {
-					a.Free(off[ev.ID])
-					continue
-				}
-				n := a.Stats().FreeBlocks
-				allocs, extents, most = allocs+1, extents+n, max(most, n)
-				o, err := a.Alloc(ev.Bytes)
-				if err != nil {
-					t.Fatalf("%s k=%d: %v in the arena the replay fit", e.Name, k, err)
-				}
-				off[ev.ID] = o
+			scanned := bfc.FreeExtentsAtAllocs(events, got.Arena)
+			if scanned == nil {
+				t.Fatalf("%s k=%d: an allocation does not fit the arena the replay fit", e.Name, k)
 			}
-			if a.Footprint() != got.FragPeakBytes || a.Peak() != got.AlignedPeakBytes {
-				t.Fatalf("%s k=%d: Alloc/Free footprint %d peak %d, replay %+v", e.Name, k, a.Footprint(), a.Peak(), got)
+			for _, n := range scanned {
+				allocs, extents, most = allocs+1, extents+n, max(most, n)
 			}
 		}
 	}

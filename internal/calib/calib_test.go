@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"oooback/internal/core"
 	"oooback/internal/models"
 )
 
@@ -313,6 +315,39 @@ func TestWhatIfApplyModel(t *testing.T) {
 	// Families without a model analogue are rejected at the model level.
 	if _, err := (WhatIf{ScaleOpKind: map[string]float64{"loss": 0.5}}).ApplyModel(m); err == nil {
 		t.Fatal("loss scale accepted for a layer-cost model")
+	}
+}
+
+// TestWhatIfApplyCosts pins the perturbation semantics on a cost vector:
+// op-kind factors scale their columns, bandwidth divides sync service, lag
+// untouched.
+func TestWhatIfApplyCosts(t *testing.T) {
+	c := core.IterCosts{
+		F:       []time.Duration{100, 200},
+		DO:      []time.Duration{10, 20},
+		DW:      []time.Duration{1000, 2000},
+		SyncW:   []time.Duration{500, 0},
+		SyncLag: []time.Duration{7, 7},
+	}
+	got := WhatIf{ScaleOpKind: map[string]float64{"dW": 0.5}, ScaleBandwidth: 2}.ApplyCosts(c)
+	want := core.IterCosts{
+		F:       []time.Duration{100, 200},
+		DO:      []time.Duration{10, 20},
+		DW:      []time.Duration{500, 1000},
+		SyncW:   []time.Duration{250, 0},
+		SyncLag: []time.Duration{7, 7},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("perturbed = %+v, want %+v", got, want)
+	}
+	// Positive durations never scale to zero (simulator contract).
+	tiny := WhatIf{ScaleOpKind: map[string]float64{"dW": 0.001}}.ApplyCosts(
+		core.IterCosts{F: []time.Duration{1}, DO: []time.Duration{1}, DW: []time.Duration{1}, SyncW: []time.Duration{1}})
+	if tiny.DW[0] != 1 {
+		t.Fatalf("tiny δW scaled to %v, want floor 1", tiny.DW[0])
+	}
+	if &got.SyncLag[0] != &c.SyncLag[0] {
+		t.Fatalf("SyncLag should be shared (never mutated)")
 	}
 }
 

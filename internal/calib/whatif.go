@@ -3,9 +3,9 @@ package calib
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
+	"oooback/internal/core"
 	"oooback/internal/models"
 )
 
@@ -129,8 +129,7 @@ func (w WhatIf) ApplyModel(m *models.Model) (*models.Model, error) {
 	}
 	out := *m
 	out.Layers = append([]models.Layer(nil), m.Layers...)
-	for _, kind := range sortedKeys(w.ScaleOpKind) {
-		s := w.ScaleOpKind[kind]
+	for kind, s := range w.ScaleOpKind { // each kind scales its own field: any order
 		for i := range out.Layers {
 			switch kind {
 			case "fwd":
@@ -148,19 +147,45 @@ func (w WhatIf) ApplyModel(m *models.Model) (*models.Model, error) {
 	return &out, nil
 }
 
-func scaleDur(d time.Duration, s float64) time.Duration {
-	out := time.Duration(math.Round(float64(d) * s))
-	if out < 1 && d > 0 {
-		out = 1 // Model.Validate requires positive forward times
+// ApplyCosts returns a copy of a reverse-first-k cost vector under the
+// perturbation: op-kind factors scale the compute columns, bandwidth divides
+// the synchronization service times (communication time ∝ 1/bandwidth).
+// Aggregation lags are latency, not bandwidth, and stay fixed.
+func (w WhatIf) ApplyCosts(c core.IterCosts) core.IterCosts {
+	out := core.IterCosts{
+		F:       append([]time.Duration(nil), c.F...),
+		DO:      append([]time.Duration(nil), c.DO...),
+		DW:      append([]time.Duration(nil), c.DW...),
+		SyncW:   append([]time.Duration(nil), c.SyncW...),
+		SyncLag: c.SyncLag, // latency, unperturbed; never mutated here
+	}
+	scaleCol := func(col []time.Duration, s float64) {
+		for i, d := range col {
+			col[i] = scaleDur(d, s)
+		}
+	}
+	for kind, s := range w.ScaleOpKind {
+		switch kind {
+		case "fwd":
+			scaleCol(out.F, s)
+		case "dO":
+			scaleCol(out.DO, s)
+		case "dW":
+			scaleCol(out.DW, s)
+		}
+	}
+	if b := w.ScaleBandwidth; b != 0 && b != 1 {
+		scaleCol(out.SyncW, 1/b)
 	}
 	return out
 }
 
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// scaleDur rounds d·s to the nearest ns and keeps positive durations
+// positive: Model.Validate and the simulator require positive compute times.
+func scaleDur(d time.Duration, s float64) time.Duration {
+	out := time.Duration(math.Round(float64(d) * s))
+	if out < 1 && d > 0 {
+		out = 1
 	}
-	sort.Strings(keys)
-	return keys
+	return out
 }

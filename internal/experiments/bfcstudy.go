@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"oooback/internal/bfc"
 	"oooback/internal/core"
 	"oooback/internal/graph"
 	"oooback/internal/models"
+	"oooback/internal/plansearch"
 	"oooback/internal/stats"
 )
 
@@ -14,78 +14,14 @@ func init() {
 	register("bfc-fragmentation", "bfc_allocator replay: fragmentation and arena peak under ooo schedules (§8.1)", BFCStudy)
 }
 
-// lifetimeEvents converts a backward schedule into the alloc/free sequence a
-// framework allocator would see: every activation allocated up front (stored
-// by the forward pass), each gradient allocated at its producer, frees at the
-// MemoryProfile lifetime points, δW workspaces allocated and freed around
-// their op.
-type lifeEvent struct {
-	alloc bool
-	id    string
-	bytes int64
-}
-
-func lifetimeEvents(m *models.Model, s graph.BackwardSchedule) []lifeEvent {
-	L := len(m.Layers)
-	layer := func(i int) models.Layer { return m.Layers[i-1] }
-	var evs []lifeEvent
-	for i := 1; i <= L; i++ {
-		evs = append(evs, lifeEvent{true, fmt.Sprintf("a%d", i-1), layer(i).ActBytes})
-	}
-	evs = append(evs, lifeEvent{true, fmt.Sprintf("g%d", L), layer(L).OutBytes})
-	doneDO := make([]bool, L+1)
-	doneDW := make([]bool, L+1)
-	for _, op := range s {
-		i := op.Layer
-		switch op.Kind {
-		case graph.OutGrad:
-			doneDO[i] = true
-			if i > 1 {
-				evs = append(evs, lifeEvent{true, fmt.Sprintf("g%d", i-1), layer(i - 1).OutBytes})
-			}
-		case graph.WeightGrad:
-			if w := layer(i).WorkBytes; w > 0 {
-				evs = append(evs,
-					lifeEvent{true, fmt.Sprintf("w%d", i), w},
-					lifeEvent{false, fmt.Sprintf("w%d", i), 0})
-			}
-			doneDW[i] = true
-			evs = append(evs, lifeEvent{false, fmt.Sprintf("a%d", i-1), 0})
-		}
-		if doneDO[i] && doneDW[i] {
-			evs = append(evs, lifeEvent{false, fmt.Sprintf("g%d", i), 0})
-		}
-	}
-	return evs
-}
-
-// replay feeds the events through a BFC allocator and reports the peak bytes
-// and the worst fragmentation observed.
-func replay(a *bfc.Allocator, evs []lifeEvent) (peak int64, worstFrag float64, err error) {
-	offs := map[string]int64{}
-	for _, e := range evs {
-		if e.alloc {
-			off, aerr := a.Alloc(e.bytes)
-			if aerr != nil {
-				return 0, 0, aerr
-			}
-			offs[e.id] = off
-		} else {
-			a.Free(offs[e.id])
-			delete(offs, e.id)
-		}
-		if f := a.Fragmentation(); f > worstFrag {
-			worstFrag = f
-		}
-	}
-	return a.Peak(), worstFrag, nil
-}
-
-// BFCStudy replays conventional and ooo backward schedules through the BFC
-// allocator with an arena sized at 1.25× the conventional byte peak, checking
-// that ooo reordering neither overflows the arena nor shatters it.
+// BFCStudy scores conventional and ooo backward schedules the way the
+// planner's memory axis does (plansearch.MemFootprint: the schedule's
+// graph.TraceAllocs trace replayed through the BFC arena) against an arena of
+// 1.25× the conventional byte peak. A schedule fits when its fragmented peak
+// is within the arena, the comparison plansearch.MemorySearch applies to a
+// budget.
 func BFCStudy() string {
-	t := stats.NewTable("model", "schedule", "arena peak (MB)", "worst fragmentation")
+	t := stats.NewTable("model", "schedule", "logical peak (MB)", "fragmented peak (MB)", "frag ratio", "fits 1.25×")
 	for _, m := range []*models.Model{
 		models.DenseNet(models.V100Profile(), 121, 12, 32, models.CIFAR100),
 		models.ResNet(models.V100Profile(), 50, 32, models.ImageNet),
@@ -99,13 +35,10 @@ func BFCStudy() string {
 			{"conventional", graph.Conventional(L)},
 			{"reverse-first-20", core.ReverseFirstK(m, 20, arena)},
 		} {
-			peak, frag, err := replay(bfc.New(arena), lifetimeEvents(m, sc.sched))
-			if err != nil {
-				t.Add(m.Name, sc.name, "OOM", "-")
-				continue
-			}
-			t.Add(m.Name, sc.name, float64(peak)/(1<<20), fmt.Sprintf("%.3f", frag))
+			mem := plansearch.MemFootprint(m, sc.sched)
+			t.Add(m.Name, sc.name, float64(mem.LogicalPeakBytes)/(1<<20), float64(mem.FragPeakBytes)/(1<<20),
+				fmt.Sprintf("%.4f", mem.FragRatio), mem.FragPeakBytes <= arena)
 		}
 	}
-	return t.String() + "\nArena sized at 1.25× the conventional peak. Reordered δW changes the\nalloc/free interleaving; best-fit coalescing keeps fragmentation bounded.\n"
+	return t.String() + "\nArena sized at 1.25× the conventional peak. Each schedule's alloc/free trace\nis replayed through the BFC arena exactly as a plan's memory axis scores it.\n"
 }

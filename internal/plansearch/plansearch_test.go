@@ -11,10 +11,6 @@ import (
 	"oooback/internal/models"
 )
 
-func perturb(kinds map[string]float64, bw float64) calib.WhatIf {
-	return calib.WhatIf{ScaleOpKind: kinds, ScaleBandwidth: bw}
-}
-
 // fifoDisc and prioDisc are the two channel behaviours the datapar methods
 // map to.
 func fifoDisc() Discipline {
@@ -238,38 +234,6 @@ func TestRobustInvariants(t *testing.T) {
 	again := Search(sp, Robust, cfg)
 	if !reflect.DeepEqual(r, again) {
 		t.Fatalf("robust search is not reproducible:\n  a: %+v\n  b: %+v", r, again)
-	}
-}
-
-// TestPerturbedCosts pins the perturbation semantics: op-kind factors scale
-// their columns, bandwidth divides sync service, lag untouched.
-func TestPerturbedCosts(t *testing.T) {
-	c := core.IterCosts{
-		F:       []time.Duration{100, 200},
-		DO:      []time.Duration{10, 20},
-		DW:      []time.Duration{1000, 2000},
-		SyncW:   []time.Duration{500, 0},
-		SyncLag: []time.Duration{7, 7},
-	}
-	got := perturbedCosts(c, perturb(map[string]float64{"dW": 0.5}, 2))
-	want := core.IterCosts{
-		F:       []time.Duration{100, 200},
-		DO:      []time.Duration{10, 20},
-		DW:      []time.Duration{500, 1000},
-		SyncW:   []time.Duration{250, 0},
-		SyncLag: []time.Duration{7, 7},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("perturbed = %+v, want %+v", got, want)
-	}
-	// Positive durations never scale to zero (simulator contract).
-	tiny := perturbedCosts(core.IterCosts{F: []time.Duration{1}, DO: []time.Duration{1}, DW: []time.Duration{1}, SyncW: []time.Duration{1}},
-		perturb(map[string]float64{"dW": 0.001}, 0))
-	if tiny.DW[0] != 1 {
-		t.Fatalf("tiny δW scaled to %v, want floor 1", tiny.DW[0])
-	}
-	if &got.SyncLag[0] != &c.SyncLag[0] {
-		t.Fatalf("SyncLag should be shared (never mutated)")
 	}
 }
 

@@ -2,12 +2,10 @@ package plansearch
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"time"
 
 	"oooback/internal/calib"
-	"oooback/internal/core"
 )
 
 // perturbations is the robust mode's uncertainty set, read-only: δW kernels
@@ -20,50 +18,6 @@ var perturbations = []calib.WhatIf{
 	{ScaleOpKind: map[string]float64{"dW": 1.4}},
 	{ScaleBandwidth: 0.5},
 	{ScaleBandwidth: 2},
-}
-
-// perturbedCosts returns a copy of the cost vector under the perturbation:
-// op-kind factors scale the compute columns, bandwidth divides the
-// synchronization service times (communication time ∝ 1/bandwidth).
-// Aggregation lags are latency, not bandwidth, and stay fixed.
-func perturbedCosts(c core.IterCosts, w calib.WhatIf) core.IterCosts {
-	out := core.IterCosts{
-		F:       append([]time.Duration(nil), c.F...),
-		DO:      append([]time.Duration(nil), c.DO...),
-		DW:      append([]time.Duration(nil), c.DW...),
-		SyncW:   append([]time.Duration(nil), c.SyncW...),
-		SyncLag: c.SyncLag, // latency, unperturbed; never mutated here
-	}
-	scaleCol := func(col []time.Duration, s float64) {
-		for i, d := range col {
-			col[i] = scaleDurUp(d, s)
-		}
-	}
-	for kind, s := range w.ScaleOpKind {
-		switch kind {
-		case "fwd":
-			scaleCol(out.F, s)
-		case "dO":
-			scaleCol(out.DO, s)
-		case "dW":
-			scaleCol(out.DW, s)
-		}
-	}
-	if b := w.ScaleBandwidth; b != 0 && b != 1 {
-		scaleCol(out.SyncW, 1/b)
-	}
-	return out
-}
-
-// scaleDurUp mirrors calib's duration scaling: round to the nearest ns and
-// keep positive durations positive (the simulator requires positive compute
-// columns).
-func scaleDurUp(d time.Duration, s float64) time.Duration {
-	out := time.Duration(math.Round(float64(d) * s))
-	if out < 1 && d > 0 {
-		out = 1
-	}
-	return out
 }
 
 // searchRobust runs the guided search, re-scores the top-N pool of probed
@@ -79,7 +33,7 @@ func (st *state) searchRobust() Result {
 	worst := make([]float64, len(pool))
 	out := make([]time.Duration, st.n)
 	for _, w := range perturbations {
-		st.probe(perturbedCosts(st.sp.Costs, w), out, pool)
+		st.probe(w.ApplyCosts(st.sp.Costs), out, pool)
 		r.RobustProbes += len(pool)
 		best := pool[0]
 		for _, id := range pool[1:] {

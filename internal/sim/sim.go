@@ -43,13 +43,9 @@ const MaxTime Time = math.MaxInt64
 // Cancel. Handles are engine-specific and not safe for concurrent use.
 type Event struct {
 	eng  *Engine
-	at   Time
 	slot int32
 	gen  uint32
 }
-
-// At reports the virtual time the event was scheduled for.
-func (e Event) At() Time { return e.at }
 
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired (or was already cancelled) is a no-op.
@@ -73,9 +69,8 @@ type slot struct {
 // use. Engines are not safe for concurrent use; simulations are expected to
 // be single-goroutine (all concurrency is virtual).
 type Engine struct {
-	now   Time
-	seq   uint64
-	steps uint64
+	now Time
+	seq uint64
 
 	heap  []int32 // binary heap of slot indices, ordered by (at, seq)
 	slots []slot
@@ -88,10 +83,6 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Steps returns the number of events executed so far; useful for loop guards
-// in tests.
-func (e *Engine) Steps() uint64 { return e.steps }
-
 // Reset returns the engine to virtual time zero with an empty queue,
 // cancelling every pending event, but keeps the slot arena and heap storage
 // so a reused engine schedules without allocating. Handles issued before the
@@ -101,7 +92,7 @@ func (e *Engine) Reset() {
 		e.release(id)
 	}
 	e.heap = e.heap[:0]
-	e.now, e.seq, e.steps = 0, 0, 0
+	e.now, e.seq = 0, 0
 }
 
 // Schedule runs fn at the given absolute virtual time. Scheduling in the past
@@ -124,7 +115,7 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	s.pos = int32(len(e.heap))
 	e.heap = append(e.heap, id)
 	e.siftUp(int(s.pos))
-	return Event{eng: e, at: at, slot: id, gen: s.gen}
+	return Event{eng: e, slot: id, gen: s.gen}
 }
 
 // After runs fn after delay d relative to the current virtual time.
@@ -134,10 +125,6 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 	}
 	return e.Schedule(e.now+d, fn)
 }
-
-// Pending reports the number of live events in the queue. Cancelled events
-// are removed eagerly, so this is O(1).
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // Step executes the next event, advancing the clock. It reports whether an
 // event was executed (false means the queue was empty).
@@ -151,7 +138,6 @@ func (e *Engine) Step() bool {
 	fn := s.fn
 	e.removeAt(0)
 	e.release(id)
-	e.steps++
 	fn()
 	return true
 }
@@ -161,17 +147,6 @@ func (e *Engine) Run() Time {
 	for e.Step() {
 	}
 	return e.now
-}
-
-// RunUntil executes events with time ≤ deadline, leaves later events queued,
-// and advances the clock to the deadline.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
 }
 
 // cancel removes the event in the given slot if the generation still matches.
