@@ -72,6 +72,65 @@ func TestReplayPanicsOnMalformedTrace(t *testing.T) {
 	}
 }
 
+func TestFragmentationMetric(t *testing.T) {
+	// Two 1024-byte tensors fill a 3072-byte arena's first two thirds; the
+	// first goes, and a 2048-byte one fits neither the 1024 hole nor the
+	// 1024 tail. The arena doubles to 6144, where it lands at 2048: the
+	// footprint reaches 4096 while at most 3072 bytes are in use.
+	res := Replay([]Event{
+		{ID: 0, Bytes: 1024},
+		{ID: 1, Bytes: 1024},
+		{ID: 0, Free: true},
+		{ID: 2, Bytes: 2048},
+		{ID: 1, Free: true},
+		{ID: 2, Free: true},
+	})
+	want := ReplayResult{
+		Arena:            6144,
+		LogicalPeakBytes: 3072,
+		AlignedPeakBytes: 3072,
+		FragPeakBytes:    4096,
+		FragRatio:        4096.0 / 3072.0,
+		Events:           6,
+	}
+	if res != want {
+		t.Fatalf("replay = %+v, want %+v", res, want)
+	}
+}
+
+func TestFreeUnknownPanics(t *testing.T) {
+	var r Replayer
+	good := []Event{{ID: 0, Bytes: 256}, {ID: 0, Free: true}}
+	want := r.Replay(good)
+	for name, events := range map[string][]Event{
+		"never-allocated": {{ID: 3, Bytes: 256}, {ID: 1, Free: true}, {ID: 3, Free: true}},
+		"past-the-table":  {{ID: 0, Bytes: 256}, {ID: 5, Free: true}, {ID: 0, Free: true}},
+		"negative":        {{ID: -1, Free: true}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			r.Replay(events)
+		}()
+		// The Replayer stays usable after the panic.
+		if got := r.Replay(good); got != want {
+			t.Fatalf("%s: replay after the panic = %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+func TestDoubleFreePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on double free")
+		}
+	}()
+	Replay([]Event{{ID: 1, Bytes: 256}, {ID: 1, Free: true}, {ID: 1, Free: true}})
+}
+
 func TestReplayEmptyTrace(t *testing.T) {
 	res := Replay(nil)
 	if res.LogicalPeakBytes != 0 || res.FragPeakBytes != 0 || res.Events != 0 {
