@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -19,54 +20,23 @@ import (
 // non-test file of the module refers to, each with the reason it stays.
 // TestExportedSurfaceCensus fails on any such identifier that is not here —
 // and on any entry that has gained a reference or no longer exists, so the
-// list cannot go stale. ROADMAP item 9 decides these; the test only keeps the
-// surface from regrowing silently.
+// list cannot go stale. A reason names either the open ROADMAP item about to
+// use the identifier ("item <n>: ...") or the test packages that share it
+// as a fixture ("fixture: ..."); censusReason enforces the two forms.
 var censusAllow = map[string]string{
-	"autograd.Conv2D":                "only tests refer to it",
-	"autograd.MeanPoolRows":          "only tests refer to it",
-	"autograd.Reshape":               "only tests refer to it",
-	"autograd.Tape.Reset":            "only tests refer to it",
-	"autograd.Tape.ZeroGrads":        "only tests refer to it",
-	"autograd.Variable.IsParam":      "only tests refer to it",
-	"calib.Profile.FindNet":          "only tests refer to it",
-	"calib.Profiler.Steps":           "only tests refer to it",
-	"calib.Profiler.WarmSteps":       "only tests refer to it",
-	"core.ContiguousAllocation":      "allocation baseline only tests compare with",
-	"experiments.RunAll":             "only the golden test calls it; cmd/oooexp runs ids one by one",
-	"models.CostTable.WriteJSON":     "only tests refer to it",
-	"models.ReadCostTableJSON":       "only tests refer to it",
-	"netsim.SimulateRingAllReduce":   "only its own test calls it",
-	"nn.ConstantLR":                  "learning-rate schedule only the Fit tests drive",
-	"nn.CosineLR":                    "learning-rate schedule only the Fit tests drive",
-	"nn.NewSelfAttention":            "reference-only layer: the transformer semantics check and the engines' rejection path",
-	"nn.StateSnapshot":               "optimizer-state oracle of the data-parallel differential suite",
-	"nn.StateSnapshotsEqual":         "optimizer-state oracle of the data-parallel differential suite",
-	"nn.StepDecayLR":                 "learning-rate schedule only its own test drives",
-	"nn.WarmupLR":                    "learning-rate schedule only the Fit tests drive",
-	"plansvc.Service.WhatIf":         "in-process form of /v1/whatif that only tests call; the HTTP handler parses and computes through the shared request path",
-	"plansvc/warmcache.Cache.Loaded": "only tests refer to it",
-	"shardsvc.Ring.Owners":           "only tests refer to it",
-	"shardsvc.Ring.Without":          "only tests refer to it",
-	"shardsvc.Shard.Metrics":         "only tests refer to it",
-	"singlegpu.OOOXLANoReorder":      "only tests refer to it",
-	"stats.StdErr":                   "only tests refer to it",
-	"tensor.Add":                     "allocating reference the pooled kernels are compared with in tests",
-	"tensor.FromSlice":               "test fixture constructor",
-	"tensor.MaxAbsDiff":              "test assertion helper",
-	"tensor.Mul":                     "allocating reference, only tests",
-	"tensor.Tensor.Set":              "test fixture helper",
-	"tensor.Transpose":               "allocating reference, only tests",
-	"tensor.Workspace.Pooled":        "introspection only the workspace test reads",
-	"trace.Trace.CSV":                "only tests refer to it",
-	"trace.Trace.KindTime":           "only tests refer to it",
-	"trace.Trace.MeanUtilization":    "only tests refer to it",
-	"train.Accuracy":                 "evaluation helper only a test calls",
-	"train.Executor.Workers":         "reports the pool size NewExecutor chose; only tests read it (part of the frozen Executor API)",
-	"train.Fit":                      "the epoch/batch loop for a caller-built engine; only tests drive it (cut to 5 knobs; ROADMAP item 9 decides)",
-	"train.Network.InvalidateParams": "only TestParamsCached calls it; no caller mutates Layers after first use",
-	"train.Pipeline.Net":             "accessor only tests use; DataParallel.Net, its twin, is what the benchmark calls",
-	"xir.OpCount":                    "only tests refer to it",
+	"core.ContiguousAllocation":      "fixture: the baseline allocation the core and pipepar tests compare modulo allocation with",
+	"netsim.SimulateRingAllReduce":   "item 15: the event-level ring the served data-parallel plans get checked against",
+	"nn.NewSelfAttention":            "fixture: reference-only layer the nn semantics tests and the train engines' rejection tests build",
+	"nn.StateSnapshot":               "fixture: optimizer-state oracle of the nn and train differential suites",
+	"nn.StateSnapshotsEqual":         "fixture: optimizer-state oracle of the nn and train differential suites",
+	"plansvc/warmcache.Cache.Loaded": "fixture: reboot-replay count the warmcache and plansvc tests assert",
+	"tensor.FromSlice":               "fixture: literal-tensor constructor of the tensor and nn tests",
+	"tensor.MaxAbsDiff":              "fixture: tolerance assertion of the tensor and nn tests",
+	"tensor.Tensor.At":               "fixture: indexed element read of the tensor, nn and train tests",
 }
+
+// censusReason is the form every censusAllow reason takes.
+var censusReason = regexp.MustCompile(`^(item [0-9]+|fixture):`)
 
 // censusModule is the type-checked module: every package's non-test files,
 // checked from source with the standard library's own importer behind it.
@@ -209,9 +179,12 @@ func TestExportedSurfaceCensus(t *testing.T) {
 			t.Errorf("%s is exported but no non-test file refers to it: delete it, unexport it, or give censusAllow a reason", o)
 		}
 	}
-	for o := range censusAllow {
+	for o, reason := range censusAllow {
 		if !found[o] {
 			t.Errorf("censusAllow lists %s, which is referred to or gone: drop the entry", o)
+		}
+		if !censusReason.MatchString(reason) {
+			t.Errorf("censusAllow reason for %s is %q: it must start with \"item <n>:\" (the open ROADMAP item that will use it) or \"fixture:\" (a helper the tests of two or more packages call)", o, reason)
 		}
 	}
 }

@@ -30,6 +30,9 @@
 //	                               frontier per zoo model (BFC-replayed
 //	                               fragmented peaks); with -o DIR, write
 //	                               DIR/pareto.txt
+//	oooexp -o DIR timeline RUN...  write DIR/<run>.json (Chrome trace) and
+//	                               DIR/<run>.svg for each demo run,
+//	                               singlegpu or pipeline
 package main
 
 import (
@@ -94,6 +97,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}
+	case "timeline":
+		if err := runTimeline(args[1:], os.Stdout, *outDir); err != nil {
+			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
+			os.Exit(1)
+		}
 	case "all":
 		runIDs(experiments.IDs(), workers, *outDir)
 	default:
@@ -138,5 +146,5 @@ func runIDs(ids []string, workers int, outDir string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: oooexp [-o dir] [-parallel n] list | all | bench | exec | calib | search | pareto | <experiment-id>...")
+	fmt.Fprintln(os.Stderr, "usage: oooexp [-o dir] [-parallel n] list | all | bench | exec | calib | search | pareto | timeline <run>... | <experiment-id>...")
 }

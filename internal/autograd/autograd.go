@@ -33,9 +33,6 @@ type Variable struct {
 	param bool
 }
 
-// IsParam reports whether the variable accumulates gradients.
-func (v *Variable) IsParam() bool { return v.param }
-
 // node is one recorded primitive: output id, input ids, and one VJP closure
 // per input. A VJP receives the gradient w.r.t. the node's output and
 // returns the gradient contribution w.r.t. that input.
@@ -97,29 +94,6 @@ func (t *Tape) Params() []*Variable {
 		}
 	}
 	return out
-}
-
-// ZeroGrads clears all parameter gradients.
-func (t *Tape) ZeroGrads() {
-	for _, v := range t.vars {
-		if v.param {
-			v.Grad.Zero()
-		}
-	}
-}
-
-// Reset drops all recorded nodes and intermediates, keeping parameters (and
-// their gradient accumulators) registered. Call between training steps.
-func (t *Tape) Reset() {
-	var keep []*Variable
-	for _, v := range t.vars {
-		if v.param {
-			v.id = len(keep)
-			keep = append(keep, v)
-		}
-	}
-	t.vars = keep
-	t.nodes = nil
 }
 
 // Policy chooses when deferred parameter VJPs run during Backward.

@@ -66,57 +66,6 @@ func ReLU(x *Variable) *Variable {
 	return ov
 }
 
-// Conv2D records a valid stride-1 convolution of x [N,C,H,W] with w
-// [F,C,KH,KW].
-func Conv2D(x, w *Variable) *Variable {
-	t := x.tape
-	out := t.intermediate(tensor.Conv2D(x.Value, w.Value))
-	xv, wv := x.Value, w.Value
-	kh, kw := wv.Shape[2], wv.Shape[3]
-	h, wd := xv.Shape[2], xv.Shape[3]
-	t.record(out, []*Variable{x, w}, []func(*tensor.Tensor) *tensor.Tensor{
-		func(g *tensor.Tensor) *tensor.Tensor { return tensor.Conv2DInputGrad(g, wv, h, wd) },
-		func(g *tensor.Tensor) *tensor.Tensor { return tensor.Conv2DWeightGrad(xv, g, kh, kw) },
-	})
-	return out
-}
-
-// Reshape records a view with a new shape.
-func Reshape(x *Variable, shape ...int) *Variable {
-	t := x.tape
-	inShape := append([]int(nil), x.Value.Shape...)
-	out := t.intermediate(x.Value.Clone().Reshape(shape...))
-	t.record(out, []*Variable{x}, []func(*tensor.Tensor) *tensor.Tensor{
-		func(g *tensor.Tensor) *tensor.Tensor { return g.Clone().Reshape(inShape...) },
-	})
-	return out
-}
-
-// MeanPoolRows records y[r/group] = mean of x rows r..r+group−1.
-func MeanPoolRows(x *Variable, group int) *Variable {
-	t := x.tape
-	rows, d := x.Value.Shape[0], x.Value.Shape[1]
-	out := tensor.New(rows/group, d)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < d; c++ {
-			out.Data[(r/group)*d+c] += x.Value.Data[r*d+c] / float64(group)
-		}
-	}
-	ov := t.intermediate(out)
-	t.record(ov, []*Variable{x}, []func(*tensor.Tensor) *tensor.Tensor{
-		func(g *tensor.Tensor) *tensor.Tensor {
-			r := tensor.New(rows, d)
-			for i := 0; i < rows; i++ {
-				for c := 0; c < d; c++ {
-					r.Data[i*d+c] = g.Data[(i/group)*d+c] / float64(group)
-				}
-			}
-			return r
-		},
-	})
-	return ov
-}
-
 // SoftmaxCE computes the mean softmax cross-entropy of logits against labels
 // and returns the loss plus the seed gradient (∂loss/∂logits) for Backward.
 func SoftmaxCE(logits *Variable, labels []int) (float64, *tensor.Tensor) {

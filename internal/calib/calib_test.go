@@ -45,12 +45,6 @@ func TestProfilerWarmupDiscardAndStats(t *testing.T) {
 		p.Observe(OpFwd, 1, "dense", 50, d)
 		p.EndStep(2 * d)
 	}
-	if got := p.Steps(); got != 6 {
-		t.Fatalf("Steps = %d", got)
-	}
-	if got := p.WarmSteps(); got != 4 {
-		t.Fatalf("WarmSteps = %d", got)
-	}
 	np := p.Snapshot()
 	if np.Net != "toy" || np.Engine != "serial" || np.Layers != 2 || np.WarmSteps != 4 {
 		t.Fatalf("snapshot header %+v", np)
@@ -367,8 +361,5 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	}
 	if string(buf) != string(buf2) {
 		t.Fatal("profile JSON not canonical across a round trip")
-	}
-	if back.FindNet("net1") == nil || back.FindNet("nope") != nil {
-		t.Fatal("FindNet misbehaves")
 	}
 }

@@ -242,13 +242,3 @@ func ReadProfileJSON(data []byte) (*Profile, error) {
 	}
 	return &p, nil
 }
-
-// FindNet returns the named net's profile, or nil.
-func (p *Profile) FindNet(name string) *NetProfile {
-	for i := range p.Nets {
-		if p.Nets[i].Net == name {
-			return &p.Nets[i]
-		}
-	}
-	return nil
-}

@@ -93,20 +93,6 @@ func (p *Profiler) EndStep(wall time.Duration) {
 	p.mu.Unlock()
 }
 
-// Steps returns the number of completed steps (warmup included).
-func (p *Profiler) Steps() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.steps
-}
-
-// WarmSteps returns the number of recorded warm steps.
-func (p *Profiler) WarmSteps() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.iters)
-}
-
 // Snapshot aggregates the recorded samples into a NetProfile (median + MAD
 // per op, canonical op order). It requires at least one warm step.
 func (p *Profiler) Snapshot() NetProfile {

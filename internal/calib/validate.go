@@ -2,6 +2,7 @@ package calib
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"oooback/internal/core"
@@ -105,7 +106,7 @@ func Validate(p *Profile, t *models.CostTable) (Accuracy, error) {
 			return Accuracy{}, err
 		}
 		meas := n.IterMedianNs
-		ape := absF(float64(sim.Nanoseconds())-float64(meas)) / float64(meas)
+		ape := math.Abs(float64(sim.Nanoseconds())-float64(meas)) / float64(meas)
 		acc.PerNet = append(acc.PerNet, NetAccuracy{
 			Net:         n.Net,
 			MeasuredNs:  meas,
@@ -119,11 +120,4 @@ func Validate(p *Profile, t *models.CostTable) (Accuracy, error) {
 	}
 	acc.MAPE /= float64(len(acc.PerNet))
 	return acc, nil
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

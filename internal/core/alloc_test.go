@@ -202,8 +202,9 @@ func TestSimulateIterationOverlappedBounds(t *testing.T) {
 	prio := func(l int) int { return l }
 	order := graph.Conventional(L)
 	all := SimulateIteration(c, order, prio, true)
-	none := SimulateIterationOverlapped(c, order, prio, true, func(int) bool { return false })
-	some := SimulateIterationOverlapped(c, order, prio, true, func(l int) bool { return l > 3 })
+	var s IterScratch
+	none := s.SimulateIterationOverlapped(c, order, prio, true, func(int) bool { return false })
+	some := s.SimulateIterationOverlapped(c, order, prio, true, func(l int) bool { return l > 3 })
 	if none.Makespan != all.Makespan {
 		t.Fatalf("no-overlap variant diverged: %v vs %v", none.Makespan, all.Makespan)
 	}

@@ -133,23 +133,16 @@ func SimulateIteration(c IterCosts, order graph.BackwardSchedule, prio func(laye
 	return s.SimulateIterationTraced(c, order, prio, preemptive, nil)
 }
 
-// SimulateIterationTraced is SimulateIteration with span recording: GPU ops
-// land on lane "GPU", communication chunks on lane "NET" (the Fig 4 layout).
-// tr may be nil.
-func SimulateIterationTraced(c IterCosts, order graph.BackwardSchedule, prio func(layer int) int, preemptive bool, tr *trace.Trace) IterResult {
-	var s IterScratch
-	return s.SimulateIterationTraced(c, order, prio, preemptive, tr)
-}
-
 // SimulateIteration is the allocation-free variant of the package-level
 // SimulateIteration: all working state lives in the scratch.
 func (s *IterScratch) SimulateIteration(c IterCosts, order graph.BackwardSchedule, prio func(layer int) int, preemptive bool) IterResult {
 	return s.SimulateIterationTraced(c, order, prio, preemptive, nil)
 }
 
-// SimulateIterationTraced is the scratch-backed simulator core. tr may be
-// nil; span recording allocates (it builds labels), so traced runs are not
-// allocation-free.
+// SimulateIterationTraced is the scratch-backed simulator core, with span
+// recording: GPU ops land on lane "GPU", communication chunks on lane "NET"
+// (the Fig 4 layout). tr may be nil; span recording allocates (it builds
+// labels), so traced runs are not allocation-free.
 func (s *IterScratch) SimulateIterationTraced(c IterCosts, order graph.BackwardSchedule, prio func(layer int) int, preemptive bool, tr *trace.Trace) IterResult {
 	if err := c.validate(); err != nil {
 		panic(err)
@@ -475,15 +468,7 @@ func Throughput(makespan time.Duration, globalBatch int) float64 {
 // main stream, per §4.1); their gradients become ready when the main stream
 // passes the point where the δW would have been issued. Layers with
 // overlapped(i) == false execute δW serially as usual — reverse first-k
-// places the critical first-k δW there.
-func SimulateIterationOverlapped(c IterCosts, order graph.BackwardSchedule,
-	prio func(layer int) int, preemptive bool, overlapped func(layer int) bool) IterResult {
-	var s IterScratch
-	return s.SimulateIterationOverlapped(c, order, prio, preemptive, overlapped)
-}
-
-// SimulateIterationOverlapped is the allocation-free variant of the
-// package-level SimulateIterationOverlapped.
+// places the critical first-k δW there. Warm, it allocates nothing.
 func (s *IterScratch) SimulateIterationOverlapped(c IterCosts, order graph.BackwardSchedule,
 	prio func(layer int) int, preemptive bool, overlapped func(layer int) bool) IterResult {
 	if overlapped == nil {

@@ -229,6 +229,7 @@ func RunTraced(m *models.Model, cl Cluster, workers int, method Method, tr *trac
 	c := Costs(m, cl, workers, method)
 
 	prio, preemptive := method.Channel()
+	var scratch core.IterScratch
 	var order graph.BackwardSchedule
 	k := 0
 	switch method {
@@ -241,7 +242,6 @@ func RunTraced(m *models.Model, cl Cluster, workers int, method Method, tr *trac
 		// gradient computations are reordered. The probes run serially
 		// through one scratch, so the search allocates only the candidate
 		// schedules after warm-up.
-		var scratch core.IterScratch
 		k = core.SearchK(L, func(kk int) float64 {
 			s := core.ReverseFirstK(m, kk, 0)
 			r := scratch.SimulateIteration(c, s, prio, preemptive)
@@ -252,7 +252,7 @@ func RunTraced(m *models.Model, cl Cluster, workers int, method Method, tr *trac
 		panic(fmt.Sprintf("datapar: unknown method %v", method))
 	}
 
-	r := core.SimulateIterationTraced(c, order, prio, preemptive, tr)
+	r := scratch.SimulateIterationTraced(c, order, prio, preemptive, tr)
 	res := Result{
 		Method: method, Workers: workers, K: k,
 		IterTime:    r.Makespan,

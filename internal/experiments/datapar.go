@@ -37,8 +37,9 @@ func Fig4() string {
 
 	var b strings.Builder
 	show := func(title string, order graph.BackwardSchedule, p func(int) int, preemptive bool) {
+		var s core.IterScratch
 		tr := &trace.Trace{}
-		r := core.SimulateIterationTraced(c, order, p, preemptive, tr)
+		r := s.SimulateIterationTraced(c, order, p, preemptive, tr)
 		fmt.Fprintf(&b, "(%s) makespan=%v idle=%v\n%s\n", title, r.Makespan, r.GPUIdle,
 			tr.Render(trace.RenderOptions{Width: 90}))
 	}

@@ -9,9 +9,7 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"oooback/internal/parexec"
 )
@@ -49,27 +47,6 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// RunAll executes every experiment and concatenates the reports.
-func RunAll() string { return RunAllParallel(1) }
-
-// RunAllParallel runs every experiment on up to `workers` goroutines
-// (bounded by parexec's worker pool) and concatenates the reports in the
-// same deterministic (id) order as RunAll. Experiments are independent,
-// deterministic simulations, so the output is byte-identical to the
-// sequential run for every worker count.
-func RunAllParallel(workers int) string {
-	ids := IDs()
-	reports := parexec.Map(len(ids), workers, func(i int) string {
-		e := registry[ids[i]]
-		return fmt.Sprintf("==== %s: %s ====\n%s\n", e.ID, e.Title, e.Run())
-	})
-	var b strings.Builder
-	for _, r := range reports {
-		b.WriteString(r)
-	}
-	return b.String()
 }
 
 // RunNamedParallel runs the given experiment ids on up to `workers`

@@ -29,8 +29,9 @@ func HybridSingleData() string {
 	L := len(m.Layers)
 	prio := func(l int) int { return l }
 
+	var s core.IterScratch
 	run := func(order graph.BackwardSchedule, overlapped func(int) bool) float64 {
-		r := core.SimulateIterationOverlapped(c, order, prio, true, overlapped)
+		r := s.SimulateIterationOverlapped(c, order, prio, true, overlapped)
 		return core.Throughput(r.Makespan, m.Batch*workers)
 	}
 	neither := run(graph.Conventional(L), nil)

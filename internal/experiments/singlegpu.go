@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -139,7 +140,7 @@ func Fig9() string {
 	for i := 0; i < len(conv); i += step {
 		t.Add(i, float64(conv[i])/float64(1<<20), float64(ooo[i])/float64(1<<20))
 	}
-	peakC, peakO := maxI64(conv), maxI64(ooo)
+	peakC, peakO := slices.Max(conv), slices.Max(ooo)
 	return t.String() + fmt.Sprintf("\npeak: conventional=%.1fMB ooo=%.1fMB (+%.2f%%)\n",
 		float64(peakC)/float64(1<<20), float64(peakO)/float64(1<<20),
 		100*(float64(peakO)/float64(peakC)-1))
@@ -157,14 +158,4 @@ func MemSingle() string {
 			fmt.Sprintf("%+.2f%%", 100*(float64(oooPeak)/float64(convPeak)-1)))
 	}
 	return t.String()
-}
-
-func maxI64(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -133,33 +132,6 @@ func (t *CostTable) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the table as indented JSON (map keys sorted by
-// encoding/json, so output is canonical).
-func (t *CostTable) WriteJSON() ([]byte, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	buf, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
-// ReadCostTableJSON parses and validates a table written by WriteJSON.
-func ReadCostTableJSON(data []byte) (*CostTable, error) {
-	var t CostTable
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
-		return nil, fmt.Errorf("models: parse cost table: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
 }
 
 // DefaultCostTable synthesizes the hand-written cost laws of this package

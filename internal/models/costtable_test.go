@@ -105,39 +105,6 @@ func TestCostTableScaled(t *testing.T) {
 	}
 }
 
-func TestCostTableJSONRoundTrip(t *testing.T) {
-	tab := testTable()
-	buf, err := tab.WriteJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCostTableJSON(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != tab.Name || len(back.Entries) != len(tab.Entries) {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	for k, e := range tab.Entries {
-		if back.Entries[k] != e {
-			t.Errorf("entry %q round-tripped to %+v, want %+v", k, back.Entries[k], e)
-		}
-	}
-	buf2, err := back.WriteJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != string(buf2) {
-		t.Error("WriteJSON is not canonical across a round trip")
-	}
-	if _, err := ReadCostTableJSON([]byte(`{"name":"x","entries":{"fwd":{"fixed_ns":-1,"ns_per_work":0}}}`)); err == nil {
-		t.Error("negative coefficient accepted")
-	}
-	if _, err := ReadCostTableJSON([]byte(`{"name":"x","entries":{},"bogus":1}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-}
-
 func TestDefaultCostTable(t *testing.T) {
 	tab := DefaultCostTable(V100Profile())
 	if err := tab.Validate(); err != nil {

@@ -154,19 +154,12 @@ func VocabParallelHead(m *Model, n int) *Model {
 		l.ParamBytes /= int64(n)
 		l.OutBytes /= int64(n)
 		l.WorkBytes /= int64(n)
-		l.FwdBlocks = maxInt(1, l.FwdBlocks/n)
-		l.DOBlocks = maxInt(1, l.DOBlocks/n)
-		l.DWBlocks = maxInt(1, l.DWBlocks/n)
+		l.FwdBlocks = max(1, l.FwdBlocks/n)
+		l.DOBlocks = max(1, l.DOBlocks/n)
+		l.DWBlocks = max(1, l.DWBlocks/n)
 	}
 	mustValidate(out)
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func transformerModel(p GPUProfile, name string, nLayers, hidden, vocab, seqLen, batch int, causal bool) *Model {

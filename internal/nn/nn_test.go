@@ -206,6 +206,119 @@ func TestOptimizersDescend(t *testing.T) {
 	}
 }
 
+// stepRuleGrads are the gradients the step-rule tests feed an optimizer on
+// its first and second step, from w0.
+var (
+	stepRuleW0    = []float64{3, -2, 1, 0.5}
+	stepRuleGrads = [][]float64{{0.5, -1, 2, 0}, {-0.25, 0.75, 1, -3}}
+)
+
+// checkStepRule steps opt twice over a fresh parameter at stepRuleW0 with
+// stepRuleGrads and compares each step's weights with want(step, i, w),
+// which applies the documented update to element i. The optimizer must leave
+// the gradients it read intact.
+func checkStepRule(t *testing.T, opt Optimizer, want func(step, i int, w float64) float64) {
+	t.Helper()
+	p := &Param{Name: "w", Value: tensor.FromSlice(append([]float64(nil), stepRuleW0...), 4), Grad: tensor.New(4)}
+	w := append([]float64(nil), stepRuleW0...)
+	for step, g := range stepRuleGrads {
+		copy(p.Grad.Data, g)
+		opt.Step([]*Param{p})
+		for i := range w {
+			w[i] = want(step, i, w[i])
+			if got := p.Value.Data[i]; math.Abs(got-w[i]) > 1e-12*math.Max(1, math.Abs(w[i])) {
+				t.Fatalf("step %d: w[%d] = %v, want %v", step+1, i, got, w[i])
+			}
+			if p.Grad.Data[i] != g[i] {
+				t.Fatalf("step %d: grad[%d] changed to %v", step+1, i, p.Grad.Data[i])
+			}
+		}
+	}
+}
+
+// TestSGDStepRule: w ← w − lr·g.
+func TestSGDStepRule(t *testing.T) {
+	const lr = 0.1
+	checkStepRule(t, &SGD{LR: lr}, func(step, i int, w float64) float64 {
+		return w - lr*stepRuleGrads[step][i]
+	})
+}
+
+// TestMomentumStepRule: v ← βv + g; w ← w − lr·v, with the velocity carried
+// from one step to the next.
+func TestMomentumStepRule(t *testing.T) {
+	const lr, beta = 0.05, 0.9
+	v := make([]float64, len(stepRuleW0))
+	checkStepRule(t, &Momentum{LR: lr, Beta: beta}, func(step, i int, w float64) float64 {
+		v[i] = beta*v[i] + stepRuleGrads[step][i]
+		return w - lr*v[i]
+	})
+}
+
+// TestRMSPropStepRule: s ← ρs + (1−ρ)g²; w ← w − lr·g/√(s+ε).
+func TestRMSPropStepRule(t *testing.T) {
+	const lr, decay, eps = 0.01, 0.9, 1e-6
+	s := make([]float64, len(stepRuleW0))
+	checkStepRule(t, &RMSProp{LR: lr, Decay: decay, Eps: eps}, func(step, i int, w float64) float64 {
+		g := stepRuleGrads[step][i]
+		s[i] = decay*s[i] + (1-decay)*g*g
+		return w - lr*g/math.Sqrt(s[i]+eps)
+	})
+}
+
+// TestAdamStepRule: the bias-corrected update w ← w − lr·m̂/(√v̂ + ε), with
+// m̂ = m/(1−β₁ᵗ) and v̂ = v/(1−β₂ᵗ).
+func TestAdamStepRule(t *testing.T) {
+	const lr, b1, b2, eps = 0.1, 0.8, 0.99, 1e-6
+	m := make([]float64, len(stepRuleW0))
+	v := make([]float64, len(stepRuleW0))
+	checkStepRule(t, &Adam{LR: lr, Beta1: b1, Beta2: b2, Eps: eps}, func(step, i int, w float64) float64 {
+		g := stepRuleGrads[step][i]
+		m[i] = b1*m[i] + (1-b1)*g
+		v[i] = b2*v[i] + (1-b2)*g*g
+		tt := float64(step + 1)
+		mHat := m[i] / (1 - math.Pow(b1, tt))
+		vHat := v[i] / (1 - math.Pow(b2, tt))
+		return w - lr*mHat/(math.Sqrt(vHat)+eps)
+	})
+}
+
+// TestOptimizerZeroHyperparamsDefault: a zero Eps (RMSProp, Adam) or zero
+// Beta1/Beta2 (Adam) means the documented default, so the zero-valued
+// optimizer lands on the same bits as one with the defaults spelled out, and
+// each parameter keeps its own state when several step together.
+func TestOptimizerZeroHyperparamsDefault(t *testing.T) {
+	for name, pair := range map[string][2]Optimizer{
+		"rmsprop": {&RMSProp{LR: 0.01, Decay: 0.9}, &RMSProp{LR: 0.01, Decay: 0.9, Eps: 1e-8}},
+		"adam":    {&Adam{LR: 0.1}, &Adam{LR: 0.1, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
+	} {
+		mk := func() []*Param {
+			return []*Param{
+				{Name: "a", Value: tensor.FromSlice([]float64{3, -2, 1}, 3), Grad: tensor.New(3)},
+				{Name: "b", Value: tensor.FromSlice([]float64{-1, 4}, 2), Grad: tensor.New(2)},
+			}
+		}
+		implicit, explicit := mk(), mk()
+		for it := 0; it < 5; it++ {
+			for _, ps := range [][]*Param{implicit, explicit} {
+				for _, p := range ps {
+					for i, w := range p.Value.Data {
+						p.Grad.Data[i] = 2*w + float64(it)
+					}
+				}
+			}
+			pair[0].Step(implicit)
+			pair[1].Step(explicit)
+		}
+		for k := range implicit {
+			if !tensor.Equal(implicit[k].Value, explicit[k].Value) {
+				t.Errorf("%s: param %s %v with zero hyperparameters, %v with the defaults",
+					name, implicit[k].Name, implicit[k].Value.Data, explicit[k].Value.Data)
+			}
+		}
+	}
+}
+
 func TestFlatten(t *testing.T) {
 	f := NewFlatten("flat")
 	x := tensor.New(2, 3, 4, 4)
@@ -236,72 +349,5 @@ func TestDenseInputGradLinearProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLRSchedules(t *testing.T) {
-	if ConstantLR(0.1)(5) != 0.1 {
-		t.Fatal("constant LR wrong")
-	}
-	sd := StepDecayLR(1.0, 0.5, 10)
-	if sd(0) != 1.0 || sd(9) != 1.0 || sd(10) != 0.5 || sd(20) != 0.25 {
-		t.Fatalf("step decay: %v %v %v", sd(9), sd(10), sd(20))
-	}
-	cos := CosineLR(1.0, 0.1, 100)
-	if cos(0) != 1.0 {
-		t.Fatalf("cosine start = %v", cos(0))
-	}
-	if got := cos(100); got != 0.1 {
-		t.Fatalf("cosine end = %v", got)
-	}
-	mid := cos(50)
-	if mid <= 0.1 || mid >= 1.0 {
-		t.Fatalf("cosine mid = %v", mid)
-	}
-	// Monotone non-increasing over the horizon.
-	prev := cos(0)
-	for s := 1; s <= 100; s++ {
-		if cos(s) > prev {
-			t.Fatalf("cosine increased at %d", s)
-		}
-		prev = cos(s)
-	}
-	warm := WarmupLR(ConstantLR(1.0), 4)
-	if warm(0) != 0.25 || warm(3) != 1.0 || warm(10) != 1.0 {
-		t.Fatalf("warmup: %v %v %v", warm(0), warm(3), warm(10))
-	}
-}
-
-func TestScheduledTrainingStillDeterministic(t *testing.T) {
-	// A schedule-driven LR must not break the bit-for-bit equivalence of ooo
-	// schedules (the LR depends only on the step index).
-	sched := WarmupLR(CosineLR(0.05, 0.005, 20), 3)
-	run := func() []float64 {
-		rng := tensor.NewRNG(5)
-		d := NewDense("fc", 4, 2, rng)
-		x := tensor.Randn(rng, 1, 8, 4)
-		labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
-		opt := &Momentum{Beta: 0.9}
-		var losses []float64
-		for step := 0; step < 20; step++ {
-			opt.LR = sched(step)
-			d.W.ZeroGrad()
-			d.B.ZeroGrad()
-			logits := d.Forward(x)
-			loss, grad := SoftmaxCrossEntropy(logits, labels)
-			d.WeightGrad(grad)
-			opt.Step(d.Params())
-			losses = append(losses, loss)
-		}
-		return losses
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("scheduled training nondeterministic")
-		}
-	}
-	if a[len(a)-1] >= a[0] {
-		t.Fatalf("scheduled training did not converge: %v -> %v", a[0], a[len(a)-1])
 	}
 }

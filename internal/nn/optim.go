@@ -205,50 +205,3 @@ func StateSnapshotsEqual(a, b map[string][][]float64) bool {
 	}
 	return true
 }
-
-// LRSchedule maps a 0-based training step to a learning rate. Combine with
-// the optimizers by assigning their LR field before each step.
-type LRSchedule func(step int) float64
-
-// ConstantLR returns base at every step.
-func ConstantLR(base float64) LRSchedule {
-	return func(int) float64 { return base }
-}
-
-// StepDecayLR multiplies base by factor every `every` steps.
-func StepDecayLR(base, factor float64, every int) LRSchedule {
-	if every <= 0 {
-		panic("nn: non-positive decay interval")
-	}
-	return func(step int) float64 {
-		return base * math.Pow(factor, float64(step/every))
-	}
-}
-
-// CosineLR anneals from base to min over total steps, then holds min.
-func CosineLR(base, min float64, total int) LRSchedule {
-	if total <= 0 {
-		panic("nn: non-positive schedule length")
-	}
-	return func(step int) float64 {
-		if step >= total {
-			return min
-		}
-		return min + (base-min)*(1+math.Cos(math.Pi*float64(step)/float64(total)))/2
-	}
-}
-
-// WarmupLR ramps linearly from 0 to the inner schedule's value over `steps`,
-// then defers to it.
-func WarmupLR(inner LRSchedule, steps int) LRSchedule {
-	if steps <= 0 {
-		panic("nn: non-positive warmup length")
-	}
-	return func(step int) float64 {
-		v := inner(step)
-		if step < steps {
-			return v * float64(step+1) / float64(steps)
-		}
-		return v
-	}
-}

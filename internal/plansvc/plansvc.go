@@ -332,21 +332,6 @@ func (s *Service) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, er
 	return entry.resp.(*PlanResponse), nil
 }
 
-// WhatIf computes (or returns the cached) what-if estimate for req. It is
-// the programmatic equivalent of POST /v1/whatif and shares the plan path's
-// fingerprint, cache, and admission layers.
-func (s *Service) WhatIf(ctx context.Context, req *WhatIfRequest) (*WhatIfResponse, error) {
-	ws, err := normalizeWhatIf(req)
-	if err != nil {
-		return nil, err
-	}
-	entry, _, err := s.lookupOrCompute(ctx, s.key(ws), ws)
-	if err != nil {
-		return nil, err
-	}
-	return entry.resp.(*WhatIfResponse), nil
-}
-
 // key returns the canonical cache key of a normalized request on this
 // service. A zoo-model spec is first pointed at the service's fitted cost
 // table: the table's name enters the fingerprint (CostModel), so re-timed

@@ -156,13 +156,13 @@ func TestSearchUnknownFieldStillRejected(t *testing.T) {
 // TestWhatIfPropagatesSearch: the what-if path plans both sides under the
 // requested strategy.
 func TestWhatIfPropagatesSearch(t *testing.T) {
-	svc, _ := newTestService(t, Options{Workers: 1})
-	resp, err := svc.WhatIf(context.Background(), &WhatIfRequest{
-		PlanRequest: PlanRequest{Model: "resnet50", Search: "exact",
-			Cluster: ClusterSpec{Preset: "pub-a", GPUs: 8}},
-		ScaleOpKind: map[string]float64{"dW": 0.5},
-	})
-	if err != nil {
+	_, srv := newTestService(t, Options{Workers: 1})
+	hr, body := postWhatIf(t, srv, `{"model":"resnet50","search":"exact","cluster":{"preset":"pub-a","gpus":8},"scale_op_kind":{"dW":0.5}}`)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", hr.StatusCode, body)
+	}
+	var resp WhatIfResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Base.Search != "exact" || resp.WhatIf.Search != "exact" {

@@ -180,19 +180,16 @@ func TestWhatIfIdentityPerturbation(t *testing.T) {
 	}
 }
 
-// TestWhatIfProgrammatic exercises Service.WhatIf (the non-HTTP path) with a
-// pipeline-mode request and a pure bandwidth perturbation.
-func TestWhatIfProgrammatic(t *testing.T) {
-	svc, _ := newTestService(t, Options{})
-	wr, err := svc.WhatIf(t.Context(), &WhatIfRequest{
-		PlanRequest: PlanRequest{
-			Model:   "bert12",
-			Mode:    ModePipeline,
-			Cluster: ClusterSpec{GPUs: 4},
-		},
-		ScaleBandwidth: 4,
-	})
-	if err != nil {
+// TestWhatIfPipelineBandwidth: a pipeline-mode request with a pure
+// bandwidth perturbation never gets slower.
+func TestWhatIfPipelineBandwidth(t *testing.T) {
+	_, srv := newTestService(t, Options{})
+	resp, body := postWhatIf(t, srv, `{"model":"bert12","mode":"pipeline","cluster":{"gpus":4},"scale_bandwidth":4}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var wr WhatIfResponse
+	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
 	if wr.Base == nil || wr.WhatIf == nil {

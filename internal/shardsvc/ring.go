@@ -101,28 +101,6 @@ func (r *Ring) Owner(key string) string {
 	return r.members[r.points[r.search(hash64(key))].member]
 }
 
-// Owners returns the first n distinct members clockwise from the key's hash
-// — the owner followed by its failover preference order. n is clamped to the
-// member count.
-func (r *Ring) Owners(key string, n int) []string {
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int32]bool, n)
-	for i, off := r.search(hash64(key)), 0; off < len(r.points) && len(out) < n; off++ {
-		p := r.points[(i+off)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, r.members[p.member])
-		}
-	}
-	return out
-}
-
 // search returns the index of the first point with hash ≥ h (wrapping).
 func (r *Ring) search(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -130,17 +108,4 @@ func (r *Ring) search(h uint64) int {
 		return 0
 	}
 	return i
-}
-
-// Without returns a new ring with member removed — the membership the
-// survivors converge on after a permanent departure. Removing the last
-// member is an error.
-func (r *Ring) Without(member string) (*Ring, error) {
-	var rest []string
-	for _, m := range r.members {
-		if m != member {
-			rest = append(rest, m)
-		}
-	}
-	return NewRing(rest, r.vnodes)
 }

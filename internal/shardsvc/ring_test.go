@@ -99,7 +99,13 @@ func TestRingKeyMovementOnLeave(t *testing.T) {
 		before[k] = r.Owner(k)
 	}
 	for _, leaver := range members {
-		shrunk, err := r.Without(leaver)
+		var rest []string
+		for _, m := range members {
+			if m != leaver {
+				rest = append(rest, m)
+			}
+		}
+		shrunk, err := NewRing(rest, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,30 +131,67 @@ func TestRingKeyMovementOnLeave(t *testing.T) {
 	}
 }
 
-func TestRingOwnersPreferenceOrder(t *testing.T) {
-	r, err := NewRing(fourShards(), 64)
+// TestRingOwnerIsFirstVNodeClockwise: Owner agrees with a linear scan for
+// the first vnode whose hash is at or past the key's, wrapping to the lowest
+// vnode for keys hashed past the last one; the keys include both cases.
+func TestRingOwnerIsFirstVNodeClockwise(t *testing.T) {
+	r, err := NewRing(fourShards(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range testKeys(200) {
-		owners := r.Owners(k, 3)
-		if len(owners) != 3 {
-			t.Fatalf("Owners(%q, 3) = %v", k, owners)
-		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("Owners[0] = %q, want the owner %q", owners[0], r.Owner(k))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("Owners(%q) repeats %q", k, o)
+	scan := func(h uint64) string {
+		for _, p := range r.points {
+			if p.hash >= h {
+				return r.members[p.member]
 			}
-			seen[o] = true
+		}
+		return r.members[r.points[0].member]
+	}
+	wrapped := 0
+	last := r.points[len(r.points)-1].hash
+	for _, k := range testKeys(2000) {
+		h := hash64(k)
+		if h > last {
+			wrapped++
+		}
+		if got, want := r.Owner(k), scan(h); got != want {
+			t.Fatalf("Owner(%q) = %q, linear scan %q", k, got, want)
 		}
 	}
-	// Clamped to the member count.
-	if got := r.Owners("k", 99); len(got) != 4 {
-		t.Fatalf("Owners clamped = %d members, want 4", len(got))
+	if wrapped == 0 {
+		t.Fatal("no key hashed past the last vnode; the wrap-around went untested")
+	}
+}
+
+// TestRingMembersIsACopy: Members returns the sorted member set, and writing
+// into the returned slice changes neither the ring's members nor placement.
+func TestRingMembersIsACopy(t *testing.T) {
+	members := fourShards()
+	r, err := NewRing([]string{members[2], members[0], members[3], members[1]}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := testKeys(500)
+	before := make([]string, len(keys))
+	for i, k := range keys {
+		before[i] = r.Owner(k)
+	}
+	got := r.Members()
+	for i := range members {
+		if got[i] != members[i] {
+			t.Fatalf("Members() = %v, want sorted %v", got, members)
+		}
+		got[i] = "http://intruder:8080"
+	}
+	for i, m := range r.Members() {
+		if m != members[i] {
+			t.Fatalf("writing into Members() changed the ring to %v", r.Members())
+		}
+	}
+	for i, k := range keys {
+		if r.Owner(k) != before[i] {
+			t.Fatalf("writing into Members() moved %q", k)
+		}
 	}
 }
 
@@ -166,16 +209,13 @@ func TestRingErrors(t *testing.T) {
 	if r.VNodes() != DefaultVNodes {
 		t.Fatalf("vnodes default = %d", r.VNodes())
 	}
-	if _, err := r.Without("only"); err == nil {
-		t.Fatal("removing the last member must fail")
-	}
 	if got := r.Owner("anything"); got != "only" {
 		t.Fatalf("single-member owner = %q", got)
 	}
 }
 
-// FuzzRingOwner: whatever the key bytes, placement is deterministic, the
-// owner is a member, and the preference order starts at the owner.
+// FuzzRingOwner: whatever the key bytes, placement is deterministic and the
+// owner is a member.
 func FuzzRingOwner(f *testing.F) {
 	f.Add("plain-fingerprint")
 	f.Add("")
@@ -200,10 +240,6 @@ func FuzzRingOwner(f *testing.F) {
 		}
 		if o2 := r2.Owner(key); o2 != o1 {
 			t.Fatalf("owner differs under shuffled membership: %q vs %q", o1, o2)
-		}
-		owners := r1.Owners(key, 2)
-		if len(owners) != 2 || owners[0] != o1 || owners[1] == o1 {
-			t.Fatalf("Owners(%q, 2) = %v, owner %q", key, owners, o1)
 		}
 	})
 }

@@ -161,9 +161,6 @@ func New(opts Options) (*Shard, error) {
 // Ring returns the shard's (immutable) placement ring.
 func (sh *Shard) Ring() *Ring { return sh.ring }
 
-// Metrics returns the shard-layer metric registry.
-func (sh *Shard) Metrics() *metrics.Registry { return sh.reg }
-
 // Handler returns the node's HTTP handler: ring-routed /v1/plan and
 // /v1/whatif, plus every local service route (plan:batch, models, healthz,
 // debug/vars). /metrics exposes the shard registry followed by the local

@@ -15,7 +15,9 @@
 package singlegpu
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"oooback/internal/core"
@@ -95,15 +97,6 @@ func OOOXLA() Executor {
 	e.Name = "OOO-XLA"
 	e.MultiStreamOOO = true
 	e.MemoryFactor = 1.02
-	return e
-}
-
-// OOOXLANoReorder is OOO-XLA with the sub-stream but without Algorithm 1's
-// re-ordering — the §8.2 pragmatic configuration.
-func OOOXLANoReorder() Executor {
-	e := OOOXLA()
-	e.Name = "OOO-XLA/no-reorder"
-	e.NoReorder = true
 	return e
 }
 
@@ -324,9 +317,10 @@ func buildPlan(m *models.Model, exec Executor, gpu gpusim.Config) iterPlan {
 		for i, r := range pinned {
 			joint.Regions[r] = append(joint.Regions[r], i)
 		}
-		// Pinned δW must run in dependency order within their region.
+		// Pinned δW must run in dependency order within their region:
+		// descending by layer, higher layers' gradients first.
 		for r := range joint.Regions {
-			sortInts(joint.Regions[r])
+			slices.SortFunc(joint.Regions[r], func(a, b int) int { return cmp.Compare(b, a) })
 		}
 		plan := iterPlan{joint: &joint, dos: dos}
 		if pre >= R ||
@@ -339,16 +333,6 @@ func buildPlan(m *models.Model, exec Executor, gpu gpusim.Config) iterPlan {
 // MemoryAllowance is the §8.2 memory constraint: the ooo schedule may use at
 // most this factor of the conventional execution's peak.
 const MemoryAllowance = 1.1
-
-// sortInts sorts descending by layer (backward dependency order: higher
-// layers' gradients appear first).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] > xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
 
 // loweredKernel pairs a kernel with its destination stream and the CPU issue
 // occupancy the eager path charges for it (fused kernel count × per-kernel

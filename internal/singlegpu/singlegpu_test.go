@@ -196,6 +196,15 @@ func TestMemoryStudyPolicyOrdering(t *testing.T) {
 	}
 }
 
+// oooXLANoReorder is OOO-XLA with the sub-stream but without Algorithm 1's
+// re-ordering — the §8.2 pragmatic configuration.
+func oooXLANoReorder() Executor {
+	e := OOOXLA()
+	e.Name = "OOO-XLA/no-reorder"
+	e.NoReorder = true
+	return e
+}
+
 func TestNoReorderBetweenOpt1AndFullOOO(t *testing.T) {
 	// §8.2: multi-stream without re-ordering already gives a decent speedup
 	// (their 1.39× vs the full 1.54×); Algorithm 1's re-ordering adds the
@@ -203,7 +212,7 @@ func TestNoReorderBetweenOpt1AndFullOOO(t *testing.T) {
 	m := denseNet(32)
 	gpu := gpusim.V100()
 	opt1 := Run(m, OOOXLAOpt1(), gpu)
-	noRe := Run(m, OOOXLANoReorder(), gpu)
+	noRe := Run(m, oooXLANoReorder(), gpu)
 	full := Run(m, OOOXLA(), gpu)
 	if noRe.Throughput <= opt1.Throughput {
 		t.Fatalf("no-reorder (%v) not above Opt1 (%v)", noRe.Throughput, opt1.Throughput)

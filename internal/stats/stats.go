@@ -20,21 +20,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdErr returns the standard error of the mean (0 for fewer than 2 values).
-func StdErr(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
-}
-
 // GeoMean returns the geometric mean of positive values (0 otherwise).
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -16,18 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdErr(t *testing.T) {
-	if StdErr([]float64{5}) != 0 {
-		t.Fatal("single-element stderr")
-	}
-	got := StdErr([]float64{1, 2, 3, 4})
-	// sd = sqrt(5/3(?)) ... variance of {1..4} = 5/3, sd=1.2909, se = sd/2.
-	want := math.Sqrt(5.0/3.0) / 2
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("stderr = %v, want %v", got, want)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("geomean = %v", got)
@@ -48,6 +36,23 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("table has %d lines, want 4", len(lines))
+	}
+}
+
+// TestTableAlignsColumns: every column is as wide as its widest cell, the
+// rule under the header matches each width, columns are separated by two
+// spaces, and float64 cells print with two decimals.
+func TestTableAlignsColumns(t *testing.T) {
+	tb := NewTable("id", "time")
+	tb.Add("resnet-50", 12.0)
+	tb.Add("x", 3.14159)
+	want := "" +
+		"id         time \n" +
+		"---------  -----\n" +
+		"resnet-50  12.00\n" +
+		"x          3.14 \n"
+	if got := tb.String(); got != want {
+		t.Fatalf("table output:\n%q\nwant:\n%q", got, want)
 	}
 }
 

@@ -97,11 +97,11 @@ func TestFusedGEMMDifferential(t *testing.T) {
 			if got, want := MatMul(a, b), naiveMatMulIKJ(a, b); !bitwiseEqual(got, want) {
 				t.Fatalf("%s: MatMul differs from naive ikj", label)
 			}
-			if got, want := MatMulT(a, bt), naiveMatMulIKJ(a, Transpose(bt)); !bitwiseEqual(got, want) {
-				t.Fatalf("%s: MatMulT differs from MatMul(a, Transpose(b))", label)
+			if got, want := MatMulT(a, bt), naiveMatMulIKJ(a, transpose(bt)); !bitwiseEqual(got, want) {
+				t.Fatalf("%s: MatMulT differs from MatMul(a, transpose(b))", label)
 			}
-			if got, want := TMatMul(at, bb), naiveMatMulIKJ(Transpose(at), bb); !bitwiseEqual(got, want) {
-				t.Fatalf("%s: TMatMul differs from MatMul(Transpose(a), b)", label)
+			if got, want := TMatMul(at, bb), naiveMatMulIKJ(transpose(at), bb); !bitwiseEqual(got, want) {
+				t.Fatalf("%s: TMatMul differs from MatMul(transpose(a), b)", label)
 			}
 
 			// Into forms on dirty pooled buffers must overwrite completely.
@@ -115,7 +115,7 @@ func TestFusedGEMMDifferential(t *testing.T) {
 			for i := range dst.Data {
 				dst.Data[i] = math.NaN()
 			}
-			if !bitwiseEqual(MatMulTInto(dst, a, bt), naiveMatMulIKJ(a, Transpose(bt))) {
+			if !bitwiseEqual(MatMulTInto(dst, a, bt), naiveMatMulIKJ(a, transpose(bt))) {
 				t.Fatalf("%s: MatMulTInto on dirty buffer differs", label)
 			}
 			ws.Put(dst)
@@ -123,7 +123,7 @@ func TestFusedGEMMDifferential(t *testing.T) {
 			for i := range dstT.Data {
 				dstT.Data[i] = math.NaN()
 			}
-			if !bitwiseEqual(TMatMulInto(dstT, at, bb), naiveMatMulIKJ(Transpose(at), bb)) {
+			if !bitwiseEqual(TMatMulInto(dstT, at, bb), naiveMatMulIKJ(transpose(at), bb)) {
 				t.Fatalf("%s: TMatMulInto on dirty buffer differs", label)
 			}
 			ws.Put(dstT)
@@ -140,8 +140,8 @@ func TestFusedGEMMRandomShapesProperty(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		bt := Randn(r, 1, n, k)
 		bb := Randn(r, 1, m, n)
-		return bitwiseEqual(MatMulT(a, bt), naiveMatMulIKJ(a, Transpose(bt))) &&
-			bitwiseEqual(TMatMul(a, bb), naiveMatMulIKJ(Transpose(a), bb))
+		return bitwiseEqual(MatMulT(a, bt), naiveMatMulIKJ(a, transpose(bt))) &&
+			bitwiseEqual(TMatMul(a, bb), naiveMatMulIKJ(transpose(a), bb))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

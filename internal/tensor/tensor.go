@@ -73,9 +73,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 // At returns the element at the given indices (2D fast path included).
 func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
 
-// Set assigns the element at the given indices.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: %d indices for %dD tensor", len(idx), len(t.Shape)))
@@ -127,30 +124,10 @@ func Randn(r *RNG, scale float64, shape ...int) *Tensor {
 	return t
 }
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	checkSameShape("Add", a, b)
-	out := New(a.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddTo accumulates src into dst elementwise (AddSpan on same-shaped tensors).
 func AddTo(dst, src *Tensor) {
 	checkSameShape("AddTo", dst, src)
 	AddSpan(dst.Data, src.Data)
-}
-
-// Mul returns the Hadamard product.
-func Mul(a, b *Tensor) *Tensor {
-	checkSameShape("Mul", a, b)
-	out := New(a.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
 }
 
 // Scale returns a*s.
@@ -226,21 +203,6 @@ func MatMul(a, b *Tensor) *Tensor {
 		parallelRows(m, func(_, lo, hi int) {
 			matMulRange(out.Data, a.Data, b.Data, k, n, lo, hi, false)
 		})
-	}
-	return out
-}
-
-// Transpose returns the 2D transpose.
-func Transpose(a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic("tensor: Transpose needs 2D")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
 	}
 	return out
 }

@@ -104,12 +104,3 @@ func (w *Workspace) Put(t *Tensor) {
 	c := wsClass(cap(t.Data))
 	w.bins[c] = append(w.bins[c], t)
 }
-
-// Pooled returns the number of buffers currently parked in the workspace.
-func (w *Workspace) Pooled() int {
-	n := 0
-	for _, bin := range w.bins {
-		n += len(bin)
-	}
-	return n
-}

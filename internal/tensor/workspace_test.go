@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// pooled returns the number of buffers currently parked in the workspace.
+func (w *Workspace) pooled() int {
+	n := 0
+	for _, bin := range w.bins {
+		n += len(bin)
+	}
+	return n
+}
+
 func TestWorkspaceReuse(t *testing.T) {
 	ws := NewWorkspace()
 	a := ws.Get(8, 16)
@@ -13,8 +22,8 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 	data := &a.Data[0]
 	ws.Put(a)
-	if ws.Pooled() != 1 {
-		t.Fatalf("Pooled = %d after Put", ws.Pooled())
+	if ws.pooled() != 1 {
+		t.Fatalf("pooled = %d after Put", ws.pooled())
 	}
 
 	// Same-size reuse: identical backing array, reshaped header, no miss.
@@ -46,8 +55,8 @@ func TestWorkspaceReuse(t *testing.T) {
 		t.Fatalf("oversize Get should miss: Misses=%d", ws.Misses)
 	}
 	ws.Put(big)
-	if ws.Pooled() != 2 {
-		t.Fatalf("Pooled = %d", ws.Pooled())
+	if ws.pooled() != 2 {
+		t.Fatalf("pooled = %d", ws.pooled())
 	}
 
 	// GetZeroed clears dirty contents.

@@ -1,5 +1,5 @@
 // Package trace records execution spans produced by the simulators and
-// renders them as utilization statistics, CSV rows, and ASCII timelines.
+// renders them as utilization statistics, Chrome traces, SVG and ASCII timelines.
 //
 // A Trace is a flat list of spans, each tagged with a lane (a GPU, a stream,
 // a link, ...) and a label. The training engines append spans as virtual time
@@ -144,42 +144,6 @@ func (t *Trace) MeanWindowUtilization() float64 {
 		sum += t.WindowUtilization(l)
 	}
 	return sum / float64(len(lanes))
-}
-
-// MeanUtilization averages Utilization over all lanes.
-func (t *Trace) MeanUtilization() float64 {
-	lanes := t.Lanes()
-	if len(lanes) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range lanes {
-		sum += t.Utilization(l)
-	}
-	return sum / float64(len(lanes))
-}
-
-// KindTime sums the durations of all spans of a given kind across all lanes.
-func (t *Trace) KindTime(kind string) time.Duration {
-	var sum time.Duration
-	for _, s := range t.Spans {
-		if s.Kind == kind {
-			sum += s.Duration()
-		}
-	}
-	return sum
-}
-
-// CSV renders the trace as comma-separated rows: lane,label,kind,start_us,end_us.
-func (t *Trace) CSV() string {
-	var b strings.Builder
-	b.WriteString("lane,label,kind,start_us,end_us\n")
-	for _, s := range t.Spans {
-		fmt.Fprintf(&b, "%s,%s,%s,%.3f,%.3f\n", s.Lane, s.Label, s.Kind,
-			float64(s.Start)/float64(time.Microsecond),
-			float64(s.End)/float64(time.Microsecond))
-	}
-	return b.String()
 }
 
 // Shifted returns a copy of the trace with all spans translated so the

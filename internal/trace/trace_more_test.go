@@ -91,11 +91,3 @@ func TestRenderZeroLengthSpanStillVisible(t *testing.T) {
 		t.Fatalf("zero-length span invisible:\n%s", out)
 	}
 }
-
-func TestKindTimeAbsent(t *testing.T) {
-	tr := &Trace{}
-	tr.Add("g", "x", "fwd", 0, 10)
-	if tr.KindTime("comm") != 0 {
-		t.Fatal("absent kind should sum to 0")
-	}
-}

@@ -33,20 +33,14 @@ func TestUtilization(t *testing.T) {
 	if got := tr.Utilization("g0"); got != 0.5 {
 		t.Fatalf("Utilization(g0) = %v, want 0.5", got)
 	}
-	if got := tr.MeanUtilization(); got != 0.75 {
-		t.Fatalf("MeanUtilization = %v, want 0.75", got)
-	}
 }
 
-func TestMakespanAndKindTime(t *testing.T) {
+func TestMakespan(t *testing.T) {
 	tr := &Trace{}
 	tr.Add("g0", "a", "dW", 0, 7)
 	tr.Add("g1", "b", "dW", 3, 12)
 	if tr.Makespan() != 12 {
 		t.Fatalf("Makespan = %v, want 12", tr.Makespan())
-	}
-	if tr.KindTime("dW") != 16 {
-		t.Fatalf("KindTime(dW) = %v, want 16", tr.KindTime("dW"))
 	}
 }
 
@@ -91,18 +85,6 @@ func TestRenderEmpty(t *testing.T) {
 	tr := &Trace{}
 	if got := tr.Render(RenderOptions{}); got != "(empty trace)\n" {
 		t.Fatalf("empty render = %q", got)
-	}
-}
-
-func TestCSVHeaderAndRows(t *testing.T) {
-	tr := &Trace{}
-	tr.Add("g0", "conv", "fwd", 0, 1500*time.Nanosecond)
-	csv := tr.CSV()
-	if !strings.HasPrefix(csv, "lane,label,kind,start_us,end_us\n") {
-		t.Fatalf("csv header wrong: %q", csv)
-	}
-	if !strings.Contains(csv, "g0,conv,fwd,0.000,1.500") {
-		t.Fatalf("csv row wrong: %q", csv)
 	}
 }
 

@@ -38,9 +38,6 @@ func TestWritersEmptyTrace(t *testing.T) {
 	if got := tr.Render(RenderOptions{}); got != "(empty trace)\n" {
 		t.Fatalf("empty Render = %q", got)
 	}
-	if got := tr.CSV(); got != "lane,label,kind,start_us,end_us\n" {
-		t.Fatalf("empty CSV = %q", got)
-	}
 }
 
 // TestOutOfOrderSpanClose appends spans in non-chronological order — the real

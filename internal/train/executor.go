@@ -160,14 +160,6 @@ func (e *Executor) Mode() ExecMode {
 	return e.mode
 }
 
-// Workers returns the δW pool size (0 for serial executors).
-func (e *Executor) Workers() int {
-	if e == nil || e.mode != ExecConcurrent {
-		return 0
-	}
-	return e.workers
-}
-
 // Close stops the worker pool; later Backward and Step calls return
 // ErrClosed. Idempotent; must not overlap a Backward call. Serial executors
 // own no goroutines, so closing one is a no-op.

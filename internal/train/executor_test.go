@@ -133,9 +133,9 @@ func TestFitWithConcurrentExecutor(t *testing.T) {
 		net := MLPNet(41, 10, 16, 2, 3)
 		opt := &nn.Momentum{LR: 0.05, Beta: 0.9}
 		sched := graph.ReverseFirstK(len(net.Layers), 3)
-		losses, err := Fit(func(b Batch) (float64, error) {
+		losses, err := fit(func(b Batch) (float64, error) {
 			return exec.Step(net, b.X, b.Labels, sched, opt)
-		}, x, labels, FitConfig{Epochs: 3, BatchSize: 8, Seed: 1})
+		}, x, labels, fitConfig{Epochs: 3, BatchSize: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,16 +228,6 @@ func TestParamsCached(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("cached Params allocates %v per call, want 0", n)
-	}
-	net.InvalidateParams()
-	again := net.Params()
-	if len(again) != len(first) {
-		t.Fatalf("rebuilt params %d, want %d", len(again), len(first))
-	}
-	for i := range first {
-		if first[i] != again[i] {
-			t.Fatal("rebuilt param list differs")
-		}
 	}
 }
 

@@ -58,15 +58,10 @@ func TestFitConvergesAndPreservesSemantics(t *testing.T) {
 	x, labels := data.Vectors(41, 48, 8, 3)
 	run := func(s graph.BackwardSchedule) []float64 {
 		net := mlp(77, 8, 3)
-		opt := &nn.Momentum{Beta: 0.9}
-		losses, err := Fit(func(b Batch) (float64, error) {
+		opt := &nn.Momentum{LR: 0.05, Beta: 0.9}
+		losses, err := fit(func(b Batch) (float64, error) {
 			return Step(net, b.X, b.Labels, s, opt)
-		}, x, labels, FitConfig{
-			Epochs: 6, BatchSize: 16,
-			LR:    nn.WarmupLR(nn.CosineLR(0.08, 0.01, 18), 3),
-			SetLR: func(lr float64) { opt.LR = lr },
-			Seed:  5,
-		})
+		}, x, labels, fitConfig{Epochs: 6, BatchSize: 16, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +75,7 @@ func TestFitConvergesAndPreservesSemantics(t *testing.T) {
 		}
 	}
 	if conv[len(conv)-1] >= conv[0] {
-		t.Fatalf("Fit did not converge: %v", conv)
+		t.Fatalf("fit did not converge: %v", conv)
 	}
 }
 
@@ -93,9 +88,9 @@ func TestFitEpochLossWeightedByBatchSize(t *testing.T) {
 	net := mlp(7, 8, 3)
 	// SGD with LR 0: weights never move, so the epoch loss must equal the
 	// batch losses recomputed on the same frozen weights.
-	losses, err := Fit(func(b Batch) (float64, error) {
+	losses, err := fit(func(b Batch) (float64, error) {
 		return Step(net, b.X, b.Labels, graph.Conventional(len(net.Layers)), &nn.SGD{LR: 0})
-	}, x, labels, FitConfig{Epochs: 1, BatchSize: 5, Seed: 9})
+	}, x, labels, fitConfig{Epochs: 1, BatchSize: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,34 +106,62 @@ func TestFitEpochLossWeightedByBatchSize(t *testing.T) {
 	}
 }
 
-// TestBatchBufferReusesStorage: the second epoch's batching pass allocates
-// nothing — tensors and label slices are rewritten in place — and produces
-// exactly the contents a fresh Batches call would.
-func TestBatchBufferReusesStorage(t *testing.T) {
+// TestBatchesFreshStorage: every batch owns its tensor and labels, so a
+// caller writing into one batch changes neither the dataset, nor another
+// batch, nor what a later Batches call returns.
+func TestBatchesFreshStorage(t *testing.T) {
 	x, labels := data.Vectors(3, 17, 4, 3)
-	var bb BatchBuffer
-	bb.Batches(x, labels, 5, 1) // first epoch sizes the buffers
-	for epoch := uint64(2); epoch < 5; epoch++ {
-		var got []Batch
-		allocs := testing.AllocsPerRun(1, func() {
-			got = bb.Batches(x, labels, 5, epoch)
-		})
-		if allocs != 0 {
-			t.Fatalf("warm epoch batching allocates %v, want 0", allocs)
+	xWant := x.Clone()
+	labelsWant := append([]int(nil), labels...)
+	bs := Batches(x, labels, 5, 1)
+	again := Batches(x, labels, 5, 1)
+	snapshot := func(bs []Batch) []Batch {
+		out := make([]Batch, len(bs))
+		for i, b := range bs {
+			out[i] = Batch{X: b.X.Clone(), Labels: append([]int(nil), b.Labels...)}
 		}
-		want := Batches(x, labels, 5, epoch)
-		if len(got) != len(want) {
-			t.Fatalf("%d batches, want %d", len(got), len(want))
+		return out
+	}
+	same := func(a, b Batch) bool {
+		if !tensor.Equal(a.X, b.X) || len(a.Labels) != len(b.Labels) {
+			return false
 		}
-		for i := range want {
-			if !tensor.Equal(got[i].X, want[i].X) {
-				t.Fatalf("epoch %d batch %d tensor differs from fresh batching", epoch, i)
+		for i := range a.Labels {
+			if a.Labels[i] != b.Labels[i] {
+				return false
 			}
-			for j := range want[i].Labels {
-				if got[i].Labels[j] != want[i].Labels[j] {
-					t.Fatalf("epoch %d batch %d labels differ", epoch, i)
-				}
-			}
+		}
+		return true
+	}
+	clobber := func(b Batch) {
+		for i := range b.X.Data {
+			b.X.Data[i] = -1
+		}
+		for i := range b.Labels {
+			b.Labels[i] = -1
+		}
+	}
+	bsWant, againWant := snapshot(bs), snapshot(again)
+	clobber(bs[0])
+	for bi := 1; bi < len(bs); bi++ {
+		if !same(bs[bi], bsWant[bi]) {
+			t.Fatalf("writing into batch 0 changed batch %d of the same call", bi)
+		}
+	}
+	for _, b := range bs[1:] {
+		clobber(b)
+	}
+	if !tensor.Equal(x, xWant) {
+		t.Fatal("writing into a batch changed the dataset's inputs")
+	}
+	for i := range labels {
+		if labels[i] != labelsWant[i] {
+			t.Fatal("writing into a batch changed the dataset's labels")
+		}
+	}
+	for bi := range again {
+		if !same(again[bi], againWant[bi]) {
+			t.Fatalf("writing into one call's batches changed batch %d of another call", bi)
 		}
 	}
 }
@@ -164,7 +187,7 @@ func TestBatchesTokenInput(t *testing.T) {
 	}
 }
 
-// TestFitDataParallel: driving the data-parallel engine through Fit trains
+// TestFitDataParallel: driving the data-parallel engine through fit trains
 // (losses fall) and the final short batch takes the single-replica fallback
 // without error.
 func TestFitDataParallel(t *testing.T) {
@@ -178,32 +201,70 @@ func TestFitDataParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dp.Close()
-	losses, err := Fit(func(b Batch) (float64, error) {
+	losses, err := fit(func(b Batch) (float64, error) {
 		loss, _, err := dp.Step(b.X, b.Labels)
 		return loss, err
-	}, x, labels, FitConfig{Epochs: 4, BatchSize: 8, Seed: 5})
+	}, x, labels, fitConfig{Epochs: 4, BatchSize: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if losses[len(losses)-1] >= losses[0] {
-		t.Fatalf("data-parallel Fit did not converge: %v", losses)
+		t.Fatalf("data-parallel fit did not converge: %v", losses)
 	}
 }
 
-func TestFitRejectsLRWithoutSetter(t *testing.T) {
+// TestBatchesRejectsMisalignedDataset: an empty label set, a leading
+// dimension the label count does not divide, or a non-positive batch size is
+// a programmer error Batches panics on.
+func TestBatchesRejectsMisalignedDataset(t *testing.T) {
 	x, labels := data.Vectors(1, 8, 8, 3)
-	net := mlp(1, 8, 3)
-	step := func(b Batch) (float64, error) {
-		return Step(net, b.X, b.Labels, graph.Conventional(len(net.Layers)), &nn.SGD{LR: 0.1})
+	for _, c := range []struct {
+		labels    []int
+		batchSize int
+	}{{nil, 4}, {labels[:3], 4}, {labels, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d labels for %d rows at batch %d accepted", len(c.labels), x.Shape[0], c.batchSize)
+				}
+			}()
+			Batches(x, c.labels, c.batchSize, 1)
+		}()
 	}
-	_, err := Fit(step, x, labels, FitConfig{Epochs: 1, BatchSize: 4, LR: nn.ConstantLR(0.1)})
-	if err == nil {
-		t.Fatal("LR schedule without SetLR accepted")
+}
+
+// fitConfig drives fit.
+type fitConfig struct {
+	// Epochs over the dataset (≥ 1).
+	Epochs int
+	// BatchSize per step (≤ 0 = the whole dataset).
+	BatchSize int
+	// Seed shuffles batches per epoch deterministically.
+	Seed uint64
+}
+
+// fit drives step — one training step of whatever engine the test built:
+// Step, Executor.Step, DataParallel.Step or Pipeline.Step behind a closure —
+// over the dataset, epoch by epoch in deterministically shuffled batches, and
+// returns the mean loss of each epoch: each batch's mean loss weighted by its
+// size, so the final short batch does not skew the epoch mean. Every engine's
+// step lands on the same bits, so two fit calls with equal inputs produce
+// identical trajectories regardless of the backward schedule or engine.
+func fit(step func(Batch) (float64, error), x *tensor.Tensor, labels []int, cfg fitConfig) ([]float64, error) {
+	if cfg.BatchSize <= 0 {
+		cfg.BatchSize = len(labels)
 	}
-	// An empty or misaligned dataset is an error, not BatchBuffer's panic.
-	for _, bad := range [][]int{nil, labels[:3]} {
-		if _, err := Fit(step, x, bad, FitConfig{BatchSize: 4}); err == nil {
-			t.Fatalf("%d labels for %d rows accepted", len(bad), x.Shape[0])
+	var epochLosses []float64
+	for e := 0; e < max(cfg.Epochs, 1); e++ {
+		var sum float64
+		for _, b := range Batches(x, labels, cfg.BatchSize, cfg.Seed+uint64(e)) {
+			loss, err := step(b)
+			if err != nil {
+				return nil, err
+			}
+			sum += loss * float64(len(b.Labels))
 		}
+		epochLosses = append(epochLosses, sum/float64(len(labels)))
 	}
+	return epochLosses, nil
 }

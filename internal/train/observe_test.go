@@ -132,7 +132,7 @@ func observedEngines() []observedEngine {
 			t.Cleanup(pipe.Close)
 			step := func() error { _, _, err := pipe.Step(bx, bl); return err }
 			if short {
-				return pipe.Net(), step, pipe.Observe, serialOnce(), func() map[int][]row { return map[int][]row{2: pipe.serial} }
+				return pipe.proto, step, pipe.Observe, serialOnce(), func() map[int][]row { return map[int][]row{2: pipe.serial} }
 			}
 			dw := OpDW
 			if fill {
@@ -145,7 +145,7 @@ func observedEngines() []observedEngine {
 				}
 				want[evKey{OpLoss, 0, m}] = 1
 			}
-			return pipe.Net(), step, pipe.Observe, want, func() map[int][]row {
+			return pipe.proto, step, pipe.Observe, want, func() map[int][]row {
 				return map[int][]row{0: pipe.stages[0].rows, 1: pipe.stages[1].rows, 2: zeroRows}
 			}
 		}}

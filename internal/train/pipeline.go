@@ -318,9 +318,6 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	return p, nil
 }
 
-// Net returns the prototype network holding the trained weights.
-func (p *Pipeline) Net() *Network { return p.proto }
-
 // Partition returns the stage partition.
 func (p *Pipeline) Partition() graph.Partition { return p.part }
 

@@ -89,10 +89,10 @@ func TestPipelineMatchesSerialReference(t *testing.T) {
 								t.Fatalf("%s: fill ratio %v", name, r)
 							}
 						}
-						if !SnapshotsEqual(GradSnapshot(pipe.Net()), GradSnapshot(ref)) {
+						if !SnapshotsEqual(GradSnapshot(pipe.proto), GradSnapshot(ref)) {
 							t.Fatalf("%s: gradients differ from serial reference", name)
 						}
-						if !SnapshotsEqual(ParamSnapshot(pipe.Net()), ParamSnapshot(ref)) {
+						if !SnapshotsEqual(ParamSnapshot(pipe.proto), ParamSnapshot(ref)) {
 							t.Fatalf("%s: parameters differ from serial reference", name)
 						}
 						pipe.Close()
@@ -133,13 +133,13 @@ func TestPipelineSmallBatchFallback(t *testing.T) {
 			t.Fatalf("step %d: fallback loss %v != reference %v", s, pl, rl)
 		}
 	}
-	if !SnapshotsEqual(ParamSnapshot(pipe.Net()), ParamSnapshot(ref)) {
+	if !SnapshotsEqual(ParamSnapshot(pipe.proto), ParamSnapshot(ref)) {
 		t.Fatal("fallback parameters differ from serial reference")
 	}
 }
 
-// TestPipelineMixedBatchSizesViaFit drives the pipeline through Fit with a
-// batch size that leaves a short final batch, against a serial-Fit oracle.
+// TestPipelineMixedBatchSizesViaFit drives the pipeline through fit with a
+// batch size that leaves a short final batch, against a serial fit oracle.
 func TestPipelineMixedBatchSizesViaFit(t *testing.T) {
 	build := func() *Network { return MLPNet(61, 6, 8, 3, 3) }
 	x, labels := data.Vectors(63, 23, 6, 3) // 23 = 3 batches of 8 + short 7... per size 8
@@ -151,8 +151,8 @@ func TestPipelineMixedBatchSizesViaFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	cfg := FitConfig{Epochs: 2, BatchSize: 8, Seed: 9}
-	pipeLoss, err := Fit(func(b Batch) (float64, error) {
+	cfg := fitConfig{Epochs: 2, BatchSize: 8, Seed: 9}
+	pipeLoss, err := fit(func(b Batch) (float64, error) {
 		loss, _, err := pipe.Step(b.X, b.Labels)
 		return loss, err
 	}, x, labels, cfg)
@@ -160,7 +160,7 @@ func TestPipelineMixedBatchSizesViaFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	refOpt := &nn.SGD{LR: 0.05}
-	refLoss, err := Fit(func(b Batch) (float64, error) {
+	refLoss, err := fit(func(b Batch) (float64, error) {
 		return Step(refNet, b.X, b.Labels, graph.Conventional(len(refNet.Layers)), refOpt)
 	}, x, labels, cfg)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestPipelineMixedBatchSizesViaFit(t *testing.T) {
 		}
 	}
 	if !SnapshotsEqual(ParamSnapshot(pipeNet), ParamSnapshot(refNet)) {
-		t.Fatal("Fit trajectories diverged")
+		t.Fatal("fit trajectories diverged")
 	}
 }
 
@@ -233,7 +233,7 @@ func TestPipelineExplicitBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl != rl || !SnapshotsEqual(GradSnapshot(pipe.Net()), GradSnapshot(ref)) {
+	if pl != rl || !SnapshotsEqual(GradSnapshot(pipe.proto), GradSnapshot(ref)) {
 		t.Fatal("explicit-boundary pipeline differs from serial reference")
 	}
 }

@@ -83,9 +83,9 @@ func TestPipelineProfiledStepBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	L := len(pipe.Net().Layers)
+	L := len(pipe.proto.Layers)
 	p := calib.NewProfiler("mlp-pipe", "pipeline", L, 2)
-	pipe.Observe(ProfileObserver(p, pipe.Net()))
+	pipe.Observe(ProfileObserver(p, pipe.proto))
 	for s := 0; s < 5; s++ {
 		if _, _, err := pipe.Step(x, labels); err != nil {
 			t.Fatalf("pipe step %d: %v", s, err)

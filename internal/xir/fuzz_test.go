@@ -20,8 +20,8 @@ func FuzzFuse(f *testing.F) {
 			ops[i] = Op{Kind: OpKind(b % 4)}
 		}
 		ks := Fuse(ops)
-		if OpCount(ks) != len(ops) {
-			t.Fatalf("fusion lost ops: %d vs %d", OpCount(ks), len(ops))
+		if opCount(ks) != len(ops) {
+			t.Fatalf("fusion lost ops: %d vs %d", opCount(ks), len(ops))
 		}
 		idx := 0
 		for _, k := range ks {

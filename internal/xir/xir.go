@@ -97,15 +97,6 @@ func Fuse(ops []Op) []Kernel {
 	return out
 }
 
-// OpCount sums the ops across kernels (fusion must conserve ops).
-func OpCount(ks []Kernel) int {
-	n := 0
-	for _, k := range ks {
-		n += len(k.Ops)
-	}
-	return n
-}
-
 // ConvForward expands a convolution layer's forward computation into its op
 // sequence: the convolution plus `extras` companions. The companion pattern
 // follows the frameworks' emission order: BN statistics (reduction), BN

@@ -64,8 +64,8 @@ func TestElementwiseIntoReduction(t *testing.T) {
 func TestFusionConservesOps(t *testing.T) {
 	ops := ConvForward(5)
 	ks := Fuse(ops)
-	if OpCount(ks) != len(ops) {
-		t.Fatalf("fusion lost ops: %d vs %d", OpCount(ks), len(ops))
+	if opCount(ks) != len(ops) {
+		t.Fatalf("fusion lost ops: %d vs %d", opCount(ks), len(ops))
 	}
 }
 
@@ -98,7 +98,7 @@ func TestFuseInvariantsProperty(t *testing.T) {
 			ops[i] = Op{Kind: OpKind(rng.Intn(4))}
 		}
 		ks := Fuse(ops)
-		if OpCount(ks) != n {
+		if opCount(ks) != n {
 			return false
 		}
 		// Order preserved.
@@ -175,4 +175,13 @@ func TestFusedKernelCountFloor(t *testing.T) {
 	if got := FusedKernelCount(1, false); got != 1 {
 		t.Fatalf("bare gemm fused to %d, want 1", got)
 	}
+}
+
+// opCount sums the ops across kernels (fusion must conserve ops).
+func opCount(ks []Kernel) int {
+	n := 0
+	for _, k := range ks {
+		n += len(k.Ops)
+	}
+	return n
 }
