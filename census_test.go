@@ -24,7 +24,6 @@ import (
 // use the identifier ("item <n>: ...") or the test packages that share it
 // as a fixture ("fixture: ..."); censusReason enforces the two forms.
 var censusAllow = map[string]string{
-	"core.ContiguousAllocation":      "fixture: the baseline allocation the core and pipepar tests compare modulo allocation with",
 	"netsim.SimulateRingAllReduce":   "item 15: the event-level ring the served data-parallel plans get checked against",
 	"nn.NewSelfAttention":            "fixture: reference-only layer the nn semantics tests and the train engines' rejection tests build",
 	"nn.StateSnapshot":               "fixture: optimizer-state oracle of the nn and train differential suites",

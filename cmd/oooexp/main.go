@@ -6,7 +6,8 @@
 //	oooexp list                    list available experiment ids
 //	oooexp all                     run every experiment
 //	oooexp <id> [...]              run specific experiments (fig1 … fig13b,
-//	                               mem-single, disc-datapar, semantics, …)
+//	                               mem-single, disc-datapar, semantics,
+//	                               search, pareto, …)
 //	oooexp -o DIR all              additionally write each report to DIR/<id>.txt
 //	oooexp -parallel N all         fan the experiments over N goroutines; the
 //	                               output (and any -o files) is byte-identical
@@ -22,14 +23,6 @@
 //	                               validate simulated-vs-measured iteration
 //	                               time, and print a what-if estimation table;
 //	                               with -o DIR, write DIR/profile.json
-//	oooexp search                  compare guided schedule search against the
-//	                               exhaustive sweep across the model zoo
-//	                               (probes saved, optimality gap, robust
-//	                               picks); with -o DIR, write DIR/search.txt
-//	oooexp pareto                  sweep the joint throughput×peak-memory
-//	                               frontier per zoo model (BFC-replayed
-//	                               fragmented peaks); with -o DIR, write
-//	                               DIR/pareto.txt
 //	oooexp -o DIR timeline RUN...  write DIR/<run>.json (Chrome trace) and
 //	                               DIR/<run>.svg for each demo run,
 //	                               singlegpu or pipeline
@@ -87,16 +80,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}
-	case "search":
-		if err := runSearch(os.Stdout, *outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
-			os.Exit(1)
-		}
-	case "pareto":
-		if err := runPareto(os.Stdout, *outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
-			os.Exit(1)
-		}
 	case "timeline":
 		if err := runTimeline(args[1:], os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
@@ -146,5 +129,5 @@ func runIDs(ids []string, workers int, outDir string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: oooexp [-o dir] [-parallel n] list | all | bench | exec | calib | search | pareto | timeline <run>... | <experiment-id>...")
+	fmt.Fprintln(os.Stderr, "usage: oooexp [-o dir] [-parallel n] list | all | bench | exec | calib | timeline <run>... | <experiment-id>...")
 }

@@ -33,27 +33,29 @@ func TestListNamesEveryExperiment(t *testing.T) {
 
 // TestExperimentPrintsCommittedReport: `oooexp -o DIR fig2` prints the
 // report under its header and writes it to DIR/fig2.txt, byte-identical to
-// the committed results/fig2.txt.
+// the committed results/fig2.txt; so does the planner's pareto report.
 func TestExperimentPrintsCommittedReport(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "..", "results", "fig2.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	out, code := oooexp(t, "-o", dir, "fig2")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	e, _ := experiments.Get("fig2")
-	if printed := "==== fig2: " + e.Title + " ====\n" + string(want) + "\n"; out != printed {
-		t.Errorf("printed report differs from results/fig2.txt:\n%s", out)
-	}
-	written, err := os.ReadFile(filepath.Join(dir, "fig2.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(written, want) {
-		t.Errorf("-o file differs from results/fig2.txt:\n%s", written)
+	for _, id := range []string{"fig2", "pareto"} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		out, code := oooexp(t, "-o", dir, id)
+		if code != 0 {
+			t.Fatalf("%s: exit %d:\n%s", id, code, out)
+		}
+		e, _ := experiments.Get(id)
+		if printed := "==== " + id + ": " + e.Title + " ====\n" + string(want) + "\n"; out != printed {
+			t.Errorf("printed report differs from results/%s.txt:\n%s", id, out)
+		}
+		written, err := os.ReadFile(filepath.Join(dir, id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written, want) {
+			t.Errorf("-o file differs from results/%s.txt:\n%s", id, written)
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func TestBalancedPartitionBitwise(t *testing.T) {
 	net := build()
 	pipe, err := train.NewPipeline(net, &nn.SGD{LR: 0.05}, train.PipelineConfig{
 		Stages: 2, MicroBatches: 4, Schedule: train.Pipe1F1B, Build: build,
-		Boundaries: interior(part),
+		Partition: part,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,26 +16,26 @@ import (
 func runPipeline(build func() *train.Network, x *tensor.Tensor, labels []int,
 	optName string, steps, stages, micro int, psched train.PipeSchedule,
 	partition string, noFill, verify bool) {
-	var bounds []int
+	var part graph.Partition
 	if partition == "balanced" {
-		bp, err := balancedPartition(build, x, labels, optName, stages)
+		var err error
+		part, err = balancedPartition(build, x, labels, optName, stages)
 		if err != nil {
 			fatal("balanced partition: %v", err)
 		}
-		bounds = interior(bp)
-		fmt.Printf("balanced partition from measured layer costs: bounds %v\n", bp.Bounds)
+		fmt.Printf("balanced partition from measured layer costs: bounds %v\n", part.Bounds)
 	}
 	net := build()
 	pipe, err := train.NewPipeline(net, mkOpt(optName), train.PipelineConfig{
 		Stages: stages, MicroBatches: micro, Schedule: psched, Build: build,
-		Boundaries: bounds, NoDWFill: noFill,
+		Partition: part, NoDWFill: noFill,
 	})
 	if err != nil {
 		fatal("pipeline: %v", err)
 	}
 	defer pipe.Close()
 
-	part := pipe.Partition()
+	part = pipe.Partition()
 	fmt.Printf("pipeline: stages=%d microbatches=%d schedule=%v partition=%s dw-fill=%v\n",
 		stages, pipe.MicroBatches(), psched, partitionName(partition), !noFill)
 	for s := 0; s < part.Stages(); s++ {

@@ -13,7 +13,6 @@ import (
 	"oooback/internal/models"
 	"oooback/internal/netsim"
 	"oooback/internal/pipepar"
-	"oooback/internal/trace"
 )
 
 func main() {
@@ -41,5 +40,5 @@ func main() {
 	fmt.Printf("\nOOO-Pipe2 speedup over GPipe: %.2fx\n\n", p2.Throughput/gp.Throughput)
 
 	fmt.Println("OOO-Pipe2 timeline (last iteration; F=forward O=dO W=dW):")
-	fmt.Print(p2.Trace.Shifted().Render(trace.RenderOptions{Width: 100}))
+	fmt.Print(p2.Trace.Shifted().Render(100))
 }

@@ -9,116 +9,6 @@ import (
 	"oooback/internal/models"
 )
 
-func TestBalancedAllocationUniform(t *testing.T) {
-	costs := make([]time.Duration, 8)
-	for i := range costs {
-		costs[i] = time.Millisecond
-	}
-	out := BalancedAllocation(costs, 4)
-	// Uniform costs: two layers per stage.
-	want := []int{0, 0, 1, 1, 2, 2, 3, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("alloc = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestBalancedAllocationHeavyTail(t *testing.T) {
-	// One huge layer at the end: it must get its own stage.
-	costs := []time.Duration{1, 1, 1, 1, 1, 1, 1, 10}
-	out := BalancedAllocation(costs, 2)
-	if out[7] != 1 {
-		t.Fatalf("heavy layer not isolated: %v", out)
-	}
-	for i := 0; i < 7; i++ {
-		if out[i] != 0 {
-			t.Fatalf("light layers should share stage 0: %v", out)
-		}
-	}
-}
-
-func TestBalancedAllocationMoreGPUsThanLayers(t *testing.T) {
-	costs := []time.Duration{5, 5}
-	out := BalancedAllocation(costs, 8)
-	if out[0] != 0 || out[1] != 1 {
-		t.Fatalf("alloc = %v", out)
-	}
-}
-
-func TestBalancedAllocationPanicsOnZeroGPUs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	BalancedAllocation([]time.Duration{1}, 0)
-}
-
-// Property: the allocation is monotone non-decreasing, uses stages 0..max
-// contiguously, and its bottleneck stage cost is within 2× of the ideal
-// (total/n) plus the largest layer (a standard greedy bound).
-func TestBalancedAllocationProperty(t *testing.T) {
-	f := func(raw []uint8, nRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		if len(raw) > 40 {
-			raw = raw[:40]
-		}
-		n := int(nRaw%8) + 1
-		costs := make([]time.Duration, len(raw))
-		var total, maxc time.Duration
-		for i, r := range raw {
-			costs[i] = time.Duration(r) + 1
-			total += costs[i]
-			if costs[i] > maxc {
-				maxc = costs[i]
-			}
-		}
-		out := BalancedAllocation(costs, n)
-		if len(out) != len(costs) {
-			return false
-		}
-		stages := map[int]time.Duration{}
-		prev := 0
-		for i, g := range out {
-			if g < prev || g > prev+1 {
-				return false // non-monotone or skipped stage
-			}
-			prev = g
-			stages[g] += costs[i]
-		}
-		var bottleneck time.Duration
-		for _, c := range stages {
-			if c > bottleneck {
-				bottleneck = c
-			}
-		}
-		ideal := total / time.Duration(minInt(n, len(costs)))
-		return bottleneck <= 2*ideal+maxc
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func TestContiguousAllocationPanicsOnZeroGPUs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	ContiguousAllocation(4, 0)
-}
-
 func TestModuloAllocationDefaultsGroup(t *testing.T) {
 	out := ModuloAllocation(4, 2, 0) // group ≤ 0 defaults to 1
 	want := []int{0, 1, 0, 1}

@@ -18,11 +18,7 @@
 // on the simulated hardware.
 package core
 
-import (
-	"time"
-
-	"oooback/internal/graph"
-)
+import "oooback/internal/graph"
 
 // FastForward returns the gradient fast-forwarding order of §5.2.1: all
 // output-gradient computations first (layer L down to 1), then all deferred
@@ -36,101 +32,6 @@ func FastForward(L int) graph.BackwardSchedule {
 		s = append(s, graph.Op{Kind: graph.WeightGrad, Layer: i})
 	}
 	return s
-}
-
-// ContiguousAllocation assigns layers 1..L to n GPUs in equal consecutive
-// chunks (the conventional pipeline partitioning of GPipe/PipeDream).
-// The result maps 0-based layer index to 0-based GPU index, non-decreasing.
-func ContiguousAllocation(L, n int) []int {
-	if n <= 0 {
-		panic("core: non-positive GPU count")
-	}
-	out := make([]int, L)
-	for i := 0; i < L; i++ {
-		g := i * n / L
-		if g >= n {
-			g = n - 1
-		}
-		out[i] = g
-	}
-	return out
-}
-
-// BalancedAllocation partitions layers into n consecutive stages minimizing
-// the maximum stage cost (what PipeDream's profiler-driven partitioner
-// does). It binary-searches the bottleneck cost and greedily packs stages.
-// The result maps 0-based layer index to 0-based GPU index, non-decreasing,
-// using exactly n stages when L ≥ n.
-func BalancedAllocation(costs []time.Duration, n int) []int {
-	L := len(costs)
-	if n <= 0 {
-		panic("core: non-positive GPU count")
-	}
-	if n > L {
-		n = L
-	}
-	var total, maxc time.Duration
-	for _, c := range costs {
-		total += c
-		if c > maxc {
-			maxc = c
-		}
-	}
-	// feasible reports whether a partition with stage cost ≤ cap exists
-	// using at most n stages.
-	feasible := func(cap time.Duration) bool {
-		stages, cur := 1, time.Duration(0)
-		for _, c := range costs {
-			if cur+c > cap {
-				stages++
-				cur = 0
-			}
-			cur += c
-		}
-		return stages <= n
-	}
-	lo, hi := maxc, total
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// Emit the partition at the optimal cap, then spread trailing layers so
-	// every stage is non-empty (the greedy can under-use stages).
-	out := make([]int, L)
-	stage, cur := 0, time.Duration(0)
-	for i, c := range costs {
-		if cur+c > lo && stage < n-1 {
-			stage++
-			cur = 0
-		}
-		cur += c
-		out[i] = stage
-	}
-	// Ensure all n stages are used when possible: repeatedly split the last
-	// stage that still holds more than one layer (incrementing a suffix keeps
-	// the mapping monotone and the stage numbering contiguous).
-	used := out[L-1] + 1
-	for used < n {
-		split := -1
-		for i := L - 1; i > 0; i-- {
-			if out[i] == out[i-1] {
-				split = i
-				break
-			}
-		}
-		if split < 0 {
-			break // every stage holds one layer; nothing to split
-		}
-		for i := split; i < L; i++ {
-			out[i]++
-		}
-		used++
-	}
-	return out
 }
 
 // ModuloAllocation assigns layer groups of size groupSize round-robin across

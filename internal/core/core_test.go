@@ -138,12 +138,6 @@ func TestSearchKEdge(t *testing.T) {
 }
 
 func TestAllocations(t *testing.T) {
-	cont := ContiguousAllocation(8, 2)
-	for i := 0; i < 4; i++ {
-		if cont[i] != 0 || cont[4+i] != 1 {
-			t.Fatalf("contiguous = %v", cont)
-		}
-	}
 	mod := ModuloAllocation(8, 2, 1)
 	for i := range mod {
 		if mod[i] != i%2 {

@@ -41,7 +41,7 @@ func Fig4() string {
 		tr := &trace.Trace{}
 		r := s.SimulateIterationTraced(c, order, p, preemptive, tr)
 		fmt.Fprintf(&b, "(%s) makespan=%v idle=%v\n%s\n", title, r.Makespan, r.GPUIdle,
-			tr.Render(trace.RenderOptions{Width: 90}))
+			tr.Render(90))
 	}
 	show("a: conventional, FIFO comm", graph.Conventional(L), fifo, false)
 	show("b: conventional, prioritized comm", graph.Conventional(L), prio, true)

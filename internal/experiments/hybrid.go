@@ -30,7 +30,7 @@ func Hybrid() string {
 			Alloc:       core.ModuloAllocation(L, 4, 1),
 			FastForward: ff, ReverseK: k,
 			Schedule: pipepar.GPipe, Link: netsim.NVLink(),
-			Replicas: 4, SyncLink: netsim.Ethernet10G(), SyncPerNode: 1,
+			Replicas: 4, SyncLink: netsim.Ethernet10G(),
 			Iterations: 5,
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"oooback/internal/netsim"
 	"oooback/internal/pipepar"
 	"oooback/internal/stats"
-	"oooback/internal/trace"
 )
 
 func init() {
@@ -39,7 +38,7 @@ func pipeRun(m *models.Model, gpus, micro int, ff, modulo bool, sched pipepar.Sc
 func renderPipe(title string, m *models.Model, gpus, micro int, ff, modulo bool) string {
 	r := pipeRun(m, gpus, micro, ff, modulo, pipepar.GPipe, 1, 1, netsim.NVLink())
 	return fmt.Sprintf("(%s) period=%v util=%.2f\n%s\n", title, r.Period, r.MeanUtil,
-		r.Trace.Shifted().Render(trace.RenderOptions{Width: 100}))
+		r.Trace.Shifted().Render(100))
 }
 
 // Fig5 renders the cross-layer model-parallel executions of Figure 5

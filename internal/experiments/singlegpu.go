@@ -11,7 +11,6 @@ import (
 	"oooback/internal/models"
 	"oooback/internal/singlegpu"
 	"oooback/internal/stats"
-	"oooback/internal/trace"
 )
 
 func init() {
@@ -64,7 +63,7 @@ func Fig2() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "steady-state iteration=%v  GPU utilization=%.0f%% (the rest is issue-bound starvation)\n\n",
 		r.IterTime, 100*r.Trace.Utilization("main"))
-	b.WriteString(r.Trace.Render(trace.RenderOptions{Width: 110}))
+	b.WriteString(r.Trace.Render(110))
 	return b.String()
 }
 
@@ -120,7 +119,7 @@ func Fig8() string {
 		}
 		fmt.Fprintf(&b, "overflow past last region: %d\n\n", len(r.Plan.Overflow))
 	}
-	b.WriteString(r.Trace.Render(trace.RenderOptions{Width: 110}))
+	b.WriteString(r.Trace.Render(110))
 	return b.String()
 }
 

@@ -1,11 +1,17 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"time"
+)
 
 // Partition is a contiguous split of an L-layer network into pipeline stages.
 // Stage s owns the 0-based layers [Bounds[s], Bounds[s+1]); Bounds therefore
 // has Stages+1 entries, starts at 0, ends at L, and is strictly increasing
-// (every stage owns at least one layer).
+// (every stage owns at least one layer). It is the one contiguous placement:
+// the pipeline simulator, the planner's pipeline baseline and the real
+// pipeline all take their stages from PartitionEven or PartitionBalanced.
 type Partition struct {
 	L      int
 	Bounds []int
@@ -16,6 +22,19 @@ func (p Partition) Stages() int { return len(p.Bounds) - 1 }
 
 // Range returns the layer range [lo, hi) of stage s.
 func (p Partition) Range(s int) (lo, hi int) { return p.Bounds[s], p.Bounds[s+1] }
+
+// Alloc returns the layer → stage map: entry i is the stage owning 0-based
+// layer i, the form the pipeline simulator's Config.Alloc takes.
+func (p Partition) Alloc() []int {
+	out := make([]int, p.L)
+	for s := 0; s < p.Stages(); s++ {
+		lo, hi := p.Range(s)
+		for i := lo; i < hi; i++ {
+			out[i] = s
+		}
+	}
+	return out
+}
 
 // Validate checks the structural invariants.
 func (p Partition) Validate() error {
@@ -47,85 +66,69 @@ func PartitionEven(L, S int) (Partition, error) {
 	for s := 0; s <= S; s++ {
 		bounds[s] = s * L / S
 	}
-	p := Partition{L: L, Bounds: bounds}
-	if err := p.Validate(); err != nil {
-		return Partition{}, err
-	}
-	return p, nil
-}
-
-// PartitionBounds builds a partition from explicit interior boundaries
-// (ascending 0-based layer indices where each new stage starts), e.g.
-// L=7, interior [2,5] → stages [0,2) [2,5) [5,7).
-func PartitionBounds(L int, interior []int) (Partition, error) {
-	bounds := make([]int, 0, len(interior)+2)
-	bounds = append(bounds, 0)
-	bounds = append(bounds, interior...)
-	bounds = append(bounds, L)
-	p := Partition{L: L, Bounds: bounds}
-	if err := p.Validate(); err != nil {
-		return Partition{}, err
-	}
-	return p, nil
+	return Partition{L: L, Bounds: bounds}, nil
 }
 
 // PartitionBalanced splits L = len(costs) layers into S stages minimizing the
-// maximum per-stage cost sum (the classic linear-partition problem, solved
-// exactly by DP) — the training-side analogue of the simulator's
-// core.BalancedAllocation for profiled real layer costs. Ties prefer the
-// earliest feasible boundary, so the result is deterministic.
-func PartitionBalanced(costs []float64, S int) (Partition, error) {
+// maximum per-stage cost sum (what PipeDream's profiler-driven partitioner
+// does). It binary-searches the bottleneck cost, packs stages greedily under
+// it, then splits the last stage that still holds more than one layer until
+// all S stages are used. Every step is deterministic, so equal costs always
+// give equal boundaries.
+func PartitionBalanced(costs []time.Duration, S int) (Partition, error) {
 	L := len(costs)
 	if L < 1 || S < 1 || S > L {
 		return Partition{}, fmt.Errorf("graph: cannot split %d layers into %d stages", L, S)
 	}
-	prefix := make([]float64, L+1)
+	var total, maxc time.Duration
 	for i, c := range costs {
 		if c < 0 {
 			return Partition{}, fmt.Errorf("graph: negative layer cost %v at %d", c, i)
 		}
-		prefix[i+1] = prefix[i] + c
+		total += c
+		maxc = max(maxc, c)
 	}
-	// best[s][i]: minimal max-stage-cost splitting the first i layers into s
-	// stages, with every stage nonempty. cut[s][i]: the chosen boundary.
-	const inf = 1e308
-	best := make([][]float64, S+1)
-	cut := make([][]int, S+1)
-	for s := 0; s <= S; s++ {
-		best[s] = make([]float64, L+1)
-		cut[s] = make([]int, L+1)
-		for i := range best[s] {
-			best[s][i] = inf
-		}
-	}
-	for i := 1; i <= L; i++ {
-		best[1][i] = prefix[i]
-	}
-	for s := 2; s <= S; s++ {
-		for i := s; i <= L; i++ {
-			for j := s - 1; j < i; j++ { // last stage = layers [j, i)
-				if best[s-1][j] >= inf {
-					continue
-				}
-				cand := best[s-1][j]
-				if last := prefix[i] - prefix[j]; last > cand {
-					cand = last
-				}
-				if cand < best[s][i] {
-					best[s][i] = cand
-					cut[s][i] = j
-				}
+	// feasible reports whether a partition with stage cost ≤ cap exists
+	// using at most S stages.
+	feasible := func(cap time.Duration) bool {
+		stages, cur := 1, time.Duration(0)
+		for _, c := range costs {
+			if cur+c > cap {
+				stages++
+				cur = 0
 			}
+			cur += c
+		}
+		return stages <= S
+	}
+	lo, hi := maxc, total
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	bounds := make([]int, S+1)
-	bounds[S] = L
-	for s := S; s >= 2; s-- {
-		bounds[s-1] = cut[s][bounds[s]]
+	// Pack at the optimal cap; the greedy can use fewer than S stages.
+	bounds := make([]int, 1, S+1)
+	cur := time.Duration(0)
+	for i, c := range costs {
+		if cur+c > lo && len(bounds) < S {
+			bounds = append(bounds, i)
+			cur = 0
+		}
+		cur += c
 	}
-	p := Partition{L: L, Bounds: bounds}
-	if err := p.Validate(); err != nil {
-		return Partition{}, err
+	bounds = append(bounds, L)
+	// Until S stages are used, the last stage holding more than one layer
+	// gives its final layer a stage of its own.
+	for len(bounds) < S+1 {
+		s := len(bounds) - 2
+		for bounds[s+1]-bounds[s] == 1 {
+			s--
+		}
+		bounds = slices.Insert(bounds, s+1, bounds[s+1]-1)
 	}
-	return p, nil
+	return Partition{L: L, Bounds: bounds}, nil
 }

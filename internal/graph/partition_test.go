@@ -2,7 +2,10 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"testing/quick"
+	"time"
 )
 
 func TestPartitionEven(t *testing.T) {
@@ -40,29 +43,46 @@ func TestPartitionEven(t *testing.T) {
 	}
 }
 
-func TestPartitionBounds(t *testing.T) {
-	p, err := PartitionBounds(7, []int{2, 5})
-	if err != nil {
+func TestPartitionValidate(t *testing.T) {
+	p := Partition{L: 7, Bounds: []int{0, 2, 5, 7}}
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if lo, hi := p.Range(1); lo != 2 || hi != 5 {
 		t.Fatalf("stage 1 = [%d,%d)", lo, hi)
 	}
-	for _, bad := range [][]int{{0, 3}, {3, 3}, {5, 2}, {7}, {-1}} {
-		if _, err := PartitionBounds(7, bad); err == nil {
-			t.Fatalf("expected error for interior bounds %v", bad)
+	for _, bad := range []Partition{
+		{L: 7, Bounds: []int{0, 0, 3, 7}},
+		{L: 7, Bounds: []int{0, 3, 3, 7}},
+		{L: 7, Bounds: []int{0, 5, 2, 7}},
+		{L: 7, Bounds: []int{0, 7, 7}},
+		{L: 7, Bounds: []int{0, -1, 7}},
+		{L: 7, Bounds: []int{1, 7}},
+		{L: 7, Bounds: []int{0, 6}},
+		{L: 7, Bounds: []int{0}},
+		{L: 0, Bounds: []int{0, 0}},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("expected error for %+v", bad)
 		}
 	}
 }
 
+func TestPartitionAlloc(t *testing.T) {
+	p := Partition{L: 7, Bounds: []int{0, 2, 5, 7}}
+	if got, want := p.Alloc(), []int{0, 0, 1, 1, 1, 2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("Alloc = %v, want %v", got, want)
+	}
+}
+
 // bruteMaxCost enumerates all partitions to find the optimal max stage cost.
-func bruteMaxCost(costs []float64, S int) float64 {
+func bruteMaxCost(costs []time.Duration, S int) time.Duration {
 	L := len(costs)
-	best := math.Inf(1)
-	var rec func(start, stagesLeft int, worst float64)
-	rec = func(start, stagesLeft int, worst float64) {
+	best := time.Duration(math.MaxInt64)
+	var rec func(start, stagesLeft int, worst time.Duration)
+	rec = func(start, stagesLeft int, worst time.Duration) {
 		if stagesLeft == 1 {
-			var sum float64
+			var sum time.Duration
 			for _, c := range costs[start:] {
 				sum += c
 			}
@@ -74,7 +94,7 @@ func bruteMaxCost(costs []float64, S int) float64 {
 			}
 			return
 		}
-		var sum float64
+		var sum time.Duration
 		for end := start + 1; end <= L-stagesLeft+1; end++ {
 			sum += costs[end-1]
 			w := worst
@@ -89,7 +109,7 @@ func bruteMaxCost(costs []float64, S int) float64 {
 }
 
 func TestPartitionBalancedOptimal(t *testing.T) {
-	cases := [][]float64{
+	cases := [][]time.Duration{
 		{1, 1, 1, 1, 1, 1},
 		{5, 1, 1, 1, 1, 5},
 		{1, 2, 3, 4, 5, 6, 7},
@@ -102,10 +122,13 @@ func TestPartitionBalancedOptimal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("costs=%v S=%d: %v", costs, S, err)
 			}
-			var got float64
+			if err := p.Validate(); err != nil || p.Stages() != S {
+				t.Fatalf("costs=%v S=%d: bounds %v (%v)", costs, S, p.Bounds, err)
+			}
+			var got time.Duration
 			for s := 0; s < p.Stages(); s++ {
 				lo, hi := p.Range(s)
-				var sum float64
+				var sum time.Duration
 				for _, c := range costs[lo:hi] {
 					sum += c
 				}
@@ -118,7 +141,84 @@ func TestPartitionBalancedOptimal(t *testing.T) {
 			}
 		}
 	}
-	if _, err := PartitionBalanced([]float64{1, -2, 1}, 2); err == nil {
+	if _, err := PartitionBalanced([]time.Duration{1, -2, 1}, 2); err == nil {
 		t.Fatal("expected error for negative cost")
+	}
+}
+
+func TestPartitionBalancedUniform(t *testing.T) {
+	costs := make([]time.Duration, 8)
+	for i := range costs {
+		costs[i] = time.Millisecond
+	}
+	p, err := PartitionBalanced(costs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Uniform costs: two layers per stage.
+	if want := []int{0, 2, 4, 6, 8}; !slices.Equal(p.Bounds, want) {
+		t.Fatalf("bounds = %v, want %v", p.Bounds, want)
+	}
+}
+
+func TestPartitionBalancedHeavyTail(t *testing.T) {
+	// One huge layer at the end: it must get its own stage, and the light
+	// layers share the other.
+	p, err := PartitionBalanced([]time.Duration{1, 1, 1, 1, 1, 1, 1, 10}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 7, 8}; !slices.Equal(p.Bounds, want) {
+		t.Fatalf("bounds = %v, want %v", p.Bounds, want)
+	}
+}
+
+func TestPartitionBalancedRejectsStageCount(t *testing.T) {
+	for _, S := range []int{-1, 0, 3, 8} {
+		if _, err := PartitionBalanced([]time.Duration{5, 5}, S); err == nil {
+			t.Fatalf("expected error for %d stages over 2 layers", S)
+		}
+	}
+	if _, err := PartitionBalanced(nil, 1); err == nil {
+		t.Fatal("expected error for no layers")
+	}
+}
+
+// Property: the partition is valid, uses exactly S stages, and its
+// bottleneck stage cost is within 2× of the ideal (total/S) plus the largest
+// layer (a standard greedy bound).
+func TestPartitionBalancedProperty(t *testing.T) {
+	f := func(raw []uint8, sRaw uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		if len(raw) > 40 {
+			raw = raw[:40]
+		}
+		S := min(int(sRaw%8)+1, len(raw))
+		costs := make([]time.Duration, len(raw))
+		var total, maxc time.Duration
+		for i, r := range raw {
+			costs[i] = time.Duration(r) + 1
+			total += costs[i]
+			maxc = max(maxc, costs[i])
+		}
+		p, err := PartitionBalanced(costs, S)
+		if err != nil || p.Validate() != nil || p.Stages() != S || p.L != len(costs) {
+			return false
+		}
+		var bottleneck time.Duration
+		for s := 0; s < S; s++ {
+			lo, hi := p.Range(s)
+			var sum time.Duration
+			for _, c := range costs[lo:hi] {
+				sum += c
+			}
+			bottleneck = max(bottleneck, sum)
+		}
+		return bottleneck <= 2*total/time.Duration(S)+maxc
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,7 +15,7 @@ func hybridCfg(m *models.Model, ff bool, k, replicas int) Config {
 		Alloc:       core.ModuloAllocation(len(m.Layers), 4, 1),
 		FastForward: ff, ReverseK: k,
 		Schedule: GPipe, Link: netsim.NVLink(),
-		Replicas: replicas, SyncLink: netsim.Ethernet10G(), SyncPerNode: 1,
+		Replicas: replicas, SyncLink: netsim.Ethernet10G(),
 		Iterations: 5,
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"time"
 
-	"oooback/internal/core"
+	"oooback/internal/graph"
 	"oooback/internal/models"
 	"oooback/internal/netsim"
 	"oooback/internal/sim"
@@ -58,8 +58,8 @@ type Config struct {
 	// MicroBatches per mini-batch; 1 means plain cross-layer model
 	// parallelism (Fig 5).
 	MicroBatches int
-	// Alloc maps 0-based layer index to GPU (core.ContiguousAllocation or
-	// core.ModuloAllocation).
+	// Alloc maps 0-based layer index to GPU (BalancedContiguous,
+	// graph.Partition.Alloc or core.ModuloAllocation).
 	Alloc []int
 	// FastForward enables gradient fast-forwarding: δO tasks preempt δW
 	// tasks in each GPU's ready queue (§5.2.1).
@@ -80,9 +80,8 @@ type Config struct {
 	// that layer. The engine simulates one representative replica.
 	Replicas int
 	// SyncLink is the inter-replica interconnect (required when Replicas > 1).
+	// Each replica has a NIC of its own: the collective's fan-in per NIC is 1.
 	SyncLink netsim.LinkSpec
-	// SyncPerNode is the replica fan-in per NIC for the collective cost.
-	SyncPerNode int
 	// Recompute enables GPipe-style activation re-materialization: each
 	// micro-batch's backward at a layer first re-runs the layer's forward
 	// (charged onto the δO task), trading compute for activation memory —
@@ -182,13 +181,18 @@ const pipeDreamRuntimeScale = 1.18
 
 // BalancedContiguous returns PipeDream-style profiler-balanced consecutive
 // stages for a model: stage costs (F+δO+δW per layer) are equalized, which is
-// what GPipe/PipeDream deployments do instead of counting layers.
+// what GPipe/PipeDream deployments do instead of counting layers. With more
+// GPUs than layers, each layer gets a GPU of its own and the rest stay idle.
 func BalancedContiguous(m *models.Model, gpus int) []int {
 	costs := make([]time.Duration, len(m.Layers))
 	for i, l := range m.Layers {
 		costs[i] = l.Fwd + l.DO + l.DW
 	}
-	return core.BalancedAllocation(costs, gpus)
+	p, err := graph.PartitionBalanced(costs, min(gpus, len(costs)))
+	if err != nil {
+		panic("pipepar: " + err.Error())
+	}
+	return p.Alloc()
 }
 
 // Run simulates the configured pipeline over cfg.Iterations mini-batches and
@@ -686,8 +690,7 @@ func (b *builder) noteSyncProgress(t *task) {
 	if b.dwLeft[it][l] != 0 {
 		return
 	}
-	dur := netsim.PSSyncTime(b.cfg.SyncLink, b.m.Layers[l].ParamBytes,
-		b.cfg.Replicas, max(1, b.cfg.SyncPerNode))
+	dur := netsim.PSSyncTime(b.cfg.SyncLink, b.m.Layers[l].ParamBytes, b.cfg.Replicas, 1)
 	gate := b.syncGate[it][l]
 	gpu := t.gpu
 	b.syncSrv[gpu].Submit(l, dur, func(start, end sim.Time) {

@@ -185,7 +185,7 @@ func TestDeterministic(t *testing.T) {
 func TestSingleGPUDegenerate(t *testing.T) {
 	m := ffnn(4)
 	r := Run(m, Config{
-		GPUs: 1, MicroBatches: 1, Alloc: core.ContiguousAllocation(4, 1),
+		GPUs: 1, MicroBatches: 1, Alloc: make([]int, 4),
 		Schedule: GPipe, Link: netsim.NVLink(),
 	})
 	// One GPU, no transfers: period ≈ pure compute + per-task overheads.

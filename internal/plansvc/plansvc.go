@@ -49,9 +49,6 @@ type Options struct {
 	// SearchWorkers bounds the parexec fan-out inside one k search
 	// (default: GOMAXPROCS / Workers, at least 1).
 	SearchWorkers int
-	// MaxPlanTime caps the server-side planning deadline; request timeouts
-	// above it are clamped (default 30s).
-	MaxPlanTime time.Duration
 	// CostTable, if non-nil, is a fitted calibration cost table (calib.Fit
 	// output): zoo models are re-timed onto its fitted laws via
 	// models.Retimed before planning, so plans reflect measured rather than
@@ -88,9 +85,6 @@ func (o Options) withDefaults() Options {
 		if o.SearchWorkers < 1 {
 			o.SearchWorkers = 1
 		}
-	}
-	if o.MaxPlanTime <= 0 {
-		o.MaxPlanTime = 30 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -359,9 +353,13 @@ func storedEntry(sp spec, fp string, body []byte) (*cachedPlan, error) {
 	return &cachedPlan{resp: resp, body: body, fpHeader: []string{fp}}, nil
 }
 
+// maxPlanTime caps the server-side planning deadline; request timeouts above
+// it are clamped.
+const maxPlanTime = 30 * time.Second
+
 // planDeadline clamps a request timeout to the server-side planning limit.
 func (s *Service) planDeadline(deadlineMillis int64) time.Duration {
-	limit := s.opts.MaxPlanTime
+	limit := maxPlanTime
 	if ms := deadlineMillis; ms > 0 {
 		if d := time.Duration(ms) * time.Millisecond; d < limit {
 			limit = d

@@ -60,8 +60,6 @@ type Options struct {
 	Self string
 	// Peers is the full tier membership (including Self), order-insensitive.
 	Peers []string
-	// VNodes is the ring's virtual-node count per member (0 = DefaultVNodes).
-	VNodes int
 	// Service is this node's local planning service (required). Every tier
 	// member must be configured identically (same cost table) so fingerprints
 	// agree ring-wide.
@@ -115,7 +113,7 @@ func New(opts Options) (*Shard, error) {
 	if opts.Self == "" {
 		return nil, fmt.Errorf("shardsvc: Options.Self is required")
 	}
-	ring, err := NewRing(opts.Peers, opts.VNodes)
+	ring, err := NewRing(opts.Peers, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,6 @@ import (
 type TierOptions struct {
 	// Shards is the node count (default 3).
 	Shards int
-	// VNodes per member (0 = DefaultVNodes).
-	VNodes int
 	// WarmDirs, when non-empty, gives each node i a persistent warm-start
 	// cache at WarmDirs[i mod len]. Point a restarted tier at the same dirs to
 	// serve previous plans as disk hits.
@@ -90,7 +88,6 @@ func StartTier(opts TierOptions) (*Tier, error) {
 		sh, err := New(Options{
 			Self:            urls[i],
 			Peers:           urls,
-			VNodes:          opts.VNodes,
 			Service:         svc,
 			SuspectCooldown: opts.SuspectCooldown,
 			Logger:          opts.Logger.With("shard", i),

@@ -5,24 +5,26 @@ import (
 	"oooback/internal/trace"
 )
 
+// issueWindow bounds how many kernels an eager executor may have issued but
+// not yet executed (the executor/driver pipeline depth). This is what makes
+// the Fig 2 masking effect disappear: once the GPU catches up with the
+// bounded lead, every further kernel waits out its issue latency.
+const issueWindow = 12
+
 // issueEager models the eager executor path: a single CPU issue thread walks
 // the kernel list, spending each item's issue cost before the kernel becomes
-// visible to the GPU, and never running more than IssueWindow kernels ahead
+// visible to the GPU, and never running more than issueWindow kernels ahead
 // of execution. The bounded lead is what Fig 2 shows: early big kernels let
 // the executor bank a lead that masks issue latency, but once the GPU chews
 // through the lead in a region of small kernels, every kernel waits out its
 // own issue latency.
-func issueEager(eng *sim.Engine, tr *trace.Trace, exec Executor, items []loweredKernel) {
-	window := exec.IssueWindow
-	if window <= 0 {
-		window = int(^uint(0) >> 1) // unbounded
-	}
+func issueEager(eng *sim.Engine, tr *trace.Trace, items []loweredKernel) {
 	queue := items
 	inflight := 0
 	busy := false
 	var pump func()
 	pump = func() {
-		if busy || len(queue) == 0 || inflight >= window {
+		if busy || len(queue) == 0 || inflight >= issueWindow {
 			return
 		}
 		it := queue[0]

@@ -53,24 +53,18 @@ type Executor struct {
 	// MemoryFactor scales the executor's footprint relative to the model's
 	// inherent requirement (Nimble's multi-pool allocator, §8.2).
 	MemoryFactor float64
-	// IssueWindow bounds how many kernels the executor may have issued but
-	// not yet executed (the executor/driver pipeline depth). This is what
-	// makes the Fig 2 masking effect disappear: once the GPU catches up with
-	// the bounded lead, every further kernel waits out its issue latency.
-	// Zero means unbounded; ignored when PreCompiled.
-	IssueWindow int
 }
 
 // Standard executors from the paper's evaluation.
 func TF() Executor {
 	return Executor{Name: "TF", IssuePerKernel: 14 * time.Microsecond, FusionFactor: 1,
-		ExecScale: 1.05, MemoryFactor: 1.0, IssueWindow: 12}
+		ExecScale: 1.05, MemoryFactor: 1.0}
 }
 func XLA() Executor {
 	// XLA's win over TF is mostly fewer kernels (fusion); the per-launch
 	// executor overhead is only mildly lower.
 	return Executor{Name: "XLA", IssuePerKernel: 10 * time.Microsecond, FusionFactor: 2,
-		ExecScale: 0.95, MemoryFactor: 1.0, IssueWindow: 12}
+		ExecScale: 0.95, MemoryFactor: 1.0}
 }
 func Nimble() Executor {
 	e := XLA()
@@ -209,7 +203,7 @@ func runIters(eng *sim.Engine, m *models.Model, exec Executor, gpu gpusim.Config
 		}
 		launcher.IssueGraph("iter", gi)
 	} else {
-		issueEager(eng, tr, exec, items)
+		issueEager(eng, tr, items)
 	}
 	end := eng.Run()
 	return end, plan, tr, dev.SMUtilization(end)

@@ -160,25 +160,16 @@ func (t *Trace) Shifted() *Trace {
 	return out
 }
 
-// RenderOptions control ASCII timeline rendering.
-type RenderOptions struct {
-	// Width is the number of character cells for the time axis (default 100).
-	Width int
-	// LabelCell renders each span as the first rune of its label repeated;
-	// when false the span is drawn with '#' fill.
-	LabelCell bool
-}
-
-// Render draws the trace as an ASCII timeline, one row per lane. Each cell
-// covers makespan/width of virtual time; a cell is drawn with a character
-// derived from the span covering its midpoint ('.' when idle).
+// Render draws the trace as an ASCII timeline, one row per lane, width
+// character cells wide (100 when width ≤ 0). Each cell covers makespan/width
+// of virtual time; a cell is drawn with a character derived from the kind of
+// the span covering its midpoint ('.' when idle).
 //
 // Example output for a two-GPU pipeline:
 //
-//	GPU0 |1122334455......55443322|
-//	GPU1 |....112233445555443322..|
-func (t *Trace) Render(opt RenderOptions) string {
-	width := opt.Width
+//	GPU0 |FFFFFFFF........OOOOWWWW|
+//	GPU1 |....FFFFFFFFOOOOWWWW....|
+func (t *Trace) Render(width int) string {
 	if width <= 0 {
 		width = 100
 	}
@@ -211,7 +202,7 @@ func (t *Trace) Render(opt RenderOptions) string {
 			if hi > width {
 				hi = width
 			}
-			ch := cellRune(s, opt)
+			ch := cellRune(s)
 			for i := lo; i < hi; i++ {
 				row[i] = ch
 			}
@@ -222,10 +213,7 @@ func (t *Trace) Render(opt RenderOptions) string {
 	return b.String()
 }
 
-func cellRune(s Span, opt RenderOptions) rune {
-	if opt.LabelCell && len(s.Label) > 0 {
-		return rune(s.Label[0])
-	}
+func cellRune(s Span) rune {
 	switch s.Kind {
 	case "fwd":
 		return 'F'

@@ -62,7 +62,7 @@ func TestRenderKindGlyphs(t *testing.T) {
 	for i, k := range kinds {
 		tr.Add("lane"+k.kind, "x", k.kind, time.Duration(i)*10, time.Duration(i)*10+9)
 	}
-	out := tr.Render(RenderOptions{Width: 70})
+	out := tr.Render(70)
 	for _, k := range kinds {
 		if !strings.Contains(out, k.ch) {
 			t.Fatalf("render missing glyph %q for kind %q:\n%s", k.ch, k.kind, out)
@@ -73,7 +73,7 @@ func TestRenderKindGlyphs(t *testing.T) {
 func TestRenderDefaultWidth(t *testing.T) {
 	tr := &Trace{}
 	tr.Add("g", "x", "fwd", 0, 10)
-	out := tr.Render(RenderOptions{}) // default 100 cells
+	out := tr.Render(0) // default 100 cells
 	line := strings.Split(out, "\n")[0]
 	if len(line) < 100 {
 		t.Fatalf("default width row too short: %d", len(line))
@@ -86,7 +86,7 @@ func TestRenderZeroLengthSpanStillVisible(t *testing.T) {
 	tr := &Trace{}
 	tr.Add("g", "body", "dO", 0, 100)
 	tr.Add("g", "tick", "fwd", 50, 50)
-	out := tr.Render(RenderOptions{Width: 20})
+	out := tr.Render(20)
 	if !strings.Contains(out, "F") {
 		t.Fatalf("zero-length span invisible:\n%s", out)
 	}

@@ -69,12 +69,12 @@ func TestRenderContainsLanesAndMakespan(t *testing.T) {
 	tr := &Trace{}
 	tr.Add("GPU0", "1", "fwd", 0, time.Microsecond)
 	tr.Add("GPU1", "2", "dO", time.Microsecond, 2*time.Microsecond)
-	out := tr.Render(RenderOptions{Width: 20, LabelCell: true})
+	out := tr.Render(20)
 	if !strings.Contains(out, "GPU0") || !strings.Contains(out, "GPU1") {
 		t.Fatalf("render missing lanes:\n%s", out)
 	}
-	if !strings.Contains(out, "1") || !strings.Contains(out, "2") {
-		t.Fatalf("render missing labels:\n%s", out)
+	if !strings.Contains(out, "F") || !strings.Contains(out, "O") {
+		t.Fatalf("render missing span cells:\n%s", out)
 	}
 	if !strings.Contains(out, "makespan") {
 		t.Fatalf("render missing makespan:\n%s", out)
@@ -83,7 +83,7 @@ func TestRenderContainsLanesAndMakespan(t *testing.T) {
 
 func TestRenderEmpty(t *testing.T) {
 	tr := &Trace{}
-	if got := tr.Render(RenderOptions{}); got != "(empty trace)\n" {
+	if got := tr.Render(0); got != "(empty trace)\n" {
 		t.Fatalf("empty render = %q", got)
 	}
 }

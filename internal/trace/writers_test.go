@@ -35,7 +35,7 @@ func TestWritersEmptyTrace(t *testing.T) {
 		t.Fatal("empty SVG missing the empty-trace marker")
 	}
 
-	if got := tr.Render(RenderOptions{}); got != "(empty trace)\n" {
+	if got := tr.Render(0); got != "(empty trace)\n" {
 		t.Fatalf("empty Render = %q", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestOutOfOrderSpanClose(t *testing.T) {
 		}
 	}
 
-	render := tr.Render(RenderOptions{Width: 60})
+	render := tr.Render(60)
 	if !strings.Contains(render, "GPU0") || !strings.Contains(render, "W") || !strings.Contains(render, "O") {
 		t.Fatalf("render missing lanes or glyphs:\n%s", render)
 	}
@@ -167,7 +167,7 @@ func TestConcurrentEmit(t *testing.T) {
 	if svg := tr.SVG(300); !strings.HasSuffix(svg, "</svg>") {
 		t.Fatal("SVG truncated")
 	}
-	if out := tr.Render(RenderOptions{Width: 40}); !strings.Contains(out, "makespan") {
+	if out := tr.Render(40); !strings.Contains(out, "makespan") {
 		t.Fatal("render missing makespan")
 	}
 }

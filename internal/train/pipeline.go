@@ -118,9 +118,10 @@ type PipelineConfig struct {
 	// Build constructs one additional lane network identical to the
 	// prototype (same role as DataParallelConfig.Build). Required.
 	Build func() *Network
-	// Boundaries, if non-nil, are explicit interior stage boundaries
-	// (ascending 0-based layer indices, len Stages−1); nil = even split.
-	Boundaries []int
+	// Partition places the layers on the stages; its L and stage count must
+	// match the network and Stages. The zero value is
+	// graph.PartitionEven(L, Stages).
+	Partition graph.Partition
 	// NoDWFill disables out-of-order δW bubble filling: every δW runs inline
 	// right after its layer's δO instead of being deferred into bubbles. The
 	// gradient bits are identical either way — only the schedule moves.
@@ -229,15 +230,12 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	if cfg.Build == nil {
 		return nil, fmt.Errorf("train: PipelineConfig.Build is required (one lane per microbatch)")
 	}
-	var part graph.Partition
+	part := cfg.Partition
 	var err error
-	if cfg.Boundaries != nil {
-		part, err = graph.PartitionBounds(L, cfg.Boundaries)
-		if err == nil && part.Stages() != S {
-			err = fmt.Errorf("train: %d boundaries give %d stages, want %d", len(cfg.Boundaries), part.Stages(), S)
-		}
-	} else {
+	if part.L == 0 && part.Bounds == nil {
 		part, err = graph.PartitionEven(L, S)
+	} else if err = part.Validate(); err == nil && (part.L != L || part.Stages() != S) {
+		err = fmt.Errorf("train: partition of %d layers into %d stages, want %d into %d", part.L, part.Stages(), L, S)
 	}
 	if err != nil {
 		return nil, err

@@ -189,8 +189,14 @@ func TestPipelineConfigValidation(t *testing.T) {
 		{"micro<stages", build(), PipelineConfig{Stages: 3, MicroBatches: 2, Build: build}},
 		{"stages>layers", build(), PipelineConfig{Stages: 6, Build: build}},
 		{"no build", build(), PipelineConfig{Stages: 2}},
-		{"bad bounds count", build(), PipelineConfig{Stages: 3, Build: build, Boundaries: []int{2}}},
-		{"bad bounds order", build(), PipelineConfig{Stages: 3, Build: build, Boundaries: []int{4, 2}}},
+		{"partition stage count", build(), PipelineConfig{Stages: 3, Build: build,
+			Partition: graph.Partition{L: 5, Bounds: []int{0, 2, 5}}}},
+		{"partition layer count", build(), PipelineConfig{Stages: 2, Build: build,
+			Partition: graph.Partition{L: 6, Bounds: []int{0, 2, 6}}}},
+		{"partition order", build(), PipelineConfig{Stages: 3, Build: build,
+			Partition: graph.Partition{L: 5, Bounds: []int{0, 4, 2, 5}}}},
+		{"partition no bounds", build(), PipelineConfig{Stages: 2, Build: build,
+			Partition: graph.Partition{L: 5}}},
 		{"attention", &Network{Layers: []nn.Layer{
 			nn.NewDense("d", 4, 4, tensor.NewRNG(1)),
 			nn.NewSelfAttention("attn", 4, tensor.NewRNG(2)),
@@ -214,7 +220,7 @@ func TestPipelineExplicitBoundaries(t *testing.T) {
 	x, labels := data.Vectors(73, 8, 6, 4)
 	pipe, err := NewPipeline(build(), &nn.SGD{LR: 0.05}, PipelineConfig{
 		Stages: 3, MicroBatches: 4, Schedule: Pipe1F1B, Build: build,
-		Boundaries: []int{1, 6},
+		Partition: graph.Partition{L: 7, Bounds: []int{0, 1, 6, 7}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +240,7 @@ func TestPipelineExplicitBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pl != rl || !SnapshotsEqual(GradSnapshot(pipe.proto), GradSnapshot(ref)) {
-		t.Fatal("explicit-boundary pipeline differs from serial reference")
+		t.Fatal("explicit-partition pipeline differs from serial reference")
 	}
 }
 
