@@ -316,7 +316,9 @@ func mkOpt(name string) nn.Optimizer {
 	}
 }
 
+// fatal reports an error and exits 1, like a failed -verify; the flag
+// package keeps exit 2 for flags it cannot parse.
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "oootrain: "+format+"\n", args...)
-	os.Exit(2)
+	os.Exit(1)
 }

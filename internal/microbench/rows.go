@@ -347,12 +347,13 @@ func Rows() []Row {
 		{Name: "TrainPipeline1F1BFill", Step: trainPipeline(train.Pipe1F1B, true), Gated: true},
 		{Name: "TrainPipeline1F1BNoFill", Step: trainPipeline(train.Pipe1F1B, false)},
 		// Whole warm steps of the serial engine — forward, loss, backward,
-		// update — on the nets of the benchmark's two train workloads. Neither
-		// a plain step nor a checkpointed one allocates: the checkpointed
-		// step's bookkeeping lives on the executor, and the stashes it drops
-		// (two lowerings, two masks, one argmax map) keep their capacity for
-		// the re-run.
+		// update — on the nets of the benchmark's two train workloads, plain
+		// and checkpointed every 2. Neither allocates: the checkpointed step's
+		// bookkeeping lives on the executor, and the stashes it drops (masks,
+		// lowerings, the argmax map) keep their capacity for the restash that
+		// rebuilds them from the kept activations.
 		{Name: "TrainStepMLPSerial", Gated: true, Step: trainStep(MLP, train.ExecSerial, 0)},
+		{Name: "TrainStepMLPRecompute", Gated: true, Step: trainStep(MLP, train.ExecSerial, 2)},
 		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 0)},
 		{Name: "TrainStepConvRecompute", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 2)},
 		// The same whole step under the concurrent engine and the out-of-order

@@ -175,8 +175,11 @@ type MeanPool1D struct {
 	name  string
 	group int
 	rows  int
-	out   *tensor.Tensor // retained ForwardWS output buffer
-	gin   *tensor.Tensor // retained InputGradWS output buffer
+	// fwdRows is the last forward's row count, kept across DropStash so
+	// Restash can put it back.
+	fwdRows int
+	out     *tensor.Tensor // retained ForwardWS output buffer
+	gin     *tensor.Tensor // retained InputGradWS output buffer
 }
 
 // NewMeanPool1D pools every `group` rows.
@@ -194,7 +197,7 @@ func (p *MeanPool1D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if rows%p.group != 0 {
 		panic(fmt.Sprintf("nn: %d rows not divisible by pool group %d", rows, p.group))
 	}
-	p.rows = rows
+	p.rows, p.fwdRows = rows, rows
 	out := tensor.New(rows/p.group, dim)
 	for r := 0; r < rows; r++ {
 		o := r / p.group

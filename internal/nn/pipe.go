@@ -62,10 +62,7 @@ func (d *Dense) SealWeightGrad() {
 
 func (r *ReLU) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape...)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
+	r.mask = resize(r.mask, len(x.Data))
 	// v > 0 is false for −0 and for NaN of either sign, exactly as in Forward;
 	// the selected value keeps v's bits, the rest become +0.
 	return tensor.ReLUInto(r.out, r.mask, x)
@@ -97,10 +94,7 @@ func (l *MaxPool2) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tens
 	l.inShape = append(l.inShape[:0], x.Shape...)
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	l.out = tensor.Ensure(l.out, n, c, h/2, w/2)
-	if cap(l.arg) < l.out.Len() {
-		l.arg = make([]int, l.out.Len())
-	}
-	l.arg = l.arg[:l.out.Len()]
+	l.arg = resize(l.arg, l.out.Len())
 	return tensor.MaxPool2Into(l.out, l.arg, x)
 }
 
@@ -125,21 +119,11 @@ func (l *Flatten) SealWeightGrad()              {}
 
 // ---- Embedding ----
 
+// ForwardWS decodes the ids (Restash), then gathers their rows.
 func (e *Embedding) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
-	e.inSh = append(e.inSh[:0], x.Shape...)
-	rows := x.Len()
-	if cap(e.ids) < rows {
-		e.ids = make([]int, rows)
-	}
-	e.ids = e.ids[:rows]
-	e.out = tensor.Ensure(e.out, rows, e.dim)
-	vocab := e.W.Value.Shape[0]
-	for i, v := range x.Data {
-		id := int(v)
-		if id < 0 || id >= vocab {
-			panic(fmt.Sprintf("nn: token id %d out of vocab %d", id, vocab))
-		}
-		e.ids[i] = id
+	e.Restash(x)
+	e.out = tensor.Ensure(e.out, len(e.ids), e.dim)
+	for i, id := range e.ids {
 		copy(e.out.Data[i*e.dim:(i+1)*e.dim], e.W.Value.Data[id*e.dim:(id+1)*e.dim])
 	}
 	return e.out
@@ -156,39 +140,18 @@ func (e *Embedding) SealWeightGrad() {}
 
 // ---- LayerNorm ----
 
+// ForwardWS normalizes (Restash), then applies the gain and bias to the
+// normalized rows it kept.
 func (l *LayerNorm) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
-	if x.Dims() != 2 {
-		panic("nn: LayerNorm expects [rows, dim]")
-	}
-	l.rows, l.width = x.Shape[0], x.Shape[1]
-	l.xhat = tensor.Ensure(l.xhat, l.rows, l.width)
-	if cap(l.invStd) < l.rows {
-		l.invStd = make([]float64, l.rows)
-	}
-	l.invStd = l.invStd[:l.rows]
+	l.Restash(x)
 	l.out = tensor.Ensure(l.out, l.rows, l.width)
-	out := l.out
 	for r := 0; r < l.rows; r++ {
-		row := x.Data[r*l.width : (r+1)*l.width]
-		var mean float64
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(l.width)
-		var varSum float64
-		for _, v := range row {
-			d := v - mean
-			varSum += d * d
-		}
-		inv := 1 / math.Sqrt(varSum/float64(l.width)+l.eps)
-		l.invStd[r] = inv
 		for c := 0; c < l.width; c++ {
-			xh := (row[c] - mean) * inv
-			l.xhat.Data[r*l.width+c] = xh
-			out.Data[r*l.width+c] = xh*l.Gain.Value.Data[c] + l.Bias.Value.Data[c]
+			i := r*l.width + c
+			l.out.Data[i] = l.xhat.Data[i]*l.Gain.Value.Data[c] + l.Bias.Value.Data[c]
 		}
 	}
-	return out
+	return l.out
 }
 
 // The plain reduction already folds rows ascending directly into the
@@ -206,7 +169,7 @@ func (p *MeanPool1D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Te
 	if rows%p.group != 0 {
 		panic(fmt.Sprintf("nn: %d rows not divisible by pool group %d", rows, p.group))
 	}
-	p.rows = rows
+	p.rows, p.fwdRows = rows, rows
 	p.out = tensor.Ensure(p.out, rows/p.group, dim)
 	p.out.Zero() // Ensure contents are unspecified; the fold below is +=
 	for r := 0; r < rows; r++ {

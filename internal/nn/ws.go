@@ -45,8 +45,16 @@ type Pooled interface {
 	SealWeightGrad()
 	// DropStash releases the forward state retained for the backward pass
 	// (input references, masks, lowering buffers, normalization statistics).
-	// The layer's next forward rebuilds it from scratch (stash.go).
+	// The layer's next forward or Restash rebuilds it (stash.go).
 	DropStash()
+	// StashSource names the tensor Restash reads: the input or the output of
+	// the layer's last forward, or nothing. It is fixed per layer type.
+	StashSource() StashSource
+	// Restash rebuilds the stash DropStash released from src — the tensor
+	// StashSource names, nil for StashFromNothing — without computing the
+	// output. The stash it leaves is the one the last forward left, bit for
+	// bit, in the buffers the drop kept, so a warm restash allocates nothing.
+	Restash(src *tensor.Tensor)
 	// StashBytes reports the footprint of the forward state the layer owns:
 	// buffers the forward pass filled for backward's use. The input activation
 	// is a borrowed reference and is NOT counted — its bytes are tracked by

@@ -135,6 +135,9 @@ func TestConvGEMMsMatchRepackingReference(t *testing.T) {
 				if !bitwiseEqual(colsT, wantColsT) {
 					t.Fatalf("%s: the lowering is not the transposed im2col matrix", name)
 				}
+				if !bitwiseEqual(ConvLowerInto(Randn(r, 1, sh.n, k, oh*ow), x, sh.kh, sh.kw), wantColsT) {
+					t.Fatalf("%s: ConvLowerInto differs from the forward's lowering", name)
+				}
 				gin := Randn(r, 1, sh.n, sh.c, sh.h, sh.w)
 				if !bitwiseEqual(ConvInputGradInto(gin, g, wm, sh.kh, sh.kw, ws), wantGin) {
 					t.Fatalf("%s: ConvInputGradInto differs from Conv2DInputGrad", name)
@@ -234,6 +237,9 @@ func TestConvChannelMajorSweep(t *testing.T) {
 					if i, ok := sameBitsOrBothNaN(colsT.Data, refLowerT(x, kh, kw).Data); !ok {
 						t.Fatalf("%s: lowering element %d differs", name, i)
 					}
+					if i, ok := sameBitsOrBothNaN(ConvLowerInto(Randn(r, 1, n, k, px), x, kh, kw).Data, colsT.Data); !ok {
+						t.Fatalf("%s: ConvLowerInto element %d differs from the forward's lowering", name, i)
+					}
 					gin := ConvInputGradInto(Randn(r, 1, n, c, h, w), g, wm, kh, kw, ws)
 					if i, ok := sameBitsOrBothNaN(gin.Data, Conv2DInputGrad(g, wt, h, w).Data); !ok {
 						t.Fatalf("%s: δO element %d differs from Conv2DInputGrad", name, i)
@@ -318,6 +324,11 @@ func TestConvGEMMShapePanics(t *testing.T) {
 		"weightgrad: lowering batch": func() { ConvWeightGradAcc(New(f, k), nchw, New(n+1, k, oh*ow)) },
 		"weightgrad: lowering px":    func() { ConvWeightGradAcc(New(f, k), nchw, New(n, k, oh*ow+1)) },
 		"weightgrad: gradOut not 4D": func() { ConvWeightGradAcc(New(f, k), New(n*f, oh*ow), colsT) },
+		"lower: lowering rows":       func() { ConvLowerInto(New(n, k+1, oh*ow), x, kh, kw) },
+		"lower: lowering batch":      func() { ConvLowerInto(New(n+1, k, oh*ow), x, kh, kw) },
+		"lower: lowering not 3D":     func() { ConvLowerInto(New(n*k, oh*ow), x, kh, kw) },
+		"lower: window too large":    func() { ConvLowerInto(colsT, x, kh, w+1) },
+		"lower: input not 4D":        func() { ConvLowerInto(colsT, New(n*c, h, w), kh, kw) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -366,7 +377,8 @@ func refMaxPool2(x *Tensor) (*Tensor, []int) {
 
 // TestMaxPool2MatchesReferenceLoop: same maxima and the same argmax on random
 // data, on windows of tied values, with NaN, ±Inf and ±0 in every window
-// position, and on every one of the 6⁴ windows over {NaN, −Inf, −0, +0, 1, 2}.
+// position, and on every one of the 6⁴ windows over {NaN, −Inf, −0, +0, 1, 2}
+// — the argmax also from MaxPool2ArgInto, which writes no maxima.
 func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 	r := NewRNG(99)
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 1, -1}
@@ -396,9 +408,14 @@ func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 		if !bitwiseEqual(got, want) {
 			t.Fatalf("input %d: pooled values differ from the reference loop", i)
 		}
+		argOnly := make([]int, len(wantArg))
+		for j := range argOnly {
+			argOnly[j] = -1
+		}
+		MaxPool2ArgInto(argOnly, x)
 		for j := range wantArg {
-			if gotArg[j] != wantArg[j] {
-				t.Fatalf("input %d: argmax[%d] = %d, reference %d", i, j, gotArg[j], wantArg[j])
+			if gotArg[j] != wantArg[j] || argOnly[j] != wantArg[j] {
+				t.Fatalf("input %d: argmax[%d] = %d, argmax alone %d, reference %d", i, j, gotArg[j], argOnly[j], wantArg[j])
 			}
 		}
 	}

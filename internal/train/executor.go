@@ -89,10 +89,14 @@ type Executor struct {
 	// led is StepRecompute's ledger, retained so a warm step allocates nothing.
 	led ledger
 
-	// The table of the most recent (layer count, schedule, checkpoint interval):
-	// steady-state loops use one for thousands of steps; re-validating and
-	// re-generating would allocate.
+	// srcs holds StepRecompute's per-layer stash sources, filled every step.
+	srcs []nn.StashSource
+
+	// The table of the most recent (layer count, stash sources, schedule,
+	// checkpoint interval): steady-state loops use one for thousands of steps;
+	// re-validating and re-generating would allocate.
 	cachedSched graph.BackwardSchedule
+	cachedSrcs  []nn.StashSource
 	cachedL     int
 	cachedEvery int
 	cachedRows  []row
@@ -228,14 +232,14 @@ func (e *Executor) runDW(l *lane, t dwTask) {
 
 // table returns the executor's step table for an L-layer network under sched
 // — stepRows with δW rows in the executor's hand-off mode, or recomputeRows
-// when every > 0 — and the schedule's retention-plan peak, validating,
-// generating and caching them when any of the three changed. The steady-state
-// re-check does not allocate.
-func (e *Executor) table(L int, sched graph.BackwardSchedule, every int) ([]row, int, error) {
+// over the stash sources srcs when every > 0 — and the schedule's
+// retention-plan peak, validating, generating and caching them when any of the
+// four changed. The steady-state re-check does not allocate.
+func (e *Executor) table(L int, srcs []nn.StashSource, sched graph.BackwardSchedule, every int) ([]row, int, error) {
 	if e.closed {
 		return nil, 0, ErrClosed
 	}
-	if L == e.cachedL && every == e.cachedEvery && slices.Equal(e.cachedSched, sched) {
+	if L == e.cachedL && every == e.cachedEvery && slices.Equal(e.cachedSrcs, srcs) && slices.Equal(e.cachedSched, sched) {
 		return e.cachedRows, e.cachedPeak, nil
 	}
 	a, err := graph.Analyze(L, sched)
@@ -245,7 +249,7 @@ func (e *Executor) table(L int, sched graph.BackwardSchedule, every int) ([]row,
 	var rows []row
 	switch {
 	case every > 0:
-		if rows, err = recomputeRows(L, sched, every); err != nil {
+		if rows, err = recomputeRows(L, srcs, sched, every); err != nil {
 			return nil, 0, err
 		}
 	case e.mode == ExecConcurrent:
@@ -254,6 +258,7 @@ func (e *Executor) table(L int, sched graph.BackwardSchedule, every int) ([]row,
 		rows = stepRows(L, sched, 0)
 	}
 	e.cachedSched = append(e.cachedSched[:0], sched...)
+	e.cachedSrcs = append(e.cachedSrcs[:0], srcs...)
 	e.cachedL, e.cachedEvery, e.cachedRows, e.cachedPeak = L, every, rows, a.PeakLiveGrads
 	return rows, a.PeakLiveGrads, nil
 }
@@ -273,7 +278,7 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 		return n.Backward(lossGrad, sched)
 	}
 	L := len(n.Layers)
-	rows, peak, err := e.table(L, sched, 0)
+	rows, peak, err := e.table(L, nil, sched, 0)
 	if err != nil {
 		return BackwardStats{}, err
 	}
@@ -290,7 +295,7 @@ func (e *Executor) Step(n *Network, x *tensor.Tensor, labels []int, sched graph.
 	if e == nil {
 		return Step(n, x, labels, sched, opt)
 	}
-	rows, _, err := e.table(len(n.Layers), sched, 0)
+	rows, _, err := e.table(len(n.Layers), nil, sched, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -41,9 +41,12 @@ const (
 	// OpRefwd is one layer's forward computation re-run by a checkpointed step
 	// (Executor.StepRecompute) to rebuild state its backward pass dropped.
 	OpRefwd
+	// OpRestash is one layer's stash rebuilt by a checkpointed step from an
+	// activation it kept (nn.Pooled.Restash): no output is computed.
+	OpRestash
 )
 
-var opKindNames = [...]string{"zeroGrad", "fwd", "loss", "dO", "dW", "dWFill", "update", "reduce", "idle", "step", "reFwd"}
+var opKindNames = [...]string{"zeroGrad", "fwd", "loss", "dO", "dW", "dWFill", "update", "reduce", "idle", "step", "reFwd", "restash"}
 
 func (k OpKind) String() string { return opKindNames[k] }
 

@@ -23,6 +23,7 @@ type rowKind uint8
 const (
 	rowZero     rowKind = iota // clear the parameter gradients of the lane's network
 	rowFwd                     // forward of layer: a_{layer-1} → a_layer
+	rowRestash                 // checkpointed step: rebuild layer's stash from its source (nn.Pooled.Restash)
 	rowLoss                    // loss head: a_L → g_L, folded into the lane's loss sum
 	rowDO                      // δO of layer: g_layer → g_{layer-1}
 	rowDW                      // δW of layer from g_layer, handed off as the flags say
@@ -316,6 +317,17 @@ func (l *lane) run(rows []row) {
 				kind = OpRefwd
 			}
 			l.span(kind, r, in.Len()+out.Len())
+		case rowRestash:
+			p := l.nets[r.micro].Layers[r.layer-1].(nn.Pooled)
+			switch p.StashSource() {
+			case nn.StashFromInput:
+				p.Restash(l.acts[at-1])
+			case nn.StashFromOutput:
+				p.Restash(l.acts[at])
+			default:
+				p.Restash(nil)
+			}
+			l.span(OpRestash, r, 0)
 		case rowLoss:
 			logits := l.acts[at+L]
 			g := tensor.Ensure(l.lossGrad[r.micro], logits.Shape[0], logits.Shape[1])

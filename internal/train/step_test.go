@@ -11,13 +11,23 @@ import (
 	"oooback/internal/nn"
 )
 
+// stashSources is what StepRecompute reads off a network of nn.Pooled layers:
+// each layer's stash source.
+func stashSources(n *Network) []nn.StashSource {
+	srcs := make([]nn.StashSource, len(n.Layers))
+	for i, l := range n.Layers {
+		srcs[i] = l.(nn.Pooled).StashSource()
+	}
+	return srcs
+}
+
 // String renders a row for the generator goldens: z zero, f/r forward /
-// re-forward, L loss, o δO, w δW, x free activation, P publish bucket, ra/sa/
+// re-forward, s restash, L loss, o δO, w δW, x free activation, P publish bucket, ra/sa/
 // rg/sg the pipeline queue ops; "#m" the microbatch; δW hand-off p pooled, ~
 // deferred; ledger flags +a keep activation, +s hold stash, -s drop stash, -p
 // drop input activation, ! last use of the gradient.
 func (r row) String() string {
-	names := [...]string{rowZero: "z", rowFwd: "f", rowLoss: "L", rowDO: "o", rowDW: "w", rowFree: "x",
+	names := [...]string{rowZero: "z", rowFwd: "f", rowRestash: "s", rowLoss: "L", rowDO: "o", rowDW: "w", rowFree: "x",
 		rowPublish: "P", rowRecvAct: "ra", rowSendAct: "sa", rowRecvGrad: "rg", rowSendGrad: "sg"}
 	s := names[r.kind]
 	if r.flags&reFwd != 0 {
@@ -110,7 +120,7 @@ func TestNoTableRunsDO1(t *testing.T) {
 		check(fmt.Sprintf("stepRows sched %d", i), rows, L-1)
 		check(fmt.Sprintf("publishRows sched %d", i), publishRows(rows, newReducePlan(net, a, SyncLayerPriority, -1)), L-1)
 		for every := 1; every <= 3; every++ {
-			rows, err := recomputeRows(L, sched, every)
+			rows, err := recomputeRows(L, stashSources(net), sched, every)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,59 +146,91 @@ func TestNoTableRunsDO1(t *testing.T) {
 }
 
 // TestRecomputeRowsGolden pins the checkpointed generator on L = 5: which
-// activations the forward rows keep, where the backward order re-forwards
-// which segment, and what every op releases. Without δO_1 (stepRows), layer
-// 1's gradient and stash are released by its δW.
+// activations the forward rows keep, where the backward order restashes which
+// layer or re-forwards which segment, and what every op releases. mlp is
+// Dense/ReLU alternating (input, output, input, output, input sources); mix
+// has a source-less layer and an output-sourced top layer, whose output (the
+// logits) is never resident, so it always re-runs. Without δO_1 (stepRows),
+// layer 1's gradient and stash are released by its δW.
 func TestRecomputeRowsGolden(t *testing.T) {
+	in, out, none := nn.StashFromInput, nn.StashFromOutput, nn.StashFromNothing
+	mlp := []nn.StashSource{in, out, in, out, in}
+	mix := []nn.StashSource{in, out, in, none, out}
 	for _, c := range []struct {
+		srcs  []nn.StashSource
 		every int
 		sched graph.BackwardSchedule
 		want  string
 	}{
-		{1, graph.Conventional(5), "z f1+a f2+a f3+a f4+a f5 L o5 w5! x4 o4 w4! x3 o3 w3! x2 o2 w2! x1 w1! x0"},
-		{2, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s f4+a+s-s-p f5+s-s L " +
-			"r5+s o5 w5-s! x4 r3+a+s r4+a+s o4 x4 w4-s! x3 o3 w3-s! x2 r1+a+s r2+a+s o2 x2 w2-s! x1 w1-s! x0"},
-		{3, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
-			"r4+a+s r5+s o5 w5-s! x4 o4 w4-s! x3 r1+a+s r2+a+s r3+a+s o3 x3 w3-s! x2 o2 w2-s! x1 w1-s! x0"},
-		{3, graph.ReverseFirstK(5, 2), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
-			"r4+a+s r5+s w5 x4 o5-s! w4 x3 o4-s! r1+a+s r2+a+s r3+a+s w3 x2 x3 o3-s! o2 w1-s! x0 w2-s! x1"},
+		{mlp, 1, graph.Conventional(5), "z f1+a f2+a f3+a f4+a f5 L o5 w5! x4 o4 w4! x3 o3 w3! x2 o2 w2! x1 w1! x0"},
+		{mlp, 2, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s f4+a+s-s-p f5+s-s L " +
+			"s5 o5 w5-s! s4 x4 o4 w4-s! s3 o3 w3-s! s2 x2 o2 w2-s! s1 w1-s! x0"},
+		{mlp, 3, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
+			"r4+a+s s5 o5 w5-s! x4 o4 w4-s! x3 r1+a+s r2+a+s s3 o3 w3-s! x2 o2 w2-s! x1 w1-s! x0"},
+		{mlp, 3, graph.ReverseFirstK(5, 2), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
+			"r4+a+s s5 w5 x4 o5-s! w4 x3 o4-s! r1+a+s r2+a+s s3 w3 x2 o3-s! o2 w1-s! x0 w2-s! x1"},
+		{mix, 2, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s f4+a+s-s-p f5+s-s L " +
+			"r5+s o5 w5-s! x4 s4 o4 w4-s! s3 o3 w3-s! s2 x2 o2 w2-s! s1 w1-s! x0"},
+		{mix, 3, graph.ReverseFirstK(5, 2), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
+			"r4+a+s r5+s w5 x4 o5-s! w4 x3 o4-s! r1+a+s r2+a+s s3 w3 x2 o3-s! o2 w1-s! x0 w2-s! x1"},
 	} {
-		rows, err := recomputeRows(5, c.sched, c.every)
+		rows, err := recomputeRows(5, c.srcs, c.sched, c.every)
 		if err != nil {
 			t.Fatalf("every=%d: %v", c.every, err)
 		}
 		if got := rowsString(rows); got != c.want {
-			t.Errorf("every=%d:\n got %s\nwant %s", c.every, got, c.want)
+			t.Errorf("%v every=%d:\n got %s\nwant %s", c.srcs, c.every, got, c.want)
 		}
 	}
 }
 
 // TestRecomputeRowsMatchExecution: on the three reference nets, for every =
-// 1..3, the table's re-forward rows are exactly what the executed step reports
-// as RecomputedLayers — the numbers TestStepRecomputeLedgerPinned pins (every
-// layer once with checkpointing on, none without).
+// 1..3, the table's restash and re-forward rows are exactly what the executed
+// step reports as RestashedLayers and RecomputedLayers, and with
+// checkpointing on every layer's stash is rebuilt exactly once — by a restash
+// or by a re-forward that holds it. A re-forward remains only where a source
+// is not a checkpoint: at every = 3 on the MLP and the conv net, and at both
+// intervals on the token net, whose LayerNorm and Dense layers read odd
+// activations.
 func TestRecomputeRowsMatchExecution(t *testing.T) {
+	want := map[string][4][2]int{ // every → {restashed, re-forwarded}
+		"mlp":  {2: {7, 0}, 3: {4, 3}},
+		"conv": {2: {7, 0}, 3: {4, 3}},
+		"nlp":  {2: {3, 3}, 3: {3, 3}},
+	}
 	for _, tc := range execCases() {
 		net := tc.build()
 		L := len(net.Layers)
 		for every := 1; every <= 3; every++ {
 			sched := graph.ReverseFirstK(L, 2)
-			rows, err := recomputeRows(L, sched, every)
+			rows, err := recomputeRows(L, stashSources(net), sched, every)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refwd := 0
+			restash, refwd, rebuilt := 0, 0, 0
 			for _, r := range rows {
-				if r.flags&reFwd != 0 {
+				switch {
+				case r.kind == rowRestash:
+					restash++
+					rebuilt++
+				case r.flags&reFwd != 0:
 					refwd++
+					if r.flags&holdStash != 0 {
+						rebuilt++
+					}
 				}
 			}
 			_, st, err := NewExecutor(ExecSerial, 0).StepRecompute(net, tc.x, tc.labels, sched, every, &nn.SGD{LR: 0.05})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := map[bool]int{false: 0, true: L}[every > 1]; refwd != want || st.RecomputedLayers != want {
-				t.Errorf("%s every=%d: %d re-forward rows, step reports %d, want %d", tc.name, every, refwd, st.RecomputedLayers, want)
+			w := want[tc.name][every]
+			if restash != w[0] || refwd != w[1] || st.RestashedLayers != restash || st.RecomputedLayers != refwd {
+				t.Errorf("%s every=%d: %d restash and %d re-forward rows, step reports %d and %d, want %d and %d",
+					tc.name, every, restash, refwd, st.RestashedLayers, st.RecomputedLayers, w[0], w[1])
+			}
+			if wantRebuilt := map[bool]int{false: 0, true: L}[every > 1]; rebuilt != wantRebuilt {
+				t.Errorf("%s every=%d: %d stashes rebuilt, want %d: %s", tc.name, every, rebuilt, wantRebuilt, rowsString(rows))
 			}
 		}
 	}
@@ -210,7 +252,7 @@ func TestRecomputeRejectsAtConstruction(t *testing.T) {
 		{"op repeated after its gradient's last use", graph.BackwardSchedule{dO(2), dW(2), dW(2), dO(1), dW(1)}, "gradient was released"},
 		{"op repeated after the batch was released", graph.BackwardSchedule{dO(2), dW(2), dO(1), dW(1), dW(1)}, "source for layer 1 already released"},
 	} {
-		if _, err := recomputeRows(2, c.sched, 2); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := recomputeRows(2, []nn.StashSource{nn.StashFromInput, nn.StashFromOutput}, c.sched, 2); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 		x, labels := data.Vectors(3, 4, 8, 3)
