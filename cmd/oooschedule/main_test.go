@@ -3,10 +3,95 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
+
+// TestMain lets a test run the test binary as the oooschedule command: with
+// OOOSCHEDULE_AS_MAIN=1 in its environment the process runs main on its own
+// arguments instead of the tests, so exit statuses are checked for real.
+func TestMain(m *testing.M) {
+	if os.Getenv("OOOSCHEDULE_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// oooschedule runs the command with args and returns its stdout, its stderr
+// and its exit code.
+func oooschedule(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "OOOSCHEDULE_AS_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return stdout.String(), stderr.String(), ee.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.String(), stderr.String(), 0
+}
+
+// TestUnknownNamesExit2: an unknown -model or -algo exits 2 naming it, and
+// prints no schedule.
+func TestUnknownNamesExit2(t *testing.T) {
+	for _, c := range []struct{ flag, msg string }{
+		{"-model", `oooschedule: unknown model "nope"`},
+		{"-algo", `oooschedule: unknown algorithm "nope"`},
+	} {
+		stdout, stderr, code := oooschedule(t, c.flag, "nope")
+		if code != 2 {
+			t.Errorf("%s nope: exit %d, want 2", c.flag, code)
+		}
+		if !strings.Contains(stderr, c.msg) {
+			t.Errorf("%s nope: stderr %q lacks %q", c.flag, stderr, c.msg)
+		}
+		if stdout != "" {
+			t.Errorf("%s nope: printed %q", c.flag, stdout)
+		}
+	}
+}
+
+// TestDotPrintsDigraph: -dot prints the dependency graph in Graphviz form.
+func TestDotPrintsDigraph(t *testing.T) {
+	stdout, stderr, code := oooschedule(t, "-dot", "-model", "ffnn16")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "digraph ") || !strings.HasSuffix(strings.TrimSpace(stdout), "}") {
+		t.Errorf("-dot printed no digraph:\n%s", stdout)
+	}
+}
+
+// TestModelJSONRoundTrip: a cost profile written by -dump-model and read back
+// with -model-json schedules exactly as the zoo model it came from.
+func TestModelJSONRoundTrip(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "resnet50.json")
+	if _, stderr, code := oooschedule(t, "-dump-model", file, "-model", "resnet50"); code != 0 {
+		t.Fatalf("-dump-model: exit %d: %s", code, stderr)
+	}
+	fromJSON, stderr, code := oooschedule(t, "-model-json", file, "-algo", "reverse-k", "-k", "10")
+	if code != 0 {
+		t.Fatalf("-model-json: exit %d: %s", code, stderr)
+	}
+	fromZoo, stderr, code := oooschedule(t, "-model", "resnet50", "-algo", "reverse-k", "-k", "10")
+	if code != 0 {
+		t.Fatalf("-model: exit %d: %s", code, stderr)
+	}
+	if fromJSON != fromZoo {
+		t.Errorf("-model-json output differs from -model's:\n%s\nvs\n%s", fromJSON, fromZoo)
+	}
+	if !strings.Contains(fromZoo, "algorithm=reverse-k") {
+		t.Errorf("no schedule printed:\n%s", fromZoo)
+	}
+}
 
 // TestDumpAllMatchesSchedules: `oooschedule -all` regenerates the committed
 // schedules/ directory byte for byte, file for file.

@@ -37,7 +37,7 @@ func calibModel(history []train.PipeStepStats) *models.Model {
 		n := time.Duration(len(history))
 		layers[s] = models.Layer{
 			Name:       fmt.Sprintf("stage%d", s),
-			Fwd:        maxDur(fwd/n, time.Nanosecond),
+			Fwd:        max(fwd/n, time.Nanosecond),
 			DO:         do / n,
 			DW:         dw / n,
 			FwdKernels: 1, DOKernels: 1, DWKernels: 1,
@@ -86,11 +86,4 @@ func crossCheckSimulator(history []train.PipeStepStats, psched train.PipeSchedul
 	})
 	fmt.Printf("simulator cross-check (%v, fast-forward=%v): measured occupancy %.1f%%  simulated %.1f%%\n",
 		sched, fill, 100*meanOccupancy(history), 100*res.MeanUtil)
-}
-
-func maxDur(d, min time.Duration) time.Duration {
-	if d < min {
-		return min
-	}
-	return d
 }

@@ -66,6 +66,11 @@ func validateConfig(cfg runConfig, set map[string]bool, batchN, L int) (train.Pi
 		}
 		return 0, 0, nil
 	}
+	for _, f := range []string{"schedule", "k"} {
+		if set[f] {
+			return 0, 0, fmt.Errorf("-%s requires -stages 1: the pipeline runs its own backward order", f)
+		}
+	}
 	if cfg.stages > L {
 		return 0, 0, fmt.Errorf("-stages %d exceeds the %d layers of -arch %s", cfg.stages, L, cfg.arch)
 	}

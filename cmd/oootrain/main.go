@@ -15,10 +15,11 @@
 // S contiguous stages, each step's batch into -microbatches microbatches, and
 // the stages execute concurrently under a GPipe trapezoid or 1F1B schedule.
 // Each stage defers its δW work and runs it out of order inside pipeline
-// bubbles (disable with -no-dw-fill); the per-step report shows the exposed
-// vs δW-filled bubble time, and the measured occupancy is cross-checked
-// against the pipepar discrete-event simulator's prediction. -verify compares
-// losses and weights bit for bit against the serial full-batch reference.
+// bubbles (disable with -no-dw-fill), so -schedule and -k do not apply; the
+// per-step report shows the exposed vs δW-filled bubble time, and the
+// measured occupancy is cross-checked against the pipepar discrete-event
+// simulator's prediction. -verify compares losses and weights bit for bit
+// against the serial full-batch reference.
 //
 // With -mem-budget B > 0 the run trains under a peak live-byte budget: every
 // activation-checkpoint interval is probed with one throwaway step, the
@@ -40,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
 	"time"
 
 	"oooback/internal/core"
@@ -75,13 +75,15 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	build, x, labels, L := buildArch(*arch, *seed)
+	j := buildArch(*arch, *seed)
+	j.opt, j.steps = *optName, *steps
+	L := len(j.build().Layers)
 	psched, pmicro, err := validateConfig(runConfig{
 		arch: *arch, schedule: *schedule, k: *k, steps: *steps,
 		replicas: *replicas, stages: *stages, microbatches: *micro,
 		pipeSched: *pSched, partition: *part, noDWFill: *noFill,
 		memBudget: *memB,
-	}, set, len(labels), L)
+	}, set, len(j.labels), L)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -91,53 +93,92 @@ func main() {
 	}
 
 	if *stages > 1 {
-		runPipeline(build, x, labels, *optName, *steps, *stages, pmicro, psched, *part, *noFill, *verify)
+		runPipeline(j, *stages, pmicro, psched, *part, *noFill, *verify)
 		return
 	}
 
 	if *replicas > 1 {
-		runDataParallel(build, x, labels, sched, *optName, *steps, *replicas, mkSync(*syncName), *buckets, *verify)
+		runDataParallel(j, sched, *replicas, mkSync(*syncName), *buckets, *verify)
 		return
 	}
 
 	if *memB > 0 {
-		runMemBudget(build, x, labels, sched, *optName, *steps, *memB, *verify, L)
+		runMemBudget(j, sched, *memB, *verify, L)
 		return
 	}
 
-	losses, weights := runTraining(build, x, labels, sched, mkOpt(*optName), *steps)
+	net, opt := j.build(), mkOpt(*optName)
 	fmt.Printf("arch=%s schedule=%s optimizer=%s steps=%d\n", *arch, *schedule, *optName, *steps)
-	for i, l := range losses {
-		fmt.Printf("step %2d  loss %.6f\n", i, l)
-	}
-	fmt.Printf("loss: %.6f -> %.6f\n", losses[0], losses[len(losses)-1])
+	run := j.run("training", net, func(i int) (float64, error) {
+		loss, err := train.Step(net, j.x, j.labels, sched, opt)
+		if err == nil {
+			fmt.Printf("step %2d  loss %.6f\n", i, loss)
+		}
+		return loss, err
+	})
+	fmt.Println(lossSpan(run))
 
 	if *verify {
-		refLoss, refW := runTraining(build, x, labels, graph.Conventional(L), mkOpt(*optName), *steps)
-		same := train.SnapshotsEqual(weights, refW)
-		lossSame := true
-		for i := range losses {
-			if losses[i] != refLoss[i] {
-				lossSame = false
-			}
-		}
-		fmt.Printf("verify vs conventional: losses identical=%v weights identical=%v\n", lossSame, same)
-		if !same || !lossSame {
-			os.Exit(1)
-		}
+		verifyRun("conventional", run, j.reference())
 	}
+}
+
+// job is what every mode trains: the arch's network constructor and batch, the
+// optimizer and the step count.
+type job struct {
+	build  func() *train.Network
+	x      *tensor.Tensor
+	labels []int
+	opt    string
+	steps  int
+}
+
+// run trains net through step for the job's steps, exiting 1 if a step
+// fails; what names the run in that message.
+func (j job) run(what string, net *train.Network, step func(i int) (float64, error)) train.Trajectory {
+	tr, err := train.TrainSteps(net, j.steps, step)
+	if err != nil {
+		fatal("%s %v", what, err)
+	}
+	return tr
+}
+
+// reference trains a fresh network with the plain conventional-order step:
+// the bitwise reference of the single-process, checkpointed and pipeline
+// runs.
+func (j job) reference() train.Trajectory {
+	net, opt := j.build(), mkOpt(j.opt)
+	sched := graph.Conventional(len(net.Layers))
+	return j.run("reference", net, func(int) (float64, error) {
+		return train.Step(net, j.x, j.labels, sched, opt)
+	})
+}
+
+// verifyRun prints how run compares with the reference ref, named against,
+// and exits 1 unless both trained bit-identically.
+func verifyRun(against string, run, ref train.Trajectory) {
+	losses, weights := run.Identical(ref)
+	fmt.Printf("verify vs %s: losses identical=%v weights identical=%v\n", against, losses, weights)
+	if !losses || !weights {
+		os.Exit(1)
+	}
+}
+
+// lossSpan is the report line of a run's first and last loss.
+func lossSpan(tr train.Trajectory) string {
+	return fmt.Sprintf("loss: %.6f -> %.6f", tr.Losses[0], tr.Losses[len(tr.Losses)-1])
 }
 
 // runDataParallel trains with the overlapped data-parallel engine, printing
 // the per-step overlap report, and optionally verifies against the serial
 // reference reduce.
-func runDataParallel(build func() *train.Network, x *tensor.Tensor, labels []int,
-	sched graph.BackwardSchedule, optName string, steps, replicas int,
+func runDataParallel(j job, sched graph.BackwardSchedule, replicas int,
 	sync train.SyncSchedule, bucketBytes int64, verify bool) {
-	net := build()
-	dp, err := train.NewDataParallel(net, mkOpt(optName), train.DataParallelConfig{
-		Replicas: replicas, Build: build, Schedule: sched, Sync: sync, BucketBytes: bucketBytes,
-	})
+	cfg := train.DataParallelConfig{
+		Replicas: replicas, Build: j.build, Schedule: sched, Sync: sync, BucketBytes: bucketBytes,
+	}
+	net := j.build()
+	dp, err := train.NewDataParallel(net, mkOpt(j.opt), cfg)
 	if err != nil {
 		fatal("data-parallel: %v", err)
 	}
@@ -148,54 +189,36 @@ func runDataParallel(build func() *train.Network, x *tensor.Tensor, labels []int
 		fmt.Printf("  bucket %d: layers=%v elems=%d prio=%d\n", i, b.Layers, b.Elems, b.Prio)
 	}
 
-	var losses []float64
 	var busyTot, exposedTot, backTot time.Duration
-	for i := 0; i < steps; i++ {
-		loss, st, err := dp.Step(x, labels)
+	run := j.run("training", net, func(i int) (float64, error) {
+		loss, st, err := dp.Step(j.x, j.labels)
 		if err != nil {
-			fatal("training step: %v", err)
+			return 0, err
 		}
-		losses = append(losses, loss)
 		busyTot += st.ReduceBusy
 		exposedTot += st.ReduceExposed
 		backTot += st.Backward
 		fmt.Printf("step %2d  loss %.6f  fwd %8s  bwd %8s  reduce-busy %8s  reduce-exposed %8s\n",
 			i, loss, st.Forward.Round(time.Microsecond), st.Backward.Round(time.Microsecond),
 			st.ReduceBusy.Round(time.Microsecond), st.ReduceExposed.Round(time.Microsecond))
-	}
-	fmt.Printf("loss: %.6f -> %.6f\n", losses[0], losses[len(losses)-1])
-	overlapped := busyTot - exposedTot
-	if overlapped < 0 {
-		overlapped = 0
-	}
+		return loss, nil
+	})
+	fmt.Println(lossSpan(run))
+	overlapped := max(busyTot-exposedTot, 0)
 	fmt.Printf("overlap: backward %s  reduce-busy %s  reduce-exposed %s  (%.0f%% of reduction hidden behind backward)\n",
 		backTot.Round(time.Microsecond), busyTot.Round(time.Microsecond), exposedTot.Round(time.Microsecond),
 		100*float64(overlapped)/float64(max(busyTot, 1)))
 
 	if verify {
-		ref := build()
-		rdp, err := train.NewDataParallel(ref, mkOpt(optName), train.DataParallelConfig{
-			Replicas: replicas, Build: build, Schedule: sched, Sync: sync, BucketBytes: bucketBytes,
-		})
+		ref := j.build()
+		rdp, err := train.NewDataParallel(ref, mkOpt(j.opt), cfg)
 		if err != nil {
 			fatal("reference engine: %v", err)
 		}
 		defer rdp.Close()
-		lossSame := true
-		for i := 0; i < steps; i++ {
-			rl, err := rdp.ReferenceStep(x, labels)
-			if err != nil {
-				fatal("reference step: %v", err)
-			}
-			if rl != losses[i] {
-				lossSame = false
-			}
-		}
-		same := train.SnapshotsEqual(train.ParamSnapshot(net), train.ParamSnapshot(ref))
-		fmt.Printf("verify vs serial reference reduce: losses identical=%v weights identical=%v\n", lossSame, same)
-		if !same || !lossSame {
-			os.Exit(1)
-		}
+		verifyRun("serial reference reduce", run, j.run("reference", ref, func(int) (float64, error) {
+			return rdp.ReferenceStep(j.x, j.labels)
+		}))
 	}
 }
 
@@ -211,78 +234,22 @@ func mkSync(name string) train.SyncSchedule {
 	}
 }
 
-func runTraining(build func() *train.Network, x *tensor.Tensor, labels []int,
-	sched graph.BackwardSchedule, opt nn.Optimizer, steps int) ([]float64, map[string]*tensor.Tensor) {
-	net := build()
-	var losses []float64
-	for i := 0; i < steps; i++ {
-		loss, err := train.Step(net, x, labels, sched, opt)
-		if err != nil {
-			fatal("training step: %v", err)
-		}
-		losses = append(losses, loss)
-	}
-	return losses, train.ParamSnapshot(net)
-}
-
-func buildArch(arch string, seed uint64) (func() *train.Network, *tensor.Tensor, []int, int) {
+// buildArch returns the job of an -arch: its network constructor (weights drawn
+// from seed) and its batch (drawn from seed too).
+func buildArch(arch string, seed uint64) job {
 	switch arch {
 	case "mlp":
 		x, labels := data.Vectors(seed, 32, 16, 4)
-		build := func() *train.Network {
-			rng := tensor.NewRNG(seed)
-			return &train.Network{Layers: []nn.Layer{
-				nn.NewDense("fc1", 16, 32, rng),
-				nn.NewReLU("relu1"),
-				nn.NewDense("fc2", 32, 32, rng),
-				nn.NewReLU("relu2"),
-				nn.NewDense("fc3", 32, 4, rng),
-			}}
-		}
-		return build, x, labels, 5
+		return job{build: func() *train.Network { return train.MLPNet(seed, 16, 32, 2, 4) }, x: x, labels: labels}
 	case "cnn":
 		x, labels := data.Images(seed, 32, 1, 9, 9, 4)
-		build := func() *train.Network {
-			rng := tensor.NewRNG(seed)
-			return &train.Network{Layers: []nn.Layer{
-				nn.NewConv2D("conv1", 8, 1, 3, 3, rng),
-				nn.NewReLU("relu1"),
-				nn.NewConv2D("conv2", 8, 8, 2, 2, rng),
-				nn.NewReLU("relu2"),
-				nn.NewMaxPool2("pool"),
-				nn.NewFlatten("flat"),
-				nn.NewDense("fc", 8*3*3, 4, rng),
-			}}
-		}
-		return build, x, labels, 7
+		return job{build: func() *train.Network { return train.Conv9Net(seed, 4) }, x: x, labels: labels}
 	case "token":
-		const seqLen, vocab, classes = 8, 50, 3
-		seqs := data.Tokens(seed, 24, seqLen, vocab)
-		x := tensor.New(24 * seqLen)
-		labels := make([]int, 24)
-		for i, s := range seqs {
-			sum := 0
-			for j, tok := range s {
-				x.Data[i*seqLen+j] = float64(tok)
-				sum += tok
-			}
-			labels[i] = sum % classes
-		}
-		build := func() *train.Network {
-			rng := tensor.NewRNG(seed)
-			return &train.Network{Layers: []nn.Layer{
-				nn.NewEmbedding("emb", vocab, 12, rng),
-				nn.NewLayerNorm("ln", 12, rng),
-				nn.NewMeanPool1D("pool", seqLen),
-				nn.NewDense("fc1", 12, 16, rng),
-				nn.NewReLU("relu"),
-				nn.NewDense("fc2", 16, classes, rng),
-			}}
-		}
-		return build, x, labels, 6
+		x, labels := train.TokenBatch(seed, 24, 8, 50, 3)
+		return job{build: func() *train.Network { return train.TokenNet(seed, 50, 12, 8, 16, 3) }, x: x, labels: labels}
 	default:
 		fatal("unknown arch %q", arch)
-		return nil, nil, nil, 0
+		return job{}
 	}
 }
 

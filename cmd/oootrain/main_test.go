@@ -76,6 +76,12 @@ func TestValidateConfigRejects(t *testing.T) {
 			[]string{"pipe-sched"}, "-pipe-sched requires"},
 		{"no-dw-fill without stages", func(c *runConfig) { c.noDWFill = true },
 			[]string{"no-dw-fill"}, "-no-dw-fill requires"},
+		{"schedule with stages", func(c *runConfig) { c.stages = 2; c.schedule = "conventional" },
+			[]string{"stages", "schedule"}, "-schedule requires -stages 1"},
+		{"reverse-k with stages", func(c *runConfig) { c.stages = 2; c.schedule = "reverse-k"; c.k = 2 },
+			[]string{"stages", "schedule", "k"}, "-schedule requires -stages 1"},
+		{"k with stages", func(c *runConfig) { c.stages = 2; c.schedule = "reverse-k"; c.k = 2 },
+			[]string{"stages", "k"}, "-k requires -stages 1"},
 		{"stages exceed layers", func(c *runConfig) { c.stages = 6 }, []string{"stages"}, "exceeds the 5 layers"},
 		{"micro below stages", func(c *runConfig) { c.stages = 3; c.microbatches = 2 },
 			[]string{"stages", "microbatches"}, "permanent pipeline bubbles"},

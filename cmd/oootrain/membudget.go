@@ -2,11 +2,9 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"oooback/internal/graph"
 	"oooback/internal/nn"
-	"oooback/internal/tensor"
 	"oooback/internal/train"
 )
 
@@ -20,12 +18,11 @@ type probePoint struct {
 // interval and reports each interval's peak live bytes. every = 1 is full
 // retention (no recompute); larger intervals store fewer activations and
 // re-materialize the rest during backward.
-func probeRecomputeIntervals(exec *train.Executor, build func() *train.Network, x *tensor.Tensor, labels []int,
-	sched graph.BackwardSchedule, L int) ([]probePoint, error) {
+func probeRecomputeIntervals(exec *train.Executor, j job, sched graph.BackwardSchedule, L int) ([]probePoint, error) {
 	points := make([]probePoint, 0, L)
 	for every := 1; every <= L; every++ {
-		net := build()
-		_, stats, err := exec.StepRecompute(net, x, labels, sched, every, &nn.SGD{LR: 0})
+		net := j.build()
+		_, stats, err := exec.StepRecompute(net, j.x, j.labels, sched, every, &nn.SGD{LR: 0})
 		if err != nil {
 			return nil, fmt.Errorf("probe interval %d: %w", every, err)
 		}
@@ -39,12 +36,11 @@ func probeRecomputeIntervals(exec *train.Executor, build func() *train.Network, 
 // and train the full run with StepRecompute at that interval. Checkpointed
 // steps are bitwise identical to plain ones, so -verify compares against the
 // conventional-order reference exactly like the plain path.
-func runMemBudget(build func() *train.Network, x *tensor.Tensor, labels []int,
-	sched graph.BackwardSchedule, optName string, steps int, budget int64, verify bool, L int) {
+func runMemBudget(j job, sched graph.BackwardSchedule, budget int64, verify bool, L int) {
 	// One pooled serial executor probes and trains: the same bits and the same
 	// ledger as the naive walk, without its per-step garbage.
 	exec := train.NewExecutor(train.ExecSerial, 0)
-	points, err := probeRecomputeIntervals(exec, build, x, labels, sched, L)
+	points, err := probeRecomputeIntervals(exec, j, sched, L)
 	if err != nil {
 		fatal("mem-budget: %v", err)
 	}
@@ -71,35 +67,21 @@ func runMemBudget(build func() *train.Network, x *tensor.Tensor, labels []int,
 		fatal("mem-budget %d bytes is below the tightest interval this run can meet (%d bytes)", budget, minPeak)
 	}
 
-	net := build()
-	opt := mkOpt(optName)
-	var losses []float64
+	net, opt := j.build(), mkOpt(j.opt)
 	var last train.RecomputeStats
-	for i := 0; i < steps; i++ {
-		loss, stats, err := exec.StepRecompute(net, x, labels, sched, chosen, opt)
+	run := j.run("training", net, func(i int) (float64, error) {
+		loss, stats, err := exec.StepRecompute(net, j.x, j.labels, sched, chosen, opt)
 		if err != nil {
-			fatal("training step: %v", err)
+			return 0, err
 		}
-		losses = append(losses, loss)
 		last = stats
 		fmt.Printf("step %2d  loss %.6f  peak %d B  recomputed %d/%d layers\n",
 			i, loss, stats.PeakLiveBytes, stats.RecomputedLayers, L)
-	}
-	fmt.Printf("loss: %.6f -> %.6f  (interval %d, peak %d B ≤ budget %d B)\n",
-		losses[0], losses[len(losses)-1], chosen, last.PeakLiveBytes, budget)
+		return loss, nil
+	})
+	fmt.Printf("%s  (interval %d, peak %d B ≤ budget %d B)\n", lossSpan(run), chosen, last.PeakLiveBytes, budget)
 
 	if verify {
-		refLoss, refW := runTraining(build, x, labels, graph.Conventional(L), mkOpt(optName), steps)
-		same := train.SnapshotsEqual(train.ParamSnapshot(net), refW)
-		lossSame := true
-		for i := range losses {
-			if losses[i] != refLoss[i] {
-				lossSame = false
-			}
-		}
-		fmt.Printf("verify vs conventional: losses identical=%v weights identical=%v\n", lossSame, same)
-		if !same || !lossSame {
-			os.Exit(1)
-		}
+		verifyRun("conventional", run, j.reference())
 	}
 }

@@ -24,19 +24,11 @@ const (
 // pipeline's bitwise contract holds under any partition).
 func balancedPartition(build func() *train.Network, x *tensor.Tensor, labels []int,
 	optName string, stages int) (graph.Partition, error) {
-	net := build()
-	L := len(net.Layers)
-	eng := train.NewExecutor(train.ExecSerial, 0)
-	p := calib.NewProfiler("partition-prepass", "serial", L, partitionWarmup)
-	eng.Observe(train.ProfileObserver(p, net))
-	opt := mkOpt(optName)
-	sched := graph.Conventional(L)
-	for s := 0; s < partitionSteps; s++ {
-		if _, err := eng.Step(net, x, labels, sched, opt); err != nil {
-			return graph.Partition{}, err
-		}
+	np, err := train.Profile("partition-prepass", build(), x, labels, mkOpt(optName), partitionSteps, partitionWarmup)
+	if err != nil {
+		return graph.Partition{}, err
 	}
-	return graph.PartitionBalanced(layerCosts(p.Snapshot()), stages)
+	return graph.PartitionBalanced(layerCosts(np), stages)
 }
 
 // layerCosts folds a serial profile's medians into one cost per 0-based

@@ -2,32 +2,28 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"oooback/internal/graph"
-	"oooback/internal/tensor"
 	"oooback/internal/train"
 )
 
 // runPipeline trains with the microbatch pipeline engine, printing the
 // per-step bubble report, the pipepar simulator cross-check, and optionally
 // verifying bit-for-bit against the serial full-batch reference.
-func runPipeline(build func() *train.Network, x *tensor.Tensor, labels []int,
-	optName string, steps, stages, micro int, psched train.PipeSchedule,
-	partition string, noFill, verify bool) {
+func runPipeline(j job, stages, micro int, psched train.PipeSchedule, partition string, noFill, verify bool) {
 	var part graph.Partition
 	if partition == "balanced" {
 		var err error
-		part, err = balancedPartition(build, x, labels, optName, stages)
+		part, err = balancedPartition(j.build, j.x, j.labels, j.opt, stages)
 		if err != nil {
 			fatal("balanced partition: %v", err)
 		}
 		fmt.Printf("balanced partition from measured layer costs: bounds %v\n", part.Bounds)
 	}
-	net := build()
-	pipe, err := train.NewPipeline(net, mkOpt(optName), train.PipelineConfig{
-		Stages: stages, MicroBatches: micro, Schedule: psched, Build: build,
+	net := j.build()
+	pipe, err := train.NewPipeline(net, mkOpt(j.opt), train.PipelineConfig{
+		Stages: stages, MicroBatches: micro, Schedule: psched, Build: j.build,
 		Partition: part, NoDWFill: noFill,
 	})
 	if err != nil {
@@ -47,21 +43,20 @@ func runPipeline(build func() *train.Network, x *tensor.Tensor, labels []int,
 		fmt.Printf("  stage %d: layers [%d,%d) %v\n", s, lo, hi, names)
 	}
 
-	var losses []float64
-	history := make([]train.PipeStepStats, 0, steps)
-	for i := 0; i < steps; i++ {
-		loss, st, err := pipe.Step(x, labels)
+	history := make([]train.PipeStepStats, 0, j.steps)
+	run := j.run("pipeline", net, func(i int) (float64, error) {
+		loss, st, err := pipe.Step(j.x, j.labels)
 		if err != nil {
-			fatal("pipeline step: %v", err)
+			return 0, err
 		}
-		losses = append(losses, loss)
 		history = append(history, copyStats(st))
 		fmt.Printf("step %2d  loss %.6f  wall %8s  bubble-exposed %8s  bubble-filled %8s  fill %4.0f%%  occupancy %5.1f%%\n",
 			i, loss, st.Wall.Round(time.Microsecond),
 			st.BubbleExposed().Round(time.Microsecond), st.BubbleFilled().Round(time.Microsecond),
 			100*st.FillRatio(), 100*st.Occupancy())
-	}
-	fmt.Printf("loss: %.6f -> %.6f\n", losses[0], losses[len(losses)-1])
+		return loss, nil
+	})
+	fmt.Println(lossSpan(run))
 
 	var exposed, filled time.Duration
 	for _, st := range history {
@@ -74,25 +69,7 @@ func runPipeline(build func() *train.Network, x *tensor.Tensor, labels []int,
 	crossCheckSimulator(history, psched, !noFill)
 
 	if verify {
-		L := len(net.Layers)
-		ref := build()
-		refOpt := mkOpt(optName)
-		sched := graph.Conventional(L)
-		lossSame := true
-		for i := 0; i < steps; i++ {
-			rl, err := train.Step(ref, x, labels, sched, refOpt)
-			if err != nil {
-				fatal("reference step: %v", err)
-			}
-			if rl != losses[i] {
-				lossSame = false
-			}
-		}
-		same := train.SnapshotsEqual(train.ParamSnapshot(net), train.ParamSnapshot(ref))
-		fmt.Printf("verify vs serial full-batch reference: losses identical=%v weights identical=%v\n", lossSame, same)
-		if !same || !lossSame {
-			os.Exit(1)
-		}
+		verifyRun("serial full-batch reference", run, j.reference())
 	}
 }
 

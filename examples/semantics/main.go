@@ -13,22 +13,8 @@ import (
 	"oooback/internal/data"
 	"oooback/internal/graph"
 	"oooback/internal/nn"
-	"oooback/internal/tensor"
 	"oooback/internal/train"
 )
-
-func buildNet() *train.Network {
-	rng := tensor.NewRNG(1234)
-	return &train.Network{Layers: []nn.Layer{
-		nn.NewConv2D("conv1", 8, 1, 3, 3, rng),
-		nn.NewReLU("relu1"),
-		nn.NewConv2D("conv2", 8, 8, 2, 2, rng),
-		nn.NewReLU("relu2"),
-		nn.NewMaxPool2("pool"),
-		nn.NewFlatten("flat"),
-		nn.NewDense("fc", 8*3*3, 4, rng),
-	}}
-}
 
 func main() {
 	x, labels := data.Images(99, 64, 1, 9, 9, 4)
@@ -42,35 +28,23 @@ func main() {
 		{"fast-forwarding", core.FastForward(L)},
 	}
 
-	type outcome struct {
-		losses []float64
-		weight map[string]*tensor.Tensor
-	}
-	results := make([]outcome, len(schedules))
+	runs := make([]train.Trajectory, len(schedules))
 	for i, s := range schedules {
-		net := buildNet()
+		net := train.Conv9Net(1234, 4)
 		opt := &nn.Adam{LR: 0.003}
-		var losses []float64
-		for it := 0; it < 12; it++ {
-			loss, err := train.Step(net, x, labels, s.sched, opt)
-			if err != nil {
-				panic(err)
-			}
-			losses = append(losses, loss)
+		tr, err := train.TrainSteps(net, 12, func(int) (float64, error) {
+			return train.Step(net, x, labels, s.sched, opt)
+		})
+		if err != nil {
+			panic(err)
 		}
-		results[i] = outcome{losses, train.ParamSnapshot(net)}
-		fmt.Printf("%-16s first loss %.6f, last loss %.6f\n", s.name, losses[0], losses[len(losses)-1])
+		runs[i] = tr
+		fmt.Printf("%-16s first loss %.6f, last loss %.6f\n", s.name, tr.Losses[0], tr.Losses[len(tr.Losses)-1])
 	}
 
-	identical := true
-	for i := range results[0].losses {
-		if results[0].losses[i] != results[1].losses[i] {
-			identical = false
-		}
-	}
-	fmt.Printf("\nlosses bit-identical across schedules: %v\n", identical)
-	fmt.Printf("final weights bit-identical:           %v\n",
-		train.SnapshotsEqual(results[0].weight, results[1].weight))
-	fmt.Printf("training converged (loss fell):        %v\n",
-		results[0].losses[len(results[0].losses)-1] < results[0].losses[0])
+	losses, weights := runs[1].Identical(runs[0])
+	conv := runs[0].Losses
+	fmt.Printf("\nlosses bit-identical across schedules: %v\n", losses)
+	fmt.Printf("final weights bit-identical:           %v\n", weights)
+	fmt.Printf("training converged (loss fell):        %v\n", conv[len(conv)-1] < conv[0])
 }

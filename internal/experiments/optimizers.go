@@ -8,7 +8,6 @@ import (
 	"oooback/internal/data"
 	"oooback/internal/graph"
 	"oooback/internal/nn"
-	"oooback/internal/tensor"
 	"oooback/internal/train"
 )
 
@@ -25,16 +24,6 @@ func init() {
 func Optimizers() string {
 	x, labels := data.Vectors(77, 48, 12, 4)
 	const L = 5
-	build := func() *train.Network {
-		rng := tensor.NewRNG(1001)
-		return &train.Network{Layers: []nn.Layer{
-			nn.NewDense("fc1", 12, 24, rng),
-			nn.NewReLU("relu1"),
-			nn.NewDense("fc2", 24, 24, rng),
-			nn.NewReLU("relu2"),
-			nn.NewDense("fc3", 24, 4, rng),
-		}}
-	}
 	opts := []struct {
 		name string
 		mk   func() nn.Optimizer
@@ -47,30 +36,21 @@ func Optimizers() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %12s %12s %10s %s\n", "optimizer", "first loss", "last loss", "converged", "ooo identical")
 	for _, o := range opts {
-		runT := func(s graph.BackwardSchedule) ([]float64, map[string]*tensor.Tensor) {
-			net := build()
+		run := func(s graph.BackwardSchedule) train.Trajectory {
+			net := train.MLPNet(1001, 12, 24, 2, 4)
 			opt := o.mk()
-			var losses []float64
-			for it := 0; it < 15; it++ {
-				loss, err := train.Step(net, x, labels, s, opt)
-				if err != nil {
-					panic(err)
-				}
-				losses = append(losses, loss)
+			tr, err := train.TrainSteps(net, 15, func(int) (float64, error) {
+				return train.Step(net, x, labels, s, opt)
+			})
+			if err != nil {
+				panic(err)
 			}
-			return losses, train.ParamSnapshot(net)
+			return tr
 		}
-		convLoss, convW := runT(graph.Conventional(L))
-		oooLoss, oooW := runT(core.FastForward(L))
-		identical := train.SnapshotsEqual(convW, oooW)
-		for i := range convLoss {
-			if convLoss[i] != oooLoss[i] {
-				identical = false
-			}
-		}
-		fmt.Fprintf(&b, "%-10s %12.6f %12.6f %10v %v\n", o.name,
-			convLoss[0], convLoss[len(convLoss)-1],
-			convLoss[len(convLoss)-1] < convLoss[0], identical)
+		conv := run(graph.Conventional(L))
+		losses, weights := run(core.FastForward(L)).Identical(conv)
+		first, last := conv.Losses[0], conv.Losses[len(conv.Losses)-1]
+		fmt.Fprintf(&b, "%-10s %12.6f %12.6f %10v %v\n", o.name, first, last, last < first, losses && weights)
 	}
 	return b.String()
 }

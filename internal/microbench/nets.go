@@ -3,7 +3,6 @@ package microbench
 import (
 	"oooback/internal/calib"
 	"oooback/internal/data"
-	"oooback/internal/graph"
 	"oooback/internal/nn"
 	"oooback/internal/tensor"
 	"oooback/internal/train"
@@ -48,21 +47,13 @@ const (
 // ProfileRefNets trains every reference network for a few steps on the serial
 // engine with the profiler attached and collects the per-op timings.
 func ProfileRefNets() (*calib.Profile, error) {
-	eng := train.NewExecutor(train.ExecSerial, 0)
 	prof := &calib.Profile{Version: calib.ProfileVersion}
 	for _, rn := range RefNets() {
-		net := rn.Build()
-		L := len(net.Layers)
-		p := calib.NewProfiler(rn.Name, "serial", L, profileWarmup)
-		eng.Observe(train.ProfileObserver(p, net))
-		opt := &nn.SGD{LR: 0.05}
-		sched := graph.Conventional(L)
-		for s := 0; s < profileSteps; s++ {
-			if _, err := eng.Step(net, rn.X, rn.Labels, sched, opt); err != nil {
-				return nil, err
-			}
+		np, err := train.Profile(rn.Name, rn.Build(), rn.X, rn.Labels, &nn.SGD{LR: 0.05}, profileSteps, profileWarmup)
+		if err != nil {
+			return nil, err
 		}
-		prof.Nets = append(prof.Nets, p.Snapshot())
+		prof.Nets = append(prof.Nets, np)
 	}
 	if err := prof.Validate(); err != nil {
 		return nil, err

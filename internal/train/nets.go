@@ -49,6 +49,22 @@ func ConvNet(seed uint64, size, filters, classes int) *Network {
 	}}
 }
 
+// Conv9Net builds the small conv net over 1×9×9 inputs that the semantics
+// checks train: Conv 8×1×3×3 → ReLU → Conv 8×8×2×2 → ReLU → MaxPool →
+// Flatten → Dense 72→classes. L = 7 layers.
+func Conv9Net(seed uint64, classes int) *Network {
+	rng := tensor.NewRNG(seed)
+	return &Network{Layers: []nn.Layer{
+		nn.NewConv2D("conv1", 8, 1, 3, 3, rng), // 9 → 7
+		nn.NewReLU("relu1"),
+		nn.NewConv2D("conv2", 8, 8, 2, 2, rng), // → 6
+		nn.NewReLU("relu2"),
+		nn.NewMaxPool2("pool"), // → 3
+		nn.NewFlatten("flat"),
+		nn.NewDense("fc", 8*3*3, classes, rng),
+	}}
+}
+
 // TokenNet builds an NLP-shaped stack: embedding → layernorm → mean-pool over
 // the sequence → MLP head. L = 6 layers with heterogeneous δW structure
 // (scatter-add, reductions, GEMMs).

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"oooback/internal/calib"
+	"oooback/internal/graph"
 	"oooback/internal/nn"
+	"oooback/internal/tensor"
 	"oooback/internal/trace"
 )
 
@@ -106,6 +108,23 @@ func ProfileObserver(p *calib.Profiler, n *Network) Observer {
 		}
 		p.Observe(calibKind[ev.Kind], ev.Layer, lt, w, d)
 	}
+}
+
+// Profile trains net for steps serial conventional-order steps with a
+// ProfileObserver attached and returns the profile, named name, of the steps
+// after the first warmup.
+func Profile(name string, net *Network, x *tensor.Tensor, labels []int, opt nn.Optimizer, steps, warmup int) (calib.NetProfile, error) {
+	L := len(net.Layers)
+	p := calib.NewProfiler(name, "serial", L, warmup)
+	eng := NewExecutor(ExecSerial, 0)
+	eng.Observe(ProfileObserver(p, net))
+	sched := graph.Conventional(L)
+	for s := 0; s < steps; s++ {
+		if _, err := eng.Step(net, x, labels, sched, opt); err != nil {
+			return calib.NetProfile{}, err
+		}
+	}
+	return p.Snapshot(), nil
 }
 
 // TraceObserver returns an observer appending one span per op event to tr,

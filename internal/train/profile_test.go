@@ -170,16 +170,13 @@ func TestLiveSerialProfileValidates(t *testing.T) {
 		{"mlp", MLPNet(11, 16, 24, 3, 3), mx, ml},
 		{"conv", ConvNet(13, 8, 2, 3), cx, cl},
 	} {
-		L := len(c.net.Layers)
-		e := NewExecutor(ExecSerial, 0)
-		p := calib.NewProfiler(c.name, "serial", L, 1)
-		e.Observe(ProfileObserver(p, c.net))
-		for s := 0; s < 3; s++ {
-			if _, err := e.Step(c.net, c.x, c.labels, graph.Conventional(L), &nn.SGD{LR: 0.05}); err != nil {
-				t.Fatalf("%s step %d: %v", c.name, s, err)
-			}
+		np, err := Profile(c.name, c.net, c.x, c.labels, &nn.SGD{LR: 0.05}, 3, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		np := p.Snapshot()
+		if np.Net != c.name || np.Engine != "serial" || np.Layers != len(c.net.Layers) {
+			t.Fatalf("%s: profile labelled %s/%s with %d layers", c.name, np.Net, np.Engine, np.Layers)
+		}
 		for _, s := range np.Ops {
 			if s.Kind == "dO" && s.Layer == 1 {
 				t.Fatalf("%s: the live profile has a δO_1 stat", c.name)

@@ -9,6 +9,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 
 	"oooback/internal/graph"
 	"oooback/internal/nn"
@@ -154,4 +155,33 @@ func SnapshotsEqual(a, b map[string]*tensor.Tensor) bool {
 		}
 	}
 	return true
+}
+
+// Trajectory is what a training run leaves for a semantics check: the loss of
+// every step and the final parameters.
+type Trajectory struct {
+	Losses  []float64
+	Weights map[string]*tensor.Tensor
+}
+
+// TrainSteps calls step(0) … step(steps−1), each training net one step (on
+// its own or through an engine that owns it) and returning that step's loss,
+// then snapshots net's parameters. The first error ends the run, naming its
+// step.
+func TrainSteps(net *Network, steps int, step func(i int) (float64, error)) (Trajectory, error) {
+	losses := make([]float64, 0, steps)
+	for i := 0; i < steps; i++ {
+		loss, err := step(i)
+		if err != nil {
+			return Trajectory{}, fmt.Errorf("step %d: %w", i, err)
+		}
+		losses = append(losses, loss)
+	}
+	return Trajectory{Losses: losses, Weights: ParamSnapshot(net)}, nil
+}
+
+// Identical reports whether t trained bit-identically to ref: every step's
+// loss equal, and every final parameter equal bit for bit.
+func (t Trajectory) Identical(ref Trajectory) (losses, weights bool) {
+	return slices.Equal(t.Losses, ref.Losses), SnapshotsEqual(t.Weights, ref.Weights)
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,55 @@ func TestBackwardRejectsIllegalSchedule(t *testing.T) {
 	bad := graph.BackwardSchedule{{Kind: graph.WeightGrad, Layer: 1}}
 	if _, err := net.Backward(grad, bad); err == nil {
 		t.Fatal("illegal schedule accepted")
+	}
+}
+
+// TestTrainStepsTrajectory: TrainSteps keeps every step's loss and the final
+// weights, Identical tells a weight change from a loss change, and a failed
+// step ends the run with its error.
+func TestTrainStepsTrajectory(t *testing.T) {
+	x, labels := data.Vectors(3, 16, 8, 3)
+	run := func(sched graph.BackwardSchedule, lr float64, steps int) Trajectory {
+		net := mlp(7, 8, 3)
+		opt := &nn.SGD{LR: lr}
+		tr, err := TrainSteps(net, steps, func(int) (float64, error) {
+			return Step(net, x, labels, sched, opt)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	const L = 5
+	ref := run(graph.Conventional(L), 0.05, 4)
+	if len(ref.Losses) != 4 || len(ref.Weights) != 6 || !(ref.Losses[3] < ref.Losses[0]) {
+		t.Fatalf("trajectory: %d losses %v, %d weights", len(ref.Losses), ref.Losses, len(ref.Weights))
+	}
+	for _, c := range []struct {
+		name            string
+		got, ref        Trajectory
+		losses, weights bool
+	}{
+		{"fast-forward", run(core.FastForward(L), 0.05, 4), ref, true, true},
+		{"other rate", run(graph.Conventional(L), 0.1, 4), ref, false, false},
+		{"other rate, one step", run(graph.Conventional(L), 0.1, 1), run(graph.Conventional(L), 0.05, 1), true, false},
+	} {
+		if l, w := c.got.Identical(c.ref); l != c.losses || w != c.weights {
+			t.Errorf("%s: Identical = (%v, %v), want (%v, %v)", c.name, l, w, c.losses, c.weights)
+		}
+	}
+
+	calls := 0
+	boom := errors.New("boom")
+	_, err := TrainSteps(mlp(7, 8, 3), 5, func(i int) (float64, error) {
+		calls++
+		if i == 2 {
+			return 0, boom
+		}
+		return 1, nil
+	})
+	if !errors.Is(err, boom) || err.Error() != "step 2: boom" || calls != 3 {
+		t.Fatalf("failed step: err %v after %d calls, want \"step 2: boom\" after 3", err, calls)
 	}
 }
 
