@@ -197,7 +197,7 @@ func StateSnapshotsEqual(a, b map[string][][]float64) bool {
 				return false
 			}
 			for j := range va[i] {
-				if va[i][j] != vb[i][j] {
+				if math.Float64bits(va[i][j]) != math.Float64bits(vb[i][j]) {
 					return false
 				}
 			}

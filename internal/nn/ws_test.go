@@ -49,18 +49,6 @@ func wsCases(r *tensor.RNG) []wsCase {
 	}
 }
 
-func bitEq(a, b *tensor.Tensor) bool {
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func zeroGrads(l Layer) {
 	for _, p := range l.Params() {
 		p.ZeroGrad()
@@ -108,11 +96,11 @@ func TestPooledBackwardMatchesPlainBitwise(t *testing.T) {
 						t.Fatalf("round %d: δO shape %v vs %v", round, plainGin.Shape, gotGin.Shape)
 					}
 				}
-				if !bitEq(plainGin, gotGin) {
+				if !tensor.Equal(plainGin, gotGin) {
 					t.Fatalf("round %d: pooled δO differs from plain δO", round)
 				}
 				for i := range want {
-					if !bitEq(want[i], got[i]) {
+					if !tensor.Equal(want[i], got[i]) {
 						t.Fatalf("round %d: pooled grad for %s differs", round, c.layer.Params()[i].Name)
 					}
 				}
@@ -175,7 +163,7 @@ func TestReLUPooledSelectMatchesPlainBitwise(t *testing.T) {
 	ws := tensor.NewWorkspace()
 	for round := 0; round < 2; round++ { // second round reuses retained buffers
 		want, got := plain.Forward(x), pooled.ForwardWS(x, ws)
-		if !bitEq(want, got) {
+		if !tensor.Equal(want, got) {
 			t.Fatalf("round %d: pooled forward differs from plain forward", round)
 		}
 		for i := range plain.mask {
@@ -184,7 +172,7 @@ func TestReLUPooledSelectMatchesPlainBitwise(t *testing.T) {
 					round, i, math.Float64bits(x.Data[i]), plain.mask[i], pooled.mask[i])
 			}
 		}
-		if !bitEq(plain.InputGrad(g), pooled.InputGradWS(g, ws)) {
+		if !tensor.Equal(plain.InputGrad(g), pooled.InputGradWS(g, ws)) {
 			t.Fatalf("round %d: pooled δO differs from plain δO", round)
 		}
 	}
@@ -417,18 +405,18 @@ func TestDroppedStashKeepsCapacity(t *testing.T) {
 					}
 					fresh := lc.build()
 					copyParams(fresh, l)
-					if !bitEq(out, fresh.Forward(x)) {
+					if !tensor.Equal(out, fresh.Forward(x)) {
 						t.Fatalf("batch %d %s: forward on parked buffers differs from a fresh layer's", batch, how)
 					}
 					zeroGrads(l)
 					zeroGrads(fresh)
-					if !bitEq(l.InputGradWS(g, ws), fresh.InputGrad(g)) {
+					if !tensor.Equal(l.InputGradWS(g, ws), fresh.InputGrad(g)) {
 						t.Fatalf("batch %d: δO on the stash rebuilt by %s differs", batch, how)
 					}
 					l.WeightGradAcc(g)
 					fresh.WeightGrad(g)
 					for i, p := range l.Params() {
-						if !bitEq(p.Grad, fresh.Params()[i].Grad) {
+						if !tensor.Equal(p.Grad, fresh.Params()[i].Grad) {
 							t.Fatalf("batch %d: δW of %s on the stash rebuilt by %s differs", batch, p.Name, how)
 						}
 					}
@@ -453,7 +441,7 @@ func TestConv2DForwardMatchesRepackingReference(t *testing.T) {
 	l := NewConv2D("c", 5, 3, 3, 3, r)
 	for _, n := range []int{4, 1, 3} { // shrinking and growing retained buffers
 		x := tensor.Randn(r, 1, n, 3, 9, 7)
-		if !bitEq(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
+		if !tensor.Equal(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
 			t.Fatalf("batch %d: Conv2D.Forward differs from tensor.Conv2D", n)
 		}
 	}
@@ -475,10 +463,10 @@ func TestConv2DFollowsRepointedWeights(t *testing.T) {
 		t.Fatal("an in-place update rebuilt the weight view")
 	}
 	l.W.Value = tensor.Randn(r, 1, 4, 2, 3, 3)
-	if !bitEq(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
+	if !tensor.Equal(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
 		t.Fatal("forward after re-pointing W.Value used the old weights")
 	}
-	if !bitEq(l.InputGradWS(g, ws), tensor.Conv2DInputGrad(g, l.W.Value, 6, 5)) {
+	if !tensor.Equal(l.InputGradWS(g, ws), tensor.Conv2DInputGrad(g, l.W.Value, 6, 5)) {
 		t.Fatal("δO after re-pointing W.Value used the old weights")
 	}
 }

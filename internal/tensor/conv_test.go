@@ -129,20 +129,20 @@ func TestConvGEMMsMatchRepackingReference(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				name := fmt.Sprintf("%v sparse=%v GOMAXPROCS=%d", sh, sparse, procs)
 				out, colsT := Randn(r, 1, sh.n, sh.f, oh, ow), Randn(r, 1, sh.n, k, oh*ow)
-				if !bitwiseEqual(ConvForwardInto(out, colsT, x, wm, sh.kh, sh.kw), wantOut) {
+				if !Equal(ConvForwardInto(out, colsT, x, wm, sh.kh, sh.kw), wantOut) {
 					t.Fatalf("%s: ConvForwardInto differs from Conv2D", name)
 				}
-				if !bitwiseEqual(colsT, wantColsT) {
+				if !Equal(colsT, wantColsT) {
 					t.Fatalf("%s: the lowering is not the transposed im2col matrix", name)
 				}
-				if !bitwiseEqual(ConvLowerInto(Randn(r, 1, sh.n, k, oh*ow), x, sh.kh, sh.kw), wantColsT) {
+				if !Equal(ConvLowerInto(Randn(r, 1, sh.n, k, oh*ow), x, sh.kh, sh.kw), wantColsT) {
 					t.Fatalf("%s: ConvLowerInto differs from the forward's lowering", name)
 				}
 				gin := Randn(r, 1, sh.n, sh.c, sh.h, sh.w)
-				if !bitwiseEqual(ConvInputGradInto(gin, g, wm, sh.kh, sh.kw, ws), wantGin) {
+				if !Equal(ConvInputGradInto(gin, g, wm, sh.kh, sh.kw, ws), wantGin) {
 					t.Fatalf("%s: ConvInputGradInto differs from Conv2DInputGrad", name)
 				}
-				if dw := ConvWeightGradAcc(New(sh.f, k), g, colsT); !bitwiseEqual(dw, wantDW) {
+				if dw := ConvWeightGradAcc(New(sh.f, k), g, colsT); !Equal(dw, wantDW.Reshape(sh.f, k)) {
 					t.Fatalf("%s: ConvWeightGradAcc differs from Conv2DWeightGrad", name)
 				}
 				// Microbatch accumulation: M ascending chunks of images
@@ -154,7 +154,7 @@ func TestConvGEMMsMatchRepackingReference(t *testing.T) {
 							ConvWeightGradAcc(dw, chunkOf(g, lo, hi), chunkOf(colsT, lo, hi))
 						}
 					}
-					if !bitwiseEqual(dw, wantDW) {
+					if !Equal(dw, wantDW) {
 						t.Fatalf("%s: δW in %d chunks differs from the full batch", name, m)
 					}
 				}
@@ -405,7 +405,7 @@ func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 	for i, x := range inputs {
 		want, wantArg := refMaxPool2(x)
 		got, gotArg := MaxPool2(x)
-		if !bitwiseEqual(got, want) {
+		if !Equal(got, want) {
 			t.Fatalf("input %d: pooled values differ from the reference loop", i)
 		}
 		argOnly := make([]int, len(wantArg))

@@ -33,20 +33,6 @@ func naiveMatMulIKJ(a, b *Tensor) *Tensor {
 	return out
 }
 
-// bitwiseEqual is stricter than Equal: it compares IEEE bit patterns, so it
-// distinguishes +0 from −0 (Go's == does not).
-func bitwiseEqual(a, b *Tensor) bool {
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // sparsify zeroes out a deterministic subset of elements, mimicking
 // post-ReLU activations (the dense-with-exact-zeros case the skip branch was
 // nominally for).
@@ -94,13 +80,13 @@ func TestFusedGEMMDifferential(t *testing.T) {
 			}
 			label := fmt.Sprintf("m=%d k=%d n=%d trial=%d", m, k, n, trial)
 
-			if got, want := MatMul(a, b), naiveMatMulIKJ(a, b); !bitwiseEqual(got, want) {
+			if got, want := MatMul(a, b), naiveMatMulIKJ(a, b); !Equal(got, want) {
 				t.Fatalf("%s: MatMul differs from naive ikj", label)
 			}
-			if got, want := MatMulT(a, bt), naiveMatMulIKJ(a, transpose(bt)); !bitwiseEqual(got, want) {
+			if got, want := MatMulT(a, bt), naiveMatMulIKJ(a, transpose(bt)); !Equal(got, want) {
 				t.Fatalf("%s: MatMulT differs from MatMul(a, transpose(b))", label)
 			}
-			if got, want := TMatMul(at, bb), naiveMatMulIKJ(transpose(at), bb); !bitwiseEqual(got, want) {
+			if got, want := TMatMul(at, bb), naiveMatMulIKJ(transpose(at), bb); !Equal(got, want) {
 				t.Fatalf("%s: TMatMul differs from MatMul(transpose(a), b)", label)
 			}
 
@@ -109,13 +95,13 @@ func TestFusedGEMMDifferential(t *testing.T) {
 			for i := range dst.Data {
 				dst.Data[i] = math.NaN()
 			}
-			if !bitwiseEqual(MatMulInto(dst, a, b), naiveMatMulIKJ(a, b)) {
+			if !Equal(MatMulInto(dst, a, b), naiveMatMulIKJ(a, b)) {
 				t.Fatalf("%s: MatMulInto on dirty buffer differs", label)
 			}
 			for i := range dst.Data {
 				dst.Data[i] = math.NaN()
 			}
-			if !bitwiseEqual(MatMulTInto(dst, a, bt), naiveMatMulIKJ(a, transpose(bt))) {
+			if !Equal(MatMulTInto(dst, a, bt), naiveMatMulIKJ(a, transpose(bt))) {
 				t.Fatalf("%s: MatMulTInto on dirty buffer differs", label)
 			}
 			ws.Put(dst)
@@ -123,7 +109,7 @@ func TestFusedGEMMDifferential(t *testing.T) {
 			for i := range dstT.Data {
 				dstT.Data[i] = math.NaN()
 			}
-			if !bitwiseEqual(TMatMulInto(dstT, at, bb), naiveMatMulIKJ(transpose(at), bb)) {
+			if !Equal(TMatMulInto(dstT, at, bb), naiveMatMulIKJ(transpose(at), bb)) {
 				t.Fatalf("%s: TMatMulInto on dirty buffer differs", label)
 			}
 			ws.Put(dstT)
@@ -140,8 +126,8 @@ func TestFusedGEMMRandomShapesProperty(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		bt := Randn(r, 1, n, k)
 		bb := Randn(r, 1, m, n)
-		return bitwiseEqual(MatMulT(a, bt), naiveMatMulIKJ(a, transpose(bt))) &&
-			bitwiseEqual(TMatMul(a, bb), naiveMatMulIKJ(transpose(a), bb))
+		return Equal(MatMulT(a, bt), naiveMatMulIKJ(a, transpose(bt))) &&
+			Equal(TMatMul(a, bb), naiveMatMulIKJ(transpose(a), bb))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -167,18 +153,18 @@ func TestGEMMParallelDeterministic(t *testing.T) {
 	wantMM := MatMul(a, b)
 	wantMT := MatMulT(a, b)
 	wantTM := TMatMul(a, b)
-	if !bitwiseEqual(wantMM, naiveMatMulIKJ(a, b)) {
+	if !Equal(wantMM, naiveMatMulIKJ(a, b)) {
 		t.Fatal("serial blocked MatMul differs from naive ikj")
 	}
 	for _, gmp := range []int{2, 4} {
 		runtime.GOMAXPROCS(gmp)
-		if !bitwiseEqual(MatMul(a, b), wantMM) {
+		if !Equal(MatMul(a, b), wantMM) {
 			t.Fatalf("GOMAXPROCS=%d: parallel MatMul nondeterministic", gmp)
 		}
-		if !bitwiseEqual(MatMulT(a, b), wantMT) {
+		if !Equal(MatMulT(a, b), wantMT) {
 			t.Fatalf("GOMAXPROCS=%d: parallel MatMulT nondeterministic", gmp)
 		}
-		if !bitwiseEqual(TMatMul(a, b), wantTM) {
+		if !Equal(TMatMul(a, b), wantTM) {
 			t.Fatalf("GOMAXPROCS=%d: parallel TMatMul nondeterministic", gmp)
 		}
 	}
@@ -193,7 +179,7 @@ func TestAddFlatTo(t *testing.T) {
 	want := dst.Clone()
 	AddTo(want, src.Reshape(2, 3, 2))
 	AddFlatTo(dst, src)
-	if !bitwiseEqual(dst, want) {
+	if !Equal(dst, want) {
 		t.Fatal("AddFlatTo differs from AddTo on the reshaped view")
 	}
 	defer func() {

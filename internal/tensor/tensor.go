@@ -146,7 +146,9 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Equal reports exact elementwise equality (the semantics check).
+// Equal reports whether a and b have the same shape and the same IEEE bit
+// pattern in every element (the semantics check): −0 differs from +0, and a
+// NaN equals the same NaN.
 func Equal(a, b *Tensor) bool {
 	if len(a.Shape) != len(b.Shape) {
 		return false
@@ -157,7 +159,7 @@ func Equal(a, b *Tensor) bool {
 		}
 	}
 	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
 			return false
 		}
 	}

@@ -33,6 +33,33 @@ func TestNewAndAt(t *testing.T) {
 	}
 }
 
+// TestEqualComparesBits pins Equal to IEEE bit patterns: −0 and +0 differ, a
+// NaN equals the same NaN, and a NaN with another payload differs.
+func TestEqualComparesBits(t *testing.T) {
+	nan := math.NaN()
+	otherNaN := math.Float64frombits(math.Float64bits(nan) ^ 1)
+	for _, c := range []struct {
+		a, b float64
+		want bool
+	}{
+		{0, 0, true},
+		{math.Copysign(0, -1), 0, false},
+		{math.Copysign(0, -1), math.Copysign(0, -1), true},
+		{nan, nan, true},
+		{nan, otherNaN, false},
+		{1.5, 1.5, true},
+	} {
+		a, b := FromSlice([]float64{2, c.a}, 2), FromSlice([]float64{2, c.b}, 2)
+		if got := Equal(a, b); got != c.want {
+			t.Errorf("Equal(%v (bits %#x), %v (bits %#x)) = %v, want %v",
+				c.a, math.Float64bits(c.a), c.b, math.Float64bits(c.b), got, c.want)
+		}
+	}
+	if Equal(New(2, 3), New(3, 2)) {
+		t.Error("Equal ignores shape")
+	}
+}
+
 func TestAtOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

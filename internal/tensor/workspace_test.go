@@ -117,11 +117,11 @@ func TestPooledConvKernelsDifferential(t *testing.T) {
 				return t_
 			}
 			cols := Im2colInto(dirty(ws.Get(sh.n*oh*ow, sh.c*sh.kh*sh.kw)), x, sh.kh, sh.kw)
-			if !bitwiseEqual(cols, wantCols) {
+			if !Equal(cols, wantCols) {
 				t.Fatalf("GOMAXPROCS=%d %v: Im2colInto differs", gmp, sh)
 			}
 			im := Col2imInto(dirty(ws.Get(sh.n, sh.c, sh.h, sh.w)), colGrad, sh.kh, sh.kw)
-			if !bitwiseEqual(im, wantIm) {
+			if !Equal(im, wantIm) {
 				t.Fatalf("GOMAXPROCS=%d %v: Col2imInto differs", gmp, sh)
 			}
 		}
