@@ -27,17 +27,12 @@ import (
 // full-batch fold chain bit for bit. From non-zero gradients the fold
 // continues the chain rather than adding a finished sum.
 //
-// SealWeightGrad runs once at the end of a pipeline step: the full-batch
-// reference for GEMM-based layers computes Grad = 0 + Σ (the finished sum
-// added to the zeroed gradient), while the fold computes Σ directly, and
-// 0 + x ≠ x in exactly one case — x = −0. With the current kernels that case
-// cannot arise (every fold continues from a +0 destination, and a
-// round-to-nearest addition chain seeded at +0 never yields −0), so Seal is a
-// provable no-op, and the whole-batch engines, which make one call, rely on
-// that proof without it (TestWeightGradChunkZeroSigns checks it before the
-// seal). The pipeline keeps the cheap end-of-step pass so its bitwise contract
-// does not silently start depending on the proof if a kernel's fold seeding
-// ever changes.
+// The full-batch reference for GEMM-based layers computes Grad = 0 + Σ (the
+// finished sum added to the zeroed gradient) while the fold computes Σ
+// directly, and 0 + x ≠ x in exactly one case — x = −0. Every fold continues
+// from a +0 destination, and a round-to-nearest addition chain seeded at +0
+// never yields −0, so the two agree sign bit included at every chunk split
+// (TestWeightGradChunkZeroSigns, TestWeightGradChunkMatchesFullBatch).
 
 // ---- Dense ----
 
@@ -53,11 +48,6 @@ func (d *Dense) WeightGradAcc(gradOut *tensor.Tensor) {
 	tensor.SumRowsAcc(d.B.Grad, gradOut)
 }
 
-func (d *Dense) SealWeightGrad() {
-	tensor.SealZeros(d.W.Grad.Data)
-	tensor.SealZeros(d.B.Grad.Data)
-}
-
 // ---- ReLU ----
 
 func (r *ReLU) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
@@ -69,7 +59,6 @@ func (r *ReLU) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
 }
 
 func (r *ReLU) WeightGradAcc(*tensor.Tensor) {}
-func (r *ReLU) SealWeightGrad()              {}
 
 // ---- Conv2D ----
 
@@ -86,8 +75,6 @@ func (l *Conv2D) WeightGradAcc(gradOut *tensor.Tensor) {
 	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.colsT)
 }
 
-func (l *Conv2D) SealWeightGrad() { tensor.SealZeros(l.W.Grad.Data) }
-
 // ---- MaxPool2 ----
 
 func (l *MaxPool2) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
@@ -99,7 +86,6 @@ func (l *MaxPool2) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tens
 }
 
 func (l *MaxPool2) WeightGradAcc(*tensor.Tensor) {}
-func (l *MaxPool2) SealWeightGrad()              {}
 
 // ---- Flatten ----
 
@@ -115,7 +101,6 @@ func (l *Flatten) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tenso
 }
 
 func (l *Flatten) WeightGradAcc(*tensor.Tensor) {}
-func (l *Flatten) SealWeightGrad()              {}
 
 // ---- Embedding ----
 
@@ -130,13 +115,10 @@ func (e *Embedding) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Ten
 }
 
 // The plain scatter-add already folds rows ascending directly into W.Grad,
-// so delegating to it continues the identical chain and no seal step is
-// needed.
+// so delegating to it continues the identical chain.
 func (e *Embedding) WeightGradAcc(gradOut *tensor.Tensor) {
 	e.WeightGrad(gradOut)
 }
-
-func (e *Embedding) SealWeightGrad() {}
 
 // ---- LayerNorm ----
 
@@ -160,8 +142,6 @@ func (l *LayerNorm) WeightGradAcc(gradOut *tensor.Tensor) {
 	l.WeightGrad(gradOut)
 }
 
-func (l *LayerNorm) SealWeightGrad() {}
-
 // ---- MeanPool1D ----
 
 func (p *MeanPool1D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
@@ -182,7 +162,6 @@ func (p *MeanPool1D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Te
 }
 
 func (p *MeanPool1D) WeightGradAcc(*tensor.Tensor) {}
-func (p *MeanPool1D) SealWeightGrad()              {}
 
 // ---- chunked loss head ----
 

@@ -40,9 +40,6 @@ type Pooled interface {
 	// over gradOut's rows (pipe.go). A whole-batch step makes one call; a
 	// pipeline stage makes one per microbatch, in ascending row order.
 	WeightGradAcc(gradOut *tensor.Tensor)
-	// SealWeightGrad finishes a chunked step, making the accumulated gradient
-	// bitwise equal to the plain full-batch WeightGrad result.
-	SealWeightGrad()
 	// DropStash releases the forward state retained for the backward pass
 	// (input references, masks, lowering buffers, normalization statistics).
 	// The layer's next forward or Restash rebuilds it (stash.go).

@@ -1,16 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The elementwise family: the passes a training step makes over whole
 // parameter, gradient and activation arrays outside the GEMMs — gradient
 // folds (AddSpan and its Tensor forms AddTo, AddFlatTo, SumRowsAcc), the bias
 // broadcast (AddToRows), the optimizer updates (SubScaledSpan, ScaleSpan), the
-// data-parallel reduction's leaves (AddSpan, ScaleSpan) and the pipeline's
-// signed-zero seal (SealZeros). Each runs an AVX2 body of gemm_amd64.s where
+// data-parallel reduction's leaves (AddSpan, ScaleSpan). Each runs an AVX2 body of gemm_amd64.s where
 // useVector says the CPU has it — the adds on addRows' strided row body — and
 // its Go loop otherwise; the Go loop is also the oracle the body is tested
 // against. Every element takes exactly one rounded operation per pass, so the
@@ -56,21 +52,6 @@ func SubScaledSpan(dst, src []float64, s float64) {
 	}
 	for i, v := range src {
 		dst[i] -= s * v
-	}
-}
-
-// SealZeros rewrites −0 elements to +0 and leaves every other bit pattern, NaN
-// payloads included, as it is. Both paths select "the value or +0" by a mask
-// from v ≠ 0 — the Go loop with keepBits, as ReLU's does, the vector body with
-// a compare and an and-not — an explicit select, not an arithmetic identity
-// like 0+v, which a compiler may fold away.
-func SealZeros(dst []float64) {
-	if useVector && len(dst) > 0 {
-		sealZerosVec(&dst[0], len(dst))
-		return
-	}
-	for i, v := range dst {
-		dst[i] = math.Float64frombits(math.Float64bits(v) & keepBits(v != 0))
 	}
 }
 

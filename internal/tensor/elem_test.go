@@ -137,7 +137,6 @@ func elemKernels() []elemKernel {
 		{"AddSpan", same, same, func(d, s []float64, _ int) { AddSpan(d, s) },
 			func(d, s []float64, _, i int) []float64 { return []float64{d[i], s[i]} }},
 		{"AddSpan aliased", same, none, func(d, _ []float64, _ int) { AddSpan(d, d) }, nil},
-		{"SealZeros", same, none, func(d, _ []float64, _ int) { SealZeros(d) }, nil},
 		{"AddToRows", rows, same, func(d, s []float64, n int) {
 			AddToRows(&Tensor{Shape: []int{elemRows, n}, Data: d}, &Tensor{Shape: []int{1, n}, Data: s})
 		}, func(d, s []float64, n, i int) []float64 { return []float64{d[i], s[i%n]} }},
@@ -233,12 +232,6 @@ func TestElemDefinitions(t *testing.T) {
 		func(i int) float64 { p := 0.1 * s.Data[i]; return d.Data[i] - p })
 	check("AddToRows", func(c *Tensor) { AddToRows(c, FromSlice(s.Data[5:10], 1, 5)) },
 		func(i int) float64 { return d.Data[i] + s.Data[5+i%5] })
-	check("SealZeros", func(c *Tensor) { SealZeros(c.Data) }, func(i int) float64 {
-		if i == 1 {
-			return 0
-		}
-		return d.Data[i]
-	})
 }
 
 // TestElemShapePanics: mismatched operands are diagnostics, empty spans no-ops.
@@ -260,5 +253,4 @@ func TestElemShapePanics(t *testing.T) {
 	AddSpan(nil, nil)
 	SubScaledSpan(nil, nil, 1)
 	ScaleSpan(nil, 2)
-	SealZeros(nil)
 }

@@ -37,14 +37,11 @@ func reluVec(out *float64, keep *bool, x *float64, n int)
 //go:noescape
 func reluGradVec(gin, gradOut *float64, keep *bool, n int)
 
-// subScaledVec, scaleVec and sealZerosVec are the bodies behind SubScaledSpan,
-// ScaleSpan and SealZeros (elem.go). n must be positive.
+// subScaledVec and scaleVec are the bodies behind SubScaledSpan and ScaleSpan
+// (elem.go). n must be positive.
 //
 //go:noescape
 func subScaledVec(dst, src *float64, s float64, n int)
 
 //go:noescape
 func scaleVec(dst *float64, s float64, n int)
-
-//go:noescape
-func sealZerosVec(dst *float64, n int)

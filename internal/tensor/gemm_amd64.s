@@ -661,40 +661,3 @@ scale_1:
 scale_done:
 	VZEROUPPER
 	RET
-
-// func sealZerosVec(dst *float64, n int)
-//
-// For i < n: dst[i] = +0 where dst[i] == 0 (either sign). The EQ_OQ compare
-// against +0 is all ones on exactly those lanes — false for a NaN — and
-// VANDNPD clears them, so every other lane keeps its bits.
-TEXT ·sealZerosVec(SB), NOSPLIT, $0-16
-	MOVQ   dst+0(FP), DI
-	MOVQ   n+8(FP), CX
-	VXORPD Y15, Y15, Y15
-	XORQ   AX, AX
-	MOVQ   CX, BX
-	ANDQ   $-4, BX
-	JZ     seal_1
-
-seal_4:
-	VMOVUPD (DI)(AX*8), Y0
-	VCMPPD  $0, Y15, Y0, Y1
-	VANDNPD Y0, Y1, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, BX
-	JLT     seal_4
-
-seal_1:
-	CMPQ AX, CX
-	JGE  seal_done
-	VMOVSD  (DI)(AX*8), X0
-	VCMPSD  $0, X15, X0, X1
-	VANDNPD X0, X1, X0
-	VMOVSD  X0, (DI)(AX*8)
-	INCQ    AX
-	JMP     seal_1
-
-seal_done:
-	VZEROUPPER
-	RET

@@ -37,7 +37,3 @@ func subScaledVec(dst, src *float64, s float64, n int) {
 func scaleVec(dst *float64, s float64, n int) {
 	panic("tensor: no vector kernels on this architecture")
 }
-
-func sealZerosVec(dst *float64, n int) {
-	panic("tensor: no vector kernels on this architecture")
-}

@@ -48,7 +48,6 @@ type Pipeline struct {
 	sched  PipeSchedule
 	fill   bool
 	opt    nn.Optimizer
-	seal   []nn.Pooled
 	stages []*pipeStage
 	acks   chan struct{}
 	wg     sync.WaitGroup
@@ -240,13 +239,10 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	if err != nil {
 		return nil, err
 	}
-	seal := make([]nn.Pooled, L)
-	for i, l := range proto.Layers {
-		pl, ok := l.(nn.Pooled)
-		if !ok {
+	for _, l := range proto.Layers {
+		if _, ok := l.(nn.Pooled); !ok {
 			return nil, fmt.Errorf("train: layer %q does not support microbatch execution (not nn.Pooled)", l.Name())
 		}
-		seal[i] = pl
 	}
 	p := &Pipeline{
 		proto:    proto,
@@ -255,7 +251,6 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 		sched:    cfg.Schedule,
 		fill:     !cfg.NoDWFill,
 		opt:      opt,
-		seal:     seal,
 		acks:     make(chan struct{}, S),
 		xs:       make([]*tensor.Tensor, M+1),
 		ls:       make([][]int, M+1),
@@ -400,12 +395,7 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 			<-p.acks
 		}
 		st.Wall = time.Since(t0)
-	}, func() {
-		for _, pl := range p.seal {
-			pl.SealWeightGrad()
-		}
-		update()
-	})
+	}, update)
 	for i, s := range p.stages {
 		b := &s.busy
 		p.statsBuf[i] = StageStats{Fwd: b[OpFwd], DO: b[OpDO] + b[OpLoss], DWInline: b[OpDW], DWFill: b[OpDWFill], Idle: b[OpIdle]}
