@@ -17,7 +17,7 @@ import (
 // re-simulating each net, and print a what-if estimation table for a few
 // canned perturbations. With -o, the raw profile is written to DIR/profile.json.
 //
-// Like `oooexp exec`, this measures real wall-clock execution, so the numbers
+// Like `oooexp bench`, this measures real wall-clock execution, so the numbers
 // vary run to run and the command lives outside the deterministic experiments
 // registry.
 func runCalib(outDir string) error {

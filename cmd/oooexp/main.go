@@ -1,5 +1,6 @@
 // Command oooexp regenerates the paper's tables and figures on the simulated
-// substrates.
+// substrates, benchmarks and calibrates the real training engines, and
+// exports timelines of both.
 //
 // Usage:
 //
@@ -15,17 +16,15 @@
 //	oooexp bench                   run the perf micro-benchmarks and emit
 //	                               machine-readable JSON (ns/op, allocs/op);
 //	                               with -o DIR, also write DIR/BENCH_BASELINE.json
-//	oooexp exec                    compare the serial and concurrent backward
-//	                               engines on real MLP/conv/NLP networks
-//	                               (walltime, peak grads, bit-identity); with
-//	                               -o DIR, write a Chrome trace per combination
 //	oooexp calib                   profile the real networks, fit a cost table,
 //	                               validate simulated-vs-measured iteration
 //	                               time, and print a what-if estimation table;
 //	                               with -o DIR, write DIR/profile.json
 //	oooexp -o DIR timeline RUN...  write DIR/<run>.json (Chrome trace) and
-//	                               DIR/<run>.svg for each demo run,
-//	                               singlegpu or pipeline
+//	                               DIR/<run>.svg for each run: the simulated
+//	                               singlegpu or pipeline, or one traced step
+//	                               of a real engine on the MLP reference net,
+//	                               train-ooo, train-pipe2x4 or train-dp2
 package main
 
 import (
@@ -67,11 +66,6 @@ func main() {
 		}
 	case "bench":
 		if err := runBench(microbench.Rows(), os.Stdout, *outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
-			os.Exit(1)
-		}
-	case "exec":
-		if err := runExec(microbench.RefNets(), os.Stdout, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "oooexp: %v\n", err)
 			os.Exit(1)
 		}
@@ -129,5 +123,5 @@ func runIDs(ids []string, workers int, outDir string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: oooexp [-o dir] [-parallel n] list | all | bench | exec | calib | timeline <run>... | <experiment-id>...")
+	fmt.Fprintln(os.Stderr, "usage: oooexp [-o dir] [-parallel n] list | all | bench | calib | timeline <run>... | <experiment-id>...")
 }

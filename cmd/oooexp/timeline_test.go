@@ -38,24 +38,37 @@ func oooexp(t *testing.T, args ...string) (string, int) {
 	return string(out), 0
 }
 
-// TestTimelineWritesTraces: `oooexp -o DIR timeline singlegpu pipeline`
-// writes, per run, a Chrome trace in which every lane carries at least one
-// span, and an SVG that parses as XML.
+// TestTimelineWritesTraces: `oooexp -o DIR timeline` with every run writes
+// ten files: per run, a Chrome trace in which every lane carries at least
+// one span, and an SVG that parses as XML. The real-engine traces show their
+// engine's shape: the pipeline runs fwd, dO and dWFill on both stage lanes
+// and waits on one or two of them; dp2 runs fwd and dW on two replica lanes
+// and reduces on a third.
 func TestTimelineWritesTraces(t *testing.T) {
 	dir := t.TempDir()
-	if out, code := oooexp(t, "-o", dir, "timeline", "singlegpu", "pipeline"); code != 0 {
+	minLanes := map[string]int{"singlegpu": 1, "pipeline": 4, "train-ooo": 1, "train-pipe2x4": 2, "train-dp2": 3}
+	args := []string{"-o", dir, "timeline"}
+	for run := range minLanes {
+		args = append(args, run)
+	}
+	if out, code := oooexp(t, args...); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
-	for run, minLanes := range map[string]int{"singlegpu": 1, "pipeline": 4} {
+	if files, _ := os.ReadDir(dir); len(files) != 2*len(minLanes) {
+		t.Errorf("%d files, want %d", len(files), 2*len(minLanes))
+	}
+	// lanesByKind[run][kind] is the set of thread ids carrying that span kind.
+	lanesByKind := map[string]map[string]map[int]bool{}
+	for run, min := range minLanes {
 		buf, err := os.ReadFile(filepath.Join(dir, run+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var doc struct {
 			TraceEvents []struct {
-				Ph   string
-				TID  int
-				Args struct{ Name string }
+				Cat, Ph string
+				TID     int
+				Args    struct{ Name string }
 			}
 		}
 		if err := json.Unmarshal(buf, &doc); err != nil {
@@ -63,16 +76,22 @@ func TestTimelineWritesTraces(t *testing.T) {
 		}
 		lanes := map[int]string{}
 		spans := map[int]int{}
+		kinds := map[string]map[int]bool{}
 		for _, ev := range doc.TraceEvents {
 			switch ev.Ph {
 			case "M":
 				lanes[ev.TID] = ev.Args.Name
 			case "X":
 				spans[ev.TID]++
+				if kinds[ev.Cat] == nil {
+					kinds[ev.Cat] = map[int]bool{}
+				}
+				kinds[ev.Cat][ev.TID] = true
 			}
 		}
-		if len(lanes) < minLanes {
-			t.Errorf("%s.json: %d lanes, want at least %d", run, len(lanes), minLanes)
+		lanesByKind[run] = kinds
+		if len(lanes) < min {
+			t.Errorf("%s.json: %d lanes, want at least %d", run, len(lanes), min)
 		}
 		for tid, name := range lanes {
 			if spans[tid] == 0 {
@@ -93,10 +112,38 @@ func TestTimelineWritesTraces(t *testing.T) {
 			}
 		}
 	}
+
+	ooo := lanesByKind["train-ooo"]
+	for _, kind := range []string{"fwd", "dO", "dW", "update"} {
+		if len(ooo[kind]) == 0 {
+			t.Errorf("train-ooo: no %s spans", kind)
+		}
+	}
+	pipe := lanesByKind["train-pipe2x4"]
+	for _, kind := range []string{"fwd", "dO", "dWFill"} {
+		if len(pipe[kind]) != 2 {
+			t.Errorf("train-pipe2x4: %s spans on %d lanes, want one per stage (2)", kind, len(pipe[kind]))
+		}
+	}
+	// Which stage waits with nothing to fill is the scheduler's call; that
+	// somebody does is the pipeline's shape.
+	if n := len(pipe["idle"]); n < 1 || n > 2 {
+		t.Errorf("train-pipe2x4: idle spans on %d lanes, want 1 or 2 stage lanes", n)
+	}
+	dp := lanesByKind["train-dp2"]
+	if len(dp["fwd"]) != 2 || len(dp["dW"]) != 2 || len(dp["reduce"]) != 1 {
+		t.Errorf("train-dp2: fwd on %d lanes, dW on %d, reduce on %d; want 2, 2, 1",
+			len(dp["fwd"]), len(dp["dW"]), len(dp["reduce"]))
+	}
+	for tid := range dp["reduce"] {
+		if dp["fwd"][tid] {
+			t.Error("train-dp2: reduce shares a replica lane")
+		}
+	}
 }
 
-// TestTimelineRejectsUnknownRun: a run name other than singlegpu or
-// pipeline, or a missing -o, exits non-zero and writes nothing.
+// TestTimelineRejectsUnknownRun: an unknown run name, or a missing -o, exits
+// non-zero and writes nothing.
 func TestTimelineRejectsUnknownRun(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{

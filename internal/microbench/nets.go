@@ -9,7 +9,8 @@ import (
 )
 
 // RefNet is one of the three real reference networks with its fixed batch:
-// the nets the train rows measure and `oooexp exec` / `oooexp calib` run on.
+// the nets the train rows measure, `oooexp calib` profiles and the train-*
+// timeline runs trace (the MLP).
 type RefNet struct {
 	Name   string
 	Build  func() *train.Network // a fresh, identically seeded network per call

@@ -8,10 +8,10 @@ import (
 	"oooback/internal/tensor"
 )
 
-// Deterministic demo networks shared by the differential tests, the root
-// benchmarks and cmd/oooexp's real-execution experiment. All initialization
-// flows from the seed through tensor.RNG, so two builds with equal arguments
-// are bit-identical.
+// Deterministic demo networks shared by the differential tests, the reference
+// nets of internal/microbench, the semantics reports, oootrain and the
+// benchmark's train workloads. All initialization flows from the seed through
+// tensor.RNG, so two builds with equal arguments are bit-identical.
 
 // MLPNet builds a fully connected stack: depth× (Dense→ReLU) blocks of the
 // given hidden width, then a Dense head. L = 2·depth + 1 layers.

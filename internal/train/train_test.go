@@ -13,6 +13,15 @@ import (
 	"oooback/internal/tensor"
 )
 
+// GradSnapshot deep-copies every parameter gradient, keyed by name.
+func GradSnapshot(n *Network) map[string]*tensor.Tensor {
+	out := make(map[string]*tensor.Tensor)
+	for _, p := range n.Params() {
+		out[p.Name] = p.Grad.Clone()
+	}
+	return out
+}
+
 // mlp builds a deterministic 5-layer MLP (two Dense→ReLU blocks plus head).
 func mlp(seed uint64, dim, classes int) *Network {
 	return MLPNet(seed, dim, 32, 2, classes)
