@@ -236,7 +236,10 @@ type builder struct {
 	syncSrv  []*sim.Server // per GPU, hybrid gradient synchronization
 	tr       *trace.Trace
 	iterDone []sim.Time
-	seq      map[*task]int
+	// iterDWLeft[it] counts iteration it's δW tasks not yet complete; the
+	// iteration is done when it reaches 0.
+	iterDWLeft []int
+	seq        map[*task]int
 
 	// hybrid sync state: dwLeft[it][l] counts outstanding δW micro-batches;
 	// syncGate[it][l] fires the gated forwards when the layer's collective
@@ -374,6 +377,10 @@ func (b *builder) simulate() Result {
 	}
 	b.tr = &trace.Trace{}
 	b.iterDone = make([]sim.Time, b.iters)
+	b.iterDWLeft = make([]int, b.iters)
+	for it := range b.iterDWLeft {
+		b.iterDWLeft[it] = b.M * b.L
+	}
 	b.actBytes = make([]int64, n)
 
 	// Deterministic ready-queue ordering: assign sequence numbers in a
@@ -705,17 +712,8 @@ func (b *builder) noteSyncProgress(t *task) {
 
 // noteIterProgress records when the last δW of an iteration completes.
 func (b *builder) noteIterProgress(t *task) {
-	it := t.iter
-	// Completion = all δW of the iteration done; count down lazily.
-	remaining := 0
-	for mb := 0; mb < b.M; mb++ {
-		for l := 0; l < b.L; l++ {
-			if !b.dw[it][mb][l].done {
-				remaining++
-			}
-		}
-	}
-	if remaining == 0 && b.iterDone[it] == 0 {
-		b.iterDone[it] = b.eng.Now()
+	b.iterDWLeft[t.iter]--
+	if b.iterDWLeft[t.iter] == 0 {
+		b.iterDone[t.iter] = b.eng.Now()
 	}
 }
