@@ -10,7 +10,7 @@ import (
 
 // NewHTTPServer wraps h in an http.Server with production timeouts: slow
 // header writes, slowloris bodies and stuck responses all get bounded instead
-// of pinning a connection forever. Shared by cmd/oooplan and cmd/ooodash.
+// of pinning a connection forever. Shared by cmd/oooplan's serve and loadgen.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
