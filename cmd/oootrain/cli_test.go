@@ -49,13 +49,17 @@ func checkRun(t *testing.T, arch, verifyLine string, args ...string) {
 }
 
 // TestCLIPlainVerify: the single-process run of each arch prints its pinned
-// trajectory and verifies against conventional backprop.
+// trajectory and verifies against conventional backprop, under the default
+// fast-forward order and, on the mlp, under reverse first-2.
 func TestCLIPlainVerify(t *testing.T) {
 	for _, arch := range []string{"mlp", "cnn", "token"} {
 		t.Run(arch, func(t *testing.T) {
 			checkRun(t, arch, "verify vs conventional", "-arch", arch, "-verify")
 		})
 	}
+	t.Run("mlp-reverse-k2", func(t *testing.T) {
+		checkRun(t, "mlp", "verify vs conventional", "-arch", "mlp", "-schedule", "reverse-k", "-k", "2", "-verify")
+	})
 }
 
 // TestCLIReplicasVerify: the overlapped data-parallel run trains the serial

@@ -93,8 +93,8 @@ func TestConcurrentExecutorDifferential(t *testing.T) {
 	}
 }
 
-// TestExecutorSerialModeMatchesNetworkBackward: serial-mode and nil executors
-// delegate to the plain walk.
+// TestExecutorSerialModeMatchesNetworkBackward: a serial executor lands on the
+// plain walk's gradients and stats.
 func TestExecutorSerialModeMatchesNetworkBackward(t *testing.T) {
 	net := mlp(21, 8, 3)
 	x, labels := data.Vectors(23, 8, 8, 3)
@@ -109,42 +109,42 @@ func TestExecutorSerialModeMatchesNetworkBackward(t *testing.T) {
 	}
 	want := GradSnapshot(net)
 
-	for _, e := range []*Executor{nil, NewExecutor(ExecSerial, 0)} {
-		net.ZeroGrads()
-		st, err := e.Backward(net, lossGrad, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != wantStats {
-			t.Fatalf("stats %+v, want %+v", st, wantStats)
-		}
-		if !SnapshotsEqual(want, GradSnapshot(net)) {
-			t.Fatal("serial-mode executor gradients differ")
-		}
-		e.Close() // no-op, must not panic
+	e := NewExecutor(ExecSerial, 0)
+	net.ZeroGrads()
+	st, err := e.Backward(net, lossGrad, sched)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st != wantStats {
+		t.Fatalf("stats %+v, want %+v", st, wantStats)
+	}
+	if !SnapshotsEqual(want, GradSnapshot(net)) {
+		t.Fatal("serial-mode executor gradients differ")
+	}
+	e.Close() // no-op, must not panic
 }
 
 // TestFitWithConcurrentExecutor: a whole training trajectory (losses and
-// final weights) is identical across engines.
+// final weights) through the concurrent executor is identical to train.Step's.
 func TestFitWithConcurrentExecutor(t *testing.T) {
 	x, labels := data.Vectors(31, 24, 10, 3)
-	run := func(exec *Executor) ([]float64, map[string]*tensor.Tensor) {
+	type stepFn func(*Network, *tensor.Tensor, []int, graph.BackwardSchedule, nn.Optimizer) (float64, error)
+	run := func(step stepFn) ([]float64, map[string]*tensor.Tensor) {
 		net := MLPNet(41, 10, 16, 2, 3)
 		opt := &nn.Momentum{LR: 0.05, Beta: 0.9}
 		sched := graph.ReverseFirstK(len(net.Layers), 3)
 		losses, err := fit(func(b Batch) (float64, error) {
-			return exec.Step(net, b.X, b.Labels, sched, opt)
+			return step(net, b.X, b.Labels, sched, opt)
 		}, x, labels, fitConfig{Epochs: 3, BatchSize: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return losses, ParamSnapshot(net)
 	}
-	serialLoss, serialW := run(nil)
+	serialLoss, serialW := run(Step)
 	e := NewExecutor(ExecConcurrent, 2)
 	defer e.Close()
-	concLoss, concW := run(e)
+	concLoss, concW := run(e.Step)
 	for i := range serialLoss {
 		if serialLoss[i] != concLoss[i] {
 			t.Fatalf("epoch %d loss diverged: %v vs %v", i, serialLoss[i], concLoss[i])
