@@ -25,7 +25,6 @@ import (
 // as a fixture ("fixture: ..."); censusReason enforces the two forms.
 var censusAllow = map[string]string{
 	"netsim.SimulateRingAllReduce":   "item 15: the event-level ring the served data-parallel plans get checked against",
-	"nn.NewSelfAttention":            "fixture: reference-only layer the nn semantics tests and the train engines' rejection tests build",
 	"nn.StateSnapshot":               "fixture: optimizer-state oracle of the nn and train differential suites",
 	"nn.StateSnapshotsEqual":         "fixture: optimizer-state oracle of the nn and train differential suites",
 	"plansvc/warmcache.Cache.Loaded": "fixture: reboot-replay count the warmcache and plansvc tests assert",

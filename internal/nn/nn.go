@@ -25,7 +25,28 @@ type Param struct {
 // ZeroGrad clears the gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Layer is one network layer with decoupled backward computations.
+// Layer is one network layer with decoupled backward computations, in two
+// forms that compute the same bits. The plain methods (Forward, InputGrad,
+// WeightGrad) are the naive allocating form on purpose: Network.Forward and
+// Network.Backward walk them as the differential reference every engine is
+// compared against. The pooled methods are the form every engine of
+// internal/train runs a layer in: they do not touch the allocator on warm
+// steps, and they make the layer safe for a pipeline stage and for activation
+// checkpointing.
+//
+// Ownership and ordering rules of the pooled form:
+//
+//   - The workspace of ForwardWS and InputGradWS is owned by whoever runs the
+//     call; scratch comes from it and goes back within the call. δW takes
+//     none: its fold writes straight into Grad.
+//   - The tensor ForwardWS returns is valid until the layer's next forward,
+//     the one InputGradWS returns until its next δO. Training steps are
+//     serialized by the engines' end-of-step barriers, so handing either to
+//     a neighbour layer (which may run much later, on another lane) is safe.
+//   - InputGradWS and WeightGradAcc stay independent — callable in either
+//     order, any schedule distance apart — exactly like the plain methods.
+//   - Both read the stash the layer's last forward left, whichever of Forward
+//     and ForwardWS ran it: the two keep it in one representation.
 type Layer interface {
 	// Name identifies the layer in diagnostics.
 	Name() string
@@ -39,6 +60,33 @@ type Layer interface {
 	WeightGrad(gradOut *tensor.Tensor)
 	// Params returns the learnable parameters (empty for stateless layers).
 	Params() []*Param
+	// ForwardWS is Forward into layer-retained buffers, bit-identical to
+	// Forward.
+	ForwardWS(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
+	// InputGradWS is δO into a layer-retained buffer.
+	InputGradWS(gradOut *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor
+	// WeightGradAcc is δW: it continues the parameter-gradient fold in place
+	// over gradOut's rows (pipe.go). A whole-batch step makes one call; a
+	// pipeline stage makes one per microbatch, in ascending row order.
+	WeightGradAcc(gradOut *tensor.Tensor)
+	// DropStash releases the forward state retained for the backward pass
+	// (input references, masks, lowering buffers, normalization statistics).
+	// The layer's next forward or Restash rebuilds it (stash.go).
+	DropStash()
+	// StashSource names the tensor Restash reads: the input or the output of
+	// the layer's last forward, or nothing. It is fixed per layer type.
+	StashSource() StashSource
+	// Restash rebuilds the stash DropStash released from src — the tensor
+	// StashSource names, nil for StashFromNothing — without computing the
+	// output. The stash it leaves is the one the last forward left, bit for
+	// bit, in the buffers the drop kept, so a warm restash allocates nothing.
+	Restash(src *tensor.Tensor)
+	// StashBytes reports the footprint of the forward state the layer owns:
+	// buffers the forward pass filled for backward's use. The input activation
+	// is a borrowed reference and is NOT counted — its bytes are tracked by
+	// the checkpointing engine's activation ledger, so owned + activations
+	// sums without double counting.
+	StashBytes() int64
 }
 
 // Dense is a fully connected layer y = xW + b with x [batch, in].

@@ -7,7 +7,7 @@ import (
 	"oooback/internal/tensor"
 )
 
-// This file holds the pooled forward and the δW fold of every Pooled layer,
+// This file holds the pooled forward and the δW fold of every layer,
 // and the chunked loss head.
 //
 // ForwardWS is Forward into layer-retained buffers (or caller workspace

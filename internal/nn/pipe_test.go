@@ -18,7 +18,7 @@ func chunkRows(x *tensor.Tensor, lo, hi, rowsPer int) *tensor.Tensor {
 
 type pipeLayerCase struct {
 	name    string
-	build   func() Pooled
+	build   func() Layer
 	x       *tensor.Tensor
 	rowsPer int // leading-dim rows per example
 }
@@ -34,14 +34,14 @@ func pipeLayerCases() []pipeLayerCase {
 	}
 	wrng := func(seed uint64) *tensor.RNG { return tensor.NewRNG(seed) }
 	return []pipeLayerCase{
-		{"dense", func() Pooled { return NewDense("d", 5, 4, wrng(5)) }, xDense, 1},
-		{"relu", func() Pooled { return NewReLU("r") }, xDense, 1},
-		{"conv", func() Pooled { return NewConv2D("c", 3, 2, 3, 3, wrng(7)) }, xConv, 1},
-		{"maxpool", func() Pooled { return NewMaxPool2("p") }, xConv, 1},
-		{"flatten", func() Pooled { return NewFlatten("f") }, xConv, 1},
-		{"embedding", func() Pooled { return NewEmbedding("e", 7, 4, wrng(9)) }, ids, 3},
-		{"layernorm", func() Pooled { return NewLayerNorm("n", 6, wrng(11)) }, xNorm, 2},
-		{"meanpool", func() Pooled { return NewMeanPool1D("m", 2) }, xNorm, 2},
+		{"dense", func() Layer { return NewDense("d", 5, 4, wrng(5)) }, xDense, 1},
+		{"relu", func() Layer { return NewReLU("r") }, xDense, 1},
+		{"conv", func() Layer { return NewConv2D("c", 3, 2, 3, 3, wrng(7)) }, xConv, 1},
+		{"maxpool", func() Layer { return NewMaxPool2("p") }, xConv, 1},
+		{"flatten", func() Layer { return NewFlatten("f") }, xConv, 1},
+		{"embedding", func() Layer { return NewEmbedding("e", 7, 4, wrng(9)) }, ids, 3},
+		{"layernorm", func() Layer { return NewLayerNorm("n", 6, wrng(11)) }, xNorm, 2},
+		{"meanpool", func() Layer { return NewMeanPool1D("m", 2) }, xNorm, 2},
 	}
 }
 
@@ -63,7 +63,7 @@ func TestForwardWSMatchesForward(t *testing.T) {
 
 // TestWeightGradChunkMatchesFullBatch is the core δW-fold contract: forward+δW
 // per ascending chunk must equal the single full-batch forward+WeightGrad bit
-// for bit, sign bits included — for every Pooled layer and every chunk split.
+// for bit, sign bits included — for every layer and every chunk split.
 // The one-chunk split (chunk = examples) is what the whole-batch engines run;
 // the pipeline runs the others.
 func TestWeightGradChunkMatchesFullBatch(t *testing.T) {
@@ -148,14 +148,5 @@ func TestSoftmaxCrossEntropyChunkMatchesFull(t *testing.T) {
 		if !tensor.Equal(gotGrad, wantGrad) {
 			t.Fatalf("chunk=%d: loss gradient differs", chunk)
 		}
-	}
-}
-
-// TestPipelineUnsupportedLayers documents the layer that opts out of the
-// pooled contract and why (whole-input coupling).
-func TestPipelineUnsupportedLayers(t *testing.T) {
-	var l Layer = NewSelfAttention("attn", 4, tensor.NewRNG(1))
-	if _, ok := l.(Pooled); ok {
-		t.Fatal("SelfAttention must not implement Pooled: it treats the whole input as one sequence")
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"oooback/internal/tensor"
 )
 
-// This file holds the stash half of Pooled: DropStash, StashBytes,
-// StashSource and Restash. A Pooled layer's forward pass is a pure function of
+// This file holds the stash half of the pooled Layer form: DropStash,
+// StashBytes, StashSource and Restash. A layer's forward pass is a pure function of
 // (input, parameters), so the state retained between forward and backward can
 // be dropped to free memory and rebuilt bit-identically later — what
 // activation checkpointing (train.StepRecompute) does. Every stash is a plain

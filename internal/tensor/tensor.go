@@ -130,15 +130,6 @@ func AddTo(dst, src *Tensor) {
 	AddSpan(dst.Data, src.Data)
 }
 
-// Scale returns a*s.
-func Scale(a *Tensor, s float64) *Tensor {
-	out := New(a.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
 // Zero clears the tensor in place.
 func (t *Tensor) Zero() {
 	for i := range t.Data {

@@ -142,9 +142,6 @@ func TestSumRows(t *testing.T) {
 func TestElementwise(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	b := FromSlice([]float64{3, 4}, 2)
-	if got := Scale(a, 2); got.Data[1] != 4 {
-		t.Fatalf("Scale = %v", got.Data)
-	}
 	AddTo(a, b)
 	if a.Data[0] != 4 {
 		t.Fatalf("AddTo = %v", a.Data)

@@ -55,7 +55,7 @@ const taskQueueCap = 1024
 // Both modes run the same step table (stepRows) through the same loop
 // (lane.run); they differ in one flag on its δW rows. From zeroed gradients
 // their gradients are bit-identical to Network.Backward's for every legal
-// schedule: each δW is the layer's one fold (nn.Pooled.WeightGradAcc) and
+// schedule: each δW is the layer's one fold (nn.Layer.WeightGradAcc) and
 // touches only its own layer's parameter gradients, each runs exactly once per
 // pass, and the accumulation order within a layer is unchanged — reordering across
 // layers never reorders floating-point additions into the same accumulator.
@@ -65,9 +65,8 @@ const taskQueueCap = 1024
 // An Executor is reusable across steps and networks; the warm path performs
 // no allocations. It is not safe for concurrent use: one call at a time, and
 // Close only after the last one returned; a concurrent executor returns
-// ErrClosed from then on. A nil *Executor is the naive reference: its methods
-// reach Network.Forward and Network.Backward, or run the plain allocating
-// layer methods (StepRecompute).
+// ErrClosed from then on. The naive reference the engines are compared with is
+// train.Step and Network.Backward.
 type Executor struct {
 	mode    ExecMode
 	workers int
@@ -115,7 +114,7 @@ func NewExecutor(mode ExecMode, workers int) *Executor {
 		workers = max(runtime.GOMAXPROCS(0)-1, 1)
 	}
 	e := &Executor{mode: mode, workers: workers}
-	e.lane = newLane(0, &e.obs, tensor.NewWorkspace())
+	e.lane = newLane(0, &e.obs)
 	if mode == ExecConcurrent {
 		e.lane.pool = e
 		e.tasks = make(chan dwTask, taskQueueCap)
@@ -128,47 +127,11 @@ func NewExecutor(mode ExecMode, workers int) *Executor {
 	return e
 }
 
-// The three ws* helpers are how the loop runs a layer: through its nn.Pooled
-// method when it has one and the lane runs pooled, through the plain
-// allocating method otherwise. A lane with no workspace runs plain, which is
-// how a nil *Executor stays the naive ledger reference; the δW fold takes no
-// workspace, so its helper is told directly.
-
-func wsForward(l nn.Layer, x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if p, ok := l.(nn.Pooled); ok && ws != nil {
-		return p.ForwardWS(x, ws)
-	}
-	return l.Forward(x)
-}
-
-func wsInputGrad(l nn.Layer, g *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
-	if p, ok := l.(nn.Pooled); ok && ws != nil {
-		return p.InputGradWS(g, ws)
-	}
-	return l.InputGrad(g)
-}
-
-func wsWeightGrad(l nn.Layer, g *tensor.Tensor, pooled bool) {
-	if p, ok := l.(nn.Pooled); ok && pooled {
-		p.WeightGradAcc(g)
-		return
-	}
-	l.WeightGrad(g)
-}
-
-// Mode returns the executor's execution mode (serial for a nil receiver).
-func (e *Executor) Mode() ExecMode {
-	if e == nil {
-		return ExecSerial
-	}
-	return e.mode
-}
-
 // Close stops the worker pool; later Backward and Step calls return
 // ErrClosed. Idempotent; must not overlap a Backward call. Serial executors
 // own no goroutines, so closing one is a no-op.
 func (e *Executor) Close() {
-	if e == nil || e.mode != ExecConcurrent {
+	if e.mode != ExecConcurrent {
 		return
 	}
 	e.once.Do(func() {
@@ -181,11 +144,7 @@ func (e *Executor) Close() {
 // Observe attaches the executor's observer (nil detaches). Lane 0 is the
 // calling goroutine — the δO chain, then the δW ops it drains after the
 // chain's last δO — lane 1+w pool worker w; see OpEvent.
-func (e *Executor) Observe(obs Observer) {
-	if e != nil {
-		e.obs = obs
-	}
-}
+func (e *Executor) Observe(obs Observer) { e.obs = obs }
 
 // worker is one pool goroutine, with a lane of its own to report on. After a
 // task it polls the queue briefly before it parks (recvSoon): the chain issues
@@ -268,15 +227,12 @@ func (e *Executor) table(L int, srcs []nn.StashSource, sched graph.BackwardSched
 // goroutine, a concurrent one hands each δW to the pool at its schedule
 // position and keeps the δO chain on the caller, which joins the pool once
 // the chain is done. From zeroed gradients both produce bit-identical
-// parameter gradients and the same PeakLiveGrads as Network.Backward, which is
-// what a nil receiver calls. From non-zero gradients each δW continues its
-// layer's fold (nn.Pooled.WeightGradAcc) instead of adding a finished sum, so
+// parameter gradients and the same PeakLiveGrads as Network.Backward. From
+// non-zero gradients each δW continues its layer's fold
+// (nn.Layer.WeightGradAcc) instead of adding a finished sum, so
 // the bits may differ from Network.Backward's; a step (Step) always zeroes
 // first.
 func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.BackwardSchedule) (BackwardStats, error) {
-	if e == nil {
-		return n.Backward(lossGrad, sched)
-	}
 	L := len(n.Layers)
 	rows, peak, err := e.table(L, nil, sched, 0)
 	if err != nil {
@@ -289,12 +245,9 @@ func (e *Executor) Backward(n *Network, lossGrad *tensor.Tensor, sched graph.Bac
 }
 
 // Step runs one full training step (forward, loss, backward under the
-// executor's engine, optimizer update) and returns the loss. A nil receiver
-// runs train.Step, the naive reference.
+// executor's engine, optimizer update) and returns the loss; train.Step is
+// its naive reference.
 func (e *Executor) Step(n *Network, x *tensor.Tensor, labels []int, sched graph.BackwardSchedule, opt nn.Optimizer) (float64, error) {
-	if e == nil {
-		return Step(n, x, labels, sched, opt)
-	}
 	rows, _, err := e.table(len(n.Layers), nil, sched, 0)
 	if err != nil {
 		return 0, err

@@ -94,52 +94,3 @@ func TestNLPTrainingConvergesIdentically(t *testing.T) {
 		t.Fatalf("NLP training did not reduce loss: %v", convLoss)
 	}
 }
-
-// TestTransformerSemanticsPreservation runs the check on a mini-transformer
-// including self-attention — the layer family the paper's pipeline
-// experiments schedule at transformer granularity.
-func TestTransformerSemanticsPreservation(t *testing.T) {
-	const (
-		vocab, dim, seqLen, classes = 40, 8, 12, 3
-		L                           = 6
-	)
-	rng := tensor.NewRNG(61)
-	net := &Network{Layers: []nn.Layer{
-		nn.NewEmbedding("emb", vocab, dim, rng),
-		nn.NewLayerNorm("ln1", dim, rng),
-		nn.NewSelfAttention("attn", dim, rng),
-		nn.NewLayerNorm("ln2", dim, rng),
-		nn.NewMeanPool1D("pool", seqLen),
-		nn.NewDense("fc", dim, classes, rng),
-	}}
-	// One sequence per "sample": batch = number of pooled rows.
-	x, labels := tokenBatch(71, 4, seqLen, vocab, classes)
-
-	run := func(s graph.BackwardSchedule) map[string]*tensor.Tensor {
-		net.ZeroGrads()
-		logits := net.Forward(x)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		if _, err := net.Backward(grad, s); err != nil {
-			t.Fatal(err)
-		}
-		return GradSnapshot(net)
-	}
-	ref := run(graph.Conventional(L))
-	if got := run(core.FastForward(L)); !SnapshotsEqual(ref, got) {
-		t.Fatal("fast-forward transformer gradients differ")
-	}
-	if got := run(reverseKOrder(L, 4)); !SnapshotsEqual(ref, got) {
-		t.Fatal("reverse-first-4 transformer gradients differ")
-	}
-	// All three attention projections actually received gradient.
-	for _, name := range []string{"attn.Wq", "attn.Wk", "attn.Wv"} {
-		g := ref[name]
-		var norm float64
-		for _, v := range g.Data {
-			norm += v * v
-		}
-		if norm == 0 {
-			t.Fatalf("%s gradient is zero", name)
-		}
-	}
-}

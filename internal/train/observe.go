@@ -42,7 +42,7 @@ const (
 	// (Executor.StepRecompute) to rebuild state its backward pass dropped.
 	OpRefwd
 	// OpRestash is one layer's stash rebuilt by a checkpointed step from an
-	// activation it kept (nn.Pooled.Restash): no output is computed.
+	// activation it kept (nn.Layer.Restash): no output is computed.
 	OpRestash
 )
 

@@ -26,7 +26,7 @@ import (
 // parameter update of the serial full-batch reference (Network.Backward after
 // one full-batch forward), for every schedule, stage count, microbatch count
 // and GOMAXPROCS. Microbatch δW accumulation continues the full-batch fold
-// in place (nn.Pooled.WeightGradAcc over tensor.TMatMulAcc/SumRowsAcc),
+// in place (nn.Layer.WeightGradAcc over tensor.TMatMulAcc/SumRowsAcc),
 // microbatch loss continues the full-batch loss fold (nn.SoftmaxCrossEntropyChunk), and
 // per-layer δW chunks execute in ascending microbatch order because each
 // stage's deferral queue is FIFO and its table (stageRows) emits backwards in
@@ -207,9 +207,7 @@ type pipeStage struct {
 }
 
 // NewPipeline partitions proto into cfg.Stages contiguous stages and starts
-// their goroutines. Every layer must be nn.Pooled, whose δW fold splits a
-// batch into microbatches; a layer that is not — SelfAttention, which couples
-// its whole input as one sequence — is rejected here.
+// their goroutines.
 func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipeline, error) {
 	L := len(proto.Layers)
 	S := cfg.Stages
@@ -238,11 +236,6 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	}
 	if err != nil {
 		return nil, err
-	}
-	for _, l := range proto.Layers {
-		if _, ok := l.(nn.Pooled); !ok {
-			return nil, fmt.Errorf("train: layer %q does not support microbatch execution (not nn.Pooled)", l.Name())
-		}
 	}
 	p := &Pipeline{
 		proto:    proto,
@@ -277,7 +270,7 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 		}
 		p.nets[m] = net
 	}
-	p.caller = newLane(S, &p.obs, tensor.NewWorkspace())
+	p.caller = newLane(S, &p.obs)
 	p.caller.bind(proto, nil, nil)
 	// Inter-stage queues with capacity M: producers never block.
 	actCh := make([]chan pipeMsg, S-1)

@@ -197,11 +197,6 @@ func TestPipelineConfigValidation(t *testing.T) {
 			Partition: graph.Partition{L: 5, Bounds: []int{0, 4, 2, 5}}}},
 		{"partition no bounds", build(), PipelineConfig{Stages: 2, Build: build,
 			Partition: graph.Partition{L: 5}}},
-		{"attention", &Network{Layers: []nn.Layer{
-			nn.NewDense("d", 4, 4, tensor.NewRNG(1)),
-			nn.NewSelfAttention("attn", 4, tensor.NewRNG(2)),
-			nn.NewDense("e", 4, 4, tensor.NewRNG(3)),
-		}}, PipelineConfig{Stages: 2, Build: build}},
 	}
 	for _, c := range cases {
 		if _, err := NewPipeline(c.net, opt, c.cfg); err == nil {

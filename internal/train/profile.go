@@ -47,8 +47,6 @@ func layerTypeName(l nn.Layer) string {
 		return "layernorm"
 	case *nn.MeanPool1D:
 		return "meanpool1d"
-	case *nn.SelfAttention:
-		return "attention"
 	default:
 		return "layer"
 	}

@@ -28,12 +28,12 @@ type RecomputeStats struct {
 	// RecomputeShare is RecomputedLayers / L.
 	RecomputeShare float64
 	// RestashedLayers counts stashes the backward pass rebuilt from a resident
-	// activation (nn.Pooled.Restash) instead of re-running a forward.
+	// activation (nn.Layer.Restash) instead of re-running a forward.
 	RestashedLayers int
 }
 
 // recomputeRows is the table of a checkpointed step over layers whose stashes
-// rebuild from srcs[i-1] (nn.Pooled.StashSource; only read when every > 1).
+// rebuild from srcs[i-1] (nn.Layer.StashSource; only read when every > 1).
 // The forward rows keep activation a_j only at checkpoint boundaries (j %
 // every == 0; the batch a_0 is always resident, the data loader holds it) and,
 // with checkpointing on (every > 1), count each layer's stash while its
@@ -178,20 +178,20 @@ func tensorBytes(t *tensor.Tensor) int64 { return 8 * int64(t.Len()) }
 // resident, record the peak, then release (and actually drop) what the row's
 // flags say nothing needs any more.
 func (led *ledger) apply(r row, l *lane) {
-	stasher := func() nn.Pooled { return l.nets[0].Layers[r.layer-1].(nn.Pooled) }
+	layer := func() nn.Layer { return l.nets[0].Layers[r.layer-1] }
 	switch r.kind {
 	case rowFwd:
 		if r.flags&keepAct != 0 {
 			led.bytes += tensorBytes(l.acts[r.layer])
 		}
 		if r.flags&holdStash != 0 {
-			led.bytes += stasher().StashBytes()
+			led.bytes += layer().StashBytes()
 		}
 		if r.flags&reFwd != 0 {
 			led.stats.RecomputedLayers++
 		}
 	case rowRestash:
-		led.bytes += stasher().StashBytes()
+		led.bytes += layer().StashBytes()
 		led.stats.RestashedLayers++
 	case rowLoss:
 		led.stats.CheckpointBytes = led.bytes
@@ -208,7 +208,7 @@ func (led *ledger) apply(r row, l *lane) {
 		l.grads[r.layer] = nil
 	}
 	if r.flags&dropStash != 0 {
-		st := stasher()
+		st := layer()
 		led.bytes -= st.StashBytes()
 		st.DropStash()
 	}
@@ -222,45 +222,33 @@ func (led *ledger) apply(r row, l *lane) {
 // (gradient checkpointing, §6 of the paper): the forward pass keeps only
 // every `every`-th activation and drops every layer's stash; the first time
 // a layer's backward needs its stash, the backward pass rebuilds it from the
-// activation it is a function of (nn.Pooled.Restash), re-running the segment
+// activation it is a function of (nn.Layer.Restash), re-running the segment
 // from the nearest surviving checkpoint only when that activation is gone too.
 // every ≤ 1 disables checkpointing (full retention, no recompute) but still
 // reports the byte ledger, making it the comparison baseline.
 //
 // Parameter gradients, loss and the post-step parameters are bitwise
-// identical to train.Step on the same state for every legal schedule: with
-// checkpointing on, every layer must be nn.Pooled (its forward is a pure
-// function of input and parameters, it can drop its stash, and Restash
-// rebuilds the stash its forward built), so a restash or a re-run rebuilds
-// exactly the state the first run built.
+// identical to train.Step on the same state for every legal schedule: every
+// layer's forward is a pure function of input and parameters, it can drop its
+// stash, and Restash rebuilds the stash its forward built, so a restash or a
+// re-run rebuilds exactly the state the first run built.
 // Only the serial engine supports checkpointing — rebuilding a stash mutates
 // shared layer state, which would race with ExecConcurrent's δW pool.
 //
 // The step is the recomputeRows table run by the executor's lane like any
 // other (events on lane 0, a re-forward as OpRefwd, a restash as OpRestash)
-// with the byte ledger folded over the rows; a warm step on an executor
-// allocates nothing. A nil receiver runs the same table on a fresh lane
-// without a workspace, that is its forward and backward rows through the
-// plain allocating layer methods, and its restash rows through the one
-// Restash every layer has: the naive ledger reference.
+// with the byte ledger folded over the rows; a warm step allocates nothing.
 func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	sched graph.BackwardSchedule, every int, opt nn.Optimizer) (float64, RecomputeStats, error) {
-	if e.Mode() == ExecConcurrent {
-		return 0, RecomputeStats{}, fmt.Errorf("train: recompute requires the serial engine, executor is %v", e.Mode())
-	}
-	if e == nil {
-		e = &Executor{}
-		e.lane = newLane(0, &e.obs, nil)
+	if e.mode == ExecConcurrent {
+		return 0, RecomputeStats{}, fmt.Errorf("train: recompute requires the serial engine, executor is %v", e.mode)
 	}
 	every = max(every, 1)
 	e.srcs = e.srcs[:0]
-	for i := 0; every > 1 && i < len(n.Layers); i++ {
-		p, ok := n.Layers[i].(nn.Pooled)
-		if !ok {
-			return 0, RecomputeStats{}, fmt.Errorf(
-				"train: layer %d (%s) does not support recompute (not nn.Pooled)", i+1, n.Layers[i].Name())
+	if every > 1 {
+		for _, l := range n.Layers {
+			e.srcs = append(e.srcs, l.StashSource())
 		}
-		e.srcs = append(e.srcs, p.StashSource())
 	}
 	rows, peak, err := e.table(len(n.Layers), e.srcs, sched, every)
 	if err != nil {

@@ -11,12 +11,12 @@ import (
 	"oooback/internal/nn"
 )
 
-// stashSources is what StepRecompute reads off a network of nn.Pooled layers:
-// each layer's stash source.
+// stashSources is what StepRecompute reads off a network: each layer's stash
+// source.
 func stashSources(n *Network) []nn.StashSource {
 	srcs := make([]nn.StashSource, len(n.Layers))
 	for i, l := range n.Layers {
-		srcs[i] = l.(nn.Pooled).StashSource()
+		srcs[i] = l.StashSource()
 	}
 	return srcs
 }
