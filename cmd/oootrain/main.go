@@ -1,6 +1,8 @@
 // Command oootrain trains a real model (CPU tensors, decoupled δO/δW
 // autograd) under a chosen backward schedule, optionally verifying that the
-// run is bit-for-bit identical to conventional backprop.
+// run is bit-for-bit identical to conventional backprop. The single-process
+// run trains through the concurrent executor: the δO chain on the calling
+// goroutine, each δW on a worker pool at its schedule position.
 //
 // With -replicas N > 1 the run is data-parallel: each step's batch is
 // sharded across N model replicas, their backward passes run concurrently,
@@ -108,14 +110,16 @@ func main() {
 	}
 
 	net, opt := j.build(), mkOpt(*optName)
+	exec := train.NewExecutor(train.ExecConcurrent, 0)
 	fmt.Printf("arch=%s schedule=%s optimizer=%s steps=%d\n", *arch, *schedule, *optName, *steps)
 	run := j.run("training", net, func(i int) (float64, error) {
-		loss, err := train.Step(net, j.x, j.labels, sched, opt)
+		loss, err := exec.Step(net, j.x, j.labels, sched, opt)
 		if err == nil {
 			fmt.Printf("step %2d  loss %.6f\n", i, loss)
 		}
 		return loss, err
 	})
+	exec.Close()
 	fmt.Println(lossSpan(run))
 
 	if *verify {
