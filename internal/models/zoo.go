@@ -6,9 +6,9 @@ import (
 )
 
 // ZooEntry is one named model configuration of the paper's Table 1, buildable
-// for any GPU profile. The zoo gives network-facing surfaces (the planning
-// service, the dashboards) a stable, validated set of model names so callers
-// can request a plan without shipping a full layer-cost profile.
+// for any GPU profile. The zoo gives the planning service and the zoo-wide
+// experiments a stable, validated set of model names, so callers can request
+// a plan without shipping a full layer-cost profile.
 type ZooEntry struct {
 	// Name is the canonical lower-case identifier ("resnet50", "bert24", ...).
 	Name string

@@ -1,8 +1,7 @@
 // Package cache provides a bounded LRU result cache with singleflight
 // collapse: concurrent lookups of the same key share one computation instead
 // of racing to compute it N times. The planning service fronts every plan
-// computation with one of these (keyed by request fingerprint), and the
-// experiment dashboard reuses the same layer for its deterministic reports.
+// computation with one of these (keyed by request fingerprint).
 //
 // Values must be immutable once returned — every hit and every collapsed
 // waiter receives the same V.
