@@ -93,7 +93,7 @@ func TestFanOutDecisions(t *testing.T) {
 	kernels = append(kernels, convFanOutKernels("conv/conv1", 1, 16, 8, nil, nil, nil)...)
 	// conv2: 8×14×14 → 16×12×12, 2.65 MFLOP per kernel at 8.
 	kernels = append(kernels, convFanOutKernels("conv/conv2", 8, 14, 16,
-		[]int{32, 16}, []int{32, 16}, []int{32, 16})...)
+		[]int{32, 16, 8}, []int{32, 16, 8}, []int{32, 16, 8})...)
 	kernels = append(kernels, denseFanOutKernels("conv/fc", 16*6*6, 10)...)
 	// The MLP's widest GEMM, the 96×96 Dense at 32, is 0.59 MFLOP.
 	kernels = append(kernels, denseFanOutKernels("mlp/fc1", 64, 96)...)

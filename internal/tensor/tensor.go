@@ -173,8 +173,12 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 // matmulParallelThreshold is the FLOP count above which the GEMM kernels fan
 // rows out across goroutines. Each output row is computed entirely by one
 // worker in the same accumulation order as the serial path, so the result is
-// bitwise identical and deterministic regardless of scheduling.
-const matmulParallelThreshold = 1 << 22
+// bitwise identical and deterministic regardless of scheduling. 1 MFLOP is
+// about 70 µs of one core's AVX2 GEMM, far above the few µs a fan-out costs:
+// it is low enough that a pipeline stage's conv GEMMs on a micro-batch of 8
+// (2.65 MFLOP) fan out onto the core the other stage leaves idle, and high
+// enough that the MLP's 96×96 Dense at batch 32 (0.59 MFLOP) stays serial.
+const matmulParallelThreshold = 1 << 20
 
 // MatMul computes a[m×k] · b[k×n] with a fixed ikj accumulation order so
 // results are reproducible across schedules (and across the serial, parallel
