@@ -41,65 +41,96 @@ func pipeCases() []pipeCase {
 // happens-before edges.
 func TestPipelineMatchesSerialReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const steps = 3
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, c := range pipeCases() {
-			L := len(c.build().Layers)
 			for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
 				for _, stages := range []int{2, 3, 4} {
 					for _, noFill := range []bool{false, true} {
 						name := fmt.Sprintf("p%d/%s/%v/s%d/fill=%v", procs, c.name, sched, stages, !noFill)
 						micro := stages + 1 // uneven example chunks
-						pipe, err := NewPipeline(c.build(), &nn.SGD{LR: 0.05}, PipelineConfig{
+						checkPipelineAgainstStep(t, name, c, PipelineConfig{
 							Stages: stages, MicroBatches: micro, Schedule: sched,
 							Build: c.build, NoDWFill: noFill,
 						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						ref := c.build()
-						refSched := graph.Conventional(L)
-						refOpt := &nn.SGD{LR: 0.05}
-						for s := 0; s < steps; s++ {
-							pl, st, err := pipe.Step(c.x, c.labels)
-							if err != nil {
-								t.Fatalf("%s step %d: %v", name, s, err)
-							}
-							rl, err := Step(ref, c.x, c.labels, refSched, refOpt)
-							if err != nil {
-								t.Fatalf("%s step %d ref: %v", name, s, err)
-							}
-							if pl != rl {
-								t.Fatalf("%s step %d: pipeline loss %v != reference %v", name, s, pl, rl)
-							}
-							if noFill && st.BubbleFilled() != 0 {
-								t.Fatalf("%s: DWFill time with fill disabled", name)
-							}
-							if !noFill {
-								var inline int64
-								for _, ps := range st.PerStage {
-									inline += int64(ps.DWInline)
-								}
-								if inline != 0 {
-									t.Fatalf("%s: inline δW time with fill enabled", name)
-								}
-							}
-							if r := st.FillRatio(); r < 0 || r > 1 {
-								t.Fatalf("%s: fill ratio %v", name, r)
-							}
-						}
-						if !SnapshotsEqual(GradSnapshot(pipe.proto), GradSnapshot(ref)) {
-							t.Fatalf("%s: gradients differ from serial reference", name)
-						}
-						if !SnapshotsEqual(ParamSnapshot(pipe.proto), ParamSnapshot(ref)) {
-							t.Fatalf("%s: parameters differ from serial reference", name)
-						}
-						pipe.Close()
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestPipelineFanOutMatchesSerialReference is the differential suite on the
+// benchmark's pipe2x4 shape: ConvNet(11,16,8,10) at batch 32 over two stages
+// of four micro-batches of 8. Stage 0 holds conv2, whose three kernels fan
+// out over parallelRows at a micro-batch of 8 once GOMAXPROCS > 1, so here
+// (unlike pipeCases' small nets) fanned-out chunks run inside a stage lane
+// while the other lane polls for its next hand-off — under -race too.
+func TestPipelineFanOutMatchesSerialReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	x, labels := data.Images(53, 32, 1, 16, 16, 10)
+	c := pipeCase{"conv16", func() *Network { return ConvNet(11, 16, 8, 10) }, x, labels}
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, sched := range []PipeSchedule{PipeGPipe, Pipe1F1B} {
+			for _, noFill := range []bool{false, true} {
+				checkPipelineAgainstStep(t, fmt.Sprintf("p%d/%v/fill=%v", procs, sched, !noFill), c, PipelineConfig{
+					Stages: 2, MicroBatches: 4, Schedule: sched, Build: c.build, NoDWFill: noFill,
+				})
+			}
+		}
+	}
+}
+
+// checkPipelineAgainstStep trains c for three steps on a pipeline built with
+// cfg and on train.Step's serial full-batch reference, and fails unless every
+// step's loss and the final gradients and parameters are bitwise identical,
+// and the bubble-fill statistics agree with cfg.NoDWFill.
+func checkPipelineAgainstStep(t *testing.T, name string, c pipeCase, cfg PipelineConfig) {
+	t.Helper()
+	const steps = 3
+	noFill := cfg.NoDWFill
+	pipe, err := NewPipeline(c.build(), &nn.SGD{LR: 0.05}, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer pipe.Close()
+	ref := c.build()
+	refSched := graph.Conventional(len(ref.Layers))
+	refOpt := &nn.SGD{LR: 0.05}
+	for s := 0; s < steps; s++ {
+		pl, st, err := pipe.Step(c.x, c.labels)
+		if err != nil {
+			t.Fatalf("%s step %d: %v", name, s, err)
+		}
+		rl, err := Step(ref, c.x, c.labels, refSched, refOpt)
+		if err != nil {
+			t.Fatalf("%s step %d ref: %v", name, s, err)
+		}
+		if pl != rl {
+			t.Fatalf("%s step %d: pipeline loss %v != reference %v", name, s, pl, rl)
+		}
+		if noFill && st.BubbleFilled() != 0 {
+			t.Fatalf("%s: DWFill time with fill disabled", name)
+		}
+		if !noFill {
+			var inline int64
+			for _, ps := range st.PerStage {
+				inline += int64(ps.DWInline)
+			}
+			if inline != 0 {
+				t.Fatalf("%s: inline δW time with fill enabled", name)
+			}
+		}
+		if r := st.FillRatio(); r < 0 || r > 1 {
+			t.Fatalf("%s: fill ratio %v", name, r)
+		}
+	}
+	if !SnapshotsEqual(GradSnapshot(pipe.proto), GradSnapshot(ref)) {
+		t.Fatalf("%s: gradients differ from serial reference", name)
+	}
+	if !SnapshotsEqual(ParamSnapshot(pipe.proto), ParamSnapshot(ref)) {
+		t.Fatalf("%s: parameters differ from serial reference", name)
 	}
 }
 
