@@ -342,10 +342,14 @@ func Rows() []Row {
 		{Name: "TrainDataParallelMLP4", Step: trainDataParallel(MLP, 4)},
 		{Name: "TrainDataParallelConv2", Step: trainDataParallel(Conv, 2)},
 		{Name: "TrainDataParallelNLP2", Step: trainDataParallel(NLP, 2)},
-		{Name: "TrainPipelineGPipeFill", Step: trainPipeline(train.PipeGPipe, true)},
-		{Name: "TrainPipelineGPipeNoFill", Step: trainPipeline(train.PipeGPipe, false)},
-		{Name: "TrainPipeline1F1BFill", Step: trainPipeline(train.Pipe1F1B, true), Gated: true},
-		{Name: "TrainPipeline1F1BNoFill", Step: trainPipeline(train.Pipe1F1B, false)},
+		{Name: "TrainPipelineGPipeFill", Step: trainPipeline(MLP, 3, train.PipeGPipe, true)},
+		{Name: "TrainPipelineGPipeNoFill", Step: trainPipeline(MLP, 3, train.PipeGPipe, false)},
+		{Name: "TrainPipeline1F1BFill", Step: trainPipeline(MLP, 3, train.Pipe1F1B, true), Gated: true},
+		{Name: "TrainPipeline1F1BNoFill", Step: trainPipeline(MLP, 3, train.Pipe1F1B, false)},
+		// The benchmark's pipe2x4 engine on the train_conv net: stage 0 holds
+		// conv1 and conv2, whose kernels fan out on a micro-batch of 8 when
+		// GOMAXPROCS > 1 (the gate runs at 1, where nothing fans out).
+		{Name: "TrainPipelineConv1F1BFill", Step: trainPipeline(convStepNet, 2, train.Pipe1F1B, true), Gated: true},
 		// Whole warm steps of the serial engine — forward, loss, backward,
 		// update — on the nets of the benchmark's two train workloads, plain
 		// and checkpointed every 2. Neither allocates: the checkpointed step's
@@ -442,6 +446,16 @@ func Rows() []Row {
 				dw.Zero()
 				tensor.ConvWeightGradAcc(dw, g, colsT)
 			}, nil
+		}},
+		// conv2 of the conv workload on one pipeline micro-batch: 8 images of
+		// 8×14×14 lowered and multiplied by the 16×72 filter matrix, 2.65
+		// MFLOP, above the GEMM fan-out threshold, so with GOMAXPROCS > 1 the
+		// images split over the processors.
+		{Name: "TensorKernelConvForwardMicro8", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x, wm := tensor.Randn(rng, 1, 8, 8, 14, 14), tensor.Randn(rng, 1, 16, 72)
+			out, colsT := tensor.New(8, 16, 12, 12), tensor.New(8, 72, 144)
+			return func() { tensor.ConvForwardInto(out, colsT, x, wm, 3, 3) }, nil
 		}},
 		// 2×2 max pooling of the conv workload's pooled activation: three
 		// mask selects per output, no branch on the data.
@@ -788,17 +802,18 @@ func trainDataParallel(ref func() RefNet, replicas int) step {
 }
 
 // trainPipeline measures one full microbatch pipeline-parallel training step
-// on the MLP: sharded microbatch forwards, staged δO chain, out-of-order δW
-// bubble filling, optimizer update. The custom metrics decompose the bubble:
+// of ref's net over the given number of stages and four micro-batches:
+// sharded microbatch forwards, staged δO chain, out-of-order δW bubble
+// filling, optimizer update. The custom metrics decompose the bubble:
 // bubble-exposed-ns is stage time blocked with nothing to run,
 // bubble-filled-ns is stage time spent on deferred δW inside bubbles. Filling
 // shows as exposed(fill) < exposed(nofill); on a single-core host the stages
 // serialize and parity is expected.
-func trainPipeline(sched train.PipeSchedule, fill bool) step {
+func trainPipeline(ref func() RefNet, stages int, sched train.PipeSchedule, fill bool) step {
 	return func(tb testing.TB) (func(), func(*testing.B)) {
-		rn := MLP()
+		rn := ref()
 		pipe, err := train.NewPipeline(rn.Build(), &nn.SGD{LR: 0.01}, train.PipelineConfig{
-			Stages: 3, MicroBatches: 4, Schedule: sched, Build: rn.Build, NoDWFill: !fill,
+			Stages: stages, MicroBatches: 4, Schedule: sched, Build: rn.Build, NoDWFill: !fill,
 		})
 		if err != nil {
 			tb.Fatal(err)
