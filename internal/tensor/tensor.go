@@ -174,10 +174,12 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 // rows out across goroutines. Each output row is computed entirely by one
 // worker in the same accumulation order as the serial path, so the result is
 // bitwise identical and deterministic regardless of scheduling. 1 MFLOP is
-// about 70 µs of one core's AVX2 GEMM, far above the few µs a fan-out costs:
-// it is low enough that a pipeline stage's conv GEMMs on a micro-batch of 8
-// (2.65 MFLOP) fan out onto the core the other stage leaves idle, and high
-// enough that the MLP's 96×96 Dense at batch 32 (0.59 MFLOP) stays serial.
+// 20–60 µs of one core's AVX2 GEMM, against about 8 µs that a two-way fan-out
+// adds (TensorKernelConvForwardMicro8 at -cpu 1 and 2, 2-vCPU AMD EPYC): low
+// enough that a pipeline stage's conv GEMMs on a micro-batch of 8 (2.65
+// MFLOP) fan out onto the core the other stage leaves idle, high enough that
+// the MLP's 96×96 Dense at batch 32 (0.59 MFLOP) stays serial — fanned out,
+// it made train_small slower.
 const matmulParallelThreshold = 1 << 20
 
 // MatMul computes a[m×k] · b[k×n] with a fixed ikj accumulation order so
