@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"oooback/internal/tensor"
 )
@@ -426,5 +427,67 @@ func TestConv2DFollowsRepointedWeights(t *testing.T) {
 	}
 	if !tensor.Equal(l.InputGradWS(g, ws), tensor.Conv2DInputGrad(g, l.W.Value, 6, 5)) {
 		t.Fatal("δO after re-pointing W.Value used the old weights")
+	}
+}
+
+// reluSpecials are the tensor suite's rectifier specials: both zeros, NaNs of
+// both signs and with a payload, infinities, subnormals, the extremes.
+var reluSpecials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7ff8000000abcdef),
+	math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1040, -0x1p-1040, math.MaxFloat64, -math.MaxFloat64, 1, -1,
+}
+
+// TestReLURestashMatchesForwardMask: a keep mask rebuilt by DropStash +
+// Restash from the forward's output equals, byte for byte, the mask that
+// forward wrote — on lengths 0–9 and 50 001, with every special value in
+// every lane position. Between the forward and the rebuild a forward on the
+// complementary signs leaves every mask byte wrong, so a rebuild that skips
+// an element shows.
+func TestReLURestashMatchesForwardMask(t *testing.T) {
+	r := tensor.NewRNG(47)
+	ws := tensor.NewWorkspace()
+	maskBytes := func(m []bool) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(m))), len(m)) }
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 50001} {
+		for phase := 0; phase < len(reluSpecials); phase++ {
+			x := &tensor.Tensor{Shape: []int{n}, Data: make([]float64, n)}
+			for i := range x.Data {
+				if i%3 == 0 {
+					x.Data[i] = reluSpecials[(i/3+phase)%len(reluSpecials)]
+				} else {
+					x.Data[i] = r.Norm()
+				}
+			}
+			l := NewReLU("relu")
+			if n == 0 {
+				// No forward takes an empty tensor; the empty output of one
+				// rebuilds an empty mask over a longer stale one.
+				l.ForwardWS(tensor.Randn(r, 1, 5), ws)
+				l.DropStash()
+				l.Restash(x)
+				if len(l.mask) != 0 {
+					t.Fatalf("restash of an empty output left %d mask entries", len(l.mask))
+				}
+				continue
+			}
+			out := l.ForwardWS(x, ws).Clone()
+			want := append([]byte(nil), maskBytes(l.mask)...)
+			flip := &tensor.Tensor{Shape: []int{n}, Data: make([]float64, n)}
+			for i, k := range want {
+				flip.Data[i] = 1 - 2*float64(k)
+			}
+			l.ForwardWS(flip, ws)
+			l.DropStash()
+			l.Restash(out)
+			got := maskBytes(l.mask)
+			if len(got) != n {
+				t.Fatalf("n=%d phase=%d: restashed mask has %d entries", n, phase, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] || want[i] > 1 {
+					t.Fatalf("n=%d phase=%d: restashed mask byte %d = %d, forward wrote %d (x = %v)", n, phase, i, got[i], want[i], x.Data[i])
+				}
+			}
+		}
 	}
 }

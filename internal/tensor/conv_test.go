@@ -378,7 +378,10 @@ func refMaxPool2(x *Tensor) (*Tensor, []int) {
 // TestMaxPool2MatchesReferenceLoop: same maxima and the same argmax on random
 // data, on windows of tied values, with NaN, ±Inf and ±0 in every window
 // position, and on every one of the 6⁴ windows over {NaN, −Inf, −0, +0, 1, 2}
-// — the argmax also from MaxPool2ArgInto, which writes no maxima.
+// — the argmax also from MaxPool2ArgInto, which writes no maxima. The 6⁴
+// windows are also laid out at output widths 1–9, 12 and 13, each window in
+// every column, so every lane of a four-output group and every tail position
+// meets every window. Values are compared as bits, argmax entries exactly.
 func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 	r := NewRNG(99)
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 1, -1}
@@ -395,18 +398,51 @@ func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 	// one, and holds a NaN beside every combination of the others.
 	vals := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 0, 1, 2}
 	windows := len(vals) * len(vals) * len(vals) * len(vals)
+	window := func(wi, pos int) float64 {
+		for ; pos > 0; pos-- {
+			wi /= len(vals)
+		}
+		return vals[wi%len(vals)]
+	}
 	all := New(1, 1, 2, 2*windows)
 	for wi := 0; wi < windows; wi++ {
-		for pos, d := 0, wi; pos < 4; pos, d = pos+1, d/len(vals) {
-			all.Data[(pos/2)*2*windows+2*wi+pos%2] = vals[d%len(vals)]
+		for pos := 0; pos < 4; pos++ {
+			all.Data[(pos/2)*2*windows+2*wi+pos%2] = window(wi, pos)
 		}
 	}
 	inputs = append(inputs, all)
+	for _, ow := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13} {
+		// windows output rows over 2 images × windows/4 channels × 2 rows;
+		// output row q holds window (q + ox) mod windows in column ox.
+		w := 2 * ow
+		x := New(2, windows/4, 4, w)
+		for q := 0; q < windows; q++ {
+			for ox := 0; ox < ow; ox++ {
+				wi := (q + ox) % windows
+				for pos := 0; pos < 4; pos++ {
+					x.Data[(2*q+pos/2)*w+2*ox+pos%2] = window(wi, pos)
+				}
+			}
+		}
+		inputs = append(inputs, x)
+		// Random values with the specials mixed in, on two planes.
+		y := New(1, 2, 6, w)
+		for i := range y.Data {
+			if r.Uint64()%3 == 0 {
+				y.Data[i] = special[r.Uint64()%uint64(len(special))]
+			} else {
+				y.Data[i] = r.Norm()
+			}
+		}
+		inputs = append(inputs, y)
+	}
 	for i, x := range inputs {
 		want, wantArg := refMaxPool2(x)
 		got, gotArg := MaxPool2(x)
-		if !Equal(got, want) {
-			t.Fatalf("input %d: pooled values differ from the reference loop", i)
+		for j := range want.Data {
+			if gb, wb := math.Float64bits(got.Data[j]), math.Float64bits(want.Data[j]); gb != wb {
+				t.Fatalf("input %d %v: pooled[%d] = %#x, reference %#x", i, x.Shape, j, gb, wb)
+			}
 		}
 		argOnly := make([]int, len(wantArg))
 		for j := range argOnly {
@@ -415,7 +451,7 @@ func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 		MaxPool2ArgInto(argOnly, x)
 		for j := range wantArg {
 			if gotArg[j] != wantArg[j] || argOnly[j] != wantArg[j] {
-				t.Fatalf("input %d: argmax[%d] = %d, argmax alone %d, reference %d", i, j, gotArg[j], argOnly[j], wantArg[j])
+				t.Fatalf("input %d %v: argmax[%d] = %d, argmax alone %d, reference %d", i, x.Shape, j, gotArg[j], argOnly[j], wantArg[j])
 			}
 		}
 	}
