@@ -92,10 +92,7 @@ func (r *ReLU) DropStash()               { r.mask = r.mask[:0] }
 func (r *ReLU) StashBytes() int64        { return int64(len(r.mask)) }
 func (r *ReLU) StashSource() StashSource { return StashFromOutput }
 func (r *ReLU) Restash(out *tensor.Tensor) {
-	r.mask = resize(r.mask, len(out.Data))
-	for i, v := range out.Data {
-		r.mask[i] = v > 0
-	}
+	r.mask = tensor.ReLUMaskInto(resize(r.mask, len(out.Data)), out)
 }
 
 // Conv2D owns the lowering the pooled δW replays; the input is borrowed.

@@ -1,8 +1,8 @@
 package tensor
 
-// useVector routes the range kernels of gemm.go, the conv row kernels, ReLU
-// and the elementwise family (elem.go) through the AVX2 bodies of
-// gemm_amd64.s. It is decided once, from CPUID alone; the Go loops run
+// useVector routes the range kernels of gemm.go, the conv row kernels, the
+// max pool, ReLU and the elementwise family (elem.go) through the AVX2 bodies
+// of gemm_amd64.s. It is decided once, from CPUID alone; the Go loops run
 // wherever it is false. Nothing outside the tests ever writes it.
 var useVector = cpuHasAVX2()
 
@@ -28,11 +28,20 @@ func copyRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
 //go:noescape
 func addRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
 
-// reluVec and reluGradVec are the bodies behind ReLUInto and ReLUGradInto
-// (relu.go). n must be positive.
+// maxPool2Vec is the body behind maxPool2 (conv.go); out may be nil, rows and
+// w must be positive.
+//
+//go:noescape
+func maxPool2Vec(out *float64, arg *int, x *float64, rows, w int)
+
+// reluVec, reluMaskVec and reluGradVec are the bodies behind ReLUInto,
+// ReLUMaskInto and ReLUGradInto (relu.go). n must be positive.
 //
 //go:noescape
 func reluVec(out *float64, keep *bool, x *float64, n int)
+
+//go:noescape
+func reluMaskVec(keep *bool, x *float64, n int)
 
 //go:noescape
 func reluGradVec(gin, gradOut *float64, keep *bool, n int)

@@ -22,7 +22,15 @@ func addRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int) {
 	panic("tensor: no vector kernels on this architecture")
 }
 
+func maxPool2Vec(out *float64, arg *int, x *float64, rows, w int) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
 func reluVec(out *float64, keep *bool, x *float64, n int) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func reluMaskVec(keep *bool, x *float64, n int) {
 	panic("tensor: no vector kernels on this architecture")
 }
 

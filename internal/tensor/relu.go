@@ -44,6 +44,28 @@ func ReLUInto(dst *Tensor, keep []bool, x *Tensor) *Tensor {
 	return dst
 }
 
+// ReLUMaskInto writes ReLUInto's keep mask alone, keep[i] = x[i] > 0, fully
+// overwriting keep (same element count) and writing no rectified value. The
+// rectified output is > 0 exactly where its input is, so a checkpointed step
+// rebuilds a dropped mask from the output with it.
+func ReLUMaskInto(keep []bool, x *Tensor) []bool {
+	n := len(x.Data)
+	if len(keep) != n {
+		panic(fmt.Sprintf("tensor: ReLUMaskInto %d mask entries for input %v", len(keep), x.Shape))
+	}
+	if n == 0 {
+		return keep
+	}
+	if useVector {
+		reluMaskVec(&keep[0], &x.Data[0], n)
+		return keep
+	}
+	for i, v := range x.Data {
+		keep[i] = v > 0
+	}
+	return keep
+}
+
 // ReLUGradInto writes gradOut masked by keep into dst (same element count):
 // a kept gradient keeps its bits, the rest become +0.
 func ReLUGradInto(dst, gradOut *Tensor, keep []bool) *Tensor {

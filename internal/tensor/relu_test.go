@@ -14,11 +14,12 @@ var reluSpecials = []float64{
 	0x1p-1040, -0x1p-1040, math.MaxFloat64, -math.MaxFloat64, 1, -1,
 }
 
-// TestReLUVectorMatchesGoLoop: forward and backward, vector body against the
-// Go loop, on lengths 0–9 and 50 001 at an odd element offset, every special
-// value in every lane position. Outputs are compared as bits (a kept NaN keeps
-// its payload on both paths — nothing is computed), the mask as bytes, each of
-// which must be exactly 0 or 1; and both must agree with the definition.
+// TestReLUVectorMatchesGoLoop: forward, mask alone and backward, vector body
+// against the Go loop, on lengths 0–9 and 50 001 at an odd element offset,
+// every special value in every lane position. Outputs are compared as bits (a
+// kept NaN keeps its payload on both paths — nothing is computed), the masks
+// as bytes, each of which must be exactly 0 or 1; and all must agree with the
+// definition.
 func TestReLUVectorMatchesGoLoop(t *testing.T) {
 	if !useVector {
 		t.Skip("no vector path on this CPU (or this is the portable run)")
@@ -37,23 +38,31 @@ func TestReLUVectorMatchesGoLoop(t *testing.T) {
 			x := &Tensor{Shape: []int{n}, Data: oddSlice(n, fill(0))}
 			g := &Tensor{Shape: []int{n}, Data: oddSlice(n, fill(1))}
 			type result struct {
-				out, gin *Tensor
-				keep     []bool
+				out, gin   *Tensor
+				keep, mask []bool
 			}
 			run := func() result {
-				res := result{out: Randn(r, 1, n+1), gin: Randn(r, 1, n+1), keep: make([]bool, n+1)[1:]}
+				res := result{out: Randn(r, 1, n+1), gin: Randn(r, 1, n+1), keep: make([]bool, n+1)[1:], mask: make([]bool, n+1)[1:]}
 				res.out.Data, res.gin.Data = res.out.Data[1:], res.gin.Data[1:]
+				for i := range res.mask {
+					res.mask[i] = i%2 == 0
+				}
 				ReLUInto(res.out, res.keep, x)
+				ReLUMaskInto(res.mask, x)
 				ReLUGradInto(res.gin, g, res.keep)
 				return res
 			}
 			vec := run()
 			var ref result
 			onGoPath(func() { ref = run() })
-			vb, rb := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vec.keep))), n), unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ref.keep))), n)
+			bytesOf := func(m []bool) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(m))), n) }
+			vb, rb, vm, rm := bytesOf(vec.keep), bytesOf(ref.keep), bytesOf(vec.mask), bytesOf(ref.mask)
 			for i := 0; i < n; i++ {
 				if vb[i] != rb[i] || vb[i] > 1 {
 					t.Fatalf("n=%d phase=%d: mask byte %d = %d, Go loop %d (x = %v)", n, phase, i, vb[i], rb[i], x.Data[i])
+				}
+				if vm[i] != vb[i] || rm[i] != vb[i] {
+					t.Fatalf("n=%d phase=%d: mask alone byte %d = %d, Go loop %d, forward's %d (x = %v)", n, phase, i, vm[i], rm[i], vb[i], x.Data[i])
 				}
 				if want := x.Data[i] > 0; vec.keep[i] != want {
 					t.Fatalf("n=%d phase=%d: keep[%d] = %v for x = %v", n, phase, i, vec.keep[i], x.Data[i])
@@ -84,6 +93,7 @@ func TestReLUShapePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"forward: dst":   func() { ReLUInto(New(3), make([]bool, 4), New(4)) },
 		"forward: mask":  func() { ReLUInto(New(4), make([]bool, 3), New(4)) },
+		"mask alone":     func() { ReLUMaskInto(make([]bool, 5), New(4)) },
 		"backward: dst":  func() { ReLUGradInto(New(5), New(4), make([]bool, 4)) },
 		"backward: mask": func() { ReLUGradInto(New(4), New(4), nil) },
 	} {
@@ -98,5 +108,6 @@ func TestReLUShapePanics(t *testing.T) {
 	}
 	empty := &Tensor{Shape: []int{0}}
 	ReLUInto(empty, nil, empty)
+	ReLUMaskInto(nil, empty)
 	ReLUGradInto(empty, empty, nil)
 }
