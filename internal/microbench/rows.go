@@ -379,6 +379,17 @@ func Rows() []Row {
 			op()
 			return op, nil
 		}},
+		// A checkpointed step's rebuild of the rectifier's dropped keep mask
+		// from its output, at the same size: a compare per element, no
+		// rectified value written.
+		{Name: "NNReLURestash", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			relu, ws := nn.NewReLU("relu"), tensor.NewWorkspace()
+			out := relu.ForwardWS(tensor.Randn(tensor.NewRNG(1), 1, 32, 16, 12, 12), ws)
+			return func() {
+				relu.DropStash()
+				relu.Restash(out)
+			}, nil
+		}},
 		// The pooled forward, δO and δW of the MLP's hidden Dense layer
 		// (x[32×96]·W[96×96]): three GEMMs, the bias broadcast, and the δW
 		// folded straight into the parameter gradients.
@@ -458,11 +469,19 @@ func Rows() []Row {
 			return func() { tensor.ConvForwardInto(out, colsT, x, wm, 3, 3) }, nil
 		}},
 		// 2×2 max pooling of the conv workload's pooled activation: three
-		// mask selects per output, no branch on the data.
+		// compares per output, each a blend of the value and its window
+		// offset (four outputs per vector step), no branch on the data.
 		{Name: "TensorKernelMaxPool2", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			x, out := tensor.Randn(tensor.NewRNG(1), 1, 32, 16, 12, 12), tensor.New(32, 16, 6, 6)
 			arg := make([]int, out.Len())
 			return func() { tensor.MaxPool2Into(out, arg, x) }, nil
+		}},
+		// The same scan as a checkpointed step's restash runs it: the argmax
+		// map alone, no pooled output written.
+		{Name: "TensorKernelMaxPool2Arg", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			x := tensor.Randn(tensor.NewRNG(1), 1, 32, 16, 12, 12)
+			arg := make([]int, x.Len()/4)
+			return func() { tensor.MaxPool2ArgInto(arg, x) }, nil
 		}},
 		// The elementwise add that folds the hidden Dense layer's δW (96×96)
 		// into its gradient and sums data-parallel gradient buckets.
