@@ -17,9 +17,9 @@ import (
 // 250 µs also covers the two gaps a back-to-back small step has — the caller's
 // update (≈ 50 µs) between two commands, and update + zero + forward
 // (≈ 210 µs) between a pool worker's last δW and its next. Measured
-// (DESIGN.md §7): at 100 µs train_small's speedup_geomean reads 1.00, at 250
-// µs 1.08, at 500 µs no better; train_conv's ooo ÷ serial step stays at
-// 0.97–1.00 throughout, because a poll ends the moment a kernel fans out.
+// (DESIGN.md §7 *Hand-offs*): train_small's speedup_geomean reads 1.00 at
+// 100 µs, 1.08 at 250 µs, no better at 500 µs; train_conv's ooo ÷ serial
+// step stays at 0.97–1.00 throughout, as a poll ends when a kernel fans out.
 const handoffPoll = 250 * time.Microsecond
 
 // poller is one goroutine's polling record: whether its recent polls found
