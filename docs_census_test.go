@@ -49,24 +49,31 @@ func decimals(text string) []string {
 	return out
 }
 
-// docsReport is the set of decimals that results/<id>.txt prints for each of
-// ids that has a report; ok is false when none has.
-func docsReport(t *testing.T, ids []string) (printed map[string]bool, ok bool) {
-	printed = map[string]bool{}
+// docsReport returns the decimals that the reports results/<id>.txt of ids
+// print, and the names of the reports that exist ("" when none does).
+func docsReport(t *testing.T, ids []string) (printed map[string]bool, names string) {
+	var text, found []string
 	for _, id := range ids {
-		b, err := os.ReadFile(filepath.Join("results", id+".txt"))
+		name := filepath.Join("results", id+".txt")
+		b, err := os.ReadFile(name)
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok = true
-		for _, d := range decimals(string(b)) {
-			printed[d] = true
-		}
+		text, found = append(text, string(b)), append(found, name)
 	}
-	return printed, ok
+	return decimalSet(strings.Join(text, "\n")), strings.Join(found, ", ")
+}
+
+// decimalSet is decimals(text) as a set.
+func decimalSet(text string) map[string]bool {
+	set := map[string]bool{}
+	for _, d := range decimals(text) {
+		set[d] = true
+	}
+	return set
 }
 
 // docsIDs splits a section heading's or table cell's id list ("fig9 +
@@ -132,13 +139,13 @@ func TestDocsCensusQuotedNumbers(t *testing.T) {
 	paperOf := map[string]string{}
 	checked := 0
 	for _, s := range experimentSections(t) {
-		printed, ok := docsReport(t, s.ids)
-		if !ok {
+		printed, reports := docsReport(t, s.ids)
+		if reports == "" {
 			continue
 		}
 		checked++
 		paperOf[s.ids[0]] = s.paper
-		check("EXPERIMENTS.md", s.ids[0], s.measured, printed, "results/"+strings.Join(s.ids, ".txt, results/")+".txt")
+		check("EXPERIMENTS.md", s.ids[0], s.measured, printed, reports)
 	}
 	if checked < 25 {
 		t.Fatalf("only %d EXPERIMENTS.md sections have a report: is the heading form \"## <id> — <title>\" still in use?", checked)
@@ -150,8 +157,8 @@ func TestDocsCensusQuotedNumbers(t *testing.T) {
 	}
 	for _, r := range rows {
 		ids := docsIDs(r[3])
-		printed, ok := docsReport(t, ids)
-		if !ok {
+		printed, reports := docsReport(t, ids)
+		if reports == "" {
 			t.Errorf("README table row %q names no report with a results/<id>.txt: %q", r[0], r[3])
 			continue
 		}
@@ -159,12 +166,8 @@ func TestDocsCensusQuotedNumbers(t *testing.T) {
 		if !ok {
 			t.Errorf("README table row %q: EXPERIMENTS.md has no section for %s", r[0], ids[0])
 		}
-		check("README.md", ids[0], r[2], printed, "results/"+strings.Join(ids, ".txt, results/")+".txt")
-		paperNums := map[string]bool{}
-		for _, d := range decimals(paper) {
-			paperNums[d] = true
-		}
-		check("README.md", ids[0], r[1], paperNums, "the EXPERIMENTS.md "+ids[0]+" Paper: paragraph")
+		check("README.md", ids[0], r[2], printed, reports)
+		check("README.md", ids[0], r[1], decimalSet(paper), "the EXPERIMENTS.md "+ids[0]+" Paper: paragraph")
 	}
 
 	for key, reason := range docsNumbersAllow {
