@@ -258,17 +258,21 @@ func docsAnchor(section, anchor string) bool {
 }
 
 // TestDocsCensusSectionRefs checks every DESIGN.md section reference in the
-// repository's Markdown files (the verify skill's notes included) and Go
+// repository's Markdown files (those under .claude/ included) and Go
 // files: the section number must be a "## N." heading of DESIGN.md, and an
 // anchor named right after the number must be a heading or a bold run of
-// that section. ISSUE.md is left out: a task description may name a section
-// that the task is to write.
+// that section. DOCS_CENSUS_SKIP names files to leave out, comma-separated
+// paths from the repository root: a plan may name a section not yet written.
 func TestDocsCensusSectionRefs(t *testing.T) {
 	sections := designSections(t)
 	if len(sections) < 15 {
 		t.Fatalf("DESIGN.md has %d numbered sections; §1–§15 keep their numbers", len(sections))
 	}
 	refs := 0
+	skip := map[string]bool{}
+	for _, p := range strings.Split(os.Getenv("DOCS_CENSUS_SKIP"), ",") {
+		skip[filepath.Clean(strings.TrimSpace(p))] = true
+	}
 	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -284,7 +288,7 @@ func TestDocsCensusSectionRefs(t *testing.T) {
 			}
 			return nil
 		}
-		if (strings.HasSuffix(name, ".md") && path != "ISSUE.md") || strings.HasSuffix(name, ".go") {
+		if (strings.HasSuffix(name, ".md") || strings.HasSuffix(name, ".go")) && !skip[path] {
 			files = append(files, path)
 		}
 		return nil
