@@ -271,7 +271,8 @@ func Rows() []Row {
 		}},
 		// The axpy-form kernel on the shape the conv workload's forward gives
 		// it: wm[16×72]·colsT_b[72×144] for each of 32 images, the 83 KB
-		// lowering read once per image by the panel walk.
+		// lowering read once per image, twelve columns at a time, by the tile
+		// body's four 4-row groups.
 		{Name: "TensorKernelMatMul", Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			wm, out := tensor.Randn(rng, 1, 16, 72), tensor.New(16, 144)
@@ -482,6 +483,25 @@ func Rows() []Row {
 			x := tensor.Randn(tensor.NewRNG(1), 1, 32, 16, 12, 12)
 			arg := make([]int, x.Len()/4)
 			return func() { tensor.MaxPool2ArgInto(arg, x) }, nil
+		}},
+		// conv2's δO at batch 32: per image and four channels, wmᵀ·g_b for
+		// their 36 lowered rows in the tile body (nine 4-row groups), then
+		// the scatter back into δx.
+		{Name: "TensorKernelConvInputGrad", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			g, wm, gin := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 16, 72), tensor.New(32, 8, 14, 14)
+			ws := tensor.NewWorkspace()
+			op := func() { tensor.ConvInputGradInto(gin, g, wm, 3, 3, ws) }
+			op()
+			return op, nil
+		}},
+		// The pool's backward on the conv workload's pooled activation: each
+		// 2×2 window of δx written once, the gradient at its argmax.
+		{Name: "TensorKernelMaxPool2Grad", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x, g, gin := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 16, 6, 6), tensor.New(32, 16, 12, 12)
+			_, arg := tensor.MaxPool2(x)
+			return func() { tensor.MaxPool2GradInto(gin, g, arg) }, nil
 		}},
 		// The elementwise add that folds the hidden Dense layer's δW (96×96)
 		// into its gradient and sums data-parallel gradient buckets.

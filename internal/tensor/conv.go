@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 )
 
@@ -222,17 +223,22 @@ func ConvInputGradInto(gin, gradOut, wm *Tensor, kh, kw int, ws *Workspace) *Ten
 
 func convInputGradRange(gin, gradOut, wm, cg []float64, g convGeom, f, bLo, bHi int) {
 	k, px, plane, win := g.k(), g.px(), g.c*g.h*g.w, g.kh*g.kw
+	step := 4 >> bits.TrailingZeros(uint(win|4)) // 4/gcd(win, 4) channels
 	for b := bLo; b < bHi; b++ {
 		gb := gin[b*plane : (b+1)*plane]
 		clear(gb)
-		// Channel by channel, so a channel's lowered rows are scattered while
-		// they are still in L1.
-		for ch := 0; ch < g.c; ch++ {
-			tMatMulRange(cg, wm, gradOut[b*f*px:(b+1)*f*px], f, k, px, ch*win, (ch+1)*win, true)
-			for ky := g.kh - 1; ky >= 0; ky-- {
-				for kx := g.kw - 1; kx >= 0; kx-- {
-					row := (ch*g.kh+ky)*g.kw + kx
-					addRows(gb[(ch*g.h+ky)*g.w+kx:], g.w, cg[row*px:(row+1)*px], g.ow, g.oh, g.ow)
+		// A few channels at a time, so their lowered rows are scattered while
+		// they are still in L1: as many as make whole groups of four rows for
+		// the tile body (four channels of a 3×3 window, 36 rows).
+		for c0 := 0; c0 < g.c; c0 += step {
+			c1 := min(c0+step, g.c)
+			tMatMulRange(cg, wm, gradOut[b*f*px:(b+1)*f*px], f, k, px, c0*win, c1*win, true)
+			for ch := c0; ch < c1; ch++ {
+				for ky := g.kh - 1; ky >= 0; ky-- {
+					for kx := g.kw - 1; kx >= 0; kx-- {
+						row := (ch*g.kh+ky)*g.kw + kx
+						addRows(gb[(ch*g.h+ky)*g.w+kx:], g.w, cg[row*px:(row+1)*px], g.ow, g.oh, g.ow)
+					}
 				}
 			}
 		}
@@ -594,22 +600,51 @@ func MaxPool2Grad(gradOut *Tensor, arg []int, inShape []int) *Tensor {
 }
 
 // MaxPool2GradInto is MaxPool2Grad into a caller-owned dst with the original
-// input shape (zeroed first). len(arg) must equal gradOut.Len() and every
-// index must lie inside dst.
+// input shape, every element of which is written. len(arg) must equal
+// gradOut.Len() and every index must lie inside dst.
 func MaxPool2GradInto(dst, gradOut *Tensor, arg []int) *Tensor {
 	if len(arg) != gradOut.Len() {
 		panic(fmt.Sprintf("tensor: MaxPool2Grad argmax map has %d entries for %d gradient elements (mismatched shapes?)",
 			len(arg), gradOut.Len()))
 	}
+	if !maxPool2GradWindows(dst, gradOut.Data, arg) {
+		maxPool2GradScatter(dst, gradOut.Data, arg)
+	}
+	return dst
+}
+
+// maxPool2GradWindows is the vector path of MaxPool2GradInto (maxPool2GradVec)
+// for the maps MaxPool2 builds — dst [N,C,H,W] with H and W even, one 2×2
+// window per gradient element, every index inside its own window: each
+// window of δx written once, +0 + g at the argmax (a −0 gradient lands as +0,
+// as on the scatter's zeroed δx) and +0 at the other three positions, with
+// nothing cleared first. It reports false, dst perhaps partly written, where
+// there is no vector path, on any other shape and at an index outside its
+// window.
+func maxPool2GradWindows(dst *Tensor, g []float64, arg []int) bool {
+	if !useVector || len(arg) == 0 || len(g) != len(arg) || dst.Dims() != 4 {
+		return false
+	}
+	n, c, h, w := conv2dDims(dst)
+	if h%2 != 0 || w%2 != 0 || n*c*h*w != 4*len(arg) || len(dst.Data) != 4*len(arg) {
+		return false
+	}
+	return maxPool2GradVec(&dst.Data[0], &g[0], &arg[0], n*c*h/2, w)
+}
+
+// maxPool2GradScatter zeroes dst and adds every gradient element at its
+// argmax index: the portable path, the general form for any map (rows and
+// columns no window covers stay cleared) and the oracle of
+// maxPool2GradWindows.
+func maxPool2GradScatter(dst *Tensor, g []float64, arg []int) {
 	dst.Zero()
 	limit := dst.Len()
-	for i, g := range gradOut.Data {
+	for i, v := range g {
 		idx := arg[i]
 		if idx < 0 || idx >= limit {
 			panic(fmt.Sprintf("tensor: MaxPool2Grad argmax[%d] = %d outside input of %d elements (stale map?)",
 				i, idx, limit))
 		}
-		dst.Data[idx] += g
+		dst.Data[idx] += v
 	}
-	return dst
 }

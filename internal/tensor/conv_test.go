@@ -456,3 +456,68 @@ func TestMaxPool2MatchesReferenceLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxPool2GradMatchesScatter: MaxPool2GradInto — on the vector path the
+// window-wise body — against the scatter it replaced (maxPool2GradScatter),
+// by math.Float64bits, NaN bits included. Even planes with one to six windows
+// a row, so every step of the body; odd planes, whose rows and columns no
+// window covers must come back cleared; gradients of ±0, NaN, ±Inf and
+// ordinary values, so a −0 must land as +0; δx starts as garbage, so every
+// element must be written. A map with an index outside its own window takes
+// the scatter and gives its bits; an index outside δx panics with the
+// scatter's message.
+func TestMaxPool2GradMatchesScatter(t *testing.T) {
+	r := NewRNG(7)
+	special := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1)}
+	garbage := math.Float64frombits(0x7ff8_dead_beef_0001)
+	for _, h := range []int{2, 3, 4, 5, 7} {
+		for _, w := range []int{2, 3, 4, 6, 8, 9, 10, 12} {
+			const n, c = 2, 3
+			oh, ow := h/2, w/2
+			gradOut := New(n, c, oh, ow)
+			for i := range gradOut.Data {
+				if r.Uint64()%2 == 0 {
+					gradOut.Data[i] = special[r.Uint64()%uint64(len(special))]
+				} else {
+					gradOut.Data[i] = r.Norm()
+				}
+			}
+			arg := make([]int, len(gradOut.Data))
+			for i := range arg {
+				plane, oy, ox := i/(oh*ow), i/ow%oh, i%ow
+				arg[i] = (plane*h+2*oy)*w + 2*ox + []int{0, 1, w, w + 1}[r.Uint64()%4]
+			}
+			check := func(what string, arg []int) {
+				got, want := New(n, c, h, w), New(n, c, h, w)
+				for i := range got.Data {
+					got.Data[i] = garbage
+				}
+				MaxPool2GradInto(got, gradOut, arg)
+				maxPool2GradScatter(want, gradOut.Data, arg)
+				for i := range want.Data {
+					if gb, wb := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]); gb != wb {
+						t.Fatalf("%dx%d %s: δx[%d] = %#x, scatter %#x", h, w, what, i, gb, wb)
+					}
+				}
+			}
+			check("pooling map", arg)
+			// An in-range index in the wrong window: the scatter's answer.
+			moved := append([]int(nil), arg...)
+			moved[len(moved)-1] = arg[0]
+			check("index outside its window", moved)
+			for _, bad := range []int{-1, n * c * h * w} {
+				stale := append([]int(nil), arg...)
+				stale[len(stale)/2] = bad
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, "outside input of") || !strings.Contains(msg, "(stale map?)") {
+							t.Fatalf("%dx%d: argmax index %d panicked with %q, want the stale-map diagnostic", h, w, bad, msg)
+						}
+					}()
+					MaxPool2GradInto(New(n, c, h, w), gradOut, stale)
+				}()
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,11 +28,11 @@ import (
 //
 // Each range kernel has two bodies behind one entry point: the Go loops below
 // (…Go), which are the portable path and the oracle the vector path is tested
-// against, and an AVX2 path (…Vec, over the two bodies of gemm_amd64.s) taken when
-// useVector says the CPU has it. A SIMD lane is always one output element
-// running the scalar loop's own sequence — multiply, round, add, never a fused
-// multiply-add — so both paths produce the same bits and the contract above
-// reads the same for either.
+// against, and an AVX2 path (…Vec, over the axpy and dot bodies of
+// gemm_amd64.s) taken when useVector says the CPU has it. A SIMD lane is
+// always one output element running the scalar loop's own sequence —
+// multiply, round, add, never a fused multiply-add — so both paths produce
+// the same bits and the contract above reads the same for either.
 const (
 	// gemmRowBlock tiles rows of the output (and of A) so an output tile and
 	// the B panel it consumes stay cache-resident.
@@ -153,24 +154,59 @@ func matMulRange(out, a, b []float64, k, n, lo, hi int, fromZero bool) {
 
 // axpyRangeVec is the vector path of both axpy-form kernels: for output rows
 // r in [lo, hi), out_r += Σ_t a[r·rs + t·ts]·b_t over the terms t < terms, b_t
-// being row t of b (fromZero: out_r = +0 + Σ…). The terms are walked in panels
-// of b rows sized to stay in L1 across every output row of the range; each
-// output row takes a panel's terms in the axpy body, four at a time and the
-// last panel's terms mod 4 singly — ascending t for every element, as in the
-// Go loops.
+// being row t of b (fromZero: out_r = +0 + Σ…). Whole groups of four rows take
+// whole blocks of twelve columns in the tile body, then blocks of four in the
+// quad body; both keep a block's sums in registers across a pass of
+// tileTerms(n) terms — every term, on the shapes of the repository's nets.
+// The rest goes to the axpy body one row at a time, in panels of terms: those
+// rows' last n mod 4 columns, then the range's last rows mod 4. Ascending t
+// for every element either way, as in the Go loops.
 func axpyRangeVec(out, a, b []float64, terms, n, rs, ts, lo, hi int, fromZero bool) {
 	if fromZero && terms < 4 {
-		// Too few terms for a group that starts from a cleared register.
+		// Too few terms for a panel group that starts from a cleared register.
 		clear(out[lo*n : hi*n])
 		fromZero = false
 	}
-	panel := panelRows(n)
-	for tt := 0; tt < terms; tt += panel {
-		thi := min(tt+panel, terms)
-		for r := lo; r < hi; r++ {
-			axpyPanel(&out[r*n], &a[r*rs+tt*ts], ts, &b[tt*n], n, thi-tt, fromZero && tt == 0)
+	if terms == 0 {
+		return
+	}
+	groups, blocks, quads, pass := (hi-lo)/4, n/12, n%12/4, tileTerms(n)
+	for tt := 0; tt < terms && groups > 0; tt += pass {
+		o, ap, bp, tn, z := lo*n, lo*rs+tt*ts, tt*n, min(pass, terms-tt), fromZero && tt == 0
+		if blocks > 0 {
+			axpyTile(&out[o], n, &a[ap], rs, ts, &b[bp], tn, groups, blocks, z)
+		}
+		if quads > 0 {
+			axpyQuads(&out[o+12*blocks], n, &a[ap], rs, ts, &b[bp+12*blocks], tn, groups, quads, z)
 		}
 	}
+	tiled := lo + 4*groups
+	axpyPanels(out, a, b, terms, n, rs, ts, lo, tiled, n&^3, pass, fromZero)
+	axpyPanels(out, a, b, terms, n, rs, ts, tiled, hi, 0, panelRows(n), fromZero)
+}
+
+// axpyPanels is the axpy body's walk over columns [j, n) of output rows
+// [lo, hi): panels of the given number of b rows, each taken by every output
+// row before the next, four terms at a time and a panel's terms mod 4 singly.
+func axpyPanels(out, a, b []float64, terms, n, rs, ts, lo, hi, j, panel int, fromZero bool) {
+	if lo == hi || j == n {
+		return
+	}
+	for tt := 0; tt < terms; tt += panel {
+		for r := lo; r < hi; r++ {
+			axpyPanel(&out[r*n+j], &a[r*rs+tt*ts], ts, &b[tt*n+j], n, n-j, min(panel, terms-tt), fromZero && tt == 0)
+		}
+	}
+}
+
+// tileTerms is how many terms a pass over a column block of b rows n elements
+// apart may take so the block's strip of b stays in L1 for the next group of
+// rows. A line's L1 set is its address's bits 6–11, so rows n apart fall on
+// 4096/gcd(8n, 4096) distinct offsets in a page; eight rows per offset keep
+// every set of the 12-way L1 within its ways, and 128 rows of two or three
+// lines are a third of it.
+func tileTerms(n int) int {
+	return min(128, 8<<max(0, 9-bits.TrailingZeros(uint(n))))
 }
 
 // matMulRangeGo computes output rows [lo, hi) of a·b with cache-blocked ikj

@@ -10,11 +10,18 @@ var useVector = cpuHasAVX2()
 // saves the YMM registers.
 func cpuHasAVX2() bool
 
-// axpyPanel and dotTiles are the AVX2 bodies; gemm_amd64.s states what each
-// computes. Pointers must address at least one element.
+// axpyTile, axpyQuads, axpyPanel and dotTiles are the AVX2 bodies;
+// gemm_amd64.s states what each computes. Pointers must address at least one
+// element.
 //
 //go:noescape
-func axpyPanel(o, a *float64, sa int, b *float64, n, terms int, fromZero bool)
+func axpyTile(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, blocks int, fromZero bool)
+
+//go:noescape
+func axpyQuads(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, quads int, fromZero bool)
+
+//go:noescape
+func axpyPanel(o, a *float64, sa int, b *float64, bs, n, terms int, fromZero bool)
 
 //go:noescape
 func dotTiles(out *float64, n int, a, b *float64, k, tiles int, seeded bool)
@@ -33,6 +40,12 @@ func addRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int)
 //
 //go:noescape
 func maxPool2Vec(out *float64, arg *int, x *float64, rows, w int)
+
+// maxPool2GradVec is the body behind MaxPool2GradInto (conv.go); rows and w
+// must be positive.
+//
+//go:noescape
+func maxPool2GradVec(dst, grad *float64, arg *int, rows, w int) bool
 
 // reluVec, reluMaskVec and reluGradVec are the bodies behind ReLUInto,
 // ReLUMaskInto and ReLUGradInto (relu.go). n must be positive.

@@ -37,14 +37,14 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpyPanel(o, a *float64, sa int, b *float64, n, terms int, fromZero bool)
+// func axpyPanel(o, a *float64, sa int, b *float64, bs, n, terms int, fromZero bool)
 //
 // The axpy form. The terms are taken four at a time, for every j < n
 //
 //	o[j] = (((o[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
 //
-// where a_t = a[t·sa] and b_t = b[t·n ..], row t of a row-major matrix with n
-// columns, and the last terms mod 4 one at a time, o[j] = o[j] + a_t·b_t[j].
+// where a_t = a[t·sa] and b_t = b[t·bs ..], row t of a row-major matrix with
+// bs columns, and the last terms mod 4 one at a time, o[j] = o[j] + a_t·b_t[j].
 // Eight j per iteration, then four, then a scalar tail. With fromZero (terms
 // must then be at least 4) the first group does not read o: its sums start
 // from a cleared register, +0 + a0·b0[j] — the value a zeroed o would have
@@ -97,15 +97,17 @@ no:
 	VMOVSD X0, (DI)(AX*1); \
 	ADDQ   $8, AX
 
-TEXT ·axpyPanel(SB), NOSPLIT, $0-49
+TEXT ·axpyPanel(SB), NOSPLIT, $0-57
 	MOVQ o+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ sa+16(FP), R8
 	MOVQ b+24(FP), DX
-	MOVQ n+32(FP), CX
-	MOVQ terms+40(FP), R10
-	MOVBQZX fromZero+48(FP), R14
-	SHLQ $3, R8              // a's stride and the row length in bytes
+	MOVQ bs+32(FP), R9
+	MOVQ n+40(FP), CX
+	MOVQ terms+48(FP), R10
+	MOVBQZX fromZero+56(FP), R14
+	SHLQ $3, R8              // a's stride, b's stride and the row length in bytes
+	SHLQ $3, R9
 	SHLQ $3, CX
 	MOVQ CX, BX
 	ANDQ $-64, BX            // end of the eight-wide part
@@ -120,9 +122,9 @@ axpy_group:
 	VBROADCASTSD (R11), Y14
 	VBROADCASTSD (R11)(R8*1), Y15
 	LEAQ         (R11)(R8*2), SI
-	LEAQ (DX)(CX*1), R11     // b1
-	LEAQ (DX)(CX*2), R12     // b2
-	LEAQ (R11)(CX*2), R13    // b3
+	LEAQ (DX)(R9*1), R11     // b1
+	LEAQ (DX)(R9*2), R12     // b2
+	LEAQ (R11)(R9*2), R13    // b3
 	XORQ AX, AX
 	TESTQ R14, R14
 	JNZ   axpyz_8
@@ -166,7 +168,7 @@ axpyz_1:
 	JMP  axpyz_1
 
 axpy_next:
-	LEAQ (DX)(CX*4), DX
+	LEAQ (DX)(R9*4), DX
 	SUBQ $4, R10
 	XORQ R14, R14            // only the first group starts from zero
 	JMP  axpy_group
@@ -200,11 +202,230 @@ axpyt_1:
 	JMP    axpyt_1
 
 axpyt_next:
-	ADDQ CX, DX
+	ADDQ R9, DX
 	DECQ R10
 	JMP  axpy_term
 
 axpy_done:
+	VZEROUPPER
+	RET
+
+// func axpyTile(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, blocks int, fromZero bool)
+//
+// The axpy form on groups×blocks blocks of 4 rows × 12 columns of o, whose
+// rows are n elements apart: for r < 4·groups and j < 12·blocks
+//
+//	o[r·n + j] = ((o[r·n + j] + a_r0·b0[j]) + a_r1·b1[j]) + … + a_r,terms−1·b_terms−1[j]
+//
+// where a_rt = a[r·rs + t·ts] and b_t = b[t·n ..], row t of a row-major
+// matrix with n columns. A block stays in Y0–Y11 (three registers a row) over
+// every term, loaded once and stored once; with fromZero it starts from
+// cleared registers instead of o, +0 + a_r0·b0[j] — what a zeroed o would
+// have given. Per term, the first eight of its twelve b_t[j] are loaded into
+// Y12–Y13; per row, a_rt is broadcast into Y14, multiplied by them into Y15
+// and by the last four, straight from memory, into Y14 itself, and each
+// product is added to its accumulator — all sixteen registers, ten loads a
+// term. Two terms a loop. A lane is one element taking its terms in ascending
+// t, the order of axpyPanel and of the Go loops. The groups of a column block
+// run one after the other, so they reuse its columns of b while those are in
+// L1.
+#define TILE_ROW(A, S0, S1, S2) \
+	VBROADCASTSD A, Y14; \
+	VMULPD  Y12, Y14, Y15; \
+	VADDPD  Y15, S0, S0; \
+	VMULPD  Y13, Y14, Y15; \
+	VADDPD  Y15, S1, S1; \
+	VMULPD  64(DX), Y14, Y14; \
+	VADDPD  Y14, S2, S2
+
+#define TILE_TERM \
+	VMOVUPD (DX), Y12; \
+	VMOVUPD 32(DX), Y13; \
+	TILE_ROW((SI), Y0, Y1, Y2); \
+	TILE_ROW((SI)(R8*1), Y3, Y4, Y5); \
+	TILE_ROW((SI)(R8*2), Y6, Y7, Y8); \
+	TILE_ROW((SI)(R10*1), Y9, Y10, Y11); \
+	ADDQ R9, SI; \
+	ADDQ CX, DX
+
+TEXT ·axpyTile(SB), NOSPLIT, $0-73
+	MOVQ o+0(FP), R14        // the column block's first row of o
+	MOVQ n+8(FP), CX
+	MOVQ rs+24(FP), R8
+	MOVQ ts+32(FP), R9
+	MOVQ b+40(FP), AX        // the column block's first row of b
+	MOVQ blocks+64(FP), R13
+	SHLQ $3, CX              // the row stride of o and b in bytes
+	SHLQ $3, R8              // a's strides in bytes
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R10     // a's row 3 of a group
+	LEAQ (CX)(CX*2), R11     // o's row 3 of a group
+
+tile_block:
+	TESTQ R13, R13
+	JLE   tile_done
+	MOVQ  R14, DI
+	MOVQ  a+16(FP), R15      // the group's coefficients
+	MOVQ  groups+56(FP), R12
+
+tile_group:
+	TESTQ R12, R12
+	JLE   tile_next_block
+	MOVQ  R15, SI
+	MOVQ  AX, DX
+	MOVQ  terms+48(FP), BX
+	CMPB  fromZero+72(FP), $0
+	JNE   tile_zero
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD (DI)(CX*1), Y3
+	VMOVUPD 32(DI)(CX*1), Y4
+	VMOVUPD 64(DI)(CX*1), Y5
+	VMOVUPD (DI)(CX*2), Y6
+	VMOVUPD 32(DI)(CX*2), Y7
+	VMOVUPD 64(DI)(CX*2), Y8
+	VMOVUPD (DI)(R11*1), Y9
+	VMOVUPD 32(DI)(R11*1), Y10
+	VMOVUPD 64(DI)(R11*1), Y11
+	JMP     tile_term
+
+tile_zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+
+tile_term:
+	CMPQ BX, $2
+	JLT  tile_last
+	TILE_TERM
+	TILE_TERM
+	SUBQ $2, BX
+	JMP  tile_term
+
+tile_last:
+	TESTQ BX, BX
+	JLE   tile_store
+	TILE_TERM
+
+tile_store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, (DI)(CX*1)
+	VMOVUPD Y4, 32(DI)(CX*1)
+	VMOVUPD Y5, 64(DI)(CX*1)
+	VMOVUPD Y6, (DI)(CX*2)
+	VMOVUPD Y7, 32(DI)(CX*2)
+	VMOVUPD Y8, 64(DI)(CX*2)
+	VMOVUPD Y9, (DI)(R11*1)
+	VMOVUPD Y10, 32(DI)(R11*1)
+	VMOVUPD Y11, 64(DI)(R11*1)
+	LEAQ (DI)(CX*4), DI      // the next group
+	LEAQ (R15)(R8*4), R15
+	DECQ R12
+	JMP  tile_group
+
+tile_next_block:
+	ADDQ $96, R14
+	ADDQ $96, AX
+	DECQ R13
+	JMP  tile_block
+
+tile_done:
+	VZEROUPPER
+	RET
+
+// func axpyQuads(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, quads int, fromZero bool)
+//
+// axpyTile's sum on groups×quads blocks of 4 rows × 4 columns, the columns a
+// tile row leaves over: one accumulator a row, Y0–Y3. Per term, the four
+// b_t[j] are loaded into Y12; per row, a_rt is broadcast into Y14, multiplied
+// by them into Y15 and added.
+#define QUAD_ROW(A, S) \
+	VBROADCASTSD A, Y14; \
+	VMULPD  Y12, Y14, Y15; \
+	VADDPD  Y15, S, S
+
+TEXT ·axpyQuads(SB), NOSPLIT, $0-73
+	MOVQ o+0(FP), R14        // the column block's first row of o
+	MOVQ n+8(FP), CX
+	MOVQ rs+24(FP), R8
+	MOVQ ts+32(FP), R9
+	MOVQ b+40(FP), AX        // the column block's first row of b
+	MOVQ quads+64(FP), R13
+	SHLQ $3, CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R10
+	LEAQ (CX)(CX*2), R11
+
+quad_block:
+	TESTQ R13, R13
+	JLE   quad_done
+	MOVQ  R14, DI
+	MOVQ  a+16(FP), R15
+	MOVQ  groups+56(FP), R12
+
+quad_group:
+	TESTQ R12, R12
+	JLE   quad_next_block
+	MOVQ  R15, SI
+	MOVQ  AX, DX
+	MOVQ  terms+48(FP), BX
+	CMPB  fromZero+72(FP), $0
+	JNE   quad_zero
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(CX*1), Y1
+	VMOVUPD (DI)(CX*2), Y2
+	VMOVUPD (DI)(R11*1), Y3
+	JMP     quad_term
+
+quad_zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+quad_term:
+	TESTQ BX, BX
+	JLE   quad_store
+	VMOVUPD (DX), Y12
+	QUAD_ROW((SI), Y0)
+	QUAD_ROW((SI)(R8*1), Y1)
+	QUAD_ROW((SI)(R8*2), Y2)
+	QUAD_ROW((SI)(R10*1), Y3)
+	ADDQ R9, SI
+	ADDQ CX, DX
+	DECQ BX
+	JMP  quad_term
+
+quad_store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(CX*1)
+	VMOVUPD Y2, (DI)(CX*2)
+	VMOVUPD Y3, (DI)(R11*1)
+	LEAQ (DI)(CX*4), DI
+	LEAQ (R15)(R8*4), R15
+	DECQ R12
+	JMP  quad_group
+
+quad_next_block:
+	ADDQ $32, R14
+	ADDQ $32, AX
+	DECQ R13
+	JMP  quad_block
+
+quad_done:
 	VZEROUPPER
 	RET
 
@@ -786,6 +1007,117 @@ pool_next:
 
 pool_done:
 	VZEROUPPER
+	RET
+
+// func maxPool2GradVec(dst, grad *float64, arg *int, rows, w int) bool
+//
+// The backward of maxPool2Vec over the same rows row pairs of width w (even):
+// window ox of pair r takes grad[r·w/2 + ox] at its argmax and +0 at its
+// other three positions, each element of dst written once. With T = 2r·w +
+// 2·ox the window's first index and d = arg[r·w/2 + ox] − T, dst[T + j] =
+// +0 + grad where d = j and +0 elsewhere, for j in {0, 1, w, w+1}. Two
+// windows a step: d duplicated across the lanes of a column pair, compared
+// with (0, 1) for the top row and (w, w+1) for the bottom one, the masks
+// ANDed with +0 + grad; then the last window alone. A window whose d matches
+// none of the four returns false at once, dst written up to it; true
+// otherwise.
+TEXT ·maxPool2GradVec(SB), NOSPLIT, $0-41
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ arg+16(FP), DX
+	MOVQ rows+24(FP), R8
+	MOVQ w+32(FP), BX
+	MOVQ BX, R10
+	SHLQ $3, R10             // w in bytes: the bottom row of a pair
+	MOVQ BX, CX
+	SHRQ $1, CX              // ow, windows per row pair
+	MOVQ         $1, AX
+	VMOVQ        AX, X14
+	VPSLLDQ      $8, X14, X14
+	VINSERTI128  $1, X14, Y14, Y14 // (0, 1, 0, 1): the top row's offsets
+	VMOVQ        BX, X13
+	VPBROADCASTQ X13, Y13
+	VPADDQ       Y14, Y13, Y13     // (w, w+1, w, w+1): the bottom row's
+	VPADDQ       X14, X14, X12     // (0, 2): the first indices of two windows
+	VXORPD       Y15, Y15, Y15     // +0
+	XORQ         R11, R11          // T of the pair's first window
+
+grad_row:
+	TESTQ R8, R8
+	JLE   grad_ok
+	XORQ  AX, AX             // ox
+	MOVQ  DI, R12            // the window of ox in the top row
+	MOVQ  R11, R14
+
+grad_2:
+	LEAQ 2(AX), R9
+	CMPQ R9, CX
+	JGT  grad_1
+	VMOVQ        R14, X10
+	VPBROADCASTQ X10, X10
+	VPADDQ       X12, X10, X10
+	VMOVDQU      (DX)(AX*8), X0
+	VPSUBQ       X10, X0, X0
+	VPERMQ       $0x50, Y0, Y0     // (d0, d0, d1, d1)
+	VPCMPEQQ     Y14, Y0, Y1
+	VPCMPEQQ     Y13, Y0, Y2
+	VPOR         Y1, Y2, Y3
+	VMOVMSKPD    Y3, R13
+	MOVQ         R13, R15
+	SHRQ         $1, R15
+	ORQ          R15, R13
+	ANDQ         $5, R13
+	CMPQ         R13, $5           // a match in each window's column pair?
+	JNE          grad_bad
+	VMOVUPD      (SI)(AX*8), X4
+	VADDPD       X4, X15, X4       // +0 + g
+	VPERMPD      $0x50, Y4, Y4
+	VANDPD       Y1, Y4, Y5
+	VANDPD       Y2, Y4, Y6
+	VMOVUPD      Y5, (R12)
+	VMOVUPD      Y6, (R12)(R10*1)
+	ADDQ         $32, R12
+	ADDQ         $4, R14
+	MOVQ         R9, AX
+	JMP          grad_2
+
+grad_1:
+	CMPQ AX, CX
+	JGE  grad_next
+	VMOVQ        R14, X10
+	VMOVQ        (DX)(AX*8), X0
+	VPSUBQ       X10, X0, X0
+	VPBROADCASTQ X0, X0
+	VPCMPEQQ     X14, X0, X1
+	VPCMPEQQ     X13, X0, X2
+	VPOR         X1, X2, X3
+	VMOVMSKPD    X3, R13
+	TESTQ        R13, R13
+	JZ           grad_bad
+	VMOVSD       (SI)(AX*8), X4
+	VADDSD       X4, X15, X4
+	VMOVDDUP     X4, X4
+	VANDPD       X1, X4, X5
+	VANDPD       X2, X4, X6
+	VMOVUPD      X5, (R12)
+	VMOVUPD      X6, (R12)(R10*1)
+
+grad_next:
+	LEAQ (DI)(R10*2), DI
+	LEAQ (SI)(CX*8), SI
+	LEAQ (DX)(CX*8), DX
+	LEAQ (R11)(BX*2), R11
+	DECQ R8
+	JMP  grad_row
+
+grad_ok:
+	VZEROUPPER
+	MOVB $1, ret+40(FP)
+	RET
+
+grad_bad:
+	VZEROUPPER
+	MOVB $0, ret+40(FP)
 	RET
 
 // The elementwise family (elem.go): one pass over a span, four elements per

@@ -6,7 +6,15 @@ package tensor
 // gemm.go are the only path, and the bodies below are never reached.
 var useVector = false
 
-func axpyPanel(o, a *float64, sa int, b *float64, n, terms int, fromZero bool) {
+func axpyTile(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, blocks int, fromZero bool) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func axpyQuads(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, quads int, fromZero bool) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func axpyPanel(o, a *float64, sa int, b *float64, bs, n, terms int, fromZero bool) {
 	panic("tensor: no vector kernels on this architecture")
 }
 
@@ -23,6 +31,10 @@ func addRowsVec(dst *float64, ds int, src *float64, ss int, rows, n int) {
 }
 
 func maxPool2Vec(out *float64, arg *int, x *float64, rows, w int) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func maxPool2GradVec(dst, grad *float64, arg *int, rows, w int) bool {
 	panic("tensor: no vector kernels on this architecture")
 }
 

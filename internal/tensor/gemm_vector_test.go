@@ -32,9 +32,11 @@ func onGoPath(f func()) {
 }
 
 // vectorDims are the m, k and n of the vector-path battery: every remainder of
-// the eight-, four- and one-wide steps, sizes straddling a panel for short and
-// long rows, and the shapes of the train workloads.
-var vectorDims = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 72, 73, 144, 196, 250}
+// the eight-, four- and one-wide steps, term counts 0–5, column counts on both
+// sides of one, two and three tile widths (12) with and without a quad (4)
+// left over, sizes straddling a panel for short and long rows, and the shapes
+// of the train workloads.
+var vectorDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 17, 23, 24, 25, 31, 36, 72, 73, 144, 196, 250}
 
 // oddSlice returns n elements of fill starting at an odd element offset of a
 // fresh array, so the vector loads and stores of a kernel run on it are not
@@ -62,9 +64,10 @@ type rangeKernel struct {
 	sweep []int
 }
 
-// variantDims keeps every remainder of the vector steps, a panel straddle and
-// the conv shapes, at a fifth of vectorDims' cross product.
-var variantDims = []int{1, 3, 4, 5, 8, 9, 13, 31, 72, 144}
+// variantDims keeps every remainder of the vector steps, term counts 0–5, the
+// tile's column edges, a panel straddle and the conv shapes, at a third of
+// vectorDims' cross product.
+var variantDims = []int{0, 1, 2, 3, 4, 5, 8, 9, 11, 13, 23, 24, 25, 31, 36, 72, 144}
 
 var rangeKernels = []rangeKernel{
 	{"matMulRange", func(m, k, n int) (int, int, int) { return m * k, k * n, m },
@@ -105,7 +108,8 @@ func diffKernel(rk rangeKernel, m, k, n, lo, hi int, fa, fb, fo func(int) float6
 
 // TestVectorKernelsMatchGoLoops is the bit-level differential suite of the
 // AVX2 path against the kept Go loops: the range kernels (the dot form also
-// seeded) over every combination of vectorDims, three row ranges, operands at
+// seeded) over every combination of vectorDims, three row ranges (one starting
+// at an odd row, so off the tile's groups of four), operands at
 // odd element offsets and, for the accumulating forms, a non-zero initial
 // output; then the two strided row kernels over rowLens, row counts 0–5 and
 // strides from n to n+5 on both sides, onto non-zero destinations. Everything
@@ -129,7 +133,7 @@ func TestVectorKernelsMatchGoLoops(t *testing.T) {
 			for _, k := range rk.sweep {
 				for _, n := range rk.sweep {
 					_, _, outRows := rk.dims(m, k, n)
-					for _, rg := range [][2]int{{0, outRows}, {outRows / 3, outRows}, {0, (outRows + 1) / 2}} {
+					for _, rg := range [][2]int{{0, outRows}, {min(outRows/3|1, outRows), outRows}, {0, (outRows + 1) / 2}} {
 						vec, ref := diffKernel(rk, m, k, n, rg[0], rg[1], pick(m), pick(k+n), pick(3*n+1))
 						for i := range ref {
 							if math.Float64bits(vec[i]) != math.Float64bits(ref[i]) {
@@ -250,6 +254,24 @@ func TestPanelRows(t *testing.T) {
 		}
 		if rows > 4 && rows*n*8 > gemmPanelBytes {
 			t.Fatalf("panelRows(%d) = %d rows = %d bytes, over the %d budget", n, rows, rows*n*8, gemmPanelBytes)
+		}
+	}
+}
+
+// TestTileTerms: a pass of the tile bodies takes at most 128 terms, whole
+// groups of eight, and never more than eight rows of b that share an offset in
+// a 4 KB page (and with it an L1 set).
+func TestTileTerms(t *testing.T) {
+	for n := 1; n <= 2048; n++ {
+		pass := tileTerms(n)
+		if pass > 128 || pass < 8 || pass%8 != 0 {
+			t.Fatalf("tileTerms(%d) = %d, want a multiple of 8 in [8, 128]", n, pass)
+		}
+		rows := map[int]int{}
+		for r := 0; r < pass; r++ {
+			if rows[r*8*n%4096]++; rows[r*8*n%4096] > 8 {
+				t.Fatalf("tileTerms(%d) = %d puts more than 8 rows on page offset %d", n, pass, r*8*n%4096)
+			}
 		}
 	}
 }
