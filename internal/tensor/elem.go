@@ -40,7 +40,7 @@ func ScaleSpan(dst []float64, s float64) {
 }
 
 // SubScaledSpan takes s·src from dst elementwise (dst[i] −= s·src[i]): the
-// product is rounded, then subtracted — never one fused operation. Spans must
+// product is rounded (float64(…) forbids fusing), then subtracted. Spans must
 // have equal length; dst and src may be the same span.
 func SubScaledSpan(dst, src []float64, s float64) {
 	if len(dst) != len(src) {
@@ -51,7 +51,7 @@ func SubScaledSpan(dst, src []float64, s float64) {
 		return
 	}
 	for i, v := range src {
-		dst[i] -= s * v
+		dst[i] -= float64(s * v)
 	}
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -18,10 +19,11 @@ import (
 //
 // Determinism contract: every kernel in this file accumulates each output
 // element in exactly the same order as the reference ikj MatMul — for
-// out[i][j], terms are added in ascending inner-dimension order starting from
-// +0. Cache blocking only reorders work *across* independent output elements,
-// never within one element's accumulation chain, so all variants (serial,
-// parallel, blocked, fused) are bitwise identical to the naive kernels. This
+// out[i][j], one fused multiply-add per term, ascending, starting from +0:
+// acc = math.FMA(a[i][p], b[p][j], acc), a single rounding per term. Cache
+// blocking only reorders work *across* independent output elements, never
+// within one element's accumulation chain, so all variants (serial, parallel,
+// blocked, fused) are bitwise identical to the naive kernels. This
 // is what keeps the executor's bit-identical-gradients differential suite
 // meaningful: reordered schedules, pooled buffers and fused kernels must all
 // produce the same bits as the plain serial walk.
@@ -30,9 +32,10 @@ import (
 // (…Go), which are the portable path and the oracle the vector path is tested
 // against, and an AVX2 path (…Vec, over the axpy and dot bodies of
 // gemm_amd64.s) taken when useVector says the CPU has it. A SIMD lane is
-// always one output element running the scalar loop's own sequence —
-// multiply, round, add, never a fused multiply-add — so both paths produce
-// the same bits and the contract above reads the same for either.
+// always one output element running the scalar loop's own sequence — one
+// fused multiply-add per term, ascending, VFMADD231 where the Go loop calls
+// math.FMA — so both paths produce the same bits on every architecture and the
+// contract above reads the same for either.
 const (
 	// gemmRowBlock tiles rows of the output (and of A) so an output tile and
 	// the B panel it consumes stay cache-resident.
@@ -138,8 +141,8 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 // matMulRange computes output rows [lo, hi) of a·b. It accumulates into out —
 // or, with fromZero, into +0 whatever the rows hold: the vector path then
 // starts each element's chain in a cleared register instead of reading a
-// zeroed row (0 + a·b either way, so the same bits), the Go loops clear the
-// rows first.
+// zeroed row (fma(a, b, +0) either way, so the same bits), the Go loops clear
+// the rows first.
 func matMulRange(out, a, b []float64, k, n, lo, hi int, fromZero bool) {
 	if useVector && n > 0 {
 		// Row i's coefficient for term p is a[i·k + p].
@@ -154,10 +157,11 @@ func matMulRange(out, a, b []float64, k, n, lo, hi int, fromZero bool) {
 
 // axpyRangeVec is the vector path of both axpy-form kernels: for output rows
 // r in [lo, hi), out_r += Σ_t a[r·rs + t·ts]·b_t over the terms t < terms, b_t
-// being row t of b (fromZero: out_r = +0 + Σ…). Whole groups of four rows take
-// whole blocks of twelve columns in the tile body, then blocks of four in the
-// quad body; both keep a block's sums in registers across a pass of
-// tileTerms(n) terms — every term, on the shapes of the repository's nets.
+// being row t of b, one fused multiply-add per term (fromZero: the chain
+// starts from +0). Whole groups of four rows take whole blocks of twelve
+// columns in the tile body, then blocks of four in the quad body; both keep a
+// block's sums in registers across a pass of tileTerms(n) terms — every term,
+// on the shapes of the repository's nets.
 // The rest goes to the axpy body one row at a time, in panels of terms: those
 // rows' last n mod 4 columns, then the range's last rows mod 4. Ascending t
 // for every element either way, as in the Go loops.
@@ -222,9 +226,9 @@ func matMulRangeGo(out, a, b []float64, k, n, lo, hi int) {
 				arow := a[i*k : (i+1)*k]
 				orow := out[i*n : (i+1)*n]
 				// Four p terms per pass over the output row: one
-				// load/store of orow[j] carries four multiply-adds,
-				// applied left to right in ascending p order — the exact
-				// chain the one-term-at-a-time loop produces.
+				// load/store of orow[j] carries four fused multiply-adds,
+				// applied in ascending p order — the exact chain the
+				// one-term-at-a-time loop produces.
 				p := pt
 				for ; p+4 <= phi; p += 4 {
 					a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
@@ -237,14 +241,14 @@ func matMulRangeGo(out, a, b []float64, k, n, lo, hi int) {
 					b3 := b[(p+3)*n : (p+4)*n][:len(b0)]
 					o := orow[:len(b0)]
 					for j, bv := range b0 {
-						o[j] = o[j] + a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+						o[j] = math.FMA(a3, b3[j], math.FMA(a2, b2[j], math.FMA(a1, b1[j], math.FMA(a0, bv, o[j]))))
 					}
 				}
 				for ; p < phi; p++ {
 					av := arow[p]
 					brow := b[p*n : (p+1)*n]
 					for j, bv := range brow {
-						orow[j] += av * bv
+						orow[j] = math.FMA(av, bv, orow[j])
 					}
 				}
 			}
@@ -325,10 +329,10 @@ func dot4(out []float64, n int, a, brow []float64, seeded bool) {
 		s0, s1, s2, s3 = out[0], out[n], out[2*n], out[3*n]
 	}
 	for p, bv := range brow {
-		s0 += a0[p] * bv
-		s1 += a1[p] * bv
-		s2 += a2[p] * bv
-		s3 += a3[p] * bv
+		s0 = math.FMA(a0[p], bv, s0)
+		s1 = math.FMA(a1[p], bv, s1)
+		s2 = math.FMA(a2[p], bv, s2)
+		s3 = math.FMA(a3[p], bv, s3)
 	}
 	out[0], out[n], out[2*n], out[3*n] = s0, s1, s2, s3
 }
@@ -337,7 +341,7 @@ func dot4(out []float64, n int, a, brow []float64, seeded bool) {
 func dot(s float64, x, y []float64) float64 {
 	y = y[:len(x)]
 	for p, v := range x {
-		s += v * y[p]
+		s = math.FMA(v, y[p], s)
 	}
 	return s
 }
@@ -368,10 +372,10 @@ func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int, seeded bool) {
 					s0, s1, s2, s3 = orow[j], orow[j+1], orow[j+2], orow[j+3]
 				}
 				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
+					s0 = math.FMA(av, b0[p], s0)
+					s1 = math.FMA(av, b1[p], s1)
+					s2 = math.FMA(av, b2[p], s2)
+					s3 = math.FMA(av, b3[p], s3)
 				}
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
@@ -437,8 +441,8 @@ func tMatMulRangeGo(out, a, b []float64, m, k, n, lo, hi int) {
 	for pt := lo; pt < hi; pt += gemmRowBlock {
 		phi := min(pt+gemmRowBlock, hi)
 		// Four input rows per sweep: each output element receives its four
-		// rank-1 terms in one load/store, added left to right in ascending
-		// i order — the same chain as four one-row sweeps.
+		// rank-1 terms in one load/store, fused in ascending i order — the
+		// same chain as four one-row sweeps.
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			a0 := a[i*k : (i+1)*k]
@@ -456,7 +460,7 @@ func tMatMulRangeGo(out, a, b []float64, m, k, n, lo, hi int) {
 				av0, av1, av2, av3 := a0[p], a1[p], a2[p], a3[p]
 				orow := out[p*n : (p+1)*n][:len(b0)]
 				for j, bv := range b0 {
-					orow[j] = orow[j] + av0*bv + av1*b1[j] + av2*b2[j] + av3*b3[j]
+					orow[j] = math.FMA(av3, b3[j], math.FMA(av2, b2[j], math.FMA(av1, b1[j], math.FMA(av0, bv, orow[j]))))
 				}
 			}
 		}
@@ -467,7 +471,7 @@ func tMatMulRangeGo(out, a, b []float64, m, k, n, lo, hi int) {
 				av := arow[p]
 				orow := out[p*n : (p+1)*n]
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] = math.FMA(av, bv, orow[j])
 				}
 			}
 		}

@@ -2,13 +2,13 @@ package tensor
 
 // useVector routes the range kernels of gemm.go, the conv row kernels, the
 // max pool, ReLU and the elementwise family (elem.go) through the AVX2 bodies
-// of gemm_amd64.s. It is decided once, from CPUID alone; the Go loops run
-// wherever it is false. Nothing outside the tests ever writes it.
-var useVector = cpuHasAVX2()
+// of gemm_amd64.s (AVX2 and FMA3). It is decided once, from CPUID alone; the
+// Go loops run wherever it is false. Nothing outside the tests ever writes it.
+var useVector = cpuHasAVX2FMA()
 
-// cpuHasAVX2 reports whether the CPU implements AVX2 and the operating system
-// saves the YMM registers.
-func cpuHasAVX2() bool
+// cpuHasAVX2FMA reports whether the CPU implements AVX2 and FMA3 and the
+// operating system saves the YMM registers.
+func cpuHasAVX2FMA() bool
 
 // axpyTile, axpyQuads, axpyPanel and dotTiles are the AVX2 bodies;
 // gemm_amd64.s states what each computes. Pointers must address at least one

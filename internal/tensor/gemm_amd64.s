@@ -2,24 +2,26 @@
 
 // AVX2 inner bodies of the range kernels in gemm.go. The contract of that file
 // holds lane by lane: a SIMD lane is always one output element, and each lane
-// runs the scalar loop's sequence — multiply, round, add, in ascending inner
-// index — so a body here produces the bits of the Go loop it replaces. There
-// is no FMA anywhere in this file: a fused multiply-add rounds once where the
-// Go loops round twice.
+// runs the scalar loop's sequence — one fused multiply-add per term, in
+// ascending inner index, as math.FMA computes it — so a body here produces the
+// bits of the Go loop it replaces. The four GEMM bodies (axpyPanel, axpyTile,
+// axpyQuads, dotTiles) are the only place a VFMADD appears; every other body
+// rounds each operation on its own, as its Go loop does.
 
-// func cpuHasAVX2() bool
+// func cpuHasAVX2FMA() bool
 //
-// CPUID leaf 1: OSXSAVE (ECX bit 27) and AVX (bit 28); XCR0 bits 1-2: the OS
-// saves XMM and YMM state; CPUID leaf 7 sub-leaf 0: AVX2 (EBX bit 5).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+// CPUID leaf 1: FMA3 (ECX bit 12), OSXSAVE (bit 27) and AVX (bit 28); XCR0
+// bits 1-2: the OS saves XMM and YMM state; CPUID leaf 7 sub-leaf 0: AVX2
+// (EBX bit 5).
+TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
 	JLT  no
 	MOVL $1, AX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
+	ANDL $0x18001000, CX
+	CMPL CX, $0x18001000
 	JNE  no
 	XORL CX, CX
 	XGETBV
@@ -41,61 +43,44 @@ no:
 //
 // The axpy form. The terms are taken four at a time, for every j < n
 //
-//	o[j] = (((o[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
+//	o[j] = fma(a3, b3[j], fma(a2, b2[j], fma(a1, b1[j], fma(a0, b0[j], o[j]))))
 //
 // where a_t = a[t·sa] and b_t = b[t·bs ..], row t of a row-major matrix with
-// bs columns, and the last terms mod 4 one at a time, o[j] = o[j] + a_t·b_t[j].
-// Eight j per iteration, then four, then a scalar tail. With fromZero (terms
-// must then be at least 4) the first group does not read o: its sums start
-// from a cleared register, +0 + a0·b0[j] — the value a zeroed o would have
-// given, a −0 product included.
+// bs columns, and the last terms mod 4 one at a time, o[j] = fma(a_t, b_t[j],
+// o[j]). Eight j per iteration, then four, then a scalar tail. With fromZero
+// (terms must then be at least 4) the first group does not read o: its sums
+// start from cleared registers — the +0 a zeroed o would have held.
 //
-// AXPY4_n is one group's arithmetic on n-wide registers, the running sums
-// starting from S0 (and S1) and ending in Y0 (and Y1).
-#define AXPY4_8(S0, S1) \
-	VMULPD  (DX)(AX*1), Y12, Y2; \
-	VMULPD  32(DX)(AX*1), Y12, Y3; \
-	VADDPD  Y2, S0, Y0; \
-	VADDPD  Y3, S1, Y1; \
-	VMULPD  (R11)(AX*1), Y13, Y4; \
-	VMULPD  32(R11)(AX*1), Y13, Y5; \
-	VADDPD  Y4, Y0, Y0; \
-	VADDPD  Y5, Y1, Y1; \
-	VMULPD  (R12)(AX*1), Y14, Y6; \
-	VMULPD  32(R12)(AX*1), Y14, Y7; \
-	VADDPD  Y6, Y0, Y0; \
-	VADDPD  Y7, Y1, Y1; \
-	VMULPD  (R13)(AX*1), Y15, Y8; \
-	VMULPD  32(R13)(AX*1), Y15, Y9; \
-	VADDPD  Y8, Y0, Y0; \
-	VADDPD  Y9, Y1, Y1; \
-	VMOVUPD Y0, (DI)(AX*1); \
-	VMOVUPD Y1, 32(DI)(AX*1); \
-	ADDQ    $64, AX
+// AXPY4_n is one group's arithmetic on n-wide registers, the running sums in
+// Y0 (and Y1), stored back to o.
+#define AXPY4_8 \
+	VFMADD231PD (DX)(AX*1), Y12, Y0; \
+	VFMADD231PD 32(DX)(AX*1), Y12, Y1; \
+	VFMADD231PD (R11)(AX*1), Y13, Y0; \
+	VFMADD231PD 32(R11)(AX*1), Y13, Y1; \
+	VFMADD231PD (R12)(AX*1), Y14, Y0; \
+	VFMADD231PD 32(R12)(AX*1), Y14, Y1; \
+	VFMADD231PD (R13)(AX*1), Y15, Y0; \
+	VFMADD231PD 32(R13)(AX*1), Y15, Y1; \
+	VMOVUPD     Y0, (DI)(AX*1); \
+	VMOVUPD     Y1, 32(DI)(AX*1); \
+	ADDQ        $64, AX
 
-#define AXPY4_4(S0) \
-	VMULPD  (DX)(AX*1), Y12, Y2; \
-	VADDPD  Y2, S0, Y0; \
-	VMULPD  (R11)(AX*1), Y13, Y4; \
-	VADDPD  Y4, Y0, Y0; \
-	VMULPD  (R12)(AX*1), Y14, Y6; \
-	VADDPD  Y6, Y0, Y0; \
-	VMULPD  (R13)(AX*1), Y15, Y8; \
-	VADDPD  Y8, Y0, Y0; \
-	VMOVUPD Y0, (DI)(AX*1); \
-	ADDQ    $32, AX
+#define AXPY4_4 \
+	VFMADD231PD (DX)(AX*1), Y12, Y0; \
+	VFMADD231PD (R11)(AX*1), Y13, Y0; \
+	VFMADD231PD (R12)(AX*1), Y14, Y0; \
+	VFMADD231PD (R13)(AX*1), Y15, Y0; \
+	VMOVUPD     Y0, (DI)(AX*1); \
+	ADDQ        $32, AX
 
-#define AXPY4_1(S0) \
-	VMULSD (DX)(AX*1), X12, X2; \
-	VADDSD X2, S0, X0; \
-	VMULSD (R11)(AX*1), X13, X4; \
-	VADDSD X4, X0, X0; \
-	VMULSD (R12)(AX*1), X14, X6; \
-	VADDSD X6, X0, X0; \
-	VMULSD (R13)(AX*1), X15, X8; \
-	VADDSD X8, X0, X0; \
-	VMOVSD X0, (DI)(AX*1); \
-	ADDQ   $8, AX
+#define AXPY4_1 \
+	VFMADD231SD (DX)(AX*1), X12, X0; \
+	VFMADD231SD (R11)(AX*1), X13, X0; \
+	VFMADD231SD (R12)(AX*1), X14, X0; \
+	VFMADD231SD (R13)(AX*1), X15, X0; \
+	VMOVSD      X0, (DI)(AX*1); \
+	ADDQ        $8, AX
 
 TEXT ·axpyPanel(SB), NOSPLIT, $0-57
 	MOVQ o+0(FP), DI
@@ -111,7 +96,6 @@ TEXT ·axpyPanel(SB), NOSPLIT, $0-57
 	SHLQ $3, CX
 	MOVQ CX, BX
 	ANDQ $-64, BX            // end of the eight-wide part
-	VXORPD Y11, Y11, Y11     // the +0 a from-zero group starts its sums from
 
 axpy_group:
 	CMPQ R10, $4
@@ -134,37 +118,41 @@ axpy_8:
 	JGE  axpy_4
 	VMOVUPD (DI)(AX*1), Y0
 	VMOVUPD 32(DI)(AX*1), Y1
-	AXPY4_8(Y0, Y1)
+	AXPY4_8
 	JMP  axpy_8
 
 axpy_4:
 	TESTQ $32, CX            // four more elements left?
 	JZ    axpy_1
 	VMOVUPD (DI)(AX*1), Y0
-	AXPY4_4(Y0)
+	AXPY4_4
 
 axpy_1:
 	CMPQ AX, CX
 	JGE  axpy_next
 	VMOVSD (DI)(AX*1), X0
-	AXPY4_1(X0)
+	AXPY4_1
 	JMP  axpy_1
 
 axpyz_8:
 	CMPQ AX, BX
 	JGE  axpyz_4
-	AXPY4_8(Y11, Y11)
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	AXPY4_8
 	JMP  axpyz_8
 
 axpyz_4:
 	TESTQ $32, CX
 	JZ    axpyz_1
-	AXPY4_4(Y11)
+	VXORPD Y0, Y0, Y0
+	AXPY4_4
 
 axpyz_1:
 	CMPQ AX, CX
 	JGE  axpy_next
-	AXPY4_1(X11)
+	VXORPD X0, X0, X0
+	AXPY4_1
 	JMP  axpyz_1
 
 axpy_next:
@@ -184,22 +172,20 @@ axpyt_4:
 	LEAQ 32(AX), R11
 	CMPQ R11, CX
 	JGT  axpyt_1
-	VMOVUPD (DI)(AX*1), Y0
-	VMULPD  (DX)(AX*1), Y12, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
-	MOVQ    R11, AX
-	JMP     axpyt_4
+	VMOVUPD     (DI)(AX*1), Y0
+	VFMADD231PD (DX)(AX*1), Y12, Y0
+	VMOVUPD     Y0, (DI)(AX*1)
+	MOVQ        R11, AX
+	JMP         axpyt_4
 
 axpyt_1:
 	CMPQ AX, CX
 	JGE  axpyt_next
-	VMOVSD (DI)(AX*1), X0
-	VMULSD (DX)(AX*1), X12, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (DI)(AX*1)
-	ADDQ   $8, AX
-	JMP    axpyt_1
+	VMOVSD      (DI)(AX*1), X0
+	VFMADD231SD (DX)(AX*1), X12, X0
+	VMOVSD      X0, (DI)(AX*1)
+	ADDQ        $8, AX
+	JMP         axpyt_1
 
 axpyt_next:
 	ADDQ R9, DX
@@ -215,32 +201,28 @@ axpy_done:
 // The axpy form on groups×blocks blocks of 4 rows × 12 columns of o, whose
 // rows are n elements apart: for r < 4·groups and j < 12·blocks
 //
-//	o[r·n + j] = ((o[r·n + j] + a_r0·b0[j]) + a_r1·b1[j]) + … + a_r,terms−1·b_terms−1[j]
+//	o[r·n + j] = fma(a_r,terms−1, b_terms−1[j], … fma(a_r1, b1[j], fma(a_r0, b0[j], o[r·n + j])))
 //
 // where a_rt = a[r·rs + t·ts] and b_t = b[t·n ..], row t of a row-major
 // matrix with n columns. A block stays in Y0–Y11 (three registers a row) over
 // every term, loaded once and stored once; with fromZero it starts from
-// cleared registers instead of o, +0 + a_r0·b0[j] — what a zeroed o would
-// have given. Per term, the first eight of its twelve b_t[j] are loaded into
-// Y12–Y13; per row, a_rt is broadcast into Y14, multiplied by them into Y15
-// and by the last four, straight from memory, into Y14 itself, and each
-// product is added to its accumulator — all sixteen registers, ten loads a
-// term. Two terms a loop. A lane is one element taking its terms in ascending
-// t, the order of axpyPanel and of the Go loops. The groups of a column block
-// run one after the other, so they reuse its columns of b while those are in
-// L1.
+// cleared registers instead of o — the +0 a zeroed o would have held. Per
+// term, its twelve b_t[j] are loaded into Y12, Y13 and Y15; per row, a_rt is
+// broadcast into Y14 and fused into the row's three accumulators — all
+// sixteen registers, seven loads and twelve fused multiply-adds a term. Two
+// terms a loop. A lane is one element taking its terms in ascending t, the
+// order of axpyPanel and of the Go loops. The groups of a column block run
+// one after the other, so they reuse its columns of b while those are in L1.
 #define TILE_ROW(A, S0, S1, S2) \
 	VBROADCASTSD A, Y14; \
-	VMULPD  Y12, Y14, Y15; \
-	VADDPD  Y15, S0, S0; \
-	VMULPD  Y13, Y14, Y15; \
-	VADDPD  Y15, S1, S1; \
-	VMULPD  64(DX), Y14, Y14; \
-	VADDPD  Y14, S2, S2
+	VFMADD231PD  Y12, Y14, S0; \
+	VFMADD231PD  Y13, Y14, S1; \
+	VFMADD231PD  Y15, Y14, S2
 
 #define TILE_TERM \
 	VMOVUPD (DX), Y12; \
 	VMOVUPD 32(DX), Y13; \
+	VMOVUPD 64(DX), Y15; \
 	TILE_ROW((SI), Y0, Y1, Y2); \
 	TILE_ROW((SI)(R8*1), Y3, Y4, Y5); \
 	TILE_ROW((SI)(R8*2), Y6, Y7, Y8); \
@@ -349,12 +331,11 @@ tile_done:
 //
 // axpyTile's sum on groups×quads blocks of 4 rows × 4 columns, the columns a
 // tile row leaves over: one accumulator a row, Y0–Y3. Per term, the four
-// b_t[j] are loaded into Y12; per row, a_rt is broadcast into Y14, multiplied
-// by them into Y15 and added.
+// b_t[j] are loaded into Y12; per row, a_rt is broadcast into Y14 and fused
+// into the accumulator.
 #define QUAD_ROW(A, S) \
 	VBROADCASTSD A, Y14; \
-	VMULPD  Y12, Y14, Y15; \
-	VADDPD  Y15, S, S
+	VFMADD231PD  Y12, Y14, S
 
 TEXT ·axpyQuads(SB), NOSPLIT, $0-73
 	MOVQ o+0(FP), R14        // the column block's first row of o
@@ -434,14 +415,14 @@ quad_done:
 // The dot form, on row-major a and b with k columns and out with n. For
 // t = 0 .. tiles-1, i < 4 and j < 4:
 //
-//	out[i·n + 4t+j] = seed + Σ_{p < k} a[i·k + p] · b[(4t+j)·k + p]
+//	out[i·n + 4t+j] = fma(a[i·k + k−1], b[(4t+j)·k + k−1], … fma(a[i·k], b[(4t+j)·k], seed))
 //
-// summed in ascending p from seed = +0, or, when seeded, from the element's
-// prior value — the chain a fold over several calls continues. One tile keeps
-// four accumulators, one per row of a, whose four lanes are the tile's four
-// rows of b. Four p at a time: four
-// rows of b are loaded and transposed in registers so that each register holds
-// one p across the four rows,
+// one fused multiply-add per p, ascending, from seed = +0, or, when seeded,
+// from the element's prior value — the chain a fold over several calls
+// continues. One tile keeps four accumulators, one per row of a, whose four
+// lanes are the tile's four rows of b. Four p at a time: four rows of b are
+// loaded and transposed in registers so that each register holds one p across
+// the four rows,
 //
 //	Y4 = b0[p..p+3]      VUNPCKLPD/VUNPCKHPD       VPERM2F128
 //	Y5 = b1[p..p+3]  →   b0[p]   b1[p]   b0[p+2] b1[p+2]   →  Y4 = b0..b3[p]
@@ -450,8 +431,18 @@ quad_done:
 //	                     b2[p+1] b3[p+1] b2[p+3] b3[p+3]      Y7 = b0..b3[p+3]
 //
 // and every row of a then takes its four terms in order: broadcast a_i[p],
-// multiply, add. The last k mod 4 terms gather their one p from the four rows
-// with scalar loads instead.
+// one fused multiply-add (DOT_TERM). The last k mod 4 terms gather their one p
+// from the four rows with scalar loads instead.
+#define DOT_TERM(OFF, B, A0, A1, A2, A3) \
+	VBROADCASTSD OFF(SI)(AX*1), A0; \
+	VBROADCASTSD OFF(R8)(AX*1), A1; \
+	VBROADCASTSD OFF(R9)(AX*1), A2; \
+	VBROADCASTSD OFF(R10)(AX*1), A3; \
+	VFMADD231PD  B, A0, Y0; \
+	VFMADD231PD  B, A1, Y1; \
+	VFMADD231PD  B, A2, Y2; \
+	VFMADD231PD  B, A3, Y3
+
 TEXT ·dotTiles(SB), NOSPLIT, $0-49
 	MOVQ out+0(FP), DI
 	MOVQ a+16(FP), SI
@@ -505,54 +496,10 @@ dot_p:
 	VPERM2F128 $0x20, Y11, Y9, Y5
 	VPERM2F128 $0x31, Y10, Y8, Y6
 	VPERM2F128 $0x31, Y11, Y9, Y7
-	VBROADCASTSD (SI)(AX*1), Y8
-	VBROADCASTSD (R8)(AX*1), Y9
-	VBROADCASTSD (R9)(AX*1), Y10
-	VBROADCASTSD (R10)(AX*1), Y11
-	VMULPD Y4, Y8, Y8
-	VMULPD Y4, Y9, Y9
-	VMULPD Y4, Y10, Y10
-	VMULPD Y4, Y11, Y11
-	VADDPD Y8, Y0, Y0
-	VADDPD Y9, Y1, Y1
-	VADDPD Y10, Y2, Y2
-	VADDPD Y11, Y3, Y3
-	VBROADCASTSD 8(SI)(AX*1), Y12
-	VBROADCASTSD 8(R8)(AX*1), Y13
-	VBROADCASTSD 8(R9)(AX*1), Y14
-	VBROADCASTSD 8(R10)(AX*1), Y15
-	VMULPD Y5, Y12, Y12
-	VMULPD Y5, Y13, Y13
-	VMULPD Y5, Y14, Y14
-	VMULPD Y5, Y15, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-	VBROADCASTSD 16(SI)(AX*1), Y8
-	VBROADCASTSD 16(R8)(AX*1), Y9
-	VBROADCASTSD 16(R9)(AX*1), Y10
-	VBROADCASTSD 16(R10)(AX*1), Y11
-	VMULPD Y6, Y8, Y8
-	VMULPD Y6, Y9, Y9
-	VMULPD Y6, Y10, Y10
-	VMULPD Y6, Y11, Y11
-	VADDPD Y8, Y0, Y0
-	VADDPD Y9, Y1, Y1
-	VADDPD Y10, Y2, Y2
-	VADDPD Y11, Y3, Y3
-	VBROADCASTSD 24(SI)(AX*1), Y12
-	VBROADCASTSD 24(R8)(AX*1), Y13
-	VBROADCASTSD 24(R9)(AX*1), Y14
-	VBROADCASTSD 24(R10)(AX*1), Y15
-	VMULPD Y7, Y12, Y12
-	VMULPD Y7, Y13, Y13
-	VMULPD Y7, Y14, Y14
-	VMULPD Y7, Y15, Y15
-	VADDPD Y12, Y0, Y0
-	VADDPD Y13, Y1, Y1
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
+	DOT_TERM(0, Y4, Y8, Y9, Y10, Y11)
+	DOT_TERM(8, Y5, Y12, Y13, Y14, Y15)
+	DOT_TERM(16, Y6, Y8, Y9, Y10, Y11)
+	DOT_TERM(24, Y7, Y12, Y13, Y14, Y15)
 	ADDQ $32, AX
 	CMPQ AX, CX
 	JLT  dot_p
@@ -565,18 +512,7 @@ dot_1:
 	VMOVSD  (R12)(AX*1), X5
 	VMOVHPD (R13)(AX*1), X5, X5
 	VINSERTF128 $1, X5, Y4, Y4
-	VBROADCASTSD (SI)(AX*1), Y8
-	VBROADCASTSD (R8)(AX*1), Y9
-	VBROADCASTSD (R9)(AX*1), Y10
-	VBROADCASTSD (R10)(AX*1), Y11
-	VMULPD Y4, Y8, Y8
-	VMULPD Y4, Y9, Y9
-	VMULPD Y4, Y10, Y10
-	VMULPD Y4, Y11, Y11
-	VADDPD Y8, Y0, Y0
-	VADDPD Y9, Y1, Y1
-	VADDPD Y10, Y2, Y2
-	VADDPD Y11, Y3, Y3
+	DOT_TERM(0, Y4, Y8, Y9, Y10, Y11)
 	ADDQ $8, AX
 	JMP  dot_1
 

@@ -9,10 +9,10 @@ import (
 )
 
 // naiveMatMulIKJ is the pinned pre-fusion reference kernel: the flat ikj loop
-// including the historic `av == 0` skip branch. The production kernels must
-// match it bit for bit — including on inputs containing exact zeros, which is
-// what proves removing the skip branch (and adding blocking, fusion, and
-// parallelism) changed no result bits.
+// including the historic `av == 0` skip branch, one math.FMA per term. The
+// production kernels must match it bit for bit — including on inputs
+// containing exact zeros, which is what proves removing the skip branch (and
+// adding blocking, fusion, and parallelism) changed no result bits.
 func naiveMatMulIKJ(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := New(m, n)
@@ -26,7 +26,7 @@ func naiveMatMulIKJ(a, b *Tensor) *Tensor {
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] = math.FMA(av, brow[j], orow[j])
 			}
 		}
 	}

@@ -100,7 +100,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float64
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s = math.FMA(a.At(i, p), b.At(p, j), s)
 			}
 			out.set(s, i, j)
 		}
@@ -327,7 +327,7 @@ func TestMatMulParallelMatchesSerialBitwise(t *testing.T) {
 		for p := 0; p < 96; p++ {
 			av := a.Data[i*96+p]
 			for j := 0; j < 200; j++ {
-				want.Data[i*200+j] += av * b.Data[p*200+j]
+				want.Data[i*200+j] = math.FMA(av, b.Data[p*200+j], want.Data[i*200+j])
 			}
 		}
 	}
