@@ -55,8 +55,11 @@ func (s convShape) String() string {
 
 // convShapes crosses kernel sizes 1, 2, 3 and 5 (in both positions) with
 // non-square inputs, a single channel, a single image, image counts no worker
-// count divides, and one shape large enough to cross both parallel
-// thresholds.
+// count divides, and four shapes large enough to cross both parallel
+// thresholds. Three of those split unevenly over groups of four lowered rows
+// at every worker count from 2 to 4: the benchmark's conv2 at batch 32 and at
+// a pipeline micro-batch of 8 (K = 72, eighteen groups), and a single-channel
+// 3×3 layer (K = 9, two whole groups and a one-row group).
 func convShapes() []convShape {
 	shapes := []convShape{
 		{1, 1, 3, 3, 1, 1, 1},
@@ -67,7 +70,10 @@ func convShapes() []convShape {
 		{7, 3, 9, 8, 5, 5, 2},
 		{2, 4, 6, 6, 3, 1, 3},
 		{3, 2, 7, 5, 6, 3, 1},
-		{5, 3, 32, 30, 9, 3, 3}, // 2·N·px·K·F ≈ 18 MFLOP, 113k moved elements
+		{5, 3, 32, 30, 9, 3, 3},   // 2·N·px·K·F ≈ 18 MFLOP, 113k moved elements
+		{32, 8, 14, 14, 16, 3, 3}, // conv2 at batch 32: 10.6 MFLOP
+		{8, 8, 14, 14, 16, 3, 3},  // conv2 on a micro-batch: 2.65 MFLOP
+		{32, 1, 30, 30, 16, 3, 3}, // C = 1, K = 9: 7.2 MFLOP
 	}
 	for _, k := range []int{1, 2, 3, 5} {
 		shapes = append(shapes, convShape{3, 2, 9, 10, 4, k, k})
@@ -125,7 +131,7 @@ func TestConvGEMMsMatchRepackingReference(t *testing.T) {
 			wantDW := Conv2DWeightGrad(x, g, sh.kh, sh.kw)
 			wantColsT := refLowerT(x, sh.kh, sh.kw)
 
-			for _, procs := range []int{1, 2, 4} {
+			for _, procs := range []int{1, 2, 3, 4} {
 				runtime.GOMAXPROCS(procs)
 				name := fmt.Sprintf("%v sparse=%v GOMAXPROCS=%d", sh, sparse, procs)
 				out, colsT := Randn(r, 1, sh.n, sh.f, oh, ow), Randn(r, 1, sh.n, k, oh*ow)
