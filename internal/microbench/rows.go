@@ -292,12 +292,12 @@ func Rows() []Row {
 		{Name: "TensorKernelMatMulTPortable", Step: func(testing.TB) (func(), func(*testing.B)) {
 			x, y := gemmOperands()
 			dst := tensor.New(128, 128)
-			return func() { tensorMatMulTRangeGo(dst.Data, x.Data, y.Data, 128, 128, 0, 128, false) }, nil
+			return func() { tensorMatMulTRangeGo(dst.Data, x.Data, y.Data, 128, 128, 128, 0, 128, false) }, nil
 		}},
 		// The zero-alloc contract of the pooled kernel layer: fused GEMMs,
-		// both conv lowerings and the fused channel-major conv kernels into
-		// workspace buffers never touch the allocator once the workspace is
-		// warm.
+		// the pixel-major lowering and scatter, and the three channel-major
+		// conv kernels, which lower into workspace blocks of their own, never
+		// touch the allocator once the workspace is warm.
 		{Name: "TensorKernelsWarmWorkspace", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			a := tensor.Randn(rng, 1, 64, 48)
@@ -315,13 +315,12 @@ func Rows() []Row {
 				tensor.Im2colInto(cols, x, 3, 3)
 				im := ws.Get(2, 3, 12, 12)
 				tensor.Col2imInto(im, cols, 3, 3)
-				out, colsT := ws.Get(2, 5, 10, 10), ws.Get(2, 3*3*3, 10*10)
-				tensor.ConvForwardInto(out, colsT, x, wm, 3, 3)
+				out := ws.Get(2, 5, 10, 10)
+				tensor.ConvForwardInto(out, x, wm, 3, 3, ws)
 				tensor.ConvInputGradInto(im, g, wm, 3, 3, ws)
 				dw := ws.GetZeroed(5, 3*3*3)
-				tensor.ConvWeightGradAcc(dw, g, colsT)
+				tensor.ConvWeightGradAcc(dw, g, x, 3, 3, ws)
 				ws.Put(dw)
-				ws.Put(colsT)
 				ws.Put(out)
 				ws.Put(im)
 				ws.Put(cols)
@@ -355,8 +354,8 @@ func Rows() []Row {
 		// update — on the nets of the benchmark's two train workloads, plain
 		// and checkpointed every 2. Neither allocates: the checkpointed step's
 		// bookkeeping lives on the executor, and the stashes it drops (masks,
-		// lowerings, the argmax map) keep their capacity for the restash that
-		// rebuilds them from the kept activations.
+		// the argmax map) keep their capacity for the restash that rebuilds
+		// them from the kept activations.
 		{Name: "TrainStepMLPSerial", Gated: true, Step: trainStep(MLP, train.ExecSerial, 0)},
 		{Name: "TrainStepMLPRecompute", Gated: true, Step: trainStep(MLP, train.ExecSerial, 2)},
 		{Name: "TrainStepConvSerial", Gated: true, Step: trainStep(convStepNet, train.ExecSerial, 0)},
@@ -448,16 +447,21 @@ func Rows() []Row {
 				}
 			}, nil
 		}},
-		// The dot-form kernel seeded from its output, on the shape the conv
-		// workload's δW gives it: dw[16×72] += g_b[16×144]·colsT_b[72×144]ᵀ
-		// folded over 32 images.
-		{Name: "TensorKernelDotSeeded", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+		// The conv workload's conv2 δW: each of 32 images of 8×14×14 lowered
+		// again into one 83 KB block, then folded on the dot-form kernel
+		// seeded from its output, dw[16×72] += g_b[16×144]·colsT_b[72×144]ᵀ.
+		// With GOMAXPROCS > 1 the eighteen groups of four lowered rows split
+		// over the processors.
+		{Name: "TensorKernelConvWeightGrad", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
-			g, colsT, dw := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 72, 144), tensor.New(16, 72)
-			return func() {
+			g, x, dw := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 8, 14, 14), tensor.New(16, 72)
+			ws := tensor.NewWorkspace()
+			op := func() {
 				dw.Zero()
-				tensor.ConvWeightGradAcc(dw, g, colsT)
-			}, nil
+				tensor.ConvWeightGradAcc(dw, g, x, 3, 3, ws)
+			}
+			op()
+			return op, nil
 		}},
 		// conv2 of the conv workload on one pipeline micro-batch: 8 images of
 		// 8×14×14 lowered and multiplied by the 16×72 filter matrix, 2.65
@@ -466,8 +470,10 @@ func Rows() []Row {
 		{Name: "TensorKernelConvForwardMicro8", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			x, wm := tensor.Randn(rng, 1, 8, 8, 14, 14), tensor.Randn(rng, 1, 16, 72)
-			out, colsT := tensor.New(8, 16, 12, 12), tensor.New(8, 72, 144)
-			return func() { tensor.ConvForwardInto(out, colsT, x, wm, 3, 3) }, nil
+			out, ws := tensor.New(8, 16, 12, 12), tensor.NewWorkspace()
+			op := func() { tensor.ConvForwardInto(out, x, wm, 3, 3, ws) }
+			op()
+			return op, nil
 		}},
 		// 2×2 max pooling of the conv workload's pooled activation: three
 		// compares per output, each a blend of the value and its window
@@ -656,7 +662,7 @@ func Rows() []Row {
 // something a caller can choose, so there is no exported way to run this one.
 //
 //go:linkname tensorMatMulTRangeGo oooback/internal/tensor.matMulTRangeGo
-func tensorMatMulTRangeGo(out, a, b []float64, k, n, lo, hi int, seeded bool)
+func tensorMatMulTRangeGo(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool)
 
 // tensorCopyRows and tensorAddRows are tensor's strided row kernels, the
 // bodies of the channel-major lowering and scatter, reached the same way.

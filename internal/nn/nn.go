@@ -9,7 +9,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"oooback/internal/tensor"
@@ -38,7 +37,8 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 //
 //   - The workspace of ForwardWS and InputGradWS is owned by whoever runs the
 //     call; scratch comes from it and goes back within the call. δW takes
-//     none: its fold writes straight into Grad.
+//     none: its fold writes straight into Grad, and a layer whose fold needs
+//     scratch (Conv2D, which lowers its input again) owns a workspace for it.
 //   - The tensor ForwardWS returns is valid until the layer's next forward,
 //     the one InputGradWS returns until its next δO. Training steps are
 //     serialized by the engines' end-of-step barriers, so handing either to
@@ -70,7 +70,7 @@ type Layer interface {
 	// pipeline stage makes one per microbatch, in ascending row order.
 	WeightGradAcc(gradOut *tensor.Tensor)
 	// DropStash releases the forward state retained for the backward pass
-	// (input references, masks, lowering buffers, normalization statistics).
+	// (input references, masks, argmax maps, normalization statistics).
 	// The layer's next forward or Restash rebuilds it (stash.go).
 	DropStash()
 	// StashSource names the tensor Restash reads: the input or the output of
@@ -182,23 +182,27 @@ func (r *ReLU) checkMask(gradOut *tensor.Tensor) {
 func (r *ReLU) WeightGrad(*tensor.Tensor) {}
 func (r *ReLU) Params() []*Param          { return nil }
 
-// Conv2D is a valid (no padding), stride-1 convolution layer. Forward lowers
-// the input channel-major, image by image, straight into its GEMM
-// (tensor.ConvForwardInto) and keeps the lowering, so the pooled δW reuses it
-// instead of rebuilding the (large) matrix, and all three GEMMs read and write
-// NCHW in place — removing the redundant data movement the paper's §4.1
-// attributes to the gradient kernels. InputGrad and WeightGrad are the
-// pixel-major allocating reference forms the pooled path is pinned against.
+// Conv2D is a valid (no padding), stride-1 convolution layer. Its pooled
+// kernels lower the input channel-major, one image at a time, straight into
+// their GEMMs (tensor.ConvForwardInto, ConvWeightGradAcc), and all three GEMMs
+// read and write NCHW in place — removing the redundant data movement the
+// paper's §4.1 attributes to the gradient kernels. Like Dense, it stashes only
+// the borrowed input: δW lowers each image again into a block that stays in
+// cache rather than keep the forward's lowering, several times the input's
+// size, alive until it runs. InputGrad and WeightGrad are the pixel-major
+// allocating reference forms the pooled path is pinned against.
 type Conv2D struct {
 	name   string
 	W      *Param
 	kh, kw int
 	x      *tensor.Tensor
 
-	wm    *tensor.Tensor // [F, C·KH·KW] view of W.Value
-	colsT *tensor.Tensor // forward lowering [N, C·KH·KW, OH·OW], read by the pooled δW
-	out   *tensor.Tensor // retained forward output buffer
-	gin   *tensor.Tensor // retained InputGradWS output buffer
+	wm  *tensor.Tensor // [F, C·KH·KW] view of W.Value
+	out *tensor.Tensor // retained forward output buffer
+	gin *tensor.Tensor // retained InputGradWS output buffer
+	// ws lends the lowered blocks of δW, which takes no workspace from
+	// whoever runs it, and of the plain Forward.
+	ws tensor.Workspace
 }
 
 // NewConv2D creates a convolution with f filters of c×kh×kw.
@@ -212,27 +216,12 @@ func NewConv2D(name string, f, c, kh, kw int, rng *tensor.RNG) *Conv2D {
 
 func (l *Conv2D) Name() string { return l.name }
 
-func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	l.x = x
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	f := l.W.Value.Shape[0]
-	if c != l.W.Value.Shape[1] {
-		panic(fmt.Sprintf("nn: %s input channels %d vs weight channels %d", l.name, c, l.W.Value.Shape[1]))
-	}
-	oh, ow := h-l.kh+1, w-l.kw+1
-	// The view is rebuilt whenever W.Value stops being the array it aliases,
-	// so a caller that re-points the parameter never trains on stale weights.
-	if l.wm == nil || &l.wm.Data[0] != &l.W.Value.Data[0] {
-		l.wm = l.W.Value.Reshape(f, c*l.kh*l.kw)
-	}
-	l.colsT = tensor.Ensure(l.colsT, n, c*l.kh*l.kw, oh*ow)
-	l.out = tensor.Ensure(l.out, n, f, oh, ow)
-	return tensor.ConvForwardInto(l.out, l.colsT, x, l.wm, l.kh, l.kw)
-}
+// Forward is the pooled forward on the layer's own workspace: it never
+// allocated on a warm step, so the reference walk keeps it.
+func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return l.ForwardWS(x, &l.ws) }
 
 func (l *Conv2D) checkStash(gradOut *tensor.Tensor) {
-	// DropStash empties both, Forward fills both.
-	checkStash(l.name, "stashed input and lowering", "images", min(stashedBatch(l.x), stashedBatch(l.colsT)), gradOut.Shape[0])
+	checkStash(l.name, "stashed input", "images", stashedBatch(l.x), gradOut.Shape[0])
 }
 
 func (l *Conv2D) InputGrad(gradOut *tensor.Tensor) *tensor.Tensor {

@@ -15,7 +15,8 @@ import (
 // — one pass per step on the executors and data-parallel replicas, M per stage
 // on a pipeline. Forward itself stays the naive allocating form
 // Network.Forward walks as the differential reference (for Conv2D the two are
-// one body: its Forward never allocated on a warm step).
+// one body on different workspaces: its Forward never allocated on a warm
+// step).
 //
 // WeightGradAcc is every engine's δW, and the whole batch is its one-chunk
 // case, as SoftmaxCrossEntropyInto is one SoftmaxCrossEntropyChunk call. δW_i
@@ -62,17 +63,27 @@ func (r *ReLU) WeightGradAcc(*tensor.Tensor) {}
 
 // ---- Conv2D ----
 
-// Conv2D.Forward is already fully pooled: retained lowering and output, GEMM
-// written straight into NCHW.
-func (l *Conv2D) ForwardWS(x *tensor.Tensor, _ *tensor.Workspace) *tensor.Tensor {
-	return l.Forward(x)
+func (l *Conv2D) ForwardWS(x *tensor.Tensor, ws *tensor.Workspace) *tensor.Tensor {
+	l.x = x
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	f := l.W.Value.Shape[0]
+	if c != l.W.Value.Shape[1] {
+		panic(fmt.Sprintf("nn: %s input channels %d vs weight channels %d", l.name, c, l.W.Value.Shape[1]))
+	}
+	// The view is rebuilt whenever W.Value stops being the array it aliases,
+	// so a caller that re-points the parameter never trains on stale weights.
+	if l.wm == nil || &l.wm.Data[0] != &l.W.Value.Data[0] {
+		l.wm = l.W.Value.Reshape(f, c*l.kh*l.kw)
+	}
+	l.out = tensor.Ensure(l.out, n, f, h-l.kh+1, w-l.kw+1)
+	return tensor.ConvForwardInto(l.out, x, l.wm, l.kh, l.kw, ws)
 }
 
 func (l *Conv2D) WeightGradAcc(gradOut *tensor.Tensor) {
 	l.checkStash(gradOut)
-	// Continue the fold over these images (l.colsT holds this lane's forward
-	// lowering) directly into the flat weight gradient.
-	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.colsT)
+	// Continue the fold over these images directly into the flat weight
+	// gradient, lowering the stashed input again on the layer's workspace.
+	tensor.ConvWeightGradAcc(l.W.Grad, gradOut, l.x, l.kh, l.kw, &l.ws)
 }
 
 // ---- MaxPool2 ----

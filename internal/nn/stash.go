@@ -95,20 +95,11 @@ func (r *ReLU) Restash(out *tensor.Tensor) {
 	r.mask = tensor.ReLUMaskInto(resize(r.mask, len(out.Data)), out)
 }
 
-// Conv2D owns the lowering the pooled δW replays; the input is borrowed.
-// Restash lowers the input again without the GEMM.
-func (l *Conv2D) DropStash() {
-	l.x = nil
-	park(l.colsT)
-}
-func (l *Conv2D) StashBytes() int64        { return stashTensorBytes(l.colsT) }
+// Conv2D, like Dense, stashes only the borrowed input: δW lowers it again.
+func (l *Conv2D) DropStash()               { l.x = nil }
+func (l *Conv2D) StashBytes() int64        { return 0 }
 func (l *Conv2D) StashSource() StashSource { return StashFromInput }
-func (l *Conv2D) Restash(x *tensor.Tensor) {
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	l.x = x
-	l.colsT = tensor.Ensure(l.colsT, n, x.Shape[1]*l.kh*l.kw, (h-l.kh+1)*(w-l.kw+1))
-	tensor.ConvLowerInto(l.colsT, x, l.kh, l.kw)
-}
+func (l *Conv2D) Restash(x *tensor.Tensor) { l.x = x }
 
 // MaxPool2 owns the argmax index plan; Restash repeats the scan without
 // writing the pooled output.

@@ -394,7 +394,8 @@ func copyParams(dst, src Layer) {
 
 // TestConv2DForwardMatchesRepackingReference: the layer's forward — per-image
 // GEMMs written straight into NCHW — equals tensor.Conv2D, the im2col +
-// pixel-major GEMM + repack reference, bit for bit, warm buffers included.
+// pixel-major GEMM + repack reference, bit for bit, warm buffers included —
+// and owns no stash afterwards: the input it borrows is all δW reads.
 func TestConv2DForwardMatchesRepackingReference(t *testing.T) {
 	r := tensor.NewRNG(12)
 	l := NewConv2D("c", 5, 3, 3, 3, r)
@@ -402,6 +403,9 @@ func TestConv2DForwardMatchesRepackingReference(t *testing.T) {
 		x := tensor.Randn(r, 1, n, 3, 9, 7)
 		if !tensor.Equal(l.Forward(x), tensor.Conv2D(x, l.W.Value)) {
 			t.Fatalf("batch %d: Conv2D.Forward differs from tensor.Conv2D", n)
+		}
+		if b := l.StashBytes(); b != 0 {
+			t.Fatalf("batch %d: StashBytes after a forward = %d, want 0", n, b)
 		}
 	}
 }

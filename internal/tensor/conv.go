@@ -51,8 +51,8 @@ func Conv2DInputGrad(gradOut, w *Tensor, h, wd int) *Tensor {
 
 // Conv2DWeightGrad computes the gradient w.r.t. w given the stored input x
 // and gradOut — the δW computation of a conv layer. The GEMM is the fused
-// rowsᵀ·cols (TMatMul); the training path reuses its forward pass's lowering
-// (ConvWeightGradAcc) instead of this recomputing form.
+// rowsᵀ·cols (TMatMul); the training path folds the same terms image by image
+// (ConvWeightGradAcc).
 func Conv2DWeightGrad(x, gradOut *Tensor, kh, kw int) *Tensor {
 	_, c, _, _ := conv2dDims(x)
 	_, f, _, _ := conv2dDims(gradOut)
@@ -87,11 +87,16 @@ func Conv2DWeightGrad(x, gradOut *Tensor, kh, kw int) *Tensor {
 // holds. The scatter walks each channel's windows in descending ky, then
 // descending kx: a destination element (y,x) receives the term of window
 // (ky,kx) from output pixel (y−ky, x−kx), so descending (ky,kx) is ascending
-// (oy,ox) — the order col2im's row walk delivers the same terms in. Lowering
-// and GEMM, GEMM and scatter are fused per image inside one row-partitioned
-// call, so a lowered block is consumed while it is cache-hot. Forward and δO
-// are partitioned over images, δW over filter rows — disjoint outputs,
-// unchanged chains, so any GOMAXPROCS gives the same bits.
+// (oy,ox) — the order col2im's row walk delivers the same terms in.
+//
+// No lowering outlives the call that builds it. Each kernel lowers (or, for
+// δO, computes) one image's block into scratch its workspace lends, one block
+// per worker, and consumes it while it is cache-hot: a layer keeps its input,
+// not its lowering, and δW lowers the input again. Forward and δO are
+// partitioned over images; δW over groups of four lowered rows — the columns
+// of dw — so each worker lowers only its own rows of every image and, but for
+// the last, every window is whole columns of the dot body's 4×4 tiles.
+// Disjoint outputs, unchanged chains: any GOMAXPROCS gives the same bits.
 
 // convGeom is the geometry of a stride-1 valid convolution of c×h×w planes
 // with a kh×kw window: oh×ow output pixels, k lowered rows.
@@ -102,102 +107,32 @@ func (g convGeom) px() int { return g.oh * g.ow }
 
 // convGeometry validates the operands every conv kernel is handed — the
 // input-shaped x [N,C,H,W] against the kh×kw window, the output-shaped y
-// [N,F,OH,OW] against both, the weight matrix wm [F,K] against those — and
-// returns N, F and the geometry.
-func convGeometry(op string, x, y, wm *Tensor, kh, kw int) (n, f int, g convGeom) {
-	n, g = inputGeometry(op, x, kh, kw)
+// [N,F,OH,OW] against both, and the weight operand wm against those: F·K
+// elements, and with matrix exactly [F,K] — and returns N, F and the geometry.
+func convGeometry(op string, x, y, wm *Tensor, kh, kw int, matrix bool) (n, f int, g convGeom) {
+	n, c, h, w := conv2dDims(x)
+	if kh <= 0 || kw <= 0 || h < kh || w < kw {
+		panic(fmt.Sprintf("tensor: %s kernel %dx%d does not fit input %v", op, kh, kw, x.Shape))
+	}
+	g = convGeom{c: c, h: h, w: w, kh: kh, kw: kw, oh: h - kh + 1, ow: w - kw + 1}
 	if y.Dims() != 4 || y.Shape[0] != n || y.Shape[2] != g.oh || y.Shape[3] != g.ow {
 		panic(fmt.Sprintf("tensor: %s output-shaped operand %v for input %v, want [%d F %d %d]", op, y.Shape, x.Shape, n, g.oh, g.ow))
 	}
 	f = y.Shape[1]
-	if wm.Dims() != 2 || wm.Shape[0] != f || wm.Shape[1] != g.k() {
+	if wm.Len() != f*g.k() || matrix && (wm.Dims() != 2 || wm.Shape[0] != f) {
 		panic(fmt.Sprintf("tensor: %s weights %v, want [%d %d]", op, wm.Shape, f, g.k()))
 	}
 	return n, f, g
 }
 
-// inputGeometry validates x [N,C,H,W] against the kh×kw window and returns N
-// and the geometry.
-func inputGeometry(op string, x *Tensor, kh, kw int) (int, convGeom) {
-	n, c, h, w := conv2dDims(x)
-	if kh <= 0 || kw <= 0 || h < kh || w < kw {
-		panic(fmt.Sprintf("tensor: %s kernel %dx%d does not fit input %v", op, kh, kw, x.Shape))
-	}
-	return n, convGeom{c: c, h: h, w: w, kh: kh, kw: kw, oh: h - kh + 1, ow: w - kw + 1}
-}
-
-// checkLowering validates a channel-major lowering against the output-shaped
-// tensor y [N,F,OH,OW] it belongs to: [N, k, OH·OW], any k when k is 0.
-func checkLowering(op string, colsT, y *Tensor, k int) {
-	if colsT.Dims() != 3 || colsT.Shape[0] != y.Shape[0] || colsT.Shape[2] != y.Shape[2]*y.Shape[3] || (k > 0 && colsT.Shape[1] != k) {
-		panic(fmt.Sprintf("tensor: %s lowering %v does not match %v (want [%d K %d])",
-			op, colsT.Shape, y.Shape, y.Shape[0], y.Shape[2]*y.Shape[3]))
-	}
-}
-
-// ConvForwardInto lowers x [N,C,H,W] into colsT [N,K,OH·OW] and computes the
-// convolution output out [N,F,OH,OW] against the weight matrix wm [F,K],
-// fully overwriting both. out is bitwise identical to Conv2D; colsT is what
-// ConvWeightGradAcc reads.
-func ConvForwardInto(out, colsT, x, wm *Tensor, kh, kw int) *Tensor {
-	n, f, g := convGeometry("ConvForwardInto", x, out, wm, kh, kw)
-	checkLowering("ConvForwardInto", colsT, out, g.k())
-	if serialRows(n, 2*n*g.px()*g.k()*f, matmulParallelThreshold) {
-		convForwardRange(out.Data, colsT.Data, x.Data, wm.Data, g, f, 0, n)
-	} else {
-		parallelRows(n, func(_, lo, hi int) {
-			convForwardRange(out.Data, colsT.Data, x.Data, wm.Data, g, f, lo, hi)
-		})
-	}
+// ConvForwardInto computes the convolution output out [N,F,OH,OW] of x
+// [N,C,H,W] against the weight matrix wm [F,K], fully overwriting out. Each
+// image is lowered into scratch ws lends for the call (one block per worker).
+// Bitwise identical to Conv2D.
+func ConvForwardInto(out, x, wm *Tensor, kh, kw int, ws *Workspace) *Tensor {
+	n, f, g := convGeometry("ConvForwardInto", x, out, wm, kh, kw, true)
+	runConv(convForwardRange, out.Data, x.Data, wm.Data, g, n, f, n, ws)
 	return out
-}
-
-func convForwardRange(out, colsT, x, wm []float64, g convGeom, f, bLo, bHi int) {
-	k, px := g.k(), g.px()
-	for b := bLo; b < bHi; b++ {
-		cb := colsT[b*k*px : (b+1)*k*px]
-		lowerImage(cb, x, g, b)
-		matMulRange(out[b*f*px:(b+1)*f*px], wm, cb, k, px, 0, f, true)
-	}
-}
-
-// lowerImage writes image b of x into its channel-major block cb [K × OH·OW].
-func lowerImage(cb, x []float64, g convGeom, b int) {
-	px, plane := g.px(), g.c*g.h*g.w
-	xb := x[b*plane : (b+1)*plane]
-	row := 0
-	for ch := 0; ch < g.c; ch++ {
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				copyRows(cb[row*px:(row+1)*px], g.ow, xb[(ch*g.h+ky)*g.w+kx:], g.w, g.oh, g.ow)
-				row++
-			}
-		}
-	}
-}
-
-// ConvLowerInto is ConvForwardInto's lowering without its GEMM: x [N,C,H,W]
-// into colsT [N,K,OH·OW], fully overwritten with the bits ConvForwardInto
-// leaves there. A checkpointed step rebuilds a dropped lowering with it.
-func ConvLowerInto(colsT, x *Tensor, kh, kw int) *Tensor {
-	n, g := inputGeometry("ConvLowerInto", x, kh, kw)
-	k, px := g.k(), g.px()
-	if colsT.Dims() != 3 || colsT.Shape[0] != n || colsT.Shape[1] != k || colsT.Shape[2] != px {
-		panic(fmt.Sprintf("tensor: ConvLowerInto lowering %v for input %v, want [%d %d %d]", colsT.Shape, x.Shape, n, k, px))
-	}
-	if serialRows(n, n*k*px, convParallelThreshold) {
-		lowerRange(colsT.Data, x.Data, g, 0, n)
-	} else {
-		parallelRows(n, func(_, lo, hi int) { lowerRange(colsT.Data, x.Data, g, lo, hi) })
-	}
-	return colsT
-}
-
-func lowerRange(colsT, x []float64, g convGeom, bLo, bHi int) {
-	k, px := g.k(), g.px()
-	for b := bLo; b < bHi; b++ {
-		lowerImage(colsT[b*k*px:(b+1)*k*px], x, g, b)
-	}
 }
 
 // ConvInputGradInto computes the input gradient gin [N,C,H,W] from gradOut
@@ -205,23 +140,73 @@ func lowerRange(colsT, x []float64, g convGeom, bLo, bHi int) {
 // lowered gradient exists one image at a time, in scratch ws lends for the
 // call (one block per worker). Bitwise identical to Conv2DInputGrad.
 func ConvInputGradInto(gin, gradOut, wm *Tensor, kh, kw int, ws *Workspace) *Tensor {
-	n, f, g := convGeometry("ConvInputGradInto", gin, gradOut, wm, kh, kw)
-	block := g.k() * g.px()
-	if serialRows(n, 2*n*block*f, matmulParallelThreshold) {
-		scratch := ws.Get(block)
-		convInputGradRange(gin.Data, gradOut.Data, wm.Data, scratch.Data, g, f, 0, n)
-		ws.Put(scratch)
-	} else {
-		scratch := ws.Get(min(runtime.GOMAXPROCS(0), n), block)
-		parallelRows(n, func(w, lo, hi int) {
-			convInputGradRange(gin.Data, gradOut.Data, wm.Data, scratch.Data[w*block:(w+1)*block], g, f, lo, hi)
-		})
-		ws.Put(scratch)
-	}
+	n, f, g := convGeometry("ConvInputGradInto", gin, gradOut, wm, kh, kw, true)
+	runConv(convInputGradRange, gin.Data, gradOut.Data, wm.Data, g, n, f, n, ws)
 	return gin
 }
 
-func convInputGradRange(gin, gradOut, wm, cg []float64, g convGeom, f, bLo, bHi int) {
+// ConvWeightGradAcc accumulates the weight gradient Σ_b g_b·colsT_bᵀ of
+// gradOut [N,F,OH,OW] against the lowering of x [N,C,H,W] into dst without
+// zeroing it — dst is any tensor of F·K elements, so a [F,C,KH,KW] parameter
+// gradient takes the terms directly. Image b is lowered again just before its
+// fold, into scratch ws lends for the call (one block per worker, each worker
+// lowering only its own groups of four rows). Every element's chain continues
+// from what dst holds: on a zeroed dst the result is bitwise identical to
+// Conv2DWeightGrad, and called once per ascending chunk of images of a batch
+// it is the same fold, like TMatMulAcc.
+func ConvWeightGradAcc(dst, gradOut, x *Tensor, kh, kw int, ws *Workspace) *Tensor {
+	n, f, g := convGeometry("ConvWeightGradAcc", x, gradOut, dst, kh, kw, false)
+	runConv(convWeightGradRange, dst.Data, gradOut.Data, x.Data, g, n, f, (g.k()+3)/4, ws)
+	return dst
+}
+
+// convRange is a range kernel of the three above: units [lo, hi) of its
+// partition — images, or groups of four lowered rows for δW — of a batch of n
+// images into f filters, with cb, a [K × OH·OW] block of scratch.
+type convRange func(dst, a, b, cb []float64, g convGeom, n, f, lo, hi int)
+
+// runConv runs kernel over units [0, m) on the calling goroutine or, from the
+// GEMM fan-out threshold on (2·N·OH·OW·K·F for every one of the three),
+// split over parallelRows' workers, each with its own block from ws.
+func runConv(kernel convRange, dst, a, b []float64, g convGeom, n, f, m int, ws *Workspace) {
+	block := g.k() * g.px()
+	if serialRows(m, 2*n*block*f, matmulParallelThreshold) {
+		scratch := ws.Get(block)
+		kernel(dst, a, b, scratch.Data, g, n, f, 0, m)
+		ws.Put(scratch)
+		return
+	}
+	scratch := ws.Get(min(runtime.GOMAXPROCS(0), m), block)
+	parallelRows(m, func(w, lo, hi int) {
+		kernel(dst, a, b, scratch.Data[w*block:][:block], g, n, f, lo, hi)
+	})
+	ws.Put(scratch)
+}
+
+// convForwardRange lowers images [bLo, bHi) of x into cb, each just before its
+// GEMM.
+func convForwardRange(out, x, wm, cb []float64, g convGeom, _, f, bLo, bHi int) {
+	k, px := g.k(), g.px()
+	for b := bLo; b < bHi; b++ {
+		lowerRows(cb, x, g, b, 0, k)
+		matMulRange(out[b*f*px:(b+1)*f*px], wm, cb, k, px, 0, f, true)
+	}
+}
+
+// lowerRows writes lowered rows [r0, r1) of image b of x into cb
+// [(r1−r0) × OH·OW].
+func lowerRows(cb, x []float64, g convGeom, b, r0, r1 int) {
+	px, win, plane := g.px(), g.kh*g.kw, g.c*g.h*g.w
+	xb := x[b*plane : (b+1)*plane]
+	for row := r0; row < r1; row++ {
+		ch, ky, kx := row/win, row%win/g.kw, row%g.kw
+		copyRows(cb[(row-r0)*px:(row-r0+1)*px], g.ow, xb[(ch*g.h+ky)*g.w+kx:], g.w, g.oh, g.ow)
+	}
+}
+
+// convInputGradRange computes images [bLo, bHi) of gin, their lowered
+// gradient in cg.
+func convInputGradRange(gin, gradOut, wm, cg []float64, g convGeom, _, f, bLo, bHi int) {
 	k, px, plane, win := g.k(), g.px(), g.c*g.h*g.w, g.kh*g.kw
 	step := 4 >> bits.TrailingZeros(uint(win|4)) // 4/gcd(win, 4) channels
 	for b := bLo; b < bHi; b++ {
@@ -245,34 +230,15 @@ func convInputGradRange(gin, gradOut, wm, cg []float64, g convGeom, f, bLo, bHi 
 	}
 }
 
-// ConvWeightGradAcc accumulates the weight gradient Σ_b g_b·colsT_bᵀ of
-// gradOut [N,F,OH,OW] against the lowering colsT [N,K,OH·OW] into dst without
-// zeroing it — dst is any tensor of F·K elements, so a [F,C,KH,KW] parameter
-// gradient takes the terms directly. Every element's chain continues from
-// what dst holds: on a zeroed dst the result is bitwise identical to
-// Conv2DWeightGrad, and called once per ascending row-chunk of a batch it is
-// the same fold, like TMatMulAcc.
-func ConvWeightGradAcc(dst, gradOut, colsT *Tensor) *Tensor {
-	n, f, oh, ow := conv2dDims(gradOut)
-	checkLowering("ConvWeightGradAcc", colsT, gradOut, 0)
-	px, k := oh*ow, colsT.Shape[1]
-	if dst.Len() != f*k {
-		panic(fmt.Sprintf("tensor: ConvWeightGradAcc dst %v, want %d elements", dst.Shape, f*k))
-	}
-	if serialRows(f, 2*n*px*k*f, matmulParallelThreshold) {
-		convWeightGradRange(dst.Data, gradOut.Data, colsT.Data, n, f, px, k, 0, f)
-	} else {
-		parallelRows(f, func(_, lo, hi int) {
-			convWeightGradRange(dst.Data, gradOut.Data, colsT.Data, n, f, px, k, lo, hi)
-		})
-	}
-	return dst
-}
-
-// convWeightGradRange folds every image into filter rows [lo, hi) of dw.
-func convWeightGradRange(dw, g, colsT []float64, n, f, px, k, lo, hi int) {
+// convWeightGradRange folds every image into the lowered rows of groups
+// [lo, hi) — columns of dw, which is [F × K] — lowering those rows of each
+// image into cb just before the image's fold.
+func convWeightGradRange(dw, gradOut, x, cb []float64, g convGeom, n, f, lo, hi int) {
+	k, px := g.k(), g.px()
+	r0, r1 := 4*lo, min(4*hi, k)
 	for b := 0; b < n; b++ {
-		matMulTRange(dw, g[b*f*px:(b+1)*f*px], colsT[b*k*px:(b+1)*k*px], px, k, lo, hi, true)
+		lowerRows(cb, x, g, b, r0, r1)
+		matMulTRange(dw[r0:], gradOut[b*f*px:(b+1)*f*px], cb, px, r1-r0, k, 0, f, true)
 	}
 }
 

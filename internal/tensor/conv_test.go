@@ -81,7 +81,8 @@ func convShapes() []convShape {
 	return shapes
 }
 
-// chunkOf views images [lo, hi) of an NCHW (or [N,K,px]) tensor.
+// chunkOf views images [lo, hi) of an NCHW tensor (or rows [lo, hi) of a
+// matrix).
 func chunkOf(t *Tensor, lo, hi int) *Tensor {
 	per := t.Len() / t.Shape[0]
 	return &Tensor{Shape: append([]int{hi - lo}, t.Shape[1:]...), Data: t.Data[lo*per : hi*per]}
@@ -129,26 +130,18 @@ func TestConvGEMMsMatchRepackingReference(t *testing.T) {
 			wantOut := Conv2D(x, w)
 			wantGin := Conv2DInputGrad(g, w, sh.h, sh.w)
 			wantDW := Conv2DWeightGrad(x, g, sh.kh, sh.kw)
-			wantColsT := refLowerT(x, sh.kh, sh.kw)
 
 			for _, procs := range []int{1, 2, 3, 4} {
 				runtime.GOMAXPROCS(procs)
 				name := fmt.Sprintf("%v sparse=%v GOMAXPROCS=%d", sh, sparse, procs)
-				out, colsT := Randn(r, 1, sh.n, sh.f, oh, ow), Randn(r, 1, sh.n, k, oh*ow)
-				if !Equal(ConvForwardInto(out, colsT, x, wm, sh.kh, sh.kw), wantOut) {
+				if !Equal(ConvForwardInto(Randn(r, 1, sh.n, sh.f, oh, ow), x, wm, sh.kh, sh.kw, ws), wantOut) {
 					t.Fatalf("%s: ConvForwardInto differs from Conv2D", name)
-				}
-				if !Equal(colsT, wantColsT) {
-					t.Fatalf("%s: the lowering is not the transposed im2col matrix", name)
-				}
-				if !Equal(ConvLowerInto(Randn(r, 1, sh.n, k, oh*ow), x, sh.kh, sh.kw), wantColsT) {
-					t.Fatalf("%s: ConvLowerInto differs from the forward's lowering", name)
 				}
 				gin := Randn(r, 1, sh.n, sh.c, sh.h, sh.w)
 				if !Equal(ConvInputGradInto(gin, g, wm, sh.kh, sh.kw, ws), wantGin) {
 					t.Fatalf("%s: ConvInputGradInto differs from Conv2DInputGrad", name)
 				}
-				if dw := ConvWeightGradAcc(New(sh.f, k), g, colsT); !Equal(dw, wantDW.Reshape(sh.f, k)) {
+				if dw := ConvWeightGradAcc(New(sh.f, k), g, x, sh.kh, sh.kw, ws); !Equal(dw, wantDW.Reshape(sh.f, k)) {
 					t.Fatalf("%s: ConvWeightGradAcc differs from Conv2DWeightGrad", name)
 				}
 				// Microbatch accumulation: M ascending chunks of images
@@ -157,7 +150,7 @@ func TestConvGEMMsMatchRepackingReference(t *testing.T) {
 					dw := New(sh.f, sh.c, sh.kh, sh.kw)
 					for i := 0; i < m; i++ {
 						if lo, hi := i*sh.n/m, (i+1)*sh.n/m; lo < hi {
-							ConvWeightGradAcc(dw, chunkOf(g, lo, hi), chunkOf(colsT, lo, hi))
+							ConvWeightGradAcc(dw, chunkOf(g, lo, hi), chunkOf(x, lo, hi), sh.kh, sh.kw, ws)
 						}
 					}
 					if !Equal(dw, wantDW) {
@@ -210,10 +203,12 @@ func fillSpecial(t *Tensor, r *RNG, every, phase int) *Tensor {
 // TestConvChannelMajorSweep crosses channel counts, window shapes, output
 // widths on every remainder of the four-wide row bodies (with OH ≠ OW), batch
 // and filter counts, and drives each shape on ordinary values and on the
-// special-value table: forward, δO and δW must equal the allocating
-// pixel-major references (NaN where they are NaN), δW also folded in two and
-// three image chunks into a non-zero gradient, and the range kernels must
-// leave the images outside [n/3, n) alone.
+// special-value table: the lowering of every image, whole and from every
+// group of four rows on, must equal the transposed im2col matrix; forward, δO
+// and δW must equal the allocating pixel-major references (NaN where they are
+// NaN), δW also folded in two and three image chunks into a non-zero
+// gradient; the forward and δO range kernels must leave the images outside
+// [n/3, n) alone, and δW's must leave the lowered rows outside its window.
 func TestConvChannelMajorSweep(t *testing.T) {
 	r := NewRNG(31337)
 	ws := NewWorkspace()
@@ -228,6 +223,7 @@ func TestConvChannelMajorSweep(t *testing.T) {
 				kh, kw := win[0], win[1]
 				oh := ow%3 + 2
 				h, w, k, px := oh+kh-1, ow+kw-1, c*kh*kw, oh*ow
+				geom := convGeom{c: c, h: h, w: w, kh: kh, kw: kw, oh: oh, ow: ow}
 				for _, every := range []int{0, 7} {
 					name := fmt.Sprintf("n%d c%d %dx%d f%d k%dx%d every=%d", n, c, h, w, f, kh, kw, every)
 					x := fillSpecial(New(n, c, h, w), r, every, pick)
@@ -235,22 +231,25 @@ func TestConvChannelMajorSweep(t *testing.T) {
 					g := fillSpecial(New(n, f, oh, ow), r, every, pick+2)
 					wm := wt.Reshape(f, k)
 
-					out, colsT := Randn(r, 1, n, f, oh, ow), Randn(r, 1, n, k, px)
-					ConvForwardInto(out, colsT, x, wm, kh, kw)
+					wantColsT := refLowerT(x, kh, kw)
+					for b := range n {
+						for r0 := 0; r0 < k; r0 += 4 {
+							cb := Randn(r, 1, k-r0, px).Data
+							lowerRows(cb, x.Data, geom, b, r0, k)
+							if i, ok := sameBitsOrBothNaN(cb, wantColsT.Data[(b*k+r0)*px:(b+1)*k*px]); !ok {
+								t.Fatalf("%s: image %d lowered from row %d: element %d differs", name, b, r0, i)
+							}
+						}
+					}
+					out := ConvForwardInto(Randn(r, 1, n, f, oh, ow), x, wm, kh, kw, ws)
 					if i, ok := sameBitsOrBothNaN(out.Data, Conv2D(x, wt).Data); !ok {
 						t.Fatalf("%s: forward element %d differs from Conv2D", name, i)
-					}
-					if i, ok := sameBitsOrBothNaN(colsT.Data, refLowerT(x, kh, kw).Data); !ok {
-						t.Fatalf("%s: lowering element %d differs", name, i)
-					}
-					if i, ok := sameBitsOrBothNaN(ConvLowerInto(Randn(r, 1, n, k, px), x, kh, kw).Data, colsT.Data); !ok {
-						t.Fatalf("%s: ConvLowerInto element %d differs from the forward's lowering", name, i)
 					}
 					gin := ConvInputGradInto(Randn(r, 1, n, c, h, w), g, wm, kh, kw, ws)
 					if i, ok := sameBitsOrBothNaN(gin.Data, Conv2DInputGrad(g, wt, h, w).Data); !ok {
 						t.Fatalf("%s: δO element %d differs from Conv2DInputGrad", name, i)
 					}
-					dw := ConvWeightGradAcc(New(f, k), g, colsT)
+					dw := ConvWeightGradAcc(New(f, k), g, x, kh, kw, ws)
 					if i, ok := sameBitsOrBothNaN(dw.Data, Conv2DWeightGrad(x, g, kh, kw).Data); !ok {
 						t.Fatalf("%s: δW element %d differs from Conv2DWeightGrad", name, i)
 					}
@@ -262,7 +261,7 @@ func TestConvChannelMajorSweep(t *testing.T) {
 						got := seed.Clone()
 						for i := 0; i < m; i++ {
 							if lo, hi := i*n/m, (i+1)*n/m; lo < hi {
-								ConvWeightGradAcc(got, chunkOf(g, lo, hi), chunkOf(colsT, lo, hi))
+								ConvWeightGradAcc(got, chunkOf(g, lo, hi), chunkOf(x, lo, hi), kh, kw, ws)
 							}
 						}
 						if i, ok := sameBitsOrBothNaN(got.Data, want.Data); !ok {
@@ -271,18 +270,17 @@ func TestConvChannelMajorSweep(t *testing.T) {
 					}
 					// Image ranges: [n/3, n) recomputes its images and nothing else.
 					lo := n / 3
-					geom := convGeom{c: c, h: h, w: w, kh: kh, kw: kw, oh: oh, ow: ow}
-					out2, colsT2, gin2 := out.Clone(), colsT.Clone(), gin.Clone()
-					for _, part := range []*Tensor{out2, colsT2, gin2} {
+					out2, gin2 := out.Clone(), gin.Clone()
+					for _, part := range []*Tensor{out2, gin2} {
 						per := part.Len() / n
 						for i := range part.Data[:lo*per] {
 							part.Data[i] = -7
 						}
 						clear(part.Data[lo*per:])
 					}
-					convForwardRange(out2.Data, colsT2.Data, x.Data, wm.Data, geom, f, lo, n)
-					convInputGradRange(gin2.Data, g.Data, wm.Data, make([]float64, k*px), geom, f, lo, n)
-					for pi, pair := range [][2]*Tensor{{out2, out}, {colsT2, colsT}, {gin2, gin}} {
+					convForwardRange(out2.Data, x.Data, wm.Data, make([]float64, k*px), geom, n, f, lo, n)
+					convInputGradRange(gin2.Data, g.Data, wm.Data, make([]float64, k*px), geom, n, f, lo, n)
+					for pi, pair := range [][2]*Tensor{{out2, out}, {gin2, gin}} {
 						per := pair[0].Len() / n
 						if _, ok := sameBitsOrBothNaN(pair[0].Data[lo*per:], pair[1].Data[lo*per:]); !ok {
 							t.Fatalf("%s: images [%d,%d) of operand %d differ from the full run", name, lo, n, pi)
@@ -291,6 +289,24 @@ func TestConvChannelMajorSweep(t *testing.T) {
 							if v != -7 {
 								t.Fatalf("%s: operand %d element %d outside images [%d,%d) was written", name, pi, i, lo, n)
 							}
+						}
+					}
+					// Lowered-row windows: the groups from k/8 on fold their
+					// columns of dw and no other.
+					r0 := k / 8 * 4
+					dw2 := New(f, k)
+					for i := range dw2.Data {
+						if i%k < r0 {
+							dw2.Data[i] = -7
+						}
+					}
+					convWeightGradRange(dw2.Data, g.Data, x.Data, make([]float64, (k-r0)*px), geom, n, f, r0/4, (k+3)/4)
+					for i, v := range dw2.Data {
+						if i%k < r0 && v != -7 {
+							t.Fatalf("%s: δW element %d outside rows [%d,%d) was written", name, i, r0, k)
+						}
+						if i%k >= r0 && math.Float64bits(v) != math.Float64bits(dw.Data[i]) && !(math.IsNaN(v) && math.IsNaN(dw.Data[i])) {
+							t.Fatalf("%s: δW element %d of rows [%d,%d) differs from the full run", name, i, r0, k)
 						}
 					}
 					cases++
@@ -306,35 +322,29 @@ func TestConvChannelMajorSweep(t *testing.T) {
 func TestConvGEMMShapePanics(t *testing.T) {
 	const n, c, h, w, f, kh, kw = 2, 2, 6, 7, 3, 3, 3
 	const oh, ow, k = h - kh + 1, w - kw + 1, c * kh * kw
-	x, nchw, colsT, wm := New(n, c, h, w), New(n, f, oh, ow), New(n, k, oh*ow), New(f, k)
+	x, nchw, wm := New(n, c, h, w), New(n, f, oh, ow), New(f, k)
 	ws := NewWorkspace()
 	cases := map[string]func(){
-		"forward: out not 4D":        func() { ConvForwardInto(New(n*f, oh*ow), colsT, x, wm, kh, kw) },
-		"forward: out pixels":        func() { ConvForwardInto(New(n, f, oh, ow+1), colsT, x, wm, kh, kw) },
-		"forward: out batch":         func() { ConvForwardInto(New(n+1, f, oh, ow), colsT, x, wm, kh, kw) },
-		"forward: input not 4D":      func() { ConvForwardInto(nchw, colsT, New(n*c, h, w), wm, kh, kw) },
-		"forward: window too large":  func() { ConvForwardInto(nchw, colsT, x, wm, h+1, kw) },
-		"forward: empty window":      func() { ConvForwardInto(nchw, colsT, x, wm, 0, kw) },
-		"forward: lowering rows":     func() { ConvForwardInto(nchw, New(n, k+1, oh*ow), x, wm, kh, kw) },
-		"forward: lowering pixels":   func() { ConvForwardInto(nchw, New(n, k, oh*ow-1), x, wm, kh, kw) },
-		"forward: lowering not 3D":   func() { ConvForwardInto(nchw, New(n*k, oh*ow), x, wm, kh, kw) },
-		"forward: weight filters":    func() { ConvForwardInto(nchw, colsT, x, New(f+1, k), kh, kw) },
-		"forward: weight width":      func() { ConvForwardInto(nchw, colsT, x, New(f, k+1), kh, kw) },
-		"forward: weights not 2D":    func() { ConvForwardInto(nchw, colsT, x, New(f, c, kh*kw), kh, kw) },
-		"inputgrad: gradOut pixels":  func() { ConvInputGradInto(x, New(n, f, oh+1, ow), wm, kh, kw, ws) },
-		"inputgrad: gradOut batch":   func() { ConvInputGradInto(x, New(n-1, f, oh, ow), wm, kh, kw, ws) },
-		"inputgrad: weight width":    func() { ConvInputGradInto(x, nchw, New(f, k-1), kh, kw, ws) },
-		"inputgrad: gradOut not 4D":  func() { ConvInputGradInto(x, New(n*oh*ow, f), wm, kh, kw, ws) },
-		"inputgrad: gin not 4D":      func() { ConvInputGradInto(New(n*c, h, w), nchw, wm, kh, kw, ws) },
-		"weightgrad: dst size":       func() { ConvWeightGradAcc(New(f, k+1), nchw, colsT) },
-		"weightgrad: lowering batch": func() { ConvWeightGradAcc(New(f, k), nchw, New(n+1, k, oh*ow)) },
-		"weightgrad: lowering px":    func() { ConvWeightGradAcc(New(f, k), nchw, New(n, k, oh*ow+1)) },
-		"weightgrad: gradOut not 4D": func() { ConvWeightGradAcc(New(f, k), New(n*f, oh*ow), colsT) },
-		"lower: lowering rows":       func() { ConvLowerInto(New(n, k+1, oh*ow), x, kh, kw) },
-		"lower: lowering batch":      func() { ConvLowerInto(New(n+1, k, oh*ow), x, kh, kw) },
-		"lower: lowering not 3D":     func() { ConvLowerInto(New(n*k, oh*ow), x, kh, kw) },
-		"lower: window too large":    func() { ConvLowerInto(colsT, x, kh, w+1) },
-		"lower: input not 4D":        func() { ConvLowerInto(colsT, New(n*c, h, w), kh, kw) },
+		"forward: out not 4D":          func() { ConvForwardInto(New(n*f, oh*ow), x, wm, kh, kw, ws) },
+		"forward: out pixels":          func() { ConvForwardInto(New(n, f, oh, ow+1), x, wm, kh, kw, ws) },
+		"forward: out batch":           func() { ConvForwardInto(New(n+1, f, oh, ow), x, wm, kh, kw, ws) },
+		"forward: input not 4D":        func() { ConvForwardInto(nchw, New(n*c, h, w), wm, kh, kw, ws) },
+		"forward: window too large":    func() { ConvForwardInto(nchw, x, wm, h+1, kw, ws) },
+		"forward: empty window":        func() { ConvForwardInto(nchw, x, wm, 0, kw, ws) },
+		"forward: weight filters":      func() { ConvForwardInto(nchw, x, New(f+1, k), kh, kw, ws) },
+		"forward: weight width":        func() { ConvForwardInto(nchw, x, New(f, k+1), kh, kw, ws) },
+		"forward: weights not 2D":      func() { ConvForwardInto(nchw, x, New(f, c, kh*kw), kh, kw, ws) },
+		"inputgrad: gradOut pixels":    func() { ConvInputGradInto(x, New(n, f, oh+1, ow), wm, kh, kw, ws) },
+		"inputgrad: gradOut batch":     func() { ConvInputGradInto(x, New(n-1, f, oh, ow), wm, kh, kw, ws) },
+		"inputgrad: weight width":      func() { ConvInputGradInto(x, nchw, New(f, k-1), kh, kw, ws) },
+		"inputgrad: gradOut not 4D":    func() { ConvInputGradInto(x, New(n*oh*ow, f), wm, kh, kw, ws) },
+		"inputgrad: gin not 4D":        func() { ConvInputGradInto(New(n*c, h, w), nchw, wm, kh, kw, ws) },
+		"weightgrad: dst size":         func() { ConvWeightGradAcc(New(f, k+1), nchw, x, kh, kw, ws) },
+		"weightgrad: input batch":      func() { ConvWeightGradAcc(New(f, k), nchw, New(n+1, c, h, w), kh, kw, ws) },
+		"weightgrad: input pixels":     func() { ConvWeightGradAcc(New(f, k), nchw, New(n, c, h, w+1), kh, kw, ws) },
+		"weightgrad: input not 4D":     func() { ConvWeightGradAcc(New(f, k), nchw, New(n*c, h, w), kh, kw, ws) },
+		"weightgrad: window too large": func() { ConvWeightGradAcc(New(f, k), nchw, x, kh, w+1, ws) },
+		"weightgrad: gradOut not 4D":   func() { ConvWeightGradAcc(New(f, k), New(n*f, oh*ow), x, kh, kw, ws) },
 	}
 	for name, fn := range cases {
 		func() {

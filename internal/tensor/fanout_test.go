@@ -21,22 +21,21 @@ type fanOutKernel struct {
 // of hw×hw into f filters, fanning out at the batch sizes given.
 func convFanOutKernels(layer string, c, hw, f int, fwd, din, dw []int) []fanOutKernel {
 	oh := hw - 2
-	operands := func(n int) (x, y, colsT, wm *Tensor) {
-		return New(n, c, hw, hw), New(n, f, oh, oh), New(n, c*9, oh*oh), New(f, c*9)
+	operands := func(n int) (x, y, wm *Tensor, ws *Workspace) {
+		return New(n, c, hw, hw), New(n, f, oh, oh), New(f, c*9), NewWorkspace()
 	}
 	return []fanOutKernel{
 		{layer + "/ConvForwardInto", func(n int) func() {
-			x, y, colsT, wm := operands(n)
-			return func() { ConvForwardInto(y, colsT, x, wm, 3, 3) }
+			x, y, wm, ws := operands(n)
+			return func() { ConvForwardInto(y, x, wm, 3, 3, ws) }
 		}, fwd},
 		{layer + "/ConvInputGradInto", func(n int) func() {
-			x, y, _, wm := operands(n)
-			ws := NewWorkspace()
+			x, y, wm, ws := operands(n)
 			return func() { ConvInputGradInto(x, y, wm, 3, 3, ws) }
 		}, din},
 		{layer + "/ConvWeightGradAcc", func(n int) func() {
-			_, y, colsT, wm := operands(n)
-			return func() { ConvWeightGradAcc(wm, y, colsT) }
+			x, y, wm, ws := operands(n)
+			return func() { ConvWeightGradAcc(wm, y, x, 3, 3, ws) }
 		}, dw},
 	}
 }

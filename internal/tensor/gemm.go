@@ -274,24 +274,26 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	checkInto("MatMulTInto", dst, m, n)
 	if serialRows(m, 2*m*k*n, matmulParallelThreshold) {
-		matMulTRange(dst.Data, a.Data, b.Data, k, n, 0, m, false)
+		matMulTRange(dst.Data, a.Data, b.Data, k, n, n, 0, m, false)
 	} else {
 		parallelRows(m, func(_, lo, hi int) {
-			matMulTRange(dst.Data, a.Data, b.Data, k, n, lo, hi, false)
+			matMulTRange(dst.Data, a.Data, b.Data, k, n, n, lo, hi, false)
 		})
 	}
 	return dst
 }
 
-// matMulTRange computes output rows [lo, hi) of a·bᵀ. Unseeded it assigns every
-// element its ascending-p dot product from +0. Seeded, each element's chain
-// starts from the value out already holds — out += a·bᵀ as a single fold, the
-// form the conv δW continues image after image and chunk after chunk.
-func matMulTRange(out, a, b []float64, k, n, lo, hi int, seeded bool) {
+// matMulTRange computes output rows [lo, hi) of a·bᵀ, row i of the n-column
+// product starting at out[i·ldo] (ldo ≥ n: the product may be a column window
+// of a wider matrix). Unseeded it assigns every element its ascending-p dot
+// product from +0. Seeded, each element's chain starts from the value out
+// already holds — out += a·bᵀ as a single fold, the form the conv δW continues
+// image after image and chunk after chunk, one window of dw per worker.
+func matMulTRange(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool) {
 	if useVector && k > 0 {
-		matMulTRangeVec(out, a, b, k, n, lo, hi, seeded)
+		matMulTRangeVec(out, a, b, k, n, ldo, lo, hi, seeded)
 	} else {
-		matMulTRangeGo(out, a, b, k, n, lo, hi, seeded)
+		matMulTRangeGo(out, a, b, k, n, ldo, lo, hi, seeded)
 	}
 }
 
@@ -300,7 +302,7 @@ func matMulTRange(out, a, b []float64, k, n, lo, hi int, seeded bool) {
 // the dot body; the ragged edges — the last panel's n mod 4 columns, the
 // range's last rows — are plain dot products. Ascending p from the seed for
 // every element, as in matMulTRangeGo.
-func matMulTRangeVec(out, a, b []float64, k, n, lo, hi int, seeded bool) {
+func matMulTRangeVec(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool) {
 	vhi := lo + (hi-lo)&^3
 	panel := panelRows(k)
 	for jt := 0; jt < n; jt += panel {
@@ -308,25 +310,25 @@ func matMulTRangeVec(out, a, b []float64, k, n, lo, hi int, seeded bool) {
 		tiles := (jhi - jt) / 4
 		for i := lo; i < vhi; i += 4 {
 			if tiles > 0 {
-				dotTiles(&out[i*n+jt], n, &a[i*k], &b[jt*k], k, tiles, seeded)
+				dotTiles(&out[i*ldo+jt], ldo, &a[i*k], &b[jt*k], k, tiles, seeded)
 			}
 			for j := jt + 4*tiles; j < jhi; j++ {
-				dot4(out[i*n+j:], n, a[i*k:(i+4)*k], b[j*k:(j+1)*k], seeded)
+				dot4(out[i*ldo+j:], ldo, a[i*k:(i+4)*k], b[j*k:(j+1)*k], seeded)
 			}
 		}
 	}
-	matMulTRangeGo(out, a, b, k, n, vhi, hi, seeded)
+	matMulTRangeGo(out, a, b, k, n, ldo, vhi, hi, seeded)
 }
 
-// dot4 is one ragged column of a strip: out[r·n] for the four rows r of a
+// dot4 is one ragged column of a strip: out[r·ldo] for the four rows r of a
 // against one row of b, four independent chains side by side (one alone is
 // bound by the latency of its add).
-func dot4(out []float64, n int, a, brow []float64, seeded bool) {
+func dot4(out []float64, ldo int, a, brow []float64, seeded bool) {
 	k := len(brow)
 	a0, a1, a2, a3 := a[:k], a[k:2*k], a[2*k:3*k], a[3*k:4*k]
 	var s0, s1, s2, s3 float64
 	if seeded {
-		s0, s1, s2, s3 = out[0], out[n], out[2*n], out[3*n]
+		s0, s1, s2, s3 = out[0], out[ldo], out[2*ldo], out[3*ldo]
 	}
 	for p, bv := range brow {
 		s0 = math.FMA(a0[p], bv, s0)
@@ -334,7 +336,7 @@ func dot4(out []float64, n int, a, brow []float64, seeded bool) {
 		s2 = math.FMA(a2[p], bv, s2)
 		s3 = math.FMA(a3[p], bv, s3)
 	}
-	out[0], out[n], out[2*n], out[3*n] = s0, s1, s2, s3
+	out[0], out[ldo], out[2*ldo], out[3*ldo] = s0, s1, s2, s3
 }
 
 // dot continues s with the ascending-p dot product of two equally long rows.
@@ -353,12 +355,12 @@ func dot(s float64, x, y []float64) float64 {
 // dot product is latency-bound on its loop-carried add). Each chain sums in
 // ascending p order from its seed, so every element matches the ikj reference
 // bitwise.
-func matMulTRangeGo(out, a, b []float64, k, n, lo, hi int, seeded bool) {
+func matMulTRangeGo(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool) {
 	for jt := 0; jt < n; jt += gemmJBlock {
 		jhi := min(jt+gemmJBlock, n)
 		for i := lo; i < hi; i++ {
 			arow := a[i*k : (i+1)*k]
-			orow := out[i*n : (i+1)*n]
+			orow := out[i*ldo : i*ldo+n]
 			j := jt
 			for ; j+4 <= jhi; j += 4 {
 				// Resliced to len(arow) so the range over arow proves

@@ -124,7 +124,7 @@ func TestGEMMIsFused(t *testing.T) {
 	const imgs, f, h, w, kh, kw, oh, ow = 2, 5, 7, 11, 3, 3, 5, 9
 	const kk, px = kh * kw, oh * ow
 	x, wm, out := New(imgs, 1, h, w), New(f, kk), New(imgs, f, oh, ow)
-	colsT, gin, gout := New(imgs, kk, px), New(imgs, 1, h, w), New(imgs, f, oh, ow)
+	gin, gout := New(imgs, 1, h, w), New(imgs, f, oh, ow)
 	dw := New(f, kk)
 	ws := NewWorkspace()
 	// xAt is the input element lowered row r of image img holds at pixel q.
@@ -140,7 +140,7 @@ func TestGEMMIsFused(t *testing.T) {
 					wm.Data[fo*kk+r], wm.Data[fo*kk+r+1] = probeA[0], probeA[1]
 					x.Data[xAt(img, r, q)], x.Data[xAt(img, r+1, q)] = probeB[0], probeB[1]
 					dirty(out)
-					check("ConvForwardInto", ConvForwardInto(out, colsT, x, wm, kh, kw).Data[(img*f+fo)*px+q], img, fo, q, r)
+					check("ConvForwardInto", ConvForwardInto(out, x, wm, kh, kw, ws).Data[(img*f+fo)*px+q], img, fo, q, r)
 				}
 			}
 		}
@@ -175,9 +175,8 @@ func TestGEMMIsFused(t *testing.T) {
 					gout.Data[(img*f+fo)*px+q] = probeA[i]
 					x.Data[xAt(img, r, q)] = probeB[i]
 				}
-				ConvLowerInto(colsT, x, kh, kw)
 				clear(dw.Data)
-				check("ConvWeightGradAcc", ConvWeightGradAcc(dw, gout, colsT).Data[fo*kk+r], fo, r, t)
+				check("ConvWeightGradAcc", ConvWeightGradAcc(dw, gout, x, kh, kw, ws).Data[fo*kk+r], fo, r, t)
 			}
 		}
 	}

@@ -79,9 +79,17 @@ var rangeKernels = []rangeKernel{
 	{"tMatMulRange from zero", func(m, k, n int) (int, int, int) { return m * k, m * n, k },
 		func(out, a, b []float64, m, k, n, lo, hi int) { tMatMulRange(out, a, b, m, k, n, lo, hi, true) }, false, variantDims},
 	{"matMulTRange", func(m, k, n int) (int, int, int) { return m * k, n * k, m },
-		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, lo, hi, false) }, false, vectorDims},
+		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, n, lo, hi, false) }, false, vectorDims},
 	{"matMulTRange seeded", func(m, k, n int) (int, int, int) { return m * k, n * k, m },
-		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, lo, hi, true) }, true, variantDims},
+		func(out, a, b []float64, m, k, n, lo, hi int) { matMulTRange(out, a, b, k, n, n, lo, hi, true) }, true, variantDims},
+	// The conv δW's form: the product as two column windows of out, the first
+	// whole groups of four columns, each computed with out's row stride.
+	{"matMulTRange seeded in two windows", func(m, k, n int) (int, int, int) { return m * k, n * k, m },
+		func(out, a, b []float64, m, k, n, lo, hi int) {
+			j := n / 2 &^ 3
+			matMulTRange(out, a, b[:j*k], k, j, n, lo, hi, true)
+			matMulTRange(out[min(j, len(out)):], a, b[j*k:], k, n-j, n, lo, hi, true) // out is empty when m is 0
+		}, true, variantDims},
 }
 
 // rowKernels are the two strided row kernels of the conv lowering.

@@ -81,8 +81,9 @@ type Executor struct {
 	dwWG sync.WaitGroup
 
 	// lane is the calling goroutine's: forward and the δO chain run on its
-	// workspace. A δW op needs none — its fold writes straight into its own
-	// layer's Grad — so pooled δW ops share no buffers, whoever runs them.
+	// workspace. A δW op takes none — its fold writes straight into its own
+	// layer's Grad, and a conv layer re-lowers its input on a workspace of its
+	// own — so pooled δW ops share no buffers, whoever runs them.
 	lane lane
 
 	// led is StepRecompute's ledger, retained so a warm step allocates nothing.

@@ -33,13 +33,13 @@ type RecomputeStats struct {
 }
 
 // recomputeRows is the table of a checkpointed step over layers whose stashes
-// rebuild from srcs[i-1] (nn.Layer.StashSource; only read when every > 1).
-// The forward rows keep activation a_j only at checkpoint boundaries (j %
-// every == 0; the batch a_0 is always resident, the data loader holds it) and,
-// with checkpointing on (every > 1), count each layer's stash while its
-// forward runs and then drop it. The backward rows are the schedule, each op
-// preceded, the first time its layer is touched, by what rebuilds the layer's
-// stash: a restash row when its source activation is resident, else the
+// rebuild from srcs[i-1] (nn.Layer.StashSource). The forward rows keep
+// activation a_j only at checkpoint boundaries (j % every == 0; the batch a_0
+// is always resident, the data loader holds it) and count each layer's stash
+// from its forward on — with checkpointing on (every > 1), only while the
+// forward runs: they drop it right after. The backward rows are the schedule,
+// each op preceded, the first time its layer is touched, by what rebuilds the
+// layer's stash: a restash row when its source activation is resident, else the
 // re-forward of the segment from the nearest resident activation up to that
 // source (a layer whose source is its own output re-runs itself), then the
 // restash. Each op is followed by what its completion releases: the gradient
@@ -62,13 +62,14 @@ func recomputeRows(L int, srcs []nn.StashSource, sched graph.BackwardSchedule, e
 	resident[0], live[L], doneDO[1] = true, true, true
 	for j := 1; j <= L; j++ {
 		f := &rows[j]
+		f.flags |= holdStash
 		stash[j] = !ckpt
 		if j < L {
 			f.flags |= keepAct
 			resident[j] = true
 		}
 		if ckpt {
-			f.flags |= holdStash | dropStash
+			f.flags |= dropStash
 			if p := j - 1; p > 0 && p%every != 0 {
 				f.flags |= dropPrev
 				resident[p] = false
@@ -140,12 +141,9 @@ func recomputeRows(L int, srcs []nn.StashSource, sched graph.BackwardSchedule, e
 			live[i-1] = true
 		}
 		if doneDO[i] && doneDW[i] {
-			r.flags |= lastUse
+			r.flags |= lastUse | dropStash
 			live[i] = false
-			if ckpt {
-				r.flags |= dropStash
-				stash[i] = false
-			}
+			stash[i] = false
 		}
 		rows = append(rows, r)
 		for j := 1; j <= L; j++ {
@@ -168,8 +166,15 @@ func recomputeRows(L int, srcs []nn.StashSource, sched graph.BackwardSchedule, e
 // reads 0 bytes while its layer keeps the capacity for the re-run — so it is
 // the same on every executor.
 type ledger struct {
-	bytes int64
+	bytes int64 // everything resident
+	stash int64 // the owned layer stash among it
 	stats RecomputeStats
+}
+
+// addStash counts b bytes of owned layer stash in (or, negative, out).
+func (led *ledger) addStash(b int64) {
+	led.bytes += b
+	led.stash += b
 }
 
 func tensorBytes(t *tensor.Tensor) int64 { return 8 * int64(t.Len()) }
@@ -185,16 +190,16 @@ func (led *ledger) apply(r row, l *lane) {
 			led.bytes += tensorBytes(l.acts[r.layer])
 		}
 		if r.flags&holdStash != 0 {
-			led.bytes += layer().StashBytes()
+			led.addStash(layer().StashBytes())
 		}
 		if r.flags&reFwd != 0 {
 			led.stats.RecomputedLayers++
 		}
 	case rowRestash:
-		led.bytes += layer().StashBytes()
+		led.addStash(layer().StashBytes())
 		led.stats.RestashedLayers++
 	case rowLoss:
-		led.stats.CheckpointBytes = led.bytes
+		led.stats.CheckpointBytes = led.bytes - led.stash
 		led.bytes += tensorBytes(l.grads[l.stride-1])
 	case rowDO:
 		led.bytes += tensorBytes(l.grads[r.layer-1])
@@ -209,7 +214,7 @@ func (led *ledger) apply(r row, l *lane) {
 	}
 	if r.flags&dropStash != 0 {
 		st := layer()
-		led.bytes -= st.StashBytes()
+		led.addStash(-st.StashBytes())
 		st.DropStash()
 	}
 	if r.flags&dropPrev != 0 {
@@ -245,10 +250,8 @@ func (e *Executor) StepRecompute(n *Network, x *tensor.Tensor, labels []int,
 	}
 	every = max(every, 1)
 	e.srcs = e.srcs[:0]
-	if every > 1 {
-		for _, l := range n.Layers {
-			e.srcs = append(e.srcs, l.StashSource())
-		}
+	for _, l := range n.Layers {
+		e.srcs = append(e.srcs, l.StashSource())
 	}
 	rows, peak, err := e.table(len(n.Layers), e.srcs, sched, every)
 	if err != nil {

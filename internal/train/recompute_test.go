@@ -55,8 +55,11 @@ func TestStepRecomputeBitwiseIdentity(t *testing.T) {
 // TestStepRecomputeLedgerPinned: the byte ledger counts logical lifetimes, so
 // it cannot depend on which buffers a layer happens to retain. On the two
 // benchmark nets and the token net, for every=1,2,3, a serial executor (cold
-// and warm) reports exactly these numbers — conv every=2 is the benchmark's 4 112 384 B / 1 204 224 B, every
-// stash restashed and no forward re-run.
+// and warm) reports exactly these numbers — conv every=2 is the benchmark's
+// 1 941 504 B / 1 204 224 B, every stash restashed and no forward re-run. Full
+// retention (every=1) counts each stash from its forward to its layer's last
+// use as every checkpointed interval does; its checkpoint set is activations
+// only, like theirs.
 func TestStepRecomputeLedgerPinned(t *testing.T) {
 	nets := ledgerNets()
 	for _, want := range []struct {
@@ -65,14 +68,14 @@ func TestStepRecomputeLedgerPinned(t *testing.T) {
 		peak, checkpoint                  int64
 		restashed, recomputed, peakLiveGr int
 	}{
-		{"mlp", 1, 238592, 212992, 0, 0, 2},
-		{"conv", 1, 2785280, 2342912, 0, 0, 2},
-		{"nlp", 1, 112128, 90624, 0, 0, 2},
+		{"mlp", 1, 250880, 212992, 0, 0, 2},
+		{"conv", 1, 3056640, 2342912, 0, 0, 2},
+		{"nlp", 1, 152064, 90624, 0, 0, 2},
 		{"mlp", 2, 142336, 114688, 9, 0, 2},
-		{"conv", 2, 4112384, 1204224, 7, 0, 2},
+		{"conv", 2, 1941504, 1204224, 7, 0, 2},
 		{"nlp", 2, 152064, 44544, 3, 3, 2},
 		{"mlp", 3, 143360, 65536, 4, 5, 2},
-		{"conv", 3, 5015552, 802816, 4, 3, 2},
+		{"conv", 3, 2203648, 802816, 4, 3, 2},
 		{"nlp", 3, 152064, 4608, 3, 3, 2},
 	} {
 		c := nets[want.net]

@@ -372,8 +372,9 @@ func (l *lane) run(rows []row) {
 }
 
 // weightGrad runs one δW — at its row, from the pool's queue, or out of the
-// lane's FIFO — and reports it as kind. The fold takes no workspace, so a pool
-// worker, which owns none, runs it like any lane.
+// lane's FIFO — and reports it as kind. The fold takes no workspace (a conv
+// layer's re-lowering uses the layer's own), so a pool worker, which owns
+// none, runs it like any lane.
 func (l *lane) weightGrad(t dwTask, kind OpKind) {
 	t.layer.WeightGradAcc(t.grad)
 	l.span(kind, t.r, 0)

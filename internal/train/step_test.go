@@ -162,7 +162,7 @@ func TestRecomputeRowsGolden(t *testing.T) {
 		sched graph.BackwardSchedule
 		want  string
 	}{
-		{mlp, 1, graph.Conventional(5), "z f1+a f2+a f3+a f4+a f5 L o5 w5! x4 o4 w4! x3 o3 w3! x2 o2 w2! x1 w1! x0"},
+		{mlp, 1, graph.Conventional(5), "z f1+a+s f2+a+s f3+a+s f4+a+s f5+s L o5 w5-s! x4 o4 w4-s! x3 o3 w3-s! x2 o2 w2-s! x1 w1-s! x0"},
 		{mlp, 2, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s f4+a+s-s-p f5+s-s L " +
 			"s5 o5 w5-s! s4 x4 o4 w4-s! s3 o3 w3-s! s2 x2 o2 w2-s! s1 w1-s! x0"},
 		{mlp, 3, graph.Conventional(5), "z f1+a+s-s f2+a+s-s-p f3+a+s-s-p f4+a+s-s f5+s-s-p L " +
