@@ -3,6 +3,7 @@ package train
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -348,5 +349,60 @@ func TestUseAfterClose(t *testing.T) {
 				t.Fatal("call after Close hung")
 			}
 		})
+	}
+}
+
+// TestCloseStopsEveryGoroutine pins shutdown on the three engines that own
+// goroutines: the concurrent executor's pool, a 2-stage × 4-microbatch
+// pipeline and four data-parallel replicas with their reducer. Each engine is
+// closed twice, once fresh and once after a step, and the goroutine count must
+// come back to what it was before the engine was built.
+func TestCloseStopsEveryGoroutine(t *testing.T) {
+	x, labels := data.Vectors(3, 16, 16, 3)
+	build := func() *Network { return MLPNet(11, 16, 24, 3, 3) }
+	sched, opt := graph.Conventional(7), &nn.SGD{LR: 0.05}
+	engines := []struct {
+		name  string
+		start func(t *testing.T) (step func() error, close func())
+	}{
+		{"executor", func(t *testing.T) (func() error, func()) {
+			e, net := NewExecutor(ExecConcurrent, 2), build()
+			return func() error { _, err := e.Step(net, x, labels, sched, opt); return err }, e.Close
+		}},
+		{"pipe2x4", func(t *testing.T) (func() error, func()) {
+			pipe, err := NewPipeline(build(), opt, PipelineConfig{Stages: 2, MicroBatches: 4, Build: build})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, _, err := pipe.Step(x, labels); return err }, pipe.Close
+		}},
+		{"dp4", func(t *testing.T) (func() error, func()) {
+			dp, err := NewDataParallel(build(), opt, DataParallelConfig{Replicas: 4, Build: build})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, _, err := dp.Step(x, labels); return err }, dp.Close
+		}},
+	}
+	for _, eng := range engines {
+		for _, stepped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stepped=%v", eng.name, stepped), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				step, closeEngine := eng.start(t)
+				if stepped {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				closeEngine()
+				closeEngine()
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after Close, %d before the engine was built", runtime.NumGoroutine(), before)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
 	}
 }
