@@ -148,6 +148,11 @@ type Result struct {
 
 // Costs builds the single-worker iteration costs for a model on a cluster
 // with the given worker count and method (sync times differ per collective).
+// It does not check workers against cl.MaxGPUs: above it, the same SyncTime
+// and AggregationLag formulas extrapolate to the larger cluster, as the
+// planner's zoo grid uses them for Priv-A at 16 and 32 GPUs. Run and
+// RunTraced panic there instead, and the plan service rejects such a
+// request.
 func Costs(m *models.Model, cl Cluster, workers int, method Method) core.IterCosts {
 	L := len(m.Layers)
 	c := core.IterCosts{

@@ -3,6 +3,7 @@ package datapar
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"oooback/internal/models"
 	"oooback/internal/trace"
@@ -132,6 +133,42 @@ func TestWorkerBoundsChecked(t *testing.T) {
 		}
 	}()
 	Run(resnet50(64), PrivA(), 9, BytePS)
+}
+
+// TestCostsExtrapolatePastMaxGPUs pins what Costs does above a cluster's
+// MaxGPUs, where Run panics: Priv-A (8 GPUs, one per node) costed at 16 GPUs
+// gets the same SyncTime and AggregationLag formulas at 16 workers, and every
+// tensor syncs no faster than at 8.
+func TestCostsExtrapolatePastMaxGPUs(t *testing.T) {
+	m, cl := resnet50(64), PrivA()
+	for _, method := range []Method{WFBP, Horovod, BytePS, OOOBytePS} {
+		c8, c16 := Costs(m, cl, 8, method), Costs(m, cl, 16, method)
+		lag := AggregationLag(cl, 16, m.TotalBackward())
+		if lag <= AggregationLag(cl, 8, m.TotalBackward()) {
+			t.Fatalf("%v: 16-node lag %v not above the 8-node one", method, lag)
+		}
+		for i, l := range m.Layers {
+			if want := SyncTime(cl, 16, method, l.ParamBytes); c16.SyncW[i] != want {
+				t.Fatalf("%v: layer %d syncs in %v at 16 GPUs, SyncTime says %v", method, i+1, c16.SyncW[i], want)
+			}
+			if c16.SyncW[i] < c8.SyncW[i] {
+				t.Fatalf("%v: layer %d syncs in %v at 16 GPUs, faster than %v at 8", method, i+1, c16.SyncW[i], c8.SyncW[i])
+			}
+			var want time.Duration // a tensor with nothing to sync waits for nobody
+			if c16.SyncW[i] > 0 {
+				want = lag
+			}
+			if c16.SyncLag[i] != want {
+				t.Fatalf("%v: layer %d lag %v, want %v", method, i+1, c16.SyncLag[i], want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run accepted Priv-A at 16 GPUs")
+		}
+	}()
+	Run(m, cl, 16, BytePS)
 }
 
 // Property: throughput never decreases when the interconnect gets faster

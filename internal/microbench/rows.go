@@ -419,12 +419,15 @@ func Rows() []Row {
 		// convolution, alone, on the conv workload's second layer (8 channels
 		// of 14×14 under a 3×3 window, 32 images): one strided row copy or row
 		// add of twelve 12-element runs per lowered row, in the order
-		// tensor.ConvForwardInto and ConvInputGradInto issue them.
+		// tensor.ConvForwardInto and ConvInputGradInto issue them. Every
+		// image is lowered into the same [72 × 144] block, as the kernels
+		// reuse one workspace block per worker.
 		{Name: "TensorKernelConvLower", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
-			x, colsT := tensor.Randn(tensor.NewRNG(1), 1, 32, 8, 14, 14), tensor.New(32, 72, 144)
+			x, block := tensor.Randn(tensor.NewRNG(1), 1, 32, 8, 14, 14), tensor.New(72, 144)
+			cb := block.Data
 			return func() {
 				for b := 0; b < 32; b++ {
-					xb, cb := x.Data[b*8*14*14:(b+1)*8*14*14], colsT.Data[b*72*144:(b+1)*72*144]
+					xb := x.Data[b*8*14*14 : (b+1)*8*14*14]
 					for row := 0; row < 72; row++ {
 						ch, ky, kx := row/9, row/3%3, row%3
 						tensorCopyRows(cb[row*144:(row+1)*144], 12, xb[(ch*14+ky)*14+kx:], 14, 12, 12)

@@ -86,7 +86,10 @@ var guidedGridMisses = map[string]bool{
 // GPUs); here every cell must be within 1% of the optimum, a miss must never
 // claim a proven cutoff, and the misses must be exactly guidedGridMisses.
 // The grid goes past Priv-A's 8 and Priv-B's 20 GPUs, which the plan service
-// rejects; datapar.Costs does not, and the search is exercised all the same.
+// rejects; datapar.Costs extrapolates to them, and the search is exercised all
+// the same. Those cells are Priv-A at 16 and 32 GPUs and Priv-B at 32, 234 of
+// the 1 170; two of the pinned misses are among them,
+// Priv-A/resnet152/16/WFBP and Priv-A/resnet101/32/WFBP.
 func TestZooGuidedGrid(t *testing.T) {
 	methods := []datapar.Method{datapar.WFBP, datapar.Horovod, datapar.P3,
 		datapar.BytePS, datapar.OOOBytePS, datapar.OOOHorovod}

@@ -28,7 +28,8 @@ const (
 	// OpDWFill is a δW a pipeline stage deferred and ran out of order inside a
 	// bubble or the drain tail.
 	OpDWFill
-	// OpUpdate is the optimizer step (and, data-parallel, the weight broadcast).
+	// OpUpdate is the optimizer step on the prototype, whose weights every lane
+	// of a multi-lane engine reads.
 	OpUpdate
 	// OpReduce is one data-parallel gradient bucket reduction.
 	OpReduce

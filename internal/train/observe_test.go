@@ -155,7 +155,7 @@ func observedEngines() []observedEngine {
 				want[evKey{OpLoss, 0, m}] = 1
 			}
 			return pipe.proto, step, pipe.Observe, want, func() map[int][]row {
-				return map[int][]row{0: pipe.stages[0].rows, 1: pipe.stages[1].rows, 2: zeroRows}
+				return map[int][]row{0: pipe.crew.rows[0], 1: pipe.crew.rows[1], 2: zeroRows}
 			}
 		}}
 	}

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"oooback/internal/graph"
@@ -42,16 +41,13 @@ import (
 // M, so sends never block and any schedule-consistent op order is
 // deadlock-free.
 type Pipeline struct {
-	proto  *Network
-	nets   []*Network // nets[m] runs microbatch m (nets[1] is proto itself); nets[0] = proto, the whole batch
-	part   graph.Partition
-	sched  PipeSchedule
-	fill   bool
-	opt    nn.Optimizer
-	stages []*pipeStage
-	acks   chan struct{}
-	wg     sync.WaitGroup
-	closed bool
+	proto *Network
+	nets  []*Network // nets[m] runs microbatch m (nets[1] is proto itself); nets[0] = proto, the whole batch
+	part  graph.Partition
+	sched PipeSchedule
+	fill  bool
+	opt   nn.Optimizer
+	crew  crew // stage s is lane s, running stageRows
 
 	// xs and ls are the retained input view headers and label subslices of a
 	// step's microbatches, indexed like nets (index 0 stays empty).
@@ -198,14 +194,6 @@ type pipeMsg struct {
 	t  *tensor.Tensor
 }
 
-// pipeStage is one stage's persistent goroutine: a lane, the table it runs
-// every step, and the channel that starts one.
-type pipeStage struct {
-	lane
-	rows []row
-	cmd  chan struct{}
-}
-
 // NewPipeline partitions proto into cfg.Stages contiguous stages and starts
 // their goroutines.
 func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipeline, error) {
@@ -224,9 +212,6 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	if opt == nil {
 		return nil, fmt.Errorf("train: pipeline needs an optimizer")
 	}
-	if cfg.Build == nil {
-		return nil, fmt.Errorf("train: PipelineConfig.Build is required (one lane per microbatch)")
-	}
 	part := cfg.Partition
 	var err error
 	if part.L == 0 && part.Bounds == nil {
@@ -237,70 +222,40 @@ func NewPipeline(proto *Network, opt nn.Optimizer, cfg PipelineConfig) (*Pipelin
 	if err != nil {
 		return nil, err
 	}
+	nets, err := laneNets(proto, cfg.Build, M, true)
+	if err != nil {
+		return nil, err
+	}
 	p := &Pipeline{
 		proto:    proto,
-		nets:     make([]*Network, M+1),
+		nets:     append([]*Network{proto}, nets...),
 		part:     part,
 		sched:    cfg.Schedule,
 		fill:     !cfg.NoDWFill,
 		opt:      opt,
-		acks:     make(chan struct{}, S),
 		xs:       make([]*tensor.Tensor, M+1),
 		ls:       make([][]int, M+1),
 		serial:   stepRows(L, graph.Conventional(L), 0),
 		statsBuf: make([]StageStats, S),
 	}
-	p.nets[0], p.nets[1] = proto, proto
-	protoParams := proto.Params()
-	for m := 2; m <= M; m++ {
-		net := cfg.Build()
-		if net == nil {
-			return nil, fmt.Errorf("train: Build returned nil lane")
-		}
-		if err := alignParams(proto, net); err != nil {
-			return nil, err
-		}
-		// All microbatch networks share the prototype's parameters: re-alias
-		// before any forward so cached views (e.g. Conv2D's weight reshape) bind
-		// to the shared tensors. Grad writes stay race-free because each Param's
-		// layer lives in exactly one stage.
-		for i, lp := range net.Params() {
-			lp.Value = protoParams[i].Value
-			lp.Grad = protoParams[i].Grad
-		}
-		p.nets[m] = net
-	}
 	p.caller = newLane(S, &p.obs)
 	p.caller.bind(proto, nil, nil)
 	// Inter-stage queues with capacity M: producers never block.
-	actCh := make([]chan pipeMsg, S-1)
-	gradCh := make([]chan pipeMsg, S-1)
-	for i := range actCh {
-		actCh[i] = make(chan pipeMsg, M)
-		gradCh[i] = make(chan pipeMsg, M)
-	}
+	var actIn, gradOut chan pipeMsg
 	for s := 0; s < S; s++ {
-		lo, hi := part.Range(s)
-		st := &pipeStage{
-			lane: lane{id: s, obs: &p.obs, timed: true, ws: tensor.NewWorkspace(), nets: p.nets, labels: p.ls},
-			rows: stageRows(cfg.Schedule, s, S, M, lo, hi, p.fill),
-			cmd:  make(chan struct{}, 1),
-		}
+		st := &lane{id: s, obs: &p.obs, ws: tensor.NewWorkspace(), nets: p.nets, labels: p.ls,
+			actIn: actIn, gradOut: gradOut}
 		if s == 0 {
 			st.x = p.xs
-		} else {
-			st.actIn, st.gradOut = actCh[s-1], gradCh[s-1]
 		}
 		if s < S-1 {
-			st.actOut, st.gradIn = actCh[s], gradCh[s]
+			st.actOut, st.gradIn = make(chan pipeMsg, M), make(chan pipeMsg, M)
+			actIn, gradOut = st.actOut, st.gradIn
 		}
-		st.size()
-		p.stages = append(p.stages, st)
+		lo, hi := part.Range(s)
+		p.crew.add(st, stageRows(cfg.Schedule, s, S, M, lo, hi, p.fill))
 	}
-	p.wg.Add(S)
-	for _, st := range p.stages {
-		go p.stageLoop(st)
-	}
+	p.crew.start(nil)
 	return p, nil
 }
 
@@ -315,16 +270,7 @@ func (p *Pipeline) MicroBatches() int { return len(p.nets) - 1 }
 func (p *Pipeline) Observe(obs Observer) { p.obs = obs }
 
 // Close shuts the stage goroutines down; later Step calls return ErrClosed.
-func (p *Pipeline) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	for _, st := range p.stages {
-		close(st.cmd)
-	}
-	p.wg.Wait()
-}
+func (p *Pipeline) Close() { p.crew.stop(nil) }
 
 // shardViews points k retained view headers (and label subslices) at
 // contiguous example ranges of a batch — a pipeline's microbatches, a
@@ -362,7 +308,7 @@ func shardViews(x *tensor.Tensor, labels []int, xs []*tensor.Tensor, ls [][]int)
 // final short batch) run the serial table on the prototype, on the calling
 // goroutine — which computes the same bits a pipeline over that batch would.
 func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats, error) {
-	if p.closed {
+	if p.crew.closed {
 		return 0, PipeStepStats{}, ErrClosed
 	}
 	st := PipeStepStats{Stages: 1, MicroBatches: 1, Schedule: p.sched, FillDW: p.fill}
@@ -374,39 +320,19 @@ func (p *Pipeline) Step(x *tensor.Tensor, labels []int) (float64, PipeStepStats,
 		st.Wall = time.Since(t0)
 		return p.caller.loss(), st, nil
 	}
-	st.Stages, st.MicroBatches, st.PerStage = len(p.stages), len(p.nets)-1, p.statsBuf
+	st.Stages, st.MicroBatches, st.PerStage = len(p.statsBuf), len(p.nets)-1, p.statsBuf
 	if err := shardViews(x, labels, p.xs[1:], p.ls[1:]); err != nil {
 		return 0, st, err
 	}
 	p.caller.step(func() {
 		p.caller.run(zeroRows)
 		t0 := time.Now()
-		for _, s := range p.stages {
-			s.cmd <- struct{}{}
-		}
-		for range p.stages {
-			<-p.acks
-		}
+		p.crew.round()
 		st.Wall = time.Since(t0)
 	}, update)
-	for i, s := range p.stages {
+	for i, s := range p.crew.lanes {
 		b := &s.busy
 		p.statsBuf[i] = StageStats{Fwd: b[OpFwd], DO: b[OpDO] + b[OpLoss], DWInline: b[OpDW], DWFill: b[OpDWFill], Idle: b[OpIdle]}
 	}
-	return p.stages[len(p.stages)-1].loss(), st, nil
-}
-
-// stageLoop is one stage's persistent goroutine: one run of the stage's table
-// per command. It polls for the next step's command before it parks: between
-// two back-to-back steps lies only the caller's update, shorter than a
-// wake-up.
-func (p *Pipeline) stageLoop(st *pipeStage) {
-	defer p.wg.Done()
-	for {
-		if _, ok := recvHot(st.cmd, &st.poll); !ok {
-			return
-		}
-		st.run(st.rows)
-		p.acks <- struct{}{}
-	}
+	return p.crew.lanes[len(p.crew.lanes)-1].loss(), st, nil
 }

@@ -219,7 +219,6 @@ func TestPipelineConfigValidation(t *testing.T) {
 		{"one stage", build(), PipelineConfig{Stages: 1, Build: build}},
 		{"micro<stages", build(), PipelineConfig{Stages: 3, MicroBatches: 2, Build: build}},
 		{"stages>layers", build(), PipelineConfig{Stages: 6, Build: build}},
-		{"no build", build(), PipelineConfig{Stages: 2}},
 		{"partition stage count", build(), PipelineConfig{Stages: 3, Build: build,
 			Partition: graph.Partition{L: 5, Bounds: []int{0, 2, 5}}}},
 		{"partition layer count", build(), PipelineConfig{Stages: 2, Build: build,

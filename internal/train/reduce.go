@@ -14,7 +14,7 @@ import (
 // the bucket plan (which parameters sync together and in what drain order)
 // and the reducer that sums per-replica gradient buckets with a fixed
 // pairwise tree, concurrently with the replicas' still-running backward
-// passes. replica.go owns the replicas and the step protocol.
+// passes. replica.go owns the replicas and the step, crew.go their goroutines.
 
 // SyncSchedule selects the drain order of ready gradient buckets — which
 // bucket the reducer synchronizes first when several have been published.
@@ -154,9 +154,8 @@ type reduceStats struct {
 // several are pending — and reports timing when the step's last bucket is
 // done. The loop exits when the publish channel closes.
 func (dp *DataParallel) reducerLoop() {
-	defer dp.wg.Done()
 	B := len(dp.plan.buckets)
-	N := len(dp.replicas)
+	N := len(dp.nets)
 	counts := make([]int, B)
 	ready := make([]bool, B)
 	red := &dp.reducer
@@ -224,22 +223,19 @@ func (dp *DataParallel) pickReady(ready []bool) int {
 // runs. Safe to call once all replicas have finished the bucket's δW ops:
 // publication via dp.pub orders those writes before this read.
 func (dp *DataParallel) reduceBucket(bi int) {
-	n := len(dp.replicas)
+	n := len(dp.nets)
 	if n == 1 {
 		return // nothing to sum; skipping the 1/1 scale keeps bits identical to single-replica training
 	}
 	inv := 1 / float64(n)
 	for _, pi := range dp.plan.buckets[bi].params {
-		dst := dp.replicas[0].params[pi].Grad.Data
+		dst := paramAt(dp.nets[0], pi).Grad.Data
 		for lo := 0; lo < len(dst); lo += reduceChunk {
-			hi := lo + reduceChunk
-			if hi > len(dst) {
-				hi = len(dst)
-			}
+			hi := min(lo+reduceChunk, len(dst))
 			for stride := 1; stride < n; stride *= 2 {
 				for r := 0; r+stride < n; r += 2 * stride {
-					d := dp.replicas[r].params[pi].Grad.Data
-					s := dp.replicas[r+stride].params[pi].Grad.Data
+					d := paramAt(dp.nets[r], pi).Grad.Data
+					s := paramAt(dp.nets[r+stride], pi).Grad.Data
 					tensor.AddSpan(d[lo:hi], s[lo:hi])
 				}
 			}

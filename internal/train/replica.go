@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"oooback/internal/graph"
@@ -21,8 +20,8 @@ import (
 // every bucket across replicas with a fixed pairwise tree the instant all N
 // replicas published it, draining ready buckets in SyncSchedule priority
 // order, concurrently with whatever backward work remains. A single optimizer
-// step then applies the averaged gradient and broadcasts the updated weights
-// to all replicas.
+// step then applies the averaged gradient to the prototype's weights, which
+// every replica reads: nothing is copied back.
 //
 // Determinism: the reduction tree shape, the intra-bucket chunk order, and
 // every kernel it calls are fixed by replica index and tensor size alone, so
@@ -36,9 +35,9 @@ import (
 // a time, and Close only after the last step returned; both return ErrClosed
 // from then on.
 type DataParallel struct {
-	replicas []*replica
-	plan     *reducePlan
-	opt      nn.Optimizer
+	nets []*Network // replica r's network; nets[0] is the prototype
+	plan *reducePlan
+	opt  nn.Optimizer
 
 	// serial is the replicas' table, the same immutable slice for all of them;
 	// rows is serial with the publish rows Step's reducer consumes.
@@ -46,8 +45,9 @@ type DataParallel struct {
 
 	pub     chan pubMsg      // replicas → reducer: bucket complete on replica
 	redDone chan reduceStats // reducer → step: all buckets reduced
-	acks    chan struct{}    // replicas → step: pass complete
-	wg      sync.WaitGroup
+
+	// crew runs the replicas: replica r is lane r, running rows.
+	crew crew
 
 	// caller is the lane of the goroutine calling Step (the update and the
 	// step), reducer the reducer goroutine's.
@@ -61,31 +61,15 @@ type DataParallel struct {
 	// shardX/shardLabels are the retained per-replica views into the step batch.
 	shardX      []*tensor.Tensor
 	shardLabels [][]int
-
-	closed bool
-}
-
-// replica is one model copy: the lane its passes run on and its step state.
-type replica struct {
-	lane
-	params []*nn.Param
-
-	// The last pass on the replica's own clock: how long zeroing, forward and
-	// loss took, and how long backward took. The lane's clock is when it ended.
-	fwd, bwd time.Duration
-
-	// cmd starts one pass — forward, loss, backward back to back. Capacity 1:
-	// Step's send never waits for a replica that is still waking up.
-	cmd chan struct{}
 }
 
 // DataParallelConfig configures NewDataParallel.
 type DataParallelConfig struct {
 	// Replicas is the data-parallel width N; ≤ 1 means single-replica.
 	Replicas int
-	// Build constructs one fresh replica network (same architecture and
-	// deterministic init as the prototype; parameter values are overwritten
-	// with the prototype's). Required when Replicas > 1.
+	// Build constructs one fresh replica network (same architecture as the
+	// prototype; its weights are replaced by the prototype's, its gradients
+	// stay its own). Required when Replicas > 1.
 	Build func() *Network
 	// Schedule is the backward schedule every replica executes; nil means
 	// conventional.
@@ -106,8 +90,8 @@ const defaultBucketBytes = 256 << 10
 // prototype becomes replica 0 — trained weights land in the caller's network
 // — and cfg.Build creates replicas 1..N−1, which must align with the
 // prototype parameter-for-parameter (same names and shapes, as produced by
-// the same constructor with any seed). Close must be called to stop the
-// engine's goroutines.
+// the same constructor with any seed) and read its weights. Close must be
+// called to stop the engine's goroutines.
 func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (*DataParallel, error) {
 	N := cfg.Replicas
 	if N < 1 {
@@ -126,7 +110,12 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 	if bb == 0 {
 		bb = defaultBucketBytes
 	}
+	nets, err := laneNets(proto, cfg.Build, N, false)
+	if err != nil {
+		return nil, err
+	}
 	dp := &DataParallel{
+		nets:        nets,
 		plan:        newReducePlan(proto, a, cfg.Sync, bb),
 		opt:         opt,
 		serial:      stepRows(L, sched, 0),
@@ -136,65 +125,22 @@ func NewDataParallel(proto *Network, opt nn.Optimizer, cfg DataParallelConfig) (
 	dp.rows = publishRows(dp.serial, dp.plan)
 	dp.pub = make(chan pubMsg, len(dp.plan.buckets)*N+1)
 	dp.redDone = make(chan reduceStats, 1)
-	dp.acks = make(chan struct{}, N)
 	dp.caller = lane{id: N + 1, obs: &dp.obs}
 	dp.reducer = lane{id: N, obs: &dp.obs, timed: true}
-	for r := 0; r < N; r++ {
-		net := proto
-		if r > 0 {
-			if cfg.Build == nil {
-				return nil, fmt.Errorf("train: %d replicas need a Build function", N)
-			}
-			net = cfg.Build()
-			if err := alignParams(proto, net); err != nil {
-				return nil, err
-			}
-			for i, p := range net.Params() {
-				copy(p.Value.Data, proto.Params()[i].Value.Data)
-			}
-		}
-		rep := &replica{
-			lane: lane{id: r, obs: &dp.obs, timed: true, ws: tensor.NewWorkspace(), pub: dp.pub,
-				nets: []*Network{net}, x: dp.shardX[r : r+1], labels: dp.shardLabels[r : r+1]},
-			params: net.Params(),
-			cmd:    make(chan struct{}, 1),
-		}
-		rep.size()
-		dp.replicas = append(dp.replicas, rep)
+	for r, net := range nets {
+		dp.crew.add(&lane{id: r, obs: &dp.obs, ws: tensor.NewWorkspace(), pub: dp.pub,
+			nets: []*Network{net}, x: dp.shardX[r : r+1], labels: dp.shardLabels[r : r+1]}, dp.rows)
 	}
-	dp.wg.Add(N + 1)
-	for _, rep := range dp.replicas {
-		go dp.replicaLoop(rep)
-	}
-	go dp.reducerLoop()
+	dp.crew.start(dp.reducerLoop)
 	return dp, nil
-}
-
-// alignParams checks that a built replica matches the prototype
-// parameter-for-parameter.
-func alignParams(proto, rep *Network) error {
-	pp, rp := proto.Params(), rep.Params()
-	if len(pp) != len(rp) {
-		return fmt.Errorf("train: replica has %d params, prototype %d", len(rp), len(pp))
-	}
-	for i := range pp {
-		if pp[i].Name != rp[i].Name {
-			return fmt.Errorf("train: replica param %d is %q, prototype %q", i, rp[i].Name, pp[i].Name)
-		}
-		if len(pp[i].Value.Data) != len(rp[i].Value.Data) {
-			return fmt.Errorf("train: replica param %q has %d elements, prototype %d",
-				pp[i].Name, len(rp[i].Value.Data), len(pp[i].Value.Data))
-		}
-	}
-	return nil
 }
 
 // Net returns replica 0's network — the one whose parameters the optimizer
 // updates and that holds the trained weights.
-func (dp *DataParallel) Net() *Network { return dp.replicas[0].nets[0] }
+func (dp *DataParallel) Net() *Network { return dp.nets[0] }
 
 // Replicas returns the data-parallel width.
-func (dp *DataParallel) Replicas() int { return len(dp.replicas) }
+func (dp *DataParallel) Replicas() int { return len(dp.nets) }
 
 // Observe attaches the engine's observer (nil detaches). Replica r reports on
 // lane r, the reducer on lane Replicas, the goroutine calling Step on lane
@@ -236,36 +182,17 @@ type StepStats struct {
 	ReduceBusy, ReduceExposed time.Duration
 }
 
-// replicaLoop is one replica's persistent goroutine: on each command it runs
-// the table once on its shard — forward, loss, backward, publishing buckets at
-// their publish rows — and acknowledges it, then polls for the next command
-// before it parks (between two back-to-back steps lies only the caller's
-// update, shorter than a wake-up). All replica state is owned by this
-// goroutine while a pass runs; ownership transfers through the command/ack
-// channels.
-func (dp *DataParallel) replicaLoop(r *replica) {
-	defer dp.wg.Done()
-	for {
-		if _, ok := recvHot(r.cmd, &r.poll); !ok {
-			return
-		}
-		r.pass(dp.rows)
-		dp.acks <- struct{}{}
-	}
-}
-
-// pass runs one table on the replica's lane and reads the pass's phase times
-// off it.
-func (r *replica) pass(rows []row) {
-	r.run(rows)
-	r.fwd = r.busy[OpZero] + r.busy[OpFwd] + r.busy[OpLoss]
-	r.bwd = r.busy[OpDO] + r.busy[OpDW]
+// phases reads a replica lane's last run off its clock: how long zeroing,
+// forward and loss took, and how long backward took. The lane's clock is when
+// it ended.
+func (l *lane) phases() (fwd, bwd time.Duration) {
+	return l.busy[OpZero] + l.busy[OpFwd] + l.busy[OpLoss], l.busy[OpDO] + l.busy[OpDW]
 }
 
 // Step runs one data-parallel training step: every replica runs forward and
 // its out-of-order backward on its shard while the reducer drains published
-// buckets, then one optimizer step on the averaged gradient and a weight
-// broadcast. A step costs each replica one command and one acknowledgement —
+// buckets, then one optimizer step on the averaged gradient. A step costs
+// each replica one command and one acknowledgement (crew.round) —
 // no barrier between forward and backward, which nothing needs: a replica's
 // backward reads only its own forward, and the reducer counts publishes.
 // Returns the batch mean loss (each shard's mean weighted by shard size —
@@ -273,20 +200,20 @@ func (r *replica) pass(rows []row) {
 // warm, a step allocates nothing. A batch with fewer examples than replicas —
 // the final short batch of an epoch — cannot be sharded: replica 0 runs it
 // whole on the calling goroutine (no reduction, no averaging) and the update
-// broadcasts as usual; the path taken depends only on the batch size.
+// follows as usual; the path taken depends only on the batch size.
 func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats, error) {
-	if dp.closed {
+	if dp.crew.closed {
 		return 0, StepStats{}, ErrClosed
 	}
-	st := StepStats{Replicas: len(dp.replicas), Buckets: len(dp.plan.buckets)}
-	if len(labels) < len(dp.replicas) {
+	st := StepStats{Replicas: len(dp.nets), Buckets: len(dp.plan.buckets)}
+	if len(labels) < len(dp.nets) {
 		st.Replicas = 1
-		r0 := dp.replicas[0]
+		r0 := dp.crew.lanes[0]
 		if err := shardViews(x, labels, dp.shardX[:1], dp.shardLabels[:1]); err != nil {
 			return 0, st, err
 		}
-		dp.caller.step(func() { r0.pass(dp.serial) }, dp.applyUpdate)
-		st.Forward, st.Backward = r0.fwd, r0.bwd
+		dp.caller.step(func() { r0.run(dp.serial) }, dp.applyUpdate)
+		st.Forward, st.Backward = r0.phases()
 		return r0.loss(), st, nil
 	}
 	if err := shardViews(x, labels, dp.shardX, dp.shardLabels); err != nil {
@@ -294,17 +221,13 @@ func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats
 	}
 	var rs reduceStats
 	dp.caller.step(func() {
-		for _, rep := range dp.replicas {
-			rep.cmd <- struct{}{}
-		}
-		for range dp.replicas {
-			<-dp.acks
-		}
+		dp.crew.round()
 		rs = <-dp.redDone
 	}, dp.applyUpdate)
 	var lastBwd time.Time
-	for _, rep := range dp.replicas {
-		st.Forward, st.Backward = max(st.Forward, rep.fwd), max(st.Backward, rep.bwd)
+	for _, rep := range dp.crew.lanes {
+		fwd, bwd := rep.phases()
+		st.Forward, st.Backward = max(st.Forward, fwd), max(st.Backward, bwd)
 		if rep.clock.After(lastBwd) {
 			lastBwd = rep.clock
 		}
@@ -317,23 +240,15 @@ func (dp *DataParallel) Step(x *tensor.Tensor, labels []int) (float64, StepStats
 // foldLoss combines shard mean losses into the batch mean, in replica order.
 func (dp *DataParallel) foldLoss(n int) float64 {
 	var loss float64
-	for _, rep := range dp.replicas {
+	for _, rep := range dp.crew.lanes {
 		loss += rep.loss() * float64(rep.total)
 	}
 	return loss / float64(n)
 }
 
-// applyUpdate steps the optimizer on replica 0 (which holds the averaged
-// gradient after reduction) and broadcasts the new weights to the others.
-func (dp *DataParallel) applyUpdate() {
-	r0 := dp.replicas[0]
-	dp.opt.Step(r0.params)
-	for _, rep := range dp.replicas[1:] {
-		for i, p := range rep.params {
-			copy(p.Value.Data, r0.params[i].Value.Data)
-		}
-	}
-}
+// applyUpdate steps the optimizer on the prototype, which holds the averaged
+// gradient after reduction and the weights every replica reads.
+func (dp *DataParallel) applyUpdate() { dp.opt.Step(dp.nets[0].Params()) }
 
 // ReferenceStep is the serial oracle for Step: the same shards, the same
 // table without its publish rows, the same fixed reduction tree and bucket
@@ -342,10 +257,10 @@ func (dp *DataParallel) applyUpdate() {
 // the differential tests assert exactly that under the race detector. An
 // attached observer sees no reduce events.
 func (dp *DataParallel) ReferenceStep(x *tensor.Tensor, labels []int) (float64, error) {
-	if dp.closed {
+	if dp.crew.closed {
 		return 0, ErrClosed
 	}
-	if len(labels) < len(dp.replicas) {
+	if len(labels) < len(dp.nets) {
 		loss, _, err := dp.Step(x, labels)
 		return loss, err
 	}
@@ -353,8 +268,8 @@ func (dp *DataParallel) ReferenceStep(x *tensor.Tensor, labels []int) (float64, 
 		return 0, err
 	}
 	dp.caller.step(func() {
-		for _, rep := range dp.replicas {
-			rep.pass(dp.serial)
+		for _, rep := range dp.crew.lanes {
+			rep.run(dp.serial)
 		}
 		for b := range dp.plan.buckets {
 			dp.reduceBucket(b)
@@ -365,14 +280,4 @@ func (dp *DataParallel) ReferenceStep(x *tensor.Tensor, labels []int) (float64, 
 
 // Close stops the replica and reducer goroutines. Idempotent; must not
 // overlap a step.
-func (dp *DataParallel) Close() {
-	if dp.closed {
-		return
-	}
-	dp.closed = true
-	for _, rep := range dp.replicas {
-		close(rep.cmd)
-	}
-	close(dp.pub)
-	dp.wg.Wait()
-}
+func (dp *DataParallel) Close() { dp.crew.stop(func() { close(dp.pub) }) }
