@@ -419,9 +419,10 @@ func Rows() []Row {
 		// convolution, alone, on the conv workload's second layer (8 channels
 		// of 14×14 under a 3×3 window, 32 images): one strided row copy or row
 		// add of twelve 12-element runs per lowered row, in the order
-		// tensor.ConvForwardInto and ConvInputGradInto issue them. Every
-		// image is lowered into the same [72 × 144] block, as the kernels
-		// reuse one workspace block per worker.
+		// tensor.ConvForwardInto and ConvInputGradInto issue them. As the
+		// kernels reuse one workspace block per worker, every image is lowered
+		// into the same [72 × 144] block, and scattered four channels at a
+		// time out of the same [36 × 144] one.
 		{Name: "TensorKernelConvLower", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			x, block := tensor.Randn(tensor.NewRNG(1), 1, 32, 8, 14, 14), tensor.New(72, 144)
 			cb := block.Data
@@ -436,15 +437,18 @@ func Rows() []Row {
 			}, nil
 		}},
 		{Name: "TensorKernelConvScatter", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
-			cg, gin := tensor.Randn(tensor.NewRNG(1), 1, 32, 72, 144), tensor.New(32, 8, 14, 14)
+			block, gin := tensor.Randn(tensor.NewRNG(1), 1, 36, 144), tensor.New(32, 8, 14, 14)
+			cb := block.Data
 			return func() {
-				gin.Zero()
 				for b := 0; b < 32; b++ {
-					gb, cb := gin.Data[b*8*14*14:(b+1)*8*14*14], cg.Data[b*72*144:(b+1)*72*144]
-					for ch := 0; ch < 8; ch++ {
-						for w := 8; w >= 0; w-- {
-							row := ch*9 + w
-							tensorAddRows(gb[(ch*14+w/3)*14+w%3:], 14, cb[row*144:(row+1)*144], 12, 12, 12)
+					gb := gin.Data[b*8*14*14 : (b+1)*8*14*14]
+					clear(gb)
+					for c0 := 0; c0 < 8; c0 += 4 {
+						for ch := c0; ch < c0+4; ch++ {
+							for w := 8; w >= 0; w-- {
+								row := (ch-c0)*9 + w
+								tensorAddRows(gb[(ch*14+w/3)*14+w%3:], 14, cb[row*144:(row+1)*144], 12, 12, 12)
+							}
 						}
 					}
 				}
@@ -458,6 +462,20 @@ func Rows() []Row {
 		{Name: "TensorKernelConvWeightGrad", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
 			rng := tensor.NewRNG(1)
 			g, x, dw := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 8, 14, 14), tensor.New(16, 72)
+			ws := tensor.NewWorkspace()
+			op := func() {
+				dw.Zero()
+				tensor.ConvWeightGradAcc(dw, g, x, 3, 3, ws)
+			}
+			op()
+			return op, nil
+		}},
+		// The conv workload's conv1 δW: the gradient [32,8,14,14] against the
+		// input [32,1,16,16], dw[8×9] += g_b[8×196]·colsT_b[9×196]ᵀ — one
+		// eight-row strip of two whole dot tiles and a last one of one column.
+		{Name: "TensorKernelConvWeightGradConv1", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			g, x, dw := tensor.Randn(rng, 1, 32, 8, 14, 14), tensor.Randn(rng, 1, 32, 1, 16, 16), tensor.New(8, 9)
 			ws := tensor.NewWorkspace()
 			op := func() {
 				dw.Zero()
@@ -511,6 +529,22 @@ func Rows() []Row {
 			x, g, gin := tensor.Randn(rng, 1, 32, 16, 12, 12), tensor.Randn(rng, 1, 32, 16, 6, 6), tensor.New(32, 16, 12, 12)
 			_, arg := tensor.MaxPool2(x)
 			return func() { tensor.MaxPool2GradInto(gin, g, arg) }, nil
+		}},
+		// The conv workload's 10-class head at batch 32, its three GEMMs on
+		// the edges of the tile bodies: the forward x[32×576]·W[576×10] and
+		// the δW fold dW[576×10] += xᵀ·g, both ten columns, all in the axpy
+		// form's masked edge; the δO g[32×10]·Wᵀ in the eight-row dot tile,
+		// ten terms a dot product.
+		{Name: "TensorKernelDenseHead", Gated: true, Step: func(testing.TB) (func(), func(*testing.B)) {
+			rng := tensor.NewRNG(1)
+			x, w, g := tensor.Randn(rng, 1, 32, 576), tensor.Randn(rng, 1, 576, 10), tensor.Randn(rng, 1, 32, 10)
+			y, dw, gin := tensor.New(32, 10), tensor.New(576, 10), tensor.New(32, 576)
+			return func() {
+				tensor.MatMulInto(y, x, w)
+				dw.Zero()
+				tensor.TMatMulAcc(dw, x, g)
+				tensor.MatMulTInto(gin, g, w)
+			}, nil
 		}},
 		// The elementwise add that folds the hidden Dense layer's δW (96×96)
 		// into its gradient and sums data-parallel gradient buckets.

@@ -95,7 +95,8 @@ func Conv2DWeightGrad(x, gradOut *Tensor, kh, kw int) *Tensor {
 // not its lowering, and δW lowers the input again. Forward and δO are
 // partitioned over images; δW over groups of four lowered rows — the columns
 // of dw — so each worker lowers only its own rows of every image and, but for
-// the last, every window is whole columns of the dot body's 4×4 tiles.
+// the last, every window is whole columns of the dot bodies' tiles (the last
+// may end in a masked one).
 // Disjoint outputs, unchanged chains: any GOMAXPROCS gives the same bits.
 
 // convGeom is the geometry of a stride-1 valid convolution of c×h×w planes

@@ -159,12 +159,12 @@ func matMulRange(out, a, b []float64, k, n, lo, hi int, fromZero bool) {
 // r in [lo, hi), out_r += Σ_t a[r·rs + t·ts]·b_t over the terms t < terms, b_t
 // being row t of b, one fused multiply-add per term (fromZero: the chain
 // starts from +0). Whole groups of four rows take whole blocks of twelve
-// columns in the tile body, then blocks of four in the quad body; both keep a
-// block's sums in registers across a pass of tileTerms(n) terms — every term,
-// on the shapes of the repository's nets.
-// The rest goes to the axpy body one row at a time, in panels of terms: those
-// rows' last n mod 4 columns, then the range's last rows mod 4. Ascending t
-// for every element either way, as in the Go loops.
+// columns in the tile body, then the last n mod 12 columns in the edge body,
+// a block masked past them; both keep a block's sums in registers across a
+// pass of tileTerms(n) terms — every term, on the shapes of the repository's
+// nets. The range's last rows mod 4 go to the axpy body one row at a time, in
+// panels of terms. Ascending t for every element either way, as in the Go
+// loops.
 func axpyRangeVec(out, a, b []float64, terms, n, rs, ts, lo, hi int, fromZero bool) {
 	if fromZero && terms < 4 {
 		// Too few terms for a panel group that starts from a cleared register.
@@ -174,31 +174,26 @@ func axpyRangeVec(out, a, b []float64, terms, n, rs, ts, lo, hi int, fromZero bo
 	if terms == 0 {
 		return
 	}
-	groups, blocks, quads, pass := (hi-lo)/4, n/12, n%12/4, tileTerms(n)
+	groups, blocks, w, pass := (hi-lo)/4, n/12, n%12, tileTerms(n)
 	for tt := 0; tt < terms && groups > 0; tt += pass {
 		o, ap, bp, tn, z := lo*n, lo*rs+tt*ts, tt*n, min(pass, terms-tt), fromZero && tt == 0
 		if blocks > 0 {
 			axpyTile(&out[o], n, &a[ap], rs, ts, &b[bp], tn, groups, blocks, z)
 		}
-		if quads > 0 {
-			axpyQuads(&out[o+12*blocks], n, &a[ap], rs, ts, &b[bp+12*blocks], tn, groups, quads, z)
+		if w > 0 {
+			axpyEdge(&out[o+12*blocks], n, &a[ap], rs, ts, &b[bp+12*blocks], tn, groups, w, z)
 		}
 	}
-	tiled := lo + 4*groups
-	axpyPanels(out, a, b, terms, n, rs, ts, lo, tiled, n&^3, pass, fromZero)
-	axpyPanels(out, a, b, terms, n, rs, ts, tiled, hi, 0, panelRows(n), fromZero)
+	axpyPanels(out, a, b, terms, n, rs, ts, lo+4*groups, hi, panelRows(n), fromZero)
 }
 
-// axpyPanels is the axpy body's walk over columns [j, n) of output rows
-// [lo, hi): panels of the given number of b rows, each taken by every output
-// row before the next, four terms at a time and a panel's terms mod 4 singly.
-func axpyPanels(out, a, b []float64, terms, n, rs, ts, lo, hi, j, panel int, fromZero bool) {
-	if lo == hi || j == n {
-		return
-	}
+// axpyPanels is the axpy body's walk over output rows [lo, hi): panels of the
+// given number of b rows, each taken by every output row before the next,
+// four terms at a time and a panel's terms mod 4 singly.
+func axpyPanels(out, a, b []float64, terms, n, rs, ts, lo, hi, panel int, fromZero bool) {
 	for tt := 0; tt < terms; tt += panel {
 		for r := lo; r < hi; r++ {
-			axpyPanel(&out[r*n+j], &a[r*rs+tt*ts], ts, &b[tt*n+j], n, n-j, min(panel, terms-tt), fromZero && tt == 0)
+			axpyPanel(&out[r*n], &a[r*rs+tt*ts], ts, &b[tt*n], n, n, min(panel, terms-tt), fromZero && tt == 0)
 		}
 	}
 }
@@ -290,7 +285,7 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 // already holds — out += a·bᵀ as a single fold, the form the conv δW continues
 // image after image and chunk after chunk, one window of dw per worker.
 func matMulTRange(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool) {
-	if useVector && k > 0 {
+	if useVector {
 		matMulTRangeVec(out, a, b, k, n, ldo, lo, hi, seeded)
 	} else {
 		matMulTRangeGo(out, a, b, k, n, ldo, lo, hi, seeded)
@@ -298,45 +293,37 @@ func matMulTRange(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool) {
 }
 
 // matMulTRangeVec walks b in panels of rows sized to stay in L1 across the
-// whole row range. Four rows of a against a panel are a strip of 4×4 tiles in
-// the dot body; the ragged edges — the last panel's n mod 4 columns, the
-// range's last rows — are plain dot products. Ascending p from the seed for
+// whole row range. Eight rows of a against a panel are a strip of 8×4 tiles
+// in the eight-row dot body, the range's last rows mod 8 strips of 4×4 tiles
+// — as many rows as are left, up to four — in the four-row one; either masks
+// the last tile of a panel of n mod 4 columns. Ascending p from the seed for
 // every element, as in matMulTRangeGo.
 func matMulTRangeVec(out, a, b []float64, k, n, ldo, lo, hi int, seeded bool) {
-	vhi := lo + (hi-lo)&^3
-	panel := panelRows(k)
-	for jt := 0; jt < n; jt += panel {
-		jhi := min(jt+panel, n)
-		tiles := (jhi - jt) / 4
-		for i := lo; i < vhi; i += 4 {
-			if tiles > 0 {
-				dotTiles(&out[i*ldo+jt], ldo, &a[i*k], &b[jt*k], k, tiles, seeded)
-			}
-			for j := jt + 4*tiles; j < jhi; j++ {
-				dot4(out[i*ldo+j:], ldo, a[i*k:(i+4)*k], b[j*k:(j+1)*k], seeded)
+	if lo == hi || n == 0 {
+		return
+	}
+	if k == 0 {
+		if !seeded {
+			for i := lo; i < hi; i++ {
+				clear(out[i*ldo : i*ldo+n])
 			}
 		}
+		return
 	}
-	matMulTRangeGo(out, a, b, k, n, ldo, vhi, hi, seeded)
-}
-
-// dot4 is one ragged column of a strip: out[r·ldo] for the four rows r of a
-// against one row of b, four independent chains side by side (one alone is
-// bound by the latency of its add).
-func dot4(out []float64, ldo int, a, brow []float64, seeded bool) {
-	k := len(brow)
-	a0, a1, a2, a3 := a[:k], a[k:2*k], a[2*k:3*k], a[3*k:4*k]
-	var s0, s1, s2, s3 float64
-	if seeded {
-		s0, s1, s2, s3 = out[0], out[ldo], out[2*ldo], out[3*ldo]
+	// The last element of each operand the bodies touch: a short slice panics
+	// here, not in — or past — them.
+	_, _, _ = out[(hi-1)*ldo+n-1], a[hi*k-1], b[n*k-1]
+	panel := panelRows(k)
+	for jt := 0; jt < n; jt += panel {
+		cols := min(panel, n-jt)
+		i := lo
+		for ; i+8 <= hi; i += 8 {
+			dotTiles8(&out[i*ldo+jt], ldo, &a[i*k], &b[jt*k], k, cols, seeded)
+		}
+		for ; i < hi; i += 4 {
+			dotTiles(&out[i*ldo+jt], ldo, &a[i*k], &b[jt*k], k, min(4, hi-i), cols, seeded)
+		}
 	}
-	for p, bv := range brow {
-		s0 = math.FMA(a0[p], bv, s0)
-		s1 = math.FMA(a1[p], bv, s1)
-		s2 = math.FMA(a2[p], bv, s2)
-		s3 = math.FMA(a3[p], bv, s3)
-	}
-	out[0], out[ldo], out[2*ldo], out[3*ldo] = s0, s1, s2, s3
 }
 
 // dot continues s with the ascending-p dot product of two equally long rows.

@@ -10,7 +10,7 @@ var useVector = cpuHasAVX2FMA()
 // operating system saves the YMM registers.
 func cpuHasAVX2FMA() bool
 
-// axpyTile, axpyQuads, axpyPanel and dotTiles are the AVX2 bodies;
+// axpyTile, axpyEdge, axpyPanel, dotTiles and dotTiles8 are the AVX2 bodies;
 // gemm_amd64.s states what each computes. Pointers must address at least one
 // element.
 //
@@ -18,13 +18,16 @@ func cpuHasAVX2FMA() bool
 func axpyTile(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, blocks int, fromZero bool)
 
 //go:noescape
-func axpyQuads(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, quads int, fromZero bool)
+func axpyEdge(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, w int, fromZero bool)
 
 //go:noescape
 func axpyPanel(o, a *float64, sa int, b *float64, bs, n, terms int, fromZero bool)
 
 //go:noescape
-func dotTiles(out *float64, n int, a, b *float64, k, tiles int, seeded bool)
+func dotTiles(out *float64, ldo int, a, b *float64, k, rows, cols int, seeded bool)
+
+//go:noescape
+func dotTiles8(out *float64, ldo int, a, b *float64, k, cols int, seeded bool)
 
 // copyRowsVec and addRowsVec are the strided row bodies behind copyRows and
 // addRows (conv.go). rows and n must be positive.

@@ -4,8 +4,8 @@
 // holds lane by lane: a SIMD lane is always one output element, and each lane
 // runs the scalar loop's sequence — one fused multiply-add per term, in
 // ascending inner index, as math.FMA computes it — so a body here produces the
-// bits of the Go loop it replaces. The four GEMM bodies (axpyPanel, axpyTile,
-// axpyQuads, dotTiles) are the only place a VFMADD appears; every other body
+// bits of the Go loop it replaces. The five GEMM bodies (axpyPanel, axpyTile,
+// axpyEdge, dotTiles, dotTiles8) are the only place a VFMADD appears; every other body
 // rounds each operation on its own, as its Go loop does.
 
 // func cpuHasAVX2FMA() bool
@@ -327,156 +327,340 @@ tile_done:
 	VZEROUPPER
 	RET
 
-// func axpyQuads(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, quads int, fromZero bool)
-//
-// axpyTile's sum on groups×quads blocks of 4 rows × 4 columns, the columns a
-// tile row leaves over: one accumulator a row, Y0–Y3. Per term, the four
-// b_t[j] are loaded into Y12; per row, a_rt is broadcast into Y14 and fused
-// into the accumulator.
-#define QUAD_ROW(A, S) \
-	VBROADCASTSD A, Y14; \
-	VFMADD231PD  Y12, Y14, S
+// gemmMask is twelve quadwords with every bit set, then twelve clear ones. The
+// 32 bytes at gemmMask+8·(12−c) are the mask of a register's first c lanes
+// (c ≤ 4), and the 96 at gemmMask+8·(12−w) the masks of the first w columns
+// of three registers side by side; gemmMask+96 is a mask of no lane.
+// VMASKMOVPD reads and writes only the lanes whose mask is set: the others
+// load as +0 and never touch memory, so a masked edge reads and writes nothing
+// past its columns.
+DATA gemmMask<>+0(SB)/8, $-1
+DATA gemmMask<>+8(SB)/8, $-1
+DATA gemmMask<>+16(SB)/8, $-1
+DATA gemmMask<>+24(SB)/8, $-1
+DATA gemmMask<>+32(SB)/8, $-1
+DATA gemmMask<>+40(SB)/8, $-1
+DATA gemmMask<>+48(SB)/8, $-1
+DATA gemmMask<>+56(SB)/8, $-1
+DATA gemmMask<>+64(SB)/8, $-1
+DATA gemmMask<>+72(SB)/8, $-1
+DATA gemmMask<>+80(SB)/8, $-1
+DATA gemmMask<>+88(SB)/8, $-1
+DATA gemmMask<>+96(SB)/8, $0
+DATA gemmMask<>+104(SB)/8, $0
+DATA gemmMask<>+112(SB)/8, $0
+DATA gemmMask<>+120(SB)/8, $0
+DATA gemmMask<>+128(SB)/8, $0
+DATA gemmMask<>+136(SB)/8, $0
+DATA gemmMask<>+144(SB)/8, $0
+DATA gemmMask<>+152(SB)/8, $0
+DATA gemmMask<>+160(SB)/8, $0
+DATA gemmMask<>+168(SB)/8, $0
+DATA gemmMask<>+176(SB)/8, $0
+DATA gemmMask<>+184(SB)/8, $0
+GLOBL gemmMask<>(SB), RODATA|NOPTR, $192
 
-TEXT ·axpyQuads(SB), NOSPLIT, $0-73
-	MOVQ o+0(FP), R14        // the column block's first row of o
+// func axpyEdge(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, w int, fromZero bool)
+//
+// axpyTile's sum on the last w < 12 columns of a row, the columns its blocks
+// leave: groups blocks of 4 rows × 12 columns whose lanes past column w are
+// masked. o (unless fromZero) and b_t are loaded, and o stored, through
+// gemmMask's masks of w columns (R13), so a lane past w holds +0, is never
+// stored, and reads or writes no memory. Per term, only the ⌈w/4⌉ registers
+// a row that hold a column take it — one, two or three — each as in
+// axpyTile: the mask loaded into the register that then takes b_t's masked
+// load (Y12, Y13, Y15), a_rt broadcast into Y14 per row.
+#define EDGE_B(OFF, B) \
+	VMOVUPD    OFF(R13), B; \
+	VMASKMOVPD OFF(DX), B, B
+
+#define EDGE_ROW2(A, S0, S1) \
+	VBROADCASTSD A, Y14; \
+	VFMADD231PD  Y12, Y14, S0; \
+	VFMADD231PD  Y13, Y14, S1
+
+#define EDGE_ROW1(A, S0) \
+	VBROADCASTSD A, Y14; \
+	VFMADD231PD  Y12, Y14, S0
+
+#define EDGE_MASKS \
+	VMOVUPD (R13), Y12; \
+	VMOVUPD 32(R13), Y13; \
+	VMOVUPD 64(R13), Y15
+
+TEXT ·axpyEdge(SB), NOSPLIT, $0-73
+	MOVQ o+0(FP), DI
 	MOVQ n+8(FP), CX
+	MOVQ a+16(FP), R15       // the group's coefficients
 	MOVQ rs+24(FP), R8
 	MOVQ ts+32(FP), R9
-	MOVQ b+40(FP), AX        // the column block's first row of b
-	MOVQ quads+64(FP), R13
-	SHLQ $3, CX
-	SHLQ $3, R8
+	MOVQ b+40(FP), AX        // the edge's first row of b
+	MOVQ groups+56(FP), R12
+	MOVQ w+64(FP), R14
+	SHLQ $3, CX              // the row stride of o and b in bytes
+	SHLQ $3, R8              // a's strides in bytes
 	SHLQ $3, R9
-	LEAQ (R8)(R8*2), R10
-	LEAQ (CX)(CX*2), R11
+	LEAQ (R8)(R8*2), R10     // a's row 3 of a group
+	LEAQ (CX)(CX*2), R11     // o's row 3 of a group
+	MOVQ R14, BX
+	NEGQ BX
+	LEAQ gemmMask<>+96(SB), R13
+	LEAQ (R13)(BX*8), R13    // the masks of w columns
+	ADDQ $3, R14
+	SHRQ $2, R14             // the registers a row that hold a column
 
-quad_block:
-	TESTQ R13, R13
-	JLE   quad_done
-	MOVQ  R14, DI
-	MOVQ  a+16(FP), R15
-	MOVQ  groups+56(FP), R12
-
-quad_group:
+edge_group:
 	TESTQ R12, R12
-	JLE   quad_next_block
+	JLE   edge_done
 	MOVQ  R15, SI
 	MOVQ  AX, DX
 	MOVQ  terms+48(FP), BX
 	CMPB  fromZero+72(FP), $0
-	JNE   quad_zero
-	VMOVUPD (DI), Y0
-	VMOVUPD (DI)(CX*1), Y1
-	VMOVUPD (DI)(CX*2), Y2
-	VMOVUPD (DI)(R11*1), Y3
-	JMP     quad_term
+	JNE   edge_zero
+	EDGE_MASKS
+	VMASKMOVPD (DI), Y12, Y0
+	VMASKMOVPD 32(DI), Y13, Y1
+	VMASKMOVPD 64(DI), Y15, Y2
+	VMASKMOVPD (DI)(CX*1), Y12, Y3
+	VMASKMOVPD 32(DI)(CX*1), Y13, Y4
+	VMASKMOVPD 64(DI)(CX*1), Y15, Y5
+	VMASKMOVPD (DI)(CX*2), Y12, Y6
+	VMASKMOVPD 32(DI)(CX*2), Y13, Y7
+	VMASKMOVPD 64(DI)(CX*2), Y15, Y8
+	VMASKMOVPD (DI)(R11*1), Y12, Y9
+	VMASKMOVPD 32(DI)(R11*1), Y13, Y10
+	VMASKMOVPD 64(DI)(R11*1), Y15, Y11
+	JMP        edge_terms
 
-quad_zero:
+edge_zero:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
 
-quad_term:
+edge_terms:
+	CMPQ R14, $2
+	JLT  edge_term1
+	JEQ  edge_term2
+
+edge_term3:
 	TESTQ BX, BX
-	JLE   quad_store
-	VMOVUPD (DX), Y12
-	QUAD_ROW((SI), Y0)
-	QUAD_ROW((SI)(R8*1), Y1)
-	QUAD_ROW((SI)(R8*2), Y2)
-	QUAD_ROW((SI)(R10*1), Y3)
+	JLE   edge_store
+	EDGE_B(0, Y12)
+	EDGE_B(32, Y13)
+	EDGE_B(64, Y15)
+	TILE_ROW((SI), Y0, Y1, Y2)
+	TILE_ROW((SI)(R8*1), Y3, Y4, Y5)
+	TILE_ROW((SI)(R8*2), Y6, Y7, Y8)
+	TILE_ROW((SI)(R10*1), Y9, Y10, Y11)
 	ADDQ R9, SI
 	ADDQ CX, DX
 	DECQ BX
-	JMP  quad_term
+	JMP  edge_term3
 
-quad_store:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(CX*1)
-	VMOVUPD Y2, (DI)(CX*2)
-	VMOVUPD Y3, (DI)(R11*1)
-	LEAQ (DI)(CX*4), DI
+edge_term2:
+	TESTQ BX, BX
+	JLE   edge_store
+	EDGE_B(0, Y12)
+	EDGE_B(32, Y13)
+	EDGE_ROW2((SI), Y0, Y1)
+	EDGE_ROW2((SI)(R8*1), Y3, Y4)
+	EDGE_ROW2((SI)(R8*2), Y6, Y7)
+	EDGE_ROW2((SI)(R10*1), Y9, Y10)
+	ADDQ R9, SI
+	ADDQ CX, DX
+	DECQ BX
+	JMP  edge_term2
+
+edge_term1:
+	TESTQ BX, BX
+	JLE   edge_store
+	EDGE_B(0, Y12)
+	EDGE_ROW1((SI), Y0)
+	EDGE_ROW1((SI)(R8*1), Y3)
+	EDGE_ROW1((SI)(R8*2), Y6)
+	EDGE_ROW1((SI)(R10*1), Y9)
+	ADDQ R9, SI
+	ADDQ CX, DX
+	DECQ BX
+	JMP  edge_term1
+
+edge_store:
+	EDGE_MASKS
+	VMASKMOVPD Y0, Y12, (DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	VMASKMOVPD Y2, Y15, 64(DI)
+	VMASKMOVPD Y3, Y12, (DI)(CX*1)
+	VMASKMOVPD Y4, Y13, 32(DI)(CX*1)
+	VMASKMOVPD Y5, Y15, 64(DI)(CX*1)
+	VMASKMOVPD Y6, Y12, (DI)(CX*2)
+	VMASKMOVPD Y7, Y13, 32(DI)(CX*2)
+	VMASKMOVPD Y8, Y15, 64(DI)(CX*2)
+	VMASKMOVPD Y9, Y12, (DI)(R11*1)
+	VMASKMOVPD Y10, Y13, 32(DI)(R11*1)
+	VMASKMOVPD Y11, Y15, 64(DI)(R11*1)
+	LEAQ (DI)(CX*4), DI      // the next group
 	LEAQ (R15)(R8*4), R15
 	DECQ R12
-	JMP  quad_group
+	JMP  edge_group
 
-quad_next_block:
-	ADDQ $32, R14
-	ADDQ $32, AX
-	DECQ R13
-	JMP  quad_block
-
-quad_done:
+edge_done:
 	VZEROUPPER
 	RET
 
-// func dotTiles(out *float64, n int, a, b *float64, k, tiles int, seeded bool)
+// The dot form, on row-major a and b with k columns and out with rows ldo
+// apart: for the rows i of a tile body and j < cols,
 //
-// The dot form, on row-major a and b with k columns and out with n. For
-// t = 0 .. tiles-1, i < 4 and j < 4:
-//
-//	out[i·n + 4t+j] = fma(a[i·k + k−1], b[(4t+j)·k + k−1], … fma(a[i·k], b[(4t+j)·k], seed))
+//	out[i·ldo + j] = fma(a[i·k + k−1], b[j·k + k−1], … fma(a[i·k], b[j·k], seed))
 //
 // one fused multiply-add per p, ascending, from seed = +0, or, when seeded,
 // from the element's prior value — the chain a fold over several calls
-// continues. One tile keeps four accumulators, one per row of a, whose four
-// lanes are the tile's four rows of b. Four p at a time: four rows of b are
-// loaded and transposed in registers so that each register holds one p across
-// the four rows,
+// continues. Both bodies walk the columns in tiles of four rows of b and keep
+// one accumulator a row of a, whose four lanes are the tile's four rows of b.
+// Four p at a time: the four rows of b are loaded and transposed in registers
+// (TRANSPOSE4) so that each register holds one p across the four rows, and
+// every row of a then takes its four terms in order: broadcast a_i[p], one
+// fused multiply-add. The last k mod 4 terms gather their one p from the four
+// rows with scalar loads instead (DOT_GATHER). A last tile of c = cols mod 4
+// columns reads the tile's first row of b in place of its missing ones and
+// loads and stores out through the mask of its first c lanes, so its other
+// lanes are computed and never stored.
 //
-//	Y4 = b0[p..p+3]      VUNPCKLPD/VUNPCKHPD       VPERM2F128
-//	Y5 = b1[p..p+3]  →   b0[p]   b1[p]   b0[p+2] b1[p+2]   →  Y4 = b0..b3[p]
-//	Y6 = b2[p..p+3]      b0[p+1] b1[p+1] b0[p+3] b1[p+3]      Y5 = b0..b3[p+1]
-//	Y7 = b3[p..p+3]      b2[p]   b3[p]   b2[p+2] b3[p+2]      Y6 = b0..b3[p+2]
-//	                     b2[p+1] b3[p+1] b2[p+3] b3[p+3]      Y7 = b0..b3[p+3]
+// TRANSPOSE4 turns the rows R0–R3 of four rows of b into its columns in
+// place, through T0–T3:
 //
-// and every row of a then takes its four terms in order: broadcast a_i[p],
-// one fused multiply-add (DOT_TERM). The last k mod 4 terms gather their one p
-// from the four rows with scalar loads instead.
-#define DOT_TERM(OFF, B, A0, A1, A2, A3) \
-	VBROADCASTSD OFF(SI)(AX*1), A0; \
-	VBROADCASTSD OFF(R8)(AX*1), A1; \
-	VBROADCASTSD OFF(R9)(AX*1), A2; \
-	VBROADCASTSD OFF(R10)(AX*1), A3; \
-	VFMADD231PD  B, A0, Y0; \
-	VFMADD231PD  B, A1, Y1; \
-	VFMADD231PD  B, A2, Y2; \
-	VFMADD231PD  B, A3, Y3
+//	R0 = b0[p..p+3]      VUNPCKLPD/VUNPCKHPD       VPERM2F128
+//	R1 = b1[p..p+3]  →   b0[p]   b1[p]   b0[p+2] b1[p+2]   →  R0 = b0..b3[p]
+//	R2 = b2[p..p+3]      b0[p+1] b1[p+1] b0[p+3] b1[p+3]      R1 = b0..b3[p+1]
+//	R3 = b3[p..p+3]      b2[p]   b3[p]   b2[p+2] b3[p+2]      R2 = b0..b3[p+2]
+//	                     b2[p+1] b3[p+1] b2[p+3] b3[p+3]      R3 = b0..b3[p+3]
+#define TRANSPOSE4(R0, R1, R2, R3, T0, T1, T2, T3) \
+	VUNPCKLPD  R1, R0, T0; \
+	VUNPCKHPD  R1, R0, T1; \
+	VUNPCKLPD  R3, R2, T2; \
+	VUNPCKHPD  R3, R2, T3; \
+	VPERM2F128 $0x20, T2, T0, R0; \
+	VPERM2F128 $0x20, T3, T1, R1; \
+	VPERM2F128 $0x31, T2, T0, R2; \
+	VPERM2F128 $0x31, T3, T1, R3
 
-TEXT ·dotTiles(SB), NOSPLIT, $0-49
+// DOT_LOAD4 loads the four rows of b at p into R0–R3; DOT_GATHER gathers the
+// four rows' one p into Y through its halves X and XT.
+#define DOT_LOAD4(R0, R1, R2, R3) \
+	VMOVUPD (DX)(AX*1), R0; \
+	VMOVUPD (R11)(AX*1), R1; \
+	VMOVUPD (R12)(AX*1), R2; \
+	VMOVUPD (R13)(AX*1), R3
+
+#define DOT_GATHER(Y, X, XT) \
+	VMOVSD      (DX)(AX*1), X; \
+	VMOVHPD     (R11)(AX*1), X, X; \
+	VMOVSD      (R12)(AX*1), XT; \
+	VMOVHPD     (R13)(AX*1), XT, XT; \
+	VINSERTF128 $1, XT, Y, Y
+
+// DOT_TILE_B points R11–R13 at the tile's rows of b after DX's and jumps to
+// WHOLE when R15, the columns left, makes a whole tile; for a last tile of
+// fewer it points the missing rows back at DX's and falls through.
+#define DOT_TILE_B(WHOLE) \
+	LEAQ    (DX)(BX*1), R11; \
+	LEAQ    (DX)(BX*2), R12; \
+	LEAQ    (R11)(BX*2), R13; \
+	CMPQ    R15, $4; \
+	JGE     WHOLE; \
+	CMPQ    R15, $2; \
+	CMOVQLT DX, R11; \
+	CMPQ    R15, $3; \
+	CMOVQLT DX, R12; \
+	MOVQ    DX, R13
+
+// func dotTiles(out *float64, ldo int, a, b *float64, k, rows, cols int, seeded bool)
+//
+// The dot form on 1 ≤ rows ≤ 4 rows of a: accumulators Y0–Y3, the tile's b in
+// Y4–Y7, the transpose's temporaries and the broadcasts in Y8–Y11, and in
+// Y12–Y15 one mask a row — every lane for a row below rows, none above, the
+// column mask ANDed in for a last tile — through which out is loaded and
+// stored. A row of a past rows reads row 0, and its sums are never stored.
+#define DOT_TERM(OFF, B) \
+	VBROADCASTSD OFF(SI)(AX*1), Y8; \
+	VBROADCASTSD OFF(R8)(AX*1), Y9; \
+	VBROADCASTSD OFF(R9)(AX*1), Y10; \
+	VBROADCASTSD OFF(R10)(AX*1), Y11; \
+	VFMADD231PD  B, Y8, Y0; \
+	VFMADD231PD  B, Y9, Y1; \
+	VFMADD231PD  B, Y10, Y2; \
+	VFMADD231PD  B, Y11, Y3
+
+TEXT ·dotTiles(SB), NOSPLIT, $0-57
 	MOVQ out+0(FP), DI
 	MOVQ a+16(FP), SI
 	MOVQ b+24(FP), DX
 	MOVQ k+32(FP), BX
+	MOVQ rows+40(FP), AX
+	MOVQ cols+48(FP), R15
 	SHLQ $3, BX              // k in bytes: the row stride of a and b
 	MOVQ BX, CX
 	ANDQ $-32, CX            // end of the four-at-a-time part
 	LEAQ (SI)(BX*1), R8      // a1
 	LEAQ (SI)(BX*2), R9      // a2
 	LEAQ (R8)(BX*2), R10     // a3
+	LEAQ gemmMask<>(SB), R13 // every lane
+	LEAQ 96(R13), R12        // no lane
+	VMOVUPD (R13), Y12
+	MOVQ    R13, R14
+	CMPQ    AX, $2
+	CMOVQLT R12, R14
+	CMOVQLT SI, R8
+	VMOVUPD (R14), Y13
+	MOVQ    R13, R14
+	CMPQ    AX, $3
+	CMOVQLT R12, R14
+	CMOVQLT SI, R9
+	VMOVUPD (R14), Y14
+	MOVQ    R13, R14
+	CMPQ    AX, $4
+	CMOVQLT R12, R14
+	CMOVQLT SI, R10
+	VMOVUPD (R14), Y15
 
 dot_tile:
-	CMPQ tiles+40(FP), $0
-	JLE  dot_done
-	LEAQ  (DX)(BX*1), R11    // b1
-	LEAQ  (DX)(BX*2), R12    // b2
-	LEAQ  (R11)(BX*2), R13   // b3
-	CMPB  seeded+48(FP), $0
-	JNE   dot_seed
+	TESTQ R15, R15
+	JLE   dot_done
+	DOT_TILE_B(dot_seed)
+	MOVQ    R15, AX          // the last tile's column mask
+	NEGQ    AX
+	LEAQ    gemmMask<>+96(SB), R14
+	VMOVUPD (R14)(AX*8), Y8
+	VANDPD  Y8, Y12, Y12
+	VANDPD  Y8, Y13, Y13
+	VANDPD  Y8, Y14, Y14
+	VANDPD  Y8, Y15, Y15
+
+dot_seed:
+	MOVQ ldo+8(FP), R14
+	SHLQ $3, R14             // out's row stride in bytes
+	LEAQ (R14)(R14*2), AX
+	CMPB seeded+56(FP), $0
+	JNE  dot_load
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	JMP   dot_terms
+	JMP    dot_terms
 
-dot_seed:
-	MOVQ n+8(FP), AX         // the tile as dot_store lays it out
-	SHLQ $3, AX
-	VMOVUPD (DI), Y0
-	VMOVUPD (DI)(AX*1), Y1
-	VMOVUPD (DI)(AX*2), Y2
-	LEAQ    (AX)(AX*2), AX
-	VMOVUPD (DI)(AX*1), Y3
+dot_load:
+	VMASKMOVPD (DI), Y12, Y0
+	VMASKMOVPD (DI)(R14*1), Y13, Y1
+	VMASKMOVPD (DI)(R14*2), Y14, Y2
+	VMASKMOVPD (DI)(AX*1), Y15, Y3
 
 dot_terms:
 	XORQ  AX, AX
@@ -484,22 +668,12 @@ dot_terms:
 	JZ    dot_1
 
 dot_p:
-	VMOVUPD (DX)(AX*1), Y4
-	VMOVUPD (R11)(AX*1), Y5
-	VMOVUPD (R12)(AX*1), Y6
-	VMOVUPD (R13)(AX*1), Y7
-	VUNPCKLPD Y5, Y4, Y8
-	VUNPCKHPD Y5, Y4, Y9
-	VUNPCKLPD Y7, Y6, Y10
-	VUNPCKHPD Y7, Y6, Y11
-	VPERM2F128 $0x20, Y10, Y8, Y4
-	VPERM2F128 $0x20, Y11, Y9, Y5
-	VPERM2F128 $0x31, Y10, Y8, Y6
-	VPERM2F128 $0x31, Y11, Y9, Y7
-	DOT_TERM(0, Y4, Y8, Y9, Y10, Y11)
-	DOT_TERM(8, Y5, Y12, Y13, Y14, Y15)
-	DOT_TERM(16, Y6, Y8, Y9, Y10, Y11)
-	DOT_TERM(24, Y7, Y12, Y13, Y14, Y15)
+	DOT_LOAD4(Y4, Y5, Y6, Y7)
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	DOT_TERM(0, Y4)
+	DOT_TERM(8, Y5)
+	DOT_TERM(16, Y6)
+	DOT_TERM(24, Y7)
 	ADDQ $32, AX
 	CMPQ AX, CX
 	JLT  dot_p
@@ -507,29 +681,175 @@ dot_p:
 dot_1:
 	CMPQ AX, BX
 	JGE  dot_store
-	VMOVSD  (DX)(AX*1), X4
-	VMOVHPD (R11)(AX*1), X4, X4
-	VMOVSD  (R12)(AX*1), X5
-	VMOVHPD (R13)(AX*1), X5, X5
-	VINSERTF128 $1, X5, Y4, Y4
-	DOT_TERM(0, Y4, Y8, Y9, Y10, Y11)
+	DOT_GATHER(Y4, X4, X5)
+	DOT_TERM(0, Y4)
 	ADDQ $8, AX
 	JMP  dot_1
 
 dot_store:
-	MOVQ n+8(FP), AX
-	SHLQ $3, AX
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(AX*1)
-	VMOVUPD Y2, (DI)(AX*2)
-	LEAQ    (AX)(AX*2), AX
-	VMOVUPD Y3, (DI)(AX*1)
+	MOVQ ldo+8(FP), R14
+	SHLQ $3, R14
+	LEAQ (R14)(R14*2), AX
+	VMASKMOVPD Y0, Y12, (DI)
+	VMASKMOVPD Y1, Y13, (DI)(R14*1)
+	VMASKMOVPD Y2, Y14, (DI)(R14*2)
+	VMASKMOVPD Y3, Y15, (DI)(AX*1)
 	ADDQ $32, DI
 	LEAQ (DX)(BX*4), DX      // four rows of b on
-	DECQ tiles+40(FP)
+	SUBQ $4, R15
 	JMP  dot_tile
 
 dot_done:
+	VZEROUPPER
+	RET
+
+// func dotTiles8(out *float64, ldo int, a, b *float64, k, cols int, seeded bool)
+//
+// The dot form on eight rows of a: accumulators Y0–Y7, the tile's b in
+// Y8–Y11, the transpose's temporaries and the broadcasts in Y12–Y15. Every
+// transpose of b feeds 32 fused multiply-adds in eight independent chains,
+// twice dotTiles' four, as many as two FMA ports with a latency of four keep
+// busy. Rows 0–3 of a are addressed from SI and rows 4–7 from R8, at k and 3k
+// (BX, R14) past them, both advancing with p. Out is loaded and stored whole
+// for a whole tile, and through the mask of its columns (Y8) for a last one.
+#define DOT8_TERM(OFF, B) \
+	VBROADCASTSD OFF(SI), Y12; \
+	VFMADD231PD  B, Y12, Y0; \
+	VBROADCASTSD OFF(SI)(BX*1), Y13; \
+	VFMADD231PD  B, Y13, Y1; \
+	VBROADCASTSD OFF(SI)(BX*2), Y14; \
+	VFMADD231PD  B, Y14, Y2; \
+	VBROADCASTSD OFF(SI)(R14*1), Y15; \
+	VFMADD231PD  B, Y15, Y3; \
+	VBROADCASTSD OFF(R8), Y12; \
+	VFMADD231PD  B, Y12, Y4; \
+	VBROADCASTSD OFF(R8)(BX*1), Y13; \
+	VFMADD231PD  B, Y13, Y5; \
+	VBROADCASTSD OFF(R8)(BX*2), Y14; \
+	VFMADD231PD  B, Y14, Y6; \
+	VBROADCASTSD OFF(R8)(R14*1), Y15; \
+	VFMADD231PD  B, Y15, Y7
+
+TEXT ·dotTiles8(SB), NOSPLIT, $0-49
+	MOVQ out+0(FP), DI
+	MOVQ ldo+8(FP), R10
+	MOVQ b+24(FP), DX
+	MOVQ k+32(FP), BX
+	MOVQ cols+40(FP), R15
+	SHLQ $3, R10             // out's row stride in bytes
+	SHLQ $3, BX              // k in bytes: the row stride of a and b
+	MOVQ BX, CX
+	ANDQ $-32, CX            // end of the four-at-a-time part
+	LEAQ (BX)(BX*2), R14     // 3k
+
+dot8_tile:
+	TESTQ R15, R15
+	JLE   dot8_done
+	DOT_TILE_B(dot8_seed)
+	MOVQ R15, AX             // the last tile's column mask
+	NEGQ AX
+	LEAQ gemmMask<>+96(SB), R9
+	LEAQ (R9)(AX*8), R9
+
+dot8_seed:
+	CMPB seeded+48(FP), $0
+	JNE  dot8_load
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP    dot8_terms
+
+dot8_load:
+	LEAQ (R10)(R10*2), AX    // out's rows 0–3 from DI, 4–7 from SI
+	LEAQ (DI)(R10*4), SI
+	CMPQ R15, $4
+	JLT  dot8_mload
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R10*1), Y1
+	VMOVUPD (DI)(R10*2), Y2
+	VMOVUPD (DI)(AX*1), Y3
+	VMOVUPD (SI), Y4
+	VMOVUPD (SI)(R10*1), Y5
+	VMOVUPD (SI)(R10*2), Y6
+	VMOVUPD (SI)(AX*1), Y7
+	JMP     dot8_terms
+
+dot8_mload:
+	VMOVUPD    (R9), Y8
+	VMASKMOVPD (DI), Y8, Y0
+	VMASKMOVPD (DI)(R10*1), Y8, Y1
+	VMASKMOVPD (DI)(R10*2), Y8, Y2
+	VMASKMOVPD (DI)(AX*1), Y8, Y3
+	VMASKMOVPD (SI), Y8, Y4
+	VMASKMOVPD (SI)(R10*1), Y8, Y5
+	VMASKMOVPD (SI)(R10*2), Y8, Y6
+	VMASKMOVPD (SI)(AX*1), Y8, Y7
+
+dot8_terms:
+	MOVQ  a+16(FP), SI       // a0
+	LEAQ  (SI)(BX*4), R8     // a4
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    dot8_1
+
+dot8_p:
+	DOT_LOAD4(Y8, Y9, Y10, Y11)
+	TRANSPOSE4(Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	DOT8_TERM(0, Y8)
+	DOT8_TERM(8, Y9)
+	DOT8_TERM(16, Y10)
+	DOT8_TERM(24, Y11)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  dot8_p
+
+dot8_1:
+	CMPQ AX, BX
+	JGE  dot8_store
+	DOT_GATHER(Y8, X8, X9)
+	DOT8_TERM(0, Y8)
+	ADDQ $8, SI
+	ADDQ $8, R8
+	ADDQ $8, AX
+	JMP  dot8_1
+
+dot8_store:
+	LEAQ (R10)(R10*2), AX
+	LEAQ (DI)(R10*4), SI
+	CMPQ R15, $4
+	JLT  dot8_mstore
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R10*1)
+	VMOVUPD Y2, (DI)(R10*2)
+	VMOVUPD Y3, (DI)(AX*1)
+	VMOVUPD Y4, (SI)
+	VMOVUPD Y5, (SI)(R10*1)
+	VMOVUPD Y6, (SI)(R10*2)
+	VMOVUPD Y7, (SI)(AX*1)
+	ADDQ $32, DI
+	LEAQ (DX)(BX*4), DX      // four rows of b on
+	SUBQ $4, R15
+	JMP  dot8_tile
+
+dot8_mstore:
+	VMOVUPD    (R9), Y8
+	VMASKMOVPD Y0, Y8, (DI)
+	VMASKMOVPD Y1, Y8, (DI)(R10*1)
+	VMASKMOVPD Y2, Y8, (DI)(R10*2)
+	VMASKMOVPD Y3, Y8, (DI)(AX*1)
+	VMASKMOVPD Y4, Y8, (SI)
+	VMASKMOVPD Y5, Y8, (SI)(R10*1)
+	VMASKMOVPD Y6, Y8, (SI)(R10*2)
+	VMASKMOVPD Y7, Y8, (SI)(AX*1)
+
+dot8_done:
 	VZEROUPPER
 	RET
 

@@ -22,16 +22,16 @@ var (
 // runs the package twice); an unfused term anywhere in its chain reads +0.
 //
 // The axpy shapes (MatMul, TMatMul, TMatMulAcc, conv forward and δO) have
-// nine output rows, two groups of four for the tile and quad bodies and one
-// row for axpyPanels; 31 or 45 columns, so a group row has whole tile blocks,
-// quads and a column tail of axpyPanel's scalar step, and the last row its
-// eight-, four- and one-wide steps; and 5, 6 or 9 terms, so the column tail
-// and the last row take whole groups of four in the panel body and single
-// terms in its tail. The dot shapes (MatMulT, conv δW) have five or nine rows,
-// strips of four in dotTiles and dot4 and a last row on matMulTRangeGo (its
-// four-column groups and dot); 7 or 9 columns, a whole tile and a ragged
-// edge; and 6 or 45 terms, the four-at-a-time steps of the bodies and their
-// single-term tails.
+// nine output rows, two groups of four for the tile and edge bodies and one
+// row for axpyPanels; 13 to 23 or 45 columns, so a group row has whole tile
+// blocks and a masked edge of every width from 1 to 11, and the last row the
+// panel body's eight-, four- and one-wide steps; and 6 or 9 terms, so the
+// last row takes whole groups of four and single terms. The dot shapes
+// (MatMulT, its seeded fold cut at every row, conv δW) have 13 or 9 rows, an
+// eight-row strip and a last four rows or one row, and with the cuts every
+// row count of the four-row body; 4 to 7 or 9 columns, whole tiles and a
+// masked last tile of every width; and 6 or 45 terms, the four-at-a-time
+// steps of the bodies and their single-term tails.
 func TestGEMMIsFused(t *testing.T) {
 	unfused := 0 + float64(probeA[0]*probeB[0]) + float64(probeA[1]*probeB[1])
 	if math.Float64bits(unfused) != 0 || unfused == probeFused {
@@ -61,67 +61,78 @@ func TestGEMMIsFused(t *testing.T) {
 	}
 
 	// out[i, j] = Σ_p a[i, p]·b[p, j] with the probe at terms p, p+1.
-	const m, k, n = 9, 6, 31
-	a, b, dst := New(m, k), New(k, n), New(m, n)
-	for i := range m {
-		for j := range n {
-			for p := range k - 1 {
-				clear(a.Data)
-				clear(b.Data)
-				a.Data[i*k+p], a.Data[i*k+p+1] = probeA[0], probeA[1]
-				b.Data[p*n+j], b.Data[(p+1)*n+j] = probeB[0], probeB[1]
-				checkOnly("MatMul", MatMul(a, b), i*n+j, i, j, p)
-				dirty(dst)
-				checkOnly("MatMulInto", MatMulInto(dst, a, b), i*n+j, i, j, p)
+	const m, k = 9, 6
+	for n := 13; n <= 23; n++ {
+		a, b, dst := New(m, k), New(k, n), New(m, n)
+		for i := range m {
+			for j := range n {
+				for p := range k - 1 {
+					clear(a.Data)
+					clear(b.Data)
+					a.Data[i*k+p], a.Data[i*k+p+1] = probeA[0], probeA[1]
+					b.Data[p*n+j], b.Data[(p+1)*n+j] = probeB[0], probeB[1]
+					checkOnly("MatMul", MatMul(a, b), i*n+j, n, i, j, p)
+					dirty(dst)
+					checkOnly("MatMulInto", MatMulInto(dst, a, b), i*n+j, n, i, j, p)
+				}
 			}
 		}
-	}
 
-	// out[i, j] = Σ_p a[i, p]·bt[j, p]: the dot form.
-	const nt = 7
-	bt, dstT := New(nt, k), New(m, nt)
-	for i := range m {
-		for j := range nt {
-			for p := range k - 1 {
-				clear(a.Data)
-				clear(bt.Data)
-				a.Data[i*k+p], a.Data[i*k+p+1] = probeA[0], probeA[1]
-				bt.Data[j*k+p], bt.Data[j*k+p+1] = probeB[0], probeB[1]
-				checkOnly("MatMulT", MatMulT(a, bt), i*nt+j, i, j, p)
-				dirty(dstT)
-				checkOnly("MatMulTInto", MatMulTInto(dstT, a, bt), i*nt+j, i, j, p)
-			}
-		}
-	}
-
-	// out[p, j] = Σ_r at[r, p]·b[r, j] over the k rows r, whole and in two
-	// chunks cut at every row.
-	at, acc := New(k, m), New(m, n)
-	for p := range m {
-		for j := range n {
-			for r := range k - 1 {
-				clear(at.Data)
-				clear(b.Data)
-				at.Data[r*m+p], at.Data[(r+1)*m+p] = probeA[0], probeA[1]
-				b.Data[r*n+j], b.Data[(r+1)*n+j] = probeB[0], probeB[1]
-				checkOnly("TMatMul", TMatMul(at, b), p*n+j, p, j, r)
-				dirty(dst)
-				checkOnly("TMatMulInto", TMatMulInto(dst, at, b), p*n+j, p, j, r)
-				clear(acc.Data)
-				checkOnly("TMatMulAcc", TMatMulAcc(acc, at, b), p*n+j, p, j, r)
-				for cut := 1; cut < k; cut++ {
+		// out[p, j] = Σ_r at[r, p]·b[r, j] over the k rows r, whole and in two
+		// chunks cut at every row.
+		at, acc := New(k, m), New(m, n)
+		for p := range m {
+			for j := range n {
+				for r := range k - 1 {
+					clear(at.Data)
+					clear(b.Data)
+					at.Data[r*m+p], at.Data[(r+1)*m+p] = probeA[0], probeA[1]
+					b.Data[r*n+j], b.Data[(r+1)*n+j] = probeB[0], probeB[1]
+					checkOnly("TMatMul", TMatMul(at, b), p*n+j, n, p, j, r)
+					dirty(dst)
+					checkOnly("TMatMulInto", TMatMulInto(dst, at, b), p*n+j, n, p, j, r)
 					clear(acc.Data)
-					TMatMulAcc(acc, chunkOf(at, 0, cut), chunkOf(b, 0, cut))
-					TMatMulAcc(acc, chunkOf(at, cut, k), chunkOf(b, cut, k))
-					checkOnly("TMatMulAcc chunked", acc, p*n+j, p, j, r, cut)
+					checkOnly("TMatMulAcc", TMatMulAcc(acc, at, b), p*n+j, n, p, j, r)
+					for cut := 1; cut < k; cut++ {
+						clear(acc.Data)
+						TMatMulAcc(acc, chunkOf(at, 0, cut), chunkOf(b, 0, cut))
+						TMatMulAcc(acc, chunkOf(at, cut, k), chunkOf(b, cut, k))
+						checkOnly("TMatMulAcc chunked", acc, p*n+j, n, p, j, r, cut)
+					}
 				}
 			}
 		}
 	}
 
-	// The training path's conv: two images of one 7×11 channel, five 3×3
+	// out[i, j] = Σ_p a[i, p]·bt[j, p]: the dot form, unseeded and as a
+	// seeded fold from +0 over two row ranges cut at every row.
+	const mt = 13
+	for nt := 4; nt <= 7; nt++ {
+		a, bt, dstT := New(mt, k), New(nt, k), New(mt, nt)
+		for i := range mt {
+			for j := range nt {
+				for p := range k - 1 {
+					clear(a.Data)
+					clear(bt.Data)
+					a.Data[i*k+p], a.Data[i*k+p+1] = probeA[0], probeA[1]
+					bt.Data[j*k+p], bt.Data[j*k+p+1] = probeB[0], probeB[1]
+					checkOnly("MatMulT", MatMulT(a, bt), i*nt+j, nt, i, j, p)
+					dirty(dstT)
+					checkOnly("MatMulTInto", MatMulTInto(dstT, a, bt), i*nt+j, nt, i, j, p)
+					for cut := 0; cut < mt; cut++ {
+						clear(dstT.Data)
+						matMulTRange(dstT.Data, a.Data, bt.Data, k, nt, nt, 0, cut, true)
+						matMulTRange(dstT.Data, a.Data, bt.Data, k, nt, nt, cut, mt, true)
+						checkOnly("matMulTRange seeded", dstT, i*nt+j, nt, i, j, p, cut)
+					}
+				}
+			}
+		}
+	}
+
+	// The training path's conv: two images of one 7×11 channel, nine 3×3
 	// filters — K = 9 lowered rows, 5×9 = 45 output pixels.
-	const imgs, f, h, w, kh, kw, oh, ow = 2, 5, 7, 11, 3, 3, 5, 9
+	const imgs, f, h, w, kh, kw, oh, ow = 2, 9, 7, 11, 3, 3, 5, 9
 	const kk, px = kh * kw, oh * ow
 	x, wm, out := New(imgs, 1, h, w), New(f, kk), New(imgs, f, oh, ow)
 	gin, gout := New(imgs, 1, h, w), New(imgs, f, oh, ow)

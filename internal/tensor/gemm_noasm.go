@@ -10,7 +10,7 @@ func axpyTile(o *float64, n int, a *float64, rs, ts int, b *float64, terms, grou
 	panic("tensor: no vector kernels on this architecture")
 }
 
-func axpyQuads(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, quads int, fromZero bool) {
+func axpyEdge(o *float64, n int, a *float64, rs, ts int, b *float64, terms, groups, w int, fromZero bool) {
 	panic("tensor: no vector kernels on this architecture")
 }
 
@@ -18,7 +18,11 @@ func axpyPanel(o, a *float64, sa int, b *float64, bs, n, terms int, fromZero boo
 	panic("tensor: no vector kernels on this architecture")
 }
 
-func dotTiles(out *float64, n int, a, b *float64, k, tiles int, seeded bool) {
+func dotTiles(out *float64, ldo int, a, b *float64, k, rows, cols int, seeded bool) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func dotTiles8(out *float64, ldo int, a, b *float64, k, cols int, seeded bool) {
 	panic("tensor: no vector kernels on this architecture")
 }
 

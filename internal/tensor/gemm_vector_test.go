@@ -32,11 +32,13 @@ func onGoPath(f func()) {
 }
 
 // vectorDims are the m, k and n of the vector-path battery: every remainder of
-// the eight-, four- and one-wide steps, term counts 0–5, column counts on both
-// sides of one, two and three tile widths (12) with and without a quad (4)
-// left over, sizes straddling a panel for short and long rows, and the shapes
-// of the train workloads.
-var vectorDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 17, 23, 24, 25, 31, 36, 72, 73, 144, 196, 250}
+// the eight-, four- and one-wide steps — rows mod 8 of the eight-row dot tile,
+// 0 and 4 among them, and the 1–3 rows the four-row one takes last; columns
+// mod 4 of a dot tile and mod 12 of an axpy block, every masked edge — term
+// counts 0–5, column counts on both sides of one, two and three tile widths
+// (12), sizes straddling a panel for short and long rows, and the shapes of
+// the train workloads.
+var vectorDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 18, 23, 24, 25, 31, 36, 72, 73, 144, 196, 250}
 
 // oddSlice returns n elements of fill starting at an odd element offset of a
 // fresh array, so the vector loads and stores of a kernel run on it are not
@@ -64,10 +66,10 @@ type rangeKernel struct {
 	sweep []int
 }
 
-// variantDims keeps every remainder of the vector steps, term counts 0–5, the
-// tile's column edges, a panel straddle and the conv shapes, at a third of
-// vectorDims' cross product.
-var variantDims = []int{0, 1, 2, 3, 4, 5, 8, 9, 11, 13, 23, 24, 25, 31, 36, 72, 144}
+// variantDims keeps every remainder of the vector steps — rows mod 8 and mod
+// 4, columns mod 4 and mod 12 — term counts 0–6, a panel straddle and the
+// conv shapes, at under half of vectorDims' cross product.
+var variantDims = []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 13, 22, 24, 25, 31, 36, 72, 144}
 
 var rangeKernels = []rangeKernel{
 	{"matMulRange", func(m, k, n int) (int, int, int) { return m * k, k * n, m },
@@ -90,6 +92,15 @@ var rangeKernels = []rangeKernel{
 			matMulTRange(out, a, b[:j*k], k, j, n, lo, hi, true)
 			matMulTRange(out[min(j, len(out)):], a, b[j*k:], k, n-j, n, lo, hi, true) // out is empty when m is 0
 		}, true, variantDims},
+	// A window one column narrower than out's rows: the last column of every
+	// row lies past the product and must come back untouched, so a masked edge
+	// tile that stores a lane past its columns shows on every row.
+	{"matMulTRange seeded in a narrower window", func(m, k, n int) (int, int, int) { return m * k, n * k, m },
+		func(out, a, b []float64, m, k, n, lo, hi int) {
+			if n > 0 {
+				matMulTRange(out, a, b[:(n-1)*k], k, n-1, n, lo, hi, true)
+			}
+		}, true, variantDims},
 }
 
 // rowKernels are the two strided row kernels of the conv lowering.
@@ -103,26 +114,31 @@ var rowKernels = []struct {
 // odd run.
 var rowLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 31}
 
+// outGuard is how many elements follow out in its array: the kernels never
+// see them, and a store past out's end shows in them.
+const outGuard = 4
+
 // diffKernel runs rk on both paths over the same operands (filled by fa, fb;
-// out starts from fo on both sides) and returns the two outputs.
+// out starts from fo on both sides) and returns the two outputs, each with the
+// outGuard elements that follow it.
 func diffKernel(rk rangeKernel, m, k, n, lo, hi int, fa, fb, fo func(int) float64) (vec, ref []float64) {
 	la, lb, outRows := rk.dims(m, k, n)
 	a, b := oddSlice(la, fa), oddSlice(lb, fb)
-	vec, ref = oddSlice(outRows*n, fo), oddSlice(outRows*n, fo)
-	rk.run(vec, a, b, m, k, n, lo, hi)
-	onGoPath(func() { rk.run(ref, a, b, m, k, n, lo, hi) })
+	vec, ref = oddSlice(outRows*n+outGuard, fo), oddSlice(outRows*n+outGuard, fo)
+	rk.run(vec[:outRows*n], a, b, m, k, n, lo, hi)
+	onGoPath(func() { rk.run(ref[:outRows*n], a, b, m, k, n, lo, hi) })
 	return vec, ref
 }
 
 // TestVectorKernelsMatchGoLoops is the bit-level differential suite of the
 // AVX2 path against the kept Go loops: the range kernels (the dot form also
 // seeded) over every combination of vectorDims, three row ranges (one starting
-// at an odd row, so off the tile's groups of four), operands at
-// odd element offsets and, for the accumulating forms, a non-zero initial
-// output; then the two strided row kernels over rowLens, row counts 0–5 and
-// strides from n to n+5 on both sides, onto non-zero destinations. Everything
-// outside a kernel's range — other rows, the gaps between strided runs — must
-// come back untouched.
+// at an odd row, so off the tile's groups of four), operands at odd element
+// offsets and, for the accumulating forms, a non-zero initial output; then the
+// two strided row kernels over rowLens, row counts 0–5 and strides from n to
+// n+5 on both sides, onto non-zero destinations. Everything outside a
+// kernel's range — other rows, the columns past a window, the elements after
+// out, the gaps between strided runs — must come back untouched.
 func TestVectorKernelsMatchGoLoops(t *testing.T) {
 	if !useVector {
 		t.Skip("no vector path on this CPU (or this is the portable run)")
